@@ -39,6 +39,7 @@ from .memory import (
     update_private_state,
 )
 from .gate import (
+    AdjudicatorUnavailable,
     FeatureConfig,
     FeatureVector,
     GateDecision,
@@ -78,6 +79,7 @@ from .harness import (
 
 __all__ = [
     "Action",
+    "AdjudicatorUnavailable",
     "AgentBody",
     "BlockageRecord",
     "Blueprint",

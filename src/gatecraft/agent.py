@@ -124,9 +124,6 @@ class Trace:
     def emit(self, step: int, agent: str, kind: str, payload: dict) -> None:
         self.events.append({"step": step, "agent": agent, "kind": kind, "payload": payload})
 
-    def of_kind(self, kind: str) -> list[dict]:
-        return [e for e in self.events if e["kind"] == kind]
-
     def to_jsonl(self) -> str:
         return "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in self.events)
 
@@ -191,8 +188,6 @@ class EpisodeRuntime:
         self.trace = Trace()
         self.runtimes: dict[str, AgentRuntime] = {}
         self.advertised: dict[str, dict[str, int]] = {}
-        self._total_nodes = len(self.world.blueprint.blocks)
-        self._placed_count = len(self.world.placed_nodes())
         for aid in sorted(self.world.agents):
             rt = AgentRuntime(agent_id=aid, state=PrivateState(agent_id=aid),
                               assigned=set(spec.assigned.get(aid, [])))
@@ -257,7 +252,7 @@ class EpisodeRuntime:
         return need
 
     def complete(self) -> bool:
-        return self._placed_count >= self._total_nodes
+        return len(self.world.placed_nodes()) >= len(self.world.blueprint.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +491,13 @@ def _can_ever_retry(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageReco
     return ep.cooldowns.entry(rt.agent_id, blockage.issue).consecutive_failures < 2
 
 
-def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan, reason: str) -> None:
+def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan) -> None:
     rt.plan = plan
     rt.plan_idx = 0
     _set_collect_goals(ep, rt)
     rt.mode = "recovering"
     if rt.current_instance is not None:
         rt.current_instance.recovery_activated = True
-    update_private_state(rt.state, StateEvent(kind="recovery_entry", reason=reason))
 
 
 def _stall_or_abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> Action:
@@ -580,12 +574,11 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
             if rt.current_instance is not None:
                 rt.current_instance.windows_opened += 1
                 rt.current_instance.recovery_activated = True
-            update_private_state(rt.state, StateEvent(kind="recovery_entry", reason="escalate"))
             return Action.send_message(request)
         # nobody to ask; fall through to the local routes
 
     if material_issue and plan is not None:
-        _enter_recovery(ep, rt, plan, reason="local_plan")
+        _enter_recovery(ep, rt, plan)
         action = _plan_step_action(ep, rt)
         if action is not None:
             return action
@@ -693,9 +686,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
     if blockage is None and rt.mode == "standard":
         target = _standard_target(ep, rt)
         if target is not None and rt.state.task.active_subtask != target:
-            update_private_state(rt.state, StateEvent(
-                kind="mode_reset", target_node=target,
-                requirements=ep.requirements_of(rt.agent_id), reason="assign"))
+            update_private_state(rt.state, StateEvent(kind="mode_reset", target_node=target))
         issue = detect_issue(
             rt.state, view, ep.graph, ep.recipes,
             far_threshold=config.features.far_threshold,
@@ -784,7 +775,7 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
             far_threshold=ep.config.features.far_threshold,
         )
     if plan is not None:
-        _enter_recovery(ep, rt, plan, reason="fallback")
+        _enter_recovery(ep, rt, plan)
         return
     rt.mode = "skipping"
     rt.skip_target = None
@@ -829,9 +820,6 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
     update_private_state(rt.state, StateEvent(kind="outcome", outcome=outcome))
     rt.last_outcome = outcome
 
-    if outcome.ok and outcome.kind == "place":
-        ep._placed_count += 1
-
     if not outcome.ok and rt.mode == "recovering":
         # a recovery leg failed against the live world; replan from scratch
         rt.plan = None
@@ -868,8 +856,7 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
 
     # settle every open window after each applied action
     for window in ep.open_windows():
-        result = settle_window(window, ep.world, ep.world.sim_time)
-        if result.state != WindowState.OPEN:
+        if settle_window(window, ep.world.sim_time) != WindowState.OPEN:
             _handle_window_close(ep, window)
 
 

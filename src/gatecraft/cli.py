@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -105,7 +106,11 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file not found: {path}")
     text = p.read_text()
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {path}: invalid JSON at line {exc.lineno} "
+                             f"column {exc.colno}: {exc.msg}")
         if not isinstance(data, dict):
             raise UsageError("JSON config must be an object")
         return data
@@ -264,30 +269,14 @@ def cmd_run(ns, cfg: dict) -> int:
 def cmd_ablate(ns, cfg: dict) -> int:
     _, episodes = _require_dataset(ns, cfg)
     base_config = _run_config(ns, cfg)
+    backend_name = _pick(ns, cfg, "backend", "mock")
     jobs = int(_pick(ns, cfg, "jobs", 1))
     out = _out_dir(ns, cfg)
 
     rows = []
     for name, overrides in ABLATION_VARIANTS:
-        kwargs = {
-            "weights": base_config.weights,
-            "thresholds": base_config.thresholds,
-            "rules_on": base_config.rules_on,
-            "score_on": base_config.score_on,
-            "adjudicator_on": base_config.adjudicator_on,
-            "rule_toggles": base_config.rule_toggles,
-            "partition_on": base_config.partition_on,
-            "window_timeout": base_config.window_timeout,
-            "cooldown_duration": base_config.cooldown_duration,
-            "step_budget": base_config.step_budget,
-            "seed": base_config.seed,
-            "observe_radius": base_config.observe_radius,
-            "features": base_config.features,
-            "allow_unvalidated": base_config.allow_unvalidated,
-        }
-        kwargs.update(overrides)
-        config = RunConfig(**kwargs)
-        metrics = [m for _, _, m in _run_suite(episodes, config, "mock", jobs)]
+        config = dataclasses.replace(base_config, **overrides)
+        metrics = [m for _, _, m in _run_suite(episodes, config, backend_name, jobs)]
         agg = aggregate(metrics)
         rows.append({
             "variant": name,

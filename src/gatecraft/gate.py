@@ -8,6 +8,7 @@ attainable raw range onto [0,1] so thresholds are weight-independent.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.request
 from dataclasses import dataclass
@@ -169,7 +170,7 @@ def extract_features(
     if blockage is None:
         raise ValueError("no blockage to featurize")
     node = blockage.node_id
-    placed = {n for n, p in view.plan.node_positions.items() if view.placed.get(p) == view.plan.materials[n]}
+    placed = view.placed_nodes
 
     # --- C: structural criticality -------------------------------------
     crit = criticality_of(graph, node, placed)
@@ -290,6 +291,11 @@ REPLY_FIELDS = {"decision", "confidence"}
 VALID_DECISIONS = ("stay_local", "escalate")
 
 
+class AdjudicatorUnavailable(RuntimeError):
+    """The backend could not reply (scripted replies ran out, endpoint failed).
+    The only error gate_decide turns into a stay_local fallback."""
+
+
 def parse_adjudicator_reply(reply: bytes | str) -> tuple[str, float] | None:
     """Strict reply schema: a JSON object with exactly {decision, confidence}.
 
@@ -336,7 +342,7 @@ class MockAdjudicator:
 
 
 class ScriptedAdjudicator:
-    """Replays a fixed reply sequence; raises when exhausted (treated as failure)."""
+    """Replays a fixed reply sequence; raises AdjudicatorUnavailable when exhausted."""
 
     name = "scripted"
 
@@ -356,7 +362,7 @@ class ScriptedAdjudicator:
 
     def adjudicate(self, request: bytes) -> bytes:
         if self._cursor >= len(self._replies):
-            raise RuntimeError("scripted adjudicator exhausted")
+            raise AdjudicatorUnavailable("scripted adjudicator exhausted")
         reply = self._replies[self._cursor]
         self._cursor += 1
         return reply
@@ -375,8 +381,11 @@ class RemoteAdjudicator:
         req = urllib.request.Request(
             self.url, data=request, headers={"Content-Type": "application/json"}, method="POST"
         )
-        with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-            return resp.read()
+        try:
+            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                return resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            raise AdjudicatorUnavailable(f"{self.url}: {exc}") from exc
 
 
 @dataclass
@@ -478,7 +487,7 @@ def gate_decide(
     request_bytes = card.encode("utf-8")
     try:
         reply_bytes = adjudicator.adjudicate(request_bytes)
-    except Exception:
+    except AdjudicatorUnavailable:
         return GateDecision(
             verdict="stay_local", tier="adjudicator", score_raw=raw, score_norm=norm, fv=fv,
             confidence=0.0, adjudicator_request=card, adjudicator_reply=None, adjudicator_ok=False,

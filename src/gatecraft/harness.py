@@ -10,6 +10,7 @@ and nothing that happened afterwards.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -101,7 +102,7 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
         agent_id="replay",
         position=tuple(ctx["position"]),
         inventory=inventory,
-        placed={},
+        placed_nodes=frozenset(),
         sources=sources,
         chests=chests,
         teammates={},
@@ -316,24 +317,11 @@ def _cell_raw_scores(
     local_budget: int,
 ) -> dict:
     """Run every calibration episode under one Θ and average the raw terms."""
-    base = base or RunConfig()
-    cfg_kwargs = dict(
+    cfg = dataclasses.replace(
+        base or RunConfig(),
         weights=GateWeights.from_sequence(weights),
         thresholds=GateThresholds(*thresholds),
-        rules_on=base.rules_on,
-        score_on=base.score_on,
-        adjudicator_on=base.adjudicator_on,
-        rule_toggles=base.rule_toggles,
-        partition_on=base.partition_on,
-        window_timeout=base.window_timeout,
-        cooldown_duration=base.cooldown_duration,
-        step_budget=base.step_budget,
-        seed=base.seed,
-        observe_radius=base.observe_radius,
-        features=base.features,
-        allow_unvalidated=base.allow_unvalidated,
     )
-    cfg = RunConfig(**cfg_kwargs)
     metrics = [compute_metrics(run_episode(e, cfg, backend), e, local_budget) for e in episodes]
     tsr = _mean([m.tsr for m in metrics])
     rec = [m.recovery_time_avg for m in metrics if m.recovery_time_avg is not None]

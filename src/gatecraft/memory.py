@@ -1,9 +1,8 @@
 """Per-agent private execution state and deterministic issue detection.
 
 The private state is updated only on trigger events (init, verified action
-outcomes, recovery-mode entry, mode-level resets) and never from another
-agent's unverified claims. Replaying the same ordered events always rebuilds
-the same state.
+outcomes, mode-level resets) and never from another agent's unverified
+claims. Replaying the same ordered events always rebuilds the same state.
 """
 
 from __future__ import annotations
@@ -60,47 +59,29 @@ class BlockageRecord:
 
 
 @dataclass
-class HistoryEntry:
-    """Compressed summary of one verified outcome kept in bounded history."""
-
-    kind: str
-    status: str
-    reason: str | None
-    sim_time: int
-    node_id: int | None = None
-
-
-@dataclass
 class TaskFocus:
-    """T_t: the active subtask plus its unfinished material requirements."""
+    """T_t: the active subtask."""
 
     active_subtask: int | None = None  # node id
-    unfinished_requirements: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
 class PrivateState:
-    """m_priv = <inventory, task focus, position, blockage, bounded history>."""
+    """m_priv = <inventory, task focus, position, blockage>."""
 
     agent_id: str
     inventory: Inventory = field(default_factory=Inventory)
     task: TaskFocus = field(default_factory=TaskFocus)
     position: Position = (0, 0, 0)
     blockage: BlockageRecord | None = None
-    history: list[HistoryEntry] = field(default_factory=list)
-    h_max: int = 8
-
-    def _push_history(self, entry: HistoryEntry) -> None:
-        self.history.append(entry)
-        if len(self.history) > self.h_max:
-            del self.history[: len(self.history) - self.h_max]
 
 
 @dataclass(frozen=True)
 class StateEvent:
     """A private-state trigger event.
 
-    kind: "init" | "outcome" | "recovery_entry" | "mode_reset"
+    kind: "init" (needs `view`) | "outcome" (needs `outcome`) | "mode_reset"
+    (sets the active subtask to `target_node`)
     The event carries everything the update needs, so a replay of the same
     ordered events reconstructs the same state.
     """
@@ -109,8 +90,6 @@ class StateEvent:
     view: WorldView | None = None
     outcome: VerifiedOutcome | None = None
     target_node: int | None = None
-    requirements: dict[str, int] | None = None
-    reason: str | None = None
 
 
 def update_private_state(state: PrivateState, event: StateEvent) -> PrivateState:
@@ -123,7 +102,6 @@ def update_private_state(state: PrivateState, event: StateEvent) -> PrivateState
         state.position = view.position
         state.task = TaskFocus()
         state.blockage = None
-        state.history = []
         return state
 
     if event.kind == "outcome":
@@ -141,10 +119,6 @@ def update_private_state(state: PrivateState, event: StateEvent) -> PrivateState
         pos_delta = deltas.get("position", {}).get(state.agent_id)
         if pos_delta:
             state.position = tuple(pos_delta[1])
-        state._push_history(
-            HistoryEntry(kind=out.kind, status=out.status, reason=out.reason,
-                         sim_time=out.sim_time, node_id=out.node_id)
-        )
         if out.ok and out.kind == "place" and out.node_id is not None:
             if state.blockage and state.blockage.node_id == out.node_id:
                 state.blockage = None
@@ -156,18 +130,9 @@ def update_private_state(state: PrivateState, event: StateEvent) -> PrivateState
                 state.blockage = None
         return state
 
-    if event.kind == "recovery_entry":
-        state._push_history(
-            HistoryEntry(kind="recovery_entry", status="success", reason=event.reason, sim_time=0)
-        )
-        return state
-
     if event.kind == "mode_reset":
         if event.target_node is not None:
             state.task.active_subtask = event.target_node
-            state.task.unfinished_requirements = dict(event.requirements or {})
-        if event.reason == "clear_blockage":
-            state.blockage = None
         return state
 
     raise ValueError(f"unknown state event kind {event.kind!r}")
@@ -177,13 +142,8 @@ def _local_route_exists(view: WorldView, state: PrivateState, item: str, recipes
     """True if the agent could plausibly obtain `item` without a teammate:
     a visible source/chest within far_threshold, or a recipe whose every input
     is either held or collectable from a nearby source/chest."""
-    far_sq = far_threshold * far_threshold
-    for _, src in view.sources:
-        if src.item == item and src.remaining > 0 and dist_sq(view.position, src.position) <= far_sq:
-            return True
-    for _, chest in view.chests:
-        if chest.inventory.count(item) > 0 and dist_sq(view.position, chest.position) <= far_sq:
-            return True
+    if _any_source_for(view, item, far_threshold):
+        return True
     for recipe in recipes.producing(item):
         if all(
             state.inventory.count(i) >= n or _any_source_for(view, i, far_threshold)
@@ -210,7 +170,7 @@ def detect_issue(
     Nodes in `ignore` (e.g. formally abandoned ones) never trigger detection.
     """
     materials = view.plan.materials
-    placed = _placed_nodes(view)
+    placed = view.placed_nodes
     mine = sorted(
         n for n, a in view.plan.assignments.items()
         if a == view.agent_id and n not in placed and n not in ignore
@@ -281,15 +241,6 @@ def detect_issue(
                     item=materials.get(node), count=1, detected_at=view.sim_time,
                 )
     return None
-
-
-def _placed_nodes(view: WorldView) -> set[int]:
-    placed = set()
-    for node_id, mat in view.plan.materials.items():
-        pos = view.plan.node_positions.get(node_id)
-        if pos is not None and view.placed.get(pos) == mat:
-            placed.add(node_id)
-    return placed
 
 
 def _any_source_for(view: WorldView, item: str, far_threshold: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .world import CoordinationMessage, Inventory, Position, WorldState, dist_sq
+from .world import CoordinationMessage, Inventory, Position
 
 
 class MessageType(str, Enum):
@@ -171,42 +171,25 @@ def confirm_message(window: CoordinationWindow, now: int) -> CoordinationMessage
     )
 
 
-@dataclass
-class SettleResult:
-    state: WindowState
-    responder_should_transfer: bool = False
-    responder_should_approach: bool = False
-
-
-def settle_window(window: CoordinationWindow, world: WorldState, now: int) -> SettleResult:
-    """Advance a window's lifecycle.
+def settle_window(window: CoordinationWindow, now: int) -> WindowState:
+    """Advance a window's lifecycle and return its state.
 
     Terminal checks run in order: explicit refusal, verified transfer,
-    deadline. Otherwise reports what the responder owes the exchange
-    (approach or execute the transfer once in interaction range).
+    deadline. What the responder still owes an open window is decided by the
+    agent runtime's responder duty, not here.
     """
     if window.state != WindowState.OPEN:
-        return SettleResult(state=window.state)
+        return window.state
     if window.has(MessageType.CANNOT_SUPPLY):
         window.state = WindowState.CANNOT_SUPPLY
-        window.closed_at = now
-        return SettleResult(state=window.state)
-    if window.transfer_done:
+    elif window.transfer_done:
         window.state = WindowState.FULFILLED
-        window.closed_at = now
-        return SettleResult(state=window.state)
-    if now >= window.deadline:
+    elif now >= window.deadline:
         window.state = WindowState.TIMED_OUT
-        window.closed_at = now
-        return SettleResult(state=window.state)
-    if window.has(MessageType.OFFER_TRANSFER) and window.has(MessageType.CONFIRM_TRANSFER):
-        requester = world.agents[window.requester]
-        responder = world.agents[window.responder]
-        r = world.interaction_radius
-        if dist_sq(requester.position, responder.position) <= r * r:
-            return SettleResult(state=window.state, responder_should_transfer=True)
-        return SettleResult(state=window.state, responder_should_approach=True)
-    return SettleResult(state=window.state)
+    else:
+        return window.state
+    window.closed_at = now
+    return window.state
 
 
 @dataclass
@@ -221,15 +204,3 @@ class TeamPublicView:
 
     def surplus(self, agent: str, item: str) -> int:
         return self.advertised_surplus.get(agent, {}).get(item, 0)
-
-    def record_offer(self, agent: str, item: str, count: int) -> None:
-        self.advertised_surplus.setdefault(agent, {})[item] = count
-
-    def consume_advert(self, agent: str, item: str, count: int) -> None:
-        have = self.surplus(agent, item)
-        if have:
-            left = max(0, have - count)
-            if left:
-                self.advertised_surplus[agent][item] = left
-            else:
-                self.advertised_surplus[agent].pop(item, None)

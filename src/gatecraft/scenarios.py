@@ -465,7 +465,7 @@ def probe_bottleneck(
         "issue": blockage.issue.value,
         "item": blockage.item,
         "node_id": blockage.node_id,
-        "fv": fv.as_tuple() if hasattr(fv, "as_tuple") else (fv.C, fv.R, fv.I, fv.L, fv.H),
+        "fv": fv.as_tuple(),
         "plan_cost": recovery.total_cost if recovery is not None else None,
         "verdict": decision.verdict,
         "tier": decision.tier,

@@ -21,10 +21,6 @@ from .world import (
     travel_steps,
 )
 
-# Preference ranking; RecoveryPlan steps must be non-decreasing in this order.
-KIND_RANK = {"craft": 0, "smelt": 1, "collect": 2, "plan_detour": 3}
-
-
 @dataclass(frozen=True)
 class RecoveryStep:
     """One executable recovery leg.
@@ -82,20 +78,20 @@ def _nearest_station(view: WorldView, station: str | None) -> tuple[Position | N
     return best, math.sqrt(best_d2)
 
 
-def _nearest_supply(view: WorldView, item: str, max_dist: float) -> tuple[tuple | None, float, int]:
-    """Closest source/chest holding `item` within max_dist: (ref, distance, available)."""
+def _nearest_supply(view: WorldView, origin: Position, item: str, max_dist: float) -> tuple[tuple | None, float, int]:
+    """Closest source/chest to `origin` holding `item` within max_dist: (ref, distance, available)."""
     best_ref: tuple | None = None
     best_d2 = None
     avail = 0
     for idx, src in view.sources:
         if src.item == item and src.remaining > 0:
-            d2 = dist_sq(view.position, src.position)
+            d2 = dist_sq(origin, src.position)
             if d2 <= max_dist * max_dist and (best_d2 is None or d2 < best_d2):
                 best_ref, best_d2, avail = ("source", idx), d2, src.remaining
     for idx, chest in view.chests:
         n = chest.inventory.count(item)
         if n > 0:
-            d2 = dist_sq(view.position, chest.position)
+            d2 = dist_sq(origin, chest.position)
             if d2 <= max_dist * max_dist and (best_d2 is None or d2 < best_d2):
                 best_ref, best_d2, avail = ("chest", idx, item), d2, n
     if best_ref is None:
@@ -147,7 +143,7 @@ def plan_local_recovery(
             )
 
     # collect the item itself
-    ref, dist, avail = _nearest_supply(view, item, far_threshold)
+    ref, dist, avail = _nearest_supply(view, view.position, item, far_threshold)
     if ref is not None and avail >= need:
         cost = travel_steps(dist, interaction_radius, speed) + need
         return RecoveryPlan(
@@ -171,7 +167,7 @@ def plan_local_recovery(
             missing = inp_n * crafts - state.inventory.count(inp_item)
             if missing <= 0:
                 continue
-            ref, d, avail = _nearest_supply_from(view, cursor, inp_item, far_threshold)
+            ref, d, avail = _nearest_supply(view, cursor, inp_item, far_threshold)
             if ref is None or avail < missing:
                 feasible = False
                 break
@@ -187,24 +183,6 @@ def plan_local_recovery(
         return RecoveryPlan(item=item, count=need, steps=steps)
 
     return None
-
-
-def _nearest_supply_from(view: WorldView, origin: Position, item: str, max_dist: float):
-    best_ref, best_d2, avail = None, None, 0
-    for idx, src in view.sources:
-        if src.item == item and src.remaining > 0:
-            d2 = dist_sq(origin, src.position)
-            if d2 <= max_dist * max_dist and (best_d2 is None or d2 < best_d2):
-                best_ref, best_d2, avail = ("source", idx), d2, src.remaining
-    for idx, chest in view.chests:
-        n = chest.inventory.count(item)
-        if n > 0:
-            d2 = dist_sq(origin, chest.position)
-            if d2 <= max_dist * max_dist and (best_d2 is None or d2 < best_d2):
-                best_ref, best_d2, avail = ("chest", idx, item), d2, n
-    if best_ref is None:
-        return None, math.inf, 0
-    return best_ref, math.sqrt(best_d2), avail
 
 
 def _ref_position(view: WorldView, ref: tuple) -> Position | None:

@@ -23,10 +23,6 @@ def within(a: Position, b: Position, radius: float) -> bool:
     return dist_sq(a, b) <= radius * radius
 
 
-def euclid(a: Position, b: Position) -> float:
-    return math.sqrt(dist_sq(a, b))
-
-
 def travel_steps(distance: float, radius: float, speed: int) -> int:
     """Estimated move actions to bring `distance` down to `radius` at `speed` blocks/step."""
     if distance <= radius:
@@ -367,7 +363,10 @@ class VerifiedOutcome:
 @dataclass
 class WorldState:
     """Full simulator state. `placed` maps positions to materials; `scaffold` positions
-    (stations and other pre-existing blocks) are allowed alongside blueprint positions."""
+    (stations and other pre-existing blocks) are allowed alongside blueprint positions.
+
+    The set of placed blueprint node ids is built once here and then grown only
+    by a successful `place` in `apply_action`; every placement query reads it."""
 
     blueprint: Blueprint
     graph: TaskGraph
@@ -380,24 +379,26 @@ class WorldState:
     sim_time: int = 0
     interaction_radius: int = 3
     speed: int = 5
+    _placed_ids: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp_positions = {b.position for b in self.blueprint.blocks}
         for pos in self.placed:
             if pos not in bp_positions and pos not in self.scaffold:
                 raise ValueError(f"placed block at non-blueprint, non-scaffold position {pos}")
+        blocks = self.blueprint.blocks
+        self._placed_ids = frozenset(b.node_id for b in blocks if self.placed.get(b.position) == b.material)
 
     # -- queries ---------------------------------------------------------
 
     def node_placed(self, node_id: int) -> bool:
-        b = self.blueprint.node(node_id)
-        return self.placed.get(b.position) == b.material
+        return node_id in self._placed_ids
 
-    def placed_nodes(self) -> set[int]:
-        return {b.node_id for b in self.blueprint.blocks if self.placed.get(b.position) == b.material}
+    def placed_nodes(self) -> frozenset[int]:
+        return self._placed_ids
 
     def prereqs_placed(self, node_id: int) -> bool:
-        return all(self.node_placed(p) for p in self.graph.preds[node_id])
+        return all(p in self._placed_ids for p in self.graph.preds[node_id])
 
     def stations_of(self, station: str) -> list[Position]:
         out = [pos for pos, mat in self.scaffold.items() if mat == station]
@@ -485,6 +486,7 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
             return world, _fail(agent, action, "missing_material", t)
         agent.inventory.remove(block.material, 1)
         world.placed[block.position] = block.material
+        world._placed_ids = world._placed_ids | {block.node_id}
         deltas = {
             "inventory": {agent_id: {block.material: -1}},
             "placed": [[list(block.position), block.material]],
@@ -600,7 +602,7 @@ class WorldView:
     agent_id: str
     position: Position
     inventory: Inventory
-    placed: dict[Position, str]
+    placed_nodes: frozenset[int]
     sources: list[tuple[int, Source]]  # (index, source) within observe radius
     chests: list[tuple[int, Chest]]
     teammates: dict[str, Position]  # only those within observe radius
@@ -616,7 +618,7 @@ class WorldView:
             self.agent_id,
             str(self.position),
             str(sorted(self.inventory.counts.items())),
-            str(len(self.placed)),
+            str(len(self.placed_nodes)),
             str([(i, s.remaining) for i, s in self.sources]),
             str(sorted(self.teammates.items())),
             str(self.sim_time),
@@ -650,7 +652,7 @@ def observe(world: WorldState, agent_id: str, radius: int = 50, plan: PlanInfo |
         agent_id=agent_id,
         position=me.position,
         inventory=me.inventory.copy(),
-        placed=dict(world.placed),
+        placed_nodes=world.placed_nodes(),
         sources=sources,
         chests=chests,
         teammates=teammates,
@@ -722,8 +724,7 @@ def blueprint_completion(world: WorldState) -> float:
     total = len(world.blueprint.blocks)
     if total == 0:
         return 1.0
-    good = sum(1 for b in world.blueprint.blocks if world.placed.get(b.position) == b.material)
-    return good / total
+    return len(world.placed_nodes()) / total
 
 
 def default_recipes() -> RecipeBook:

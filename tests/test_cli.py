@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in-process through main()."""
 
+import csv
 import json
 
 import pytest
@@ -95,6 +96,16 @@ def test_usage_errors_exit_one(tmp_path, small_dataset, capsys):
     ])
     assert rc == 1
 
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text('{\n  "seed": 1,\n  "thresholds": \n}\n')
+    rc = main([
+        "run", "--dataset", str(small_dataset), "--out", str(tmp_path / "o4"),
+        "--config", str(bad_cfg),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(bad_cfg) in err and "line 4 column 1" in err
+
     # argparse-level failures funnel into the same exit code
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
@@ -168,6 +179,25 @@ def test_ablate_runs_all_variants(tmp_path, small_dataset, capsys):
     assert set(rows) == {"base", "no_partition", "no_gating", "rule", "rule_score", "full"}
     adj_col = header.index("adjudicator_calls")
     assert float(rows["rule_score"][adj_col]) == 0.0
+
+
+def test_ablate_uses_the_chosen_backend(tmp_path, small_dataset, capsys):
+    # the mock would escalate the class-C gray-zone call; this script never does
+    replies = tmp_path / "replies.jsonl"
+    replies.write_text('{"decision": "stay_local", "confidence": 0.9}\n' * 50)
+    backend = f"scripted:{replies}"
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out),
+                 "--backend", backend]) == 0
+    assert main(["ablate", "--dataset", str(small_dataset), "--out", str(out),
+                 "--backend", backend]) == 0
+    capsys.readouterr()
+
+    with open(out / "metrics.csv", newline="") as f:
+        run_all = next(r for r in csv.DictReader(f) if r["episode_id"] == "ALL")
+    with open(out / "ablation.csv", newline="") as f:
+        full = next(r for r in csv.DictReader(f) if r["variant"] == "full")
+    assert {k: full[k] for k in full if k != "variant"} == {k: run_all[k] for k in full if k != "variant"}
 
 
 def test_calibrate_writes_theta_and_table(tmp_path, small_dataset, capsys):

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -18,6 +19,7 @@ from gatecraft.gate import (
     GateThresholds,
     GateWeights,
     MockAdjudicator,
+    RemoteAdjudicator,
     ScriptedAdjudicator,
     escalation_score,
     normalize_score,
@@ -160,6 +162,27 @@ def test_gate_adjudicator_failure_is_conservative():
                     adjudicator=exhausted)
     assert d.verdict == "stay_local" and d.tier == "adjudicator"
     assert not d.adjudicator_ok and d.adjudicator_reply is None
+
+
+def test_gate_dead_endpoint_is_conservative():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    dead = RemoteAdjudicator(f"http://127.0.0.1:{port}/adjudicate", timeout=1.0)
+    d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR,
+                    GateThresholds(0.4, 0.5), adjudicator=dead)
+    assert d.verdict == "stay_local" and d.tier == "adjudicator"
+    assert d.adjudicator_ok is False and d.adjudicator_reply is None
+
+
+def test_gate_backend_bug_propagates():
+    class Broken:
+        def adjudicate(self, request):
+            return {}["decision"]
+
+    with pytest.raises(KeyError):
+        gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR,
+                    GateThresholds(0.4, 0.5), adjudicator=Broken())
 
 
 def test_gate_malformed_reply_is_conservative():

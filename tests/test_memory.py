@@ -28,7 +28,7 @@ def test_init_event_snapshots_view():
     state = _init_state(world, "a0", plan_for(world))
     assert state.position == (2, 0, 0)
     assert state.inventory.count("stone") == 3
-    assert state.blockage is None and state.history == []
+    assert state.blockage is None
 
 
 def test_outcome_event_applies_verified_deltas_only():
@@ -38,7 +38,6 @@ def test_outcome_event_applies_verified_deltas_only():
     world, out = apply_action(world, "a0", Action.place(0))
     update_private_state(state, StateEvent(kind="outcome", outcome=out))
     assert state.inventory.count("stone") == 0
-    assert state.history[-1].kind == "place" and state.history[-1].status == "success"
 
 
 def test_outcome_event_tracks_position_moves():
@@ -47,15 +46,6 @@ def test_outcome_event_tracks_position_moves():
     world, out = apply_action(world, "a0", Action.move((10, 0, 0)))
     update_private_state(state, StateEvent(kind="outcome", outcome=out))
     assert state.position == (5, 0, 0)
-
-
-def test_history_is_bounded():
-    world = make_world([(0, (0, 0, 1), "stone")])
-    state = _init_state(world, "a0", plan_for(world))
-    for _ in range(state.h_max + 5):
-        world, out = apply_action(world, "a0", Action.idle())
-        update_private_state(state, StateEvent(kind="outcome", outcome=out))
-    assert len(state.history) == state.h_max
 
 
 def test_verified_gain_clears_material_blockage():

@@ -187,7 +187,6 @@ def check_message_schema_fuzz(rng) -> None:
 
 def check_window_termination(rng) -> None:
     """An open window reaches a terminal state no later than its deadline."""
-    world = _fresh_world()
     timeout = rng.randint(1, 12)
     opened = rng.randint(0, 5)
     window, _ = open_window(
@@ -207,7 +206,7 @@ def check_window_termination(rng) -> None:
             ))
         if scenario == "fulfill" and now == opened + 1 and timeout > 2:
             window.transfer_done = True
-        settle_window(window, world, now)
+        settle_window(window, now)
     assert window.state != WindowState.OPEN
     assert window.closed_at is not None and window.closed_at <= window.deadline
     if scenario == "silent":

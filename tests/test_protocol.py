@@ -14,7 +14,6 @@ from gatecraft.protocol import (
     MAX_WINDOW_MESSAGES,
     MessageType,
     ReasonTag,
-    TeamPublicView,
     WindowState,
     confirm_message,
     surplus_of,
@@ -112,22 +111,17 @@ def test_surplus_of_subtracts_own_requirements():
 
 
 def test_settle_cannot_supply_closes_window():
-    world = make_world([(0, (0, 0, 1), "stone")],
-                       agents={"a0": ((0, 0, 0), {}), "a1": ((1, 0, 0), {})})
     window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0)
     window.append(CoordinationMessage(
         protocol=MessageType.CANNOT_SUPPLY.value, sender="a1", target="a0",
         item="x", count=1, reason=ReasonTag.NO_SURPLUS.value, time=1))
-    result = settle_window(window, world, now=1)
-    assert result.state == WindowState.CANNOT_SUPPLY and window.closed_at == 1
+    assert settle_window(window, now=1) == WindowState.CANNOT_SUPPLY and window.closed_at == 1
 
 
 def test_settle_times_out_at_deadline():
-    world = make_world([(0, (0, 0, 1), "stone")],
-                       agents={"a0": ((0, 0, 0), {}), "a1": ((1, 0, 0), {})})
     window, _ = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0, timeout=10)
-    assert settle_window(window, world, now=9).state == WindowState.OPEN
-    assert settle_window(window, world, now=10).state == WindowState.TIMED_OUT
+    assert settle_window(window, now=9) == WindowState.OPEN
+    assert settle_window(window, now=10) == WindowState.TIMED_OUT
 
 
 def test_settle_directs_responder_through_handshake():
@@ -136,40 +130,23 @@ def test_settle_directs_responder_through_handshake():
     window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0)
     window.append(respond_policy(world.agents["a1"].inventory, {}, request, now=1))
     window.append(confirm_message(window, now=2))
-    far = settle_window(window, world, now=3)
-    assert far.responder_should_approach and not far.responder_should_transfer
+    # offer + confirm alone keep the window open until the transfer is verified
+    assert settle_window(window, now=3) == WindowState.OPEN
     world.agents["a1"].position = (2, 0, 0)
-    near = settle_window(window, world, now=4)
-    assert near.responder_should_transfer
+    assert settle_window(window, now=4) == WindowState.OPEN
     # the verified transfer closes the exchange as fulfilled
     world, out = apply_action(world, "a1", Action.transfer("x", 1, "a0"))
     assert out.ok
     window.transfer_done = True
-    assert settle_window(window, world, now=5).state == WindowState.FULFILLED
+    assert settle_window(window, now=5) == WindowState.FULFILLED
 
 
 def test_settled_window_state_is_sticky():
-    world = make_world([(0, (0, 0, 1), "stone")],
-                       agents={"a0": ((0, 0, 0), {}), "a1": ((1, 0, 0), {})})
     window, _ = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0, timeout=5)
-    settle_window(window, world, now=5)
+    settle_window(window, now=5)
     assert window.state == WindowState.TIMED_OUT
-    assert settle_window(window, world, now=50).state == WindowState.TIMED_OUT
+    assert settle_window(window, now=50) == WindowState.TIMED_OUT
     with pytest.raises(ValueError):
         window.append(CoordinationMessage(
             protocol=MessageType.OFFER_TRANSFER.value, sender="a1", target="a0",
             item="x", count=1, reason=ReasonTag.NEED_FOR_NODE.value, time=6))
-
-
-# -- team public view ----------------------------------------------------------------
-
-
-def test_team_view_advertised_surplus_lifecycle():
-    team = TeamPublicView()
-    assert team.surplus("a1", "x") == 0
-    team.record_offer("a1", "x", 3)
-    assert team.surplus("a1", "x") == 3
-    team.consume_advert("a1", "x", 2)
-    assert team.surplus("a1", "x") == 1
-    team.consume_advert("a1", "x", 5)
-    assert team.surplus("a1", "x") == 0
