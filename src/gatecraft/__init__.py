@@ -40,7 +40,6 @@ from .memory import (
 )
 from .gate import (
     AdjudicatorUnavailable,
-    FeatureConfig,
     FeatureVector,
     GateDecision,
     GateThresholds,
@@ -91,7 +90,6 @@ __all__ = [
     "CoordinationWindow",
     "EpisodeMetrics",
     "EpisodeSpec",
-    "FeatureConfig",
     "FeatureVector",
     "GateDecision",
     "GateThresholds",

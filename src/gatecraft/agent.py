@@ -13,7 +13,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .gate import (
-    FeatureConfig,
+    NEAR_RADIUS,
     GateDecision,
     GateThresholds,
     GateWeights,
@@ -44,6 +44,7 @@ from .protocol import (
     validate_message,
 )
 from .solver import (
+    PLANNER_PARAMS,
     CooldownTable,
     CoordinationOutcome,
     RecoveryPlan,
@@ -51,6 +52,8 @@ from .solver import (
     plan_local_recovery,
 )
 from .world import (
+    INTERACTION_RADIUS,
+    OBSERVE_RADIUS,
     Action,
     CoordinationMessage,
     PlanInfo,
@@ -61,6 +64,7 @@ from .world import (
     blueprint_completion,
     dist_sq,
     observe,
+    within,
 )
 
 
@@ -71,14 +75,11 @@ class RunConfig:
     rules_on: bool = True
     score_on: bool = True
     adjudicator_on: bool = True
-    rule_toggles: tuple[bool, bool, bool] = (True, True, True)
     partition_on: bool = True
     window_timeout: int = 20
     cooldown_duration: int = 30
     step_budget: int = 300  # round-robin rounds, not individual actions
     seed: int = 0
-    observe_radius: int = 50
-    features: FeatureConfig = FeatureConfig()
     allow_unvalidated: bool = False
 
     def __post_init__(self):
@@ -88,30 +89,28 @@ class RunConfig:
             raise ValueError("window_timeout must be >= 1")
         if self.cooldown_duration < 0:
             raise ValueError("cooldown_duration must be >= 0")
-        if self.observe_radius < 1:
-            raise ValueError("observe_radius must be >= 1")
         ok, problems = validate_weights(self.weights)
         if not ok and not self.allow_unvalidated:
             raise ValueError("weight vector rejected: " + "; ".join(problems))
 
     def describe(self) -> dict:
+        """The config echoed into `episode_end`. It also carries the fixed
+        physics and the always-on rule toggles, so trace bytes stay stable."""
         return {
             "weights": list(self.weights.as_tuple()),
             "thresholds": [self.thresholds.t_low, self.thresholds.t_high],
             "rules_on": self.rules_on,
             "score_on": self.score_on,
             "adjudicator_on": self.adjudicator_on,
-            "rule_toggles": list(self.rule_toggles),
+            "rule_toggles": [True, True, True],
             "partition_on": self.partition_on,
             "window_timeout": self.window_timeout,
             "cooldown_duration": self.cooldown_duration,
             "step_budget": self.step_budget,
             "seed": self.seed,
-            "observe_radius": self.observe_radius,
-            "interaction_radius": self.features.interaction_radius,
-            "speed": self.features.speed,
-            "far_threshold": self.features.far_threshold,
-            "near_radius": self.features.near_radius,
+            "observe_radius": OBSERVE_RADIUS,
+            **PLANNER_PARAMS,
+            "near_radius": NEAR_RADIUS,
         }
 
 
@@ -137,13 +136,11 @@ class Trace:
 class IssueInstance:
     """Lifecycle bookkeeping for one detected blockage (feeds the metrics)."""
 
-    agent: str
     issue: str
     node_id: int
     detected_at: int
     windows_opened: int = 0
     recovery_activated: bool = False
-    closed: bool = False
 
 
 @dataclass
@@ -197,18 +194,16 @@ class EpisodeRuntime:
     # -- views -------------------------------------------------------------
 
     def view_for(self, agent_id: str):
-        return observe(self.world, agent_id, radius=self.config.observe_radius,
-                       plan=self.plan_info, partition_on=self.config.partition_on)
+        return observe(self.world, agent_id, plan=self.plan_info)
 
     def team_view(self, agent_id: str) -> TeamPublicView:
         me = self.world.agents[agent_id]
         positions: dict[str, Position] = {}
-        r = self.config.observe_radius
         for aid in sorted(self.world.agents):
             if aid == agent_id:
                 continue
             body = self.world.agents[aid]
-            if dist_sq(me.position, body.position) <= r * r:
+            if within(me.position, body.position, OBSERVE_RADIUS):
                 positions[aid] = body.position
         if self.config.partition_on:
             surplus = {a: dict(items) for a, items in self.advertised.items() if a != agent_id}
@@ -286,8 +281,7 @@ def _choose_escalation_target(ep: EpisodeRuntime, rt: AgentRuntime, blockage: Bl
 def _build_toward(ep: EpisodeRuntime, rt: AgentRuntime, node_id: int) -> Action:
     block = ep.world.blueprint.node(node_id)
     me = ep.world.agents[rt.agent_id]
-    r = ep.world.interaction_radius
-    if dist_sq(me.position, block.position) <= r * r:
+    if within(me.position, block.position, INTERACTION_RADIUS):
         return Action.place(node_id)
     return Action.move(block.position)
 
@@ -319,7 +313,6 @@ def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
         return None
     step_ = rt.plan.steps[rt.plan_idx]
     me = ep.world.agents[rt.agent_id]
-    r = ep.world.interaction_radius
     if step_.op == "collect":
         ref = step_.source_ref
         pos: Position | None = None
@@ -329,7 +322,7 @@ def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
             pos = ep.world.chests[ref[1]].position
         if pos is None:
             return None
-        if dist_sq(me.position, pos) <= r * r:
+        if within(me.position, pos, INTERACTION_RADIUS):
             return Action.collect(tuple(ref))
         return Action.move(pos)
     recipe = ep.recipes.get(step_.recipe_id or "")
@@ -340,7 +333,7 @@ def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
         if not stations:
             return None
         pos = min(stations, key=lambda p: (dist_sq(me.position, p), p))
-        if dist_sq(me.position, pos) > r * r:
+        if not within(me.position, pos, INTERACTION_RADIUS):
             return Action.move(pos)
     return Action.craft(step_.recipe_id) if recipe.kind == "craft" else Action.smelt(step_.recipe_id)
 
@@ -389,7 +382,6 @@ def _responder_duty(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
     """
     now = ep.world.sim_time
     me = ep.world.agents[rt.agent_id]
-    r = ep.world.interaction_radius
     for window in ep.open_windows():
         if window.responder != rt.agent_id or now >= window.deadline:
             continue
@@ -418,7 +410,7 @@ def _responder_duty(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
         if window.has(MessageType.OFFER_TRANSFER) and window.has(MessageType.CONFIRM_TRANSFER) \
                 and not window.transfer_done:
             requester_pos = ep.world.agents[window.requester].position
-            if dist_sq(me.position, requester_pos) <= r * r:
+            if within(me.position, requester_pos, INTERACTION_RADIUS):
                 return Action.transfer(window.item, window.count, window.requester)
             return Action.move(requester_pos)
     return None
@@ -432,20 +424,12 @@ def _solver_context(ep: EpisodeRuntime, rt: AgentRuntime, view, blockage: Blocka
         "sources": [[i, s.item, list(s.position), s.remaining] for i, s in view.sources],
         "chests": [[i, list(c.position), c.inventory.to_dict()] for i, c in view.chests],
         "stations": [[list(p), m] for p, m in sorted(view.plan.station_positions.items())],
-        "recipes": [
-            {"recipe_id": r.recipe_id, "kind": r.kind, "output": list(r.output),
-             "inputs": [list(pair) for pair in r.inputs], "station": r.station}
-            for r in (ep.world.recipes.recipes[k] for k in sorted(ep.world.recipes.recipes))
-        ],
+        "recipes": [ep.recipes.recipes[k].to_dict() for k in sorted(ep.recipes.recipes)],
         "item": blockage.item,
         "count": max(1, blockage.count),
         "issue": blockage.issue.value,
         "node_id": blockage.node_id,
-        "params": {
-            "interaction_radius": ep.config.features.interaction_radius,
-            "speed": ep.config.features.speed,
-            "far_threshold": ep.config.features.far_threshold,
-        },
+        "params": dict(PLANNER_PARAMS),
     }
 
 
@@ -457,9 +441,7 @@ def _abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> 
                   {"event": "abandoned", "issue": blockage.issue.value, "node_id": node,
                    "windows": inst.windows_opened if inst else 0,
                    "recovery_activated": inst.recovery_activated if inst else False})
-    if rt.current_instance is not None:
-        rt.current_instance.closed = True
-        rt.current_instance = None
+    rt.current_instance = None
     if rt.state.task.active_subtask == node:
         rt.state.task.active_subtask = None
     rt.state.blockage = None
@@ -468,20 +450,18 @@ def _abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> 
     rt.gate_pending = False
 
 
-def _close_instance(ep: EpisodeRuntime, rt: AgentRuntime, resolved: bool) -> None:
+def _close_instance(ep: EpisodeRuntime, rt: AgentRuntime) -> None:
+    """Emit the resolved event for the agent's open issue, if any, and clear it."""
     inst = rt.current_instance
-    if inst is None or inst.closed:
-        rt.current_instance = None
+    if inst is None:
         return
-    inst.closed = True
-    if resolved:
-        via = "coordination" if inst.windows_opened else "local"
-        ep.trace.emit(ep.world.sim_time, rt.agent_id, "issue", {
-            "event": "resolved", "issue": inst.issue, "node_id": inst.node_id,
-            "via": via, "windows": inst.windows_opened,
-            "recovery_activated": inst.recovery_activated,
-            "duration": ep.world.sim_time - inst.detected_at,
-        })
+    via = "coordination" if inst.windows_opened else "local"
+    ep.trace.emit(ep.world.sim_time, rt.agent_id, "issue", {
+        "event": "resolved", "issue": inst.issue, "node_id": inst.node_id,
+        "via": via, "windows": inst.windows_opened,
+        "recovery_activated": inst.recovery_activated,
+        "duration": ep.world.sim_time - inst.detected_at,
+    })
     rt.current_instance = None
     rt.regate_after = None
     rt.skip_exhausted.clear()
@@ -523,11 +503,7 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     material_issue = blockage.issue in MATERIAL_SHAPED_ISSUES
     plan = None
     if material_issue:
-        plan = plan_local_recovery(
-            rt.state, view, ep.recipes, blockage,
-            interaction_radius=config.features.interaction_radius,
-            speed=config.features.speed, far_threshold=config.features.far_threshold,
-        )
+        plan = plan_local_recovery(rt.state, view, ep.recipes, blockage)
 
     hard_blocked = ep.cooldowns.blocked(rt.agent_id, blockage.issue, now)
     gating_enabled = config.rules_on or config.score_on or config.adjudicator_on
@@ -547,14 +523,13 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     else:
         fv, plan = extract_features(
             view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
-            ep.recipes, blockage=blockage, plan=plan, config=config.features,
+            ep.recipes, blockage=blockage, plan=plan,
         )
         decision = gate_decide(
             blockage.issue, fv, config.weights, config.thresholds,
             adjudicator=ep.backend,
             rules_on=config.rules_on, score_on=config.score_on,
-            adjudicator_on=config.adjudicator_on, rule_toggles=config.rule_toggles,
-            blockage=blockage, plan=plan,
+            adjudicator_on=config.adjudicator_on, blockage=blockage, plan=plan,
         )
         verdict = decision.verdict
         payload = {"issue": blockage.issue.value, "node_id": blockage.node_id, **decision.to_dict()}
@@ -624,7 +599,7 @@ def _resume_after_recovery(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
         have = ep.world.agents[rt.agent_id].inventory.count(blockage.item)
         if have >= max(1, blockage.count):
             rt.state.blockage = None
-            _close_instance(ep, rt, resolved=True)
+            _close_instance(ep, rt)
             target = rt.state.task.active_subtask
             if target is not None and not ep.world.node_placed(target):
                 return _build_toward(ep, rt, target)
@@ -689,7 +664,6 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
             update_private_state(rt.state, StateEvent(kind="mode_reset", target_node=target))
         issue = detect_issue(
             rt.state, view, ep.graph, ep.recipes,
-            far_threshold=config.features.far_threshold,
             last_outcome=rt.last_outcome, ignore=rt.abandoned,
         )
         if issue is not None:
@@ -697,7 +671,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
             blockage = issue
             rt.gate_pending = True
             rt.current_instance = IssueInstance(
-                agent=rt.agent_id, issue=issue.issue.value, node_id=issue.node_id, detected_at=now)
+                issue=issue.issue.value, node_id=issue.node_id, detected_at=now)
             ep.trace.emit(now, rt.agent_id, "issue", {
                 "event": "detected", "issue": issue.issue.value, "node_id": issue.node_id,
                 "item": issue.item, "count": issue.count,
@@ -768,12 +742,7 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     # mandatory local fallback, no fresh gate pass
     plan = None
     if blockage.issue in MATERIAL_SHAPED_ISSUES:
-        plan = plan_local_recovery(
-            rt.state, ep.view_for(rt.agent_id), ep.recipes, blockage,
-            interaction_radius=ep.config.features.interaction_radius,
-            speed=ep.config.features.speed,
-            far_threshold=ep.config.features.far_threshold,
-        )
+        plan = plan_local_recovery(rt.state, ep.view_for(rt.agent_id), ep.recipes, blockage)
     if plan is not None:
         _enter_recovery(ep, rt, plan)
         return
@@ -832,7 +801,7 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         recipient = ep.runtimes[action.to_agent]
         update_private_state(recipient.state, StateEvent(kind="outcome", outcome=outcome))
         if recipient.state.blockage is None and recipient.current_instance is not None:
-            _close_instance(ep, recipient, resolved=True)
+            _close_instance(ep, recipient)
         ep.advertised.get(rt.agent_id, {}).pop(action.item, None)
         for window in ep.open_windows():
             if (window.responder == rt.agent_id and window.requester == action.to_agent
@@ -842,15 +811,15 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
                 break
 
     # blockage satisfied by this outcome (plan leg, passive gain, ...)
-    if rt.state.blockage is None and rt.current_instance is not None and not rt.current_instance.closed:
-        _close_instance(ep, rt, resolved=True)
+    if rt.state.blockage is None:
+        _close_instance(ep, rt)
 
     # structural issues clear when the awaited node lands
     blockage = rt.state.blockage
     if blockage is not None and blockage.issue in (IssueType.DEPENDENCY_BLOCK, IssueType.SUPPORT_FAILURE):
         if ep.world.node_placed(blockage.node_id):
             rt.state.blockage = None
-            _close_instance(ep, rt, resolved=True)
+            _close_instance(ep, rt)
             rt.mode = "standard"
             rt.gate_pending = False
 

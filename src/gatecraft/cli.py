@@ -192,26 +192,30 @@ def _out_dir(ns, cfg: dict) -> Path:
     return out
 
 
-def _episode_worker(task) -> tuple[str, str, EpisodeMetrics]:
-    spec, config = task
-    trace = run_episode(spec, config, None)
-    return spec.episode_id, trace.to_jsonl(), compute_metrics(trace, spec)
+def _episode_worker(task) -> EpisodeMetrics:
+    """Run one episode; write its trace to `<traces_dir>/<episode_id>.jsonl`
+    only when a directory is given."""
+    spec, config, backend, traces_dir = task
+    trace = run_episode(spec, config, backend)
+    if traces_dir is not None:
+        (traces_dir / f"{spec.episode_id}.jsonl").write_text(trace.to_jsonl())
+    return compute_metrics(trace, spec)
 
 
-def _run_suite(episodes, config: RunConfig, backend_name, jobs: int):
-    """Run every episode; yield (episode_id, trace_jsonl, metrics).
+def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir: Path | None = None):
+    """Run every episode; yield its metrics in episode order.
 
     Only the default/mock backend fans out across processes: a scripted
     backend is a single consumable reply stream, and remote replies should be
     recorded in a stable call order."""
     backend = make_backend(backend_name)
+    tasks = [(spec, config, backend, traces_dir) for spec in episodes]
     if backend is None and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_episode_worker, [(e, config) for e in episodes])
+            yield from pool.map(_episode_worker, tasks)
         return
-    for spec in episodes:
-        trace = run_episode(spec, config, backend)
-        yield spec.episode_id, trace.to_jsonl(), compute_metrics(trace, spec)
+    for task in tasks:
+        yield _episode_worker(task)
 
 
 def _format_table(rows: list[dict], columns: list[str]) -> str:
@@ -253,10 +257,7 @@ def cmd_run(ns, cfg: dict) -> int:
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
 
-    metrics: list[EpisodeMetrics] = []
-    for episode_id, jsonl, m in _run_suite(episodes, config, backend_name, jobs):
-        (traces_dir / f"{episode_id}.jsonl").write_text(jsonl)
-        metrics.append(m)
+    metrics = list(_run_suite(episodes, config, backend_name, jobs, traces_dir))
     (out / "metrics.csv").write_text(metrics_to_csv(metrics))
 
     agg = aggregate(metrics)
@@ -276,8 +277,7 @@ def cmd_ablate(ns, cfg: dict) -> int:
     rows = []
     for name, overrides in ABLATION_VARIANTS:
         config = dataclasses.replace(base_config, **overrides)
-        metrics = [m for _, _, m in _run_suite(episodes, config, backend_name, jobs)]
-        agg = aggregate(metrics)
+        agg = aggregate(list(_run_suite(episodes, config, backend_name, jobs)))
         rows.append({
             "variant": name,
             "tsr": agg["tsr"],

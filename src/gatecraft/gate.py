@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .memory import BlockageRecord, IssueType, PrivateState, render_decision_card
 from .protocol import TeamPublicView
 from .solver import CooldownTable, RecoveryPlan, plan_local_recovery
-from .world import RecipeBook, TaskGraph, WorldView, criticality_of, dist_sq
+from .world import RecipeBook, TaskGraph, WorldView, criticality_of, dist_sq, within
 
 FEATURE_NAMES = ("C", "R", "I", "L", "H")
 
@@ -110,17 +110,13 @@ def normalize_score(raw: int, w: GateWeights) -> float:
     return (raw - s_min) / (s_max - s_min)
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    structural_threshold: int = 3  # descendant count above which C reads structural
-    near_radius: int = 8  # L=3: item physically at hand
-    quick_cost: int = 4  # L=2: single craft/smelt within this estimate
-    detour_cost: int = 3  # I>=1 when the local fix costs at least this
-    viable_radius: int = 50  # R: teammate viability distance
-    immediate_radius: int = 10  # R=3 inside this distance (strict)
-    interaction_radius: int = 3
-    speed: int = 5
-    far_threshold: int = 40
+# Feature cut-offs.
+STRUCTURAL_THRESHOLD = 3  # C=2 when the unplaced descendant count exceeds this
+NEAR_RADIUS = 8  # L=3: the collect source is physically at hand
+QUICK_COST = 4  # L=2: a single craft/smelt within this estimate
+DETOUR_COST = 3  # I>=1 when the local fix costs at least this
+VIABLE_RADIUS = 50  # R: teammate viability distance
+IMMEDIATE_RADIUS = 10  # R=3 inside this distance (strict)
 
 
 def _teammates_with_exact(team: TeamPublicView, view: WorldView, item: str, need: int) -> list[tuple[int, str]]:
@@ -159,7 +155,6 @@ def extract_features(
     recipes: RecipeBook,
     blockage: BlockageRecord | None = None,
     plan: RecoveryPlan | None = None,
-    config: FeatureConfig = FeatureConfig(),
 ) -> tuple[FeatureVector, RecoveryPlan | None]:
     """Project the blockage into the ordinal feature space.
 
@@ -181,7 +176,7 @@ def extract_features(
     )
     if crit.on_critical_path and not ready_outside:
         C = 3
-    elif crit.descendant_count > config.structural_threshold or crit.dependent_depth >= 2:
+    elif crit.descendant_count > STRUCTURAL_THRESHOLD or crit.dependent_depth >= 2:
         C = 2
     elif crit.descendant_count >= 1:
         C = 1
@@ -190,18 +185,14 @@ def extract_features(
 
     # --- L: local solvability (probe the solver once) -------------------
     if plan is None:
-        plan = plan_local_recovery(
-            state, view, recipes, blockage,
-            interaction_radius=config.interaction_radius, speed=config.speed,
-            far_threshold=config.far_threshold,
-        )
+        plan = plan_local_recovery(state, view, recipes, blockage)
     if plan is None:
         L = 0
     elif len(plan.steps) == 1:
         step = plan.steps[0]
-        if step.kind == "collect" and _supply_within(view, step.source_ref, config.near_radius):
+        if step.kind == "collect" and _supply_within(view, step.source_ref, NEAR_RADIUS):
             L = 3
-        elif step.kind in ("craft", "smelt") and step.estimated_cost <= config.quick_cost:
+        elif step.kind in ("craft", "smelt") and step.estimated_cost <= QUICK_COST:
             L = 2
         else:
             L = 1
@@ -213,8 +204,8 @@ def extract_features(
     R = 0
     if item:
         exact = _teammates_with_exact(team, view, item, max(1, blockage.count))
-        viable_sq = config.viable_radius * config.viable_radius
-        immediate_sq = config.immediate_radius * config.immediate_radius
+        viable_sq = VIABLE_RADIUS * VIABLE_RADIUS
+        immediate_sq = IMMEDIATE_RADIUS * IMMEDIATE_RADIUS
         exact_viable = [e for e in exact if e[0] <= viable_sq]
         if any(d2 < immediate_sq for d2, _ in exact_viable):
             R = 3
@@ -230,7 +221,7 @@ def extract_features(
         I = 3
     elif teammate_desc:
         I = 2
-    elif unplaced_desc or (plan is not None and plan.total_cost >= config.detour_cost):
+    elif unplaced_desc or (plan is not None and plan.total_cost >= DETOUR_COST):
         I = 1
     else:
         I = 0
@@ -242,40 +233,25 @@ def extract_features(
 
 
 def _supply_within(view: WorldView, ref: tuple | None, radius: int) -> bool:
-    if ref is None:
-        return False
-    r_sq = radius * radius
-    if ref[0] == "source":
-        for idx, src in view.sources:
-            if idx == ref[1]:
-                return dist_sq(view.position, src.position) <= r_sq
-    else:
-        for idx, chest in view.chests:
-            if idx == ref[1]:
-                return dist_sq(view.position, chest.position) <= r_sq
-    return False
+    pos = view.ref_position(ref) if ref is not None else None
+    return pos is not None and within(view.position, pos, radius)
 
 
-# Tier-1 rules, individually toggleable. Order matters: first hit wins.
+# Tier-1 rules. Order matters: first hit wins.
 RULE_STAY_SOLVED_LOCALLY = 0  # L=3 and C<=1: trivially local
 RULE_ESCALATE_CRITICAL_DEAD_END = 1  # C=3, L=0, H=0: hard bottleneck, clean history
 RULE_ESCALATE_TRANSFER_SHAPED = 2  # transfer/co-craft issue with a viable partner
 
 
-def tier1_rules(
-    issue: IssueType | str,
-    fv: FeatureVector,
-    enabled: tuple[bool, bool, bool] = (True, True, True),
-) -> tuple[str, int] | None:
+def tier1_rules(issue: IssueType | str, fv: FeatureVector) -> tuple[str, int] | None:
     """Unambiguous fast paths. Returns (verdict, rule_index) or None to defer."""
     issue_val = issue.value if isinstance(issue, IssueType) else str(issue)
-    if enabled[0] and fv.L == 3 and fv.C <= 1:
+    if fv.L == 3 and fv.C <= 1:
         return ("stay_local", RULE_STAY_SOLVED_LOCALLY)
-    if enabled[1] and fv.C == 3 and fv.L == 0 and fv.H == 0:
+    if fv.C == 3 and fv.L == 0 and fv.H == 0:
         return ("escalate", RULE_ESCALATE_CRITICAL_DEAD_END)
     if (
-        enabled[2]
-        and issue_val in (IssueType.TRANSFER_NEEDED.value, IssueType.CO_CRAFT_REQUIRED.value)
+        issue_val in (IssueType.TRANSFER_NEEDED.value, IssueType.CO_CRAFT_REQUIRED.value)
         and fv.R >= 2
         and fv.H <= 1
     ):
@@ -429,13 +405,12 @@ def build_request_card(
     score_norm: float,
     blockage: BlockageRecord | None = None,
     plan: RecoveryPlan | None = None,
-    escalate_request: dict | None = None,
 ) -> str:
     block = blockage or BlockageRecord(
         issue=issue if isinstance(issue, IssueType) else IssueType(issue), node_id=-1, item=None, count=0
     )
     local = [f"{s.op}:{s.recipe_id or (s.source_ref and s.source_ref[0]) or ''}" for s in plan.steps] if plan else []
-    esc = escalate_request or {"item": block.item, "count": max(1, block.count)}
+    esc = {"item": block.item, "count": max(1, block.count)}
     return render_decision_card(block, fv.to_dict(), score_norm, local, esc)
 
 
@@ -449,10 +424,8 @@ def gate_decide(
     rules_on: bool = True,
     score_on: bool = True,
     adjudicator_on: bool = True,
-    rule_toggles: tuple[bool, bool, bool] = (True, True, True),
     blockage: BlockageRecord | None = None,
     plan: RecoveryPlan | None = None,
-    escalate_request: dict | None = None,
 ) -> GateDecision:
     """Asymmetric three-tier decision.
 
@@ -466,7 +439,7 @@ def gate_decide(
     norm = normalize_score(raw, weights)
 
     if rules_on:
-        hit = tier1_rules(issue, fv, rule_toggles)
+        hit = tier1_rules(issue, fv)
         if hit is not None:
             verdict, idx = hit
             return GateDecision(verdict=verdict, tier="rule", score_raw=raw, score_norm=norm,
@@ -483,7 +456,7 @@ def gate_decide(
     if not adjudicator_on or adjudicator is None:
         return GateDecision(verdict="stay_local", tier="score", score_raw=raw, score_norm=norm, fv=fv)
 
-    card = build_request_card(issue, fv, norm, blockage=blockage, plan=plan, escalate_request=escalate_request)
+    card = build_request_card(issue, fv, norm, blockage=blockage, plan=plan)
     request_bytes = card.encode("utf-8")
     try:
         reply_bytes = adjudicator.adjudicate(request_bytes)

@@ -10,7 +10,6 @@ and nothing that happened afterwards.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import random
@@ -28,7 +27,7 @@ from .gate import (
 )
 from .memory import BlockageRecord, IssueType, PrivateState
 from .scenarios import EpisodeSpec
-from .solver import RecoveryPlan, plan_local_recovery
+from .solver import PLANNER_PARAMS, RecoveryPlan, plan_local_recovery
 from .world import Chest, Inventory, PlanInfo, Recipe, RecipeBook, Source, WorldView
 
 ENV_ACTION_KINDS = ("move", "place", "collect", "craft", "smelt", "transfer")
@@ -86,7 +85,14 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
     """Re-run the local planner on a recorded decision-step context.
 
     The context is self-contained (inventory, visible supplies, stations,
-    recipe book, blockage), so this works on a bare trace with no world."""
+    recipe book, blockage), so this works on a bare trace with no world. The
+    planner's physics are fixed, so a context recorded under other physics
+    is rejected rather than replanned; missing `params` keys read as the
+    fixed values."""
+    for name, value in ctx.get("params", {}).items():
+        if name not in PLANNER_PARAMS or value != PLANNER_PARAMS[name]:
+            raise ValueError(f"solver_ctx.params.{name} = {value!r} does not match the "
+                             f"planner's fixed physics {PLANNER_PARAMS}")
     inventory = Inventory({k: int(v) for k, v in ctx["inventory"].items()})
     state = PrivateState(agent_id="replay", inventory=inventory)
     sources = [
@@ -106,35 +112,17 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
         sources=sources,
         chests=chests,
         teammates={},
-        teammate_inventories=None,
         plan=plan,
         sim_time=0,
     )
-    recipes = RecipeBook(
-        [
-            Recipe(
-                recipe_id=r["recipe_id"],
-                kind=r["kind"],
-                output=(r["output"][0], int(r["output"][1])),
-                inputs=tuple((i, int(n)) for i, n in r["inputs"]),
-                station=r.get("station"),
-            )
-            for r in ctx.get("recipes", [])
-        ]
-    )
+    recipes = RecipeBook([Recipe.from_dict(r) for r in ctx.get("recipes", [])])
     blockage = BlockageRecord(
         issue=IssueType(ctx["issue"]),
         node_id=int(ctx["node_id"]),
         item=ctx["item"],
         count=int(ctx["count"]),
     )
-    params = ctx.get("params", {})
-    return plan_local_recovery(
-        state, view, recipes, blockage,
-        interaction_radius=int(params.get("interaction_radius", 3)),
-        speed=int(params.get("speed", 5)),
-        far_threshold=int(params.get("far_threshold", 40)),
-    )
+    return plan_local_recovery(state, view, recipes, blockage)
 
 
 def compute_metrics(
@@ -308,21 +296,13 @@ class CalibrationConfig:
         )
 
 
-def _cell_raw_scores(
-    episodes: list[EpisodeSpec],
-    weights: tuple[int, ...],
-    thresholds: tuple[float, float],
-    backend,
-    base: RunConfig | None,
-    local_budget: int,
-) -> dict:
-    """Run every calibration episode under one Θ and average the raw terms."""
-    cfg = dataclasses.replace(
-        base or RunConfig(),
-        weights=GateWeights.from_sequence(weights),
-        thresholds=GateThresholds(*thresholds),
-    )
-    metrics = [compute_metrics(run_episode(e, cfg, backend), e, local_budget) for e in episodes]
+def _cell_raw_scores(cell: tuple) -> dict:
+    """Run every calibration episode under one Θ and average the raw terms.
+
+    `cell` is (episodes, weights, thresholds, local_budget)."""
+    episodes, weights, thresholds, local_budget = cell
+    cfg = RunConfig(weights=GateWeights.from_sequence(weights), thresholds=GateThresholds(*thresholds))
+    metrics = [compute_metrics(run_episode(e, cfg), e, local_budget) for e in episodes]
     tsr = _mean([m.tsr for m in metrics])
     rec = [m.recovery_time_avg for m in metrics if m.recovery_time_avg is not None]
     zero_yield = [
@@ -341,17 +321,9 @@ def _cell_raw_scores(
     }
 
 
-def _cell_worker(args: tuple) -> dict:
-    spec_dicts, weights, thresholds, local_budget = args
-    episodes = [EpisodeSpec.from_dict(d) for d in spec_dicts]
-    return _cell_raw_scores(episodes, weights, thresholds, None, None, local_budget)
-
-
 def calibrate(
     episodes: list[EpisodeSpec],
     config: CalibrationConfig,
-    backend=None,
-    base: RunConfig | None = None,
     jobs: int = 1,
 ) -> tuple[dict, list[dict]]:
     """Grid-search Θ = (weights, thresholds) maximizing
@@ -362,18 +334,12 @@ def calibrate(
     smallest Θ, so the argmax never depends on enumeration order."""
     if not episodes:
         raise ValueError("calibration needs at least one episode")
-    cells = config.cells()
-
-    if jobs > 1 and backend is None and base is None:
-        spec_dicts = [e.to_dict() for e in episodes]
-        args = [(spec_dicts, w, t, config.local_budget) for w, t in cells]
+    cells = [(episodes, w, t, config.local_budget) for w, t in config.cells()]
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cell_worker, args))
+            rows = list(pool.map(_cell_raw_scores, cells))
     else:
-        rows = [
-            _cell_raw_scores(episodes, w, t, backend, base, config.local_budget)
-            for w, t in cells
-        ]
+        rows = [_cell_raw_scores(cell) for cell in cells]
 
     max_time = max(r["c_time"] for r in rows)
     max_red = max(r["c_redundant"] for r in rows)

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .world import Inventory, Position, TaskGraph, VerifiedOutcome, WorldView, dist_sq
+from .world import FAR_THRESHOLD, Inventory, TaskGraph, VerifiedOutcome, WorldView, dist_sq, nearest_supply
 
 
 class IssueType(str, Enum):
@@ -67,12 +67,11 @@ class TaskFocus:
 
 @dataclass
 class PrivateState:
-    """m_priv = <inventory, task focus, position, blockage>."""
+    """m_priv = <inventory, task focus, blockage>."""
 
     agent_id: str
     inventory: Inventory = field(default_factory=Inventory)
     task: TaskFocus = field(default_factory=TaskFocus)
-    position: Position = (0, 0, 0)
     blockage: BlockageRecord | None = None
 
 
@@ -99,7 +98,6 @@ def update_private_state(state: PrivateState, event: StateEvent) -> PrivateState
         if view is None:
             raise ValueError("init event requires a view")
         state.inventory = view.inventory.copy()
-        state.position = view.position
         state.task = TaskFocus()
         state.blockage = None
         return state
@@ -116,9 +114,6 @@ def update_private_state(state: PrivateState, event: StateEvent) -> PrivateState
                     state.inventory.add(item, n)
                 else:
                     state.inventory.remove(item, -n)
-        pos_delta = deltas.get("position", {}).get(state.agent_id)
-        if pos_delta:
-            state.position = tuple(pos_delta[1])
         if out.ok and out.kind == "place" and out.node_id is not None:
             if state.blockage and state.blockage.node_id == out.node_id:
                 state.blockage = None
@@ -138,15 +133,15 @@ def update_private_state(state: PrivateState, event: StateEvent) -> PrivateState
     raise ValueError(f"unknown state event kind {event.kind!r}")
 
 
-def _local_route_exists(view: WorldView, state: PrivateState, item: str, recipes, far_threshold: int) -> bool:
+def _local_route_exists(view: WorldView, state: PrivateState, item: str, recipes) -> bool:
     """True if the agent could plausibly obtain `item` without a teammate:
-    a visible source/chest within far_threshold, or a recipe whose every input
+    a visible source/chest within FAR_THRESHOLD, or a recipe whose every input
     is either held or collectable from a nearby source/chest."""
-    if _any_source_for(view, item, far_threshold):
+    if _any_source_for(view, item):
         return True
     for recipe in recipes.producing(item):
         if all(
-            state.inventory.count(i) >= n or _any_source_for(view, i, far_threshold)
+            state.inventory.count(i) >= n or _any_source_for(view, i)
             for i, n in recipe.inputs
         ):
             return True
@@ -158,7 +153,6 @@ def detect_issue(
     view: WorldView,
     graph: TaskGraph,
     recipes,
-    far_threshold: int = 40,
     last_outcome: VerifiedOutcome | None = None,
     ignore: set[int] | frozenset[int] = frozenset(),
 ) -> BlockageRecord | None:
@@ -201,7 +195,7 @@ def detect_issue(
         # co_craft_required: every recipe route needs a station that sits only in
         # teammates' work regions.
         producing = recipes.producing(material)
-        if producing and not _any_source_for(view, material, far_threshold):
+        if producing and not _any_source_for(view, material):
             stations = {r.station for r in producing if r.station}
             if stations and all(
                 _station_owner(view, s) not in (None, view.agent_id) for s in sorted(stations)
@@ -213,7 +207,7 @@ def detect_issue(
         # transfer_needed: the item exists only in a teammate-designated partition.
         owner = view.plan.partition.get(material)
         if owner is not None and owner != view.agent_id:
-            if not _local_route_exists(view, state, material, recipes, far_threshold):
+            if not _local_route_exists(view, state, material, recipes):
                 return BlockageRecord(
                     issue=IssueType.TRANSFER_NEEDED, node_id=target,
                     item=material, count=1, detected_at=view.sim_time,
@@ -243,15 +237,8 @@ def detect_issue(
     return None
 
 
-def _any_source_for(view: WorldView, item: str, far_threshold: int) -> bool:
-    far_sq = far_threshold * far_threshold
-    for _, src in view.sources:
-        if src.item == item and src.remaining > 0 and dist_sq(view.position, src.position) <= far_sq:
-            return True
-    for _, chest in view.chests:
-        if chest.inventory.count(item) > 0 and dist_sq(view.position, chest.position) <= far_sq:
-            return True
-    return False
+def _any_source_for(view: WorldView, item: str) -> bool:
+    return nearest_supply(view, view.position, item, FAR_THRESHOLD)[0] is not None
 
 
 def _station_owner(view: WorldView, station: str) -> str | None:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .gate import (
-    FeatureConfig,
     GateThresholds,
     GateWeights,
     MockAdjudicator,
@@ -165,18 +164,7 @@ class EpisodeSpec:
             ),
         )
         graph = TaskGraph([b[0] for b in self.blocks], [(u, v) for u, v in self.edges])
-        recipes = RecipeBook(
-            [
-                Recipe(
-                    recipe_id=r["recipe_id"],
-                    kind=r["kind"],
-                    output=(r["output"][0], int(r["output"][1])),
-                    inputs=tuple((i, int(n)) for i, n in r["inputs"]),
-                    station=r.get("station"),
-                )
-                for r in self.recipes
-            ]
-        )
+        recipes = RecipeBook([Recipe.from_dict(r) for r in self.recipes])
         agents = {
             aid: AgentBody(
                 agent_id=aid,
@@ -254,16 +242,7 @@ class EpisodeSpec:
 def _recipe_dicts(extra: list[Recipe] | None = None) -> list[dict]:
     book = default_recipes()
     recipes = [book.recipes[k] for k in sorted(book.recipes)] + list(extra or [])
-    return [
-        {
-            "recipe_id": r.recipe_id,
-            "kind": r.kind,
-            "output": [r.output[0], r.output[1]],
-            "inputs": [[i, n] for i, n in r.inputs],
-            "station": r.station,
-        }
-        for r in recipes
-    ]
+    return [r.to_dict() for r in recipes]
 
 
 def _jitter(rng: random.Random | None, lo: int, hi: int, default: int = 0) -> int:
@@ -445,7 +424,7 @@ def probe_bottleneck(
     it (mock adjudicator). Returns the measured facts for assertions."""
     world = spec.build_world()
     plan = spec.plan_info(world)
-    view = observe(world, "a0", radius=50, plan=plan, partition_on=True)
+    view = observe(world, "a0", plan=plan)
     state = PrivateState(agent_id="a0")
     update_private_state(state, StateEvent(kind="init", view=view))
     blockage = detect_issue(state, view, world.graph, world.recipes)
@@ -454,7 +433,7 @@ def probe_bottleneck(
     team = TeamPublicView(positions=dict(view.teammates), designated_owner=dict(spec.partition))
     fv, recovery = extract_features(
         view, world.graph, state, team, CooldownTable(), world.recipes,
-        blockage=blockage, config=FeatureConfig(),
+        blockage=blockage,
     )
     th = thresholds or _PROBE_THRESHOLDS
     decision = gate_decide(

@@ -13,13 +13,21 @@ from enum import Enum
 
 from .memory import BlockageRecord, IssueType, PrivateState
 from .world import (
+    FAR_THRESHOLD,
+    INTERACTION_RADIUS,
+    SPEED,
     Position,
     RecipeBook,
     TaskGraph,
     WorldView,
     dist_sq,
+    nearest_supply,
     travel_steps,
 )
+
+# The physics a plan's costs rest on, as recorded in a trace's solver context.
+PLANNER_PARAMS = {"interaction_radius": INTERACTION_RADIUS, "speed": SPEED, "far_threshold": FAR_THRESHOLD}
+
 
 @dataclass(frozen=True)
 class RecoveryStep:
@@ -78,35 +86,11 @@ def _nearest_station(view: WorldView, station: str | None) -> tuple[Position | N
     return best, math.sqrt(best_d2)
 
 
-def _nearest_supply(view: WorldView, origin: Position, item: str, max_dist: float) -> tuple[tuple | None, float, int]:
-    """Closest source/chest to `origin` holding `item` within max_dist: (ref, distance, available)."""
-    best_ref: tuple | None = None
-    best_d2 = None
-    avail = 0
-    for idx, src in view.sources:
-        if src.item == item and src.remaining > 0:
-            d2 = dist_sq(origin, src.position)
-            if d2 <= max_dist * max_dist and (best_d2 is None or d2 < best_d2):
-                best_ref, best_d2, avail = ("source", idx), d2, src.remaining
-    for idx, chest in view.chests:
-        n = chest.inventory.count(item)
-        if n > 0:
-            d2 = dist_sq(origin, chest.position)
-            if d2 <= max_dist * max_dist and (best_d2 is None or d2 < best_d2):
-                best_ref, best_d2, avail = ("chest", idx, item), d2, n
-    if best_ref is None:
-        return None, math.inf, 0
-    return best_ref, math.sqrt(best_d2), avail
-
-
 def plan_local_recovery(
     state: PrivateState,
     view: WorldView,
     recipes: RecipeBook,
     blockage: BlockageRecord | None = None,
-    interaction_radius: int = 3,
-    speed: int = 5,
-    far_threshold: int = 40,
 ) -> RecoveryPlan | None:
     """Cheapest-kind-first plan for the blocked requirement, or None.
 
@@ -132,10 +116,10 @@ def plan_local_recovery(
             station_pos, station_dist = _nearest_station(view, recipe.station)
             if recipe.station is not None and station_pos is None:
                 continue
-            if station_dist > far_threshold:
+            if station_dist > FAR_THRESHOLD:
                 continue
             crafts = math.ceil(need / recipe.output[1])
-            cost = travel_steps(station_dist, interaction_radius, speed) + crafts
+            cost = travel_steps(station_dist, INTERACTION_RADIUS, SPEED) + crafts
             return RecoveryPlan(
                 item=item, count=need,
                 steps=[RecoveryStep(kind=op, op=op, estimated_cost=cost,
@@ -143,9 +127,9 @@ def plan_local_recovery(
             )
 
     # collect the item itself
-    ref, dist, avail = _nearest_supply(view, view.position, item, far_threshold)
+    ref, dist, avail = nearest_supply(view, view.position, item, FAR_THRESHOLD)
     if ref is not None and avail >= need:
-        cost = travel_steps(dist, interaction_radius, speed) + need
+        cost = travel_steps(dist, INTERACTION_RADIUS, SPEED) + need
         return RecoveryPlan(
             item=item, count=need,
             steps=[RecoveryStep(kind="collect", op="collect", estimated_cost=cost,
@@ -157,7 +141,7 @@ def plan_local_recovery(
         station_pos, station_dist = _nearest_station(view, recipe.station)
         if recipe.station is not None and station_pos is None:
             continue
-        if station_dist > far_threshold:
+        if station_dist > FAR_THRESHOLD:
             continue
         crafts = math.ceil(need / recipe.output[1])
         steps: list[RecoveryStep] = []
@@ -167,33 +151,21 @@ def plan_local_recovery(
             missing = inp_n * crafts - state.inventory.count(inp_item)
             if missing <= 0:
                 continue
-            ref, d, avail = _nearest_supply(view, cursor, inp_item, far_threshold)
+            ref, d, avail = nearest_supply(view, cursor, inp_item, FAR_THRESHOLD)
             if ref is None or avail < missing:
                 feasible = False
                 break
-            leg = travel_steps(d, interaction_radius, speed) + missing
+            leg = travel_steps(d, INTERACTION_RADIUS, SPEED) + missing
             steps.append(RecoveryStep(kind="plan_detour", op="collect", estimated_cost=leg,
                                       source_ref=ref, units=missing))
-            cursor = _ref_position(view, ref) or cursor
+            cursor = view.ref_position(ref) or cursor
         if not feasible or not steps:
             continue
-        craft_travel = travel_steps(_dist_from(cursor, station_pos), interaction_radius, speed) if station_pos else 0
+        craft_travel = travel_steps(_dist_from(cursor, station_pos), INTERACTION_RADIUS, SPEED) if station_pos else 0
         steps.append(RecoveryStep(kind="plan_detour", op=recipe.kind, estimated_cost=craft_travel + crafts,
                                   recipe_id=recipe.recipe_id, station=recipe.station, units=crafts))
         return RecoveryPlan(item=item, count=need, steps=steps)
 
-    return None
-
-
-def _ref_position(view: WorldView, ref: tuple) -> Position | None:
-    if ref[0] == "source":
-        for idx, src in view.sources:
-            if idx == ref[1]:
-                return src.position
-    else:
-        for idx, chest in view.chests:
-            if idx == ref[1]:
-                return chest.position
     return None
 
 

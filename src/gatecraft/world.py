@@ -13,6 +13,15 @@ from dataclasses import dataclass, field
 
 Position = tuple[int, int, int]
 
+# World physics, fixed for every episode: the reach of place/collect/transfer/
+# craft-at-station, blocks moved per move action, the farthest supply or
+# station the local planner and issue detection consider, and how far an
+# agent sees sources, chests and teammates.
+INTERACTION_RADIUS = 3
+SPEED = 5
+FAR_THRESHOLD = 40
+OBSERVE_RADIUS = 50
+
 
 def dist_sq(a: Position, b: Position) -> int:
     """Exact squared Euclidean distance between two lattice positions."""
@@ -197,6 +206,26 @@ class Recipe:
         if self.output[1] <= 0:
             raise ValueError("recipe output count must be positive")
 
+    def to_dict(self) -> dict:
+        """The JSON form shared by episode specs and solver contexts."""
+        return {
+            "recipe_id": self.recipe_id,
+            "kind": self.kind,
+            "output": [self.output[0], self.output[1]],
+            "inputs": [[i, n] for i, n in self.inputs],
+            "station": self.station,
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "Recipe":
+        return Recipe(
+            recipe_id=d["recipe_id"],
+            kind=d["kind"],
+            output=(d["output"][0], int(d["output"][1])),
+            inputs=tuple((i, int(n)) for i, n in d["inputs"]),
+            station=d.get("station"),
+        )
+
 
 class RecipeBook:
     def __init__(self, recipes: list[Recipe]):
@@ -377,8 +406,6 @@ class WorldState:
     placed: dict[Position, str] = field(default_factory=dict)
     scaffold: dict[Position, str] = field(default_factory=dict)
     sim_time: int = 0
-    interaction_radius: int = 3
-    speed: int = 5
     _placed_ids: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -408,7 +435,7 @@ class WorldState:
     def station_in_range(self, agent: AgentBody, station: str | None) -> bool:
         if station is None:
             return True
-        return any(within(agent.position, pos, self.interaction_radius) for pos in self.stations_of(station))
+        return any(within(agent.position, pos, INTERACTION_RADIUS) for pos in self.stations_of(station))
 
     def serialize(self) -> str:
         """Canonical JSON of the whole state; equal states serialize byte-identically."""
@@ -435,10 +462,10 @@ def _fail(agent: AgentBody, action: Action, reason: str, sim_time: int) -> Verif
     )
 
 
-def _move_towards(pos: Position, target: Position, speed: int) -> Position:
+def _move_towards(pos: Position, target: Position) -> Position:
     # Per-axis greedy unit steps, largest remaining |delta| first (tie order x, y, z).
     cur = list(pos)
-    for _ in range(speed):
+    for _ in range(SPEED):
         deltas = [target[i] - cur[i] for i in range(3)]
         axis = max(range(3), key=lambda i: (abs(deltas[i]), -i))
         if deltas[axis] == 0:
@@ -468,7 +495,7 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
         if action.target is None:
             return world, _fail(agent, action, "invalid_action", t)
         old = agent.position
-        agent.position = _move_towards(old, tuple(action.target), world.speed)
+        agent.position = _move_towards(old, tuple(action.target))
         deltas = {"position": {agent_id: [list(old), list(agent.position)]}}
         return world, VerifiedOutcome(agent=agent_id, kind=kind, status="success", deltas=deltas, sim_time=t)
 
@@ -480,7 +507,7 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
             return world, _fail(agent, action, "invalid_action", t)
         if not world.prereqs_placed(action.node_id):
             return world, _fail(agent, action, "prerequisite_unplaced", t)
-        if not within(agent.position, block.position, world.interaction_radius):
+        if not within(agent.position, block.position, INTERACTION_RADIUS):
             return world, _fail(agent, action, "out_of_range", t)
         if agent.inventory.count(block.material) < 1:
             return world, _fail(agent, action, "missing_material", t)
@@ -504,7 +531,7 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
             if not (0 <= idx < len(world.sources)):
                 return world, _fail(agent, action, "invalid_action", t)
             src = world.sources[idx]
-            if not within(agent.position, src.position, world.interaction_radius):
+            if not within(agent.position, src.position, INTERACTION_RADIUS):
                 return world, _fail(agent, action, "out_of_range", t)
             if src.remaining < 1:
                 return world, _fail(agent, action, "source_empty", t)
@@ -516,7 +543,7 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
         if not (0 <= idx < len(world.chests)) or not isinstance(item, str):
             return world, _fail(agent, action, "invalid_action", t)
         chest = world.chests[idx]
-        if not within(agent.position, chest.position, world.interaction_radius):
+        if not within(agent.position, chest.position, INTERACTION_RADIUS):
             return world, _fail(agent, action, "out_of_range", t)
         if chest.inventory.count(item) < 1:
             return world, _fail(agent, action, "source_empty", t)
@@ -550,7 +577,7 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
         other = world.agents[action.to_agent]
         if other.agent_id == agent_id:
             return world, _fail(agent, action, "invalid_action", t)
-        if not within(agent.position, other.position, world.interaction_radius):
+        if not within(agent.position, other.position, INTERACTION_RADIUS):
             return world, _fail(agent, action, "out_of_range", t)
         if agent.inventory.count(action.item) < action.count:
             return world, _fail(agent, action, "missing_material", t)
@@ -577,7 +604,6 @@ class PlanInfo:
     partition: dict[str, str] = field(default_factory=dict)  # item -> owner agent_id
     work_regions: dict[str, tuple[Position, int]] = field(default_factory=dict)  # agent -> (center, radius)
     materials: dict[int, str] = field(default_factory=dict)  # node_id -> material
-    node_positions: dict[int, Position] = field(default_factory=dict)
     station_positions: dict[Position, str] = field(default_factory=dict)
 
     @staticmethod
@@ -589,15 +615,13 @@ class PlanInfo:
             partition=dict(partition or {}),
             work_regions=dict(work_regions or {}),
             materials={b.node_id: b.material for b in world.blueprint.blocks},
-            node_positions={b.node_id: b.position for b in world.blueprint.blocks},
             station_positions=dict(world.scaffold),
         )
 
 
 @dataclass
 class WorldView:
-    """What one agent can see. Never includes live teammate inventories unless the
-    information partition has been explicitly disabled for an ablation run."""
+    """What one agent can see. Never includes live teammate inventories."""
 
     agent_id: str
     position: Position
@@ -606,7 +630,6 @@ class WorldView:
     sources: list[tuple[int, Source]]  # (index, source) within observe radius
     chests: list[tuple[int, Chest]]
     teammates: dict[str, Position]  # only those within observe radius
-    teammate_inventories: dict[str, Inventory] | None  # populated only when partition is off
     plan: PlanInfo
     sim_time: int
 
@@ -625,29 +648,54 @@ class WorldView:
         ]
         return format(zlib.crc32("|".join(parts).encode()), "08x")
 
+    def ref_position(self, ref: SourceRef) -> Position | None:
+        """Position of a visible ("source", idx) or ("chest", idx, ...) reference."""
+        entries = self.sources if ref[0] == "source" else self.chests
+        for idx, entry in entries:
+            if idx == ref[1]:
+                return entry.position
+        return None
 
-def observe(world: WorldState, agent_id: str, radius: int = 50, plan: PlanInfo | None = None,
-            partition_on: bool = True) -> WorldView:
+
+def nearest_supply(view: WorldView, origin: Position, item: str,
+                   max_dist: float) -> tuple[SourceRef | None, float, int]:
+    """Closest visible source or chest to `origin` that holds `item`, within
+    max_dist: (ref, distance, available), or (None, inf, 0)."""
+    best_ref: SourceRef | None = None
+    best_d2 = None
+    avail = 0
+    for idx, src in view.sources:
+        if src.item == item and src.remaining > 0:
+            d2 = dist_sq(origin, src.position)
+            if d2 <= max_dist * max_dist and (best_d2 is None or d2 < best_d2):
+                best_ref, best_d2, avail = ("source", idx), d2, src.remaining
+    for idx, chest in view.chests:
+        n = chest.inventory.count(item)
+        if n > 0:
+            d2 = dist_sq(origin, chest.position)
+            if d2 <= max_dist * max_dist and (best_d2 is None or d2 < best_d2):
+                best_ref, best_d2, avail = ("chest", idx, item), d2, n
+    if best_ref is None:
+        return None, math.inf, 0
+    return best_ref, math.sqrt(best_d2), avail
+
+
+def observe(world: WorldState, agent_id: str, plan: PlanInfo | None = None) -> WorldView:
     """Build the agent's filtered view of the world.
 
     Entities (sources, chests, teammate positions) are included only within
-    `radius`. Teammate inventories appear only if partition_on is False.
+    OBSERVE_RADIUS.
     """
-    if radius <= 0:
-        raise ValueError("observe radius must be positive")
     me = world.agents[agent_id]
-    sources = [(i, s) for i, s in enumerate(world.sources) if within(me.position, s.position, radius)]
-    chests = [(i, c) for i, c in enumerate(world.chests) if within(me.position, c.position, radius)]
+    sources = [(i, s) for i, s in enumerate(world.sources) if within(me.position, s.position, OBSERVE_RADIUS)]
+    chests = [(i, c) for i, c in enumerate(world.chests) if within(me.position, c.position, OBSERVE_RADIUS)]
     teammates: dict[str, Position] = {}
-    teammate_invs: dict[str, Inventory] | None = None if partition_on else {}
     for aid in sorted(world.agents):
         if aid == agent_id:
             continue
         body = world.agents[aid]
-        if within(me.position, body.position, radius):
+        if within(me.position, body.position, OBSERVE_RADIUS):
             teammates[aid] = body.position
-        if teammate_invs is not None:
-            teammate_invs[aid] = body.inventory.copy()
     return WorldView(
         agent_id=agent_id,
         position=me.position,
@@ -656,7 +704,6 @@ def observe(world: WorldState, agent_id: str, radius: int = 50, plan: PlanInfo |
         sources=sources,
         chests=chests,
         teammates=teammates,
-        teammate_inventories=teammate_invs,
         plan=plan or PlanInfo(),
         sim_time=world.sim_time,
     )

@@ -67,6 +67,19 @@ def test_run_is_deterministic(tmp_path, small_dataset):
     assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
 
 
+def test_run_jobs_two_matches_jobs_one(tmp_path, small_dataset):
+    outs = {}
+    for jobs in ("1", "2"):
+        out = outs[jobs] = tmp_path / f"j{jobs}"
+        assert main(["run", "--dataset", str(small_dataset), "--out", str(out), "--jobs", jobs]) == 0
+    serial = sorted(p.name for p in (outs["1"] / "traces").glob("*.jsonl"))
+    assert len(serial) == 4
+    assert sorted(p.name for p in (outs["2"] / "traces").glob("*.jsonl")) == serial
+    for name in serial:
+        assert (outs["1"] / "traces" / name).read_bytes() == (outs["2"] / "traces" / name).read_bytes()
+    assert (outs["1"] / "metrics.csv").read_bytes() == (outs["2"] / "metrics.csv").read_bytes()
+
+
 def test_run_episode_limit(tmp_path, small_dataset):
     out = tmp_path / "out"
     rc = main([
@@ -179,6 +192,19 @@ def test_ablate_runs_all_variants(tmp_path, small_dataset, capsys):
     assert set(rows) == {"base", "no_partition", "no_gating", "rule", "rule_score", "full"}
     adj_col = header.index("adjudicator_calls")
     assert float(rows["rule_score"][adj_col]) == 0.0
+
+
+def test_ablate_jobs_two_matches_jobs_one(tmp_path, small_dataset, capsys, monkeypatch):
+    serialized = []
+    to_jsonl = Trace.to_jsonl
+    monkeypatch.setattr(Trace, "to_jsonl", lambda self: serialized.append(1) or to_jsonl(self))
+    outs = {}
+    for jobs in ("1", "2"):
+        out = outs[jobs] = tmp_path / f"j{jobs}"
+        assert main(["ablate", "--dataset", str(small_dataset), "--out", str(out), "--jobs", jobs]) == 0
+    capsys.readouterr()
+    assert (outs["1"] / "ablation.csv").read_bytes() == (outs["2"] / "ablation.csv").read_bytes()
+    assert serialized == []  # ablate reads only metrics, so no trace is ever serialized
 
 
 def test_ablate_uses_the_chosen_backend(tmp_path, small_dataset, capsys):

@@ -4,7 +4,6 @@ import socket
 import pytest
 
 from gatecraft import (
-    FeatureConfig,
     IssueType,
     PrivateState,
     StateEvent,
@@ -102,13 +101,6 @@ def test_rule2_transfer_shaped():
     assert tier1_rules(IssueType.CO_CRAFT_REQUIRED, fv(2, 3, 1, 0, 0)) == ("escalate", 2)
     assert tier1_rules(IssueType.MISSING_MATERIAL, fv(2, 2, 1, 0, 1)) is None  # wrong issue
     assert tier1_rules(IssueType.TRANSFER_NEEDED, fv(2, 2, 1, 0, 2)) is None  # H too high
-
-
-def test_rule_toggles_disable_individually():
-    v = fv(1, 0, 0, 3, 0)
-    assert tier1_rules(IssueType.MISSING_MATERIAL, v, enabled=(False, True, True)) is None
-    v = fv(2, 2, 0, 0, 0)
-    assert tier1_rules(IssueType.TRANSFER_NEEDED, v, enabled=(True, True, False)) is None
 
 
 # -- gate_decide routing ---------------------------------------------------------

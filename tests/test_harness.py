@@ -74,6 +74,16 @@ def test_replay_feasibility_oracles():
     assert replay_local_feasibility(BARE_CTX) is None
 
 
+def test_replay_rejects_other_physics():
+    # the planner's physics are fixed; a context recorded under other physics
+    # cannot be replanned faithfully, so it is refused, naming the field
+    with pytest.raises(ValueError, match="far_threshold"):
+        replay_local_feasibility(dict(CHEAP_CTX, params={"far_threshold": 10}))
+    # absent keys read as the fixed values
+    without = {k: v for k, v in CHEAP_CTX.items() if k != "params"}
+    assert replay_local_feasibility(without).to_dict() == replay_local_feasibility(CHEAP_CTX).to_dict()
+
+
 def test_compute_metrics_counts_synthetic_trace():
     gate_escalate = {
         "issue": "missing_material",
@@ -346,6 +356,16 @@ def test_calibrate_matches_brute_force(dataset):
     top = max(stored.values())
     winners = sorted(k for k, v in stored.items() if v == top)
     assert (tuple(best["weights"]), tuple(best["thresholds"])) == winners[0]
+
+
+def test_calibrate_parallel_matches_serial(dataset):
+    _, episodes = dataset
+    subset = episodes[::50]  # one template of each class
+    cfg = CalibrationConfig(
+        weight_grid=[(4, 2, 2, 2, 1), (3, 2, 2, 2, 1)],
+        threshold_grid=[(0.4, 0.5), (0.45, 0.45)],
+    )
+    assert calibrate(subset, cfg, jobs=2) == calibrate(subset, cfg, jobs=1)
 
 
 def test_make_backend_forms(tmp_path):

@@ -26,7 +26,6 @@ def _init_state(world, agent_id, plan):
 def test_init_event_snapshots_view():
     world = make_world([(0, (0, 0, 1), "stone")], agents={"a0": ((2, 0, 0), {"stone": 3})})
     state = _init_state(world, "a0", plan_for(world))
-    assert state.position == (2, 0, 0)
     assert state.inventory.count("stone") == 3
     assert state.blockage is None
 
@@ -38,14 +37,6 @@ def test_outcome_event_applies_verified_deltas_only():
     world, out = apply_action(world, "a0", Action.place(0))
     update_private_state(state, StateEvent(kind="outcome", outcome=out))
     assert state.inventory.count("stone") == 0
-
-
-def test_outcome_event_tracks_position_moves():
-    world = make_world([(0, (0, 0, 1), "stone")])
-    state = _init_state(world, "a0", plan_for(world))
-    world, out = apply_action(world, "a0", Action.move((10, 0, 0)))
-    update_private_state(state, StateEvent(kind="outcome", outcome=out))
-    assert state.position == (5, 0, 0)
 
 
 def test_verified_gain_clears_material_blockage():

@@ -58,8 +58,7 @@ def test_far_sources_are_ignored():
         sources=[("sandstone", (60, 0, 0), 5)],
     )
     state, view, blockage = _blocked_state(world, "sandstone")
-    assert plan_local_recovery(state, view, world.recipes, blockage,
-                               far_threshold=40) is None
+    assert plan_local_recovery(state, view, world.recipes, blockage) is None
 
 
 def test_smelt_requires_visible_station():
