@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .gate import (
     NEAR_RADIUS,
-    GateDecision,
     GateThresholds,
     GateWeights,
     MockAdjudicator,
@@ -41,6 +40,7 @@ from .protocol import (
     open_window,
     respond_policy,
     settle_window,
+    surplus_of,
     validate_message,
 )
 from .solver import (
@@ -136,9 +136,7 @@ class Trace:
 class IssueInstance:
     """Lifecycle bookkeeping for one detected blockage (feeds the metrics)."""
 
-    issue: str
-    node_id: int
-    detected_at: int
+    blockage: BlockageRecord
     windows_opened: int = 0
     recovery_activated: bool = False
 
@@ -152,7 +150,7 @@ class AgentRuntime:
     plan: RecoveryPlan | None = None
     plan_idx: int = 0
     plan_collect_goal: dict[int, int] = field(default_factory=dict)
-    window_id: int | None = None
+    window: CoordinationWindow | None = None  # the one window this agent has open as requester
     skip_target: int | None = None
     skip_exhausted: set[int] = field(default_factory=set)
     abandoned: set[int] = field(default_factory=set)
@@ -179,7 +177,7 @@ class EpisodeRuntime:
         self.recipes = self.world.recipes
         self.plan_info: PlanInfo = spec.plan_info(self.world)
         self.board: list[CoordinationMessage] = []
-        self.windows: dict[int, CoordinationWindow] = {}
+        self.windows: dict[int, CoordinationWindow] = {}  # open windows only, in id order
         self._window_seq = 0
         self.cooldowns = CooldownTable(duration=config.cooldown_duration)
         self.trace = Trace()
@@ -197,24 +195,12 @@ class EpisodeRuntime:
         return observe(self.world, agent_id, plan=self.plan_info)
 
     def team_view(self, agent_id: str) -> TeamPublicView:
-        me = self.world.agents[agent_id]
-        positions: dict[str, Position] = {}
-        for aid in sorted(self.world.agents):
-            if aid == agent_id:
-                continue
-            body = self.world.agents[aid]
-            if within(me.position, body.position, OBSERVE_RADIUS):
-                positions[aid] = body.position
         if self.config.partition_on:
-            surplus = {a: dict(items) for a, items in self.advertised.items() if a != agent_id}
+            surplus = {a: items for a, items in self.advertised.items() if a != agent_id}
         else:
             # merged-context ablation: live inventories stand in for adverts
-            surplus = {a: dict(b.inventory.counts) for a, b in self.world.agents.items() if a != agent_id}
-        return TeamPublicView(
-            positions=positions,
-            advertised_surplus=surplus,
-            designated_owner=dict(self.spec.partition),
-        )
+            surplus = {a: b.inventory.counts for a, b in self.world.agents.items() if a != agent_id}
+        return TeamPublicView(advertised_surplus=surplus)
 
     # -- window plumbing ----------------------------------------------------
 
@@ -232,7 +218,7 @@ class EpisodeRuntime:
         return window, request
 
     def open_windows(self) -> list[CoordinationWindow]:
-        return [self.windows[k] for k in sorted(self.windows) if self.windows[k].state == WindowState.OPEN]
+        return list(self.windows.values())
 
     def requirements_of(self, agent_id: str) -> dict[str, int]:
         """Materials the agent still needs for its own unplaced assigned nodes."""
@@ -271,7 +257,7 @@ def _choose_escalation_target(ep: EpisodeRuntime, rt: AgentRuntime, blockage: Bl
     if item:
         holders = []
         for aid in others:
-            if team.designated_owner.get(item) == aid or team.surplus(aid, item) >= need:
+            if ep.plan_info.partition.get(item) == aid or team.surplus(aid, item) >= need:
                 holders.append((dist_sq(me.position, ep.world.agents[aid].position), aid))
         if holders:
             return min(holders)[1]
@@ -338,39 +324,12 @@ def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
     return Action.craft(step_.recipe_id) if recipe.kind == "craft" else Action.smelt(step_.recipe_id)
 
 
-def _collect_item_of(ep: EpisodeRuntime, ref: tuple | None) -> str | None:
-    if not ref:
-        return None
-    if ref[0] == "source" and 0 <= ref[1] < len(ep.world.sources):
-        return ep.world.sources[ref[1]].item
-    if ref[0] == "chest" and len(ref) > 2:
-        return ref[2]
-    return None
-
-
-def _set_collect_goals(ep: EpisodeRuntime, rt: AgentRuntime) -> None:
-    """Record per-leg inventory goals so leg completion is checkable later."""
-    rt.plan_collect_goal = {}
-    inv = ep.world.agents[rt.agent_id].inventory
-    if rt.plan is None:
-        return
-    for i, step_ in enumerate(rt.plan.steps):
-        if step_.op != "collect":
-            continue
-        item = _collect_item_of(ep, step_.source_ref)
-        if item is not None:
-            rt.plan_collect_goal[i] = inv.count(item) + step_.units
-
-
 def _plan_leg_done(ep: EpisodeRuntime, rt: AgentRuntime) -> bool:
     """A leg is finished once its goods are in hand."""
     step_ = rt.plan.steps[rt.plan_idx]
     inv = ep.world.agents[rt.agent_id].inventory
     if step_.op == "collect":
-        item = _collect_item_of(ep, step_.source_ref)
-        if item is None:
-            return True
-        return inv.count(item) >= rt.plan_collect_goal.get(rt.plan_idx, 0)
+        return inv.count(step_.item) >= rt.plan_collect_goal[rt.plan_idx]
     return inv.count(rt.plan.item) >= max(1, rt.plan.count)
 
 
@@ -457,10 +416,10 @@ def _close_instance(ep: EpisodeRuntime, rt: AgentRuntime) -> None:
         return
     via = "coordination" if inst.windows_opened else "local"
     ep.trace.emit(ep.world.sim_time, rt.agent_id, "issue", {
-        "event": "resolved", "issue": inst.issue, "node_id": inst.node_id,
+        "event": "resolved", "issue": inst.blockage.issue.value, "node_id": inst.blockage.node_id,
         "via": via, "windows": inst.windows_opened,
         "recovery_activated": inst.recovery_activated,
-        "duration": ep.world.sim_time - inst.detected_at,
+        "duration": ep.world.sim_time - inst.blockage.detected_at,
     })
     rt.current_instance = None
     rt.regate_after = None
@@ -474,7 +433,9 @@ def _can_ever_retry(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageReco
 def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan) -> None:
     rt.plan = plan
     rt.plan_idx = 0
-    _set_collect_goals(ep, rt)
+    # per-leg inventory goals, so leg completion is checkable later
+    inv = ep.world.agents[rt.agent_id].inventory
+    rt.plan_collect_goal = {i: inv.count(s.item) + s.units for i, s in enumerate(plan.steps) if s.op == "collect"}
     rt.mode = "recovering"
     if rt.current_instance is not None:
         rt.current_instance.recovery_activated = True
@@ -509,30 +470,25 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     gating_enabled = config.rules_on or config.score_on or config.adjudicator_on
     others_exist = len(ep.world.agents) > 1
 
-    decision: GateDecision | None = None
     if not others_exist or hard_blocked:
         verdict = "stay_local"  # gate skipped; cooldown discipline owns the issue
-    elif not gating_enabled:
-        verdict = "escalate"  # communication-first baseline: every issue escalates
-        ep.trace.emit(now, rt.agent_id, "gate_decision", {
-            "issue": blockage.issue.value, "node_id": blockage.node_id,
-            "verdict": verdict, "tier": "disabled",
-            "solver_ctx": _solver_context(ep, rt, view, blockage),
-            "local_plan_cost": plan.total_cost if plan else None,
-        })
     else:
-        fv, plan = extract_features(
-            view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
-            ep.recipes, blockage=blockage, plan=plan,
-        )
-        decision = gate_decide(
-            blockage.issue, fv, config.weights, config.thresholds,
-            adjudicator=ep.backend,
-            rules_on=config.rules_on, score_on=config.score_on,
-            adjudicator_on=config.adjudicator_on, blockage=blockage, plan=plan,
-        )
-        verdict = decision.verdict
-        payload = {"issue": blockage.issue.value, "node_id": blockage.node_id, **decision.to_dict()}
+        if not gating_enabled:
+            # communication-first baseline: every issue escalates
+            decision = {"verdict": "escalate", "tier": "disabled"}
+        else:
+            fv, plan = extract_features(
+                view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
+                ep.recipes, blockage=blockage, plan=plan,
+            )
+            decision = gate_decide(
+                blockage.issue, fv, config.weights, config.thresholds,
+                adjudicator=ep.backend,
+                rules_on=config.rules_on, score_on=config.score_on,
+                adjudicator_on=config.adjudicator_on, blockage=blockage, plan=plan,
+            ).to_dict()
+        verdict = decision["verdict"]
+        payload = {"issue": blockage.issue.value, "node_id": blockage.node_id, **decision}
         if verdict == "escalate":
             payload["solver_ctx"] = _solver_context(ep, rt, view, blockage)
             payload["local_plan_cost"] = plan.total_cost if plan else None
@@ -544,7 +500,7 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
             item = blockage.item or ep.plan_info.materials.get(blockage.node_id, "")
             window, request = ep.new_window(
                 blockage.issue.value, rt.agent_id, target, item, max(1, blockage.count))
-            rt.window_id = window.window_id
+            rt.window = window
             rt.mode = "coordinating"
             if rt.current_instance is not None:
                 rt.current_instance.windows_opened += 1
@@ -586,15 +542,21 @@ def _advance_plan(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
     return action
 
 
+def _work_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
+    """Build toward the active subtask, else the next ready assigned node."""
+    target = rt.state.task.active_subtask
+    if target is None or ep.world.node_placed(target) or target in rt.abandoned:
+        target = _standard_target(ep, rt)
+        if target is None:
+            return Action.idle()
+    return _build_toward(ep, rt, target)
+
+
 def _resume_after_recovery(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
     blockage = rt.state.blockage
     if blockage is None:
         # requirement already verified satisfied; back to the task
-        target = rt.state.task.active_subtask
-        if target is not None and not ep.world.node_placed(target):
-            return _build_toward(ep, rt, target)
-        target = _standard_target(ep, rt)
-        return _build_toward(ep, rt, target) if target is not None else Action.idle()
+        return _work_action(ep, rt)
     if blockage.issue in MATERIAL_SHAPED_ISSUES and blockage.item:
         have = ep.world.agents[rt.agent_id].inventory.count(blockage.item)
         if have >= max(1, blockage.count):
@@ -645,13 +607,11 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
         return rt, duty
 
     # requester-side window upkeep
-    if rt.window_id is not None:
-        window = ep.windows[rt.window_id]
-        if window.state == WindowState.OPEN:
-            if window.has(MessageType.OFFER_TRANSFER) and not window.has(MessageType.CONFIRM_TRANSFER):
-                return rt, Action.send_message(confirm_message(window, now))
-            return rt, _skip_work_or_idle(ep, rt)
-        rt.window_id = None  # settlement closed it and already re-routed us
+    window = rt.window
+    if window is not None:
+        if window.has(MessageType.OFFER_TRANSFER) and not window.has(MessageType.CONFIRM_TRANSFER):
+            return rt, Action.send_message(confirm_message(window, now))
+        return rt, _skip_work_or_idle(ep, rt)
 
     blockage = rt.state.blockage
     if blockage is None and rt.mode in ("skipping", "stalled", "coordinating"):
@@ -670,8 +630,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
             rt.state.blockage = issue
             blockage = issue
             rt.gate_pending = True
-            rt.current_instance = IssueInstance(
-                issue=issue.issue.value, node_id=issue.node_id, detected_at=now)
+            rt.current_instance = IssueInstance(blockage=issue)
             ep.trace.emit(now, rt.agent_id, "issue", {
                 "event": "detected", "issue": issue.issue.value, "node_id": issue.node_id,
                 "item": issue.item, "count": issue.count,
@@ -693,13 +652,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
             return rt, _skip_work_or_idle(ep, rt)
         return rt, Action.idle()
 
-    # standard execution
-    target = rt.state.task.active_subtask
-    if target is None or ep.world.node_placed(target) or target in rt.abandoned:
-        target = _standard_target(ep, rt)
-        if target is None:
-            return rt, Action.idle()
-    return rt, _build_toward(ep, rt, target)
+    return rt, _work_action(ep, rt)
 
 
 def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None:
@@ -707,7 +660,9 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     now = ep.world.sim_time
     ep.trace.emit(now, window.requester, "window_state",
                   {**window.to_dict(), "event": "closed"})
+    del ep.windows[window.window_id]
     rt = ep.runtimes[window.requester]
+    rt.window = None
     issue = window.issue
     if window.state == WindowState.FULFILLED:
         e = ep.cooldowns.entry(window.requester, issue)
@@ -718,13 +673,11 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
                 "issue": issue, "level": 0, "consecutive_failures": 0,
                 "expires_at": 0, "cause": "fulfilled",
             })
-        if rt.window_id == window.window_id:
-            rt.window_id = None
-            if rt.state.blockage is None:
-                rt.mode = "standard"
-            else:
-                rt.mode = "stalled"
-                rt.gate_pending = True  # delivery did not fully cover the need
+        if rt.state.blockage is None:
+            rt.mode = "standard"
+        else:
+            rt.mode = "stalled"
+            rt.gate_pending = True  # delivery did not fully cover the need
         return
     outcome = (CoordinationOutcome.CANNOT_SUPPLY if window.state == WindowState.CANNOT_SUPPLY
                else CoordinationOutcome.TIMEOUT)
@@ -733,8 +686,6 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
         "issue": issue, "level": entry.level, "consecutive_failures": entry.consecutive_failures,
         "expires_at": entry.expires_at, "cause": outcome.value,
     })
-    if rt.window_id == window.window_id:
-        rt.window_id = None
     blockage = rt.state.blockage
     if blockage is None:
         rt.mode = "standard"
@@ -753,20 +704,6 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
         _abandon(ep, rt, blockage)
 
 
-def _window_for_message(ep: EpisodeRuntime, msg: CoordinationMessage) -> CoordinationWindow | None:
-    requester_sends = {MessageType.REQUEST_MATERIAL.value, MessageType.CONFIRM_TRANSFER.value}
-    for window in ep.open_windows():
-        if window.item != msg.item:
-            continue
-        if msg.protocol in requester_sends:
-            if window.requester == msg.sender and window.responder == msg.target:
-                return window
-        else:
-            if window.responder == msg.sender and window.requester == msg.target:
-                return window
-    return None
-
-
 def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: VerifiedOutcome) -> None:
     """Board/window/private-state effects after the world applied an action."""
     if action.kind == "send_message" and action.message is not None:
@@ -774,16 +711,16 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         if not validate_message(msg.to_dict()):
             raise ValueError(f"invalid protocol message emitted: {msg.to_dict()}")
         ep.board.append(msg)
-        window = _window_for_message(ep, msg)
-        if window is not None and msg not in window.messages:
+        # every message belongs to its requester's one open window
+        from_requester = msg.protocol in (MessageType.REQUEST_MATERIAL.value, MessageType.CONFIRM_TRANSFER.value)
+        window = ep.runtimes[msg.sender if from_requester else msg.target].window
+        if msg not in window.messages:
             window.append(msg)
         ep.trace.emit(outcome.sim_time, msg.sender, "coordination_message",
-                      {**msg.to_dict(), "window_id": window.window_id if window else None})
-        if window is not None and msg.protocol == MessageType.OFFER_TRANSFER.value:
-            inv = ep.world.agents[msg.sender].inventory
-            reqs = ep.requirements_of(msg.sender)
-            spare = max(msg.count, inv.count(msg.item) - reqs.get(msg.item, 0))
-            ep.advertised.setdefault(msg.sender, {})[msg.item] = spare
+                      {**msg.to_dict(), "window_id": window.window_id})
+        if msg.protocol == MessageType.OFFER_TRANSFER.value:
+            spare = surplus_of(ep.world.agents[msg.sender].inventory, ep.requirements_of(msg.sender), msg.item)
+            ep.advertised.setdefault(msg.sender, {})[msg.item] = max(msg.count, spare)
 
     # private-state trigger: own verified outcome
     update_private_state(rt.state, StateEvent(kind="outcome", outcome=outcome))
@@ -803,12 +740,11 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         if recipient.state.blockage is None and recipient.current_instance is not None:
             _close_instance(ep, recipient)
         ep.advertised.get(rt.agent_id, {}).pop(action.item, None)
-        for window in ep.open_windows():
-            if (window.responder == rt.agent_id and window.requester == action.to_agent
-                    and window.item == action.item and (action.count or 0) >= window.count
-                    and window.has(MessageType.CONFIRM_TRANSFER)):
-                window.transfer_done = True
-                break
+        window = recipient.window
+        if (window is not None and window.responder == rt.agent_id
+                and window.item == action.item and (action.count or 0) >= window.count
+                and window.has(MessageType.CONFIRM_TRANSFER)):
+            window.transfer_done = True
 
     # blockage satisfied by this outcome (plan leg, passive gain, ...)
     if rt.state.blockage is None:

@@ -175,7 +175,10 @@ def _require_dataset(ns, cfg: dict):
     path = Path(_pick(ns, cfg, "dataset", "dataset"))
     if not path.exists():
         raise UsageError(f"dataset not found: {path} (generate one with `gatecraft gen`)")
-    manifest, episodes = load_dataset(path)
+    try:
+        manifest, episodes = load_dataset(path)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if not episodes:
         raise UsageError(f"dataset at {path} holds no episodes")
     limit = getattr(ns, "episodes", None)
@@ -373,7 +376,14 @@ def cmd_report(ns, cfg: dict) -> int:
     if not trace_files:
         raise UsageError(f"no trace files under {traces_dir}; run `gatecraft run` first")
 
-    metrics = [compute_metrics(Trace.from_jsonl(f.read_text())) for f in trace_files]
+    metrics = []
+    for f in trace_files:
+        try:
+            metrics.append(compute_metrics(Trace.from_jsonl(f.read_text())))
+        except KeyError as exc:
+            raise ValueError(f"{f}: missing field {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{f}: {exc}") from exc
     agg = aggregate(metrics)
     per_class = agg.pop("per_class")
 

@@ -120,11 +120,10 @@ IMMEDIATE_RADIUS = 10  # R=3 inside this distance (strict)
 
 
 def _teammates_with_exact(team: TeamPublicView, view: WorldView, item: str, need: int) -> list[tuple[int, str]]:
-    """(dist_sq, agent) pairs for teammates believed to hold the exact item."""
+    """(dist_sq, agent) pairs for visible teammates believed to hold the exact item."""
     out = []
-    for aid in sorted(team.positions):
-        pos = team.positions[aid]
-        if team.surplus(aid, item) >= need or team.designated_owner.get(item) == aid:
+    for aid, pos in sorted(view.teammates.items()):
+        if team.surplus(aid, item) >= need or view.plan.partition.get(item) == aid:
             out.append((dist_sq(view.position, pos), aid))
     out.sort()
     return out
@@ -136,10 +135,9 @@ def _teammates_with_raw(team: TeamPublicView, view: WorldView, recipes: RecipeBo
     for recipe in recipes.producing(item):
         for inp, _ in recipe.inputs:
             raw_items.add(inp)
-    for aid in sorted(team.positions):
-        pos = team.positions[aid]
+    for aid, pos in sorted(view.teammates.items()):
         for raw in sorted(raw_items):
-            if team.surplus(aid, raw) >= 1 or team.designated_owner.get(raw) == aid:
+            if team.surplus(aid, raw) >= 1 or view.plan.partition.get(raw) == aid:
                 out.append((dist_sq(view.position, pos), aid))
                 break
     out.sort()

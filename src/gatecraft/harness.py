@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .agent import RunConfig, Trace, run_episode
@@ -60,25 +59,7 @@ class EpisodeMetrics:
     recovery_time_avg: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "episode_id": self.episode_id,
-            "class_label": self.class_label,
-            "tsr": self.tsr,
-            "cs": self.cs,
-            "msg": self.msg,
-            "escalations": self.escalations,
-            "adjudicator_calls": self.adjudicator_calls,
-            "token_cost": self.token_cost,
-            "windows_opened": self.windows_opened,
-            "windows_fulfilled": self.windows_fulfilled,
-            "issues_resolved": self.issues_resolved,
-            "issues_abandoned": self.issues_abandoned,
-            "lrr": self.lrr,
-            "uer": self.uer,
-            "ecr": self.ecr,
-            "rsr": self.rsr,
-            "recovery_time_avg": self.recovery_time_avg,
-        }
+        return asdict(self)
 
 
 def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
@@ -232,14 +213,9 @@ def aggregate(metrics: list[EpisodeMetrics]) -> dict:
 
 def metrics_to_csv(metrics: list[EpisodeMetrics]) -> str:
     """One row per episode, then ALL + per-class aggregate rows."""
-    fields = [
-        "episode_id", "class_label", "tsr", "cs", "msg", "escalations",
-        "adjudicator_calls", "token_cost", "windows_opened", "windows_fulfilled",
-        "issues_resolved", "issues_abandoned", "lrr", "uer", "ecr", "rsr",
-        "recovery_time_avg",
-    ]
+    columns = [f.name for f in fields(EpisodeMetrics)]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer = csv.DictWriter(buf, fieldnames=columns)
     writer.writeheader()
     for m in metrics:
         writer.writerow({k: ("" if v is None else v) for k, v in m.to_dict().items()})
@@ -247,11 +223,11 @@ def metrics_to_csv(metrics: list[EpisodeMetrics]) -> str:
     per_class = agg.pop("per_class")
 
     def agg_row(label: str, row: dict) -> dict:
-        out = {k: "" for k in fields}
+        out = {k: "" for k in columns}
         out["episode_id"] = label
         out["class_label"] = ""
         for k, v in row.items():
-            if k in fields and v is not None:
+            if k in columns and v is not None:
                 out[k] = v
         return out
 

@@ -48,15 +48,6 @@ class BlockageRecord:
     count: int = 0
     detected_at: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "issue": self.issue.value,
-            "node_id": self.node_id,
-            "item": self.item,
-            "count": self.count,
-            "detected_at": self.detected_at,
-        }
-
 
 @dataclass
 class TaskFocus:

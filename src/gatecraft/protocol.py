@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .world import CoordinationMessage, Inventory, Position
+from .world import CoordinationMessage, Inventory
 
 
 class MessageType(str, Enum):
@@ -194,13 +194,12 @@ def settle_window(window: CoordinationWindow, now: int) -> WindowState:
 
 @dataclass
 class TeamPublicView:
-    """Shared, non-private team knowledge: teammate positions within observe
-    radius and surpluses advertised through OFFER_TRANSFER messages. Under the
-    partition-off ablation the runtime substitutes live inventories here."""
+    """Shared, non-private team knowledge: surpluses advertised through
+    OFFER_TRANSFER messages. Under the partition-off ablation the runtime
+    substitutes live inventories here. Teammate positions and the designated
+    item owners are read from the agent's `WorldView` and its plan."""
 
-    positions: dict[str, Position] = field(default_factory=dict)
     advertised_surplus: dict[str, dict[str, int]] = field(default_factory=dict)  # agent -> item -> count
-    designated_owner: dict[str, str] = field(default_factory=dict)  # item -> agent
 
     def surplus(self, agent: str, item: str) -> int:
         return self.advertised_surplus.get(agent, {}).get(item, 0)

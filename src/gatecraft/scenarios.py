@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .gate import (
@@ -194,26 +194,7 @@ class EpisodeSpec:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "episode_id": self.episode_id,
-            "template_id": self.template_id,
-            "seed_index": self.seed_index,
-            "class_label": self.class_label,
-            "variant": self.variant,
-            "agents": self.agents,
-            "blocks": self.blocks,
-            "edges": self.edges,
-            "assigned": self.assigned,
-            "partition": self.partition,
-            "work_regions": self.work_regions,
-            "recipes": self.recipes,
-            "sources": self.sources,
-            "chests": self.chests,
-            "scaffold": self.scaffold,
-            "responder_script": self.responder_script,
-            "injected": self.injected,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeSpec":
@@ -430,9 +411,8 @@ def probe_bottleneck(
     blockage = detect_issue(state, view, world.graph, world.recipes)
     if blockage is None:
         return {"issue": None}
-    team = TeamPublicView(positions=dict(view.teammates), designated_owner=dict(spec.partition))
     fv, recovery = extract_features(
-        view, world.graph, state, team, CooldownTable(), world.recipes,
+        view, world.graph, state, TeamPublicView(), CooldownTable(), world.recipes,
         blockage=blockage,
     )
     th = thresholds or _PROBE_THRESHOLDS
@@ -568,15 +548,22 @@ def save_dataset(manifest: dict, episodes: list[EpisodeSpec], out_dir: str | Pat
 
 
 def load_dataset(path: str | Path) -> tuple[dict, list[EpisodeSpec]]:
+    """Read a saved dataset. A line that is not valid JSON or lacks a field
+    raises ValueError naming the file and the line."""
     root = Path(path)
     if root.is_file():  # accept either the directory or the episodes file
         episodes_file, manifest_file = root, root.parent / "manifest.json"
     else:
         episodes_file, manifest_file = root / "episodes.jsonl", root / "manifest.json"
     manifest = json.loads(manifest_file.read_text()) if manifest_file.exists() else {}
-    episodes = [
-        EpisodeSpec.from_dict(json.loads(line))
-        for line in episodes_file.read_text().splitlines()
-        if line.strip()
-    ]
+    episodes = []
+    for n, line in enumerate(episodes_file.read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            episodes.append(EpisodeSpec.from_dict(json.loads(line)))
+        except KeyError as exc:
+            raise ValueError(f"{episodes_file} line {n}: missing field {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{episodes_file} line {n}: {exc}") from exc
     return manifest, episodes

@@ -8,7 +8,7 @@ deterministic estimates from distance/speed arithmetic plus per-step constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .memory import BlockageRecord, IssueType, PrivateState
@@ -45,16 +45,7 @@ class RecoveryStep:
     source_ref: tuple | None = None  # ("source", idx) or ("chest", idx, item)
     station: str | None = None
     units: int = 1
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "op": self.op, "estimated_cost": self.estimated_cost, "units": self.units}
-        if self.recipe_id:
-            d["recipe_id"] = self.recipe_id
-        if self.source_ref:
-            d["source_ref"] = list(self.source_ref)
-        if self.station:
-            d["station"] = self.station
-        return d
+    item: str | None = None  # what a collect leg gathers
 
 
 @dataclass
@@ -66,10 +57,6 @@ class RecoveryPlan:
     @property
     def total_cost(self) -> int:
         return sum(s.estimated_cost for s in self.steps)
-
-    def to_dict(self) -> dict:
-        return {"item": self.item, "count": self.count, "total_cost": self.total_cost,
-                "steps": [s.to_dict() for s in self.steps]}
 
 
 def _nearest_station(view: WorldView, station: str | None) -> tuple[Position | None, float]:
@@ -133,7 +120,7 @@ def plan_local_recovery(
         return RecoveryPlan(
             item=item, count=need,
             steps=[RecoveryStep(kind="collect", op="collect", estimated_cost=cost,
-                                source_ref=ref, units=need)],
+                                source_ref=ref, units=need, item=item)],
         )
 
     # detour: gather missing recipe inputs from visible supplies, then craft
@@ -157,7 +144,7 @@ def plan_local_recovery(
                 break
             leg = travel_steps(d, INTERACTION_RADIUS, SPEED) + missing
             steps.append(RecoveryStep(kind="plan_detour", op="collect", estimated_cost=leg,
-                                      source_ref=ref, units=missing))
+                                      source_ref=ref, units=missing, item=inp_item))
             cursor = view.ref_position(ref) or cursor
         if not feasible or not steps:
             continue

@@ -7,7 +7,6 @@ outcome; failures are returned as statuses, never raised.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -77,9 +76,6 @@ class Inventory:
 
     def to_dict(self) -> dict[str, int]:
         return {k: self.counts[k] for k in sorted(self.counts)}
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Inventory) and self.counts == other.counts
@@ -436,23 +432,6 @@ class WorldState:
         if station is None:
             return True
         return any(within(agent.position, pos, INTERACTION_RADIUS) for pos in self.stations_of(station))
-
-    def serialize(self) -> str:
-        """Canonical JSON of the whole state; equal states serialize byte-identically."""
-        d = {
-            "sim_time": self.sim_time,
-            "placed": [[list(k), v] for k, v in sorted(self.placed.items())],
-            "scaffold": [[list(k), v] for k, v in sorted(self.scaffold.items())],
-            "agents": {
-                a: {"position": list(b.position), "inventory": b.inventory.to_dict()}
-                for a, b in sorted(self.agents.items())
-            },
-            "sources": [
-                {"item": s.item, "position": list(s.position), "remaining": s.remaining} for s in self.sources
-            ],
-            "chests": [{"position": list(c.position), "inventory": c.inventory.to_dict()} for c in self.chests],
-        }
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
 def _fail(agent: AgentBody, action: Action, reason: str, sim_time: int) -> VerifiedOutcome:

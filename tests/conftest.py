@@ -4,7 +4,6 @@ from gatecraft import (
     Blueprint,
     BlockSpec,
     PlanInfo,
-    RecipeBook,
     Source,
     TaskGraph,
     WorldState,

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from gatecraft import RunConfig, Trace, run_episode

@@ -180,6 +180,44 @@ def test_report_tables_and_sensitivity(tmp_path, small_dataset, capsys):
     assert "sensitivity" in capsys.readouterr().out
 
 
+def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out)]) == 0
+    good = sorted((out / "traces").glob("b*.jsonl"))[0]
+    events = Trace.from_jsonl(good.read_text()).events
+    escalation = next(e for e in events if "solver_ctx" in e["payload"])
+    escalation["payload"]["solver_ctx"]["params"]["far_threshold"] = 10
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    (traces / good.name).write_text(good.read_text())
+    bad = traces / "other_physics.jsonl"
+    bad.write_text(Trace(events=events).to_jsonl())
+    capsys.readouterr()
+    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: solver_ctx.params.far_threshold = 10" in err
+
+    bad.write_text(Trace(events=events[:-1]).to_jsonl())
+    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+    assert f"{bad}: incomplete trace: no episode_end event" in capsys.readouterr().err
+
+    bad.write_text("[1]\n")  # valid JSON, but not an event
+    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+    assert f"runtime error: {bad}: " in capsys.readouterr().err
+
+
+def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
+    lines = (small_dataset / "episodes.jsonl").read_text().splitlines()
+    spec = json.loads(lines[0])
+    del spec["template_id"]
+    episodes = tmp_path / "episodes.jsonl"
+    for bad_line, message in ((json.dumps(spec), "line 2: missing field 'template_id'"),
+                              ("{not json", "line 2: Expecting property name")):
+        episodes.write_text("\n".join([lines[0], bad_line, lines[1]]) + "\n")
+        assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {episodes} {message}" in capsys.readouterr().err
+
+
 def test_ablate_runs_all_variants(tmp_path, small_dataset, capsys):
     out = tmp_path / "out"
     rc = main(["ablate", "--dataset", str(small_dataset), "--out", str(out)])

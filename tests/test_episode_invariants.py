@@ -1,0 +1,87 @@
+"""Randomized invariant checks over whole episodes.
+
+Each case samples a generated episode (random template, seed index and
+dataset seed) and a random run configuration (ablation variant, window
+timeout, cooldown duration, step budget), runs it, and checks the trace:
+
+- event steps never decrease;
+- a requester never has two open windows;
+- every window closes by its deadline, or is still open at `episode_end`;
+- every coordination message names an open window whose requester and
+  responder are the message's two endpoints;
+- each agent's issue events alternate detected -> resolved | abandoned.
+"""
+
+import dataclasses
+import random
+
+from gatecraft.agent import RunConfig, run_episode
+from gatecraft.cli import ABLATION_VARIANTS
+from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
+
+REQUESTER_SENDS = ("REQUEST_MATERIAL", "CONFIRM_TRANSFER")
+
+
+def _sample_run(rng):
+    template = rng.choice(dataset_templates())
+    spec = build_episode(template, rng.randrange(SEEDS_PER_TEMPLATE), rng.randint(0, 3))
+    _, overrides = rng.choice(ABLATION_VARIANTS)
+    config = dataclasses.replace(
+        RunConfig(),
+        window_timeout=rng.randint(1, 25),
+        cooldown_duration=rng.randint(0, 40),
+        step_budget=rng.randint(1, 60),
+        **overrides,
+    )
+    return spec, config
+
+
+def check_episode_invariants(events) -> None:
+    assert events and events[-1]["kind"] == "episode_end"
+    last_step = 0
+    open_windows: dict[int, dict] = {}  # window_id -> opened payload
+    open_by_requester: dict[str, int] = {}
+    open_issue: dict[str, dict] = {}  # agent -> detected payload
+    for e in events:
+        step, kind, p = e["step"], e["kind"], e["payload"]
+        assert step >= last_step, e
+        last_step = step
+        if kind == "window_state":
+            wid = p["window_id"]
+            if p["event"] == "opened":
+                assert wid not in open_windows, e
+                assert p["requester"] not in open_by_requester, e
+                open_windows[wid] = p
+                open_by_requester[p["requester"]] = wid
+            else:
+                assert open_windows.pop(wid, None) is not None, e
+                assert open_by_requester.pop(p["requester"]) == wid, e
+                assert p["state"] != "open" and step <= p["deadline"], e
+        elif kind == "coordination_message":
+            window = open_windows.get(p["window_id"])
+            assert window is not None, e
+            if p["protocol"] in REQUESTER_SENDS:
+                ends = (window["requester"], window["responder"])
+            else:
+                ends = (window["responder"], window["requester"])
+            assert (p["from"], p["target"]) == ends, e
+            assert p["item"] == window["item"], e
+        elif kind == "issue":
+            if p["event"] == "detected":
+                assert e["agent"] not in open_issue, e
+                open_issue[e["agent"]] = p
+            else:
+                assert p["event"] in ("resolved", "abandoned"), e
+                detected = open_issue.pop(e["agent"], None)
+                assert detected is not None, e
+                assert (p["issue"], p["node_id"]) == (detected["issue"], detected["node_id"]), e
+    end = events[-1]["step"]
+    for window in open_windows.values():
+        assert end < window["deadline"], window
+
+
+def test_episode_invariants_sampled():
+    rng = random.Random(401)
+    for _ in range(40):
+        spec, config = _sample_run(rng)
+        check_episode_invariants(run_episode(spec, config).events)

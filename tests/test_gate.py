@@ -222,7 +222,7 @@ def test_scripted_adjudicator_replays_in_order_then_raises():
 # -- feature extraction on a live view ----------------------------------------------
 
 
-def _featurize(world, plan, agent_id="a0", team=None, cooldowns=None):
+def _featurize(world, plan, agent_id="a0", cooldowns=None):
     from gatecraft import detect_issue
 
     view = observe(world, agent_id, plan=plan)
@@ -230,9 +230,7 @@ def _featurize(world, plan, agent_id="a0", team=None, cooldowns=None):
     update_private_state(state, StateEvent(kind="init", view=view))
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None
-    team = team or TeamPublicView(positions=view.teammates,
-                                  designated_owner=plan.partition)
-    return extract_features(view, world.graph, state, team, cooldowns or CooldownTable(),
+    return extract_features(view, world.graph, state, TeamPublicView(), cooldowns or CooldownTable(),
                             world.recipes, blockage=issue)
 
 

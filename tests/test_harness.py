@@ -1,7 +1,5 @@
 """Metric counting, aggregation, template splits and calibration."""
 
-import json
-
 import pytest
 
 from gatecraft import (
@@ -81,7 +79,7 @@ def test_replay_rejects_other_physics():
         replay_local_feasibility(dict(CHEAP_CTX, params={"far_threshold": 10}))
     # absent keys read as the fixed values
     without = {k: v for k, v in CHEAP_CTX.items() if k != "params"}
-    assert replay_local_feasibility(without).to_dict() == replay_local_feasibility(CHEAP_CTX).to_dict()
+    assert replay_local_feasibility(without) == replay_local_feasibility(CHEAP_CTX)
 
 
 def test_compute_metrics_counts_synthetic_trace():

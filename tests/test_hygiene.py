@@ -1,0 +1,33 @@
+"""Source hygiene: every import in `src/` and `tests/` is used.
+
+Package `__init__.py` files are skipped (their imports are re-exports), and
+so are `__future__` imports. A name counts as used when it appears as a
+`Name` anywhere in the module (a name used only inside a quoted annotation
+would not count).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    problems = [p for f in files if f.name != "__init__.py" for p in unused_imports(f)]
+    assert not problems, "unused imports:\n" + "\n".join(problems)

@@ -2,7 +2,6 @@ import pytest
 
 from gatecraft import (
     Action,
-    Inventory,
     IssueType,
     PrivateState,
     StateEvent,

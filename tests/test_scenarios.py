@@ -2,7 +2,6 @@ import json
 
 from gatecraft import EpisodeSpec, generate_dataset, validate_class_property
 from gatecraft.scenarios import (
-    SEEDS_PER_TEMPLATE,
     build_episode,
     dataset_templates,
     load_dataset,

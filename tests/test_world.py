@@ -1,10 +1,7 @@
-import json
-
 import pytest
 
 from gatecraft import (
     Action,
-    AgentBody,
     Blueprint,
     BlockSpec,
     Chest,
@@ -13,7 +10,6 @@ from gatecraft import (
     Recipe,
     RecipeBook,
     TaskGraph,
-    WorldState,
     apply_action,
     blueprint_completion,
     default_recipes,
@@ -261,14 +257,6 @@ def test_view_digest_deterministic():
     d1 = observe(world, "a0", plan=plan).digest()
     d2 = observe(world, "a0", plan=plan).digest()
     assert d1 == d2
-
-
-def test_world_serialize_round_trip_stable():
-    world = make_world([(0, (0, 0, 1), "stone")], agents={"a0": ((0, 0, 0), {"stone": 1})})
-    s1 = world.serialize()
-    s2 = world.serialize()
-    assert s1 == s2
-    json.loads(s1)  # well-formed
 
 
 def test_travel_steps_zero_inside_interaction_radius():
