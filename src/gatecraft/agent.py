@@ -765,12 +765,59 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
             _handle_window_close(ep, window)
 
 
+def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
+    """True when the round whose first trace event is `round_start` leaves
+    a state that no later round can change, so the rest of the budget would
+    add only idle action/outcome pairs.
+
+    The round qualifies when it traced nothing but idle action/outcome pairs
+    and leaves no window open, no `gate_pending`, no `regate_after` (even
+    one already due: it still triggers a retry gate pass) and no cooldown
+    entry with `expires_at >= sim_time`. The state after it is a fixed point:
+
+    - The world changes only through non-idle actions, and the board only
+      through messages, so every view, and with `partition_on=False` every
+      digest's board tail, stays the same. `sim_time` still advances, but
+      only the idle pairs' `step` and `obs_digest` show it.
+    - The only reads that depend on time are window deadlines (none is
+      open, and opening one is traced), `regate_after` (none is set) and
+      cooldown expiry and level (every entry has expired, so `blocked` and
+      `effective_level` no longer change).
+    - Every `last_outcome` is now `idle`, so the support-failure branch of
+      `detect_issue` cannot fire; its other branches read only the
+      unchanged view and private state.
+    - The adjudicator is reached only through `gate_pending`, and none is
+      set.
+    - Whatever the next round would act on is traced: detections, gate
+      decisions, abandonments, resolutions, window closes and cooldown
+      updates (an abandoned node frees the next target; a window that times
+      out mid-round hands its requester a local plan). What an idle round
+      changes without a trace settles within it: a skipping agent with no
+      skip target turns stalled, an agent whose blockage is gone takes the
+      standard branch in the same step, and a gate pass that the cooldown
+      skips ends stalled with nothing pending. Each idles again.
+    """
+    runtimes = ep.runtimes.values()
+    now = ep.world.sim_time
+    return (
+        all(e["kind"] == "outcome" or (e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle")
+            for e in ep.trace.events[round_start:])
+        and not ep.windows
+        and not any(rt.gate_pending or rt.regate_after is not None for rt in runtimes)
+        and all(e.expires_at < now for e in ep.cooldowns.entries.values())
+    )
+
+
 def run_episode(spec, config: RunConfig, backend=None) -> Trace:
-    """Round-robin the agents until the blueprint completes or the budget runs out."""
+    """Round-robin the agents until the blueprint completes, the budget runs
+    out, or a round leaves nothing able to change (`_quiescent`)."""
     ep = EpisodeRuntime(spec, config, backend)
     agent_ids = sorted(ep.world.agents)
     rounds = 0
-    while rounds < config.step_budget and not ep.complete():
+    quiescent = False
+    while rounds < config.step_budget and not ep.complete() and not quiescent:
+        round_start = len(ep.trace.events)
+        all_idle = True
         for aid in agent_ids:
             if ep.complete():
                 break
@@ -782,9 +829,16 @@ def run_episode(spec, config: RunConfig, backend=None) -> Trace:
                           {"action": action.to_dict(), "obs_digest": rt.view_digest, "mode": rt.mode})
             ep.trace.emit(pre_time, aid, "outcome", outcome.to_dict())
             _post_action(ep, rt, action, outcome)
+            all_idle = all_idle and action.kind == "idle"
         rounds += 1
+        # `all_idle` only spares busy rounds the predicate's trace scan
+        quiescent = all_idle and _quiescent(ep, round_start)
+    if ep.complete():
+        reason = "completed"
+    else:
+        reason = "quiescent" if quiescent else "budget"
     ep.trace.emit(ep.world.sim_time, "", "episode_end", {
-        "reason": "completed" if ep.complete() else "budget",
+        "reason": reason,
         "completion": blueprint_completion(ep.world),
         "rounds": rounds,
         "config": config.describe(),

@@ -176,7 +176,7 @@ def _require_dataset(ns, cfg: dict):
     if not path.exists():
         raise UsageError(f"dataset not found: {path} (generate one with `gatecraft gen`)")
     try:
-        manifest, episodes = load_dataset(path)
+        episodes = load_dataset(path)
     except ValueError as exc:
         raise UsageError(str(exc))
     if not episodes:
@@ -186,7 +186,7 @@ def _require_dataset(ns, cfg: dict):
         if limit < 1:
             raise UsageError("--episodes must be >= 1")
         episodes = episodes[: int(limit)]
-    return manifest, episodes
+    return episodes
 
 
 def _out_dir(ns, cfg: dict) -> Path:
@@ -252,7 +252,7 @@ def cmd_gen(ns, cfg: dict) -> int:
 
 
 def cmd_run(ns, cfg: dict) -> int:
-    _, episodes = _require_dataset(ns, cfg)
+    episodes = _require_dataset(ns, cfg)
     config = _run_config(ns, cfg)
     backend_name = _pick(ns, cfg, "backend", "mock")
     jobs = int(_pick(ns, cfg, "jobs", 1))
@@ -271,7 +271,7 @@ def cmd_run(ns, cfg: dict) -> int:
 
 
 def cmd_ablate(ns, cfg: dict) -> int:
-    _, episodes = _require_dataset(ns, cfg)
+    episodes = _require_dataset(ns, cfg)
     base_config = _run_config(ns, cfg)
     backend_name = _pick(ns, cfg, "backend", "mock")
     jobs = int(_pick(ns, cfg, "jobs", 1))
@@ -320,7 +320,7 @@ def _resolve_grid(ns, cfg: dict) -> dict:
 
 
 def cmd_calibrate(ns, cfg: dict) -> int:
-    _, episodes = _require_dataset(ns, cfg)
+    episodes = _require_dataset(ns, cfg)
     grid = _resolve_grid(ns, cfg)
     seed = int(_pick(ns, cfg, "seed", 0))
     fraction = float(_pick(ns, cfg, "calib_fraction", 0.5))

@@ -342,6 +342,11 @@ class ScriptedAdjudicator:
         return reply
 
 
+# Largest adjudicator reply accepted. A valid reply is a few dozen bytes, and
+# the body is copied into the trace and counted into token_cost.
+MAX_REPLY_BYTES = 64 * 1024
+
+
 class RemoteAdjudicator:
     """POSTs the decision card to an HTTP endpoint and returns the raw body."""
 
@@ -357,9 +362,12 @@ class RemoteAdjudicator:
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read()
+                body = resp.read(MAX_REPLY_BYTES + 1)
         except (OSError, http.client.HTTPException) as exc:
             raise AdjudicatorUnavailable(f"{self.url}: {exc}") from exc
+        if len(body) > MAX_REPLY_BYTES:
+            raise AdjudicatorUnavailable(f"{self.url}: reply longer than {MAX_REPLY_BYTES} bytes")
+        return body
 
 
 @dataclass

@@ -547,15 +547,12 @@ def save_dataset(manifest: dict, episodes: list[EpisodeSpec], out_dir: str | Pat
     return out
 
 
-def load_dataset(path: str | Path) -> tuple[dict, list[EpisodeSpec]]:
-    """Read a saved dataset. A line that is not valid JSON or lacks a field
-    raises ValueError naming the file and the line."""
+def load_dataset(path: str | Path) -> list[EpisodeSpec]:
+    """Read a saved dataset's episodes; `manifest.json` is not read. A line
+    that is not valid JSON or lacks a field raises ValueError naming the file
+    and the line."""
     root = Path(path)
-    if root.is_file():  # accept either the directory or the episodes file
-        episodes_file, manifest_file = root, root.parent / "manifest.json"
-    else:
-        episodes_file, manifest_file = root / "episodes.jsonl", root / "manifest.json"
-    manifest = json.loads(manifest_file.read_text()) if manifest_file.exists() else {}
+    episodes_file = root if root.is_file() else root / "episodes.jsonl"
     episodes = []
     for n, line in enumerate(episodes_file.read_text().splitlines(), 1):
         if not line.strip():
@@ -566,4 +563,4 @@ def load_dataset(path: str | Path) -> tuple[dict, list[EpisodeSpec]]:
             raise ValueError(f"{episodes_file} line {n}: missing field {exc}") from exc
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{episodes_file} line {n}: {exc}") from exc
-    return manifest, episodes
+    return episodes

@@ -1,7 +1,8 @@
 import pytest
 
-from gatecraft import RunConfig, Trace, run_episode
+from gatecraft import RunConfig, Trace, agent, default_recipes, run_episode
 from gatecraft.gate import GateThresholds, GateWeights, ScriptedAdjudicator
+from gatecraft.scenarios import EpisodeSpec
 
 
 def _episodes_of_class(dataset, label, limit=None):
@@ -130,3 +131,112 @@ def test_step_budget_bounds_episode_length(dataset):
     trace = run_episode(spec, cfg)
     end = trace.events[-1]["payload"]
     assert end["reason"] == "budget" and end["rounds"] == 10
+
+
+def _full_budget(monkeypatch):
+    """Test-only patch: never take the quiescence exit."""
+    monkeypatch.setattr(agent, "_quiescent", lambda *args: False)
+
+
+def _first_idle_round_end(events) -> int:
+    """Trace index just past the first round in which every agent only idled."""
+    n_agents = len({e["agent"] for e in events if e["kind"] == "action"})
+    idle_run = actions = 0
+    for i, e in enumerate(events):
+        if e["kind"] == "action":
+            actions += 1
+            idle_run = idle_run + 1 if e["payload"]["action"]["kind"] == "idle" else 0
+            if actions % n_agents == 0 and idle_run >= n_agents:
+                return i + 2  # past the matching outcome
+        elif e["kind"] != "outcome":
+            idle_run = 0
+    raise AssertionError("no fully idle round")
+
+
+def test_a_due_regate_is_not_quiescent(dataset, monkeypatch):
+    """A set `regate_after` blocks the exit even once it is due: the retry
+    gate pass it triggers has not run yet."""
+    spec = _episodes_of_class(dataset, "D", limit=1)[0]
+    real = agent._quiescent
+    verdicts = []
+
+    def spy(ep, round_start):
+        quiet = real(ep, round_start)
+        if quiet:
+            rt = ep.runtimes["a0"]
+            now = ep.world.sim_time
+            for due in (0, now - 1, now, now + 1):
+                rt.regate_after = due
+                verdicts.append(real(ep, round_start))
+            rt.regate_after = None
+        return quiet
+
+    monkeypatch.setattr(agent, "_quiescent", spy)
+    end = run_episode(spec, RunConfig()).events[-1]["payload"]
+    assert end["reason"] == "quiescent"
+    assert verdicts == [False] * 4
+
+
+def test_retry_after_an_idle_stretch_is_kept(dataset, monkeypatch):
+    """Class-D requesters idle through a cooldown and then retry the gate;
+    the exit must not fire inside that stretch."""
+    specs = _episodes_of_class(dataset, "D")
+    early = {s.episode_id: run_episode(s, RunConfig()).events for s in specs}
+    _full_budget(monkeypatch)
+    retried = 0
+    for spec in specs:
+        full = run_episode(spec, RunConfig()).events
+        late_gates = [e for e in full[_first_idle_round_end(full):] if e["kind"] == "gate_decision"]
+        if late_gates:
+            retried += 1
+            kept = [e for e in early[spec.episode_id] if e["kind"] == "gate_decision"]
+            assert all(e in kept for e in late_gates), spec.episode_id
+    assert retried > 0
+
+
+def _hand_built(agents, blocks, assigned, partition, script, sources=()):
+    return EpisodeSpec(
+        episode_id="hand", template_id=0, seed_index=0, class_label="D", variant="hand",
+        agents={aid: {"position": pos, "inventory": {}} for aid, pos in agents.items()},
+        blocks=blocks, edges=[], assigned=assigned, partition=partition,
+        work_regions={aid: [pos, 12] for aid, pos in agents.items()},
+        recipes=[r.to_dict() for r in default_recipes().recipes.values()],
+        sources=list(sources), responder_script=script,
+    )
+
+
+def test_window_timing_out_in_an_idle_round_is_not_quiescent(monkeypatch):
+    """A silent responder lets a window time out on the requester's own idle
+    turn; with no cooldown left the requester falls back to a local plan,
+    and the next round must still run it."""
+    spec = _hand_built(
+        agents={"a0": [0, 0, 0], "a1": [5, 0, 0], "a2": [8, 0, 0]},
+        blocks=[[0, "sandstone", [1, 0, -2]]], assigned={"a0": [0]},
+        partition={"sandstone": "a1"}, script={"a1": ["silent"]},
+        sources=[["sandstone", [6, 0, 0], 2]],
+    )
+    config = RunConfig(rules_on=False, score_on=False, adjudicator_on=False,
+                       window_timeout=4, cooldown_duration=0)
+    trace = run_episode(spec, config)
+    end = trace.events[-1]["payload"]
+    assert end["reason"] == "completed" and end["completion"] == 1.0
+    _full_budget(monkeypatch)
+    assert run_episode(spec, config).events == trace.events
+
+
+def test_idle_round_that_abandons_a_node_is_not_quiescent(monkeypatch):
+    """After two refusals each idle round abandons one more node that needs
+    the refused item; the exit must wait until none is left."""
+    spec = _hand_built(
+        agents={"a0": [0, 0, 0], "a1": [5, 0, 0]},
+        blocks=[[n, "iron_ingot", [n + 1, 0, 1]] for n in range(3)], assigned={"a0": [0, 1, 2]},
+        partition={"iron_ingot": "a1"}, script={"a1": ["cannot_supply"] * 3},
+    )
+    config = RunConfig(cooldown_duration=0)
+    early = run_episode(spec, config).events
+    assert early[-1]["payload"]["reason"] == "quiescent"
+    _full_budget(monkeypatch)
+    full = run_episode(spec, config).events
+    assert full[:len(early) - 1] == early[:-1]
+    abandoned = [e for e in early if e["kind"] == "issue" and e["payload"]["event"] == "abandoned"]
+    assert len(abandoned) == 3

@@ -48,7 +48,7 @@ def test_run_writes_traces_and_metrics(tmp_path, small_dataset):
     assert len(traces) == 4
     for path in traces:
         payload = _episode_end(path)
-        assert payload["reason"] in ("completed", "budget")
+        assert payload["reason"] in ("completed", "budget", "quiescent")
     lines = (out / "metrics.csv").read_text().strip().splitlines()
     # header + 4 episodes + ALL + one row per class
     assert len(lines) == 1 + 4 + 1 + 4
@@ -216,6 +216,15 @@ def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
         episodes.write_text("\n".join([lines[0], bad_line, lines[1]]) + "\n")
         assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
         assert f"error: {episodes} {message}" in capsys.readouterr().err
+
+
+def test_malformed_manifest_is_not_read(tmp_path, small_dataset):
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / "episodes.jsonl").write_bytes((small_dataset / "episodes.jsonl").read_bytes())
+    (root / "manifest.json").write_text("{oops")
+    assert main(["run", "--dataset", str(root), "--out", str(tmp_path / "o")]) == 0
+    assert len(list((tmp_path / "o" / "traces").glob("*.jsonl"))) == 4
 
 
 def test_ablate_runs_all_variants(tmp_path, small_dataset, capsys):

@@ -10,13 +10,20 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
 - every coordination message names an open window whose requester and
   responder are the message's two endpoints;
 - each agent's issue events alternate detected -> resolved | abandoned.
+
+Each case also runs with the quiescence exit switched off (a test-only
+patch of `agent._quiescent`) and checks that the early exit only cut an
+idle tail: the same events up to `episode_end`, nothing after them but idle
+action/outcome pairs, and equal metrics and completion.
 """
 
 import dataclasses
 import random
 
-from gatecraft.agent import RunConfig, run_episode
+from gatecraft import agent
+from gatecraft.agent import RunConfig, Trace, run_episode
 from gatecraft.cli import ABLATION_VARIANTS
+from gatecraft.harness import compute_metrics
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
 
 REQUESTER_SENDS = ("REQUEST_MATERIAL", "CONFIRM_TRANSFER")
@@ -30,13 +37,14 @@ def _sample_run(rng):
         RunConfig(),
         window_timeout=rng.randint(1, 25),
         cooldown_duration=rng.randint(0, 40),
-        step_budget=rng.randint(1, 60),
+        step_budget=rng.randint(1, 300),
         **overrides,
     )
     return spec, config
 
 
-def check_episode_invariants(events) -> None:
+def check_episode_invariants(events) -> dict[int, dict]:
+    """Check one trace; return the windows still open at `episode_end`."""
     assert events and events[-1]["kind"] == "episode_end"
     last_step = 0
     open_windows: dict[int, dict] = {}  # window_id -> opened payload
@@ -78,10 +86,36 @@ def check_episode_invariants(events) -> None:
     end = events[-1]["step"]
     for window in open_windows.values():
         assert end < window["deadline"], window
+    return open_windows
 
 
-def test_episode_invariants_sampled():
+def _is_idle_pair_event(e) -> bool:
+    if e["kind"] == "action":
+        return e["payload"]["action"]["kind"] == "idle"
+    return e["kind"] == "outcome" and e["payload"]["kind"] == "idle"
+
+
+def check_exit_equivalence(early, full, spec, config) -> None:
+    """`early` ran with the quiescence exit, `full` without it."""
+    *head, end = early
+    *full_head, full_end = full
+    assert full_head[:len(head)] == head
+    assert all(_is_idle_pair_event(e) for e in full_head[len(head):])
+    assert compute_metrics(Trace(early), spec) == compute_metrics(Trace(full), spec)
+    assert end["payload"]["completion"] == full_end["payload"]["completion"]
+    if end["payload"]["reason"] == "quiescent":
+        assert end["payload"]["rounds"] < config.step_budget
+        assert not check_episode_invariants(early)
+
+
+def test_episode_invariants_sampled(monkeypatch):
     rng = random.Random(401)
     for _ in range(40):
         spec, config = _sample_run(rng)
-        check_episode_invariants(run_episode(spec, config).events)
+        early = run_episode(spec, config).events
+        check_episode_invariants(early)
+        with monkeypatch.context() as patch:
+            patch.setattr(agent, "_quiescent", lambda *args: False)
+            full = run_episode(spec, config).events
+        check_episode_invariants(full)
+        check_exit_equivalence(early, full, spec, config)

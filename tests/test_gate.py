@@ -1,5 +1,9 @@
+import contextlib
 import json
+import re
 import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -14,6 +18,8 @@ from gatecraft import (
     update_private_state,
 )
 from gatecraft.gate import (
+    MAX_REPLY_BYTES,
+    AdjudicatorUnavailable,
     FeatureVector,
     GateThresholds,
     GateWeights,
@@ -165,6 +171,54 @@ def test_gate_dead_endpoint_is_conservative():
                     GateThresholds(0.4, 0.5), adjudicator=dead)
     assert d.verdict == "stay_local" and d.tier == "adjudicator"
     assert d.adjudicator_ok is False and d.adjudicator_reply is None
+
+
+@contextlib.contextmanager
+def _padded_reply_endpoint(size: int):
+    """A loopback adjudicator URL whose valid escalate reply is padded to `size` bytes."""
+    body = json.dumps({"decision": "escalate", "confidence": 0.9}).encode()
+    body += b" " * (size - len(body))
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):  # keep pytest output clean
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/adjudicate"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("size, verdict", [(MAX_REPLY_BYTES, "escalate"), (MAX_REPLY_BYTES + 1, "stay_local")])
+def test_gate_oversized_reply_is_conservative(size, verdict):
+    with _padded_reply_endpoint(size) as url:
+        d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR,
+                        GateThresholds(0.4, 0.5), adjudicator=RemoteAdjudicator(url))
+    assert d.verdict == verdict and d.tier == "adjudicator"
+    assert d.adjudicator_ok is (verdict == "escalate")
+    if verdict == "stay_local":
+        assert d.adjudicator_reply is None
+
+
+def test_remote_oversized_reply_names_url_and_limit():
+    with _padded_reply_endpoint(MAX_REPLY_BYTES + 1) as url:
+        message = f"{url}: reply longer than {MAX_REPLY_BYTES} bytes"
+        with pytest.raises(AdjudicatorUnavailable, match=re.escape(message)):
+            RemoteAdjudicator(url).adjudicate(b"{}")
 
 
 def test_gate_backend_bug_propagates():

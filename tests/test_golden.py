@@ -62,10 +62,26 @@ def test_traces_and_metrics_match_golden_digests(dataset):
     assert not problems, "\n".join(problems)
 
 
+def describe_moves(old: dict, new: dict) -> list[str]:
+    """One line per variant: how many trace digests moved against `old`, and
+    whether its metrics.csv digest moved."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        was, now = old.get(name, {}), new.get(name, {})
+        traces_was, traces_now = was.get("traces", {}), now.get("traces", {})
+        moved = sum(traces_was.get(eid) != traces_now.get(eid) for eid in traces_was.keys() | traces_now.keys())
+        csv = "moved" if was.get("metrics_csv") != now.get("metrics_csv") else "unchanged"
+        lines.append(f"{name}: {moved} of {len(traces_now)} trace digests moved, metrics_csv {csv}")
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     DIGESTS.parent.mkdir(exist_ok=True)
     _, episodes = generate_dataset(0)
-    DIGESTS.write_text(json.dumps(compute_digests(episodes), indent=1, sort_keys=True) + "\n")
+    digests = compute_digests(episodes)
+    committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    print("\n".join(describe_moves(committed, digests)))
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")

@@ -63,12 +63,12 @@ def test_spec_round_trips_through_dict(dataset):
 def test_save_and_load_dataset(tmp_path, dataset):
     manifest, episodes = dataset
     out = save_dataset(manifest, episodes, tmp_path / "ds")
-    loaded_manifest, loaded = load_dataset(out)
-    assert loaded_manifest == manifest
+    assert json.loads((out / "manifest.json").read_text()) == manifest
+    loaded = load_dataset(out)
     assert [e.to_dict() for e in loaded] == [e.to_dict() for e in episodes]
     # the episodes file alone is also accepted
-    _, from_file = load_dataset(out / "episodes.jsonl")
-    assert len(from_file) == len(episodes)
+    from_file = load_dataset(out / "episodes.jsonl")
+    assert [e.to_dict() for e in from_file] == [e.to_dict() for e in episodes]
 
 
 def test_world_builds_and_bottleneck_binds(dataset):
