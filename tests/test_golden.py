@@ -1,11 +1,17 @@
-"""Behaviour contract: golden digests of every trace and metrics table.
+"""Behaviour contract: golden digests of every trace, metrics table and calibration.
 
 `tests/golden/digests.json` holds the sha256 of each episode's trace JSONL
 and of each variant's `metrics.csv`, for `generate_dataset(0)` under the six
-`cli.ABLATION_VARIANTS`. A change that alters any trace byte or metric fails
-here, naming the variant and the episodes that moved.
+`cli.ABLATION_VARIANTS`. These runs call `run_episode` once per variant and
+episode, so they never go through `agent.regate`. A change that alters any
+trace byte or metric fails here, naming the variant and the episodes that
+moved.
 
-Regenerate the file only for a change that is meant to alter behaviour, and
+`tests/golden/calibrate.json` holds the sha256 of `theta.json` and
+`objective_table.json` that `gatecraft calibrate --grid small|default`
+writes for the same dataset.
+
+Regenerate the files only for a change that is meant to alter behaviour, and
 say in CHANGES.md which fields moved and why:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -15,14 +21,20 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 from gatecraft import RunConfig, run_episode
-from gatecraft.cli import ABLATION_VARIANTS
+from gatecraft.cli import ABLATION_VARIANTS, main
 from gatecraft.harness import compute_metrics, metrics_to_csv
-from gatecraft.scenarios import generate_dataset
+from gatecraft.scenarios import generate_dataset, save_dataset
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+CALIBRATE_DIGESTS = Path(__file__).parent / "golden" / "calibrate.json"
+CALIBRATE_GRIDS = ("small", "default")
+CALIBRATE_OUTPUTS = ("theta.json", "objective_table.json")
 
 
 def _sha256(text: str) -> str:
@@ -62,6 +74,32 @@ def test_traces_and_metrics_match_golden_digests(dataset):
     assert not problems, "\n".join(problems)
 
 
+def compute_calibrate_digests(dataset, work: Path) -> dict:
+    """grid -> {output file: sha256} for `calibrate --grid <grid>` on the
+    saved `dataset` (manifest, episodes), run in-process under `work`."""
+    manifest, episodes = dataset
+    save_dataset(manifest, episodes, work / "dataset")
+    out = {}
+    for grid in CALIBRATE_GRIDS:
+        target = work / f"calibrate-{grid}"
+        with redirect_stdout(StringIO()):
+            rc = main(["calibrate", "--dataset", str(work / "dataset"), "--out", str(target),
+                       "--grid", grid])
+        assert rc == 0, f"calibrate --grid {grid} exited {rc}"
+        out[grid] = {name: _sha256((target / name).read_text()) for name in CALIBRATE_OUTPUTS}
+    return out
+
+
+def test_calibration_matches_golden_digests(dataset, tmp_path):
+    expected = json.loads(CALIBRATE_DIGESTS.read_text())
+    actual = compute_calibrate_digests(dataset, tmp_path)
+    moved = [f"calibrate --grid {grid}: {name} moved"
+             for grid in sorted(expected.keys() | actual.keys())
+             for name in CALIBRATE_OUTPUTS
+             if expected.get(grid, {}).get(name) != actual.get(grid, {}).get(name)]
+    assert not moved, "\n".join(moved)
+
+
 def describe_moves(old: dict, new: dict) -> list[str]:
     """One line per variant: how many trace digests moved against `old`, and
     whether its metrics.csv digest moved."""
@@ -79,9 +117,18 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     DIGESTS.parent.mkdir(exist_ok=True)
-    _, episodes = generate_dataset(0)
-    digests = compute_digests(episodes)
+    dataset = generate_dataset(0)
+    digests = compute_digests(dataset[1])
     committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     print("\n".join(describe_moves(committed, digests)))
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
+    with tempfile.TemporaryDirectory() as work:
+        calibration = compute_calibrate_digests(dataset, Path(work))
+    committed = json.loads(CALIBRATE_DIGESTS.read_text()) if CALIBRATE_DIGESTS.exists() else {}
+    for grid in CALIBRATE_GRIDS:
+        for name in CALIBRATE_OUTPUTS:
+            state = "unchanged" if committed.get(grid, {}).get(name) == calibration[grid][name] else "moved"
+            print(f"calibrate --grid {grid}: {name} {state}")
+    CALIBRATE_DIGESTS.write_text(json.dumps(calibration, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {CALIBRATE_DIGESTS}")
