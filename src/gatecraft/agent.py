@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .gate import (
     NEAR_RADIUS,
+    FeatureVector,
     GateThresholds,
     GateWeights,
     MockAdjudicator,
@@ -68,6 +69,12 @@ from .world import (
 )
 
 
+# The gate settings. They reach a run only through `gating_enabled`,
+# `_gate_decision`, `_mock_backend` and `RunConfig.describe`, which is what
+# lets `regate` reuse one simulation across them.
+GATE_FIELDS = ("weights", "thresholds", "rules_on", "score_on", "adjudicator_on")
+
+
 @dataclass
 class RunConfig:
     weights: GateWeights = GateWeights()
@@ -114,6 +121,25 @@ class RunConfig:
         }
 
 
+def non_gate_settings(config: RunConfig) -> tuple:
+    """The config's values outside GATE_FIELDS: runs that agree on them can
+    share one simulation through `regate`."""
+    return tuple(getattr(config, f.name) for f in fields(config) if f.name not in GATE_FIELDS)
+
+
+def gating_enabled(config: RunConfig) -> bool:
+    return config.rules_on or config.score_on or config.adjudicator_on
+
+
+def _mock_backend(config: RunConfig) -> MockAdjudicator | None:
+    """The adjudicator a run gets when no backend is given."""
+    return MockAdjudicator(config.thresholds) if config.adjudicator_on else None
+
+
+# One encoder for every trace line; `json.dumps` with options builds a new one per call.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass
 class Trace:
     """Ordered event log of one episode. Serializes to canonical JSONL."""
@@ -124,12 +150,25 @@ class Trace:
         self.events.append({"step": step, "agent": agent, "kind": kind, "payload": payload})
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in self.events)
+        encode = _JSONL_ENCODER.encode
+        return "".join(encode(e) + "\n" for e in self.events)
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
         events = [json.loads(line) for line in text.splitlines() if line.strip()]
         return Trace(events=events)
+
+
+@dataclass(frozen=True)
+class GatePass:
+    """What one traced gate decision was computed from. Kept in memory for
+    `regate`; none of it is written to the trace."""
+
+    event_index: int  # of the `gate_decision` event
+    blockage: BlockageRecord
+    fv: FeatureVector | None  # None when every tier was off
+    probe: RecoveryPlan | None  # the material-issue plan probe
+    plan: RecoveryPlan | None  # the plan `extract_features` returned; None when fv is
 
 
 @dataclass
@@ -169,9 +208,7 @@ class EpisodeRuntime:
     def __init__(self, spec, config: RunConfig, backend=None):
         self.spec = spec
         self.config = config
-        if backend is None and config.adjudicator_on:
-            backend = MockAdjudicator(config.thresholds)
-        self.backend = backend
+        self.backend = backend if backend is not None else _mock_backend(config)
         self.world: WorldState = spec.build_world()
         self.graph = self.world.graph
         self.recipes = self.world.recipes
@@ -181,6 +218,7 @@ class EpisodeRuntime:
         self._window_seq = 0
         self.cooldowns = CooldownTable(duration=config.cooldown_duration)
         self.trace = Trace()
+        self.gate_passes: list[GatePass] = []
         self.runtimes: dict[str, AgentRuntime] = {}
         self.advertised: dict[str, dict[str, int]] = {}
         for aid in sorted(self.world.agents):
@@ -453,11 +491,34 @@ def _stall_or_abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRe
     return Action.idle()
 
 
+def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> tuple[dict, RecoveryPlan | None]:
+    """Decide one gate pass under `config` and render its `gate_decision`
+    payload; also return the plan the route reads. `solver_ctx()` supplies
+    the context an escalation records. The step loop and `regate` both
+    decide here, so their payloads cannot drift apart."""
+    blockage = gp.blockage
+    if not gating_enabled(config):
+        # communication-first baseline: every issue escalates
+        decision, plan = {"verdict": "escalate", "tier": "disabled"}, gp.probe
+    else:
+        decision = gate_decide(
+            blockage.issue, gp.fv, config.weights, config.thresholds,
+            adjudicator=backend,
+            rules_on=config.rules_on, score_on=config.score_on,
+            adjudicator_on=config.adjudicator_on, blockage=blockage, plan=gp.plan,
+        ).to_dict()
+        plan = gp.plan
+    payload = {"issue": blockage.issue.value, "node_id": blockage.node_id, **decision}
+    if decision["verdict"] == "escalate":
+        payload["solver_ctx"] = solver_ctx()
+        payload["local_plan_cost"] = plan.total_cost if plan else None
+    return payload, plan
+
+
 def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     """Featurize the blockage, run the gate, and route the verdict."""
     blockage = rt.state.blockage
     assert blockage is not None
-    config = ep.config
     rt.gate_pending = False
     now = ep.world.sim_time
 
@@ -467,31 +528,22 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
         plan = plan_local_recovery(rt.state, view, ep.recipes, blockage)
 
     hard_blocked = ep.cooldowns.blocked(rt.agent_id, blockage.issue, now)
-    gating_enabled = config.rules_on or config.score_on or config.adjudicator_on
     others_exist = len(ep.world.agents) > 1
 
     if not others_exist or hard_blocked:
         verdict = "stay_local"  # gate skipped; cooldown discipline owns the issue
     else:
-        if not gating_enabled:
-            # communication-first baseline: every issue escalates
-            decision = {"verdict": "escalate", "tier": "disabled"}
-        else:
-            fv, plan = extract_features(
+        fv = features_plan = None
+        if gating_enabled(ep.config):
+            fv, features_plan = extract_features(
                 view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
                 ep.recipes, blockage=blockage, plan=plan,
             )
-            decision = gate_decide(
-                blockage.issue, fv, config.weights, config.thresholds,
-                adjudicator=ep.backend,
-                rules_on=config.rules_on, score_on=config.score_on,
-                adjudicator_on=config.adjudicator_on, blockage=blockage, plan=plan,
-            ).to_dict()
-        verdict = decision["verdict"]
-        payload = {"issue": blockage.issue.value, "node_id": blockage.node_id, **decision}
-        if verdict == "escalate":
-            payload["solver_ctx"] = _solver_context(ep, rt, view, blockage)
-            payload["local_plan_cost"] = plan.total_cost if plan else None
+        gp = GatePass(len(ep.trace.events), blockage, fv, plan, features_plan)
+        ep.gate_passes.append(gp)
+        payload, plan = _gate_decision(ep.config, ep.backend, gp,
+                                       lambda: _solver_context(ep, rt, view, blockage))
+        verdict = payload["verdict"]
         ep.trace.emit(now, rt.agent_id, "gate_decision", payload)
 
     if verdict == "escalate":
@@ -554,9 +606,6 @@ def _work_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
 
 def _resume_after_recovery(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
     blockage = rt.state.blockage
-    if blockage is None:
-        # requirement already verified satisfied; back to the task
-        return _work_action(ep, rt)
     if blockage.issue in MATERIAL_SHAPED_ISSUES and blockage.item:
         have = ep.world.agents[rt.agent_id].inventory.count(blockage.item)
         if have >= max(1, blockage.count):
@@ -808,9 +857,10 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
     )
 
 
-def run_episode(spec, config: RunConfig, backend=None) -> Trace:
+def simulate_episode(spec, config: RunConfig, backend=None) -> EpisodeRuntime:
     """Round-robin the agents until the blueprint completes, the budget runs
-    out, or a round leaves nothing able to change (`_quiescent`)."""
+    out, or a round leaves nothing able to change (`_quiescent`). Returns the
+    finished runtime: its trace, and its gate passes for `regate`."""
     ep = EpisodeRuntime(spec, config, backend)
     agent_ids = sorted(ep.world.agents)
     rounds = 0
@@ -845,4 +895,64 @@ def run_episode(spec, config: RunConfig, backend=None) -> Trace:
         "episode_id": getattr(spec, "episode_id", None),
         "class_label": getattr(spec, "class_label", None),
     })
-    return ep.trace
+    return ep
+
+
+def run_episode(spec, config: RunConfig, backend=None) -> Trace:
+    """The trace of one episode (see `simulate_episode`)."""
+    return simulate_episode(spec, config, backend).trace
+
+
+def regate(reference: EpisodeRuntime, config: RunConfig) -> Trace | None:
+    """The trace `run_episode(reference.spec, config)` writes, derived from
+    the finished `reference` run without simulating, or None when that needs
+    a simulation. `config` must equal `reference.config` outside GATE_FIELDS;
+    the reference's own backend does not matter.
+
+    Each of the reference's gate passes is decided again under `config`,
+    through `_gate_decision` and `config`'s mock backend. If every verdict is
+    the reference's, the result is the reference trace with those
+    `gate_decision` payloads and `episode_end.config` re-rendered. Any
+    flipped verdict returns None, and so does a pass the reference decided
+    with every tier off (no feature vector) when `config` has a tier on.
+
+    By induction over the passes, the two runs are in the same state at each
+    one, so re-deciding from the recorded inputs is what the other run does:
+
+    - Before the first pass, both runs have the same spec and the same
+      non-gate settings. The gate settings are read nowhere else than in
+      `gating_enabled`, `_gate_decision`, `_mock_backend` and `describe`
+      (`tests/test_regate.py` pins this), so they trace the same bytes.
+    - At a pass reached in the same state, the blockage, the plan probe and
+      `extract_features`' vector and plan are the other run's too: they read
+      only that state. Neither `extract_features` nor the planner writes
+      any state, so whether a run calls them changes nothing else. The mock
+      replies from the card and `config.thresholds` alone, so the call's
+      position in the run cannot matter (a scripted or remote backend's
+      reply can depend on it, hence the mock).
+    - The route after a pass reads the verdict and the returned plan. A
+      material issue's plan is the probe either way (`extract_features`
+      keeps a given plan and recomputes the same None); no other issue's
+      route reads a plan. Equal verdicts therefore leave equal states, the
+      same trace events up to the next pass, and the same solver context on
+      an escalation. Cooldowns, `H` and window outcomes follow from these.
+    - Skipped gate passes (a lone agent, a hard cooldown block) read no gate
+      setting and trace no decision, so they match by the same argument.
+    """
+    if non_gate_settings(config) != non_gate_settings(reference.config):
+        raise ValueError("regate: the config differs from the reference outside the gate settings")
+    if gating_enabled(config) and any(gp.fv is None for gp in reference.gate_passes):
+        return None
+    backend = _mock_backend(config)
+    events = list(reference.trace.events)
+    for gp in reference.gate_passes:
+        event = events[gp.event_index]
+        recorded = event["payload"]
+        # a stay_local record has no context, but an escalation there is a flip anyway
+        payload, _ = _gate_decision(config, backend, gp, lambda: recorded.get("solver_ctx"))
+        if payload["verdict"] != recorded["verdict"]:
+            return None
+        events[gp.event_index] = {**event, "payload": payload}
+    end = events[-1]
+    events[-1] = {**end, "payload": {**end["payload"], "config": config.describe()}}
+    return Trace(events=events)

@@ -31,6 +31,7 @@ from .harness import (
     compute_metrics,
     make_backend,
     metrics_to_csv,
+    run_config_suite,
     split_templates,
 )
 from .scenarios import generate_dataset, load_dataset, save_dataset
@@ -173,7 +174,9 @@ def _run_config(ns, cfg: dict) -> RunConfig:
 
 def _require_dataset(ns, cfg: dict):
     path = Path(_pick(ns, cfg, "dataset", "dataset"))
-    if not path.exists():
+    if path.is_dir():
+        path = path / "episodes.jsonl"
+    if not path.is_file():
         raise UsageError(f"dataset not found: {path} (generate one with `gatecraft gen`)")
     try:
         episodes = load_dataset(path)
@@ -270,6 +273,10 @@ def cmd_run(ns, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _print_runs(simulated: int, total: int) -> None:
+    print(f"simulated {simulated} of {total} runs, re-gated {total - simulated}")
+
+
 def cmd_ablate(ns, cfg: dict) -> int:
     episodes = _require_dataset(ns, cfg)
     base_config = _run_config(ns, cfg)
@@ -277,10 +284,18 @@ def cmd_ablate(ns, cfg: dict) -> int:
     jobs = int(_pick(ns, cfg, "jobs", 1))
     out = _out_dir(ns, cfg)
 
+    configs = [dataclasses.replace(base_config, **overrides) for _, overrides in ABLATION_VARIANTS]
+    total = len(configs) * len(episodes)
+    if make_backend(backend_name) is None:
+        # the mock replies the same whatever the call order, so runs can be re-gated
+        per_variant, simulated = run_config_suite(episodes, configs, jobs)
+    else:
+        per_variant = [list(_run_suite(episodes, config, backend_name, jobs)) for config in configs]
+        simulated = total
+
     rows = []
-    for name, overrides in ABLATION_VARIANTS:
-        config = dataclasses.replace(base_config, **overrides)
-        agg = aggregate(list(_run_suite(episodes, config, backend_name, jobs)))
+    for (name, _), metrics in zip(ABLATION_VARIANTS, per_variant):
+        agg = aggregate(metrics)
         rows.append({
             "variant": name,
             "tsr": agg["tsr"],
@@ -299,6 +314,7 @@ def cmd_ablate(ns, cfg: dict) -> int:
         lines.append(",".join("" if r[c] is None else str(r[c]) for c in columns))
     (out / "ablation.csv").write_text("\n".join(lines) + "\n")
     print(_format_table(rows, columns))
+    _print_runs(simulated, total)
     print(f"wrote {out / 'ablation.csv'}")
     return EXIT_OK
 
@@ -349,7 +365,7 @@ def cmd_calibrate(ns, cfg: dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    theta, table = calibrate(calib_eps, calib_config, jobs=jobs)
+    theta, table, simulated = calibrate(calib_eps, calib_config, jobs=jobs)
     result = {
         "best": theta,
         "lambdas": {"time": calib_config.lam_time, "redundant": calib_config.lam_redundant,
@@ -364,6 +380,7 @@ def cmd_calibrate(ns, cfg: dict) -> int:
           "thresholds": ",".join(map(str, r["thresholds"]))} for r in table],
         ["weights", "thresholds", "tsr", "c_time_hat", "c_redundant_hat", "c_llm_hat", "objective"],
     ))
+    _print_runs(simulated, len(table) * len(calib_eps))
     print(f"best theta: weights={theta['weights']} thresholds={theta['thresholds']} "
           f"-> {out / 'theta.json'}")
     return EXIT_OK

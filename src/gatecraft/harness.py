@@ -1,4 +1,5 @@
-"""Trace metrics, aggregation, grid-search calibration, and dataset splits.
+"""Trace metrics, shared-simulation runs, aggregation, grid-search
+calibration, and dataset splits.
 
 `compute_metrics` is a pure function of a finished trace: it counts, it never
 re-simulates — with one deliberate exception. The unnecessary-escalation rate
@@ -14,9 +15,18 @@ import io
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
-from .agent import RunConfig, Trace, run_episode
+from .agent import (
+    EpisodeRuntime,
+    RunConfig,
+    Trace,
+    gating_enabled,
+    non_gate_settings,
+    regate,
+    simulate_episode,
+)
 from .gate import (
     GateThresholds,
     GateWeights,
@@ -237,6 +247,53 @@ def metrics_to_csv(metrics: list[EpisodeMetrics]) -> str:
     return buf.getvalue()
 
 
+def run_configs(
+    spec: EpisodeSpec, configs: list[RunConfig], local_budget: int = LOCAL_BUDGET
+) -> tuple[list[EpisodeMetrics], int]:
+    """The metrics of `spec` run under each config with the mock backend, in
+    config order, and how many of those runs were simulated.
+
+    Configs that agree outside the gate settings form a group. Each group
+    simulates its first config with a tier on (else its first config), and
+    `regate` derives each other config from one of the group's simulated
+    runs; a config under which every such run has a flipped verdict is
+    simulated in full and serves the rest of the group too."""
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(non_gate_settings(config), []).append(i)
+    traces: list[Trace | None] = [None] * len(configs)
+    simulated = 0
+    for members in groups.values():
+        # a run with a tier on records the feature vectors every config needs
+        members.sort(key=lambda i: not gating_enabled(configs[i]))
+        references: list[EpisodeRuntime] = []
+        for i in members:
+            regated = (regate(r, configs[i]) for r in references)
+            traces[i] = next((t for t in regated if t is not None), None)
+            if traces[i] is None:
+                references.append(simulate_episode(spec, configs[i]))
+                traces[i] = references[-1].trace
+        simulated += len(references)
+    return [compute_metrics(t, spec, local_budget) for t in traces], simulated
+
+
+def run_config_suite(
+    episodes: list[EpisodeSpec], configs: list[RunConfig], jobs: int = 1,
+    local_budget: int = LOCAL_BUDGET,
+) -> tuple[list[list[EpisodeMetrics]], int]:
+    """`run_configs` over every episode, one task per episode, spread over
+    `jobs` worker processes. Returns each config's metrics in episode order
+    and the number of simulated runs."""
+    args = (episodes, repeat(configs), repeat(local_budget))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run_configs, *args))
+    else:
+        results = list(map(run_configs, *args))
+    per_config = [[metrics[c] for metrics, _ in results] for c in range(len(configs))]
+    return per_config, sum(simulated for _, simulated in results)
+
+
 # -- calibration ---------------------------------------------------------------
 
 
@@ -272,13 +329,8 @@ class CalibrationConfig:
         )
 
 
-def _cell_raw_scores(cell: tuple) -> dict:
-    """Run every calibration episode under one Θ and average the raw terms.
-
-    `cell` is (episodes, weights, thresholds, local_budget)."""
-    episodes, weights, thresholds, local_budget = cell
-    cfg = RunConfig(weights=GateWeights.from_sequence(weights), thresholds=GateThresholds(*thresholds))
-    metrics = [compute_metrics(run_episode(e, cfg), e, local_budget) for e in episodes]
+def _cell_raw_scores(weights, thresholds, metrics: list[EpisodeMetrics]) -> dict:
+    """Average one Θ's raw objective terms over the calibration episodes."""
     tsr = _mean([m.tsr for m in metrics])
     rec = [m.recovery_time_avg for m in metrics if m.recovery_time_avg is not None]
     zero_yield = [
@@ -301,21 +353,22 @@ def calibrate(
     episodes: list[EpisodeSpec],
     config: CalibrationConfig,
     jobs: int = 1,
-) -> tuple[dict, list[dict]]:
+) -> tuple[dict, list[dict], int]:
     """Grid-search Θ = (weights, thresholds) maximizing
     mean TSR − λ1·Ĉ_time − λ2·Ĉ_redundant − λ3·Ĉ_LLM,
     with each Ĉ normalized to [0, 1] by its maximum over the grid.
 
-    Returns (best Θ, full objective table). Ties go to the lexicographically
+    Every episode runs under all cells at once (`run_config_suite`), and
+    `jobs` worker processes share the episodes. Returns (best Θ, full objective
+    table, number of simulated runs). Ties go to the lexicographically
     smallest Θ, so the argmax never depends on enumeration order."""
     if not episodes:
         raise ValueError("calibration needs at least one episode")
-    cells = [(episodes, w, t, config.local_budget) for w, t in config.cells()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cell_raw_scores, cells))
-    else:
-        rows = [_cell_raw_scores(cell) for cell in cells]
+    cells = config.cells()
+    configs = [RunConfig(weights=GateWeights.from_sequence(w), thresholds=GateThresholds(*t))
+               for w, t in cells]
+    per_cell, simulated = run_config_suite(episodes, configs, jobs, config.local_budget)
+    rows = [_cell_raw_scores(w, t, metrics) for (w, t), metrics in zip(cells, per_cell)]
 
     max_time = max(r["c_time"] for r in rows)
     max_red = max(r["c_redundant"] for r in rows)
@@ -337,7 +390,7 @@ def calibrate(
     best_objective = max(r["objective"] for r in rows)
     chosen = min((r for r in rows if r["objective"] == best_objective), key=theta_key)
     theta = {"weights": list(chosen["weights"]), "thresholds": list(chosen["thresholds"])}
-    return theta, rows
+    return theta, rows, simulated
 
 
 def split_templates(

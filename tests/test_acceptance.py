@@ -212,7 +212,7 @@ def test_criterion_6_calibration_matches_brute_force(dataset):
         threshold_grid=[(0.4, 0.5), (0.45, 0.45)],
     )
     assert len(cfg.cells()) <= 8
-    best, table = calibrate(subset, cfg)
+    best, table, _ = calibrate(subset, cfg)
 
     # brute force: rerun every cell from scratch and redo the arithmetic
     brute = []

@@ -124,6 +124,14 @@ def test_usage_errors_exit_one(tmp_path, small_dataset, capsys):
     capsys.readouterr()
 
 
+def test_dataset_directory_without_episodes_exits_one(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for command in ("run", "ablate", "calibrate"):
+        assert main([command, "--dataset", str(empty), "--out", str(tmp_path / "o")]) == 1
+        assert f"dataset not found: {empty / 'episodes.jsonl'}" in capsys.readouterr().err
+
+
 def test_unvalidated_weights_need_opt_in(tmp_path, small_dataset):
     args = [
         "run", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
@@ -254,6 +262,18 @@ def test_ablate_jobs_two_matches_jobs_one(tmp_path, small_dataset, capsys, monke
     assert serialized == []  # ablate reads only metrics, so no trace is ever serialized
 
 
+def test_ablate_and_calibrate_print_simulated_runs(tmp_path, small_dataset, capsys):
+    assert main(["ablate", "--dataset", str(small_dataset), "--out", str(tmp_path / "a")]) == 0
+    printed = capsys.readouterr().out
+    line = next(ln for ln in printed.splitlines() if ln.startswith("simulated "))
+    simulated, total, regated = (int(w) for w in line.replace(",", "").split() if w.isdigit())
+    assert total == 6 * 4 and simulated + regated == total and simulated >= 2 * 4
+
+    assert main(["calibrate", "--dataset", str(small_dataset), "--out", str(tmp_path / "c"),
+                 "--grid", "small", "--calib-fraction", "1.0"]) == 0
+    assert "of 16 runs, re-gated" in capsys.readouterr().out
+
+
 def test_ablate_uses_the_chosen_backend(tmp_path, small_dataset, capsys):
     # the mock would escalate the class-C gray-zone call; this script never does
     replies = tmp_path / "replies.jsonl"
@@ -264,7 +284,7 @@ def test_ablate_uses_the_chosen_backend(tmp_path, small_dataset, capsys):
                  "--backend", backend]) == 0
     assert main(["ablate", "--dataset", str(small_dataset), "--out", str(out),
                  "--backend", backend]) == 0
-    capsys.readouterr()
+    assert "simulated 24 of 24 runs, re-gated 0" in capsys.readouterr().out
 
     with open(out / "metrics.csv", newline="") as f:
         run_all = next(r for r in csv.DictReader(f) if r["episode_id"] == "ALL")

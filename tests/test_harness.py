@@ -1,5 +1,7 @@
 """Metric counting, aggregation, template splits and calibration."""
 
+import dataclasses
+
 import pytest
 
 from gatecraft import (
@@ -20,7 +22,9 @@ from gatecraft.harness import (
     make_backend,
     metrics_to_csv,
     replay_local_feasibility,
+    run_configs,
 )
+from gatecraft.cli import ABLATION_VARIANTS
 
 
 def _trace(events):
@@ -312,7 +316,7 @@ def test_calibrate_singleton_grid(dataset):
     _, episodes = dataset
     subset = episodes[:4]
     cfg = CalibrationConfig(weight_grid=[(4, 2, 2, 2, 1)], threshold_grid=[(0.4, 0.5)])
-    best, rows = calibrate(subset, cfg)
+    best, rows, _ = calibrate(subset, cfg)
     assert tuple(best["weights"]) == (4, 2, 2, 2, 1)
     assert tuple(best["thresholds"]) == (0.4, 0.5)
     assert len(rows) == 1
@@ -332,7 +336,7 @@ def test_calibrate_matches_brute_force(dataset):
         weight_grid=[(4, 2, 2, 2, 1), (3, 2, 2, 2, 1)],
         threshold_grid=[(0.4, 0.5), (0.45, 0.45)],
     )
-    best, rows = calibrate(subset, cfg)
+    best, rows, _ = calibrate(subset, cfg)
     assert len(rows) == 4
     max_time = max(r["c_time"] for r in rows)
     max_red = max(r["c_redundant"] for r in rows)
@@ -364,6 +368,20 @@ def test_calibrate_parallel_matches_serial(dataset):
         threshold_grid=[(0.4, 0.5), (0.45, 0.45)],
     )
     assert calibrate(subset, cfg, jobs=2) == calibrate(subset, cfg, jobs=1)
+
+
+def test_run_configs_matches_one_run_per_config(dataset):
+    """The six ablation variants span both partition groups, all-off and
+    partial tier sets: shared simulation must change no metric."""
+    _, episodes = dataset
+    configs = [dataclasses.replace(RunConfig(), **o) for _, o in ABLATION_VARIANTS]
+    simulated_total = 0
+    for spec in episodes[::25]:
+        metrics, simulated = run_configs(spec, configs)
+        assert metrics == [compute_metrics(run_episode(spec, c), spec) for c in configs]
+        assert 2 <= simulated <= len(configs)
+        simulated_total += simulated
+    assert simulated_total < len(configs) * len(episodes[::25])
 
 
 def test_make_backend_forms(tmp_path):

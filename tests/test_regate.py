@@ -1,0 +1,137 @@
+"""Counterfactual re-gating: `agent.regate` against full simulation."""
+
+import ast
+import dataclasses
+import random
+from pathlib import Path
+
+import pytest
+
+from gatecraft import RunConfig, default_recipes
+from gatecraft.agent import GATE_FIELDS, regate, run_episode, simulate_episode
+from gatecraft.gate import GateThresholds, GateWeights, validate_weights
+from gatecraft.scenarios import EpisodeSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gatecraft"
+
+
+def _hand_built() -> EpisodeSpec:
+    """Three agents, a dependency on a teammate's node, partitioned materials,
+    a refusing and a silent responder: four gate passes whose tiers and
+    verdicts move with Θ."""
+    return EpisodeSpec(
+        episode_id="hand", template_id=0, seed_index=0, class_label="C", variant="hand",
+        agents={"a0": {"position": [0, 0, 0], "inventory": {}},
+                "a1": {"position": [6, 0, 0], "inventory": {"sandstone": 2, "oak_planks": 1}},
+                "a2": {"position": [20, 0, 0], "inventory": {"glass": 1}}},
+        blocks=[[0, "sandstone", [1, 0, -2]], [1, "glass", [2, 0, -2]],
+                [2, "oak_planks", [3, 0, -2]], [3, "sandstone", [4, 0, -2]]],
+        edges=[[2, 3], [0, 1]], assigned={"a0": [0, 1, 3], "a1": [2]},
+        partition={"sandstone": "a1", "glass": "a2"},
+        work_regions={"a0": [[0, 0, 0], 12], "a1": [[6, 0, 0], 12], "a2": [[20, 0, 0], 12]},
+        recipes=[r.to_dict() for r in default_recipes().recipes.values()],
+        sources=[["sand", [9, 0, 0], 3], ["sandstone", [25, 0, 0], 2], ["oak_log", [2, 0, 3], 2]],
+        responder_script={"a1": ["cannot_supply", "honest"], "a2": ["silent", "honest"]},
+    )
+
+
+def _random_gate_settings(rng: random.Random) -> dict:
+    while True:
+        weights = GateWeights(*(rng.randint(0, 6) for _ in range(5)))
+        if validate_weights(weights)[0]:
+            break
+    cuts = sorted(rng.choice([0.3, 0.4, 0.45, 0.5, 0.6]) if rng.random() < 0.5
+                  else round(rng.random(), 2) for _ in range(2))
+    return {"weights": weights, "thresholds": GateThresholds(*cuts),
+            "rules_on": rng.random() < 0.7, "score_on": rng.random() < 0.7,
+            "adjudicator_on": rng.random() < 0.7}
+
+
+def _verdicts(trace) -> list[str]:
+    return [e["payload"]["verdict"] for e in trace.events if e["kind"] == "gate_decision"]
+
+
+def test_regate_matches_full_simulation_for_random_gate_settings(dataset):
+    """Whenever `regate` returns a trace, it is byte-identical to simulating;
+    whenever it returns None, simulating really does flip a verdict (or the
+    reference, with every tier off, recorded no feature vector)."""
+    rng = random.Random(20240601)
+    _, episodes = dataset
+    specs = [_hand_built()] + [episodes[i] for i in range(0, len(episodes), 10)]
+    regated = fell_back = 0
+    for n in range(240):
+        spec = specs[n % len(specs)]
+        partition_on = rng.random() < 0.5
+        reference_config = RunConfig(partition_on=partition_on, **_random_gate_settings(rng))
+        config = RunConfig(partition_on=partition_on, **_random_gate_settings(rng))
+        reference = simulate_episode(spec, reference_config)
+        trace = regate(reference, config)
+        full = run_episode(spec, config)
+        if trace is not None:
+            regated += 1
+            assert trace.to_jsonl() == full.to_jsonl(), (spec.episode_id, reference_config, config)
+        else:
+            fell_back += 1
+            lost_fv = any(gp.fv is None for gp in reference.gate_passes)
+            assert lost_fv or _verdicts(full) != _verdicts(reference.trace), (spec.episode_id, config)
+    assert regated >= 100 and fell_back >= 20
+
+
+def test_class_a_without_gating_must_fall_back(dataset):
+    """`full` keeps a class-A issue local; with every tier off it escalates,
+    so the run takes another path and has to be simulated."""
+    _, episodes = dataset
+    no_gating = RunConfig(rules_on=False, score_on=False, adjudicator_on=False)
+    spec = next(e for e in episodes if e.class_label == "A"
+                and "stay_local" in _verdicts(run_episode(e, RunConfig())))
+    assert regate(simulate_episode(spec, RunConfig()), no_gating) is None
+    assert _verdicts(run_episode(spec, no_gating)) != _verdicts(run_episode(spec, RunConfig()))
+
+
+def test_regate_with_identical_settings_reproduces_the_reference(dataset):
+    _, episodes = dataset
+    spec = next(e for e in episodes if e.class_label == "C")
+    reference = simulate_episode(spec, RunConfig())
+    assert regate(reference, RunConfig()).to_jsonl() == reference.trace.to_jsonl()
+
+
+def test_regate_rejects_a_config_that_differs_outside_the_gate():
+    reference = simulate_episode(_hand_built(), RunConfig())
+    for change in ({"partition_on": False}, {"window_timeout": 5}, {"cooldown_duration": 3},
+                   {"step_budget": 40}, {"seed": 1}):
+        with pytest.raises(ValueError, match="outside the gate settings"):
+            regate(reference, dataclasses.replace(RunConfig(), **change))
+
+
+# The only code that may read a gate setting. `regate`'s equivalence argument
+# rests on this list; a new read has to be added here and argued there.
+GATE_READS = {
+    ("agent", "RunConfig.__post_init__"),  # weight validation, before any run
+    ("agent", "RunConfig.describe"),  # episode_end.config, re-rendered by regate
+    ("agent", "gating_enabled"),
+    ("agent", "_mock_backend"),
+    ("agent", "_gate_decision"),
+    ("gate", "MockAdjudicator.adjudicate"),  # the mock's own thresholds
+}
+
+
+def _gate_reads(path: Path) -> set[tuple[str, str]]:
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Attribute) and child.attr in GATE_FIELDS
+                    and isinstance(child.ctx, ast.Load)):
+                found.add((path.stem, scope or "<module>"))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_gate_settings_are_read_only_where_regate_expects():
+    reads = set().union(*(_gate_reads(p) for p in sorted(SRC.glob("*.py"))))
+    assert reads == GATE_READS
