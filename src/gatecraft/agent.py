@@ -3,7 +3,8 @@
 Each agent's turn: observe and refresh private state, detect an issue,
 featurize and gate it, then route — open a coordination window, run the local
 solver, or do opportunistic skip work. The episode runtime owns the world,
-the public board, windows, cooldowns, and the ordered trace.
+the public board, windows, cooldowns, and the ordered trace. `regate`
+derives a finished run's trace under other gate settings.
 """
 
 from __future__ import annotations
@@ -921,8 +922,9 @@ def regate(reference: EpisodeRuntime, config: RunConfig) -> Trace | None:
 
     - Before the first pass, both runs have the same spec and the same
       non-gate settings. The gate settings are read nowhere else than in
-      `gating_enabled`, `_gate_decision`, `_mock_backend` and `describe`
-      (`tests/test_regate.py` pins this), so they trace the same bytes.
+      `gating_enabled`, `_gate_decision`, `_mock_backend`, `describe` and
+      the weight check in `__post_init__` (`tests/test_regate.py` pins
+      this), so they trace the same bytes.
     - At a pass reached in the same state, the blockage, the plan probe and
       `extract_features`' vector and plan are the other run's too: they read
       only that state. Neither `extract_features` nor the planner writes
