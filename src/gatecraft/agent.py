@@ -139,6 +139,74 @@ def _mock_backend(config: RunConfig) -> MockAdjudicator | None:
 
 # One encoder for every trace line; `json.dumps` with options builds a new one per call.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_JSONL_DECODER = json.JSONDecoder()
+
+
+def read_jsonl_by_line(text: str, convert=None) -> list:
+    """The values of a JSONL text: `json.loads` of each non-blank line of
+    `str.splitlines`, passed through `convert` when one is given. A line
+    that is not JSON, or whose value `convert` rejects with KeyError,
+    ValueError or TypeError, raises ValueError `line N: <message>`; for a
+    KeyError the message is `missing field 'name'`."""
+    values = []
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+            values.append(value if convert is None else convert(value))
+        except KeyError as exc:
+            raise ValueError(f"line {n}: missing field {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"line {n}: {exc}") from exc
+    return values
+
+
+def _read_jsonl_whole(text: str, convert=None) -> list | None:
+    """`read_jsonl_by_line(text, convert)` from one decode pass, or None when
+    the text is not in the shape that provably gives the same values, or
+    when a value fails to decode or convert.
+
+    The shape: ASCII with no `\\r`, every value starting at a line start and
+    ending right before a `\\n` or at the end of the text, and as many values
+    as lines. ASCII rules out the non-ASCII breaks `splitlines` honours
+    (U+0085, U+2028, U+2029). The other ASCII breaks (`\\v`, `\\f`,
+    `\\x1c`-`\\x1e`) are neither JSON whitespace nor allowed raw in a string,
+    so the decoder rejects them; `\\r` is JSON whitespace, so it is checked.
+    With one value per line and no line break inside a value, each line is
+    the exact text of one value, with no blank or padded line in between, so
+    `json.loads(line)` returns what the one pass decoded. Each value is
+    converted as soon as it is decoded, so the decoded form of the whole text
+    is never held at once.
+
+    Values are decoded by the decoder's `scan_once`, the scanner that
+    `JSONDecoder.raw_decode(text, idx)` wraps; calling it directly saves a
+    Python frame per value. Where `raw_decode` raises "Expecting value" it
+    raises StopIteration."""
+    if not text.isascii() or "\r" in text:
+        return None
+    scan, size = _JSONL_DECODER.scan_once, len(text)
+    values, idx = [], 0
+    try:
+        while idx < size:
+            value, end = scan(text, idx)
+            if end < size and text[end] != "\n":
+                return None
+            values.append(value if convert is None else convert(value))
+            idx = end + 1
+    except (StopIteration, KeyError, ValueError, TypeError):
+        return None  # `read_jsonl_by_line` names the line
+    lines = text.count("\n") + (size > 0 and not text.endswith("\n"))
+    return values if len(values) == lines else None
+
+
+def read_jsonl(text: str, convert=None) -> list:
+    """`read_jsonl_by_line(text, convert)`. Text in the trace format (see
+    `_read_jsonl_whole`) is decoded in one pass; any other text, and every
+    error, goes through `read_jsonl_by_line`, so `convert` must be a pure
+    function: it may see a value twice."""
+    values = _read_jsonl_whole(text, convert)
+    return read_jsonl_by_line(text, convert) if values is None else values
 
 
 @dataclass
@@ -156,8 +224,7 @@ class Trace:
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
-        events = [json.loads(line) for line in text.splitlines() if line.strip()]
-        return Trace(events=events)
+        return Trace(events=read_jsonl(text))
 
 
 @dataclass(frozen=True)

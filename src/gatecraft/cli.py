@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .agent import RunConfig, Trace, run_episode
@@ -100,6 +99,14 @@ def _parse_tiers(text) -> tuple[bool, bool, bool]:
     return tuple(t in names for t in TIER_NAMES)
 
 
+def _parse_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{source}: invalid JSON at line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}")
+
+
 def _load_config_file(path: str) -> dict:
     """One human-editable document: JSON if it looks like JSON, else key=value lines."""
     p = Path(path)
@@ -107,11 +114,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file not found: {path}")
     text = p.read_text()
     if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path}: invalid JSON at line {exc.lineno} "
-                             f"column {exc.colno}: {exc.msg}")
+        data = _parse_json(text, f"config file {path}")
         if not isinstance(data, dict):
             raise UsageError("JSON config must be an object")
         return data
@@ -217,6 +220,8 @@ def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir:
     backend = make_backend(backend_name)
     tasks = [(spec, config, backend, traces_dir) for spec in episodes]
     if backend is None and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(_episode_worker, tasks)
         return
@@ -327,7 +332,7 @@ def _resolve_grid(ns, cfg: dict) -> dict:
         return GRID_PRESETS[grid]
     path = Path(str(grid))
     if path.is_file():
-        data = json.loads(path.read_text())
+        data = _parse_json(path.read_text(), f"grid file {path}")
         if not isinstance(data, dict) or "weights" not in data or "thresholds" not in data:
             raise UsageError(f"grid file {path} must be a JSON object with "
                              f"'weights' and 'thresholds' lists")

@@ -8,9 +8,7 @@ attainable raw range onto [0,1] so thresholds are weight-independent.
 
 from __future__ import annotations
 
-import http.client
 import json
-import urllib.request
 from dataclasses import dataclass
 
 from .memory import BlockageRecord, IssueType, PrivateState, render_decision_card
@@ -357,6 +355,10 @@ class RemoteAdjudicator:
         self.timeout = timeout
 
     def adjudicate(self, request: bytes) -> bytes:
+        # imported here: they pull in ssl and email, which no other command needs
+        import http.client
+        import urllib.request
+
         req = urllib.request.Request(
             self.url, data=request, headers={"Content-Type": "application/json"}, method="POST"
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -286,6 +285,8 @@ def run_config_suite(
     and the number of simulated runs."""
     args = (episodes, repeat(configs), repeat(local_budget))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_configs, *args))
     else:

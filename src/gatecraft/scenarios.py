@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .agent import read_jsonl
 from .gate import (
     GateThresholds,
     GateWeights,
@@ -553,14 +554,7 @@ def load_dataset(path: str | Path) -> list[EpisodeSpec]:
     and the line."""
     root = Path(path)
     episodes_file = root if root.is_file() else root / "episodes.jsonl"
-    episodes = []
-    for n, line in enumerate(episodes_file.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            episodes.append(EpisodeSpec.from_dict(json.loads(line)))
-        except KeyError as exc:
-            raise ValueError(f"{episodes_file} line {n}: missing field {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{episodes_file} line {n}: {exc}") from exc
-    return episodes
+    try:
+        return read_jsonl(episodes_file.read_text(), EpisodeSpec.from_dict)
+    except ValueError as exc:
+        raise ValueError(f"{episodes_file} {exc}") from exc

@@ -9,8 +9,10 @@ from gatecraft import (
     WorldState,
     AgentBody,
     Inventory,
+    RunConfig,
     default_recipes,
 )
+from gatecraft.agent import simulate_episode
 from gatecraft.scenarios import generate_dataset
 
 
@@ -18,6 +20,15 @@ from gatecraft.scenarios import generate_dataset
 def dataset():
     """The standard 200-episode suite, generated once per test session."""
     return generate_dataset(0)
+
+
+@pytest.fixture(scope="session")
+def default_runs(dataset):
+    """The finished runtime (spec, trace, final world) of every episode of the
+    standard suite under the default config."""
+    _, episodes = dataset
+    config = RunConfig()
+    return [simulate_episode(spec, config) for spec in episodes]
 
 
 def make_world(

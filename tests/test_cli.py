@@ -213,6 +213,15 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys):
     assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
     assert f"runtime error: {bad}: " in capsys.readouterr().err
 
+    lines = good.read_text().splitlines(keepends=True)
+    bad.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])  # truncated last line
+    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+    assert f"runtime error: {bad}: line {len(lines)}: " in capsys.readouterr().err
+
+    bad.write_text("".join(lines[:3]) + "garbage\n" + "".join(lines[4:]))
+    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+    assert f"runtime error: {bad}: line 4: Expecting value" in capsys.readouterr().err
+
 
 def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
     lines = (small_dataset / "episodes.jsonl").read_text().splitlines()
@@ -224,6 +233,15 @@ def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
         episodes.write_text("\n".join([lines[0], bad_line, lines[1]]) + "\n")
         assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
         assert f"error: {episodes} {message}" in capsys.readouterr().err
+
+
+def test_malformed_grid_file_names_the_file(tmp_path, small_dataset, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text("{oops")
+    assert main(["calibrate", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
+                 "--grid", str(grid)]) == 1
+    assert (f"error: grid file {grid}: invalid JSON at line 1 column 2: "
+            "Expecting property name enclosed in double quotes") in capsys.readouterr().err
 
 
 def test_malformed_manifest_is_not_read(tmp_path, small_dataset):

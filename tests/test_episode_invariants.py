@@ -9,7 +9,13 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
 - every window closes by its deadline, or is still open at `episode_end`;
 - every coordination message names an open window whose requester and
   responder are the message's two endpoints;
-- each agent's issue events alternate detected -> resolved | abandoned.
+- each agent's issue events alternate detected -> resolved | abandoned;
+- items are conserved: every successful outcome's deltas balance (`collect`
+  moves one unit from a source or chest to the agent, `transfer` nets to
+  zero across the two agents, `place` turns one unit into one placed block,
+  `craft`/`smelt` change the inventory by exactly the recipe), and replaying
+  the deltas from the spec never drives a stock below zero and ends at the
+  final world's stock.
 
 Each case also runs with the quiescence exit switched off (a test-only
 patch of `agent._quiescent`) and checks that the early exit only cut an
@@ -19,9 +25,10 @@ action/outcome pairs, and equal metrics and completion.
 
 import dataclasses
 import random
+from collections import Counter
 
 from gatecraft import agent
-from gatecraft.agent import RunConfig, Trace, run_episode
+from gatecraft.agent import RunConfig, Trace, run_episode, simulate_episode
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.harness import compute_metrics
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
@@ -89,6 +96,74 @@ def check_episode_invariants(events) -> dict[int, dict]:
     return open_windows
 
 
+def _recipe_delta(recipe: dict) -> dict[str, int]:
+    delta: dict[str, int] = {}
+    for item, n in recipe["inputs"]:
+        delta[item] = delta.get(item, 0) - n
+    out_item, out_n = recipe["output"]
+    delta[out_item] = delta.get(out_item, 0) + out_n
+    return delta
+
+
+def _world_stock(world) -> dict:
+    """(holder, item) -> count for every nonzero holding in `world`."""
+    stock = Counter()
+    for aid, body in world.agents.items():
+        stock.update({(aid, item): n for item, n in body.inventory.to_dict().items()})
+    for i, source in enumerate(world.sources):
+        stock[(f"source {i}", source.item)] += source.remaining
+    for i, chest in enumerate(world.chests):
+        stock.update({(f"chest {i}", item): n for item, n in chest.inventory.to_dict().items()})
+    stock.update(("placed", material) for material in world.placed.values())
+    return {key: n for key, n in stock.items() if n}
+
+
+def check_item_conservation(events, spec, final_world) -> None:
+    recipes = {r["recipe_id"]: r for r in spec.recipes}
+    blocks = {n: [list(pos), material] for n, material, pos in spec.blocks}
+    stock = Counter(_world_stock(spec.build_world()))
+    last_action: dict[str, dict] = {}
+    for e in events:
+        if e["kind"] == "action":
+            last_action[e["agent"]] = e["payload"]["action"]
+        if e["kind"] != "outcome" or e["payload"]["status"] != "success":
+            continue
+        p, me = e["payload"], e["agent"]
+        action, deltas = last_action[me], p.get("deltas", {})
+        inventory = deltas.get("inventory", {})
+        assert action["kind"] == p["kind"], e
+        moved = Counter()  # (holder, item) -> delta
+        if p["kind"] == "collect":
+            [(item, n)] = inventory[me].items()
+            assert list(inventory) == [me] and n == 1, e
+            kind, index = action["source"][:2]
+            if kind == "source":
+                assert spec.sources[index][0] == item and deltas["source"] == {str(index): -1}, e
+            else:
+                assert action["source"][2] == item and deltas["chest"] == {str(index): {item: -1}}, e
+            moved[(f"{kind} {index}", item)] -= 1
+        elif p["kind"] == "transfer":
+            assert inventory == {me: {action["item"]: -action["count"]},
+                                 action["to_agent"]: {action["item"]: action["count"]}}, e
+        elif p["kind"] == "place":
+            [(pos, material)] = deltas["placed"]
+            assert [pos, material] == blocks[p["node_id"]], e
+            assert inventory == {me: {material: -1}}, e
+            moved[("placed", material)] += 1
+        elif p["kind"] in ("craft", "smelt"):
+            assert inventory == {me: _recipe_delta(recipes[action["recipe_id"]])}, e
+        else:
+            assert set(deltas) <= {"position"}, e
+        for aid, items in inventory.items():
+            moved.update({(aid, item): n for item, n in items.items()})
+        if p["kind"] in ("collect", "transfer", "place"):
+            assert sum(moved.values()) == 0, e
+        for key, n in moved.items():
+            stock[key] += n
+            assert stock[key] >= 0, (key, e)
+    assert {key: n for key, n in stock.items() if n} == _world_stock(final_world)
+
+
 def _is_idle_pair_event(e) -> bool:
     if e["kind"] == "action":
         return e["payload"]["action"]["kind"] == "idle"
@@ -112,10 +187,21 @@ def test_episode_invariants_sampled(monkeypatch):
     rng = random.Random(401)
     for _ in range(40):
         spec, config = _sample_run(rng)
-        early = run_episode(spec, config).events
+        run = simulate_episode(spec, config)
+        early = run.trace.events
         check_episode_invariants(early)
+        check_item_conservation(early, spec, run.world)
         with monkeypatch.context() as patch:
             patch.setattr(agent, "_quiescent", lambda *args: False)
             full = run_episode(spec, config).events
         check_episode_invariants(full)
         check_exit_equivalence(early, full, spec, config)
+
+
+def test_items_are_conserved_in_the_default_runs(default_runs):
+    kinds = set()
+    for run in default_runs:
+        check_item_conservation(run.trace.events, run.spec, run.world)
+        kinds.update(e["payload"]["kind"] for e in run.trace.events
+                     if e["kind"] == "outcome" and e["payload"]["status"] == "success")
+    assert {"collect", "transfer", "place", "craft", "smelt"} <= kinds

@@ -1,4 +1,5 @@
-"""Source hygiene: every import in `src/` and `tests/` is used.
+"""Source hygiene: every import in `src/` and `tests/` is used, and importing
+the command line loads no network or process-pool module.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -7,9 +8,15 @@ would not count).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Only `remote:` backends and `--jobs > 1` need these; they are imported where used.
+LAZY_MODULES = ("urllib.request", "http.client", "ssl", "concurrent.futures")
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -31,3 +38,11 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     problems = [p for f in files if f.name != "__init__.py" for p in unused_imports(f)]
     assert not problems, "unused imports:\n" + "\n".join(problems)
+
+
+def test_cli_import_skips_network_and_pool_modules():
+    probe = f"import sys, gatecraft.cli; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
