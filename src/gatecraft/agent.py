@@ -991,7 +991,8 @@ def regate(reference: EpisodeRuntime, config: RunConfig) -> Trace | None:
       non-gate settings. The gate settings are read nowhere else than in
       `gating_enabled`, `_gate_decision`, `_mock_backend`, `describe` and
       the weight check in `__post_init__` (`tests/test_regate.py` pins
-      this), so they trace the same bytes.
+      this; the dataset validator reads only a fresh `RunConfig()`'s), so
+      they trace the same bytes.
     - At a pass reached in the same state, the blockage, the plan probe and
       `extract_features`' vector and plan are the other run's too: they read
       only that state. Neither `extract_features` nor the planner writes

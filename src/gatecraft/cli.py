@@ -391,6 +391,16 @@ def cmd_calibrate(ns, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _first_bad_event(events: list) -> str | None:
+    """Name the first decoded trace line that cannot be an event, if any."""
+    for i, event in enumerate(events, 1):
+        if not isinstance(event, dict) or not {"step", "agent", "kind", "payload"} <= event.keys():
+            return f"event {i} is not an object with step, agent, kind and payload"
+        if not isinstance(event["payload"], dict):
+            return f"event {i} has a payload that is not an object"
+    return None
+
+
 def cmd_report(ns, cfg: dict) -> int:
     out = _out_dir(ns, cfg)
     traces_dir = Path(_pick(ns, cfg, "traces", out / "traces"))
@@ -401,10 +411,19 @@ def cmd_report(ns, cfg: dict) -> int:
     metrics = []
     for f in trace_files:
         try:
-            metrics.append(compute_metrics(Trace.from_jsonl(f.read_text())))
-        except KeyError as exc:
-            raise ValueError(f"{f}: missing field {exc}") from exc
-        except (ValueError, TypeError) as exc:
+            trace = Trace.from_jsonl(f.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{f}: {exc}") from exc
+        try:
+            metrics.append(compute_metrics(trace))
+        except (KeyError, TypeError, AttributeError) as exc:
+            # only a failed count pays for the shape scan; with every event
+            # well-formed the error is the program's and keeps its own message
+            bad = _first_bad_event(trace.events)
+            if bad is None:
+                raise
+            raise ValueError(f"{f}: {bad}") from exc
+        except ValueError as exc:
             raise ValueError(f"{f}: {exc}") from exc
     agg = aggregate(metrics)
     per_class = agg.pop("per_class")

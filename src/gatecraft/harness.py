@@ -115,9 +115,7 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
     return plan_local_recovery(state, view, recipes, blockage)
 
 
-def compute_metrics(
-    trace: Trace, spec: EpisodeSpec | None = None, local_budget: int = LOCAL_BUDGET
-) -> EpisodeMetrics:
+def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMetrics:
     """Count one finished trace into EpisodeMetrics. Ratio fields are None
     (absent) when their denominator is zero."""
     end = next((e for e in trace.events if e["kind"] == "episode_end"), None)
@@ -153,7 +151,7 @@ def compute_metrics(
                 ctx = p.get("solver_ctx")
                 if ctx is not None:
                     replayed = replay_local_feasibility(ctx)
-                    if replayed is not None and replayed.total_cost <= local_budget:
+                    if replayed is not None and replayed.total_cost <= LOCAL_BUDGET:
                         unnecessary += 1
         elif kind == "issue":
             event = p.get("event")
@@ -246,9 +244,7 @@ def metrics_to_csv(metrics: list[EpisodeMetrics]) -> str:
     return buf.getvalue()
 
 
-def run_configs(
-    spec: EpisodeSpec, configs: list[RunConfig], local_budget: int = LOCAL_BUDGET
-) -> tuple[list[EpisodeMetrics], int]:
+def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[EpisodeMetrics], int]:
     """The metrics of `spec` run under each config with the mock backend, in
     config order, and how many of those runs were simulated.
 
@@ -273,17 +269,16 @@ def run_configs(
                 references.append(simulate_episode(spec, configs[i]))
                 traces[i] = references[-1].trace
         simulated += len(references)
-    return [compute_metrics(t, spec, local_budget) for t in traces], simulated
+    return [compute_metrics(t, spec) for t in traces], simulated
 
 
 def run_config_suite(
-    episodes: list[EpisodeSpec], configs: list[RunConfig], jobs: int = 1,
-    local_budget: int = LOCAL_BUDGET,
+    episodes: list[EpisodeSpec], configs: list[RunConfig], jobs: int = 1
 ) -> tuple[list[list[EpisodeMetrics]], int]:
     """`run_configs` over every episode, one task per episode, spread over
     `jobs` worker processes. Returns each config's metrics in episode order
     and the number of simulated runs."""
-    args = (episodes, repeat(configs), repeat(local_budget))
+    args = (episodes, repeat(configs))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
@@ -307,7 +302,6 @@ class CalibrationConfig:
     lam_time: float = 0.1
     lam_redundant: float = 0.2
     lam_llm: float = 0.05
-    local_budget: int = LOCAL_BUDGET
 
     def __post_init__(self):
         if not self.weight_grid or not self.threshold_grid:
@@ -368,7 +362,7 @@ def calibrate(
     cells = config.cells()
     configs = [RunConfig(weights=GateWeights.from_sequence(w), thresholds=GateThresholds(*t))
                for w, t in cells]
-    per_cell, simulated = run_config_suite(episodes, configs, jobs, config.local_budget)
+    per_cell, simulated = run_config_suite(episodes, configs, jobs)
     rows = [_cell_raw_scores(w, t, metrics) for (w, t), metrics in zip(cells, per_cell)]
 
     max_time = max(r["c_time"] for r in rows)

@@ -11,9 +11,10 @@ bottleneck node (always node 0, assigned to agent a0):
   D — coordination fault: structurally class B, but the designated holder is
       scripted to refuse or ignore requests.
 
-Every generated spec is checked by `validate_class_property`, which rebuilds
-the first decision a0 faces at sim time zero and asserts the class-defining
-structure (issue type, feature vector, verdict, local-plan cost band).
+Every generated spec is checked by `validate_class_property`, which runs
+a0's first step in the real episode runtime under `RunConfig()` defaults —
+the run's own first gate decision — and asserts the class-defining structure
+(issue type, feature vector, verdict, local-plan cost band).
 """
 
 from __future__ import annotations
@@ -24,17 +25,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .agent import read_jsonl
-from .gate import (
-    GateThresholds,
-    GateWeights,
-    MockAdjudicator,
-    extract_features,
-    gate_decide,
-)
-from .memory import PrivateState, StateEvent, detect_issue, update_private_state
-from .protocol import TeamPublicView
-from .solver import CooldownTable
+from .agent import EpisodeRuntime, RunConfig, read_jsonl, step
 from .world import (
     AgentBody,
     BlockSpec,
@@ -48,7 +39,6 @@ from .world import (
     TaskGraph,
     WorldState,
     default_recipes,
-    observe,
 )
 
 SEEDS_PER_TEMPLATE = 5
@@ -394,42 +384,28 @@ def build_episode(template: Template, seed_index: int, dataset_seed: int = 0) ->
 # -- class-property validation ----------------------------------------------
 
 C_COST_BAND = (31, 38)
-_PROBE_THRESHOLDS = GateThresholds(0.4, 0.5)
 
 
-def probe_bottleneck(
-    spec: EpisodeSpec,
-    weights: GateWeights | None = None,
-    thresholds: GateThresholds | None = None,
-) -> dict:
-    """Rebuild the decision a0 faces at sim time zero and run the real gate on
-    it (mock adjudicator). Returns the measured facts for assertions."""
-    world = spec.build_world()
-    plan = spec.plan_info(world)
-    view = observe(world, "a0", plan=plan)
-    state = PrivateState(agent_id="a0")
-    update_private_state(state, StateEvent(kind="init", view=view))
-    blockage = detect_issue(state, view, world.graph, world.recipes)
-    if blockage is None:
+def probe_bottleneck(spec: EpisodeSpec) -> dict:
+    """Run a0's first step in the real runtime under `RunConfig()` defaults
+    and return the facts of its gate pass for assertions. a0 comes first in
+    the round-robin, so this is the run's first decision; `{"issue": None}`
+    when that step passes no gate."""
+    ep = EpisodeRuntime(spec, RunConfig())
+    step(ep.runtimes["a0"], ep)
+    if not ep.gate_passes:
         return {"issue": None}
-    fv, recovery = extract_features(
-        view, world.graph, state, TeamPublicView(), CooldownTable(), world.recipes,
-        blockage=blockage,
-    )
-    th = thresholds or _PROBE_THRESHOLDS
-    decision = gate_decide(
-        blockage.issue, fv, weights or GateWeights(), th,
-        adjudicator=MockAdjudicator(th), blockage=blockage, plan=recovery,
-    )
+    gp = ep.gate_passes[0]
+    decision = ep.trace.events[gp.event_index]["payload"]
     return {
-        "issue": blockage.issue.value,
-        "item": blockage.item,
-        "node_id": blockage.node_id,
-        "fv": fv.as_tuple(),
-        "plan_cost": recovery.total_cost if recovery is not None else None,
-        "verdict": decision.verdict,
-        "tier": decision.tier,
-        "score_norm": decision.score_norm,
+        "issue": gp.blockage.issue.value,
+        "item": gp.blockage.item,
+        "node_id": gp.blockage.node_id,
+        "fv": gp.fv.as_tuple(),
+        "plan_cost": gp.plan.total_cost if gp.plan is not None else None,
+        "verdict": decision["verdict"],
+        "tier": decision["tier"],
+        "score_norm": decision["score_norm"],
     }
 
 
@@ -495,7 +471,9 @@ def validate_class_property(spec: EpisodeSpec) -> dict:
         _require(probe["issue"] == "missing_material", spec, f"C must miss material, got {probe['issue']}")
         _require(probe["tier"] == "adjudicator", spec, f"C must reach the adjudicator, got {probe['tier']}")
         _require(probe["verdict"] == "escalate", spec, "mock adjudicator should lean escalate here")
-        _require(0.4 < probe["score_norm"] < 0.5, spec, f"score {probe['score_norm']} left the gray band")
+        th = RunConfig().thresholds
+        _require(th.t_low < probe["score_norm"] < th.t_high, spec,
+                 f"score {probe['score_norm']} left the gray band")
         lo, hi = C_COST_BAND
         _require(
             probe["plan_cost"] is not None and lo <= probe["plan_cost"] <= hi,

@@ -688,35 +688,43 @@ def observe(world: WorldState, agent_id: str, plan: PlanInfo | None = None) -> W
     )
 
 
+def _chain_depths(graph: TaskGraph, placed: set[int]) -> dict[int, int]:
+    """depth[n] = number of nodes on the longest unplaced path starting at n,
+    for every unplaced node n."""
+    depth: dict[int, int] = {}
+    for n in reversed(graph.topo_order):
+        if n in placed:
+            continue
+        best = 0
+        for s in graph.succs[n]:
+            if s in depth:  # successors come later in topo order, so unplaced ones are in
+                best = max(best, depth[s])
+        depth[n] = best + 1
+    return depth
+
+
+def _longest_chain(graph: TaskGraph, depth: dict[int, int]) -> list[int]:
+    if not depth:
+        return []
+    max_depth = max(depth.values())
+    cur = min(n for n, d in depth.items() if d == max_depth)
+    path = [cur]
+    while True:
+        nxt = [s for s in graph.succs[cur] if depth.get(s) == depth[cur] - 1]
+        if not nxt:
+            break
+        cur = min(nxt)
+        path.append(cur)
+    return path
+
+
 def critical_path(graph: TaskGraph, placed: set[int]) -> list[int]:
     """Longest prerequisite chain through unplaced nodes.
 
     Ties resolve to the lexicographically smallest node-id sequence among the
     longest paths (equivalently: smallest id at every choice point).
     """
-    unplaced = [n for n in graph.topo_order if n not in placed]
-    if not unplaced:
-        return []
-    unplaced_set = set(unplaced)
-    # depth[n] = number of nodes on the longest unplaced path starting at n
-    depth: dict[int, int] = {}
-    for n in reversed(unplaced):
-        best = 0
-        for s in graph.succs[n]:
-            if s in unplaced_set:
-                best = max(best, depth[s])
-        depth[n] = best + 1
-    max_depth = max(depth.values())
-    start = min(n for n in unplaced if depth[n] == max_depth)
-    path = [start]
-    cur = start
-    while True:
-        nxt = [s for s in graph.succs[cur] if s in unplaced_set and depth[s] == depth[cur] - 1]
-        if not nxt:
-            break
-        cur = min(nxt)
-        path.append(cur)
-    return path
+    return _longest_chain(graph, _chain_depths(graph, placed))
 
 
 @dataclass(frozen=True)
@@ -727,22 +735,17 @@ class Criticality:
 
 
 def criticality_of(graph: TaskGraph, node: int, placed: set[int]) -> Criticality:
-    """Structural importance of `node` given current placement progress."""
-    unplaced_desc = {d for d in graph.descendants(node) if d not in placed}
-    # longest unplaced chain strictly below `node`
-    depth = 0
-    if unplaced_desc:
-        order = [n for n in graph.topo_order if n in unplaced_desc]
-        d: dict[int, int] = {}
-        for n in reversed(order):
-            best = 0
-            for s in graph.succs[n]:
-                if s in unplaced_desc:
-                    best = max(best, d[s])
-            d[n] = best + 1
-        depth = max(d.values())
-    on_cp = node in critical_path(graph, placed)
-    return Criticality(descendant_count=len(unplaced_desc), on_critical_path=on_cp, dependent_depth=depth)
+    """Structural importance of `node` given current placement progress.
+
+    A descendant's successors are descendants too, so its depth over all
+    unplaced nodes is the longest unplaced chain below `node` through it."""
+    depth = _chain_depths(graph, placed)
+    unplaced_desc = [d for d in graph.descendants(node) if d in depth]
+    return Criticality(
+        descendant_count=len(unplaced_desc),
+        on_critical_path=node in _longest_chain(graph, depth),
+        dependent_depth=max((depth[d] for d in unplaced_desc), default=0),
+    )
 
 
 def blueprint_completion(world: WorldState) -> float:

@@ -221,7 +221,7 @@ def test_criterion_6_calibration_matches_brute_force(dataset):
             weights=GateWeights.from_sequence(weights),
             thresholds=GateThresholds(*thresholds),
         )
-        ms = [compute_metrics(run_episode(e, run_cfg), e, 30) for e in subset]
+        ms = [compute_metrics(run_episode(e, run_cfg), e) for e in subset]
         rec = [m.recovery_time_avg for m in ms if m.recovery_time_avg is not None]
         zero_yield = [
             (m.windows_opened - m.windows_fulfilled) / m.windows_opened

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gatecraft import Trace
+from gatecraft import Trace, cli
 from gatecraft.cli import main
 from gatecraft.scenarios import save_dataset
 
@@ -188,7 +188,7 @@ def test_report_tables_and_sensitivity(tmp_path, small_dataset, capsys):
     assert "sensitivity" in capsys.readouterr().out
 
 
-def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys):
+def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--dataset", str(small_dataset), "--out", str(out)]) == 0
     good = sorted((out / "traces").glob("b*.jsonl"))[0]
@@ -211,9 +211,25 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys):
 
     bad.write_text("[1]\n")  # valid JSON, but not an event
     assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
-    assert f"runtime error: {bad}: " in capsys.readouterr().err
+    assert (f"runtime error: {bad}: event 1 is not an object with step, agent, kind and payload"
+            in capsys.readouterr().err)
 
     lines = good.read_text().splitlines(keepends=True)
+    for line_4, problem in (('{"step": 0, "agent": "a0", "kind": "action"}\n',
+                             "is not an object with step, agent, kind and payload"),
+                            ('{"step": 0, "agent": "a0", "kind": "issue", "payload": [1]}\n',
+                             "has a payload that is not an object")):
+        bad.write_text("".join(lines[:3]) + line_4 + "".join(lines[4:]))
+        assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+        assert f"runtime error: {bad}: event 4 {problem}" in capsys.readouterr().err
+
+    # with every event well-formed, a failed count is not blamed on the trace
+    bad.write_text(good.read_text())
+    monkeypatch.setattr(cli, "compute_metrics", lambda trace: {}["boom"])
+    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+    assert capsys.readouterr().err == "runtime error: 'boom'\n"
+    monkeypatch.undo()
+
     bad.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])  # truncated last line
     assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
     assert f"runtime error: {bad}: line {len(lines)}: " in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Source hygiene: every import in `src/` and `tests/` is used, and importing
-the command line loads no network or process-pool module.
+"""Source hygiene: every import in `src/` and `tests/` is used, importing
+the command line loads no network or process-pool module, and the
+benchmark's per-layer wrappers still find what they wrap.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -8,6 +9,7 @@ would not count).
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -46,3 +48,21 @@ def test_cli_import_skips_network_and_pool_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_perfbench_layer_wrappers_install_and_restore():
+    """perfbench wraps program functions by the names their callers look them
+    up by; a deleted or renamed one fails here, not in `perfbench/run.py
+    --trace 1`. Restoring must leave every wrapped namespace as it was."""
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    owners = (layers.agent, layers.cli, layers.gate, layers.harness, layers.Trace,
+              layers.EpisodeSpec, layers.WorldState, layers.WorldView,
+              layers.MockAdjudicator, layers.RemoteAdjudicator)
+    before = [dict(vars(owner)) for owner in owners]
+    for backend in (layers.MockAdjudicator, layers.RemoteAdjudicator):
+        tracer = layers.Tracer()
+        tracer.install(backend, count_results=True)
+        tracer.restore()
+        assert [dict(vars(owner)) for owner in owners] == before

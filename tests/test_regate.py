@@ -112,6 +112,7 @@ GATE_READS = {
     ("agent", "_mock_backend"),
     ("agent", "_gate_decision"),
     ("gate", "MockAdjudicator.adjudicate"),  # the mock's own thresholds
+    ("scenarios", "validate_class_property"),  # the defaults' gray band, outside any run
 }
 
 

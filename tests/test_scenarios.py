@@ -1,6 +1,6 @@
 import json
 
-from gatecraft import EpisodeSpec, generate_dataset, validate_class_property
+from gatecraft import EpisodeSpec, RunConfig, generate_dataset, run_episode, validate_class_property
 from gatecraft.scenarios import (
     build_episode,
     dataset_templates,
@@ -79,6 +79,28 @@ def test_world_builds_and_bottleneck_binds(dataset):
         probe = probe_bottleneck(spec)
         assert probe["issue"] is not None
         assert probe["node_id"] == spec.injected[0]
+
+
+def test_validated_facts_are_the_runs_first_decision(default_runs):
+    """The validator's facts are those of the `issue` and `gate_decision`
+    events that open the default run's trace, for datasets 0 and 1."""
+    runs = [(ep.spec, ep.trace) for ep in default_runs]
+    runs += [(spec, run_episode(spec, RunConfig())) for spec in generate_dataset(1)[1]]
+    for spec, trace in runs:
+        probe = validate_class_property(spec)
+        issue, decision = trace.events[:2]
+        assert (issue["agent"], issue["kind"]) == ("a0", "issue"), spec.episode_id
+        assert (decision["agent"], decision["kind"]) == ("a0", "gate_decision"), spec.episode_id
+        issue, decision = issue["payload"], decision["payload"]
+        run_facts = {
+            "issue": issue["issue"], "item": issue["item"], "node_id": issue["node_id"],
+            "fv": tuple(decision["fv"][k] for k in "CRILH"),
+            # only an escalation records the local plan's cost
+            "plan_cost": decision.get("local_plan_cost", probe["plan_cost"]),
+            "verdict": decision["verdict"], "tier": decision["tier"],
+            "score_norm": decision["score_norm"],
+        }
+        assert probe == run_facts, spec.episode_id
 
 
 def test_stations_sit_outside_requester_regions(dataset):
