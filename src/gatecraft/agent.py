@@ -50,6 +50,7 @@ from .solver import (
     CooldownTable,
     CoordinationOutcome,
     RecoveryPlan,
+    RecoveryStep,
     local_skip,
     plan_local_recovery,
 )
@@ -253,10 +254,10 @@ class AgentRuntime:
     agent_id: str
     state: PrivateState
     assigned: set[int]
-    mode: str = "standard"  # standard | recovering | coordinating | skipping | stalled
-    plan: RecoveryPlan | None = None
-    plan_idx: int = 0
-    plan_collect_goal: dict[int, int] = field(default_factory=dict)
+    # the recovery legs still to do: (step, item, count in hand that finishes it)
+    legs: list[tuple[RecoveryStep, str, int]] = field(default_factory=list)
+    # with a blockage, no window and no legs: skip work (True) or wait (False)
+    skipping: bool = False
     window: CoordinationWindow | None = None  # the one window this agent has open as requester
     skip_target: int | None = None
     skip_exhausted: set[int] = field(default_factory=set)
@@ -268,6 +269,20 @@ class AgentRuntime:
     script_cursor: int = 0
     script_choice: dict[int, str] = field(default_factory=dict)
     view_digest: str = ""
+
+    @property
+    def mode(self) -> str:
+        """The mode an action event traces, derived from the facts it names:
+        `coordinating` while the agent has a window open as requester,
+        `recovering` while recovery legs are left, `standard` with no
+        blockage, else `skipping` or `stalled`."""
+        if self.window is not None:
+            return "coordinating"
+        if self.legs:
+            return "recovering"
+        if self.state.blockage is None:
+            return "standard"
+        return "skipping" if self.skipping else "stalled"
 
 
 class EpisodeRuntime:
@@ -400,10 +415,10 @@ def _next_skip_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
 
 
 def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
-    """Translate the current recovery-plan leg into a concrete action."""
-    if rt.plan is None or rt.plan_idx >= len(rt.plan.steps):
+    """Translate the current recovery leg into a concrete action."""
+    if not rt.legs:
         return None
-    step_ = rt.plan.steps[rt.plan_idx]
+    step_ = rt.legs[0][0]
     me = ep.world.agents[rt.agent_id]
     if step_.op == "collect":
         ref = step_.source_ref
@@ -432,11 +447,8 @@ def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
 
 def _plan_leg_done(ep: EpisodeRuntime, rt: AgentRuntime) -> bool:
     """A leg is finished once its goods are in hand."""
-    step_ = rt.plan.steps[rt.plan_idx]
-    inv = ep.world.agents[rt.agent_id].inventory
-    if step_.op == "collect":
-        return inv.count(step_.item) >= rt.plan_collect_goal[rt.plan_idx]
-    return inv.count(rt.plan.item) >= max(1, rt.plan.count)
+    _, item, goal = rt.legs[0]
+    return ep.world.agents[rt.agent_id].inventory.count(item) >= goal
 
 
 def _responder_duty(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
@@ -510,7 +522,6 @@ def _abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> 
     if rt.state.task.active_subtask == node:
         rt.state.task.active_subtask = None
     rt.state.blockage = None
-    rt.mode = "standard"
     rt.regate_after = None
     rt.gate_pending = False
 
@@ -537,19 +548,17 @@ def _can_ever_retry(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageReco
 
 
 def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan) -> None:
-    rt.plan = plan
-    rt.plan_idx = 0
-    # per-leg inventory goals, so leg completion is checkable later
+    # a collect leg is done once its units are gathered, any other once the plan's goods are
     inv = ep.world.agents[rt.agent_id].inventory
-    rt.plan_collect_goal = {i: inv.count(s.item) + s.units for i, s in enumerate(plan.steps) if s.op == "collect"}
-    rt.mode = "recovering"
+    rt.legs = [(s, s.item, inv.count(s.item) + s.units) if s.op == "collect"
+               else (s, plan.item, max(1, plan.count)) for s in plan.steps]
     if rt.current_instance is not None:
         rt.current_instance.recovery_activated = True
 
 
 def _stall_or_abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> Action:
     """No plan and no skip work left: wait for a retry window or give the node up."""
-    rt.mode = "stalled"
+    rt.skipping = False
     entry = ep.cooldowns.entry(rt.agent_id, blockage.issue)
     if entry.consecutive_failures >= 2:
         if blockage.issue in MATERIAL_SHAPED_ISSUES or blockage.issue == IssueType.DEPENDENCY_BLOCK:
@@ -621,7 +630,6 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
             window, request = ep.new_window(
                 blockage.issue.value, rt.agent_id, target, item, max(1, blockage.count))
             rt.window = window
-            rt.mode = "coordinating"
             if rt.current_instance is not None:
                 rt.current_instance.windows_opened += 1
                 rt.current_instance.recovery_activated = True
@@ -633,30 +641,25 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
         action = _plan_step_action(ep, rt)
         if action is not None:
             return action
-        rt.plan = None
-        rt.mode = "stalled"
+        rt.legs = []
     skip = _next_skip_target(ep, rt)
     if skip is not None:
         rt.skip_target = skip
-        rt.mode = "skipping"
+        rt.skipping = True
         return Action.skip(skip)
     return _stall_or_abandon(ep, rt, blockage)
 
 
 def _advance_plan(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
-    while rt.plan is not None and rt.plan_idx < len(rt.plan.steps) and _plan_leg_done(ep, rt):
-        rt.plan_idx += 1
-    if rt.plan is None or rt.plan_idx >= len(rt.plan.steps):
-        rt.plan = None
-        rt.plan_idx = 0
-        rt.mode = "standard"
+    while rt.legs and _plan_leg_done(ep, rt):
+        del rt.legs[0]
+    if not rt.legs:
         return _resume_after_recovery(ep, rt)
     action = _plan_step_action(ep, rt)
     if action is None:
         # leg impossible (world changed); drop the plan and re-decide
-        rt.plan = None
-        rt.plan_idx = 0
-        rt.mode = "stalled"
+        rt.legs = []
+        rt.skipping = False
         rt.gate_pending = True
         return Action.idle()
     return action
@@ -685,7 +688,7 @@ def _resume_after_recovery(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
             return Action.idle()
     # plan ran dry without satisfying the requirement; re-enter the gate
     rt.gate_pending = True
-    rt.mode = "stalled"
+    rt.skipping = False
     return Action.idle()
 
 
@@ -700,8 +703,7 @@ def _skip_work_or_idle(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
     if rt.skip_target is None:
         nxt = _next_skip_target(ep, rt)
         if nxt is None:
-            if rt.mode == "skipping":
-                rt.mode = "stalled"
+            rt.skipping = False
             return Action.idle()
         rt.skip_target = nxt
         return Action.skip(nxt)
@@ -731,11 +733,8 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
         return rt, _skip_work_or_idle(ep, rt)
 
     blockage = rt.state.blockage
-    if blockage is None and rt.mode in ("skipping", "stalled", "coordinating"):
-        rt.mode = "standard"
+    if blockage is None and not rt.legs:
         rt.gate_pending = False
-
-    if blockage is None and rt.mode == "standard":
         target = _standard_target(ep, rt)
         if target is not None and rt.state.task.active_subtask != target:
             update_private_state(rt.state, StateEvent(kind="mode_reset", target_node=target))
@@ -754,18 +753,15 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
             })
 
     if blockage is not None:
-        if rt.mode == "standard" and not rt.gate_pending:
-            rt.gate_pending = True  # e.g. a delivery that only partially covered
-        if (rt.regate_after is not None and now >= rt.regate_after
-                and rt.mode in ("skipping", "stalled")):
+        if rt.legs:
+            return rt, _advance_plan(ep, rt)
+        if rt.regate_after is not None and now >= rt.regate_after:
             rt.regate_after = None
             if _can_ever_retry(ep, rt, blockage):
                 rt.gate_pending = True
-        if rt.mode == "recovering":
-            return rt, _advance_plan(ep, rt)
         if rt.gate_pending:
             return rt, _gate_and_route(ep, rt, view)
-        if rt.mode == "skipping":
+        if rt.skipping:
             return rt, _skip_work_or_idle(ep, rt)
         return rt, Action.idle()
 
@@ -790,10 +786,8 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
                 "issue": issue, "level": 0, "consecutive_failures": 0,
                 "expires_at": 0, "cause": "fulfilled",
             })
-        if rt.state.blockage is None:
-            rt.mode = "standard"
-        else:
-            rt.mode = "stalled"
+        if rt.state.blockage is not None:
+            rt.skipping = False
             rt.gate_pending = True  # delivery did not fully cover the need
         return
     outcome = (CoordinationOutcome.CANNOT_SUPPLY if window.state == WindowState.CANNOT_SUPPLY
@@ -805,7 +799,6 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     })
     blockage = rt.state.blockage
     if blockage is None:
-        rt.mode = "standard"
         return
     # mandatory local fallback, no fresh gate pass
     plan = None
@@ -814,7 +807,7 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     if plan is not None:
         _enter_recovery(ep, rt, plan)
         return
-    rt.mode = "skipping"
+    rt.skipping = True
     rt.skip_target = None
     rt.regate_after = entry.expires_at if entry.consecutive_failures < 2 else None
     if entry.consecutive_failures >= 2 and _next_skip_target(ep, rt) is None:
@@ -843,11 +836,10 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
     update_private_state(rt.state, StateEvent(kind="outcome", outcome=outcome))
     rt.last_outcome = outcome
 
-    if not outcome.ok and rt.mode == "recovering":
+    if not outcome.ok and rt.legs:
         # a recovery leg failed against the live world; replan from scratch
-        rt.plan = None
-        rt.plan_idx = 0
-        rt.mode = "stalled"
+        rt.legs = []
+        rt.skipping = False
         rt.gate_pending = True
 
     # transfers also update the recipient's private state
@@ -873,7 +865,6 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         if ep.world.node_placed(blockage.node_id):
             rt.state.blockage = None
             _close_instance(ep, rt)
-            rt.mode = "standard"
             rt.gate_pending = False
 
     # settle every open window after each applied action
