@@ -527,7 +527,8 @@ def _abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> 
 
 
 def _close_instance(ep: EpisodeRuntime, rt: AgentRuntime) -> None:
-    """Emit the resolved event for the agent's open issue, if any, and clear it."""
+    """Emit the resolved event for the agent's open issue, if any, and clear
+    it with the recovery legs left: the blockage they were for is gone."""
     inst = rt.current_instance
     if inst is None:
         return
@@ -539,6 +540,7 @@ def _close_instance(ep: EpisodeRuntime, rt: AgentRuntime) -> None:
         "duration": ep.world.sim_time - inst.blockage.detected_at,
     })
     rt.current_instance = None
+    rt.legs = []
     rt.regate_after = None
     rt.skip_exhausted.clear()
 
@@ -879,9 +881,9 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
     add only idle action/outcome pairs.
 
     The round qualifies when it traced nothing but idle action/outcome pairs
-    and leaves no window open, no `gate_pending`, no `regate_after` (even
-    one already due: it still triggers a retry gate pass) and no cooldown
-    entry with `expires_at >= sim_time`. The state after it is a fixed point:
+    and leaves no window open, no `gate_pending` and no `regate_after` (even
+    one already due: it still triggers a retry gate pass). The state after
+    it is a fixed point:
 
     - The world changes only through non-idle actions, and the board only
       through messages, so every view, and with `partition_on=False` every
@@ -889,8 +891,10 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       only the idle pairs' `step` and `obs_digest` show it.
     - The only reads that depend on time are window deadlines (none is
       open, and opening one is traced), `regate_after` (none is set) and
-      cooldown expiry and level (every entry has expired, so `blocked` and
-      `effective_level` no longer change).
+      cooldown expiry and level. The cooldown table is read only in a gate
+      pass, at a window close and when a `regate_after` falls due; with
+      nothing pending, set or open, none of these comes again, so a
+      cooldown that has not expired yet changes nothing.
     - Every `last_outcome` is now `idle`, so the support-failure branch of
       `detect_issue` cannot fire; its other branches read only the
       unchanged view and private state.
@@ -905,14 +909,11 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       standard branch in the same step, and a gate pass that the cooldown
       skips ends stalled with nothing pending. Each idles again.
     """
-    runtimes = ep.runtimes.values()
-    now = ep.world.sim_time
     return (
         all(e["kind"] == "outcome" or (e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle")
             for e in ep.trace.events[round_start:])
         and not ep.windows
-        and not any(rt.gate_pending or rt.regate_after is not None for rt in runtimes)
-        and all(e.expires_at < now for e in ep.cooldowns.entries.values())
+        and not any(rt.gate_pending or rt.regate_after is not None for rt in ep.runtimes.values())
     )
 
 

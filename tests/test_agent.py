@@ -194,11 +194,11 @@ def test_retry_after_an_idle_stretch_is_kept(dataset, monkeypatch):
     assert retried > 0
 
 
-def _hand_built(agents, blocks, assigned, partition, script, sources=()):
+def _hand_built(agents, blocks, assigned, partition, script, sources=(), edges=()):
     return EpisodeSpec(
         episode_id="hand", template_id=0, seed_index=0, class_label="D", variant="hand",
         agents={aid: {"position": pos, "inventory": {}} for aid, pos in agents.items()},
-        blocks=blocks, edges=[], assigned=assigned, partition=partition,
+        blocks=blocks, edges=list(edges), assigned=assigned, partition=partition,
         work_regions={aid: [pos, 12] for aid, pos in agents.items()},
         recipes=[r.to_dict() for r in default_recipes().recipes.values()],
         sources=list(sources), responder_script=script,
@@ -240,3 +240,39 @@ def test_idle_round_that_abandons_a_node_is_not_quiescent(monkeypatch):
     assert full[:len(early) - 1] == early[:-1]
     abandoned = [e for e in early if e["kind"] == "issue" and e["payload"]["event"] == "abandoned"]
     assert len(abandoned) == 3
+
+
+def test_an_unexpired_cooldown_does_not_hold_the_exit(dataset, monkeypatch):
+    """Cooldowns are read only by a gate pass, a window close and a due
+    retry, and a quiescent round leaves none of them to come, so a class-D
+    episode ends before its last refusal's cooldown expires."""
+    spec = _episodes_of_class(dataset, "D", limit=1)[0]
+    early = run_episode(spec, RunConfig()).events
+    expiry = max(e["payload"]["expires_at"] for e in early if e["kind"] == "cooldown_update")
+    end = early[-1]
+    assert end["payload"]["reason"] == "quiescent" and end["step"] < expiry
+    _full_budget(monkeypatch)
+    full = run_episode(spec, RunConfig()).events
+    assert full[:len(early) - 1] == early[:-1]
+    tail = full[len(early) - 1:-1]
+    assert tail and all(e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"
+                        or e["kind"] == "outcome" and e["payload"]["kind"] == "idle" for e in tail)
+
+
+def test_a_resolved_recovery_leaves_the_agent_free_to_detect(monkeypatch):
+    """a0 collects the planks it lacks for node 0, which resolves its issue
+    mid-plan; after placing node 0 its node 1 waits on a1's node 2, which
+    never lands, and a0 must detect that dependency block rather than idle
+    in a leftover recovery."""
+    spec = _hand_built(
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[0, "oak_planks", [1, 0, 1]], [1, "oak_planks", [2, 0, 1]],
+                [2, "cobblestone", [3, 0, 1]]],
+        assigned={"a0": [0, 1], "a1": [2]}, partition={}, script={"a1": ["silent"]},
+        sources=[["oak_planks", [0, 0, 2], 5]], edges=[[2, 1]],
+    )
+    events = run_episode(spec, RunConfig()).events
+    a0_issues = [(e["payload"]["event"], e["payload"]["issue"], e["payload"]["node_id"])
+                 for e in events if e["kind"] == "issue" and e["agent"] == "a0"]
+    assert a0_issues[:3] == [("detected", "missing_material", 0), ("resolved", "missing_material", 0),
+                             ("detected", "dependency_block", 2)]

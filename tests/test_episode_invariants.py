@@ -10,6 +10,9 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
 - every coordination message names an open window whose requester and
   responder are the message's two endpoints;
 - each agent's issue events alternate detected -> resolved | abandoned;
+- an agent with no open issue (before its first `detected`, and from each
+  `resolved`/`abandoned` to its next `detected`) acts in mode `standard` or
+  `coordinating`;
 - items are conserved: every successful outcome's deltas balance (`collect`
   moves one unit from a source or chest to the agent, `transfer` nets to
   zero across the two agents, `place` turns one unit into one placed block,
@@ -90,6 +93,8 @@ def check_episode_invariants(events) -> dict[int, dict]:
                 detected = open_issue.pop(e["agent"], None)
                 assert detected is not None, e
                 assert (p["issue"], p["node_id"]) == (detected["issue"], detected["node_id"]), e
+        elif kind == "action" and e["agent"] not in open_issue:
+            assert p["mode"] in ("standard", "coordinating"), e
     end = events[-1]["step"]
     for window in open_windows.values():
         assert end < window["deadline"], window
