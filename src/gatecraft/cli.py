@@ -146,23 +146,31 @@ def _as_bool(value) -> bool:
     return str(value).strip().lower() in ("1", "true", "yes", "on")
 
 
+def _given(ns, cfg: dict, settings) -> dict:
+    """`{name: convert(value)}` for each `(key, name, convert)` in `settings`
+    whose key a flag or the config file set. The config class owns the
+    defaults of the rest."""
+    return {name: convert(value) for key, name, convert in settings
+            if (value := _pick(ns, cfg, key, None)) is not None}
+
+
+_RUN_SETTINGS = (
+    ("no_partition", "partition_on", lambda value: not _as_bool(value)),
+    ("window_timeout", "window_timeout", int),
+    ("cooldown", "cooldown_duration", int),
+    ("step_budget", "step_budget", int),
+    ("seed", "seed", int),
+    ("allow_unvalidated", "allow_unvalidated", _as_bool),
+)
+
+
 def _run_config(ns, cfg: dict) -> RunConfig:
     weights = _pick(ns, cfg, "weights", None)
     thresholds = _pick(ns, cfg, "thresholds", None)
     tiers = _pick(ns, cfg, "tiers", None)
-    rules_on, score_on, adjudicator_on = (
-        _parse_tiers(tiers) if tiers is not None else (True, True, True))
-    kwargs = dict(
-        rules_on=rules_on,
-        score_on=score_on,
-        adjudicator_on=adjudicator_on,
-        partition_on=not _as_bool(_pick(ns, cfg, "no_partition", False)),
-        window_timeout=int(_pick(ns, cfg, "window_timeout", 20)),
-        cooldown_duration=int(_pick(ns, cfg, "cooldown", 30)),
-        step_budget=int(_pick(ns, cfg, "step_budget", 300)),
-        seed=int(_pick(ns, cfg, "seed", 0)),
-        allow_unvalidated=_as_bool(_pick(ns, cfg, "allow_unvalidated", False)),
-    )
+    kwargs = _given(ns, cfg, _RUN_SETTINGS)
+    if tiers is not None:
+        kwargs.update(zip(("rules_on", "score_on", "adjudicator_on"), _parse_tiers(tiers)))
     if weights is not None:
         kwargs["weights"] = GateWeights.from_sequence(
             _parse_numbers(weights, 5, "--weights", int))
@@ -363,9 +371,7 @@ def cmd_calibrate(ns, cfg: dict) -> int:
         calib_config = CalibrationConfig(
             weight_grid=[tuple(int(x) for x in w) for w in grid["weights"]],
             threshold_grid=[(float(lo), float(hi)) for lo, hi in grid["thresholds"]],
-            lam_time=float(_pick(ns, cfg, "lam_time", 0.1)),
-            lam_redundant=float(_pick(ns, cfg, "lam_redundant", 0.2)),
-            lam_llm=float(_pick(ns, cfg, "lam_llm", 0.05)),
+            **_given(ns, cfg, [(k, k, float) for k in ("lam_time", "lam_redundant", "lam_llm")]),
         )
     except ValueError as exc:
         raise UsageError(str(exc))

@@ -22,15 +22,6 @@ class IssueType(str, Enum):
     CO_CRAFT_REQUIRED = "co_craft_required"
 
 
-# Detection priority when several classes match at once (highest first).
-ISSUE_PRIORITY = (
-    IssueType.DEPENDENCY_BLOCK,
-    IssueType.CO_CRAFT_REQUIRED,
-    IssueType.TRANSFER_NEEDED,
-    IssueType.MISSING_MATERIAL,
-    IssueType.SUPPORT_FAILURE,
-)
-
 # Issues where the blockage is literally a missing item in hand; only these
 # clear when a verified inventory gain covers the requirement.
 MATERIAL_SHAPED_ISSUES = (

@@ -704,6 +704,9 @@ def _chain_depths(graph: TaskGraph, placed: set[int]) -> dict[int, int]:
 
 
 def _longest_chain(graph: TaskGraph, depth: dict[int, int]) -> list[int]:
+    """The longest prerequisite chain through unplaced nodes. Ties resolve to
+    the lexicographically smallest node-id sequence among the longest paths
+    (equivalently: smallest id at every choice point)."""
     if not depth:
         return []
     max_depth = max(depth.values())
@@ -716,15 +719,6 @@ def _longest_chain(graph: TaskGraph, depth: dict[int, int]) -> list[int]:
         cur = min(nxt)
         path.append(cur)
     return path
-
-
-def critical_path(graph: TaskGraph, placed: set[int]) -> list[int]:
-    """Longest prerequisite chain through unplaced nodes.
-
-    Ties resolve to the lexicographically smallest node-id sequence among the
-    longest paths (equivalently: smallest id at every choice point).
-    """
-    return _longest_chain(graph, _chain_depths(graph, placed))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from gatecraft import (
     default_recipes,
     observe,
 )
-from gatecraft.world import critical_path, criticality_of, travel_steps
+from gatecraft.world import criticality_of, travel_steps
 
 from conftest import make_world, plan_for
 
@@ -80,9 +80,13 @@ def test_task_graph_rejects_cycles_and_unknown_edges():
 def test_critical_path_prefers_smallest_ids_on_ties():
     # two parallel chains of equal length: 0->2 and 1->3
     g = TaskGraph([0, 1, 2, 3], [(0, 2), (1, 3)])
-    assert critical_path(g, placed=set()) == [0, 2]
+
+    def on_path(placed):
+        return [n for n in range(4) if n not in placed and criticality_of(g, n, placed).on_critical_path]
+
+    assert on_path(set()) == [0, 2]
     # placing the head of one chain shifts the longest unplaced chain
-    assert critical_path(g, placed={0}) == [1, 3]
+    assert on_path({0}) == [1, 3]
 
 
 def test_criticality_of_reports_path_membership():
