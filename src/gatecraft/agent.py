@@ -735,7 +735,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
         return rt, _skip_work_or_idle(ep, rt)
 
     blockage = rt.state.blockage
-    if blockage is None and not rt.legs:
+    if blockage is None:  # no recovery legs either: they go with the issue
         rt.gate_pending = False
         target = _standard_target(ep, rt)
         if target is not None and rt.state.task.active_subtask != target:
