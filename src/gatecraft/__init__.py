@@ -34,7 +34,6 @@ from .memory import (
     BlockageRecord,
     IssueType,
     PrivateState,
-    StateEvent,
     detect_issue,
     update_private_state,
 )
@@ -70,6 +69,7 @@ from .scenarios import EpisodeSpec, generate_dataset, validate_class_property
 from .harness import (
     CalibrationConfig,
     EpisodeMetrics,
+    adjudicator_replies,
     aggregate,
     calibrate,
     compute_metrics,
@@ -107,13 +107,13 @@ __all__ = [
     "RunConfig",
     "ScriptedAdjudicator",
     "Source",
-    "StateEvent",
     "TaskGraph",
     "Trace",
     "VerifiedOutcome",
     "WindowState",
     "WorldState",
     "WorldView",
+    "adjudicator_replies",
     "aggregate",
     "apply_action",
     "blueprint_completion",

@@ -28,7 +28,6 @@ from .memory import (
     BlockageRecord,
     IssueType,
     PrivateState,
-    StateEvent,
     detect_issue,
     update_private_state,
 )
@@ -60,7 +59,6 @@ from .world import (
     Action,
     CoordinationMessage,
     PlanInfo,
-    Position,
     VerifiedOutcome,
     WorldState,
     apply_action,
@@ -262,8 +260,9 @@ class AgentRuntime:
     skip_target: int | None = None
     skip_exhausted: set[int] = field(default_factory=set)
     abandoned: set[int] = field(default_factory=set)
-    gate_pending: bool = False
-    regate_after: int | None = None
+    # the sim time from which the next step passes the gate, or None: a pass
+    # due at once stores the time it was set, a retry the cooldown's expiry
+    gate_at: int | None = None
     last_outcome: VerifiedOutcome | None = None
     current_instance: IssueInstance | None = None
     script_cursor: int = 0
@@ -305,10 +304,9 @@ class EpisodeRuntime:
         self.runtimes: dict[str, AgentRuntime] = {}
         self.advertised: dict[str, dict[str, int]] = {}
         for aid in sorted(self.world.agents):
-            rt = AgentRuntime(agent_id=aid, state=PrivateState(agent_id=aid),
-                              assigned=set(spec.assigned.get(aid, [])))
-            update_private_state(rt.state, StateEvent(kind="init", view=self.view_for(aid)))
-            self.runtimes[aid] = rt
+            state = PrivateState(agent_id=aid, inventory=self.world.agents[aid].inventory.copy())
+            self.runtimes[aid] = AgentRuntime(agent_id=aid, state=state,
+                                              assigned=set(spec.assigned.get(aid, [])))
 
     # -- views -------------------------------------------------------------
 
@@ -362,13 +360,12 @@ class EpisodeRuntime:
 # ---------------------------------------------------------------------------
 
 
-def _choose_escalation_target(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> str | None:
+def _choose_escalation_target(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> str:
     """Best responder: the blocked dependency's assignee, else the designated or
-    advertised holder of the item, else the nearest teammate."""
+    advertised holder of the item, else the nearest teammate. Only a gate
+    pass with a teammate to ask can escalate, so there is one."""
     me = ep.world.agents[rt.agent_id]
     others = [a for a in sorted(ep.world.agents) if a != rt.agent_id]
-    if not others:
-        return None
     if blockage.issue == IssueType.DEPENDENCY_BLOCK:
         assignee = ep.plan_info.assignments.get(blockage.node_id)
         if assignee and assignee != rt.agent_id:
@@ -414,32 +411,21 @@ def _next_skip_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
     return local_skip(rt.state, ep.graph, placed, blocked=blocked, allowed=allowed)
 
 
-def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
-    """Translate the current recovery leg into a concrete action."""
-    if not rt.legs:
-        return None
+def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
+    """Translate the current recovery leg into a concrete action. The planner
+    took the source or chest index, the recipe and the station from this
+    world, so each lookup succeeds."""
     step_ = rt.legs[0][0]
     me = ep.world.agents[rt.agent_id]
     if step_.op == "collect":
         ref = step_.source_ref
-        pos: Position | None = None
-        if ref and ref[0] == "source" and 0 <= ref[1] < len(ep.world.sources):
-            pos = ep.world.sources[ref[1]].position
-        elif ref and ref[0] == "chest" and 0 <= ref[1] < len(ep.world.chests):
-            pos = ep.world.chests[ref[1]].position
-        if pos is None:
-            return None
+        pos = (ep.world.sources if ref[0] == "source" else ep.world.chests)[ref[1]].position
         if within(me.position, pos, INTERACTION_RADIUS):
             return Action.collect(tuple(ref))
         return Action.move(pos)
-    recipe = ep.recipes.get(step_.recipe_id or "")
-    if recipe is None:
-        return None
+    recipe = ep.recipes.recipes[step_.recipe_id]
     if recipe.station is not None:
-        stations = ep.world.stations_of(recipe.station)
-        if not stations:
-            return None
-        pos = min(stations, key=lambda p: (dist_sq(me.position, p), p))
+        pos = min(ep.world.stations_of(recipe.station), key=lambda p: (dist_sq(me.position, p), p))
         if not within(me.position, pos, INTERACTION_RADIUS):
             return Action.move(pos)
     return Action.craft(step_.recipe_id) if recipe.kind == "craft" else Action.smelt(step_.recipe_id)
@@ -516,14 +502,12 @@ def _abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> 
     inst = rt.current_instance
     ep.trace.emit(ep.world.sim_time, rt.agent_id, "issue",
                   {"event": "abandoned", "issue": blockage.issue.value, "node_id": node,
-                   "windows": inst.windows_opened if inst else 0,
-                   "recovery_activated": inst.recovery_activated if inst else False})
+                   "windows": inst.windows_opened, "recovery_activated": inst.recovery_activated})
     rt.current_instance = None
-    if rt.state.task.active_subtask == node:
-        rt.state.task.active_subtask = None
+    if rt.state.active_subtask == node:
+        rt.state.active_subtask = None
     rt.state.blockage = None
-    rt.regate_after = None
-    rt.gate_pending = False
+    rt.gate_at = None
 
 
 def _close_instance(ep: EpisodeRuntime, rt: AgentRuntime) -> None:
@@ -541,12 +525,8 @@ def _close_instance(ep: EpisodeRuntime, rt: AgentRuntime) -> None:
     })
     rt.current_instance = None
     rt.legs = []
-    rt.regate_after = None
+    rt.gate_at = None
     rt.skip_exhausted.clear()
-
-
-def _can_ever_retry(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> bool:
-    return ep.cooldowns.entry(rt.agent_id, blockage.issue).consecutive_failures < 2
 
 
 def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan) -> None:
@@ -554,8 +534,7 @@ def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan) ->
     inv = ep.world.agents[rt.agent_id].inventory
     rt.legs = [(s, s.item, inv.count(s.item) + s.units) if s.op == "collect"
                else (s, plan.item, max(1, plan.count)) for s in plan.steps]
-    if rt.current_instance is not None:
-        rt.current_instance.recovery_activated = True
+    rt.current_instance.recovery_activated = True
 
 
 def _stall_or_abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> Action:
@@ -566,7 +545,7 @@ def _stall_or_abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRe
         if blockage.issue in MATERIAL_SHAPED_ISSUES or blockage.issue == IssueType.DEPENDENCY_BLOCK:
             _abandon(ep, rt, blockage)
     elif entry.expires_at > ep.world.sim_time:
-        rt.regate_after = entry.expires_at
+        rt.gate_at = entry.expires_at
     return Action.idle()
 
 
@@ -597,8 +576,7 @@ def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> tupl
 def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     """Featurize the blockage, run the gate, and route the verdict."""
     blockage = rt.state.blockage
-    assert blockage is not None
-    rt.gate_pending = False
+    rt.gate_at = None
     now = ep.world.sim_time
 
     material_issue = blockage.issue in MATERIAL_SHAPED_ISSUES
@@ -627,23 +605,17 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
 
     if verdict == "escalate":
         target = _choose_escalation_target(ep, rt, blockage)
-        if target is not None:
-            item = blockage.item or ep.plan_info.materials.get(blockage.node_id, "")
-            window, request = ep.new_window(
-                blockage.issue.value, rt.agent_id, target, item, max(1, blockage.count))
-            rt.window = window
-            if rt.current_instance is not None:
-                rt.current_instance.windows_opened += 1
-                rt.current_instance.recovery_activated = True
-            return Action.send_message(request)
-        # nobody to ask; fall through to the local routes
+        item = blockage.item or ep.plan_info.materials.get(blockage.node_id, "")
+        window, request = ep.new_window(
+            blockage.issue.value, rt.agent_id, target, item, max(1, blockage.count))
+        rt.window = window
+        rt.current_instance.windows_opened += 1
+        rt.current_instance.recovery_activated = True
+        return Action.send_message(request)
 
     if material_issue and plan is not None:
         _enter_recovery(ep, rt, plan)
-        action = _plan_step_action(ep, rt)
-        if action is not None:
-            return action
-        rt.legs = []
+        return _plan_step_action(ep, rt)
     skip = _next_skip_target(ep, rt)
     if skip is not None:
         rt.skip_target = skip
@@ -653,45 +625,23 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
 
 
 def _advance_plan(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
-    while rt.legs and _plan_leg_done(ep, rt):
+    """Drop the finished legs and act on the next one. The last leg's goal is
+    the blockage's own need, so finishing it clears the blockage through the
+    outcome trigger, and `_close_instance` drops the legs in the same
+    `_post_action`: the legs never run dry here."""
+    while _plan_leg_done(ep, rt):
         del rt.legs[0]
-    if not rt.legs:
-        return _resume_after_recovery(ep, rt)
-    action = _plan_step_action(ep, rt)
-    if action is None:
-        # leg impossible (world changed); drop the plan and re-decide
-        rt.legs = []
-        rt.skipping = False
-        rt.gate_pending = True
-        return Action.idle()
-    return action
+    return _plan_step_action(ep, rt)
 
 
 def _work_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
     """Build toward the active subtask, else the next ready assigned node."""
-    target = rt.state.task.active_subtask
+    target = rt.state.active_subtask
     if target is None or ep.world.node_placed(target) or target in rt.abandoned:
         target = _standard_target(ep, rt)
         if target is None:
             return Action.idle()
     return _build_toward(ep, rt, target)
-
-
-def _resume_after_recovery(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
-    blockage = rt.state.blockage
-    if blockage.issue in MATERIAL_SHAPED_ISSUES and blockage.item:
-        have = ep.world.agents[rt.agent_id].inventory.count(blockage.item)
-        if have >= max(1, blockage.count):
-            rt.state.blockage = None
-            _close_instance(ep, rt)
-            target = rt.state.task.active_subtask
-            if target is not None and not ep.world.node_placed(target):
-                return _build_toward(ep, rt, target)
-            return Action.idle()
-    # plan ran dry without satisfying the requirement; re-enter the gate
-    rt.gate_pending = True
-    rt.skipping = False
-    return Action.idle()
 
 
 def _skip_work_or_idle(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
@@ -735,11 +685,10 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
         return rt, _skip_work_or_idle(ep, rt)
 
     blockage = rt.state.blockage
-    if blockage is None:  # no recovery legs either: they go with the issue
-        rt.gate_pending = False
+    if blockage is None:  # no recovery legs or gate time either: they go with the issue
         target = _standard_target(ep, rt)
-        if target is not None and rt.state.task.active_subtask != target:
-            update_private_state(rt.state, StateEvent(kind="mode_reset", target_node=target))
+        if target is not None:
+            rt.state.active_subtask = target
         issue = detect_issue(
             rt.state, view, ep.graph, ep.recipes,
             last_outcome=rt.last_outcome, ignore=rt.abandoned,
@@ -747,7 +696,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
         if issue is not None:
             rt.state.blockage = issue
             blockage = issue
-            rt.gate_pending = True
+            rt.gate_at = now
             rt.current_instance = IssueInstance(blockage=issue)
             ep.trace.emit(now, rt.agent_id, "issue", {
                 "event": "detected", "issue": issue.issue.value, "node_id": issue.node_id,
@@ -757,11 +706,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
     if blockage is not None:
         if rt.legs:
             return rt, _advance_plan(ep, rt)
-        if rt.regate_after is not None and now >= rt.regate_after:
-            rt.regate_after = None
-            if _can_ever_retry(ep, rt, blockage):
-                rt.gate_pending = True
-        if rt.gate_pending:
+        if rt.gate_at is not None and now >= rt.gate_at:
             return rt, _gate_and_route(ep, rt, view)
         if rt.skipping:
             return rt, _skip_work_or_idle(ep, rt)
@@ -790,7 +735,7 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
             })
         if rt.state.blockage is not None:
             rt.skipping = False
-            rt.gate_pending = True  # delivery did not fully cover the need
+            rt.gate_at = now  # delivery did not fully cover the need
         return
     outcome = (CoordinationOutcome.CANNOT_SUPPLY if window.state == WindowState.CANNOT_SUPPLY
                else CoordinationOutcome.TIMEOUT)
@@ -811,7 +756,7 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
         return
     rt.skipping = True
     rt.skip_target = None
-    rt.regate_after = entry.expires_at if entry.consecutive_failures < 2 else None
+    rt.gate_at = entry.expires_at if entry.consecutive_failures < 2 else None
     if entry.consecutive_failures >= 2 and _next_skip_target(ep, rt) is None:
         _abandon(ep, rt, blockage)
 
@@ -835,19 +780,19 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
             ep.advertised.setdefault(msg.sender, {})[msg.item] = max(msg.count, spare)
 
     # private-state trigger: own verified outcome
-    update_private_state(rt.state, StateEvent(kind="outcome", outcome=outcome))
+    update_private_state(rt.state, outcome)
     rt.last_outcome = outcome
 
     if not outcome.ok and rt.legs:
         # a recovery leg failed against the live world; replan from scratch
         rt.legs = []
         rt.skipping = False
-        rt.gate_pending = True
+        rt.gate_at = ep.world.sim_time
 
     # transfers also update the recipient's private state
     if outcome.ok and outcome.kind == "transfer" and action.to_agent:
         recipient = ep.runtimes[action.to_agent]
-        update_private_state(recipient.state, StateEvent(kind="outcome", outcome=outcome))
+        update_private_state(recipient.state, outcome)
         if recipient.state.blockage is None and recipient.current_instance is not None:
             _close_instance(ep, recipient)
         ep.advertised.get(rt.agent_id, {}).pop(action.item, None)
@@ -867,7 +812,6 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         if ep.world.node_placed(blockage.node_id):
             rt.state.blockage = None
             _close_instance(ep, rt)
-            rt.gate_pending = False
 
     # settle every open window after each applied action
     for window in ep.open_windows():
@@ -881,8 +825,8 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
     add only idle action/outcome pairs.
 
     The round qualifies when it traced nothing but idle action/outcome pairs
-    and leaves no window open, no `gate_pending` and no `regate_after` (even
-    one already due: it still triggers a retry gate pass). The state after
+    and leaves no window open and no agent with a `gate_at` (even one
+    already due: the gate pass it triggers has not run yet). The state after
     it is a fixed point:
 
     - The world changes only through non-idle actions, and the board only
@@ -890,16 +834,16 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       digest's board tail, stays the same. `sim_time` still advances, but
       only the idle pairs' `step` and `obs_digest` show it.
     - The only reads that depend on time are window deadlines (none is
-      open, and opening one is traced), `regate_after` (none is set) and
+      open, and opening one is traced), `gate_at` (none is set) and
       cooldown expiry and level. The cooldown table is read only in a gate
-      pass, at a window close and when a `regate_after` falls due; with
-      nothing pending, set or open, none of these comes again, so a
-      cooldown that has not expired yet changes nothing.
+      pass and at a window close; with no `gate_at` set and no window
+      open, neither comes again, so a cooldown that has not expired yet
+      changes nothing.
     - Every `last_outcome` is now `idle`, so the support-failure branch of
       `detect_issue` cannot fire; its other branches read only the
       unchanged view and private state.
-    - The adjudicator is reached only through `gate_pending`, and none is
-      set.
+    - The adjudicator is reached only through a gate pass, which needs a
+      `gate_at`, and none is set.
     - Whatever the next round would act on is traced: detections, gate
       decisions, abandonments, resolutions, window closes and cooldown
       updates (an abandoned node frees the next target; a window that times
@@ -913,7 +857,7 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
         all(e["kind"] == "outcome" or (e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle")
             for e in ep.trace.events[round_start:])
         and not ep.windows
-        and not any(rt.gate_pending or rt.regate_after is not None for rt in ep.runtimes.values())
+        and all(rt.gate_at is None for rt in ep.runtimes.values())
     )
 
 

@@ -255,6 +255,14 @@ def _format_table(rows: list[dict], columns: list[str]) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+    """One header line, then one line per row; a missing or None value is empty."""
+    lines = [",".join(columns)]
+    for r in rows:
+        lines.append(",".join("" if r.get(c) is None else str(r[c]) for c in columns))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def cmd_gen(ns, cfg: dict) -> int:
     seed = int(_pick(ns, cfg, "seed", 0))
     out = _out_dir(ns, cfg)
@@ -322,10 +330,7 @@ def cmd_ablate(ns, cfg: dict) -> int:
 
     columns = ["variant", "tsr", "cs", "ecr", "msg", "escalations",
                "adjudicator_calls", "token_cost"]
-    lines = [",".join(columns)]
-    for r in rows:
-        lines.append(",".join("" if r[c] is None else str(r[c]) for c in columns))
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "ablation.csv", rows, columns)
     print(_format_table(rows, columns))
     _print_runs(simulated, total)
     print(f"wrote {out / 'ablation.csv'}")
@@ -441,10 +446,7 @@ def cmd_report(ns, cfg: dict) -> int:
     print(f"{len(metrics)} episodes from {traces_dir}")
     print(_format_table(rows, columns))
 
-    lines = [",".join(columns)]
-    for r in rows:
-        lines.append(",".join("" if r.get(c) is None else str(r.get(c, "")) for c in columns))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "summary.csv", rows, columns)
     print(f"wrote {out / 'summary.csv'}")
 
     ablation = out / "ablation.csv"

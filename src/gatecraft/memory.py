@@ -1,8 +1,8 @@
 """Per-agent private execution state and deterministic issue detection.
 
-The private state is updated only on trigger events (init, verified action
-outcomes, mode-level resets) and never from another agent's unverified
-claims. Replaying the same ordered events always rebuilds the same state.
+The private state's inventory and blockage change only through the agent's
+own verified action outcomes (and a transfer's outcome for its recipient),
+never through another agent's unverified claims.
 """
 
 from __future__ import annotations
@@ -41,78 +41,34 @@ class BlockageRecord:
 
 
 @dataclass
-class TaskFocus:
-    """T_t: the active subtask."""
-
-    active_subtask: int | None = None  # node id
-
-
-@dataclass
 class PrivateState:
-    """m_priv = <inventory, task focus, blockage>."""
+    """m_priv = <inventory, active subtask (node id), blockage>."""
 
     agent_id: str
     inventory: Inventory = field(default_factory=Inventory)
-    task: TaskFocus = field(default_factory=TaskFocus)
+    active_subtask: int | None = None
     blockage: BlockageRecord | None = None
 
 
-@dataclass(frozen=True)
-class StateEvent:
-    """A private-state trigger event.
-
-    kind: "init" (needs `view`) | "outcome" (needs `outcome`) | "mode_reset"
-    (sets the active subtask to `target_node`)
-    The event carries everything the update needs, so a replay of the same
-    ordered events reconstructs the same state.
-    """
-
-    kind: str
-    view: WorldView | None = None
-    outcome: VerifiedOutcome | None = None
-    target_node: int | None = None
-
-
-def update_private_state(state: PrivateState, event: StateEvent) -> PrivateState:
-    """Apply one trigger event in place and return the state."""
-    if event.kind == "init":
-        view = event.view
-        if view is None:
-            raise ValueError("init event requires a view")
-        state.inventory = view.inventory.copy()
-        state.task = TaskFocus()
-        state.blockage = None
-        return state
-
-    if event.kind == "outcome":
-        out = event.outcome
-        if out is None:
-            raise ValueError("outcome event requires a VerifiedOutcome")
-        deltas = out.deltas or {}
-        inv_deltas = deltas.get("inventory", {}).get(state.agent_id)
-        if inv_deltas:
-            for item, n in inv_deltas.items():
-                if n >= 0:
-                    state.inventory.add(item, n)
-                else:
-                    state.inventory.remove(item, -n)
-        if out.ok and out.kind == "place" and out.node_id is not None:
-            if state.blockage and state.blockage.node_id == out.node_id:
-                state.blockage = None
-            if state.task.active_subtask == out.node_id:
-                state.task.active_subtask = None
-        if state.blockage and state.blockage.item and state.blockage.issue in MATERIAL_SHAPED_ISSUES:
-            # A verified inventory gain can satisfy the missing requirement.
-            if state.inventory.count(state.blockage.item) >= max(1, state.blockage.count):
-                state.blockage = None
-        return state
-
-    if event.kind == "mode_reset":
-        if event.target_node is not None:
-            state.task.active_subtask = event.target_node
-        return state
-
-    raise ValueError(f"unknown state event kind {event.kind!r}")
+def update_private_state(state: PrivateState, outcome: VerifiedOutcome) -> PrivateState:
+    """Apply one verified action outcome in place and return the state."""
+    inv_deltas = outcome.deltas.get("inventory", {}).get(state.agent_id)
+    if inv_deltas:
+        for item, n in inv_deltas.items():
+            if n >= 0:
+                state.inventory.add(item, n)
+            else:
+                state.inventory.remove(item, -n)
+    if outcome.ok and outcome.kind == "place" and outcome.node_id is not None:
+        if state.blockage and state.blockage.node_id == outcome.node_id:
+            state.blockage = None
+        if state.active_subtask == outcome.node_id:
+            state.active_subtask = None
+    if state.blockage and state.blockage.item and state.blockage.issue in MATERIAL_SHAPED_ISSUES:
+        # A verified inventory gain can satisfy the missing requirement.
+        if state.inventory.count(state.blockage.item) >= max(1, state.blockage.count):
+            state.blockage = None
+    return state
 
 
 def _local_route_exists(view: WorldView, state: PrivateState, item: str, recipes) -> bool:
@@ -166,7 +122,7 @@ def detect_issue(
                         item=materials.get(p), count=1, detected_at=view.sim_time,
                     )
 
-    target = state.task.active_subtask
+    target = state.active_subtask
     if target is None or target in placed or target in ignore:
         target = ready[0] if ready else None
     if target is None:

@@ -78,7 +78,6 @@ class CoordinationWindow:
     state: WindowState = WindowState.OPEN
     messages: list[CoordinationMessage] = field(default_factory=list)
     transfer_done: bool = False
-    closed_at: int | None = None
 
     def append(self, msg: CoordinationMessage) -> None:
         if self.state != WindowState.OPEN:
@@ -186,9 +185,6 @@ def settle_window(window: CoordinationWindow, now: int) -> WindowState:
         window.state = WindowState.FULFILLED
     elif now >= window.deadline:
         window.state = WindowState.TIMED_OUT
-    else:
-        return window.state
-    window.closed_at = now
     return window.state
 
 

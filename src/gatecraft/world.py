@@ -299,8 +299,6 @@ class Action:
     to_agent: str | None = None  # transfer
     message: CoordinationMessage | None = None  # send_message
 
-    KINDS = ("move", "place", "collect", "craft", "smelt", "transfer", "send_message", "skip", "idle")
-
     @staticmethod
     def move(target: Position) -> "Action":
         return Action(kind="move", target=target)

@@ -154,8 +154,8 @@ def _first_idle_round_end(events) -> int:
 
 
 def test_a_due_regate_is_not_quiescent(dataset, monkeypatch):
-    """A set `regate_after` blocks the exit even once it is due: the retry
-    gate pass it triggers has not run yet."""
+    """A set `gate_at` blocks the exit even once it is due: the gate pass it
+    triggers has not run yet."""
     spec = _episodes_of_class(dataset, "D", limit=1)[0]
     real = agent._quiescent
     verdicts = []
@@ -166,9 +166,9 @@ def test_a_due_regate_is_not_quiescent(dataset, monkeypatch):
             rt = ep.runtimes["a0"]
             now = ep.world.sim_time
             for due in (0, now - 1, now, now + 1):
-                rt.regate_after = due
+                rt.gate_at = due
                 verdicts.append(real(ep, round_start))
-            rt.regate_after = None
+            rt.gate_at = None
         return quiet
 
     monkeypatch.setattr(agent, "_quiescent", spy)
@@ -194,14 +194,14 @@ def test_retry_after_an_idle_stretch_is_kept(dataset, monkeypatch):
     assert retried > 0
 
 
-def _hand_built(agents, blocks, assigned, partition, script, sources=(), edges=()):
+def _hand_built(agents, blocks, assigned, partition, script, sources=(), edges=(), chests=()):
     return EpisodeSpec(
         episode_id="hand", template_id=0, seed_index=0, class_label="D", variant="hand",
         agents={aid: {"position": pos, "inventory": {}} for aid, pos in agents.items()},
         blocks=blocks, edges=list(edges), assigned=assigned, partition=partition,
         work_regions={aid: [pos, 12] for aid, pos in agents.items()},
         recipes=[r.to_dict() for r in default_recipes().recipes.values()],
-        sources=list(sources), responder_script=script,
+        sources=list(sources), chests=list(chests), responder_script=script,
     )
 
 
@@ -276,3 +276,61 @@ def test_a_resolved_recovery_leaves_the_agent_free_to_detect(monkeypatch):
                  for e in events if e["kind"] == "issue" and e["agent"] == "a0"]
     assert a0_issues[:3] == [("detected", "missing_material", 0), ("resolved", "missing_material", 0),
                              ("detected", "dependency_block", 2)]
+
+
+def test_a_dependency_block_resolves_when_the_teammate_places_the_blocker():
+    """a0's node 1 waits on a1's node 2; a1 collects cobblestone from its own
+    source and places node 2, and a0's next action resolves the block."""
+    spec = _hand_built(
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [10, 0, 1]]],
+        assigned={"a0": [1], "a1": [2]}, partition={}, script={},
+        sources=[["oak_planks", [0, 0, 2], 2], ["cobblestone", [12, 0, 2], 2]], edges=[[2, 1]],
+    )
+    events = run_episode(spec, RunConfig()).events
+    placed_2 = next(e["step"] for e in events if e["kind"] == "action" and e["agent"] == "a1"
+                    and e["payload"]["action"] == {"kind": "place", "node_id": 2})
+    a0_blocks = [(e["step"], e["payload"]["event"]) for e in events if e["kind"] == "issue"
+                 and e["agent"] == "a0" and e["payload"]["issue"] == "dependency_block"]
+    assert [event for _, event in a0_blocks] == ["detected", "resolved"]
+    assert a0_blocks[1][0] > placed_2
+    assert events[-1]["payload"]["completion"] == 1.0
+
+
+def test_a_recovery_leg_collects_from_a_chest():
+    """A chest holds the only sandstone; a0's local plan collects it there."""
+    spec = _hand_built(
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[0, "sandstone", [1, 0, 1]]], assigned={"a0": [0]}, partition={}, script={},
+        chests=[[[0, 0, 3], {"sandstone": 1}]],
+    )
+    events = run_episode(spec, RunConfig()).events
+    a0_actions = [e["payload"]["action"] for e in events if e["kind"] == "action" and e["agent"] == "a0"]
+    assert {"kind": "collect", "source": ["chest", 0, "sandstone"]} in a0_actions
+    assert a0_actions[-1] == {"kind": "place", "node_id": 0}
+    assert events[-1]["payload"]["completion"] == 1.0
+
+
+def test_a_failed_recovery_leg_drops_the_legs_and_regates():
+    """a0 and a1 both plan to collect the one unit of sandstone; a1 gets there
+    second, its collect fails with source_empty, and its next step passes
+    the gate again instead of retrying the drained source."""
+    spec = _hand_built(
+        agents={"a0": [0, 0, 0], "a1": [2, 0, 0]},
+        blocks=[[0, "sandstone", [0, 0, 1]], [1, "sandstone", [2, 0, 1]]],
+        assigned={"a0": [0], "a1": [1]}, partition={}, script={},
+        sources=[["sandstone", [1, 0, 3], 1]],
+    )
+    events = run_episode(spec, RunConfig()).events
+    failed = next(i for i, e in enumerate(events)
+                  if e["kind"] == "outcome" and e["payload"]["status"] == "failure")
+    assert events[failed]["agent"] == "a1"
+    assert (events[failed]["payload"]["kind"], events[failed]["payload"]["reason"]) == \
+        ("collect", "source_empty")
+    a1_before = [e for e in events[:failed] if e["agent"] == "a1" and e["kind"] == "gate_decision"]
+    assert [e["payload"]["verdict"] for e in a1_before] == ["stay_local"]
+    a1_after = [e for e in events[failed + 1:] if e["agent"] == "a1"]
+    assert a1_after[0]["kind"] == "gate_decision"
+    next_action = next(e for e in a1_after if e["kind"] == "action")
+    assert next_action["step"] == a1_after[0]["step"]
+    assert next_action["payload"]["mode"] != "recovering"

@@ -10,12 +10,10 @@ import pytest
 from gatecraft import (
     IssueType,
     PrivateState,
-    StateEvent,
     extract_features,
     gate_decide,
     observe,
     tier1_rules,
-    update_private_state,
 )
 from gatecraft.gate import (
     MAX_REPLY_BYTES,
@@ -280,8 +278,7 @@ def _featurize(world, plan, agent_id="a0", cooldowns=None):
     from gatecraft import detect_issue
 
     view = observe(world, agent_id, plan=plan)
-    state = PrivateState(agent_id=agent_id)
-    update_private_state(state, StateEvent(kind="init", view=view))
+    state = PrivateState(agent_id=agent_id, inventory=view.inventory)
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None
     return extract_features(view, world.graph, state, TeamPublicView(), cooldowns or CooldownTable(),

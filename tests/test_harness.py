@@ -138,7 +138,7 @@ def test_compute_metrics_counts_synthetic_trace():
             7,
             "a0",
             "window_state",
-            dict(window, event="closed", state="fulfilled", closed_at=7),
+            dict(window, event="closed", state="fulfilled"),
         ),
         (
             8,

@@ -1,6 +1,7 @@
-"""Source hygiene: every import in `src/` and `tests/` is used, importing
-the command line loads no network or process-pool module, and the
-benchmark's per-layer wrappers still find what they wrap.
+"""Source hygiene: every import in `src/` and `tests/` is used, every
+module-level name in `src/gatecraft` is used in `src/` or exported,
+importing the command line loads no network or process-pool module, and
+the benchmark's per-layer wrappers still find what they wrap.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -40,6 +41,45 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     problems = [p for f in files if f.name != "__init__.py" for p in unused_imports(f)]
     assert not problems, "unused imports:\n" + "\n".join(problems)
+
+
+def module_level_names(path: Path) -> dict[str, int]:
+    """Functions, classes and assigned names defined at a module's top level,
+    dunders aside, with their line numbers."""
+    names: dict[str, int] = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return {n: line for n, line in names.items() if not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_every_module_level_name_is_used_or_exported():
+    """No API that only tests call: a name defined at the top of a module in
+    `src/gatecraft` is read somewhere in `src/` (as a name or an attribute)
+    or listed in `gatecraft.__all__`."""
+    package = ROOT / "src" / "gatecraft"
+    files = sorted((ROOT / "src").rglob("*.py"))
+    used: set[str] = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(), filename=str(f))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = next(set(ast.literal_eval(node.value)) for node in init.body
+                    if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    problems = [f"{f.relative_to(ROOT)}:{line}: {name}"
+                for f in sorted(package.glob("*.py")) if f.name != "__init__.py"
+                for name, line in module_level_names(f).items()
+                if name not in used and name not in exported]
+    assert not problems, "defined but neither used in src/ nor exported:\n" + "\n".join(problems)
 
 
 def test_cli_import_skips_network_and_pool_modules():

