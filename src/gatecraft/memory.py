@@ -1,8 +1,9 @@
 """Per-agent private execution state and deterministic issue detection.
 
-The private state's inventory and blockage change only through the agent's
-own verified action outcomes (and a transfer's outcome for its recipient),
-never through another agent's unverified claims.
+The private state's inventory changes only through verified action
+outcomes (the agent's own, and a transfer's for its recipient), never
+through another agent's unverified claims. The agent runtime sets the
+active subtask and the blockage; an outcome can clear either.
 """
 
 from __future__ import annotations
