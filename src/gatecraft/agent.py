@@ -5,6 +5,12 @@ featurize and gate it, then route — open a coordination window, run the local
 solver, or do opportunistic skip work. The episode runtime owns the world,
 the public board, windows, cooldowns, and the ordered trace. `regate`
 derives a finished run's trace under other gate settings.
+
+Views come from `observe` through the runtime's `ViewCache`. The world
+changes only through `apply_action`, and each outcome's deltas name every
+change, so the step loop feeds each outcome to the cache right after it is
+applied, before `_post_action` (whose window close may observe); no other
+invalidation exists or is needed.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .world import (
     CoordinationMessage,
     PlanInfo,
     VerifiedOutcome,
+    ViewCache,
     WorldState,
     apply_action,
     blueprint_completion,
@@ -251,7 +258,7 @@ class IssueInstance:
 class AgentRuntime:
     agent_id: str
     state: PrivateState
-    assigned: set[int]
+    assigned: tuple[int, ...]  # the agent's nodes, in the task graph's topological order
     # the recovery legs still to do: (step, item, count in hand that finishes it)
     legs: list[tuple[RecoveryStep, str, int]] = field(default_factory=list)
     # with a blockage, no window and no legs: skip work (True) or wait (False)
@@ -296,6 +303,7 @@ class EpisodeRuntime:
         self.recipes = self.world.recipes
         self.plan_info: PlanInfo = spec.plan_info(self.world)
         self.board: list[CoordinationMessage] = []
+        self.board_tail = ""  # the last 8 board protocols, `|`-joined, mixed into digests without a partition
         self.windows: dict[int, CoordinationWindow] = {}  # open windows only, in id order
         self._window_seq = 0
         self.cooldowns = CooldownTable(duration=config.cooldown_duration)
@@ -303,15 +311,19 @@ class EpisodeRuntime:
         self.gate_passes: list[GatePass] = []
         self.runtimes: dict[str, AgentRuntime] = {}
         self.advertised: dict[str, dict[str, int]] = {}
+        # fed every outcome right after `apply_action` (see `simulate_episode`)
+        self.views = ViewCache()
+        topo = self.graph.topo_order
         for aid in sorted(self.world.agents):
             state = PrivateState(agent_id=aid, inventory=self.world.agents[aid].inventory.copy())
+            mine = set(spec.assigned.get(aid, []))
             self.runtimes[aid] = AgentRuntime(agent_id=aid, state=state,
-                                              assigned=set(spec.assigned.get(aid, [])))
+                                              assigned=tuple(n for n in topo if n in mine))
 
     # -- views -------------------------------------------------------------
 
     def view_for(self, agent_id: str):
-        return observe(self.world, agent_id, plan=self.plan_info)
+        return observe(self.world, agent_id, plan=self.plan_info, cache=self.views)
 
     def team_view(self, agent_id: str) -> TeamPublicView:
         if self.config.partition_on:
@@ -391,11 +403,14 @@ def _build_toward(ep: EpisodeRuntime, rt: AgentRuntime, node_id: int) -> Action:
 
 
 def _standard_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
+    """The first of the agent's nodes, in topological order, that is neither
+    placed nor abandoned and whose prerequisites are all placed."""
     placed = ep.world.placed_nodes()
-    for n in ep.graph.topo_order:
-        if n in placed or n in rt.abandoned or n not in rt.assigned:
+    preds = ep.graph.preds
+    for n in rt.assigned:
+        if n in placed or n in rt.abandoned:
             continue
-        if all(p in placed for p in ep.graph.preds[n]):
+        if placed.issuperset(preds[n]):
             return n
     return None
 
@@ -445,7 +460,7 @@ def _responder_duty(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
     """
     now = ep.world.sim_time
     me = ep.world.agents[rt.agent_id]
-    for window in ep.open_windows():
+    for window in ep.windows.values():  # nothing here closes a window
         if window.responder != rt.agent_id or now >= window.deadline:
             continue
         if not window.has(MessageType.OFFER_TRANSFER) and not window.has(MessageType.CANNOT_SUPPLY):
@@ -669,8 +684,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
     view = ep.view_for(rt.agent_id)
     rt.view_digest = view.digest()
     if not config.partition_on:
-        board_tail = "|".join(m.protocol for m in ep.board[-8:])
-        rt.view_digest = format(zlib.crc32((rt.view_digest + board_tail).encode()), "08x")
+        rt.view_digest = format(zlib.crc32((rt.view_digest + ep.board_tail).encode()), "08x")
 
     # protocol liveness before own work
     duty = _responder_duty(ep, rt)
@@ -768,6 +782,7 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         if not validate_message(msg.to_dict()):
             raise ValueError(f"invalid protocol message emitted: {msg.to_dict()}")
         ep.board.append(msg)
+        ep.board_tail = "|".join(m.protocol for m in ep.board[-8:])
         # every message belongs to its requester's one open window
         from_requester = msg.protocol in (MessageType.REQUEST_MATERIAL.value, MessageType.CONFIRM_TRANSFER.value)
         window = ep.runtimes[msg.sender if from_requester else msg.target].window
@@ -873,17 +888,18 @@ def simulate_episode(spec, config: RunConfig, backend=None) -> EpisodeRuntime:
         round_start = len(ep.trace.events)
         all_idle = True
         for aid in agent_ids:
-            if ep.complete():
-                break
             rt = ep.runtimes[aid]
             pre_time = ep.world.sim_time
             rt, action = step(rt, ep)
             _, outcome = apply_action(ep.world, aid, action)
+            ep.views.invalidate(outcome)  # before `_post_action`, which may observe
             ep.trace.emit(pre_time, aid, "action",
                           {"action": action.to_dict(), "obs_digest": rt.view_digest, "mode": rt.mode})
             ep.trace.emit(pre_time, aid, "outcome", outcome.to_dict())
             _post_action(ep, rt, action, outcome)
             all_idle = all_idle and action.kind == "idle"
+            if outcome.kind == "place" and ep.complete():  # only a place can complete
+                break
         rounds += 1
         # `all_idle` only spares busy rounds the predicate's trace scan
         quiescent = all_idle and _quiescent(ep, round_start)

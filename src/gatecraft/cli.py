@@ -23,6 +23,7 @@ from pathlib import Path
 from .agent import RunConfig, Trace, run_episode
 from .gate import GateThresholds, GateWeights
 from .harness import (
+    REQUIRED_PAYLOAD,
     CalibrationConfig,
     EpisodeMetrics,
     aggregate,
@@ -403,12 +404,20 @@ def cmd_calibrate(ns, cfg: dict) -> int:
 
 
 def _first_bad_event(events: list) -> str | None:
-    """Name the first decoded trace line that cannot be an event, if any."""
+    """Name the first decoded trace line that cannot be an event, or whose
+    payload lacks a field that `compute_metrics` needs, if any."""
     for i, event in enumerate(events, 1):
         if not isinstance(event, dict) or not {"step", "agent", "kind", "payload"} <= event.keys():
             return f"event {i} is not an object with step, agent, kind and payload"
         if not isinstance(event["payload"], dict):
             return f"event {i} has a payload that is not an object"
+        for path in REQUIRED_PAYLOAD.get(event["kind"], ()):
+            value = event["payload"]
+            for depth, key in enumerate(path, 1):
+                if not isinstance(value, dict) or key not in value:
+                    field = ".".join(path[:depth])
+                    return f"event {i} ({event['kind']}) has no payload field {field!r}"
+                value = value[key]
     return None
 
 

@@ -43,6 +43,10 @@ ENV_ACTION_KINDS = ("move", "place", "collect", "craft", "smelt", "transfer")
 # Cost cap that makes "a feasible local solution existed" decidable.
 LOCAL_BUDGET = 30
 
+# The payload fields `compute_metrics` reads without a default, by event
+# kind, as key paths; `cli.cmd_report` names the first event that lacks one.
+REQUIRED_PAYLOAD = {"action": (("action", "kind"),), "episode_end": (("completion",),)}
+
 RATIO_FIELDS = ("lrr", "uer", "ecr", "rsr", "recovery_time_avg")
 MEAN_FIELDS = ("tsr", "cs", "msg", "escalations", "adjudicator_calls", "token_cost")
 

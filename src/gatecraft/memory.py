@@ -104,15 +104,16 @@ def detect_issue(
     """
     materials = view.plan.materials
     placed = view.placed_nodes
-    mine = sorted(
-        n for n, a in view.plan.assignments.items()
-        if a == view.agent_id and n not in placed and n not in ignore
-    )
+    mine, first_ready = [], None
+    for n in view.plan.nodes_of.get(view.agent_id, ()):
+        if n not in placed and n not in ignore:
+            mine.append(n)
+            if first_ready is None and placed.issuperset(graph.preds[n]):
+                first_ready = n
 
     # dependency_block: nothing of mine is ready, and some unplaced node of mine
     # waits on a teammate-assigned (or unassigned) prerequisite.
-    ready = [n for n in mine if all(p in placed for p in graph.preds[n])]
-    if mine and not ready:
+    if mine and first_ready is None:
         for n in mine:
             for p in graph.preds[n]:
                 if p in placed or p in ignore:
@@ -125,7 +126,7 @@ def detect_issue(
 
     target = state.active_subtask
     if target is None or target in placed or target in ignore:
-        target = ready[0] if ready else None
+        target = first_ready
     if target is None:
         return None
 

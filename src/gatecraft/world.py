@@ -3,11 +3,17 @@
 Everything here is pure bookkeeping on plain Python data. The same
 (world, agent, action) triple always yields the same successor state and
 outcome; failures are returned as statuses, never raised.
+
+A world changes only through `apply_action`, and every change it makes is
+named in the returned outcome's deltas (`sim_time` aside, which every call
+advances). That is the invariant `ViewCache` rests on: the outcome deltas
+are the only invalidation an agent's cached view needs.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 
 Position = tuple[int, int, int]
@@ -72,7 +78,9 @@ class Inventory:
             self.counts.pop(item, None)
 
     def copy(self) -> "Inventory":
-        return Inventory(dict(self.counts))
+        inv = Inventory()
+        inv.counts = dict(self.counts)  # already validated
+        return inv
 
     def to_dict(self) -> dict[str, int]:
         return {k: self.counts[k] for k in sorted(self.counts)}
@@ -97,24 +105,19 @@ class BlockSpec:
 class Blueprint:
     name: str
     blocks: tuple[BlockSpec, ...]
+    by_id: dict[int, BlockSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [b.node_id for b in self.blocks]
-        if len(set(ids)) != len(ids):
+        by_id = {b.node_id: b for b in self.blocks}
+        if len(by_id) != len(self.blocks):
             raise ValueError("duplicate node ids in blueprint")
         positions = [b.position for b in self.blocks]
         if len(set(positions)) != len(positions):
             raise ValueError("duplicate positions in blueprint")
+        object.__setattr__(self, "by_id", by_id)
 
     def node(self, node_id: int) -> BlockSpec:
-        for b in self.blocks:
-            if b.node_id == node_id:
-                return b
-        raise KeyError(node_id)
-
-    @property
-    def node_ids(self) -> list[int]:
-        return [b.node_id for b in self.blocks]
+        return self.by_id[node_id]
 
 
 class TaskGraph:
@@ -333,7 +336,7 @@ class Action:
 
     @staticmethod
     def idle() -> "Action":
-        return Action(kind="idle")
+        return _IDLE
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind}
@@ -354,6 +357,9 @@ class Action:
         if self.message is not None:
             d["message"] = self.message.to_dict()
         return d
+
+
+_IDLE = Action(kind="idle")  # actions are immutable, so one serves every idle step
 
 
 @dataclass
@@ -419,7 +425,7 @@ class WorldState:
         return self._placed_ids
 
     def prereqs_placed(self, node_id: int) -> bool:
-        return all(p in self._placed_ids for p in self.graph.preds[node_id])
+        return self._placed_ids.issuperset(self.graph.preds[node_id])
 
     def stations_of(self, station: str) -> list[Position]:
         out = [pos for pos, mat in self.scaffold.items() if mat == station]
@@ -441,14 +447,20 @@ def _fail(agent: AgentBody, action: Action, reason: str, sim_time: int) -> Verif
 
 def _move_towards(pos: Position, target: Position) -> Position:
     # Per-axis greedy unit steps, largest remaining |delta| first (tie order x, y, z).
-    cur = list(pos)
+    x, y, z = pos
+    tx, ty, tz = target
     for _ in range(SPEED):
-        deltas = [target[i] - cur[i] for i in range(3)]
-        axis = max(range(3), key=lambda i: (abs(deltas[i]), -i))
-        if deltas[axis] == 0:
-            break
-        cur[axis] += 1 if deltas[axis] > 0 else -1
-    return (cur[0], cur[1], cur[2])
+        dx, dy, dz = tx - x, ty - y, tz - z
+        ax, ay, az = abs(dx), abs(dy), abs(dz)
+        if ax >= ay and ax >= az:
+            if dx == 0:
+                break
+            x += 1 if dx > 0 else -1
+        elif ay >= az:
+            y += 1 if dy > 0 else -1
+        else:
+            z += 1 if dz > 0 else -1
+    return (x, y, z)
 
 
 def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[WorldState, VerifiedOutcome]:
@@ -477,10 +489,8 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
         return world, VerifiedOutcome(agent=agent_id, kind=kind, status="success", deltas=deltas, sim_time=t)
 
     if kind == "place":
-        if action.node_id is None or action.node_id not in set(world.blueprint.node_ids):
-            return world, _fail(agent, action, "invalid_action", t)
-        block = world.blueprint.node(action.node_id)
-        if world.node_placed(action.node_id):
+        block = world.blueprint.by_id.get(action.node_id)
+        if block is None or world.node_placed(action.node_id):
             return world, _fail(agent, action, "invalid_action", t)
         if not world.prereqs_placed(action.node_id):
             return world, _fail(agent, action, "prerequisite_unplaced", t)
@@ -575,13 +585,22 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
 class PlanInfo:
     """Static, scripted plan knowledge shared by every agent at episode start:
     the blueprint layout, node assignments, the declared item partition, and
-    per-agent work regions. Never carries live inventories."""
+    per-agent work regions. Never carries live inventories. `nodes_of` is
+    built from `assignments` once, at construction."""
 
     assignments: dict[int, str] = field(default_factory=dict)  # node_id -> agent_id
     partition: dict[str, str] = field(default_factory=dict)  # item -> owner agent_id
     work_regions: dict[str, tuple[Position, int]] = field(default_factory=dict)  # agent -> (center, radius)
     materials: dict[int, str] = field(default_factory=dict)  # node_id -> material
     station_positions: dict[Position, str] = field(default_factory=dict)
+    # agent_id -> its assigned node ids, ascending
+    nodes_of: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nodes_of: dict[str, list[int]] = {}
+        for n in sorted(self.assignments):
+            nodes_of.setdefault(self.assignments[n], []).append(n)
+        self.nodes_of = {aid: tuple(nodes) for aid, nodes in nodes_of.items()}
 
     @staticmethod
     def for_world(world: "WorldState", assignments: dict[int, str],
@@ -598,7 +617,11 @@ class PlanInfo:
 
 @dataclass
 class WorldView:
-    """What one agent can see. Never includes live teammate inventories."""
+    """What one agent can see. Never includes live teammate inventories.
+
+    Sources and chests are the world's live objects. `memo` holds what
+    `observe` and `digest` derived for this agent; it is shared with the
+    agent's later views until an outcome invalidates it (see ViewCache)."""
 
     agent_id: str
     position: Position
@@ -609,21 +632,31 @@ class WorldView:
     teammates: dict[str, Position]  # only those within observe radius
     plan: PlanInfo
     sim_time: int
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def digest(self) -> str:
-        """Cheap deterministic observation digest for traces."""
-        import zlib
-
-        parts = [
-            self.agent_id,
-            str(self.position),
-            str(sorted(self.inventory.counts.items())),
-            str(len(self.placed_nodes)),
-            str([(i, s.remaining) for i, s in self.sources]),
-            str(sorted(self.teammates.items())),
-            str(self.sim_time),
-        ]
-        return format(zlib.crc32("|".join(parts).encode()), "08x")
+        """Cheap deterministic observation digest for traces: the CRC-32 of
+        `agent|position|inventory|placed count|sources|teammates|sim_time`."""
+        memo = self.memo
+        where = memo.get("where_s")
+        if where is None:
+            where = memo["where_s"] = f"{self.agent_id}|{self.position}"
+        held = memo.get("inventory_s")
+        if held is None:
+            held = memo["inventory_s"] = str(sorted(self.inventory.counts.items()))
+        sources = memo.get("sources_s")
+        if sources is None:
+            sources = memo["sources_s"] = str([(i, s.remaining) for i, s in self.sources])
+        mates = memo.get("teammates_s")
+        if mates is None:
+            # str(sorted(self.teammates.items())), from one kept entry per teammate
+            entries = memo.get("teammate_entries")
+            if entries is None:
+                entries = memo["teammate_entries"] = {
+                    aid: _teammate_entry(aid, pos) for aid, pos in sorted(self.teammates.items())}
+            mates = memo["teammates_s"] = f"[{', '.join(entries.values())}]"
+        text = f"{where}|{held}|{len(self.placed_nodes)}|{sources}|{mates}|{self.sim_time}"
+        return "%08x" % zlib.crc32(text.encode())
 
     def ref_position(self, ref: SourceRef) -> Position | None:
         """Position of a visible ("source", idx) or ("chest", idx, ...) reference."""
@@ -632,6 +665,11 @@ class WorldView:
             if idx == ref[1]:
                 return entry.position
         return None
+
+
+def _teammate_entry(agent_id: str, position: Position) -> str:
+    """`str((agent_id, position))`, the text of one teammate in a digest."""
+    return f"({agent_id!r}, {position})"
 
 
 def nearest_supply(view: WorldView, origin: Position, item: str,
@@ -657,33 +695,131 @@ def nearest_supply(view: WorldView, origin: Position, item: str,
     return best_ref, math.sqrt(best_d2), avail
 
 
-def observe(world: WorldState, agent_id: str, plan: PlanInfo | None = None) -> WorldView:
+# The memo keys that each outcome delta makes stale (see ViewCache).
+_TEAMMATE_KEYS = ("teammates", "teammate_entries", "teammates_s")
+_MOVER_KEYS = ("position", "where_s")
+_HOLDER_KEYS = ("inventory", "inventory_s")
+
+
+class ViewCache:
+    """Per-episode memo of what `observe` and `WorldView.digest` derive from
+    the world: one dict per agent, holding its view's parts and their texts
+    in the digest.
+
+    The world changes only through `apply_action`, and the outcome it returns
+    names every change, so `invalidate(outcome)` after each applied action is
+    the only upkeep:
+
+    - a `position` delta makes the mover's position stale. Its next
+      `observe` works out again what it sees, and keeps each part that did
+      not change, with its text. Another agent's teammates change only if it
+      sees the mover before or after the move; if both, the mover's entry is
+      updated instead of the map being rebuilt;
+    - an `inventory` delta makes that agent's inventory stale;
+    - a `source` delta makes every sources text stale (views hold the live
+      `Source` objects).
+
+    The placed set and `sim_time` are read fresh, and chests are live
+    objects that no digest part reads, so `placed` and `chest` deltas make
+    nothing stale. An outcome replaces the memos it makes stale instead of
+    editing them, so a view built before the change cannot write stale text
+    into its successor's memo."""
+
+    def __init__(self):
+        self.memos: dict[str, dict] = {}
+
+    def memo(self, agent_id: str) -> dict:
+        """The agent's current memo, empty before its first view."""
+        memo = self.memos.get(agent_id)
+        if memo is None:
+            memo = self.memos[agent_id] = {}
+        return memo
+
+    def _renew(self, agent_id: str, stale: tuple[str, ...]) -> dict | None:
+        """Replace the agent's memo with a copy without `stale`; return it."""
+        memo = self.memos.get(agent_id)
+        if memo is not None:
+            memo = self.memos[agent_id] = memo.copy()
+            for key in stale:
+                memo.pop(key, None)
+        return memo
+
+    def invalidate(self, outcome: VerifiedOutcome) -> None:
+        deltas = outcome.deltas
+        if not deltas:
+            return
+        for mover, (_, new) in deltas.get("position", {}).items():
+            new = tuple(new)
+            entry = _teammate_entry(mover, new)
+            self._renew(mover, _MOVER_KEYS)
+            for aid, memo in self.memos.items():
+                teammates = memo.get("teammates")
+                if aid == mover or teammates is None or "position" not in memo:
+                    continue  # the next view rebuilds this agent's teammates
+                seen_before = mover in teammates
+                seen_after = within(new, memo["position"], OBSERVE_RADIUS)
+                if seen_before and seen_after:
+                    # the mover keeps its place in the sorted map
+                    memo = self._renew(aid, ("teammates_s",))
+                    memo["teammates"] = {**teammates, mover: new}
+                    if "teammate_entries" in memo:
+                        memo["teammate_entries"] = {**memo["teammate_entries"], mover: entry}
+                elif seen_before or seen_after:
+                    self._renew(aid, _TEAMMATE_KEYS)
+        for holder in deltas.get("inventory", ()):
+            self._renew(holder, _HOLDER_KEYS)
+        if "source" in deltas:
+            for aid in self.memos:
+                self._renew(aid, ("sources_s",))
+
+
+def observe(world: WorldState, agent_id: str, plan: PlanInfo | None = None,
+            cache: ViewCache | None = None) -> WorldView:
     """Build the agent's filtered view of the world.
 
     Entities (sources, chests, teammate positions) are included only within
-    OBSERVE_RADIUS.
+    OBSERVE_RADIUS. With a `cache` whose invalidations have kept pace with
+    the world, the view reuses what the agent's earlier views derived and
+    equals the view built without one.
     """
     me = world.agents[agent_id]
-    sources = [(i, s) for i, s in enumerate(world.sources) if within(me.position, s.position, OBSERVE_RADIUS)]
-    chests = [(i, c) for i, c in enumerate(world.chests) if within(me.position, c.position, OBSERVE_RADIUS)]
-    teammates: dict[str, Position] = {}
+    memo = {} if cache is None else cache.memo(agent_id)
+    pos = me.position
+    if "position" not in memo:  # the agent's first view, or it moved
+        memo["position"] = pos
+        # what it sees from here; a part that did not change keeps its digest text
+        visible = (
+            [(i, s) for i, s in enumerate(world.sources) if within(pos, s.position, OBSERVE_RADIUS)],
+            [(i, c) for i, c in enumerate(world.chests) if within(pos, c.position, OBSERVE_RADIUS)],
+        )
+        if visible != memo.get("visible"):
+            memo["visible"] = visible
+            memo.pop("sources_s", None)
+        teammates = _teammates_in_sight(world, agent_id, pos)
+        if teammates != memo.get("teammates"):
+            memo["teammates"] = teammates
+            memo.pop("teammate_entries", None)
+            memo.pop("teammates_s", None)
+    elif "teammates" not in memo:
+        memo["teammates"] = _teammates_in_sight(world, agent_id, pos)
+    visible, teammates = memo["visible"], memo["teammates"]
+    inventory = memo.get("inventory")
+    if inventory is None:
+        inventory = memo["inventory"] = me.inventory.copy()
+    # positional: with ten keyword arguments the call takes about three times as long
+    return WorldView(agent_id, pos, inventory, world._placed_ids, visible[0], visible[1],
+                     teammates, plan or PlanInfo(), world.sim_time, memo)
+
+
+def _teammates_in_sight(world: WorldState, agent_id: str, pos: Position) -> dict[str, Position]:
+    """The other agents within OBSERVE_RADIUS of `pos`, in id order."""
+    teammates = {}
     for aid in sorted(world.agents):
-        if aid == agent_id:
-            continue
-        body = world.agents[aid]
-        if within(me.position, body.position, OBSERVE_RADIUS):
-            teammates[aid] = body.position
-    return WorldView(
-        agent_id=agent_id,
-        position=me.position,
-        inventory=me.inventory.copy(),
-        placed_nodes=world.placed_nodes(),
-        sources=sources,
-        chests=chests,
-        teammates=teammates,
-        plan=plan or PlanInfo(),
-        sim_time=world.sim_time,
-    )
+        if aid != agent_id:
+            body = world.agents[aid]
+            if within(pos, body.position, OBSERVE_RADIUS):
+                teammates[aid] = body.position
+    return teammates
 
 
 def _chain_depths(graph: TaskGraph, placed: set[int]) -> dict[int, int]:

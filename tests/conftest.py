@@ -1,3 +1,5 @@
+import zlib
+
 import pytest
 
 from gatecraft import (
@@ -12,8 +14,10 @@ from gatecraft import (
     RunConfig,
     default_recipes,
 )
+from gatecraft import agent
 from gatecraft.agent import simulate_episode
 from gatecraft.scenarios import generate_dataset
+from gatecraft.world import observe
 
 
 @pytest.fixture(scope="session")
@@ -65,5 +69,40 @@ def make_world(
 
 
 def plan_for(world, assignments=None, partition=None, work_regions=None):
-    assignments = assignments or {n: "a0" for n in world.blueprint.node_ids}
+    assignments = assignments or {n: "a0" for n in world.blueprint.by_id}
     return PlanInfo.for_world(world, assignments, partition=partition, work_regions=work_regions)
+
+
+def run_checking_views(spec, config, monkeypatch):
+    """Simulate `spec` under `config` with spies on `agent.observe` and
+    `agent.step`: every view the runtime's cache serves must equal a fresh
+    `observe` without one, and every step's `obs_digest` the fresh view's
+    digest (with the partition-off board-tail mix). Returns the runtime and
+    the views served, in order."""
+    real_step = agent.step
+    served = []
+
+    def checked_observe(world, agent_id, plan=None, cache=None):
+        view = observe(world, agent_id, plan, cache)
+        assert cache is not None
+        assert view == observe(world, agent_id, plan), (agent_id, world.sim_time)
+        served.append(view)
+        return view
+
+    def checked_step(rt, ep):
+        rt, action = real_step(rt, ep)
+        # a step reads the world and the board but never changes them
+        expected = observe(ep.world, rt.agent_id, plan=ep.plan_info).digest()
+        if not ep.config.partition_on:
+            board_tail = "|".join(m.protocol for m in ep.board[-8:])
+            expected = format(zlib.crc32((expected + board_tail).encode()), "08x")
+        assert rt.view_digest == expected, (rt.agent_id, ep.world.sim_time)
+        return rt, action
+
+    with monkeypatch.context() as patch:
+        patch.setattr(agent, "observe", checked_observe)
+        patch.setattr(agent, "step", checked_step)
+        run = simulate_episode(spec, config)
+    assert served
+    return run, served
+

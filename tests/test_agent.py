@@ -4,6 +4,8 @@ from gatecraft import RunConfig, Trace, agent, default_recipes, run_episode
 from gatecraft.gate import GateThresholds, GateWeights, ScriptedAdjudicator
 from gatecraft.scenarios import EpisodeSpec
 
+from conftest import run_checking_views
+
 
 def _episodes_of_class(dataset, label, limit=None):
     _, episodes = dataset
@@ -194,10 +196,12 @@ def test_retry_after_an_idle_stretch_is_kept(dataset, monkeypatch):
     assert retried > 0
 
 
-def _hand_built(agents, blocks, assigned, partition, script, sources=(), edges=(), chests=()):
+def _hand_built(agents, blocks, assigned, partition, script, sources=(), edges=(), chests=(),
+                inventories=None):
     return EpisodeSpec(
         episode_id="hand", template_id=0, seed_index=0, class_label="D", variant="hand",
-        agents={aid: {"position": pos, "inventory": {}} for aid, pos in agents.items()},
+        agents={aid: {"position": pos, "inventory": (inventories or {}).get(aid, {})}
+                for aid, pos in agents.items()},
         blocks=blocks, edges=list(edges), assigned=assigned, partition=partition,
         work_regions={aid: [pos, 12] for aid, pos in agents.items()},
         recipes=[r.to_dict() for r in default_recipes().recipes.values()],
@@ -334,3 +338,32 @@ def test_a_failed_recovery_leg_drops_the_legs_and_regates():
     next_action = next(e for e in a1_after if e["kind"] == "action")
     assert next_action["step"] == a1_after[0]["step"]
     assert next_action["payload"]["mode"] != "recovering"
+
+
+def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch):
+    """The three changes a stale view cache gets wrong. a1 starts out of
+    a0's sight, walks over to hand a0 its iron ingot (a transfer into a0's
+    inventory), collects sandstone from the source both of them see, and
+    walks back out of sight to place it. Every view equals a fresh
+    `observe` and every `obs_digest` its digest (`run_checking_views`)."""
+    spec = _hand_built(
+        agents={"a0": [0, 0, 0], "a1": [60, 0, 0]},
+        blocks=[[0, "iron_ingot", [1, 0, 1]], [1, "sandstone", [60, 0, 1]]],
+        assigned={"a0": [0], "a1": [1]}, partition={"iron_ingot": "a1"}, script={},
+        sources=[["sandstone", [31, 0, 0], 2]], inventories={"a1": {"iron_ingot": 1}},
+    )
+    # every issue escalates, so a0 asks a1 for the ingot before a1 is in sight
+    config = RunConfig(rules_on=False, score_on=False, adjudicator_on=False, window_timeout=40)
+    run, views = run_checking_views(spec, config, monkeypatch)
+    events = run.trace.events
+    assert events[-1]["payload"]["completion"] == 1.0
+    a0_views = [v for v in views if v.agent_id == "a0"]
+    in_sight = [v.sim_time for v in a0_views if "a1" in v.teammates]
+    assert a0_views[0].sim_time < in_sight[0] and in_sight[-1] < a0_views[-1].sim_time
+    transfer = next(e["step"] for e in events if e["kind"] == "outcome"
+                    and e["payload"]["kind"] == "transfer" and e["payload"]["status"] == "success")
+    assert [v.inventory.count("iron_ingot") for v in a0_views if v.sim_time in (transfer - 1, transfer + 1)] \
+        == [0, 1]
+    drained = next(e["step"] for e in events if e["kind"] == "outcome"
+                   and e["payload"].get("deltas", {}).get("source") == {"0": -1})
+    assert any(v.sim_time > drained and v.sources and v.sources[0][0] == 0 for v in a0_views)

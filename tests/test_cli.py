@@ -223,6 +223,29 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
         assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
         assert f"runtime error: {bad}: event 4 {problem}" in capsys.readouterr().err
 
+    end = '{"agent":"","kind":"episode_end","payload":{"completion":1.0},"step":1}\n'
+    for action, field in (("{}", "action"), ('{"action":{}}', "action.kind")):
+        bad.write_text('{"agent":"a0","kind":"action","payload":%s,"step":0}\n' % action + end)
+        assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+        assert (f"runtime error: {bad}: event 1 (action) has no payload field '{field}'"
+                in capsys.readouterr().err)
+
+    # dropping any payload field of any event kind leaves a countable trace
+    # or is named
+    events = Trace.from_jsonl(good.read_text()).events
+    first_of_kind = {}
+    for i, e in enumerate(events):
+        first_of_kind.setdefault(e["kind"], i)
+    assert len(first_of_kind) >= 6
+    for kind, i in first_of_kind.items():
+        for key in events[i]["payload"]:
+            dropped = [dict(e) for e in events]
+            dropped[i]["payload"] = {k: v for k, v in events[i]["payload"].items() if k != key}
+            bad.write_text(Trace(events=dropped).to_jsonl())
+            if main(["report", "--out", str(out), "--traces", str(traces)]) != 0:
+                assert (f"runtime error: {bad}: event {i + 1} ({kind}) has no payload field '{key}'"
+                        in capsys.readouterr().err)
+
     # with every event well-formed, a failed count is not blamed on the trace
     bad.write_text(good.read_text())
     monkeypatch.setattr(cli, "compute_metrics", lambda trace: {}["boom"])

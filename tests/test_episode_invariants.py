@@ -24,6 +24,9 @@ Each case also runs with the quiescence exit switched off (a test-only
 patch of `agent._quiescent`) and checks that the early exit only cut an
 idle tail: the same events up to `episode_end`, nothing after them but idle
 action/outcome pairs, and equal metrics and completion.
+
+The same cases, and the default runs, are run once more with spies on
+`agent.observe` and `agent.step` (`conftest.run_checking_views`).
 """
 
 import dataclasses
@@ -35,6 +38,8 @@ from gatecraft.agent import RunConfig, Trace, run_episode, simulate_episode
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.harness import compute_metrics
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
+
+from conftest import run_checking_views
 
 REQUESTER_SENDS = ("REQUEST_MATERIAL", "CONFIRM_TRANSFER")
 
@@ -210,3 +215,14 @@ def test_items_are_conserved_in_the_default_runs(default_runs):
         kinds.update(e["payload"]["kind"] for e in run.trace.events
                      if e["kind"] == "outcome" and e["payload"]["status"] == "success")
     assert {"collect", "transfer", "place", "craft", "smelt"} <= kinds
+
+
+def test_cached_views_equal_fresh_observation(default_runs, monkeypatch):
+    rng = random.Random(401)  # the sampled cases of test_episode_invariants_sampled
+    cases = [_sample_run(rng) for _ in range(40)]
+    cases += [(run.spec, run.config) for run in default_runs]
+    partition_off = 0
+    for spec, config in cases:
+        run_checking_views(spec, config, monkeypatch)
+        partition_off += not config.partition_on
+    assert partition_off

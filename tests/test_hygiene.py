@@ -1,7 +1,8 @@
 """Source hygiene: every import in `src/` and `tests/` is used, every
 module-level name in `src/gatecraft` is used in `src/` or exported,
 importing the command line loads no network or process-pool module, and
-the benchmark's per-layer wrappers still find what they wrap.
+the benchmark's per-layer wrappers still find what they wrap and count
+views and digests once per step.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -86,13 +87,18 @@ def test_cli_import_skips_network_and_pool_modules():
     assert out.strip() == "[]"
 
 
+def _perfbench_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
 def test_perfbench_layer_wrappers_install_and_restore():
     """perfbench wraps program functions by the names their callers look them
     up by; a deleted or renamed one fails here, not in `perfbench/run.py
     --trace 1`. Restoring must leave every wrapped namespace as it was."""
-    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _perfbench_layers()
     owners = (layers.agent, layers.cli, layers.gate, layers.harness, layers.Trace,
               layers.EpisodeSpec, layers.WorldState, layers.WorldView,
               layers.MockAdjudicator, layers.RemoteAdjudicator)
@@ -102,3 +108,21 @@ def test_perfbench_layer_wrappers_install_and_restore():
         tracer.install(backend, count_results=True)
         tracer.restore()
         assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_perfbench_counts_one_view_and_one_digest_per_step(dataset):
+    """`world.observe.*` and `world.view_digest.*` time the one view and the
+    one digest each step builds, whether the view cache serves it or not,
+    so they compare across changes to the cache. A class-B episode's window
+    is fulfilled, so no window close observes on its own."""
+    layers = _perfbench_layers()
+    spec = next(e for e in dataset[1] if e.class_label == "B")
+    tracer = layers.Tracer()
+    tracer.install(layers.MockAdjudicator, count_results=False)
+    try:
+        trace = layers.agent.run_episode(spec, layers.agent.RunConfig())
+    finally:
+        tracer.restore()
+    calls = {name: tracer.spans[name][0] for name in ("agent.step", "world.observe", "world.view_digest")}
+    assert calls["agent.step"] == sum(e["kind"] == "action" for e in trace.events) > 0
+    assert calls["world.observe"] == calls["world.view_digest"] == calls["agent.step"], calls
