@@ -615,7 +615,7 @@ class PlanInfo:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class WorldView:
     """What one agent can see. Never includes live teammate inventories.
 
