@@ -303,7 +303,8 @@ class EpisodeRuntime:
         self.recipes = self.world.recipes
         self.plan_info: PlanInfo = spec.plan_info(self.world)
         self.board: list[CoordinationMessage] = []
-        self.board_tail = ""  # the last 8 board protocols, `|`-joined, mixed into digests without a partition
+        # the last 8 protocols on the board, `|`-joined: mixed into digests without a partition
+        self.board_tail = ""
         self.windows: dict[int, CoordinationWindow] = {}  # open windows only, in id order
         self._window_seq = 0
         self.cooldowns = CooldownTable(duration=config.cooldown_duration)

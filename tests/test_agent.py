@@ -362,8 +362,8 @@ def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch
     assert a0_views[0].sim_time < in_sight[0] and in_sight[-1] < a0_views[-1].sim_time
     transfer = next(e["step"] for e in events if e["kind"] == "outcome"
                     and e["payload"]["kind"] == "transfer" and e["payload"]["status"] == "success")
-    assert [v.inventory.count("iron_ingot") for v in a0_views if v.sim_time in (transfer - 1, transfer + 1)] \
-        == [0, 1]
+    around_transfer = [v for v in a0_views if v.sim_time in (transfer - 1, transfer + 1)]
+    assert [v.inventory.count("iron_ingot") for v in around_transfer] == [0, 1]
     drained = next(e["step"] for e in events if e["kind"] == "outcome"
                    and e["payload"].get("deltas", {}).get("source") == {"0": -1})
     assert any(v.sim_time > drained and v.sources and v.sources[0][0] == 0 for v in a0_views)
