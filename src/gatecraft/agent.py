@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field, fields
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .gate import (
     NEAR_RADIUS,
@@ -143,9 +144,28 @@ def _mock_backend(config: RunConfig) -> MockAdjudicator | None:
     return MockAdjudicator(config.thresholds) if config.adjudicator_on else None
 
 
-# One encoder for every trace line; `json.dumps` with options builds a new one per call.
+# The trace line format, `json.dumps(e, sort_keys=True, separators=(",", ":"))`;
+# `_chunk_encoder` copies its settings.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _JSONL_DECODER = json.JSONDecoder()
+
+
+def _chunk_encoder():
+    """A function `chunks(value, 0)` returning strings whose concatenation
+    is `_JSONL_ENCODER.encode(value)`, for every value.
+
+    `JSONEncoder.encode` builds a new C encoder object on each call; this
+    builds the one `iterencode` would, once, so a caller encoding many values
+    pays that set-up once. The markers dict is this encoder's own, so a
+    cyclic value still raises ValueError. (A failed encode can leave stale
+    markers behind, so an encoder is not reused after an error.) Without
+    the C accelerator each call goes through `_JSONL_ENCODER.encode`."""
+    enc = _JSONL_ENCODER
+    if c_make_encoder is None:
+        return lambda value, _indent_level: (enc.encode(value),)
+    return c_make_encoder({}, enc.default, encode_basestring_ascii, enc.indent,
+                          enc.key_separator, enc.item_separator, enc.sort_keys,
+                          enc.skipkeys, enc.allow_nan)
 
 
 def read_jsonl_by_line(text: str, convert=None) -> list:
@@ -225,8 +245,39 @@ class Trace:
         self.events.append({"step": step, "agent": agent, "kind": kind, "payload": payload})
 
     def to_jsonl(self) -> str:
-        encode = _JSONL_ENCODER.encode
-        return "".join(encode(e) + "\n" for e in self.events)
+        """One line per event, each `json.dumps(event, sort_keys=True,
+        separators=(",", ":"))` plus `\\n`.
+
+        An event of the shape `emit` builds (exactly `agent`, `kind`,
+        `payload` and `step`, typed str, str, dict and int) has its envelope
+        written here around the encoded payload, and so has an `action`
+        payload's three keys; both are written in sorted key order, with
+        strings escaped by the function the encoder itself uses. Any other
+        event goes through the general encoder whole."""
+        chunks, join = _chunk_encoder(), "".join
+        general = _JSONL_ENCODER.encode
+        esc = encode_basestring_ascii
+        lines = []
+        append = lines.append
+        for e in self.events:
+            if type(e) is dict and len(e) == 4:
+                agent, kind = e.get("agent"), e.get("kind")
+                payload, step = e.get("payload"), e.get("step")
+                if (type(agent) is str and type(kind) is str
+                        and type(payload) is dict and type(step) is int):
+                    if (kind == "action" and len(payload) == 3
+                            and type(mode := payload.get("mode")) is str
+                            and type(digest := payload.get("obs_digest")) is str
+                            and "action" in payload):
+                        body = (f'{{"action":{join(chunks(payload["action"], 0))},'
+                                f'"mode":{esc(mode)},"obs_digest":{esc(digest)}}}')
+                    else:
+                        body = join(chunks(payload, 0))
+                    append(f'{{"agent":{esc(agent)},"kind":{esc(kind)},'
+                           f'"payload":{body},"step":{step}}}\n')
+                    continue
+            append(general(e) + "\n")
+        return join(lines)
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":

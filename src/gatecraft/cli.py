@@ -204,6 +204,28 @@ def _require_dataset(ns, cfg: dict):
     return episodes
 
 
+def _jobs(ns, cfg: dict) -> int:
+    jobs = int(_pick(ns, cfg, "jobs", 1))
+    if jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    return jobs
+
+
+def _backend_name(ns, cfg: dict) -> str:
+    """The chosen backend, checked by building it once: an unknown kind or a
+    script that cannot be read is a usage error, not a failed run."""
+    name = _pick(ns, cfg, "backend", "mock")
+    try:
+        make_backend(name)
+    except FileNotFoundError as exc:
+        raise UsageError(f"backend script not found: {exc.filename}")
+    except OSError as exc:
+        raise UsageError(f"--backend {name}: {exc.strerror}")
+    except ValueError as exc:
+        raise UsageError(f"--backend: {exc}")
+    return name
+
+
 def _out_dir(ns, cfg: dict) -> Path:
     out = Path(_pick(ns, cfg, "out", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -279,8 +301,8 @@ def cmd_gen(ns, cfg: dict) -> int:
 def cmd_run(ns, cfg: dict) -> int:
     episodes = _require_dataset(ns, cfg)
     config = _run_config(ns, cfg)
-    backend_name = _pick(ns, cfg, "backend", "mock")
-    jobs = int(_pick(ns, cfg, "jobs", 1))
+    backend_name = _backend_name(ns, cfg)
+    jobs = _jobs(ns, cfg)
     out = _out_dir(ns, cfg)
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
@@ -302,8 +324,8 @@ def _print_runs(simulated: int, total: int) -> None:
 def cmd_ablate(ns, cfg: dict) -> int:
     episodes = _require_dataset(ns, cfg)
     base_config = _run_config(ns, cfg)
-    backend_name = _pick(ns, cfg, "backend", "mock")
-    jobs = int(_pick(ns, cfg, "jobs", 1))
+    backend_name = _backend_name(ns, cfg)
+    jobs = _jobs(ns, cfg)
     out = _out_dir(ns, cfg)
 
     configs = [dataclasses.replace(base_config, **overrides) for _, overrides in ABLATION_VARIANTS]
@@ -359,7 +381,7 @@ def cmd_calibrate(ns, cfg: dict) -> int:
     grid = _resolve_grid(ns, cfg)
     seed = int(_pick(ns, cfg, "seed", 0))
     fraction = float(_pick(ns, cfg, "calib_fraction", 0.5))
-    jobs = int(_pick(ns, cfg, "jobs", 1))
+    jobs = _jobs(ns, cfg)
     out = _out_dir(ns, cfg)
 
     if fraction >= 1.0:

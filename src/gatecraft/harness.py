@@ -119,9 +119,12 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
     return plan_local_recovery(state, view, recipes, blockage)
 
 
-def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMetrics:
+def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None, replay=None) -> EpisodeMetrics:
     """Count one finished trace into EpisodeMetrics. Ratio fields are None
-    (absent) when their denominator is zero."""
+    (absent) when their denominator is zero. `replay` stands in for
+    `replay_local_feasibility` and must return what it returns."""
+    if replay is None:
+        replay = replay_local_feasibility
     end = next((e for e in trace.events if e["kind"] == "episode_end"), None)
     if end is None:
         raise ValueError("incomplete trace: no episode_end event")
@@ -154,7 +157,7 @@ def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMet
                 escalations += 1
                 ctx = p.get("solver_ctx")
                 if ctx is not None:
-                    replayed = replay_local_feasibility(ctx)
+                    replayed = replay(ctx)
                     if replayed is not None and replayed.total_cost <= LOCAL_BUDGET:
                         unnecessary += 1
         elif kind == "issue":
@@ -273,7 +276,16 @@ def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[Episo
                 references.append(simulate_episode(spec, configs[i]))
                 traces[i] = references[-1].trace
         simulated += len(references)
-    return [compute_metrics(t, spec) for t in traces], simulated
+    # a re-gated trace shares its reference's solver contexts, so each
+    # distinct context is replayed once; `traces` keeps every one alive
+    plans: dict[int, RecoveryPlan | None] = {}
+
+    def replay_once(ctx: dict) -> RecoveryPlan | None:
+        if id(ctx) not in plans:
+            plans[id(ctx)] = replay_local_feasibility(ctx)
+        return plans[id(ctx)]
+
+    return [compute_metrics(t, spec, replay_once) for t in traces], simulated
 
 
 def run_config_suite(

@@ -132,6 +132,30 @@ def test_dataset_directory_without_episodes_exits_one(tmp_path, capsys):
         assert f"dataset not found: {empty / 'episodes.jsonl'}" in capsys.readouterr().err
 
 
+def test_bad_backend_exits_one_naming_the_flag_or_file(tmp_path, small_dataset, capsys):
+    missing = tmp_path / "no_replies.jsonl"
+    for command in ("run", "ablate"):
+        args = [command, "--dataset", str(small_dataset), "--out", str(tmp_path / "o")]
+        assert main(args + ["--backend", "bogus"]) == 1
+        assert "error: --backend: unknown backend 'bogus'" in capsys.readouterr().err
+        assert main(args + ["--backend", f"scripted:{missing}"]) == 1
+        assert f"error: backend script not found: {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate", "calibrate"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_one(tmp_path, small_dataset, capsys, command, jobs):
+    args = [command, "--dataset", str(small_dataset), "--out", str(tmp_path / "o"), "--jobs", jobs]
+    assert main(args) == 1
+    assert "error: --jobs must be >= 1" in capsys.readouterr().err
+
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(f"jobs = {jobs}\n")
+    assert main(args[:-2] + ["--config", str(cfg)]) == 1
+    assert "error: --jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_unvalidated_weights_need_opt_in(tmp_path, small_dataset):
     args = [
         "run", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),

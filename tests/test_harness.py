@@ -17,6 +17,7 @@ from gatecraft import (
     run_episode,
     split_templates,
 )
+from gatecraft import harness
 from gatecraft.harness import (
     adjudicator_replies,
     make_backend,
@@ -382,6 +383,31 @@ def test_run_configs_matches_one_run_per_config(dataset):
         assert 2 <= simulated <= len(configs)
         simulated_total += simulated
     assert simulated_total < len(configs) * len(episodes[::25])
+
+
+def test_run_configs_replays_each_solver_context_once(dataset, monkeypatch):
+    """Re-gated traces share their reference's solver contexts; counting
+    them must replay each context once and give the metrics a replay per
+    escalation gives."""
+    _, episodes = dataset
+    configs = [dataclasses.replace(RunConfig(), **o) for _, o in ABLATION_VARIANTS]
+    replayed = []
+
+    def counting(ctx):
+        replayed.append(ctx)  # also keeps each context alive, so ids stay distinct
+        return replay_local_feasibility(ctx)
+
+    monkeypatch.setattr(harness, "replay_local_feasibility", counting)
+    shared = separate = 0
+    for spec in episodes[::25]:
+        replayed.clear()
+        metrics, _ = run_configs(spec, configs)
+        assert len({id(ctx) for ctx in replayed}) == len(replayed)
+        shared += len(replayed)
+        replayed.clear()
+        assert metrics == [compute_metrics(run_episode(spec, c), spec) for c in configs]
+        separate += len(replayed)
+    assert 0 < shared < separate
 
 
 def test_make_backend_forms(tmp_path):

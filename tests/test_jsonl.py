@@ -1,15 +1,24 @@
-"""The JSONL reader behind `Trace.from_jsonl` and `load_dataset`.
+"""The JSONL reader behind `Trace.from_jsonl` and `load_dataset`, and the
+writer behind `Trace.to_jsonl`.
 
 `read_jsonl` decodes text in the trace format in one pass and sends any
 other text to `read_jsonl_by_line`, the per-line parser. The fuzz below
 mutates the seed-0 traces into shapes on both sides of that line and checks
 that the two readers always agree: the same values, or the same ValueError.
+
+`Trace.to_jsonl` writes the envelope of an event in `emit`'s shape itself
+and sends any other event to the general encoder. Its fuzz builds events on
+both sides of that line and checks each text against `json.dumps`.
 """
 
+import json
+import math
 import random
+from json.encoder import c_make_encoder
 
 import pytest
 
+from gatecraft import agent
 from gatecraft.agent import Trace, _read_jsonl_whole, read_jsonl, read_jsonl_by_line
 
 # the line breaks `str.splitlines` honours besides "\n"
@@ -133,3 +142,132 @@ def test_reader_names_the_line_a_conversion_rejects():
         read_jsonl(text, _kind)
     with pytest.raises(ValueError, match="^line 3: list indices"):
         read_jsonl(text.replace("{}\n", ""), _kind)
+
+
+# -- writer ----------------------------------------------------------------------
+
+# pieces of agent, kind, mode and key strings: quotes, backslashes, control
+# characters, non-ASCII and the line breaks JSON leaves raw in other encoders
+PIECES = ('"', "\\", "\n", "\r", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\u2029",
+          "\U0001f600", "a0", "kind", "")
+STEPS = (0, 1, -1, -40, 2**63, 2**64 + 1, -(2**63) - 1, True, False)
+FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 0.1, 1e300, 2.5)
+
+
+def _dumps_lines(events) -> str:
+    return "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events)
+
+
+def _text(rng) -> str:
+    return "".join(rng.choice(PIECES) for _ in range(rng.randrange(4)))
+
+
+def _value(rng, depth=0):
+    if rng.random() < 0.01:  # values neither encoder takes: mixed-type keys under sort_keys, a set
+        return rng.choice(({1: 0, "a": 1}, {1, 2}, {"k": {2.5: 1, "x": 2}}))
+    choice = rng.randrange(9 if depth < 3 else 5)
+    if choice == 0:
+        return rng.choice(STEPS + (rng.randrange(-1000, 1000),))
+    if choice == 1:
+        return rng.choice(FLOATS)
+    if choice == 2:
+        return _text(rng)
+    if choice == 3:
+        return rng.choice((True, False, None))
+    if choice == 4:
+        return rng.choice(("move", "place", [], {}, ()))
+    if choice in (5, 6):
+        return {_text(rng): _value(rng, depth + 1) for _ in range(rng.randrange(4))}
+    if choice == 7:
+        return [_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return tuple(_value(rng, depth + 1) for _ in range(rng.randrange(4)))
+
+
+def _action_payload(rng) -> dict:
+    payload = {"action": {"kind": rng.choice(("move", "idle")), "target": [rng.randrange(9), 0, 1]},
+               "mode": rng.choice(("standard", "recovering", _text(rng))),
+               "obs_digest": rng.choice(("a6a948fa", _text(rng)))}
+    choice = rng.randrange(8)
+    if choice == 0:
+        payload[rng.choice(("extra", _text(rng)))] = _value(rng)
+    elif choice == 1:
+        del payload[rng.choice(sorted(payload))]
+    elif choice == 2:
+        payload[rng.choice(("mode", "obs_digest"))] = rng.choice((None, 3, ["standard"], True))
+    elif choice == 3:
+        payload["action"] = _value(rng)
+    return payload
+
+
+def _event(rng) -> dict:
+    kind = rng.choice(("action", "action", "outcome", "issue", _text(rng)))
+    payload = _action_payload(rng) if kind == "action" else {
+        _text(rng): _value(rng) for _ in range(rng.randrange(4))}
+    event = {"step": rng.choice(STEPS + (rng.randrange(10**6),)), "agent": _text(rng),
+             "kind": kind, "payload": payload}
+    choice = rng.randrange(24)
+    if choice < 2:  # an extra top-level key
+        event[rng.choice(("extra", "", 7, "kind ", _text(rng)))] = _value(rng)
+    elif choice < 4:  # a missing one
+        del event[rng.choice(sorted(event))]
+    elif choice < 6:  # a top-level value of another type
+        key = rng.choice(("step", "agent", "kind", "payload"))
+        event[key] = rng.choice((None, 2.5, 3, "3", [1], (), {"a": 1}, True))
+    elif choice == 6:  # a cycle through the payload
+        payload["self"] = rng.choice((payload, event, [payload]))
+    return event
+
+
+def _written(events):
+    try:
+        return Trace(events).to_jsonl()
+    except Exception as exc:  # the encoders' errors are compared by type
+        return type(exc)
+
+
+def _dumped(events):
+    try:
+        return _dumps_lines(events)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_writer_matches_json_dumps_on_random_events(monkeypatch, accelerated):
+    general_calls = []
+    general = agent._JSONL_ENCODER.encode
+
+    def counted(value):
+        general_calls.append(value)
+        return general(value)
+
+    monkeypatch.setattr(agent._JSONL_ENCODER, "encode", counted)
+    if not accelerated:  # as on an interpreter without the C encoder
+        monkeypatch.setattr(agent, "c_make_encoder", None)
+    rng = random.Random(11)
+    outcomes = []
+    events_written = 0
+    for case in range(1500):
+        events = [_event(rng) for _ in range(rng.randrange(1, 6))]
+        expected = _dumped(events)
+        assert _written(events) == expected, (case, events)
+        outcomes.append(expected)
+        events_written += len(events)
+    errors = sum(isinstance(o, type) for o in outcomes)
+    assert {o for o in outcomes if isinstance(o, type)} == {TypeError, ValueError}
+    assert 100 < errors < 750  # both written texts and raised errors were compared
+    if accelerated:  # without it every payload goes through the general encoder
+        assert 500 < len(general_calls) < events_written // 2  # both paths ran
+
+
+@pytest.mark.skipif(c_make_encoder is None, reason="without the C encoder every event "
+                    "goes through the general encoder")
+def test_every_seed0_event_takes_the_envelope_path(default_runs, monkeypatch):
+    def refuse(value):
+        raise AssertionError(f"general encoder called on {value!r}")
+
+    monkeypatch.setattr(agent._JSONL_ENCODER, "encode", refuse)
+    texts = [ep.trace.to_jsonl() for ep in default_runs]
+    monkeypatch.undo()
+    for ep, text in zip(default_runs, texts):
+        assert text == _dumps_lines(ep.trace.events)
