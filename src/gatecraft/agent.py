@@ -144,28 +144,25 @@ def _mock_backend(config: RunConfig) -> MockAdjudicator | None:
     return MockAdjudicator(config.thresholds) if config.adjudicator_on else None
 
 
-# The trace line format, `json.dumps(e, sort_keys=True, separators=(",", ":"))`;
-# `_chunk_encoder` copies its settings.
+# The trace line format, `json.dumps(e, sort_keys=True, separators=(",", ":"))`.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _JSONL_DECODER = json.JSONDecoder()
 
 
-def _chunk_encoder():
-    """A function `chunks(value, 0)` returning strings whose concatenation
-    is `_JSONL_ENCODER.encode(value)`, for every value.
+def _encode_whole(value, _indent_level):
+    """`_JSONL_ENCODER.encode(value)`, as `_JSONL_CHUNKS` would return it."""
+    return (_JSONL_ENCODER.encode(value),)
 
-    `JSONEncoder.encode` builds a new C encoder object on each call; this
-    builds the one `iterencode` would, once, so a caller encoding many values
-    pays that set-up once. The markers dict is this encoder's own, so a
-    cyclic value still raises ValueError. (A failed encode can leave stale
-    markers behind, so an encoder is not reused after an error.) Without
-    the C accelerator each call goes through `_JSONL_ENCODER.encode`."""
-    enc = _JSONL_ENCODER
-    if c_make_encoder is None:
-        return lambda value, _indent_level: (enc.encode(value),)
-    return c_make_encoder({}, enc.default, encode_basestring_ascii, enc.indent,
-                          enc.key_separator, enc.item_separator, enc.sort_keys,
-                          enc.skipkeys, enc.allow_nan)
+
+# `_JSONL_ENCODER.encode` builds a new C encoder on every call. This is the one
+# `iterencode` builds, with the same settings, built once: `"".join` of its
+# chunks is `encode(value)`. It has no markers dict, so it keeps no state
+# between calls, and a cyclic value raises RecursionError where `encode`
+# raises ValueError. Without the C accelerator it is `encode` itself.
+_JSONL_CHUNKS = _encode_whole if c_make_encoder is None else c_make_encoder(
+    None, _JSONL_ENCODER.default, encode_basestring_ascii, _JSONL_ENCODER.indent,
+    _JSONL_ENCODER.key_separator, _JSONL_ENCODER.item_separator,
+    _JSONL_ENCODER.sort_keys, _JSONL_ENCODER.skipkeys, _JSONL_ENCODER.allow_nan)
 
 
 def read_jsonl_by_line(text: str, convert=None) -> list:
@@ -250,13 +247,11 @@ class Trace:
 
         An event of the shape `emit` builds (exactly `agent`, `kind`,
         `payload` and `step`, typed str, str, dict and int) has its envelope
-        written here around the encoded payload, and so has an `action`
-        payload's three keys; both are written in sorted key order, with
-        strings escaped by the function the encoder itself uses. Any other
-        event goes through the general encoder whole."""
-        chunks, join = _chunk_encoder(), "".join
-        general = _JSONL_ENCODER.encode
-        esc = encode_basestring_ascii
+        written here, in sorted key order, around its payload encoded by
+        `_JSONL_CHUNKS`, with strings escaped by the function the encoder
+        itself uses. Any other event goes through the general encoder whole."""
+        chunks, general = _JSONL_CHUNKS, _JSONL_ENCODER.encode
+        join, esc = "".join, encode_basestring_ascii
         lines = []
         append = lines.append
         for e in self.events:
@@ -265,14 +260,10 @@ class Trace:
                 payload, step = e.get("payload"), e.get("step")
                 if (type(agent) is str and type(kind) is str
                         and type(payload) is dict and type(step) is int):
-                    if (kind == "action" and len(payload) == 3
-                            and type(mode := payload.get("mode")) is str
-                            and type(digest := payload.get("obs_digest")) is str
-                            and "action" in payload):
-                        body = (f'{{"action":{join(chunks(payload["action"], 0))},'
-                                f'"mode":{esc(mode)},"obs_digest":{esc(digest)}}}')
-                    else:
+                    try:
                         body = join(chunks(payload, 0))
+                    except RecursionError:  # a cycle raises what `encode` raises
+                        body = general(payload)
                     append(f'{{"agent":{esc(agent)},"kind":{esc(kind)},'
                            f'"payload":{body},"step":{step}}}\n')
                     continue

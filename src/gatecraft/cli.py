@@ -205,18 +205,23 @@ def _require_dataset(ns, cfg: dict):
 
 
 def _jobs(ns, cfg: dict) -> int:
-    jobs = int(_pick(ns, cfg, "jobs", 1))
+    try:
+        jobs = int(_pick(ns, cfg, "jobs", 1))
+    except ValueError:
+        raise UsageError("--jobs must be an integer")
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
     return jobs
 
 
-def _backend_name(ns, cfg: dict) -> str:
-    """The chosen backend, checked by building it once: an unknown kind or a
-    script that cannot be read is a usage error, not a failed run."""
+def _backend_name(ns, cfg: dict) -> str | None:
+    """The chosen backend's name, or None for the mock. It is checked by
+    building it once: an unknown kind or a script that cannot be read is a
+    usage error, not a failed run."""
     name = _pick(ns, cfg, "backend", "mock")
     try:
-        make_backend(name)
+        if make_backend(name) is None:
+            return None
     except FileNotFoundError as exc:
         raise UsageError(f"backend script not found: {exc.filename}")
     except OSError as exc:
@@ -330,7 +335,7 @@ def cmd_ablate(ns, cfg: dict) -> int:
 
     configs = [dataclasses.replace(base_config, **overrides) for _, overrides in ABLATION_VARIANTS]
     total = len(configs) * len(episodes)
-    if make_backend(backend_name) is None:
+    if backend_name is None:
         # the mock replies the same whatever the call order, so runs can be re-gated
         per_variant, simulated = run_config_suite(episodes, configs, jobs)
     else:

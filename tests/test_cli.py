@@ -155,6 +155,10 @@ def test_jobs_below_one_exits_one(tmp_path, small_dataset, capsys, command, jobs
     assert main(args[:-2] + ["--config", str(cfg)]) == 1
     assert "error: --jobs must be >= 1" in capsys.readouterr().err
 
+    cfg.write_text("jobs = two\n")
+    assert main(args[:-2] + ["--config", str(cfg)]) == 1
+    assert "error: --jobs must be an integer" in capsys.readouterr().err
+
 
 def test_unvalidated_weights_need_opt_in(tmp_path, small_dataset):
     args = [

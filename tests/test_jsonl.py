@@ -14,7 +14,6 @@ both sides of that line and checks each text against `json.dumps`.
 import json
 import math
 import random
-from json.encoder import c_make_encoder
 
 import pytest
 
@@ -215,6 +214,8 @@ def _event(rng) -> dict:
         event[key] = rng.choice((None, 2.5, 3, "3", [1], (), {"a": 1}, True))
     elif choice == 6:  # a cycle through the payload
         payload["self"] = rng.choice((payload, event, [payload]))
+    elif choice == 7:  # one renamed, so four keys but not emit's four
+        event[rng.choice(("extra", "Payload", _text(rng)))] = event.pop(rng.choice(sorted(event)))
     return event
 
 
@@ -243,7 +244,7 @@ def test_writer_matches_json_dumps_on_random_events(monkeypatch, accelerated):
 
     monkeypatch.setattr(agent._JSONL_ENCODER, "encode", counted)
     if not accelerated:  # as on an interpreter without the C encoder
-        monkeypatch.setattr(agent, "c_make_encoder", None)
+        monkeypatch.setattr(agent, "_JSONL_CHUNKS", agent._encode_whole)
     rng = random.Random(11)
     outcomes = []
     events_written = 0
@@ -260,7 +261,8 @@ def test_writer_matches_json_dumps_on_random_events(monkeypatch, accelerated):
         assert 500 < len(general_calls) < events_written // 2  # both paths ran
 
 
-@pytest.mark.skipif(c_make_encoder is None, reason="without the C encoder every event "
+@pytest.mark.skipif(agent._JSONL_CHUNKS is agent._encode_whole,
+                    reason="without the C encoder every event "
                     "goes through the general encoder")
 def test_every_seed0_event_takes_the_envelope_path(default_runs, monkeypatch):
     def refuse(value):
