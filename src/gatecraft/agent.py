@@ -307,7 +307,6 @@ class AgentRuntime:
     skipping: bool = False
     window: CoordinationWindow | None = None  # the one window this agent has open as requester
     skip_target: int | None = None
-    skip_exhausted: set[int] = field(default_factory=set)
     abandoned: set[int] = field(default_factory=set)
     # the sim time from which the next step passes the gate, or None: a pass
     # due at once stores the time it was set, a retry the cooldown's expiry
@@ -461,11 +460,9 @@ def _standard_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
 def _next_skip_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
     placed = ep.world.placed_nodes()
     blocked = rt.state.blockage.node_id if rt.state.blockage else None
-    allowed = {
-        n for n in rt.assigned
-        if n not in rt.abandoned and n not in rt.skip_exhausted
-        and ep.world.agents[rt.agent_id].inventory.count(ep.plan_info.materials[n]) >= 1
-    }
+    inv = ep.world.agents[rt.agent_id].inventory
+    allowed = {n for n in rt.assigned
+               if n not in rt.abandoned and inv.count(ep.plan_info.materials[n]) >= 1}
     return local_skip(rt.state, ep.graph, placed, blocked=blocked, allowed=allowed)
 
 
@@ -554,37 +551,29 @@ def _solver_context(ep: EpisodeRuntime, rt: AgentRuntime, view, blockage: Blocka
     }
 
 
-def _abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> None:
-    node = blockage.node_id
-    rt.abandoned.add(node)
+def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, event: str) -> None:
+    """Trace the end of the agent's open issue, `resolved` or `abandoned`
+    (which gives the node up), and clear what the issue held: the blockage,
+    the recovery legs, the skip work and the gate clock."""
     inst = rt.current_instance
-    ep.trace.emit(ep.world.sim_time, rt.agent_id, "issue",
-                  {"event": "abandoned", "issue": blockage.issue.value, "node_id": node,
-                   "windows": inst.windows_opened, "recovery_activated": inst.recovery_activated})
+    blockage = inst.blockage
+    now = ep.world.sim_time
+    payload = {"event": event, "issue": blockage.issue.value, "node_id": blockage.node_id,
+               "windows": inst.windows_opened, "recovery_activated": inst.recovery_activated}
+    if event == "resolved":
+        payload["via"] = "coordination" if inst.windows_opened else "local"
+        payload["duration"] = now - blockage.detected_at
+    else:
+        rt.abandoned.add(blockage.node_id)
+        if rt.state.active_subtask == blockage.node_id:
+            rt.state.active_subtask = None
+    ep.trace.emit(now, rt.agent_id, "issue", payload)
     rt.current_instance = None
-    if rt.state.active_subtask == node:
-        rt.state.active_subtask = None
     rt.state.blockage = None
-    rt.gate_at = None
-
-
-def _close_instance(ep: EpisodeRuntime, rt: AgentRuntime) -> None:
-    """Emit the resolved event for the agent's open issue, if any, and clear
-    it with the recovery legs left: the blockage they were for is gone."""
-    inst = rt.current_instance
-    if inst is None:
-        return
-    via = "coordination" if inst.windows_opened else "local"
-    ep.trace.emit(ep.world.sim_time, rt.agent_id, "issue", {
-        "event": "resolved", "issue": inst.blockage.issue.value, "node_id": inst.blockage.node_id,
-        "via": via, "windows": inst.windows_opened,
-        "recovery_activated": inst.recovery_activated,
-        "duration": ep.world.sim_time - inst.blockage.detected_at,
-    })
-    rt.current_instance = None
     rt.legs = []
+    rt.skipping = False
+    rt.skip_target = None
     rt.gate_at = None
-    rt.skip_exhausted.clear()
 
 
 def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan) -> None:
@@ -595,16 +584,23 @@ def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan) ->
     rt.current_instance.recovery_activated = True
 
 
-def _stall_or_abandon(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> Action:
-    """No plan and no skip work left: wait for a retry window or give the node up."""
-    rt.skipping = False
+def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
+                 plan: RecoveryPlan | None) -> None:
+    """The one route for a blocked agent with no window open: recover with
+    `plan`, else do skip work (the next step announces its target), else give
+    the node up after two failed windows, or wait for an unexpired cooldown."""
+    if plan is not None:
+        _enter_recovery(ep, rt, plan)
+        return
+    rt.skip_target = None
+    rt.skipping = _next_skip_target(ep, rt) is not None
+    if rt.skipping:
+        return
     entry = ep.cooldowns.entry(rt.agent_id, blockage.issue)
     if entry.consecutive_failures >= 2:
-        if blockage.issue in MATERIAL_SHAPED_ISSUES or blockage.issue == IssueType.DEPENDENCY_BLOCK:
-            _abandon(ep, rt, blockage)
+        _end_issue(ep, rt, "abandoned")
     elif entry.expires_at > ep.world.sim_time:
         rt.gate_at = entry.expires_at
-    return Action.idle()
 
 
 def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> tuple[dict, RecoveryPlan | None]:
@@ -671,21 +667,16 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
         rt.current_instance.recovery_activated = True
         return Action.send_message(request)
 
-    if material_issue and plan is not None:
-        _enter_recovery(ep, rt, plan)
+    _route_local(ep, rt, blockage, plan if material_issue else None)
+    if rt.legs:
         return _plan_step_action(ep, rt)
-    skip = _next_skip_target(ep, rt)
-    if skip is not None:
-        rt.skip_target = skip
-        rt.skipping = True
-        return Action.skip(skip)
-    return _stall_or_abandon(ep, rt, blockage)
+    return _skip_work_or_idle(ep, rt) if rt.skipping else Action.idle()
 
 
 def _advance_plan(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
     """Drop the finished legs and act on the next one. The last leg's goal is
     the blockage's own need, so finishing it clears the blockage through the
-    outcome trigger, and `_close_instance` drops the legs in the same
+    outcome trigger, and `_end_issue` drops the legs in the same
     `_post_action`: the legs never run dry here."""
     while _plan_leg_done(ep, rt):
         del rt.legs[0]
@@ -703,17 +694,18 @@ def _work_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
 
 
 def _skip_work_or_idle(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
-    if rt.skip_target is not None:
-        node = rt.skip_target
-        if ep.world.node_placed(node):
-            rt.skip_target = None
-        elif ep.world.agents[rt.agent_id].inventory.count(ep.plan_info.materials[node]) < 1:
-            rt.skip_exhausted.add(node)
-            rt.skip_target = None
+    """Build toward the skip target, announcing a new one first. When the
+    skip work runs out with no window open, the blockage is routed again."""
+    node = rt.skip_target
+    if node is not None and (
+            ep.world.node_placed(node)
+            or ep.world.agents[rt.agent_id].inventory.count(ep.plan_info.materials[node]) < 1):
+        rt.skip_target = None
     if rt.skip_target is None:
         nxt = _next_skip_target(ep, rt)
         if nxt is None:
-            rt.skipping = False
+            if rt.window is None:
+                _route_local(ep, rt, rt.state.blockage, None)
             return Action.idle()
         rt.skip_target = nxt
         return Action.skip(nxt)
@@ -765,9 +757,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
             return rt, _advance_plan(ep, rt)
         if rt.gate_at is not None and now >= rt.gate_at:
             return rt, _gate_and_route(ep, rt, view)
-        if rt.skipping:
-            return rt, _skip_work_or_idle(ep, rt)
-        return rt, Action.idle()
+        return rt, _skip_work_or_idle(ep, rt) if rt.skipping else Action.idle()
 
     return rt, _work_action(ep, rt)
 
@@ -791,7 +781,6 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
                 "expires_at": 0, "cause": "fulfilled",
             })
         if rt.state.blockage is not None:
-            rt.skipping = False
             rt.gate_at = now  # delivery did not fully cover the need
         return
     outcome = (CoordinationOutcome.CANNOT_SUPPLY if window.state == WindowState.CANNOT_SUPPLY
@@ -804,18 +793,13 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     blockage = rt.state.blockage
     if blockage is None:
         return
-    # mandatory local fallback, no fresh gate pass
+    # mandatory local fallback, no fresh gate pass; before the second
+    # failure the gate is passed again once the cooldown expires
+    rt.gate_at = entry.expires_at if entry.consecutive_failures < 2 else None
     plan = None
     if blockage.issue in MATERIAL_SHAPED_ISSUES:
         plan = plan_local_recovery(rt.state, ep.view_for(rt.agent_id), ep.recipes, blockage)
-    if plan is not None:
-        _enter_recovery(ep, rt, plan)
-        return
-    rt.skipping = True
-    rt.skip_target = None
-    rt.gate_at = entry.expires_at if entry.consecutive_failures < 2 else None
-    if entry.consecutive_failures >= 2 and _next_skip_target(ep, rt) is None:
-        _abandon(ep, rt, blockage)
+    _route_local(ep, rt, blockage, plan)
 
 
 def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: VerifiedOutcome) -> None:
@@ -844,7 +828,6 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
     if not outcome.ok and rt.legs:
         # a recovery leg failed against the live world; replan from scratch
         rt.legs = []
-        rt.skipping = False
         rt.gate_at = ep.world.sim_time
 
     # transfers also update the recipient's private state
@@ -852,7 +835,7 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         recipient = ep.runtimes[action.to_agent]
         update_private_state(recipient.state, outcome)
         if recipient.state.blockage is None and recipient.current_instance is not None:
-            _close_instance(ep, recipient)
+            _end_issue(ep, recipient, "resolved")
         ep.advertised.get(rt.agent_id, {}).pop(action.item, None)
         window = recipient.window
         if (window is not None and window.responder == rt.agent_id
@@ -860,16 +843,14 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
                 and window.has(MessageType.CONFIRM_TRANSFER)):
             window.transfer_done = True
 
-    # blockage satisfied by this outcome (plan leg, passive gain, ...)
-    if rt.state.blockage is None:
-        _close_instance(ep, rt)
-
-    # structural issues clear when the awaited node lands
+    # blockage satisfied by this outcome (plan leg, passive gain, ...), or a
+    # structural issue whose awaited node landed
     blockage = rt.state.blockage
-    if blockage is not None and blockage.issue in (IssueType.DEPENDENCY_BLOCK, IssueType.SUPPORT_FAILURE):
-        if ep.world.node_placed(blockage.node_id):
-            rt.state.blockage = None
-            _close_instance(ep, rt)
+    if rt.current_instance is not None and (
+            blockage is None
+            or (blockage.issue in (IssueType.DEPENDENCY_BLOCK, IssueType.SUPPORT_FAILURE)
+                and ep.world.node_placed(blockage.node_id))):
+        _end_issue(ep, rt, "resolved")
 
     # settle every open window after each applied action
     for window in ep.open_windows():
@@ -906,10 +887,12 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       decisions, abandonments, resolutions, window closes and cooldown
       updates (an abandoned node frees the next target; a window that times
       out mid-round hands its requester a local plan). What an idle round
-      changes without a trace settles within it: a skipping agent with no
-      skip target turns stalled, an agent whose blockage is gone takes the
-      standard branch in the same step, and a gate pass that the cooldown
-      skips ends stalled with nothing pending. Each idles again.
+      changes without a trace settles within it: an agent whose blockage
+      is gone takes the standard branch in the same step, and a blocked
+      agent whose skip work runs out, or whose gate pass the cooldown
+      skips, goes through `_route_local`. That abandons the node (traced),
+      schedules a retry (a `gate_at`, so the round does not qualify), or
+      leaves the agent stalled with nothing pending. Each idles again.
     """
     return (
         all(e["kind"] == "outcome" or (e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle")

@@ -147,12 +147,24 @@ def _as_bool(value) -> bool:
     return str(value).strip().lower() in ("1", "true", "yes", "on")
 
 
+_KINDS = {int: "an integer", float: "a number"}
+
+
 def _given(ns, cfg: dict, settings) -> dict:
     """`{name: convert(value)}` for each `(key, name, convert)` in `settings`
     whose key a flag or the config file set. The config class owns the
-    defaults of the rest."""
-    return {name: convert(value) for key, name, convert in settings
-            if (value := _pick(ns, cfg, key, None)) is not None}
+    defaults of the rest. argparse has already converted the flags, so a
+    value that `convert` rejects came from the config file: a usage error
+    that names the flag, the key and the file."""
+    out = {}
+    for key, name, convert in settings:
+        if (value := _pick(ns, cfg, key, None)) is not None:
+            try:
+                out[name] = convert(value)
+            except (TypeError, ValueError):
+                raise UsageError(f"--{key.replace('_', '-')} must be {_KINDS.get(convert, 'valid')}:"
+                                 f" config file {ns.config} sets {key} = {value!r}")
+    return out
 
 
 _RUN_SETTINGS = (
@@ -205,10 +217,7 @@ def _require_dataset(ns, cfg: dict):
 
 
 def _jobs(ns, cfg: dict) -> int:
-    try:
-        jobs = int(_pick(ns, cfg, "jobs", 1))
-    except ValueError:
-        raise UsageError("--jobs must be an integer")
+    jobs = _given(ns, cfg, [("jobs", "jobs", int)]).get("jobs", 1)
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
     return jobs
@@ -292,7 +301,7 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 
 
 def cmd_gen(ns, cfg: dict) -> int:
-    seed = int(_pick(ns, cfg, "seed", 0))
+    seed = _given(ns, cfg, [("seed", "seed", int)]).get("seed", 0)
     out = _out_dir(ns, cfg)
     manifest, episodes = generate_dataset(seed)
     save_dataset(manifest, episodes, out)
@@ -384,8 +393,9 @@ def _resolve_grid(ns, cfg: dict) -> dict:
 def cmd_calibrate(ns, cfg: dict) -> int:
     episodes = _require_dataset(ns, cfg)
     grid = _resolve_grid(ns, cfg)
-    seed = int(_pick(ns, cfg, "seed", 0))
-    fraction = float(_pick(ns, cfg, "calib_fraction", 0.5))
+    given = _given(ns, cfg, [("seed", "seed", int), ("calib_fraction", "fraction", float),
+                             *[(k, k, float) for k in ("lam_time", "lam_redundant", "lam_llm")]])
+    seed, fraction = given.pop("seed", 0), given.pop("fraction", 0.5)  # the rest are lambdas
     jobs = _jobs(ns, cfg)
     out = _out_dir(ns, cfg)
 
@@ -404,7 +414,7 @@ def cmd_calibrate(ns, cfg: dict) -> int:
         calib_config = CalibrationConfig(
             weight_grid=[tuple(int(x) for x in w) for w in grid["weights"]],
             threshold_grid=[(float(lo), float(hi)) for lo, hi in grid["thresholds"]],
-            **_given(ns, cfg, [(k, k, float) for k in ("lam_time", "lam_redundant", "lam_llm")]),
+            **given,
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -495,10 +505,11 @@ def cmd_report(ns, cfg: dict) -> int:
 # -- argument plumbing -------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, dataset=False, run_flags=False):
+def _add_common(p: argparse.ArgumentParser, *, seed=True, dataset=False, run_flags=False):
     p.add_argument("--config", help="config file (JSON or key=value lines); flags override it")
     p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, help="seed (default: 0)")
+    if seed:
+        p.add_argument("--seed", type=int, help="seed (default: 0)")
     if dataset:
         p.add_argument("--dataset", help="dataset directory or episodes.jsonl (default: dataset)")
         p.add_argument("--jobs", type=int, help="parallel episode workers (default: 1)")
@@ -541,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam-llm", type=float, dest="lam_llm")
 
     p = sub.add_parser("report", help="summarize recorded traces")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--traces", help="trace directory (default: <out>/traces)")
 
     return parser

@@ -340,6 +340,35 @@ def test_a_failed_recovery_leg_drops_the_legs_and_regates():
     assert next_action["payload"]["mode"] != "recovering"
 
 
+def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
+    """a0's node 1 waits on a1's node 2, which waits on a1's node 3. With
+    every tier off, a0 asks a1 for node 2's cobblestone and a1 hands it
+    over: the window is fulfilled, but the dependency block stays open
+    until node 2 lands, so a0's next step passes the gate again. a1 has no
+    stone bricks for node 3, so neither node lands; both agents give their
+    nodes up after two refused windows, and every issue ends."""
+    spec = _hand_built(
+        agents={"a0": [0, 0, 0], "a1": [4, 0, 0]},
+        blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [3, 0, 1]],
+                [3, "stone_bricks", [4, 0, 1]]],
+        assigned={"a0": [1], "a1": [2, 3]}, partition={}, script={}, edges=[[3, 2], [2, 1]],
+        inventories={"a0": {"oak_planks": 1}, "a1": {"cobblestone": 2}},
+    )
+    config = RunConfig(rules_on=False, score_on=False, adjudicator_on=False)
+    events = run_episode(spec, config).events
+    closed = next(i for i, e in enumerate(events)
+                  if e["kind"] == "window_state" and e["payload"]["event"] == "closed")
+    assert (events[closed]["step"], events[closed]["payload"]["window_id"],
+            events[closed]["payload"]["state"]) == (6, 0, "fulfilled")
+    a0_issues = [e["payload"] for e in events[:closed] if e["kind"] == "issue"]
+    assert [(p["event"], p["issue"]) for p in a0_issues] == [("detected", "dependency_block")]
+    a0_next = next(e for e in events[closed + 1:] if e["agent"] == "a0")
+    assert (a0_next["kind"], a0_next["step"]) == ("gate_decision", 6)
+    issues = [(e["agent"], e["payload"]["event"]) for e in events if e["kind"] == "issue"]
+    assert issues == [("a0", "detected"), ("a1", "detected"), ("a0", "abandoned"), ("a1", "abandoned")]
+    assert events[-1]["payload"]["reason"] == "quiescent"
+
+
 def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch):
     """The three changes a stale view cache gets wrong. a1 starts out of
     a0's sight, walks over to hand a0 its iron ingot (a transfer into a0's

@@ -160,6 +160,33 @@ def test_jobs_below_one_exits_one(tmp_path, small_dataset, capsys, command, jobs
     assert "error: --jobs must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("run", "window_timeout = soon\n",
+     "--window-timeout must be an integer: config file {cfg} sets window_timeout = 'soon'"),
+    ("ablate", "step_budget = 1.5\n",
+     "--step-budget must be an integer: config file {cfg} sets step_budget = '1.5'"),
+    ("gen", "seed = abc\n", "--seed must be an integer: config file {cfg} sets seed = 'abc'"),
+    ("calibrate", '{"lam_time": "x"}',
+     "--lam-time must be a number: config file {cfg} sets lam_time = 'x'"),
+    ("calibrate", "calib_fraction = half\n",
+     "--calib-fraction must be a number: config file {cfg} sets calib_fraction = 'half'"),
+])
+def test_a_non_numeric_config_value_exits_one_naming_key_and_file(
+        tmp_path, small_dataset, capsys, command, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    args = [command, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    if command != "gen":
+        args += ["--dataset", str(small_dataset)]
+    assert main(args) == 1
+    assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
+
+
+def test_report_takes_no_seed(tmp_path, capsys):
+    assert main(["report", "--out", str(tmp_path / "o"), "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_unvalidated_weights_need_opt_in(tmp_path, small_dataset):
     args = [
         "run", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),

@@ -10,6 +10,8 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
 - every coordination message names an open window whose requester and
   responder are the message's two endpoints;
 - each agent's issue events alternate detected -> resolved | abandoned;
+- an episode that ends for any reason but `budget` leaves no issue open:
+  every `detected` has its `resolved` or `abandoned`;
 - an agent with no open issue (before its first `detected`, and from each
   `resolved`/`abandoned` to its next `detected`) acts in mode `standard` or
   `coordinating`;
@@ -25,7 +27,8 @@ patch of `agent._quiescent`) and checks that the early exit only cut an
 idle tail: the same events up to `episode_end`, nothing after them but idle
 action/outcome pairs, and equal metrics and completion.
 
-The same cases, and the default runs, are run once more with spies on
+The default runs are checked the same way, without the second run. The
+same cases, and the default runs, are run once more with spies on
 `agent.observe` and `agent.step` (`conftest.run_checking_views`).
 """
 
@@ -100,9 +103,11 @@ def check_episode_invariants(events) -> dict[int, dict]:
                 assert (p["issue"], p["node_id"]) == (detected["issue"], detected["node_id"]), e
         elif kind == "action" and e["agent"] not in open_issue:
             assert p["mode"] in ("standard", "coordinating"), e
-    end = events[-1]["step"]
+    end = events[-1]
+    if end["payload"]["reason"] != "budget":
+        assert not open_issue, (end["payload"]["episode_id"], open_issue)
     for window in open_windows.values():
-        assert end < window["deadline"], window
+        assert end["step"] < window["deadline"], window
     return open_windows
 
 
@@ -206,6 +211,11 @@ def test_episode_invariants_sampled(monkeypatch):
             full = run_episode(spec, config).events
         check_episode_invariants(full)
         check_exit_equivalence(early, full, spec, config)
+
+
+def test_default_runs_keep_the_episode_invariants(default_runs):
+    for run in default_runs:
+        check_episode_invariants(run.trace.events)
 
 
 def test_items_are_conserved_in_the_default_runs(default_runs):

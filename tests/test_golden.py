@@ -101,15 +101,17 @@ def test_calibration_matches_golden_digests(dataset, tmp_path):
 
 
 def describe_moves(old: dict, new: dict) -> list[str]:
-    """One line per variant: how many trace digests moved against `old`, and
-    whether its metrics.csv digest moved."""
+    """One line per variant: how many trace digests moved against `old`,
+    whether its metrics.csv digest moved, and the ids of the moved episodes."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
         was, now = old.get(name, {}), new.get(name, {})
         traces_was, traces_now = was.get("traces", {}), now.get("traces", {})
-        moved = sum(traces_was.get(eid) != traces_now.get(eid) for eid in traces_was.keys() | traces_now.keys())
+        moved = sorted(eid for eid in traces_was.keys() | traces_now.keys()
+                       if traces_was.get(eid) != traces_now.get(eid))
         csv = "moved" if was.get("metrics_csv") != now.get("metrics_csv") else "unchanged"
-        lines.append(f"{name}: {moved} of {len(traces_now)} trace digests moved, metrics_csv {csv}")
+        line = f"{name}: {len(moved)} of {len(traces_now)} trace digests moved, metrics_csv {csv}"
+        lines.append(line + (f": {', '.join(moved)}" if moved else ""))
     return lines
 
 
