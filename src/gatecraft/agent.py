@@ -3,8 +3,8 @@
 Each agent's turn: observe and refresh private state, detect an issue,
 featurize and gate it, then route — open a coordination window, run the local
 solver, or do opportunistic skip work. The episode runtime owns the world,
-the public board, windows, cooldowns, and the ordered trace. `regate`
-derives a finished run's trace under other gate settings.
+the coordination windows (the public board), cooldowns, and the ordered
+trace. `regate` derives a finished run's trace under other gate settings.
 
 Views come from `observe` through the runtime's `ViewCache`. The world
 changes only through `apply_action`, and each outcome's deltas name every
@@ -16,12 +16,10 @@ invalidation exists or is needed.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .gate import (
-    NEAR_RADIUS,
     FeatureVector,
     GateThresholds,
     GateWeights,
@@ -62,7 +60,6 @@ from .solver import (
 )
 from .world import (
     INTERACTION_RADIUS,
-    OBSERVE_RADIUS,
     Action,
     CoordinationMessage,
     PlanInfo,
@@ -82,6 +79,11 @@ from .world import (
 # lets `regate` reuse one simulation across them.
 GATE_FIELDS = ("weights", "thresholds", "rules_on", "score_on", "adjudicator_on")
 
+# The version of the trace format, written into every `episode_end`. Bump it
+# when a trace would read differently: a changed event payload, or changed
+# physics constants (radii, speeds), which no trace echoes.
+TRACE_SCHEMA = 1
+
 
 @dataclass
 class RunConfig:
@@ -94,7 +96,6 @@ class RunConfig:
     window_timeout: int = 20
     cooldown_duration: int = 30
     step_budget: int = 300  # round-robin rounds, not individual actions
-    seed: int = 0
     allow_unvalidated: bool = False
 
     def __post_init__(self):
@@ -109,23 +110,18 @@ class RunConfig:
             raise ValueError("weight vector rejected: " + "; ".join(problems))
 
     def describe(self) -> dict:
-        """The config echoed into `episode_end`. It also carries the fixed
-        physics and the always-on rule toggles, so trace bytes stay stable."""
+        """The run settings echoed into `episode_end`: every field but
+        `allow_unvalidated`, which only admits weights."""
         return {
             "weights": list(self.weights.as_tuple()),
             "thresholds": [self.thresholds.t_low, self.thresholds.t_high],
             "rules_on": self.rules_on,
             "score_on": self.score_on,
             "adjudicator_on": self.adjudicator_on,
-            "rule_toggles": [True, True, True],
             "partition_on": self.partition_on,
             "window_timeout": self.window_timeout,
             "cooldown_duration": self.cooldown_duration,
             "step_budget": self.step_budget,
-            "seed": self.seed,
-            "observe_radius": OBSERVE_RADIUS,
-            **PLANNER_PARAMS,
-            "near_radius": NEAR_RADIUS,
         }
 
 
@@ -343,9 +339,6 @@ class EpisodeRuntime:
         self.graph = self.world.graph
         self.recipes = self.world.recipes
         self.plan_info: PlanInfo = spec.plan_info(self.world)
-        self.board: list[CoordinationMessage] = []
-        # the last 8 protocols on the board, `|`-joined: mixed into digests without a partition
-        self.board_tail = ""
         self.windows: dict[int, CoordinationWindow] = {}  # open windows only, in id order
         self._window_seq = 0
         self.cooldowns = CooldownTable(duration=config.cooldown_duration)
@@ -714,12 +707,9 @@ def _skip_work_or_idle(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
 
 def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
     """Choose this agent's next action (decision phases in fixed order)."""
-    config = ep.config
     now = ep.world.sim_time
     view = ep.view_for(rt.agent_id)
     rt.view_digest = view.digest()
-    if not config.partition_on:
-        rt.view_digest = format(zlib.crc32((rt.view_digest + ep.board_tail).encode()), "08x")
 
     # protocol liveness before own work
     duty = _responder_duty(ep, rt)
@@ -808,8 +798,6 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         msg = action.message
         if not validate_message(msg.to_dict()):
             raise ValueError(f"invalid protocol message emitted: {msg.to_dict()}")
-        ep.board.append(msg)
-        ep.board_tail = "|".join(m.protocol for m in ep.board[-8:])
         # every message belongs to its requester's one open window
         from_requester = msg.protocol in (MessageType.REQUEST_MATERIAL.value, MessageType.CONFIRM_TRANSFER.value)
         window = ep.runtimes[msg.sender if from_requester else msg.target].window
@@ -868,10 +856,9 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
     already due: the gate pass it triggers has not run yet). The state after
     it is a fixed point:
 
-    - The world changes only through non-idle actions, and the board only
-      through messages, so every view, and with `partition_on=False` every
-      digest's board tail, stays the same. `sim_time` still advances, but
-      only the idle pairs' `step` and `obs_digest` show it.
+    - The world changes only through non-idle actions, so every view stays
+      the same. `sim_time` still advances, but only the idle pairs' `step`
+      and `obs_digest` show it.
     - The only reads that depend on time are window deadlines (none is
       open, and opening one is traced), `gate_at` (none is set) and
       cooldown expiry and level. The cooldown table is read only in a gate
@@ -937,6 +924,7 @@ def simulate_episode(spec, config: RunConfig, backend=None) -> EpisodeRuntime:
         "reason": reason,
         "completion": blueprint_completion(ep.world),
         "rounds": rounds,
+        "schema": TRACE_SCHEMA,
         "config": config.describe(),
         "episode_id": getattr(spec, "episode_id", None),
         "class_label": getattr(spec, "class_label", None),

@@ -4,10 +4,10 @@ Subcommands: gen (dataset), run (batch episodes -> traces + metrics CSV),
 ablate (six-variant comparison), calibrate (grid search over gate settings),
 report (tables from recorded traces).
 
-Every subcommand is deterministic given its inputs, the seed, and the backend
-script; a remote adjudicator is the only nondeterminism source, and its
-request/reply bytes land verbatim in the traces so the run can be replayed
-with the scripted backend.
+Every subcommand is deterministic given its inputs, the seed (`gen` and
+`calibrate`), and the backend script; a remote adjudicator is the only
+nondeterminism source, and its request/reply bytes land verbatim in the
+traces so the run can be replayed with the scripted backend.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 """
@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .agent import RunConfig, Trace, run_episode
+from .agent import TRACE_SCHEMA, RunConfig, Trace, run_episode
 from .gate import GateThresholds, GateWeights
 from .harness import (
     REQUIRED_PAYLOAD,
@@ -42,7 +42,7 @@ EXIT_RUNTIME = 2
 
 TIER_NAMES = ("rules", "score", "adjudicator")
 
-# (variant, RunConfig overrides) — identical seeds/dataset across all six.
+# (variant, RunConfig overrides) — the same dataset across all six.
 ABLATION_VARIANTS = [
     ("base", {"rules_on": False, "score_on": False, "adjudicator_on": False,
               "partition_on": False}),
@@ -172,7 +172,6 @@ _RUN_SETTINGS = (
     ("window_timeout", "window_timeout", int),
     ("cooldown", "cooldown_duration", int),
     ("step_budget", "step_budget", int),
-    ("seed", "seed", int),
     ("allow_unvalidated", "allow_unvalidated", _as_bool),
 )
 
@@ -458,6 +457,24 @@ def _first_bad_event(events: list) -> str | None:
     return None
 
 
+def _schema_problem(events: list) -> str | None:
+    """Name the last `episode_end` event if its payload's schema is missing
+    or is not TRACE_SCHEMA. A trace with no `episode_end`, or with a payload
+    that is not an object, is left to `compute_metrics` and
+    `_first_bad_event`, which name those."""
+    i = next((i for i in range(len(events), 0, -1) if isinstance(events[i - 1], dict)
+              and events[i - 1].get("kind") == "episode_end"), None)
+    payload = None if i is None else events[i - 1].get("payload")
+    if not isinstance(payload, dict):
+        return None
+    if "schema" not in payload:
+        return f"event {i} (episode_end) has no payload field 'schema'"
+    found = payload["schema"]
+    if type(found) is not int or found != TRACE_SCHEMA:
+        return f"event {i} (episode_end) has schema {found!r}; this reader takes schema {TRACE_SCHEMA}"
+    return None
+
+
 def cmd_report(ns, cfg: dict) -> int:
     out = _out_dir(ns, cfg)
     traces_dir = Path(_pick(ns, cfg, "traces", out / "traces"))
@@ -471,6 +488,8 @@ def cmd_report(ns, cfg: dict) -> int:
             trace = Trace.from_jsonl(f.read_text())
         except ValueError as exc:
             raise ValueError(f"{f}: {exc}") from exc
+        if (problem := _schema_problem(trace.events)) is not None:
+            raise ValueError(f"{f}: {problem}")
         try:
             metrics.append(compute_metrics(trace))
         except (KeyError, TypeError, AttributeError) as exc:
@@ -505,7 +524,7 @@ def cmd_report(ns, cfg: dict) -> int:
 # -- argument plumbing -------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed=True, dataset=False, run_flags=False):
+def _add_common(p: argparse.ArgumentParser, *, seed=False, dataset=False, run_flags=False):
     p.add_argument("--config", help="config file (JSON or key=value lines); flags override it")
     p.add_argument("--out", help="output directory (default: out)")
     if seed:
@@ -533,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="generate the episode dataset")
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("run", help="run episodes, write traces + metrics CSV")
     _add_common(p, dataset=True, run_flags=True)
@@ -543,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, dataset=True, run_flags=True)
 
     p = sub.add_parser("calibrate", help="grid-search gate weights and thresholds")
-    _add_common(p, dataset=True)
+    _add_common(p, seed=True, dataset=True)
     p.add_argument("--grid", help="preset (small, default) or a JSON grid file")
     p.add_argument("--calib-fraction", type=float, dest="calib_fraction",
                    help="template fraction used for calibration (1.0 = all; default 0.5)")
@@ -552,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam-llm", type=float, dest="lam_llm")
 
     p = sub.add_parser("report", help="summarize recorded traces")
-    _add_common(p, seed=False)
+    _add_common(p)
     p.add_argument("--traces", help="trace directory (default: <out>/traces)")
 
     return parser

@@ -119,7 +119,7 @@ def open_window(
     item: str,
     count: int,
     now: int,
-    timeout: int = 20,
+    timeout: int,
 ) -> tuple[CoordinationWindow, CoordinationMessage]:
     """Open a request window and produce the REQUEST_MATERIAL message to post."""
     if count < 1:

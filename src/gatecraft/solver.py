@@ -206,7 +206,7 @@ class CooldownTable:
     """Per (agent, issue) escalation hygiene: levels decay at expiry, zero-yield
     streaks persist until a fulfilled window resets them."""
 
-    def __init__(self, duration: int = 30):
+    def __init__(self, duration: int):
         self.duration = duration
         self.entries: dict[tuple[str, str], CooldownEntry] = {}
 

@@ -636,7 +636,10 @@ class WorldView:
 
     def digest(self) -> str:
         """Cheap deterministic observation digest for traces: the CRC-32 of
-        `agent|position|inventory|placed count|sources|teammates|sim_time`."""
+        `agent|position|inventory|placed count|sources|teammates|sim_time`.
+        The texts of the position, inventory, sources and teammates (`str`
+        of the sorted map) stay in `memo` until an outcome makes them stale
+        (see ViewCache)."""
         memo = self.memo
         where = memo.get("where_s")
         if where is None:
@@ -649,12 +652,7 @@ class WorldView:
             sources = memo["sources_s"] = str([(i, s.remaining) for i, s in self.sources])
         mates = memo.get("teammates_s")
         if mates is None:
-            # str(sorted(self.teammates.items())), from one kept entry per teammate
-            entries = memo.get("teammate_entries")
-            if entries is None:
-                entries = memo["teammate_entries"] = {
-                    aid: _teammate_entry(aid, pos) for aid, pos in sorted(self.teammates.items())}
-            mates = memo["teammates_s"] = f"[{', '.join(entries.values())}]"
+            mates = memo["teammates_s"] = str(sorted(self.teammates.items()))
         text = f"{where}|{held}|{len(self.placed_nodes)}|{sources}|{mates}|{self.sim_time}"
         return "%08x" % zlib.crc32(text.encode())
 
@@ -665,11 +663,6 @@ class WorldView:
             if idx == ref[1]:
                 return entry.position
         return None
-
-
-def _teammate_entry(agent_id: str, position: Position) -> str:
-    """`str((agent_id, position))`, the text of one teammate in a digest."""
-    return f"({agent_id!r}, {position})"
 
 
 def nearest_supply(view: WorldView, origin: Position, item: str,
@@ -696,7 +689,7 @@ def nearest_supply(view: WorldView, origin: Position, item: str,
 
 
 # The memo keys that each outcome delta makes stale (see ViewCache).
-_TEAMMATE_KEYS = ("teammates", "teammate_entries", "teammates_s")
+_TEAMMATE_KEYS = ("teammates", "teammates_s")
 _MOVER_KEYS = ("position", "where_s")
 _HOLDER_KEYS = ("inventory", "inventory_s")
 
@@ -713,8 +706,8 @@ class ViewCache:
     - a `position` delta makes the mover's position stale. Its next
       `observe` works out again what it sees, and keeps each part that did
       not change, with its text. Another agent's teammates change only if it
-      sees the mover before or after the move; if both, the mover's entry is
-      updated instead of the map being rebuilt;
+      sees the mover before or after the move, and then its next view
+      rebuilds them;
     - an `inventory` delta makes that agent's inventory stale;
     - a `source` delta makes every sources text stale (views hold the live
       `Source` objects).
@@ -735,36 +728,25 @@ class ViewCache:
             memo = self.memos[agent_id] = {}
         return memo
 
-    def _renew(self, agent_id: str, stale: tuple[str, ...]) -> dict | None:
-        """Replace the agent's memo with a copy without `stale`; return it."""
+    def _renew(self, agent_id: str, stale: tuple[str, ...]) -> None:
+        """Replace the agent's memo, if it has one, with a copy without `stale`."""
         memo = self.memos.get(agent_id)
         if memo is not None:
             memo = self.memos[agent_id] = memo.copy()
             for key in stale:
                 memo.pop(key, None)
-        return memo
 
     def invalidate(self, outcome: VerifiedOutcome) -> None:
         deltas = outcome.deltas
         if not deltas:
             return
         for mover, (_, new) in deltas.get("position", {}).items():
-            new = tuple(new)
-            entry = _teammate_entry(mover, new)
             self._renew(mover, _MOVER_KEYS)
             for aid, memo in self.memos.items():
                 teammates = memo.get("teammates")
                 if aid == mover or teammates is None or "position" not in memo:
                     continue  # the next view rebuilds this agent's teammates
-                seen_before = mover in teammates
-                seen_after = within(new, memo["position"], OBSERVE_RADIUS)
-                if seen_before and seen_after:
-                    # the mover keeps its place in the sorted map
-                    memo = self._renew(aid, ("teammates_s",))
-                    memo["teammates"] = {**teammates, mover: new}
-                    if "teammate_entries" in memo:
-                        memo["teammate_entries"] = {**memo["teammate_entries"], mover: entry}
-                elif seen_before or seen_after:
+                if mover in teammates or within(new, memo["position"], OBSERVE_RADIUS):
                     self._renew(aid, _TEAMMATE_KEYS)
         for holder in deltas.get("inventory", ()):
             self._renew(holder, _HOLDER_KEYS)
@@ -798,7 +780,6 @@ def observe(world: WorldState, agent_id: str, plan: PlanInfo | None = None,
         teammates = _teammates_in_sight(world, agent_id, pos)
         if teammates != memo.get("teammates"):
             memo["teammates"] = teammates
-            memo.pop("teammate_entries", None)
             memo.pop("teammates_s", None)
     elif "teammates" not in memo:
         memo["teammates"] = _teammates_in_sight(world, agent_id, pos)

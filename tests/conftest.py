@@ -1,4 +1,5 @@
-import zlib
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -73,12 +74,31 @@ def plan_for(world, assignments=None, partition=None, work_regions=None):
     return PlanInfo.for_world(world, assignments, partition=partition, work_regions=work_regions)
 
 
+def attribute_reads(path: Path, names) -> set[tuple[str, str, str]]:
+    """`(module, scope, name)` for each load of an attribute called one of
+    `names` in the module at `path`. The scope is the dotted path of the
+    enclosing classes and functions, or `<module>`."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Attribute) and child.attr in names
+                    and isinstance(child.ctx, ast.Load)):
+                found.add((path.stem, scope or "<module>", child.attr))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
 def run_checking_views(spec, config, monkeypatch):
     """Simulate `spec` under `config` with spies on `agent.observe` and
     `agent.step`: every view the runtime's cache serves must equal a fresh
     `observe` without one, and every step's `obs_digest` the fresh view's
-    digest (with the partition-off board-tail mix). Returns the runtime and
-    the views served, in order."""
+    digest. Returns the runtime and the views served, in order."""
     real_step = agent.step
     served = []
 
@@ -91,11 +111,8 @@ def run_checking_views(spec, config, monkeypatch):
 
     def checked_step(rt, ep):
         rt, action = real_step(rt, ep)
-        # a step reads the world and the board but never changes them
+        # a step reads the world but never changes it
         expected = observe(ep.world, rt.agent_id, plan=ep.plan_info).digest()
-        if not ep.config.partition_on:
-            board_tail = "|".join(m.protocol for m in ep.board[-8:])
-            expected = format(zlib.crc32((expected + board_tail).encode()), "08x")
         assert rt.view_digest == expected, (rt.agent_id, ep.world.sim_time)
         return rt, action
 

@@ -290,7 +290,7 @@ class _Adjudicator(BaseHTTPRequestHandler):
 def test_criterion_7_trace_determinism_and_replay(dataset):
     _, episodes = dataset
     spec = next(e for e in episodes if e.class_label == "C")
-    config = RunConfig(seed=11)
+    config = RunConfig()
 
     reply = '{"decision": "stay_local", "confidence": 0.7}'
     first = run_episode(spec, config, ScriptedAdjudicator([reply] * 5))

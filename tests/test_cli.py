@@ -182,8 +182,10 @@ def test_a_non_numeric_config_value_exits_one_naming_key_and_file(
     assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
 
 
-def test_report_takes_no_seed(tmp_path, capsys):
-    assert main(["report", "--out", str(tmp_path / "o"), "--seed", "1"]) == 1
+@pytest.mark.parametrize("command", ["report", "run", "ablate"])
+def test_report_takes_no_seed(tmp_path, capsys, command):
+    """Only `gen` and `calibrate` use a seed."""
+    assert main([command, "--out", str(tmp_path / "o"), "--seed", "1"]) == 1
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
@@ -198,7 +200,7 @@ def test_unvalidated_weights_need_opt_in(tmp_path, small_dataset):
 
 def test_config_file_with_flag_override(tmp_path, small_dataset):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# defaults for this experiment\nseed=9\nthresholds=0.45,0.45\n")
+    cfg.write_text("# defaults for this experiment\nwindow_timeout=15\nthresholds=0.45,0.45\n")
     out = tmp_path / "out"
     rc = main([
         "run", "--dataset", str(small_dataset), "--out", str(out),
@@ -208,7 +210,7 @@ def test_config_file_with_flag_override(tmp_path, small_dataset):
     payload = _episode_end(next(iter((out / "traces").glob("*.jsonl"))))
     # the flag overrides the file; the file fills in what no flag set
     assert payload["config"]["thresholds"] == [0.4, 0.5]
-    assert payload["config"]["seed"] == 9
+    assert payload["config"]["window_timeout"] == 15
 
 
 def test_config_file_json_form(tmp_path, small_dataset):
@@ -278,7 +280,7 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
         assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
         assert f"runtime error: {bad}: event 4 {problem}" in capsys.readouterr().err
 
-    end = '{"agent":"","kind":"episode_end","payload":{"completion":1.0},"step":1}\n'
+    end = '{"agent":"","kind":"episode_end","payload":{"completion":1.0,"schema":1},"step":1}\n'
     for action, field in (("{}", "action"), ('{"action":{}}', "action.kind")):
         bad.write_text('{"agent":"a0","kind":"action","payload":%s,"step":0}\n' % action + end)
         assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
@@ -315,6 +317,28 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
     bad.write_text("".join(lines[:3]) + "garbage\n" + "".join(lines[4:]))
     assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
     assert f"runtime error: {bad}: line 4: Expecting value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schema, problem", [
+    (None, "has no payload field 'schema'"),
+    (2, "has schema 2; this reader takes schema 1"),
+    ("1", "has schema '1'; this reader takes schema 1"),
+])
+def test_report_rejects_a_trace_of_another_schema(tmp_path, small_dataset, capsys, schema, problem):
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out), "--episodes", "1"]) == 0
+    trace = next(iter((out / "traces").glob("*.jsonl")))
+    events = Trace.from_jsonl(trace.read_text()).events
+    assert events[-1]["payload"]["schema"] == 1
+    if schema is None:
+        del events[-1]["payload"]["schema"]
+    else:
+        events[-1]["payload"]["schema"] = schema
+    trace.write_text(Trace(events=events).to_jsonl())
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    assert (f"runtime error: {trace}: event {len(events)} (episode_end) {problem}"
+            in capsys.readouterr().err)
 
 
 def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):

@@ -281,7 +281,7 @@ def _featurize(world, plan, agent_id="a0", cooldowns=None):
     state = PrivateState(agent_id=agent_id, inventory=view.inventory)
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None
-    return extract_features(view, world.graph, state, TeamPublicView(), cooldowns or CooldownTable(),
+    return extract_features(view, world.graph, state, TeamPublicView(), cooldowns or CooldownTable(duration=30),
                             world.recipes, blockage=issue)
 
 
@@ -312,7 +312,7 @@ def test_features_history_tracks_cooldown_level():
         agents={"a0": ((0, 0, 0), {}), "a1": ((12, 0, 0), {"iron_ingot": 1})},
     )
     plan = plan_for(world, assignments={0: "a0"}, partition={"iron_ingot": "a1"})
-    cooldowns = CooldownTable()
+    cooldowns = CooldownTable(duration=30)
     from gatecraft.solver import CoordinationOutcome
     cooldowns.register_failure("a0", IssueType.TRANSFER_NEEDED, CoordinationOutcome.CANNOT_SUPPLY, now=0)
     vec, _ = _featurize(world, plan, cooldowns=cooldowns)

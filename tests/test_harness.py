@@ -430,7 +430,6 @@ def test_adjudicator_replies_roundtrip(dataset):
     config = RunConfig(
         weights=GateWeights(),
         thresholds=GateThresholds(0.4, 0.5),
-        seed=5,
     )
     trace = run_episode(spec, config)
     replies = adjudicator_replies(trace)

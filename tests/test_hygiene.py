@@ -1,5 +1,6 @@
 """Source hygiene: every import in `src/` and `tests/` is used, every
-module-level name in `src/gatecraft` is used in `src/` or exported,
+module-level name in `src/gatecraft` is used in `src/` or exported, every
+`RunConfig` field is read by the program and echoed into the trace,
 importing the command line loads no network or process-pool module, and
 the benchmark's per-layer wrappers still find what they wrap and count
 views and digests once per step.
@@ -11,11 +12,16 @@ would not count).
 """
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from gatecraft import RunConfig
+
+from conftest import attribute_reads
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,6 +83,18 @@ def test_every_module_level_name_is_used_or_exported():
                 for name, line in module_level_names(f).items()
                 if name not in used and name not in exported]
     assert not problems, "defined but neither used in src/ nor exported:\n" + "\n".join(problems)
+
+
+def test_every_run_setting_is_read_and_echoed():
+    """A `RunConfig` field that no code in `src/` reads, outside the echo in
+    `describe`, is a setting that changes nothing but the trace. The echo
+    holds exactly the run settings: every field but `allow_unvalidated`,
+    which only admits weights."""
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    reads = set().union(*(attribute_reads(f, names) for f in sorted((ROOT / "src").rglob("*.py"))))
+    read = {name for module, scope, name in reads if (module, scope) != ("agent", "RunConfig.describe")}
+    assert sorted(names - read) == []
+    assert sorted(RunConfig().describe()) == sorted(names - {"allow_unvalidated"})
 
 
 def test_cli_import_skips_network_and_pool_modules():

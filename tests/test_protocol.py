@@ -80,13 +80,13 @@ def test_open_window_posts_request():
 
 def test_open_window_rejects_self_and_zero_count():
     with pytest.raises(ValueError):
-        open_window(0, "transfer_needed", "a0", "a0", "x", 1, now=0)
+        open_window(0, "transfer_needed", "a0", "a0", "x", 1, now=0, timeout=20)
     with pytest.raises(ValueError):
-        open_window(0, "transfer_needed", "a0", "a1", "x", 0, now=0)
+        open_window(0, "transfer_needed", "a0", "a1", "x", 0, now=0, timeout=20)
 
 
 def test_window_caps_messages():
-    window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0)
+    window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0, timeout=20)
     for i in range(MAX_WINDOW_MESSAGES - 1):
         window.append(CoordinationMessage(
             protocol=MessageType.OFFER_TRANSFER.value, sender="a1", target="a0",
@@ -96,7 +96,7 @@ def test_window_caps_messages():
 
 
 def test_respond_policy_offers_only_from_surplus():
-    _, request = open_window(0, "transfer_needed", "a0", "a1", "iron_ingot", 2, now=0)
+    _, request = open_window(0, "transfer_needed", "a0", "a1", "iron_ingot", 2, now=0, timeout=20)
     offer = respond_policy(Inventory({"iron_ingot": 3}), {}, request, now=1)
     assert offer.protocol == MessageType.OFFER_TRANSFER.value and offer.count == 2
     # holder needs 2 of the 3 for its own nodes -> cannot cover the request
@@ -111,7 +111,7 @@ def test_surplus_of_subtracts_own_requirements():
 
 
 def test_settle_cannot_supply_closes_window():
-    window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0)
+    window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0, timeout=20)
     window.append(CoordinationMessage(
         protocol=MessageType.CANNOT_SUPPLY.value, sender="a1", target="a0",
         item="x", count=1, reason=ReasonTag.NO_SURPLUS.value, time=1))
@@ -127,7 +127,7 @@ def test_settle_times_out_at_deadline():
 def test_settle_directs_responder_through_handshake():
     world = make_world([(0, (0, 0, 1), "stone")],
                        agents={"a0": ((0, 0, 0), {}), "a1": ((40, 0, 0), {"x": 1})})
-    window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0)
+    window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0, timeout=20)
     window.append(respond_policy(world.agents["a1"].inventory, {}, request, now=1))
     window.append(confirm_message(window, now=2))
     # offer + confirm alone keep the window open until the transfer is verified

@@ -145,7 +145,7 @@ def test_cooldown_levels_escalate_and_expire():
 
 
 def test_cannot_supply_jumps_to_max_level():
-    table = CooldownTable()
+    table = CooldownTable(duration=30)
     e = table.register_failure("a0", "transfer_needed", CoordinationOutcome.CANNOT_SUPPLY, now=0)
     assert e.level == 3
 
@@ -161,7 +161,7 @@ def test_blocked_after_two_consecutive_failures_persists():
 
 
 def test_fulfilled_window_resets_pair():
-    table = CooldownTable()
+    table = CooldownTable(duration=30)
     table.register_failure("a0", "x", CoordinationOutcome.CANNOT_SUPPLY, now=0)
     table.register_failure("a0", "x", CoordinationOutcome.TIMEOUT, now=1)
     table.register_success("a0", "x")
@@ -171,6 +171,6 @@ def test_fulfilled_window_resets_pair():
 
 
 def test_register_failure_rejects_fulfilled():
-    table = CooldownTable()
+    table = CooldownTable(duration=30)
     with pytest.raises(ValueError):
         table.register_failure("a0", "x", CoordinationOutcome.FULFILLED, now=0)
