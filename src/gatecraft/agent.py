@@ -52,7 +52,6 @@ from .protocol import (
 from .solver import (
     PLANNER_PARAMS,
     CooldownTable,
-    CoordinationOutcome,
     RecoveryPlan,
     RecoveryStep,
     local_skip,
@@ -74,9 +73,9 @@ from .world import (
 )
 
 
-# The gate settings. They reach a run only through `gating_enabled`,
-# `_gate_decision`, `_mock_backend` and `RunConfig.describe`, which is what
-# lets `regate` reuse one simulation across them.
+# The gate settings. They reach a run only through `_gate_decision`,
+# `_mock_backend` and `RunConfig.describe`, which is what lets `regate`
+# reuse one simulation across them.
 GATE_FIELDS = ("weights", "thresholds", "rules_on", "score_on", "adjudicator_on")
 
 # The version of the trace format, written into every `episode_end`. Bump it
@@ -129,10 +128,6 @@ def non_gate_settings(config: RunConfig) -> tuple:
     """The config's values outside GATE_FIELDS: runs that agree on them can
     share one simulation through `regate`."""
     return tuple(getattr(config, f.name) for f in fields(config) if f.name not in GATE_FIELDS)
-
-
-def gating_enabled(config: RunConfig) -> bool:
-    return config.rules_on or config.score_on or config.adjudicator_on
 
 
 def _mock_backend(config: RunConfig) -> MockAdjudicator | None:
@@ -278,9 +273,8 @@ class GatePass:
 
     event_index: int  # of the `gate_decision` event
     blockage: BlockageRecord
-    fv: FeatureVector | None  # None when every tier was off
-    probe: RecoveryPlan | None  # the material-issue plan probe
-    plan: RecoveryPlan | None  # the plan `extract_features` returned; None when fv is
+    fv: FeatureVector
+    plan: RecoveryPlan | None  # the plan `extract_features` returned
 
 
 @dataclass
@@ -456,7 +450,7 @@ def _next_skip_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
     inv = ep.world.agents[rt.agent_id].inventory
     allowed = {n for n in rt.assigned
                if n not in rt.abandoned and inv.count(ep.plan_info.materials[n]) >= 1}
-    return local_skip(rt.state, ep.graph, placed, blocked=blocked, allowed=allowed)
+    return local_skip(ep.graph, placed, blocked, allowed)
 
 
 def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
@@ -596,28 +590,26 @@ def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
         rt.gate_at = entry.expires_at
 
 
-def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> tuple[dict, RecoveryPlan | None]:
+def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict:
     """Decide one gate pass under `config` and render its `gate_decision`
-    payload; also return the plan the route reads. `solver_ctx()` supplies
-    the context an escalation records. The step loop and `regate` both
-    decide here, so their payloads cannot drift apart."""
+    payload. `solver_ctx()` supplies the context an escalation records. The
+    step loop and `regate` both decide here, so their payloads cannot drift
+    apart. With every tier off (the communication-first baseline) every
+    issue escalates, and the payload records only that."""
     blockage = gp.blockage
-    if not gating_enabled(config):
-        # communication-first baseline: every issue escalates
-        decision, plan = {"verdict": "escalate", "tier": "disabled"}, gp.probe
-    else:
+    if config.rules_on or config.score_on or config.adjudicator_on:
         decision = gate_decide(
-            blockage.issue, gp.fv, config.weights, config.thresholds,
-            adjudicator=backend,
+            blockage, gp.fv, config.weights, config.thresholds, adjudicator=backend,
             rules_on=config.rules_on, score_on=config.score_on,
-            adjudicator_on=config.adjudicator_on, blockage=blockage, plan=gp.plan,
+            adjudicator_on=config.adjudicator_on, plan=gp.plan,
         ).to_dict()
-        plan = gp.plan
+    else:
+        decision = {"verdict": "escalate", "tier": "disabled"}
     payload = {"issue": blockage.issue.value, "node_id": blockage.node_id, **decision}
     if decision["verdict"] == "escalate":
         payload["solver_ctx"] = solver_ctx()
-        payload["local_plan_cost"] = plan.total_cost if plan else None
-    return payload, plan
+        payload["local_plan_cost"] = gp.plan.total_cost if gp.plan else None
+    return payload
 
 
 def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
@@ -626,9 +618,8 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     rt.gate_at = None
     now = ep.world.sim_time
 
-    material_issue = blockage.issue in MATERIAL_SHAPED_ISSUES
-    plan = None
-    if material_issue:
+    plan = None  # the probe; only a material issue's route reads a plan
+    if blockage.issue in MATERIAL_SHAPED_ISSUES:
         plan = plan_local_recovery(rt.state, view, ep.recipes, blockage)
 
     hard_blocked = ep.cooldowns.blocked(rt.agent_id, blockage.issue, now)
@@ -637,16 +628,14 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     if not others_exist or hard_blocked:
         verdict = "stay_local"  # gate skipped; cooldown discipline owns the issue
     else:
-        fv = features_plan = None
-        if gating_enabled(ep.config):
-            fv, features_plan = extract_features(
-                view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
-                ep.recipes, blockage=blockage, plan=plan,
-            )
-        gp = GatePass(len(ep.trace.events), blockage, fv, plan, features_plan)
+        fv, features_plan = extract_features(
+            view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
+            ep.recipes, blockage=blockage, plan=plan,
+        )
+        gp = GatePass(len(ep.trace.events), blockage, fv, features_plan)
         ep.gate_passes.append(gp)
-        payload, plan = _gate_decision(ep.config, ep.backend, gp,
-                                       lambda: _solver_context(ep, rt, view, blockage))
+        payload = _gate_decision(ep.config, ep.backend, gp,
+                                 lambda: _solver_context(ep, rt, view, blockage))
         verdict = payload["verdict"]
         ep.trace.emit(now, rt.agent_id, "gate_decision", payload)
 
@@ -660,7 +649,7 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
         rt.current_instance.recovery_activated = True
         return Action.send_message(request)
 
-    _route_local(ep, rt, blockage, plan if material_issue else None)
+    _route_local(ep, rt, blockage, plan)
     if rt.legs:
         return _plan_step_action(ep, rt)
     return _skip_work_or_idle(ep, rt) if rt.skipping else Action.idle()
@@ -773,12 +762,10 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
         if rt.state.blockage is not None:
             rt.gate_at = now  # delivery did not fully cover the need
         return
-    outcome = (CoordinationOutcome.CANNOT_SUPPLY if window.state == WindowState.CANNOT_SUPPLY
-               else CoordinationOutcome.TIMEOUT)
-    entry = ep.cooldowns.register_failure(window.requester, issue, outcome, now)
+    entry = ep.cooldowns.register_failure(window.requester, issue, window.state, now)
     ep.trace.emit(now, window.requester, "cooldown_update", {
         "issue": issue, "level": entry.level, "consecutive_failures": entry.consecutive_failures,
-        "expires_at": entry.expires_at, "cause": outcome.value,
+        "expires_at": entry.expires_at, "cause": window.state.value,
     })
     blockage = rt.state.blockage
     if blockage is None:
@@ -947,45 +934,39 @@ def regate(reference: EpisodeRuntime, config: RunConfig) -> Trace | None:
     through `_gate_decision` and `config`'s mock backend. If every verdict is
     the reference's, the result is the reference trace with those
     `gate_decision` payloads and `episode_end.config` re-rendered. Any
-    flipped verdict returns None, and so does a pass the reference decided
-    with every tier off (no feature vector) when `config` has a tier on.
+    flipped verdict returns None.
 
     By induction over the passes, the two runs are in the same state at each
     one, so re-deciding from the recorded inputs is what the other run does:
 
     - Before the first pass, both runs have the same spec and the same
       non-gate settings. The gate settings are read nowhere else than in
-      `gating_enabled`, `_gate_decision`, `_mock_backend`, `describe` and
-      the weight check in `__post_init__` (`tests/test_regate.py` pins
-      this; the dataset validator reads only a fresh `RunConfig()`'s), so
-      they trace the same bytes.
+      `_gate_decision`, `_mock_backend`, `describe` and the weight check in
+      `__post_init__` (`tests/test_regate.py` pins this; the dataset
+      validator reads only a fresh `RunConfig()`'s), so they trace the same
+      bytes.
     - At a pass reached in the same state, the blockage, the plan probe and
       `extract_features`' vector and plan are the other run's too: they read
-      only that state. Neither `extract_features` nor the planner writes
-      any state, so whether a run calls them changes nothing else. The mock
-      replies from the card and `config.thresholds` alone, so the call's
-      position in the run cannot matter (a scripted or remote backend's
-      reply can depend on it, hence the mock).
-    - The route after a pass reads the verdict and the returned plan. A
-      material issue's plan is the probe either way (`extract_features`
-      keeps a given plan and recomputes the same None); no other issue's
-      route reads a plan. Equal verdicts therefore leave equal states, the
-      same trace events up to the next pass, and the same solver context on
-      an escalation. Cooldowns, `H` and window outcomes follow from these.
+      only that state, and every pass computes them whatever the tiers. The
+      mock replies from the card and `config.thresholds` alone, so the
+      call's position in the run cannot matter (a scripted or remote
+      backend's reply can depend on it, hence the mock).
+    - The route after a pass reads the verdict and the probe. Equal
+      verdicts therefore leave equal states, the same trace events up to
+      the next pass, and the same solver context on an escalation.
+      Cooldowns, `H` and window outcomes follow from these.
     - Skipped gate passes (a lone agent, a hard cooldown block) read no gate
       setting and trace no decision, so they match by the same argument.
     """
     if non_gate_settings(config) != non_gate_settings(reference.config):
         raise ValueError("regate: the config differs from the reference outside the gate settings")
-    if gating_enabled(config) and any(gp.fv is None for gp in reference.gate_passes):
-        return None
     backend = _mock_backend(config)
     events = list(reference.trace.events)
     for gp in reference.gate_passes:
         event = events[gp.event_index]
         recorded = event["payload"]
         # a stay_local record has no context, but an escalation there is a flip anyway
-        payload, _ = _gate_decision(config, backend, gp, lambda: recorded.get("solver_ctx"))
+        payload = _gate_decision(config, backend, gp, lambda: recorded.get("solver_ctx"))
         if payload["verdict"] != recorded["verdict"]:
             return None
         events[gp.event_index] = {**event, "payload": payload}

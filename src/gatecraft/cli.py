@@ -207,11 +207,11 @@ def _require_dataset(ns, cfg: dict):
         raise UsageError(str(exc))
     if not episodes:
         raise UsageError(f"dataset at {path} holds no episodes")
-    limit = getattr(ns, "episodes", None)
+    limit = _given(ns, cfg, [("episodes", "episodes", int)]).get("episodes")
     if limit is not None:
         if limit < 1:
             raise UsageError("--episodes must be >= 1")
-        episodes = episodes[: int(limit)]
+        episodes = episodes[:limit]
     return episodes
 
 
@@ -586,11 +586,20 @@ COMMANDS = {
 }
 
 
+def _check_config_keys(ns, cfg: dict) -> None:
+    """A config file may set only the command's own flags, by their dests."""
+    unknown = sorted(cfg.keys() - (vars(ns).keys() - {"config", "subcommand"}))
+    if unknown:
+        raise UsageError(f"config file {ns.config} sets keys the {ns.subcommand} command does not take: "
+                         + ", ".join(unknown))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
         cfg = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
+        _check_config_keys(ns, cfg)
         return COMMANDS[ns.subcommand](ns, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

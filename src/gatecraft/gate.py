@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .memory import BlockageRecord, IssueType, PrivateState, render_decision_card
+from .memory import BlockageRecord, IssueType, PrivateState
 from .protocol import TeamPublicView
 from .solver import CooldownTable, RecoveryPlan, plan_local_recovery
 from .world import RecipeBook, TaskGraph, WorldView, criticality_of, dist_sq, within
@@ -186,9 +186,9 @@ def extract_features(
         L = 0
     elif len(plan.steps) == 1:
         step = plan.steps[0]
-        if step.kind == "collect" and _supply_within(view, step.source_ref, NEAR_RADIUS):
+        if step.op == "collect" and _supply_within(view, step.source_ref, NEAR_RADIUS):
             L = 3
-        elif step.kind in ("craft", "smelt") and step.estimated_cost <= QUICK_COST:
+        elif step.op in ("craft", "smelt") and step.estimated_cost <= QUICK_COST:
             L = 2
         else:
             L = 1
@@ -239,18 +239,13 @@ RULE_ESCALATE_CRITICAL_DEAD_END = 1  # C=3, L=0, H=0: hard bottleneck, clean his
 RULE_ESCALATE_TRANSFER_SHAPED = 2  # transfer/co-craft issue with a viable partner
 
 
-def tier1_rules(issue: IssueType | str, fv: FeatureVector) -> tuple[str, int] | None:
+def tier1_rules(issue: IssueType, fv: FeatureVector) -> tuple[str, int] | None:
     """Unambiguous fast paths. Returns (verdict, rule_index) or None to defer."""
-    issue_val = issue.value if isinstance(issue, IssueType) else str(issue)
     if fv.L == 3 and fv.C <= 1:
         return ("stay_local", RULE_STAY_SOLVED_LOCALLY)
     if fv.C == 3 and fv.L == 0 and fv.H == 0:
         return ("escalate", RULE_ESCALATE_CRITICAL_DEAD_END)
-    if (
-        issue_val in (IssueType.TRANSFER_NEEDED.value, IssueType.CO_CRAFT_REQUIRED.value)
-        and fv.R >= 2
-        and fv.H <= 1
-    ):
+    if issue in (IssueType.TRANSFER_NEEDED, IssueType.CO_CRAFT_REQUIRED) and fv.R >= 2 and fv.H <= 1:
         return ("escalate", RULE_ESCALATE_TRANSFER_SHAPED)
     return None
 
@@ -408,22 +403,26 @@ class GateDecision:
 
 
 def build_request_card(
-    issue: IssueType | str,
-    fv: FeatureVector,
-    score_norm: float,
-    blockage: BlockageRecord | None = None,
-    plan: RecoveryPlan | None = None,
+    blockage: BlockageRecord, fv: FeatureVector, score_norm: float, plan: RecoveryPlan | None = None
 ) -> str:
-    block = blockage or BlockageRecord(
-        issue=issue if isinstance(issue, IssueType) else IssueType(issue), node_id=-1, item=None, count=0
-    )
+    """Serialize the adjudicator request card. Byte-identical for identical
+    inputs; carries no history dump or free text."""
     local = [f"{s.op}:{s.recipe_id or (s.source_ref and s.source_ref[0]) or ''}" for s in plan.steps] if plan else []
-    esc = {"item": block.item, "count": max(1, block.count)}
-    return render_decision_card(block, fv.to_dict(), score_norm, local, esc)
+    card = {
+        "issue": blockage.issue.value,
+        "features": fv.to_dict(),
+        "score_norm": score_norm,
+        "missing": {"item": blockage.item, "count": blockage.count},
+        "candidates": {
+            "local": local,
+            "escalate_request": {"item": blockage.item, "count": max(1, blockage.count)},
+        },
+    }
+    return json.dumps(card, sort_keys=True, separators=(",", ":"))
 
 
 def gate_decide(
-    issue: IssueType | str,
+    blockage: BlockageRecord,
     fv: FeatureVector,
     weights: GateWeights,
     thresholds: GateThresholds,
@@ -432,7 +431,6 @@ def gate_decide(
     rules_on: bool = True,
     score_on: bool = True,
     adjudicator_on: bool = True,
-    blockage: BlockageRecord | None = None,
     plan: RecoveryPlan | None = None,
 ) -> GateDecision:
     """Asymmetric three-tier decision.
@@ -447,7 +445,7 @@ def gate_decide(
     norm = normalize_score(raw, weights)
 
     if rules_on:
-        hit = tier1_rules(issue, fv)
+        hit = tier1_rules(blockage.issue, fv)
         if hit is not None:
             verdict, idx = hit
             return GateDecision(verdict=verdict, tier="rule", score_raw=raw, score_norm=norm,
@@ -464,7 +462,7 @@ def gate_decide(
     if not adjudicator_on or adjudicator is None:
         return GateDecision(verdict="stay_local", tier="score", score_raw=raw, score_norm=norm, fv=fv)
 
-    card = build_request_card(issue, fv, norm, blockage=blockage, plan=plan)
+    card = build_request_card(blockage, fv, norm, plan)
     request_bytes = card.encode("utf-8")
     try:
         reply_bytes = adjudicator.adjudicate(request_bytes)

@@ -21,7 +21,6 @@ from .agent import (
     EpisodeRuntime,
     RunConfig,
     Trace,
-    gating_enabled,
     non_gate_settings,
     regate,
     simulate_episode,
@@ -256,18 +255,16 @@ def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[Episo
     config order, and how many of those runs were simulated.
 
     Configs that agree outside the gate settings form a group. Each group
-    simulates its first config with a tier on (else its first config), and
-    `regate` derives each other config from one of the group's simulated
-    runs; a config under which every such run has a flipped verdict is
-    simulated in full and serves the rest of the group too."""
+    simulates its first config, and `regate` derives each other config from
+    one of the group's simulated runs; a config under which every such run
+    has a flipped verdict is simulated in full and serves the rest of the
+    group too."""
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(non_gate_settings(config), []).append(i)
     traces: list[Trace | None] = [None] * len(configs)
     simulated = 0
     for members in groups.values():
-        # a run with a tier on records the feature vectors every config needs
-        members.sort(key=lambda i: not gating_enabled(configs[i]))
         references: list[EpisodeRuntime] = []
         for i in members:
             regated = (regate(r, configs[i]) for r in references)

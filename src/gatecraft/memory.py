@@ -8,7 +8,6 @@ active subtask and the blockage; an outcome can clear either.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -192,24 +191,3 @@ def _station_owner(view: WorldView, station: str) -> str | None:
                 return aid
     return None
 
-
-def render_decision_card(
-    blockage: BlockageRecord,
-    features: dict[str, int],
-    score_norm: float,
-    local_candidates: list[str],
-    escalate_request: dict,
-) -> str:
-    """Serialize the adjudicator request card. Byte-identical for identical inputs;
-    carries no history dump or free text."""
-    card = {
-        "issue": blockage.issue.value,
-        "features": {k: features[k] for k in ("C", "R", "I", "L", "H")},
-        "score_norm": score_norm,
-        "missing": {"item": blockage.item, "count": blockage.count},
-        "candidates": {
-            "local": list(local_candidates),
-            "escalate_request": dict(escalate_request),
-        },
-    }
-    return json.dumps(card, sort_keys=True, separators=(",", ":"))

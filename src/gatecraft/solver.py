@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .memory import BlockageRecord, IssueType, PrivateState
+from .protocol import WindowState
 from .world import (
     FAR_THRESHOLD,
     INTERACTION_RADIUS,
@@ -31,14 +31,9 @@ PLANNER_PARAMS = {"interaction_radius": INTERACTION_RADIUS, "speed": SPEED, "far
 
 @dataclass(frozen=True)
 class RecoveryStep:
-    """One executable recovery leg.
+    """One executable recovery leg; `op` names the micro-action the executor
+    runs for it."""
 
-    kind is the plan-level classification (craft/smelt/collect/plan_detour);
-    for detour chains every step is kind plan_detour and `op` names the
-    micro-action the executor should run for that leg.
-    """
-
-    kind: str
     op: str  # "craft" | "smelt" | "collect"
     estimated_cost: int
     recipe_id: str | None = None
@@ -109,7 +104,7 @@ def plan_local_recovery(
             cost = travel_steps(station_dist, INTERACTION_RADIUS, SPEED) + crafts
             return RecoveryPlan(
                 item=item, count=need,
-                steps=[RecoveryStep(kind=op, op=op, estimated_cost=cost,
+                steps=[RecoveryStep(op=op, estimated_cost=cost,
                                     recipe_id=recipe.recipe_id, station=recipe.station, units=crafts)],
             )
 
@@ -119,7 +114,7 @@ def plan_local_recovery(
         cost = travel_steps(dist, INTERACTION_RADIUS, SPEED) + need
         return RecoveryPlan(
             item=item, count=need,
-            steps=[RecoveryStep(kind="collect", op="collect", estimated_cost=cost,
+            steps=[RecoveryStep(op="collect", estimated_cost=cost,
                                 source_ref=ref, units=need, item=item)],
         )
 
@@ -143,13 +138,13 @@ def plan_local_recovery(
                 feasible = False
                 break
             leg = travel_steps(d, INTERACTION_RADIUS, SPEED) + missing
-            steps.append(RecoveryStep(kind="plan_detour", op="collect", estimated_cost=leg,
+            steps.append(RecoveryStep(op="collect", estimated_cost=leg,
                                       source_ref=ref, units=missing, item=inp_item))
             cursor = view.ref_position(ref) or cursor
         if not feasible or not steps:
             continue
         craft_travel = travel_steps(_dist_from(cursor, station_pos), INTERACTION_RADIUS, SPEED) if station_pos else 0
-        steps.append(RecoveryStep(kind="plan_detour", op=recipe.kind, estimated_cost=craft_travel + crafts,
+        steps.append(RecoveryStep(op=recipe.kind, estimated_cost=craft_travel + crafts,
                                   recipe_id=recipe.recipe_id, station=recipe.station, units=crafts))
         return RecoveryPlan(item=item, count=need, steps=steps)
 
@@ -162,34 +157,13 @@ def _dist_from(a: Position, b: Position | None) -> float:
     return math.sqrt(dist_sq(a, b))
 
 
-def local_skip(
-    state: PrivateState,
-    graph: TaskGraph,
-    placed: set[int],
-    blocked: int | None = None,
-    allowed: set[int] | None = None,
-) -> int | None:
-    """Smallest-id unplaced node whose prerequisites are all placed and which does
-    not depend on the blocked node. `allowed` optionally restricts candidates
-    (agents pass their own assignment)."""
-    blocked = blocked if blocked is not None else (state.blockage.node_id if state.blockage else None)
-    for n in graph.nodes:  # sorted ascending
-        if n in placed or n == blocked:
-            continue
-        if allowed is not None and n not in allowed:
-            continue
-        if not all(p in placed for p in graph.preds[n]):
-            continue
-        if blocked is not None and graph.depends_on(n, blocked):
-            continue
-        return n
-    return None
-
-
-class CoordinationOutcome(str, Enum):
-    FULFILLED = "fulfilled"
-    CANNOT_SUPPLY = "cannot_supply"
-    TIMEOUT = "timed_out"
+def local_skip(graph: TaskGraph, placed: set[int], blocked: int | None, allowed: set[int]) -> int | None:
+    """Smallest-id node of `allowed` that is unplaced, whose prerequisites are
+    all placed, and that is neither the blocked node nor depends on it."""
+    excluded = set() if blocked is None else graph.descendants(blocked) | {blocked}
+    return min((n for n in allowed
+                if n not in placed and n not in excluded and placed.issuperset(graph.preds[n])),
+               default=None)
 
 
 @dataclass
@@ -232,15 +206,16 @@ class CooldownTable:
             return True
         return now < e.expires_at and e.level >= 2
 
-    def register_failure(self, agent: str, issue: IssueType | str, outcome: CoordinationOutcome, now: int) -> CooldownEntry:
-        """Record a zero-yield coordination outcome. Timeout bumps to at least
-        level 1 (level 2 on the second consecutive miss); an explicit
-        CANNOT_SUPPLY jumps straight to level 3."""
-        if outcome == CoordinationOutcome.FULFILLED:
-            raise ValueError("use register_success for fulfilled windows")
+    def register_failure(self, agent: str, issue: IssueType | str, state: WindowState, now: int) -> CooldownEntry:
+        """Record a window that closed without yield, in `state`. Timeout bumps
+        to at least level 1 (level 2 on the second consecutive miss); an
+        explicit CANNOT_SUPPLY jumps straight to level 3."""
+        if state not in (WindowState.CANNOT_SUPPLY, WindowState.TIMED_OUT):
+            raise ValueError(f"not a failed window state: {state!r} (use register_success "
+                             "for fulfilled windows)")
         e = self.entry(agent, issue)
         e.consecutive_failures += 1
-        if outcome == CoordinationOutcome.CANNOT_SUPPLY:
+        if state == WindowState.CANNOT_SUPPLY:
             e.level = 3
         else:
             e.level = max(e.level, 1)

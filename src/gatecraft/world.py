@@ -175,19 +175,6 @@ class TaskGraph:
                 stack.extend(self.succs[n])
         return out
 
-    def ancestors(self, node: int) -> set[int]:
-        out: set[int] = set()
-        stack = list(self.preds[node])
-        while stack:
-            n = stack.pop()
-            if n not in out:
-                out.add(n)
-                stack.extend(self.preds[n])
-        return out
-
-    def depends_on(self, node: int, maybe_ancestor: int) -> bool:
-        return maybe_ancestor in self.ancestors(node)
-
 
 @dataclass(frozen=True)
 class Recipe:
@@ -391,11 +378,12 @@ class VerifiedOutcome:
 
 @dataclass
 class WorldState:
-    """Full simulator state. `placed` maps positions to materials; `scaffold` positions
-    (stations and other pre-existing blocks) are allowed alongside blueprint positions.
+    """Full simulator state. `scaffold` maps the positions of pre-existing
+    blocks (stations among them) to their materials.
 
-    The set of placed blueprint node ids is built once here and then grown only
-    by a successful `place` in `apply_action`; every placement query reads it."""
+    A world starts with no blueprint node placed. The set of placed node ids
+    is grown only by a successful `place` in `apply_action`, and every
+    placement query reads it."""
 
     blueprint: Blueprint
     graph: TaskGraph
@@ -403,18 +391,9 @@ class WorldState:
     agents: dict[str, AgentBody]
     sources: list[Source]
     chests: list[Chest]
-    placed: dict[Position, str] = field(default_factory=dict)
     scaffold: dict[Position, str] = field(default_factory=dict)
     sim_time: int = 0
-    _placed_ids: frozenset[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bp_positions = {b.position for b in self.blueprint.blocks}
-        for pos in self.placed:
-            if pos not in bp_positions and pos not in self.scaffold:
-                raise ValueError(f"placed block at non-blueprint, non-scaffold position {pos}")
-        blocks = self.blueprint.blocks
-        self._placed_ids = frozenset(b.node_id for b in blocks if self.placed.get(b.position) == b.material)
+    _placed_ids: frozenset[int] = field(default=frozenset(), init=False, repr=False, compare=False)
 
     # -- queries ---------------------------------------------------------
 
@@ -428,9 +407,7 @@ class WorldState:
         return self._placed_ids.issuperset(self.graph.preds[node_id])
 
     def stations_of(self, station: str) -> list[Position]:
-        out = [pos for pos, mat in self.scaffold.items() if mat == station]
-        out.extend(pos for pos, mat in self.placed.items() if mat == station and pos not in self.scaffold)
-        return sorted(out)
+        return sorted(pos for pos, mat in self.scaffold.items() if mat == station)
 
     def station_in_range(self, agent: AgentBody, station: str | None) -> bool:
         if station is None:
@@ -499,7 +476,6 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
         if agent.inventory.count(block.material) < 1:
             return world, _fail(agent, action, "missing_material", t)
         agent.inventory.remove(block.material, 1)
-        world.placed[block.position] = block.material
         world._placed_ids = world._placed_ids | {block.node_id}
         deltas = {
             "inventory": {agent_id: {block.material: -1}},

@@ -182,6 +182,24 @@ def test_a_non_numeric_config_value_exits_one_naming_key_and_file(
     assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("run", "window_timout = 5\n", "window_timout"),
+    ("run", "seed = 9\n", "seed"),
+    ("report", '{"dataset": "dataset"}', "dataset"),
+])
+def test_a_config_key_the_command_does_not_take_exits_one(
+        tmp_path, small_dataset, capsys, command, text, key):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(text)
+    args = [command, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    if command == "run":
+        args += ["--dataset", str(small_dataset)]
+    assert main(args) == 1
+    assert f"error: config file {cfg} sets keys the {command} command does not take: {key}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["report", "run", "ablate"])
 def test_report_takes_no_seed(tmp_path, capsys, command):
     """Only `gen` and `calibrate` use a seed."""
@@ -215,13 +233,11 @@ def test_config_file_with_flag_override(tmp_path, small_dataset):
 
 def test_config_file_json_form(tmp_path, small_dataset):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"thresholds": "0.45,0.45", "window_timeout": 15}))
+    cfg.write_text(json.dumps({"thresholds": "0.45,0.45", "window_timeout": 15, "episodes": 1}))
     out = tmp_path / "out"
-    rc = main([
-        "run", "--dataset", str(small_dataset), "--out", str(out),
-        "--episodes", "1", "--config", str(cfg),
-    ])
+    rc = main(["run", "--dataset", str(small_dataset), "--out", str(out), "--config", str(cfg)])
     assert rc == 0
+    assert len(list((out / "traces").glob("*.jsonl"))) == 1
     payload = _episode_end(next(iter((out / "traces").glob("*.jsonl"))))
     assert payload["config"]["thresholds"] == [0.45, 0.45]
     assert payload["config"]["window_timeout"] == 15

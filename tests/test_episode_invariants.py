@@ -129,7 +129,7 @@ def _world_stock(world) -> dict:
         stock[(f"source {i}", source.item)] += source.remaining
     for i, chest in enumerate(world.chests):
         stock.update({(f"chest {i}", item): n for item, n in chest.inventory.to_dict().items()})
-    stock.update(("placed", material) for material in world.placed.values())
+    stock.update(("placed", world.blueprint.by_id[n].material) for n in world.placed_nodes())
     return {key: n for key, n in stock.items() if n}
 
 

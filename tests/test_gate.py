@@ -30,12 +30,14 @@ from gatecraft.gate import (
     score_bounds,
     validate_weights,
 )
-from gatecraft.protocol import TeamPublicView
+from gatecraft.memory import BlockageRecord
+from gatecraft.protocol import TeamPublicView, WindowState
 from gatecraft.solver import CooldownTable
 
 from conftest import make_world, plan_for
 
 W_STAR = GateWeights()  # (4, 2, 2, 2, 1)
+MISSING = BlockageRecord(issue=IssueType.MISSING_MATERIAL, node_id=0, item="glass", count=1)
 
 
 def fv(c, r, i, l, h):
@@ -111,24 +113,24 @@ def test_rule2_transfer_shaped():
 
 
 def test_gate_rule_tier_short_circuits():
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 0, 0, 3, 0), W_STAR, GateThresholds())
+    d = gate_decide(MISSING, fv(0, 0, 0, 3, 0), W_STAR, GateThresholds())
     assert d.verdict == "stay_local" and d.tier == "rule" and d.rule_index == 0
 
 
 def test_gate_score_tier_boundaries():
     th = GateThresholds(0.4, 0.5)
     # raw 4 -> norm 13/33 ~ 0.394 <= t_low
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(1, 1, 1, 2, 0), W_STAR, th)
+    d = gate_decide(MISSING, fv(1, 1, 1, 2, 0), W_STAR, th)
     assert d.verdict == "stay_local" and d.tier == "score"
     # raw 10 -> norm 19/33 ~ 0.576 >= t_high
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(2, 1, 1, 1, 1), W_STAR, th)
+    d = gate_decide(MISSING, fv(2, 1, 1, 1, 1), W_STAR, th)
     assert d.verdict == "escalate" and d.tier == "score"
 
 
 def test_gate_gray_zone_without_adjudicator_stays_local():
     th = GateThresholds(0.4, 0.5)
     # raw 6 -> norm 15/33 ~ 0.4545, strictly inside the gray zone
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR, th,
+    d = gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR, th,
                     adjudicator=None)
     assert d.verdict == "stay_local" and d.tier == "score"
 
@@ -136,7 +138,7 @@ def test_gate_gray_zone_without_adjudicator_stays_local():
 def test_gate_gray_zone_consults_adjudicator_once():
     th = GateThresholds(0.4, 0.5)
     mock = MockAdjudicator(th)
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR, th,
+    d = gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR, th,
                     adjudicator=mock)
     # 0.4545 >= midpoint 0.45 -> escalate
     assert d.verdict == "escalate" and d.tier == "adjudicator" and d.adjudicator_ok
@@ -146,7 +148,7 @@ def test_gate_gray_zone_consults_adjudicator_once():
 
 
 def test_gate_score_disabled_escalates_residue():
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(1, 1, 1, 2, 0), W_STAR,
+    d = gate_decide(MISSING, fv(1, 1, 1, 2, 0), W_STAR,
                     GateThresholds(), score_on=False)
     assert d.verdict == "escalate" and d.tier == "rule" and d.rule_index is None
 
@@ -154,7 +156,7 @@ def test_gate_score_disabled_escalates_residue():
 def test_gate_adjudicator_failure_is_conservative():
     th = GateThresholds(0.4, 0.5)
     exhausted = ScriptedAdjudicator([])
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR, th,
+    d = gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR, th,
                     adjudicator=exhausted)
     assert d.verdict == "stay_local" and d.tier == "adjudicator"
     assert not d.adjudicator_ok and d.adjudicator_reply is None
@@ -165,7 +167,7 @@ def test_gate_dead_endpoint_is_conservative():
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
     dead = RemoteAdjudicator(f"http://127.0.0.1:{port}/adjudicate", timeout=1.0)
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR,
+    d = gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR,
                     GateThresholds(0.4, 0.5), adjudicator=dead)
     assert d.verdict == "stay_local" and d.tier == "adjudicator"
     assert d.adjudicator_ok is False and d.adjudicator_reply is None
@@ -204,7 +206,7 @@ def _padded_reply_endpoint(size: int):
 @pytest.mark.parametrize("size, verdict", [(MAX_REPLY_BYTES, "escalate"), (MAX_REPLY_BYTES + 1, "stay_local")])
 def test_gate_oversized_reply_is_conservative(size, verdict):
     with _padded_reply_endpoint(size) as url:
-        d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR,
+        d = gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR,
                         GateThresholds(0.4, 0.5), adjudicator=RemoteAdjudicator(url))
     assert d.verdict == verdict and d.tier == "adjudicator"
     assert d.adjudicator_ok is (verdict == "escalate")
@@ -225,16 +227,16 @@ def test_gate_backend_bug_propagates():
             return {}["decision"]
 
     with pytest.raises(KeyError):
-        gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR,
+        gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR,
                     GateThresholds(0.4, 0.5), adjudicator=Broken())
 
 
 def test_gate_malformed_reply_is_conservative():
     th = GateThresholds(0.4, 0.5)
     bad = ScriptedAdjudicator(["not json", json.dumps({"decision": "maybe", "confidence": 0.5})])
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR, th, adjudicator=bad)
+    d = gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR, th, adjudicator=bad)
     assert d.verdict == "stay_local" and not d.adjudicator_ok
-    d = gate_decide(IssueType.MISSING_MATERIAL, fv(0, 3, 1, 1, 0), W_STAR, th, adjudicator=bad)
+    d = gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR, th, adjudicator=bad)
     assert d.verdict == "stay_local" and not d.adjudicator_ok  # bad decision label
 
 
@@ -292,7 +294,7 @@ def test_features_local_pickup_scores_l3():
     )
     vec, plan_found = _featurize(world, plan_for(world))
     assert vec.L == 3 and vec.R == 0 and vec.H == 0
-    assert plan_found is not None and plan_found.steps[0].kind == "collect"
+    assert plan_found is not None and plan_found.steps[0].op == "collect"
 
 
 def test_features_teammate_holder_scores_r2():
@@ -313,7 +315,6 @@ def test_features_history_tracks_cooldown_level():
     )
     plan = plan_for(world, assignments={0: "a0"}, partition={"iron_ingot": "a1"})
     cooldowns = CooldownTable(duration=30)
-    from gatecraft.solver import CoordinationOutcome
-    cooldowns.register_failure("a0", IssueType.TRANSFER_NEEDED, CoordinationOutcome.CANNOT_SUPPLY, now=0)
+    cooldowns.register_failure("a0", IssueType.TRANSFER_NEEDED, WindowState.CANNOT_SUPPLY, now=0)
     vec, _ = _featurize(world, plan, cooldowns=cooldowns)
     assert vec.H == 3  # explicit refusal jumps the cooldown to its ceiling

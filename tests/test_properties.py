@@ -92,8 +92,8 @@ def _ledger(world: WorldState) -> dict[str, int]:
             add(item, n)
     for src in world.sources:
         add(src.item, src.remaining)
-    for material in world.placed.values():
-        add(material, 1)
+    for n in world.placed_nodes():
+        add(world.blueprint.by_id[n].material, 1)
     return totals
 
 

@@ -54,8 +54,7 @@ def _verdicts(trace) -> list[str]:
 
 def test_regate_matches_full_simulation_for_random_gate_settings(dataset):
     """Whenever `regate` returns a trace, it is byte-identical to simulating;
-    whenever it returns None, simulating really does flip a verdict (or the
-    reference, with every tier off, recorded no feature vector)."""
+    whenever it returns None, simulating really does flip a verdict."""
     rng = random.Random(20240601)
     _, episodes = dataset
     specs = [_hand_built()] + [episodes[i] for i in range(0, len(episodes), 10)]
@@ -73,8 +72,7 @@ def test_regate_matches_full_simulation_for_random_gate_settings(dataset):
             assert trace.to_jsonl() == full.to_jsonl(), (spec.episode_id, reference_config, config)
         else:
             fell_back += 1
-            lost_fv = any(gp.fv is None for gp in reference.gate_passes)
-            assert lost_fv or _verdicts(full) != _verdicts(reference.trace), (spec.episode_id, config)
+            assert _verdicts(full) != _verdicts(reference.trace), (spec.episode_id, config)
     assert regated >= 100 and fell_back >= 20
 
 
@@ -87,6 +85,17 @@ def test_class_a_without_gating_must_fall_back(dataset):
                 and "stay_local" in _verdicts(run_episode(e, RunConfig())))
     assert regate(simulate_episode(spec, RunConfig()), no_gating) is None
     assert _verdicts(run_episode(spec, no_gating)) != _verdicts(run_episode(spec, RunConfig()))
+
+
+def test_a_reference_with_every_tier_off_regates_the_default(dataset):
+    """Every gate pass is featurized whatever the tiers, so a run with every
+    tier off serves as the reference of a config with tiers on."""
+    _, episodes = dataset
+    no_gating = RunConfig(rules_on=False, score_on=False, adjudicator_on=False)
+    spec = next(e for e in episodes if e.class_label == "B")
+    trace = regate(simulate_episode(spec, no_gating), RunConfig())
+    assert trace is not None and _verdicts(trace)
+    assert trace.to_jsonl() == run_episode(spec, RunConfig()).to_jsonl()
 
 
 def test_regate_with_identical_settings_reproduces_the_reference(dataset):
@@ -109,7 +118,6 @@ def test_regate_rejects_a_config_that_differs_outside_the_gate():
 GATE_READS = {
     ("agent", "RunConfig.__post_init__"),  # weight validation, before any run
     ("agent", "RunConfig.describe"),  # episode_end.config, re-rendered by regate
-    ("agent", "gating_enabled"),
     ("agent", "_mock_backend"),
     ("agent", "_gate_decision"),
     ("gate", "MockAdjudicator.adjudicate"),  # the mock's own thresholds

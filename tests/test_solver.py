@@ -10,7 +10,8 @@ from gatecraft import (
     plan_local_recovery,
 )
 from gatecraft.memory import BlockageRecord
-from gatecraft.solver import CooldownTable, CoordinationOutcome
+from gatecraft.protocol import WindowState
+from gatecraft.solver import CooldownTable
 
 from conftest import make_world, plan_for
 
@@ -33,7 +34,7 @@ def test_craft_from_held_inputs_is_preferred():
     state, view, blockage = _blocked_state(world, "oak_planks")
     plan = plan_local_recovery(state, view, world.recipes, blockage)
     assert plan is not None
-    assert plan.steps[0].kind == "craft" and plan.steps[0].recipe_id == "planks_from_log"
+    assert plan.steps[0].op == "craft" and plan.steps[0].recipe_id == "planks_from_log"
     assert plan.total_cost == 1  # stationless, inputs in hand
 
 
@@ -46,7 +47,7 @@ def test_collect_oracle_cost_travel_plus_units():
     plan = plan_local_recovery(state, view, world.recipes, blockage)
     # travel ceil((18-3)/5)=3 plus 2 collects
     assert plan is not None and plan.total_cost == 5
-    assert plan.steps[0].kind == "collect" and plan.steps[0].units == 2
+    assert plan.steps[0].op == "collect" and plan.steps[0].units == 2
 
 
 def test_far_sources_are_ignored():
@@ -73,7 +74,7 @@ def test_smelt_requires_visible_station():
     state, view, blockage = _blocked_state(world2, "iron_ingot")
     plan = plan_local_recovery(state, view, world2.recipes, blockage)
     # travel ceil((10-3)/5)=2 plus one smelt
-    assert plan is not None and plan.steps[0].kind == "smelt" and plan.total_cost == 3
+    assert plan is not None and plan.steps[0].op == "smelt" and plan.total_cost == 3
 
 
 def test_detour_chains_collect_legs_from_moving_cursor():
@@ -124,11 +125,12 @@ def test_no_blockage_no_plan():
 def test_local_skip_picks_smallest_independent_ready_node():
     from gatecraft import TaskGraph
     g = TaskGraph([0, 1, 2, 3], [(0, 1), (0, 2)])
-    state = PrivateState(agent_id="a0")
-    assert local_skip(state, g, placed=set(), blocked=0) == 3
-    assert local_skip(state, g, placed={3}, blocked=0) is None  # 1,2 depend on 0
-    assert local_skip(state, g, placed=set(), blocked=3) == 0
-    assert local_skip(state, g, placed=set(), blocked=0, allowed={1, 2}) is None
+    every = set(g.nodes)
+    assert local_skip(g, set(), 0, every) == 3
+    assert local_skip(g, {3}, 0, every) is None  # 1,2 depend on 0
+    assert local_skip(g, set(), 3, every) == 0
+    assert local_skip(g, set(), None, every) == 0
+    assert local_skip(g, set(), 0, {1, 2}) is None
 
 
 # -- cooldown discipline ---------------------------------------------------------------
@@ -136,25 +138,25 @@ def test_local_skip_picks_smallest_independent_ready_node():
 
 def test_cooldown_levels_escalate_and_expire():
     table = CooldownTable(duration=30)
-    e = table.register_failure("a0", IssueType.TRANSFER_NEEDED, CoordinationOutcome.TIMEOUT, now=0)
+    e = table.register_failure("a0", IssueType.TRANSFER_NEEDED, WindowState.TIMED_OUT, now=0)
     assert e.level == 1 and e.expires_at == 30
     assert table.level("a0", IssueType.TRANSFER_NEEDED, now=10) == 1
     assert table.level("a0", IssueType.TRANSFER_NEEDED, now=30) == 0  # expired
-    e = table.register_failure("a0", IssueType.TRANSFER_NEEDED, CoordinationOutcome.TIMEOUT, now=30)
+    e = table.register_failure("a0", IssueType.TRANSFER_NEEDED, WindowState.TIMED_OUT, now=30)
     assert e.level == 2 and e.consecutive_failures == 2
 
 
 def test_cannot_supply_jumps_to_max_level():
     table = CooldownTable(duration=30)
-    e = table.register_failure("a0", "transfer_needed", CoordinationOutcome.CANNOT_SUPPLY, now=0)
+    e = table.register_failure("a0", "transfer_needed", WindowState.CANNOT_SUPPLY, now=0)
     assert e.level == 3
 
 
 def test_blocked_after_two_consecutive_failures_persists():
     table = CooldownTable(duration=10)
-    table.register_failure("a0", "x", CoordinationOutcome.TIMEOUT, now=0)
+    table.register_failure("a0", "x", WindowState.TIMED_OUT, now=0)
     assert not table.blocked("a0", "x", now=1)
-    table.register_failure("a0", "x", CoordinationOutcome.TIMEOUT, now=1)
+    table.register_failure("a0", "x", WindowState.TIMED_OUT, now=1)
     assert table.blocked("a0", "x", now=2)
     # the zero-yield streak outlives the timed cooldown
     assert table.blocked("a0", "x", now=100)
@@ -162,8 +164,8 @@ def test_blocked_after_two_consecutive_failures_persists():
 
 def test_fulfilled_window_resets_pair():
     table = CooldownTable(duration=30)
-    table.register_failure("a0", "x", CoordinationOutcome.CANNOT_SUPPLY, now=0)
-    table.register_failure("a0", "x", CoordinationOutcome.TIMEOUT, now=1)
+    table.register_failure("a0", "x", WindowState.CANNOT_SUPPLY, now=0)
+    table.register_failure("a0", "x", WindowState.TIMED_OUT, now=1)
     table.register_success("a0", "x")
     e = table.entry("a0", "x")
     assert (e.level, e.consecutive_failures, e.expires_at) == (0, 0, 0)
@@ -173,4 +175,4 @@ def test_fulfilled_window_resets_pair():
 def test_register_failure_rejects_fulfilled():
     table = CooldownTable(duration=30)
     with pytest.raises(ValueError):
-        table.register_failure("a0", "x", CoordinationOutcome.FULFILLED, now=0)
+        table.register_failure("a0", "x", WindowState.FULFILLED, now=0)
