@@ -24,6 +24,7 @@ from .gate import (
     GateThresholds,
     GateWeights,
     MockAdjudicator,
+    NOT_PROBED,
     extract_features,
     gate_decide,
     validate_weights,
@@ -80,8 +81,27 @@ GATE_FIELDS = ("weights", "thresholds", "rules_on", "score_on", "adjudicator_on"
 
 # The version of the trace format, written into every `episode_end`. Bump it
 # when a trace would read differently: a changed event payload, or changed
-# physics constants (radii, speeds), which no trace echoes.
-TRACE_SCHEMA = 1
+# physics constants (radii, speeds), which no trace echoes. Schema 2 records
+# each verified outcome inside its `action` event.
+TRACE_SCHEMA = 2
+
+
+def _schema_problem(events: list) -> str | None:
+    """Name the last `episode_end` event if its payload's schema is missing
+    or is not TRACE_SCHEMA. A trace with no `episode_end`, or with a payload
+    that is not an object, is left to its reader (`cli.cmd_report` names
+    those)."""
+    i = next((i for i in range(len(events), 0, -1) if isinstance(events[i - 1], dict)
+              and events[i - 1].get("kind") == "episode_end"), None)
+    payload = None if i is None else events[i - 1].get("payload")
+    if not isinstance(payload, dict):
+        return None
+    if "schema" not in payload:
+        return f"event {i} (episode_end) has no payload field 'schema'"
+    found = payload["schema"]
+    if type(found) is not int or found != TRACE_SCHEMA:
+        return f"event {i} (episode_end) has schema {found!r}; this reader takes schema {TRACE_SCHEMA}"
+    return None
 
 
 @dataclass
@@ -263,7 +283,13 @@ class Trace:
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
-        return Trace(events=read_jsonl(text))
+        """The trace `to_jsonl` wrote. Text that is not JSONL raises
+        ValueError naming the line, and a trace of another schema raises
+        ValueError naming its `episode_end` (see `_schema_problem`)."""
+        events = read_jsonl(text)
+        if (problem := _schema_problem(events)) is not None:
+            raise ValueError(problem)
+        return Trace(events=events)
 
 
 @dataclass(frozen=True)
@@ -619,7 +645,8 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     now = ep.world.sim_time
 
     plan = None  # the probe; only a material issue's route reads a plan
-    if blockage.issue in MATERIAL_SHAPED_ISSUES:
+    probed = blockage.issue in MATERIAL_SHAPED_ISSUES
+    if probed:
         plan = plan_local_recovery(rt.state, view, ep.recipes, blockage)
 
     hard_blocked = ep.cooldowns.blocked(rt.agent_id, blockage.issue, now)
@@ -630,7 +657,7 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     else:
         fv, features_plan = extract_features(
             view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
-            ep.recipes, blockage=blockage, plan=plan,
+            ep.recipes, blockage=blockage, plan=plan if probed else NOT_PROBED,
         )
         gp = GatePass(len(ep.trace.events), blockage, fv, features_plan)
         ep.gate_passes.append(gp)
@@ -836,15 +863,15 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
 def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
     """True when the round whose first trace event is `round_start` leaves
     a state that no later round can change, so the rest of the budget would
-    add only idle action/outcome pairs.
+    add only idle `action` events.
 
-    The round qualifies when it traced nothing but idle action/outcome pairs
-    and leaves no window open and no agent with a `gate_at` (even one
-    already due: the gate pass it triggers has not run yet). The state after
-    it is a fixed point:
+    The round qualifies when it traced nothing but idle `action` events
+    (each holds its step's verified outcome) and leaves no window open and
+    no agent with a `gate_at` (even one already due: the gate pass it
+    triggers has not run yet). The state after it is a fixed point:
 
     - The world changes only through non-idle actions, so every view stays
-      the same. `sim_time` still advances, but only the idle pairs' `step`
+      the same. `sim_time` still advances, but only the idle events' `step`
       and `obs_digest` show it.
     - The only reads that depend on time are window deadlines (none is
       open, and opening one is traced), `gate_at` (none is set) and
@@ -869,7 +896,7 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       leaves the agent stalled with nothing pending. Each idles again.
     """
     return (
-        all(e["kind"] == "outcome" or (e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle")
+        all(e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"
             for e in ep.trace.events[round_start:])
         and not ep.windows
         and all(rt.gate_at is None for rt in ep.runtimes.values())
@@ -889,13 +916,13 @@ def simulate_episode(spec, config: RunConfig, backend=None) -> EpisodeRuntime:
         all_idle = True
         for aid in agent_ids:
             rt = ep.runtimes[aid]
-            pre_time = ep.world.sim_time
             rt, action = step(rt, ep)
             _, outcome = apply_action(ep.world, aid, action)
             ep.views.invalidate(outcome)  # before `_post_action`, which may observe
-            ep.trace.emit(pre_time, aid, "action",
-                          {"action": action.to_dict(), "obs_digest": rt.view_digest, "mode": rt.mode})
-            ep.trace.emit(pre_time, aid, "outcome", outcome.to_dict())
+            # one event per step; the outcome's agent, time, kind and node are the event's
+            ep.trace.emit(outcome.sim_time, aid, "action",
+                          {"action": action.to_dict(), "mode": rt.mode,
+                           "obs_digest": rt.view_digest, "outcome": outcome.to_dict()})
             _post_action(ep, rt, action, outcome)
             all_idle = all_idle and action.kind == "idle"
             if outcome.kind == "place" and ep.complete():  # only a place can complete

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .agent import TRACE_SCHEMA, RunConfig, Trace, run_episode
+from .agent import RunConfig, Trace, run_episode
 from .gate import GateThresholds, GateWeights
 from .harness import (
     REQUIRED_PAYLOAD,
@@ -457,24 +457,6 @@ def _first_bad_event(events: list) -> str | None:
     return None
 
 
-def _schema_problem(events: list) -> str | None:
-    """Name the last `episode_end` event if its payload's schema is missing
-    or is not TRACE_SCHEMA. A trace with no `episode_end`, or with a payload
-    that is not an object, is left to `compute_metrics` and
-    `_first_bad_event`, which name those."""
-    i = next((i for i in range(len(events), 0, -1) if isinstance(events[i - 1], dict)
-              and events[i - 1].get("kind") == "episode_end"), None)
-    payload = None if i is None else events[i - 1].get("payload")
-    if not isinstance(payload, dict):
-        return None
-    if "schema" not in payload:
-        return f"event {i} (episode_end) has no payload field 'schema'"
-    found = payload["schema"]
-    if type(found) is not int or found != TRACE_SCHEMA:
-        return f"event {i} (episode_end) has schema {found!r}; this reader takes schema {TRACE_SCHEMA}"
-    return None
-
-
 def cmd_report(ns, cfg: dict) -> int:
     out = _out_dir(ns, cfg)
     traces_dir = Path(_pick(ns, cfg, "traces", out / "traces"))
@@ -486,10 +468,8 @@ def cmd_report(ns, cfg: dict) -> int:
     for f in trace_files:
         try:
             trace = Trace.from_jsonl(f.read_text())
-        except ValueError as exc:
+        except ValueError as exc:  # not JSONL, or another schema
             raise ValueError(f"{f}: {exc}") from exc
-        if (problem := _schema_problem(trace.events)) is not None:
-            raise ValueError(f"{f}: {problem}")
         try:
             metrics.append(compute_metrics(trace))
         except (KeyError, TypeError, AttributeError) as exc:

@@ -18,6 +18,10 @@ from .world import RecipeBook, TaskGraph, WorldView, criticality_of, dist_sq, wi
 
 FEATURE_NAMES = ("C", "R", "I", "L", "H")
 
+# `extract_features`' `plan` when the caller has not run the local planner;
+# None means it has, and found no plan.
+NOT_PROBED = object()
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -150,12 +154,14 @@ def extract_features(
     cooldowns: CooldownTable,
     recipes: RecipeBook,
     blockage: BlockageRecord | None = None,
-    plan: RecoveryPlan | None = None,
+    plan: RecoveryPlan | None | object = NOT_PROBED,
 ) -> tuple[FeatureVector, RecoveryPlan | None]:
     """Project the blockage into the ordinal feature space.
 
-    Returns the feature vector together with the local recovery plan probed
-    for L (so callers never pay for the plan search twice).
+    `plan` is the caller's local plan probe for the blockage (None: it found
+    none); when it is NOT_PROBED, the planner is probed here. Returns the
+    feature vector together with that plan (so callers never pay for the
+    plan search twice).
     """
     blockage = blockage or state.blockage
     if blockage is None:
@@ -180,7 +186,7 @@ def extract_features(
         C = 0
 
     # --- L: local solvability (probe the solver once) -------------------
-    if plan is None:
+    if plan is NOT_PROBED:
         plan = plan_local_recovery(state, view, recipes, blockage)
     if plan is None:
         L = 0

@@ -366,13 +366,15 @@ class VerifiedOutcome:
         return self.status == "success"
 
     def to_dict(self) -> dict:
-        d = {"agent": self.agent, "kind": self.kind, "status": self.status, "sim_time": self.sim_time}
+        """The `outcome` of the `action` event that traces this outcome:
+        `status`, plus `reason` and `deltas` when set. The event holds the
+        other fields once: `agent` and `sim_time` are its envelope's `agent`
+        and `step`, and `kind` and `node_id` its action's."""
+        d = {"status": self.status}
         if self.reason is not None:
             d["reason"] = self.reason
         if self.deltas:
             d["deltas"] = self.deltas
-        if self.node_id is not None:
-            d["node_id"] = self.node_id
         return d
 
 

@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
-from gatecraft import RunConfig, Trace, agent, default_recipes, run_episode
+from gatecraft import RunConfig, Trace, agent, default_recipes, gate, run_episode
+from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.gate import GateThresholds, GateWeights, ScriptedAdjudicator
 from gatecraft.scenarios import EpisodeSpec
+from gatecraft.world import VerifiedOutcome
 
 from conftest import run_checking_views
 
@@ -30,8 +34,8 @@ def test_run_config_describe_echoes_settings():
 
 def test_trace_round_trips_through_jsonl():
     t = Trace()
-    t.emit(0, "a0", "action", {"action": {"kind": "idle"}})
-    t.emit(1, "", "episode_end", {"completion": 1.0})
+    t.emit(0, "a0", "action", {"action": {"kind": "idle"}, "outcome": {"status": "success"}})
+    t.emit(1, "", "episode_end", {"completion": 1.0, "schema": agent.TRACE_SCHEMA})
     text = t.to_jsonl()
     assert Trace.from_jsonl(text).events == t.events
 
@@ -149,8 +153,8 @@ def _first_idle_round_end(events) -> int:
             actions += 1
             idle_run = idle_run + 1 if e["payload"]["action"]["kind"] == "idle" else 0
             if actions % n_agents == 0 and idle_run >= n_agents:
-                return i + 2  # past the matching outcome
-        elif e["kind"] != "outcome":
+                return i + 1
+        else:
             idle_run = 0
     raise AssertionError("no fully idle round")
 
@@ -260,7 +264,7 @@ def test_an_unexpired_cooldown_does_not_hold_the_exit(dataset, monkeypatch):
     assert full[:len(early) - 1] == early[:-1]
     tail = full[len(early) - 1:-1]
     assert tail and all(e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"
-                        or e["kind"] == "outcome" and e["payload"]["kind"] == "idle" for e in tail)
+                        and e["payload"]["outcome"] == {"status": "success"} for e in tail)
 
 
 def test_a_resolved_recovery_leaves_the_agent_free_to_detect(monkeypatch):
@@ -301,6 +305,42 @@ def test_a_dependency_block_resolves_when_the_teammate_places_the_blocker():
     assert events[-1]["payload"]["completion"] == 1.0
 
 
+def test_each_gate_pass_probes_the_planner_once(dataset, monkeypatch):
+    """A material issue's plan probe is the one its features read, whether
+    it found a plan or not; any other issue's features probe once. Every
+    call is counted, through both names the planner is looked up by."""
+    calls = []
+    for module in (agent, gate):
+        def counted(*args, _real=module.plan_local_recovery, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "plan_local_recovery", counted)
+    real_route = agent._gate_and_route
+    passes = []  # (issue, plan found, planner calls) per gate pass
+
+    def route(ep, rt, view):
+        before, known = len(calls), len(ep.gate_passes)
+        action = real_route(ep, rt, view)
+        if len(ep.gate_passes) > known:
+            gp = ep.gate_passes[-1]
+            passes.append((gp.blockage.issue.value, gp.plan is not None, len(calls) - before))
+        return action
+
+    monkeypatch.setattr(agent, "_gate_and_route", route)
+    _, episodes = dataset
+    specs = list(episodes) + [_hand_built(  # a0's node 1 waits on a1's node 2
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [10, 0, 1]]],
+        assigned={"a0": [1], "a1": [2]}, partition={}, script={},
+        sources=[["oak_planks", [0, 0, 2], 2], ["cobblestone", [12, 0, 2], 2]], edges=[[2, 1]],
+    )]
+    for spec in specs:
+        run_episode(spec, RunConfig())
+    assert passes and {n for _, _, n in passes} == {1}
+    kinds = {(issue, found) for issue, found, _ in passes}
+    assert {("transfer_needed", False), ("missing_material", True), ("dependency_block", True)} <= kinds
+
+
 def test_a_recovery_leg_collects_from_a_chest():
     """A chest holds the only sandstone; a0's local plan collects it there."""
     spec = _hand_built(
@@ -315,22 +355,26 @@ def test_a_recovery_leg_collects_from_a_chest():
     assert events[-1]["payload"]["completion"] == 1.0
 
 
-def test_a_failed_recovery_leg_drops_the_legs_and_regates():
-    """a0 and a1 both plan to collect the one unit of sandstone; a1 gets there
-    second, its collect fails with source_empty, and its next step passes
-    the gate again instead of retrying the drained source."""
-    spec = _hand_built(
+def _contested_source_spec():
+    """a0 and a1 both need the one unit of sandstone a source holds."""
+    return _hand_built(
         agents={"a0": [0, 0, 0], "a1": [2, 0, 0]},
         blocks=[[0, "sandstone", [0, 0, 1]], [1, "sandstone", [2, 0, 1]]],
         assigned={"a0": [0], "a1": [1]}, partition={}, script={},
         sources=[["sandstone", [1, 0, 3], 1]],
     )
-    events = run_episode(spec, RunConfig()).events
+
+
+def test_a_failed_recovery_leg_drops_the_legs_and_regates():
+    """a0 and a1 both plan to collect the one unit of sandstone; a1 gets there
+    second, its collect fails with source_empty, and its next step passes
+    the gate again instead of retrying the drained source."""
+    events = run_episode(_contested_source_spec(), RunConfig()).events
     failed = next(i for i, e in enumerate(events)
-                  if e["kind"] == "outcome" and e["payload"]["status"] == "failure")
+                  if e["kind"] == "action" and e["payload"]["outcome"]["status"] == "failure")
     assert events[failed]["agent"] == "a1"
-    assert (events[failed]["payload"]["kind"], events[failed]["payload"]["reason"]) == \
-        ("collect", "source_empty")
+    assert (events[failed]["payload"]["action"]["kind"],
+            events[failed]["payload"]["outcome"]["reason"]) == ("collect", "source_empty")
     a1_before = [e for e in events[:failed] if e["agent"] == "a1" and e["kind"] == "gate_decision"]
     assert [e["payload"]["verdict"] for e in a1_before] == ["stay_local"]
     a1_after = [e for e in events[failed + 1:] if e["agent"] == "a1"]
@@ -338,6 +382,46 @@ def test_a_failed_recovery_leg_drops_the_legs_and_regates():
     next_action = next(e for e in a1_after if e["kind"] == "action")
     assert next_action["step"] == a1_after[0]["step"]
     assert next_action["payload"]["mode"] != "recovering"
+
+
+def _rebuilt_outcome(e) -> VerifiedOutcome:
+    """The outcome an `action` event records, with the four fields the event
+    holds once: `agent` and `sim_time` from its envelope, `kind` and
+    `node_id` from its action."""
+    action, outcome = e["payload"]["action"], e["payload"]["outcome"]
+    return VerifiedOutcome(agent=e["agent"], kind=action["kind"], status=outcome["status"],
+                           reason=outcome.get("reason"), deltas=outcome.get("deltas", {}),
+                           sim_time=e["step"], node_id=action.get("node_id"))
+
+
+def test_each_action_event_rebuilds_the_outcome_apply_action_returned(dataset, monkeypatch):
+    """The written trace loses nothing of any verified outcome: in every
+    variant of the default runs, and in a run with a failed action, the
+    `action` events read back from JSONL rebuild, in order, exactly the
+    outcomes `apply_action` returned, and no separate `outcome` event is
+    written."""
+    _, episodes = dataset
+    specs = list(episodes) + [_contested_source_spec()]
+    real = agent.apply_action
+    returned = []
+
+    def spy(world, agent_id, action):
+        world, outcome = real(world, agent_id, action)
+        returned.append(outcome)
+        return world, outcome
+
+    monkeypatch.setattr(agent, "apply_action", spy)
+    seen = set()
+    for name, overrides in ABLATION_VARIANTS:
+        config = dataclasses.replace(RunConfig(), **overrides)
+        for spec in specs:
+            returned.clear()
+            events = Trace.from_jsonl(run_episode(spec, config).to_jsonl()).events
+            assert not any(e["kind"] == "outcome" for e in events), (name, spec.episode_id)
+            rebuilt = [_rebuilt_outcome(e) for e in events if e["kind"] == "action"]
+            assert rebuilt == returned, (name, spec.episode_id)
+            seen.update(f.name for o in returned for f in dataclasses.fields(o) if getattr(o, f.name))
+    assert seen == {f.name for f in dataclasses.fields(VerifiedOutcome)}  # every field was set somewhere
 
 
 def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
@@ -389,10 +473,11 @@ def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch
     a0_views = [v for v in views if v.agent_id == "a0"]
     in_sight = [v.sim_time for v in a0_views if "a1" in v.teammates]
     assert a0_views[0].sim_time < in_sight[0] and in_sight[-1] < a0_views[-1].sim_time
-    transfer = next(e["step"] for e in events if e["kind"] == "outcome"
-                    and e["payload"]["kind"] == "transfer" and e["payload"]["status"] == "success")
+    transfer = next(e["step"] for e in events if e["kind"] == "action"
+                    and e["payload"]["action"]["kind"] == "transfer"
+                    and e["payload"]["outcome"]["status"] == "success")
     around_transfer = [v for v in a0_views if v.sim_time in (transfer - 1, transfer + 1)]
     assert [v.inventory.count("iron_ingot") for v in around_transfer] == [0, 1]
-    drained = next(e["step"] for e in events if e["kind"] == "outcome"
-                   and e["payload"].get("deltas", {}).get("source") == {"0": -1})
+    drained = next(e["step"] for e in events if e["kind"] == "action"
+                   and e["payload"]["outcome"].get("deltas", {}).get("source") == {"0": -1})
     assert any(v.sim_time > drained and v.sources and v.sources[0][0] == 0 for v in a0_views)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -296,7 +297,7 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
         assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
         assert f"runtime error: {bad}: event 4 {problem}" in capsys.readouterr().err
 
-    end = '{"agent":"","kind":"episode_end","payload":{"completion":1.0,"schema":1},"step":1}\n'
+    end = '{"agent":"","kind":"episode_end","payload":{"completion":1.0,"schema":2},"step":1}\n'
     for action, field in (("{}", "action"), ('{"action":{}}', "action.kind")):
         bad.write_text('{"agent":"a0","kind":"action","payload":%s,"step":0}\n' % action + end)
         assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
@@ -337,15 +338,16 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
 
 @pytest.mark.parametrize("schema, problem", [
     (None, "has no payload field 'schema'"),
-    (2, "has schema 2; this reader takes schema 1"),
-    ("1", "has schema '1'; this reader takes schema 1"),
+    (1, "has schema 1; this reader takes schema 2"),
+    ("1", "has schema '1'; this reader takes schema 2"),
+    ("2", "has schema '2'; this reader takes schema 2"),
 ])
 def test_report_rejects_a_trace_of_another_schema(tmp_path, small_dataset, capsys, schema, problem):
     out = tmp_path / "out"
     assert main(["run", "--dataset", str(small_dataset), "--out", str(out), "--episodes", "1"]) == 0
     trace = next(iter((out / "traces").glob("*.jsonl")))
     events = Trace.from_jsonl(trace.read_text()).events
-    assert events[-1]["payload"]["schema"] == 1
+    assert events[-1]["payload"]["schema"] == 2
     if schema is None:
         del events[-1]["payload"]["schema"]
     else:
@@ -355,6 +357,46 @@ def test_report_rejects_a_trace_of_another_schema(tmp_path, small_dataset, capsy
     assert main(["report", "--out", str(out)]) == 2
     assert (f"runtime error: {trace}: event {len(events)} (episode_end) {problem}"
             in capsys.readouterr().err)
+
+
+def _as_schema_1(events: list) -> list:
+    """`events` in the schema-1 form: each `action` event's outcome as a
+    separate `outcome` event right after it, with its agent, kind, time and
+    node written out, and `episode_end.schema` 1."""
+    old = []
+    for e in events:
+        p = e["payload"]
+        if e["kind"] == "action":
+            action = p["action"]
+            outcome = {"agent": e["agent"], "kind": action["kind"], "sim_time": e["step"],
+                       **p["outcome"]}
+            if "node_id" in action:
+                outcome["node_id"] = action["node_id"]
+            old.append({**e, "payload": {k: v for k, v in p.items() if k != "outcome"}})
+            old.append({**e, "kind": "outcome", "payload": outcome})
+        elif e["kind"] == "episode_end":
+            old.append({**e, "payload": {**p, "schema": 1}})
+        else:
+            old.append(e)
+    return old
+
+
+def test_a_schema_1_trace_is_rejected_by_every_reader(tmp_path, small_dataset, capsys):
+    """A trace in the old form, with its separate `outcome` events, is
+    rejected by `Trace.from_jsonl` and by `report`, naming its `episode_end`."""
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out), "--episodes", "1"]) == 0
+    trace = next(iter((out / "traces").glob("*.jsonl")))
+    events = _as_schema_1(Trace.from_jsonl(trace.read_text()).events)
+    assert sum(e["kind"] == "outcome" for e in events) > 0
+    text = Trace(events=events).to_jsonl()
+    problem = f"event {len(events)} (episode_end) has schema 1; this reader takes schema 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        Trace.from_jsonl(text)
+    trace.write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {trace}: {problem}\n"
 
 
 def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):

@@ -15,7 +15,7 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
 - an agent with no open issue (before its first `detected`, and from each
   `resolved`/`abandoned` to its next `detected`) acts in mode `standard` or
   `coordinating`;
-- items are conserved: every successful outcome's deltas balance (`collect`
+- items are conserved: every successful action's outcome deltas balance (`collect`
   moves one unit from a source or chest to the agent, `transfer` nets to
   zero across the two agents, `place` turns one unit into one placed block,
   `craft`/`smelt` change the inventory by exactly the recipe), and replaying
@@ -25,7 +25,7 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
 Each case also runs with the quiescence exit switched off (a test-only
 patch of `agent._quiescent`) and checks that the early exit only cut an
 idle tail: the same events up to `episode_end`, nothing after them but idle
-action/outcome pairs, and equal metrics and completion.
+`action` events, and equal metrics and completion.
 
 The default runs are checked the same way, without the second run. The
 same cases, and the default runs, are run once more with spies on
@@ -137,41 +137,40 @@ def check_item_conservation(events, spec, final_world) -> None:
     recipes = {r["recipe_id"]: r for r in spec.recipes}
     blocks = {n: [list(pos), material] for n, material, pos in spec.blocks}
     stock = Counter(_world_stock(spec.build_world()))
-    last_action: dict[str, dict] = {}
     for e in events:
-        if e["kind"] == "action":
-            last_action[e["agent"]] = e["payload"]["action"]
-        if e["kind"] != "outcome" or e["payload"]["status"] != "success":
+        if e["kind"] != "action" or e["payload"]["outcome"]["status"] != "success":
             continue
-        p, me = e["payload"], e["agent"]
-        action, deltas = last_action[me], p.get("deltas", {})
+        action, outcome, me = e["payload"]["action"], e["payload"]["outcome"], e["agent"]
+        deltas = outcome.get("deltas", {})
         inventory = deltas.get("inventory", {})
-        assert action["kind"] == p["kind"], e
+        # the outcome's agent, kind, time and node are the event's, not repeated
+        assert set(outcome) <= {"status", "reason", "deltas"}, e
+        kind = action["kind"]
         moved = Counter()  # (holder, item) -> delta
-        if p["kind"] == "collect":
+        if kind == "collect":
             [(item, n)] = inventory[me].items()
             assert list(inventory) == [me] and n == 1, e
-            kind, index = action["source"][:2]
-            if kind == "source":
+            holder, index = action["source"][:2]
+            if holder == "source":
                 assert spec.sources[index][0] == item and deltas["source"] == {str(index): -1}, e
             else:
                 assert action["source"][2] == item and deltas["chest"] == {str(index): {item: -1}}, e
-            moved[(f"{kind} {index}", item)] -= 1
-        elif p["kind"] == "transfer":
+            moved[(f"{holder} {index}", item)] -= 1
+        elif kind == "transfer":
             assert inventory == {me: {action["item"]: -action["count"]},
                                  action["to_agent"]: {action["item"]: action["count"]}}, e
-        elif p["kind"] == "place":
+        elif kind == "place":
             [(pos, material)] = deltas["placed"]
-            assert [pos, material] == blocks[p["node_id"]], e
+            assert [pos, material] == blocks[action["node_id"]], e
             assert inventory == {me: {material: -1}}, e
             moved[("placed", material)] += 1
-        elif p["kind"] in ("craft", "smelt"):
+        elif kind in ("craft", "smelt"):
             assert inventory == {me: _recipe_delta(recipes[action["recipe_id"]])}, e
         else:
             assert set(deltas) <= {"position"}, e
         for aid, items in inventory.items():
             moved.update({(aid, item): n for item, n in items.items()})
-        if p["kind"] in ("collect", "transfer", "place"):
+        if kind in ("collect", "transfer", "place"):
             assert sum(moved.values()) == 0, e
         for key, n in moved.items():
             stock[key] += n
@@ -179,10 +178,9 @@ def check_item_conservation(events, spec, final_world) -> None:
     assert {key: n for key, n in stock.items() if n} == _world_stock(final_world)
 
 
-def _is_idle_pair_event(e) -> bool:
-    if e["kind"] == "action":
-        return e["payload"]["action"]["kind"] == "idle"
-    return e["kind"] == "outcome" and e["payload"]["kind"] == "idle"
+def _is_idle_action_event(e) -> bool:
+    return (e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"
+            and e["payload"]["outcome"] == {"status": "success"})
 
 
 def check_exit_equivalence(early, full, spec, config) -> None:
@@ -190,7 +188,7 @@ def check_exit_equivalence(early, full, spec, config) -> None:
     *head, end = early
     *full_head, full_end = full
     assert full_head[:len(head)] == head
-    assert all(_is_idle_pair_event(e) for e in full_head[len(head):])
+    assert all(_is_idle_action_event(e) for e in full_head[len(head):])
     assert compute_metrics(Trace(early), spec) == compute_metrics(Trace(full), spec)
     assert end["payload"]["completion"] == full_end["payload"]["completion"]
     if end["payload"]["reason"] == "quiescent":
@@ -222,8 +220,8 @@ def test_items_are_conserved_in_the_default_runs(default_runs):
     kinds = set()
     for run in default_runs:
         check_item_conservation(run.trace.events, run.spec, run.world)
-        kinds.update(e["payload"]["kind"] for e in run.trace.events
-                     if e["kind"] == "outcome" and e["payload"]["status"] == "success")
+        kinds.update(e["payload"]["action"]["kind"] for e in run.trace.events
+                     if e["kind"] == "action" and e["payload"]["outcome"]["status"] == "success")
     assert {"collect", "transfer", "place", "craft", "smelt"} <= kinds
 
 

@@ -19,7 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gatecraft import RunConfig
+from gatecraft import RunConfig, Trace
 
 from conftest import attribute_reads
 
@@ -144,3 +144,22 @@ def test_perfbench_counts_one_view_and_one_digest_per_step(dataset):
     calls = {name: tracer.spans[name][0] for name in ("agent.step", "world.observe", "world.view_digest")}
     assert calls["agent.step"] == sum(e["kind"] == "action" for e in trace.events) > 0
     assert calls["world.observe"] == calls["world.view_digest"] == calls["agent.step"], calls
+
+
+def test_perfbench_counts_one_emit_per_written_event_and_one_action_per_step(dataset):
+    """Under `--trace 1` perfbench compares `trace.emit` calls with the events
+    the traces hold, and `agent.step` calls with their `action` events; a
+    step writes one event, and every event is written through one `emit`."""
+    layers = _perfbench_layers()
+    spec = next(e for e in dataset[1] if e.class_label == "B")
+    tracer = layers.Tracer()
+    tracer.install(layers.MockAdjudicator, count_results=False)
+    try:
+        text = layers.agent.run_episode(spec, layers.agent.RunConfig()).to_jsonl()
+    finally:
+        tracer.restore()
+    written = Trace.from_jsonl(text).events
+    assert tracer.spans["trace.emit"][0] == len(written) == text.count("\n")
+    actions = sum(e["kind"] == "action" for e in written)
+    assert tracer.spans["agent.step"][0] == actions > 0
+    assert tracer.counters["trace_bytes"] == len(text.encode())
