@@ -27,6 +27,7 @@ from .gate import (
     NOT_PROBED,
     extract_features,
     gate_decide,
+    teammate_resources,
     validate_weights,
 )
 from .memory import (
@@ -87,12 +88,15 @@ TRACE_SCHEMA = 2
 
 
 def _schema_problem(events: list) -> str | None:
-    """Name the last `episode_end` event if its payload's schema is missing
-    or is not TRACE_SCHEMA. A trace with no `episode_end`, or with a payload
-    that is not an object, is left to its reader (`cli.cmd_report` names
-    those)."""
-    i = next((i for i in range(len(events), 0, -1) if isinstance(events[i - 1], dict)
-              and events[i - 1].get("kind") == "episode_end"), None)
+    """Name the event after the first `episode_end`, if any: a trace holds
+    one episode, which that event ends. Else name the `episode_end` if its
+    payload's schema is missing or is not TRACE_SCHEMA. A trace with no
+    `episode_end`, or with a payload that is not an object, is left to its
+    reader (`cli.cmd_report` names those)."""
+    i = next((i for i, e in enumerate(events, 1)
+              if type(e) is dict and e.get("kind") == "episode_end"), None)
+    if i is not None and i < len(events):
+        return f"event {i + 1} follows the episode_end at event {i}; a trace holds one episode"
     payload = None if i is None else events[i - 1].get("payload")
     if not isinstance(payload, dict):
         return None
@@ -144,10 +148,17 @@ class RunConfig:
         }
 
 
-def non_gate_settings(config: RunConfig) -> tuple:
-    """The config's values outside GATE_FIELDS: runs that agree on them can
-    share one simulation through `regate`."""
-    return tuple(getattr(config, f.name) for f in fields(config) if f.name not in GATE_FIELDS)
+# The settings besides GATE_FIELDS that `regate` may change: a run reads
+# `partition_on` only through `EpisodeRuntime.team_view`, and flags the run
+# when a read would have answered otherwise under the other setting.
+REGATED_FIELDS = GATE_FIELDS + ("partition_on",)
+
+
+def regate_key(config: RunConfig) -> tuple:
+    """The config's values outside REGATED_FIELDS: `regate` derives a run
+    only from a reference with the same key, so configs that share a key
+    can share one simulation."""
+    return tuple(getattr(config, f.name) for f in fields(config) if f.name not in REGATED_FIELDS)
 
 
 def _mock_backend(config: RunConfig) -> MockAdjudicator | None:
@@ -284,8 +295,9 @@ class Trace:
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
         """The trace `to_jsonl` wrote. Text that is not JSONL raises
-        ValueError naming the line, and a trace of another schema raises
-        ValueError naming its `episode_end` (see `_schema_problem`)."""
+        ValueError naming the line, and a trace of another schema, or of
+        more than one episode, raises ValueError naming the event (see
+        `_schema_problem`)."""
         events = read_jsonl(text)
         if (problem := _schema_problem(events)) is not None:
             raise ValueError(problem)
@@ -366,6 +378,9 @@ class EpisodeRuntime:
         self.gate_passes: list[GatePass] = []
         self.runtimes: dict[str, AgentRuntime] = {}
         self.advertised: dict[str, dict[str, int]] = {}
+        # set once a team-view read answers otherwise under the other
+        # partition setting; while clear, `regate` may flip `partition_on`
+        self.partition_dependent = False
         # fed every outcome right after `apply_action` (see `simulate_episode`)
         self.views = ViewCache()
         topo = self.graph.topo_order
@@ -380,8 +395,12 @@ class EpisodeRuntime:
     def view_for(self, agent_id: str):
         return observe(self.world, agent_id, plan=self.plan_info, cache=self.views)
 
-    def team_view(self, agent_id: str) -> TeamPublicView:
-        if self.config.partition_on:
+    def team_view(self, agent_id: str, other: bool = False) -> TeamPublicView:
+        """The agent's public team view under the run's partition setting,
+        or under the other one when `other` is set. A reader that acts on
+        the view also asks the other and sets `partition_dependent` when
+        the two answers differ."""
+        if self.config.partition_on != other:
             surplus = {a: items for a, items in self.advertised.items() if a != agent_id}
         else:
             # merged-context ablation: live inventories stand in for adverts
@@ -431,13 +450,23 @@ def _choose_escalation_target(ep: EpisodeRuntime, rt: AgentRuntime, blockage: Bl
     """Best responder: the blocked dependency's assignee, else the designated or
     advertised holder of the item, else the nearest teammate. Only a gate
     pass with a teammate to ask can escalate, so there is one."""
-    me = ep.world.agents[rt.agent_id]
-    others = [a for a in sorted(ep.world.agents) if a != rt.agent_id]
     if blockage.issue == IssueType.DEPENDENCY_BLOCK:
         assignee = ep.plan_info.assignments.get(blockage.node_id)
         if assignee and assignee != rt.agent_id:
             return assignee
-    team = ep.team_view(rt.agent_id)
+    target = _nearest_holder(ep, rt, blockage, ep.team_view(rt.agent_id))
+    if not ep.partition_dependent:
+        other = _nearest_holder(ep, rt, blockage, ep.team_view(rt.agent_id, other=True))
+        ep.partition_dependent = other != target
+    return target
+
+
+def _nearest_holder(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
+                    team: TeamPublicView) -> str:
+    """The nearest teammate that is the item's designated holder or has
+    advertised enough of it in `team`, else the nearest teammate."""
+    me = ep.world.agents[rt.agent_id]
+    others = [a for a in sorted(ep.world.agents) if a != rt.agent_id]
     item, need = blockage.item, max(1, blockage.count)
     if item:
         holders = []
@@ -659,6 +688,9 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
             view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
             ep.recipes, blockage=blockage, plan=plan if probed else NOT_PROBED,
         )
+        if not ep.partition_dependent:  # R is the one feature that reads the team view
+            other = ep.team_view(rt.agent_id, other=True)
+            ep.partition_dependent = teammate_resources(view, other, ep.recipes, blockage) != fv.R
         gp = GatePass(len(ep.trace.events), blockage, fv, features_plan)
         ep.gate_passes.append(gp)
         payload = _gate_decision(ep.config, ep.backend, gp,
@@ -954,39 +986,53 @@ def run_episode(spec, config: RunConfig, backend=None) -> Trace:
 def regate(reference: EpisodeRuntime, config: RunConfig) -> Trace | None:
     """The trace `run_episode(reference.spec, config)` writes, derived from
     the finished `reference` run without simulating, or None when that needs
-    a simulation. `config` must equal `reference.config` outside GATE_FIELDS;
-    the reference's own backend does not matter.
+    a simulation. `config` must equal `reference.config` outside
+    REGATED_FIELDS (the gate settings and `partition_on`); the reference's
+    own backend does not matter.
 
-    Each of the reference's gate passes is decided again under `config`,
-    through `_gate_decision` and `config`'s mock backend. If every verdict is
-    the reference's, the result is the reference trace with those
-    `gate_decision` payloads and `episode_end.config` re-rendered. Any
-    flipped verdict returns None.
+    A changed `partition_on` needs a simulation when the reference is
+    `partition_dependent`. Otherwise each of the reference's gate passes is
+    decided again under `config`, through `_gate_decision` and `config`'s
+    mock backend. If every verdict is the reference's, the result is the
+    reference trace with those `gate_decision` payloads and
+    `episode_end.config` re-rendered. Any flipped verdict returns None.
 
-    By induction over the passes, the two runs are in the same state at each
-    one, so re-deciding from the recorded inputs is what the other run does:
+    By induction over the reads of a changed setting, the two runs are in
+    the same state at each one, so the other run gets the answer the
+    reference recorded or computed:
 
-    - Before the first pass, both runs have the same spec and the same
-      non-gate settings. The gate settings are read nowhere else than in
-      `_gate_decision`, `_mock_backend`, `describe` and the weight check in
-      `__post_init__` (`tests/test_regate.py` pins this; the dataset
-      validator reads only a fresh `RunConfig()`'s), so they trace the same
-      bytes.
-    - At a pass reached in the same state, the blockage, the plan probe and
-      `extract_features`' vector and plan are the other run's too: they read
-      only that state, and every pass computes them whatever the tiers. The
-      mock replies from the card and `config.thresholds` alone, so the
-      call's position in the run cannot matter (a scripted or remote
-      backend's reply can depend on it, hence the mock).
+    - Before the first read, both runs have the same spec and the same
+      settings outside REGATED_FIELDS. The gate settings are read nowhere
+      else than in `_gate_decision`, `_mock_backend`, `describe` and the
+      weight check in `__post_init__` (the dataset validator reads only a
+      fresh `RunConfig()`'s), and `partition_on` nowhere else than in
+      `team_view`, `describe` and here (`tests/test_regate.py` pins both
+      lists). So they trace the same bytes.
+    - A team-view read has two consumers, R in the features and the
+      escalation target. At each, the reference also computed the answer
+      under the other setting, and `partition_dependent` is clear, so no
+      answer differed: the other run reads what the reference read. No
+      gate payload renders the partition.
+    - At a gate pass reached in the same state, the blockage, the plan
+      probe and `extract_features`' vector and plan are the other run's
+      too: they read only that state, and every pass computes them
+      whatever the tiers. The mock replies from the card and
+      `config.thresholds` alone, so the call's position in the run cannot
+      matter (a scripted or remote backend's reply can depend on it, hence
+      the mock).
     - The route after a pass reads the verdict and the probe. Equal
       verdicts therefore leave equal states, the same trace events up to
       the next pass, and the same solver context on an escalation.
       Cooldowns, `H` and window outcomes follow from these.
     - Skipped gate passes (a lone agent, a hard cooldown block) read no gate
-      setting and trace no decision, so they match by the same argument.
+      setting and no team view, and trace no decision, so they match by
+      the same argument.
     """
-    if non_gate_settings(config) != non_gate_settings(reference.config):
-        raise ValueError("regate: the config differs from the reference outside the gate settings")
+    if regate_key(config) != regate_key(reference.config):
+        raise ValueError("regate: the config differs from the reference outside the gate settings "
+                         "and partition_on")
+    if config.partition_on != reference.config.partition_on and reference.partition_dependent:
+        return None
     backend = _mock_backend(config)
     events = list(reference.trace.events)
     for gp in reference.gate_passes:

@@ -31,6 +31,7 @@ from .harness import (
     compute_metrics,
     make_backend,
     metrics_to_csv,
+    pool_chunksize,
     run_config_suite,
     split_templates,
 )
@@ -267,7 +268,7 @@ def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_episode_worker, tasks)
+            yield from pool.map(_episode_worker, tasks, chunksize=pool_chunksize(len(tasks), jobs))
         return
     for task in tasks:
         yield _episode_worker(task)
@@ -330,8 +331,13 @@ def cmd_run(ns, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _print_runs(simulated: int, total: int) -> None:
-    print(f"simulated {simulated} of {total} runs, re-gated {total - simulated}")
+def _print_runs(simulated: int, total: int, partition_dependent: int | None = None) -> None:
+    """The simulated/re-gated split, and when it is known, how many of the
+    simulated runs had a team-view read that the partition setting changed."""
+    line = f"simulated {simulated} of {total} runs, re-gated {total - simulated}"
+    if partition_dependent is not None:
+        line += f", partition-dependent {partition_dependent}"
+    print(line)
 
 
 def cmd_ablate(ns, cfg: dict) -> int:
@@ -345,10 +351,11 @@ def cmd_ablate(ns, cfg: dict) -> int:
     total = len(configs) * len(episodes)
     if backend_name is None:
         # the mock replies the same whatever the call order, so runs can be re-gated
-        per_variant, simulated = run_config_suite(episodes, configs, jobs)
+        per_variant, flags = run_config_suite(episodes, configs, jobs)
+        simulated, partition_dependent = len(flags), sum(flags)
     else:
         per_variant = [list(_run_suite(episodes, config, backend_name, jobs)) for config in configs]
-        simulated = total
+        simulated, partition_dependent = total, None
 
     rows = []
     for (name, _), metrics in zip(ABLATION_VARIANTS, per_variant):
@@ -368,7 +375,7 @@ def cmd_ablate(ns, cfg: dict) -> int:
                "adjudicator_calls", "token_cost"]
     _write_csv(out / "ablation.csv", rows, columns)
     print(_format_table(rows, columns))
-    _print_runs(simulated, total)
+    _print_runs(simulated, total, partition_dependent)
     print(f"wrote {out / 'ablation.csv'}")
     return EXIT_OK
 

@@ -146,6 +146,27 @@ def _teammates_with_raw(team: TeamPublicView, view: WorldView, recipes: RecipeBo
     return out
 
 
+def teammate_resources(view: WorldView, team: TeamPublicView, recipes: RecipeBook,
+                       blockage: BlockageRecord) -> int:
+    """The feature R: how near a visible teammate believed to hold the
+    blocked item (3 or 2), or a raw input of it (1), stands. The only
+    feature that reads `team`."""
+    item = blockage.item
+    if not item:
+        return 0
+    exact = _teammates_with_exact(team, view, item, max(1, blockage.count))
+    viable_sq = VIABLE_RADIUS * VIABLE_RADIUS
+    immediate_sq = IMMEDIATE_RADIUS * IMMEDIATE_RADIUS
+    exact_viable = [e for e in exact if e[0] <= viable_sq]
+    if any(d2 < immediate_sq for d2, _ in exact_viable):
+        return 3
+    if exact_viable:
+        return 2
+    if any(d2 <= viable_sq for d2, _ in _teammates_with_raw(team, view, recipes, item)):
+        return 1
+    return 0
+
+
 def extract_features(
     view: WorldView,
     graph: TaskGraph,
@@ -201,20 +222,7 @@ def extract_features(
     else:
         L = 1
 
-    # --- R: teammate resources ------------------------------------------
-    item = blockage.item
-    R = 0
-    if item:
-        exact = _teammates_with_exact(team, view, item, max(1, blockage.count))
-        viable_sq = VIABLE_RADIUS * VIABLE_RADIUS
-        immediate_sq = IMMEDIATE_RADIUS * IMMEDIATE_RADIUS
-        exact_viable = [e for e in exact if e[0] <= viable_sq]
-        if any(d2 < immediate_sq for d2, _ in exact_viable):
-            R = 3
-        elif exact_viable:
-            R = 2
-        elif any(d2 <= viable_sq for d2, _ in _teammates_with_raw(team, view, recipes, item)):
-            R = 1
+    R = teammate_resources(view, team, recipes, blockage)
 
     # --- I: downstream delay ---------------------------------------------
     unplaced_desc = {d for d in graph.descendants(node) if d not in placed}

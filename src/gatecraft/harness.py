@@ -21,8 +21,8 @@ from .agent import (
     EpisodeRuntime,
     RunConfig,
     Trace,
-    non_gate_settings,
     regate,
+    regate_key,
     simulate_episode,
 )
 from .gate import (
@@ -121,11 +121,14 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
 def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None, replay=None) -> EpisodeMetrics:
     """Count one finished trace into EpisodeMetrics. Ratio fields are None
     (absent) when their denominator is zero. `replay` stands in for
-    `replay_local_feasibility` and must return what it returns."""
+    `replay_local_feasibility` and must return what it returns.
+
+    The trace's last event is its one `episode_end`, as `simulate_episode`
+    writes it and `Trace.from_jsonl` requires."""
     if replay is None:
         replay = replay_local_feasibility
-    end = next((e for e in trace.events if e["kind"] == "episode_end"), None)
-    if end is None:
+    end = trace.events[-1] if trace.events else None
+    if end is None or end["kind"] != "episode_end":
         raise ValueError("incomplete trace: no episode_end event")
 
     cs = msg = opened = fulfilled = adj = escalations = unnecessary = 0
@@ -250,20 +253,23 @@ def metrics_to_csv(metrics: list[EpisodeMetrics]) -> str:
     return buf.getvalue()
 
 
-def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[EpisodeMetrics], int]:
+def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[EpisodeMetrics], list[bool]]:
     """The metrics of `spec` run under each config with the mock backend, in
-    config order, and how many of those runs were simulated.
+    config order, and for each run that was simulated, whether a team-view
+    read in it depended on the partition setting
+    (`EpisodeRuntime.partition_dependent`).
 
-    Configs that agree outside the gate settings form a group. Each group
-    simulates its first config, and `regate` derives each other config from
-    one of the group's simulated runs; a config under which every such run
-    has a flipped verdict is simulated in full and serves the rest of the
-    group too."""
+    Configs that agree outside the gate settings and `partition_on` (the
+    same `regate_key`) form a group. Each group simulates its first config,
+    and `regate` derives each other config from one of the group's
+    simulated runs; a config that no such run can serve (a flipped verdict,
+    or a changed partition setting that a read depended on) is simulated in
+    full and serves the rest of the group too."""
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
-        groups.setdefault(non_gate_settings(config), []).append(i)
+        groups.setdefault(regate_key(config), []).append(i)
     traces: list[Trace | None] = [None] * len(configs)
-    simulated = 0
+    simulated: list[bool] = []
     for members in groups.values():
         references: list[EpisodeRuntime] = []
         for i in members:
@@ -272,7 +278,7 @@ def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[Episo
             if traces[i] is None:
                 references.append(simulate_episode(spec, configs[i]))
                 traces[i] = references[-1].trace
-        simulated += len(references)
+        simulated += [r.partition_dependent for r in references]
     # a re-gated trace shares its reference's solver contexts, so each
     # distinct context is replayed once; `traces` keeps every one alive
     plans: dict[int, RecoveryPlan | None] = {}
@@ -285,22 +291,29 @@ def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[Episo
     return [compute_metrics(t, spec, replay_once) for t in traces], simulated
 
 
+def pool_chunksize(tasks: int, jobs: int) -> int:
+    """Tasks per pool hand-off: about four chunks per worker, as
+    `multiprocessing.Pool.map` picks by default."""
+    return max(1, tasks // (4 * jobs))
+
+
 def run_config_suite(
     episodes: list[EpisodeSpec], configs: list[RunConfig], jobs: int = 1
-) -> tuple[list[list[EpisodeMetrics]], int]:
+) -> tuple[list[list[EpisodeMetrics]], list[bool]]:
     """`run_configs` over every episode, one task per episode, spread over
     `jobs` worker processes. Returns each config's metrics in episode order
-    and the number of simulated runs."""
+    and the `partition_dependent` flag of every simulated run."""
     args = (episodes, repeat(configs))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_configs, *args))
+            chunksize = pool_chunksize(len(episodes), jobs)
+            results = list(pool.map(run_configs, *args, chunksize=chunksize))
     else:
         results = list(map(run_configs, *args))
     per_config = [[metrics[c] for metrics, _ in results] for c in range(len(configs))]
-    return per_config, sum(simulated for _, simulated in results)
+    return per_config, [flag for _, simulated in results for flag in simulated]
 
 
 # -- calibration ---------------------------------------------------------------
@@ -398,7 +411,7 @@ def calibrate(
     best_objective = max(r["objective"] for r in rows)
     chosen = min((r for r in rows if r["objective"] == best_objective), key=theta_key)
     theta = {"weights": list(chosen["weights"]), "thresholds": list(chosen["thresholds"])}
-    return theta, rows, simulated
+    return theta, rows, len(simulated)
 
 
 def split_templates(

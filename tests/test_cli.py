@@ -399,6 +399,25 @@ def test_a_schema_1_trace_is_rejected_by_every_reader(tmp_path, small_dataset, c
     assert capsys.readouterr().err == f"runtime error: {trace}: {problem}\n"
 
 
+def test_a_trace_of_two_episodes_is_rejected_by_every_reader(tmp_path, small_dataset, capsys):
+    """A trace holds one episode: `Trace.from_jsonl` and `report` reject two
+    traces concatenated into one file, or any event after the `episode_end`,
+    naming the first event past it."""
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out), "--episodes", "2"]) == 0
+    first, second = (p.read_text() for p in sorted((out / "traces").glob("*.jsonl")))
+    end = len(first.splitlines())
+    trace = out / "traces" / "two.jsonl"
+    for text in (first + second, first + first.splitlines(keepends=True)[-1]):
+        problem = f"event {end + 1} follows the episode_end at event {end}; a trace holds one episode"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            Trace.from_jsonl(text)
+        trace.write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"runtime error: {trace}: {problem}\n"
+
+
 def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
     lines = (small_dataset / "episodes.jsonl").read_text().splitlines()
     spec = json.loads(lines[0])
@@ -460,8 +479,12 @@ def test_ablate_and_calibrate_print_simulated_runs(tmp_path, small_dataset, caps
     assert main(["ablate", "--dataset", str(small_dataset), "--out", str(tmp_path / "a")]) == 0
     printed = capsys.readouterr().out
     line = next(ln for ln in printed.splitlines() if ln.startswith("simulated "))
-    simulated, total, regated = (int(w) for w in line.replace(",", "").split() if w.isdigit())
-    assert total == 6 * 4 and simulated + regated == total and simulated >= 2 * 4
+    numbers = (int(w) for w in line.replace(",", "").split() if w.isdigit())
+    simulated, total, regated, partition_dependent = numbers
+    # one simulation serves all six variants, except that class A's gated
+    # variants keep its issue local where the ungated ones escalate
+    assert total == 6 * 4 and simulated + regated == total and simulated == 4 + 1
+    assert partition_dependent == 0
 
     assert main(["calibrate", "--dataset", str(small_dataset), "--out", str(tmp_path / "c"),
                  "--grid", "small", "--calib-fraction", "1.0"]) == 0
