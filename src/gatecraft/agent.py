@@ -149,8 +149,8 @@ class RunConfig:
 
 
 # The settings besides GATE_FIELDS that `regate` may change: a run reads
-# `partition_on` only through `EpisodeRuntime.team_view`, and flags the run
-# when a read would have answered otherwise under the other setting.
+# `partition_on` only through `EpisodeRuntime.read_team`, which flags the
+# run when a read would have answered otherwise under the other setting.
 REGATED_FIELDS = GATE_FIELDS + ("partition_on",)
 
 
@@ -395,12 +395,20 @@ class EpisodeRuntime:
     def view_for(self, agent_id: str):
         return observe(self.world, agent_id, plan=self.plan_info, cache=self.views)
 
-    def team_view(self, agent_id: str, other: bool = False) -> TeamPublicView:
-        """The agent's public team view under the run's partition setting,
-        or under the other one when `other` is set. A reader that acts on
-        the view also asks the other and sets `partition_dependent` when
-        the two answers differ."""
-        if self.config.partition_on != other:
+    def read_team(self, agent_id: str, answer):
+        """`answer(view)` on the agent's public team view under the run's
+        partition setting. While `partition_dependent` is clear, it also
+        answers on the other setting's view and sets the flag when the two
+        differ. The only reader of the team view, so `regate` may flip
+        `partition_on` while the flag stays clear."""
+        result = answer(self._team_view(agent_id, self.config.partition_on))
+        if not self.partition_dependent:
+            other = answer(self._team_view(agent_id, not self.config.partition_on))
+            self.partition_dependent = other != result
+        return result
+
+    def _team_view(self, agent_id: str, partitioned: bool) -> TeamPublicView:
+        if partitioned:
             surplus = {a: items for a, items in self.advertised.items() if a != agent_id}
         else:
             # merged-context ablation: live inventories stand in for adverts
@@ -454,11 +462,7 @@ def _choose_escalation_target(ep: EpisodeRuntime, rt: AgentRuntime, blockage: Bl
         assignee = ep.plan_info.assignments.get(blockage.node_id)
         if assignee and assignee != rt.agent_id:
             return assignee
-    target = _nearest_holder(ep, rt, blockage, ep.team_view(rt.agent_id))
-    if not ep.partition_dependent:
-        other = _nearest_holder(ep, rt, blockage, ep.team_view(rt.agent_id, other=True))
-        ep.partition_dependent = other != target
-    return target
+    return ep.read_team(rt.agent_id, lambda team: _nearest_holder(ep, rt, blockage, team))
 
 
 def _nearest_holder(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
@@ -684,13 +688,11 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     if not others_exist or hard_blocked:
         verdict = "stay_local"  # gate skipped; cooldown discipline owns the issue
     else:
+        R = ep.read_team(rt.agent_id, lambda team: teammate_resources(view, team, ep.recipes, blockage))
         fv, features_plan = extract_features(
-            view, ep.graph, rt.state, ep.team_view(rt.agent_id), ep.cooldowns,
+            view, ep.graph, rt.state, R, ep.cooldowns,
             ep.recipes, blockage=blockage, plan=plan if probed else NOT_PROBED,
         )
-        if not ep.partition_dependent:  # R is the one feature that reads the team view
-            other = ep.team_view(rt.agent_id, other=True)
-            ep.partition_dependent = teammate_resources(view, other, ep.recipes, blockage) != fv.R
         gp = GatePass(len(ep.trace.events), blockage, fv, features_plan)
         ep.gate_passes.append(gp)
         payload = _gate_decision(ep.config, ep.backend, gp,
@@ -1006,13 +1008,14 @@ def regate(reference: EpisodeRuntime, config: RunConfig) -> Trace | None:
       else than in `_gate_decision`, `_mock_backend`, `describe` and the
       weight check in `__post_init__` (the dataset validator reads only a
       fresh `RunConfig()`'s), and `partition_on` nowhere else than in
-      `team_view`, `describe` and here (`tests/test_regate.py` pins both
+      `read_team`, `describe` and here (`tests/test_regate.py` pins both
       lists). So they trace the same bytes.
-    - A team-view read has two consumers, R in the features and the
-      escalation target. At each, the reference also computed the answer
-      under the other setting, and `partition_dependent` is clear, so no
-      answer differed: the other run reads what the reference read. No
-      gate payload renders the partition.
+    - The team view is read only through `read_team`, by two callers: R in
+      the features and the escalation target. At each read the reference
+      also computed the answer under the other setting, and
+      `partition_dependent` is clear, so no answer differed: the other run
+      reads what the reference read. No gate payload renders the
+      partition.
     - At a gate pass reached in the same state, the blockage, the plan
       probe and `extract_features`' vector and plan are the other run's
       too: they read only that state, and every pass computes them

@@ -31,7 +31,6 @@ from .harness import (
     compute_metrics,
     make_backend,
     metrics_to_csv,
-    pool_chunksize,
     run_config_suite,
     split_templates,
 )
@@ -268,7 +267,7 @@ def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_episode_worker, tasks, chunksize=pool_chunksize(len(tasks), jobs))
+            yield from pool.map(_episode_worker, tasks)
         return
     for task in tasks:
         yield _episode_worker(task)

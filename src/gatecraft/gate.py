@@ -171,7 +171,7 @@ def extract_features(
     view: WorldView,
     graph: TaskGraph,
     state: PrivateState,
-    team: TeamPublicView,
+    R: int,
     cooldowns: CooldownTable,
     recipes: RecipeBook,
     blockage: BlockageRecord | None = None,
@@ -183,6 +183,10 @@ def extract_features(
     none); when it is NOT_PROBED, the planner is probed here. Returns the
     feature vector together with that plan (so callers never pay for the
     plan search twice).
+
+    `R` is the caller's `teammate_resources` answer: the one feature that
+    reads the team view, which the runtime reads through
+    `EpisodeRuntime.read_team`.
     """
     blockage = blockage or state.blockage
     if blockage is None:
@@ -221,8 +225,6 @@ def extract_features(
             L = 1
     else:
         L = 1
-
-    R = teammate_resources(view, team, recipes, blockage)
 
     # --- I: downstream delay ---------------------------------------------
     unplaced_desc = {d for d in graph.descendants(node) if d not in placed}

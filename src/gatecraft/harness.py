@@ -291,12 +291,6 @@ def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[Episo
     return [compute_metrics(t, spec, replay_once) for t in traces], simulated
 
 
-def pool_chunksize(tasks: int, jobs: int) -> int:
-    """Tasks per pool hand-off: about four chunks per worker, as
-    `multiprocessing.Pool.map` picks by default."""
-    return max(1, tasks // (4 * jobs))
-
-
 def run_config_suite(
     episodes: list[EpisodeSpec], configs: list[RunConfig], jobs: int = 1
 ) -> tuple[list[list[EpisodeMetrics]], list[bool]]:
@@ -308,7 +302,8 @@ def run_config_suite(
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunksize = pool_chunksize(len(episodes), jobs)
+            # about four chunks per worker, `multiprocessing.Pool.map`'s default rule
+            chunksize = max(1, len(episodes) // (4 * jobs))
             results = list(pool.map(run_configs, *args, chunksize=chunksize))
     else:
         results = list(map(run_configs, *args))

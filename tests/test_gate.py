@@ -28,6 +28,7 @@ from gatecraft.gate import (
     normalize_score,
     parse_adjudicator_reply,
     score_bounds,
+    teammate_resources,
     validate_weights,
 )
 from gatecraft.memory import BlockageRecord
@@ -283,7 +284,8 @@ def _featurize(world, plan, agent_id="a0", cooldowns=None):
     state = PrivateState(agent_id=agent_id, inventory=view.inventory)
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None
-    return extract_features(view, world.graph, state, TeamPublicView(), cooldowns or CooldownTable(duration=30),
+    R = teammate_resources(view, TeamPublicView(), world.recipes, issue)
+    return extract_features(view, world.graph, state, R, cooldowns or CooldownTable(duration=30),
                             world.recipes, blockage=issue)
 
 

@@ -178,17 +178,16 @@ GATE_READS = {
 }
 
 
-# The only code that may read `partition_on`, and the only readers of the
-# team view, its one lever. Each reader also asks the view under the other
-# setting and sets `partition_dependent`; `regate` rests on both lists.
+# The only code that may read `partition_on`, and the only reader of the
+# team view, its one lever. `read_team` answers under both settings and
+# sets `partition_dependent`; `regate` rests on both lists.
 PARTITION_READS = {
     ("agent", "RunConfig.describe"),  # episode_end.config, re-rendered by regate
-    ("agent", "EpisodeRuntime.team_view"),
+    ("agent", "EpisodeRuntime.read_team"),
     ("agent", "regate"),  # declines a partition change for a flagged reference
 }
 TEAM_VIEW_READS = {
-    ("agent", "_gate_and_route"),  # R, through `extract_features`
-    ("agent", "_choose_escalation_target"),
+    ("agent", "EpisodeRuntime.read_team"),
 }
 
 
@@ -203,4 +202,4 @@ def test_gate_settings_are_read_only_where_regate_expects():
 
 def test_the_partition_setting_is_read_only_where_regate_expects():
     assert _reads({"partition_on"}) == PARTITION_READS
-    assert _reads({"team_view"}) == TEAM_VIEW_READS
+    assert _reads({"_team_view"}) == TEAM_VIEW_READS
