@@ -75,31 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_numbers(text, n, label, cast):
-    if isinstance(text, (list, tuple)):
-        parts = list(text)
-    else:
-        parts = [p for p in str(text).replace(" ", "").split(",") if p]
-    if len(parts) != n:
-        raise UsageError(f"{label} needs {n} comma-separated values, got {text!r}")
-    try:
-        return tuple(cast(p) for p in parts)
-    except (TypeError, ValueError):
-        raise UsageError(f"{label} has a non-numeric entry: {text!r}")
-
-
-def _parse_tiers(text) -> tuple[bool, bool, bool]:
-    if isinstance(text, (list, tuple)):
-        names = {str(t).strip().lower() for t in text}
-    else:
-        names = {t.strip().lower() for t in str(text).split(",") if t.strip()}
-    names.discard("none")
-    unknown = names - set(TIER_NAMES)
-    if unknown:
-        raise UsageError(f"unknown tiers {sorted(unknown)} (choose from {TIER_NAMES})")
-    return tuple(t in names for t in TIER_NAMES)
-
-
 def _parse_json(text: str, source: str):
     try:
         return json.loads(text)
@@ -118,6 +93,9 @@ def _load_config_file(path: str) -> dict:
         data = _parse_json(text, f"config file {path}")
         if not isinstance(data, dict):
             raise UsageError("JSON config must be an object")
+        if bad := sorted(k for k, v in data.items() if v is None or isinstance(v, dict)):
+            raise UsageError(f"config file {path} sets {', '.join(bad)} to null or an object; "
+                             f"give a key its flag's value, or leave it out")
         return data
     out: dict = {}
     for i, line in enumerate(text.splitlines(), 1):
@@ -131,72 +109,155 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _pick(ns, cfg: dict, key: str, default):
-    """CLI flag beats config file beats hard default."""
-    value = getattr(ns, key, None)
-    if value is not None:
+def _cast(cast, kind: str):
+    """A converter: `cast` of the text, or ValueError("must be <kind>")."""
+    def convert(text: str):
+        try:
+            return cast(text)
+        except (ValueError, KeyError):
+            raise ValueError(f"must be {kind}") from None
+    return convert
+
+
+def _within(convert, rule: str, ok):
+    """`convert`, also rejecting a value that fails `ok`."""
+    def checked(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
         return value
-    if key in cfg:
-        return cfg[key]
-    return default
+    return checked
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+def _threshold_pair(text: str) -> GateThresholds:
+    lo, hi = map(float, text.split(","))
+    return GateThresholds(lo, hi)
 
 
-_KINDS = {int: "an integer", float: "a number"}
+def _tier_flags(text: str) -> tuple[bool, bool, bool]:
+    names = {t.strip().lower() for t in text.split(",") if t.strip()} - {"none"}
+    if names - set(TIER_NAMES):
+        raise ValueError(names)
+    return tuple(t in names for t in TIER_NAMES)
 
 
-def _given(ns, cfg: dict, settings) -> dict:
-    """`{name: convert(value)}` for each `(key, name, convert)` in `settings`
-    whose key a flag or the config file set. The config class owns the
-    defaults of the rest. argparse has already converted the flags, so a
-    value that `convert` rejects came from the config file: a usage error
-    that names the flag, the key and the file."""
-    out = {}
-    for key, name, convert in settings:
-        if (value := _pick(ns, cfg, key, None)) is not None:
-            try:
-                out[name] = convert(value)
-            except (TypeError, ValueError):
-                raise UsageError(f"--{key.replace('_', '-')} must be {_KINDS.get(convert, 'valid')}:"
-                                 f" config file {ns.config} sets {key} = {value!r}")
-    return out
+_ON_OFF = {"true": True, "1": True, "yes": True, "on": True,
+           "false": False, "0": False, "no": False, "off": False}
+_integer = _cast(int, "an integer")
+_number = _cast(float, "a number")
+_count = _within(_integer, ">= 1", lambda n: n >= 1)
+_on_off = _cast(lambda t: _ON_OFF[t.strip().lower()], "true/false, 1/0, yes/no or on/off")
 
 
-_RUN_SETTINGS = (
-    ("no_partition", "partition_on", lambda value: not _as_bool(value)),
-    ("window_timeout", "window_timeout", int),
-    ("cooldown", "cooldown_duration", int),
-    ("step_budget", "step_budget", int),
-    ("allow_unvalidated", "allow_unvalidated", _as_bool),
-)
-
-
-def _run_config(ns, cfg: dict) -> RunConfig:
-    weights = _pick(ns, cfg, "weights", None)
-    thresholds = _pick(ns, cfg, "thresholds", None)
-    tiers = _pick(ns, cfg, "tiers", None)
-    kwargs = _given(ns, cfg, _RUN_SETTINGS)
-    if tiers is not None:
-        kwargs.update(zip(("rules_on", "score_on", "adjudicator_on"), _parse_tiers(tiers)))
-    if weights is not None:
-        kwargs["weights"] = GateWeights.from_sequence(
-            _parse_numbers(weights, 5, "--weights", int))
-    if thresholds is not None:
-        lo, hi = _parse_numbers(thresholds, 2, "--thresholds", float)
-        kwargs["thresholds"] = GateThresholds(lo, hi)
+def _backend(text: str) -> str | None:
+    """The backend's name, or None for the mock. It is checked by building
+    it once: an unknown kind or a script that cannot be read is a usage
+    error, not a failed run."""
     try:
-        return RunConfig(**kwargs)
+        return None if make_backend(text) is None else text
+    except FileNotFoundError as exc:
+        raise UsageError(f"backend script not found: {exc.filename}")
+    except OSError as exc:
+        raise UsageError(f"--backend {text}: {exc.strerror}")
+    except ValueError as exc:
+        raise UsageError(f"--backend: {exc}")
+
+
+def _grid(text: str) -> dict:
+    if text in GRID_PRESETS:
+        return GRID_PRESETS[text]
+    path = Path(text)
+    if not path.is_file():
+        raise ValueError(f"must be a preset ({', '.join(sorted(GRID_PRESETS))}) or a JSON file")
+    data = _parse_json(path.read_text(), f"grid file {path}")
+    if not isinstance(data, dict) or "weights" not in data or "thresholds" not in data:
+        raise UsageError(f"grid file {path} must be a JSON object with "
+                         f"'weights' and 'thresholds' lists")
+    return data
+
+
+# dest -> (converter, default) for every setting that takes a value. A
+# converter takes text and raises ValueError("must be ...") or a UsageError
+# with the whole message; a default of None leaves the setting to the
+# config class (RunConfig, CalibrationConfig) or to the command.
+SETTINGS = {
+    "out": (Path, "out"),
+    "seed": (_integer, "0"),
+    "dataset": (Path, "dataset"),
+    "jobs": (_count, "1"),
+    "episodes": (_count, None),
+    "backend": (_backend, "mock"),
+    "weights": (_cast(lambda t: GateWeights.from_sequence([int(w) for w in t.split(",")]),
+                      "5 comma-separated integers"), None),
+    "thresholds": (_cast(_threshold_pair, "t_low,t_high with 0 <= t_low <= t_high <= 1"), None),
+    "tiers": (_cast(_tier_flags, f"none or a comma list from {','.join(TIER_NAMES)}"), None),
+    "no_partition": (_on_off, None),
+    "window_timeout": (_integer, None),
+    "cooldown": (_integer, None),
+    "step_budget": (_integer, None),
+    "allow_unvalidated": (_on_off, None),
+    "grid": (_grid, "small"),
+    "calib_fraction": (_within(_number, "in (0, 1]", lambda f: 0 < f <= 1), "0.5"),
+    "lam_time": (_number, None),
+    "lam_redundant": (_number, None),
+    "lam_llm": (_number, None),
+    "traces": (Path, None),
+}
+
+
+def _as_text(value) -> str:
+    """A config-file value as its flag would take it: a JSON list joined
+    with commas, a JSON scalar as JSON writes it (`true`, `15`, `1.9`)."""
+    if isinstance(value, list):
+        return ",".join(v if isinstance(v, str) else json.dumps(v) for v in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _resolve(ns) -> None:
+    """Convert each of the command's settings once, in place: the flag's
+    value, else the config file's, else the default. A rejected value is a
+    usage error naming the flag, and the file and key it came from."""
+    cfg = _load_config_file(ns.config) if ns.config else {}
+    takes = [dest for dest in vars(ns) if dest in SETTINGS]
+    unknown = sorted(cfg.keys() - set(takes))
+    if unknown:
+        raise UsageError(f"config file {ns.config} sets keys the {ns.subcommand} command does not take: "
+                         + ", ".join(unknown))
+    for dest in takes:
+        convert, value = SETTINGS[dest]  # the default, unless a flag or the file sets one
+        source = ""
+        if getattr(ns, dest) is not None:
+            value = getattr(ns, dest)
+        elif dest in cfg:
+            value = _as_text(cfg[dest])
+            source = f": config file {ns.config} sets {dest} = {cfg[dest]!r}"
+        if value is None:
+            continue
+        try:
+            setattr(ns, dest, convert(value))
+        except ValueError as exc:
+            raise UsageError(f"--{dest.replace('_', '-')} {exc}{source}")
+        except UsageError as exc:
+            raise UsageError(f"{exc}{source}")
+
+
+def _run_config(ns) -> RunConfig:
+    """The run settings; RunConfig owns the default of each one not set.
+    They are read by key, so the gate fields keep their few readers."""
+    s = vars(ns)
+    given = dict(zip(("rules_on", "score_on", "adjudicator_on"), s["tiers"] or ()),
+                 weights=s["weights"], thresholds=s["thresholds"],
+                 partition_on=None if s["no_partition"] is None else not s["no_partition"],
+                 window_timeout=s["window_timeout"], cooldown_duration=s["cooldown"],
+                 step_budget=s["step_budget"], allow_unvalidated=s["allow_unvalidated"])
+    try:
+        return RunConfig(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _require_dataset(ns, cfg: dict):
-    path = Path(_pick(ns, cfg, "dataset", "dataset"))
+def _require_dataset(ns):
+    path = ns.dataset
     if path.is_dir():
         path = path / "episodes.jsonl"
     if not path.is_file():
@@ -207,55 +268,23 @@ def _require_dataset(ns, cfg: dict):
         raise UsageError(str(exc))
     if not episodes:
         raise UsageError(f"dataset at {path} holds no episodes")
-    limit = _given(ns, cfg, [("episodes", "episodes", int)]).get("episodes")
-    if limit is not None:
-        if limit < 1:
-            raise UsageError("--episodes must be >= 1")
-        episodes = episodes[:limit]
-    return episodes
+    return episodes[:getattr(ns, "episodes", None)]
 
 
-def _jobs(ns, cfg: dict) -> int:
-    jobs = _given(ns, cfg, [("jobs", "jobs", int)]).get("jobs", 1)
-    if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    return jobs
-
-
-def _backend_name(ns, cfg: dict) -> str | None:
-    """The chosen backend's name, or None for the mock. It is checked by
-    building it once: an unknown kind or a script that cannot be read is a
-    usage error, not a failed run."""
-    name = _pick(ns, cfg, "backend", "mock")
-    try:
-        if make_backend(name) is None:
-            return None
-    except FileNotFoundError as exc:
-        raise UsageError(f"backend script not found: {exc.filename}")
-    except OSError as exc:
-        raise UsageError(f"--backend {name}: {exc.strerror}")
-    except ValueError as exc:
-        raise UsageError(f"--backend: {exc}")
-    return name
-
-
-def _out_dir(ns, cfg: dict) -> Path:
-    out = Path(_pick(ns, cfg, "out", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(ns) -> Path:
+    ns.out.mkdir(parents=True, exist_ok=True)
+    return ns.out
 
 
 def _episode_worker(task) -> EpisodeMetrics:
-    """Run one episode; write its trace to `<traces_dir>/<episode_id>.jsonl`
-    only when a directory is given."""
+    """Run one episode; write its trace to `<traces_dir>/<episode_id>.jsonl`."""
     spec, config, backend, traces_dir = task
     trace = run_episode(spec, config, backend)
-    if traces_dir is not None:
-        (traces_dir / f"{spec.episode_id}.jsonl").write_text(trace.to_jsonl())
+    (traces_dir / f"{spec.episode_id}.jsonl").write_text(trace.to_jsonl())
     return compute_metrics(trace, spec)
 
 
-def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir: Path | None = None):
+def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir: Path):
     """Run every episode; yield its metrics in episode order.
 
     Only the default/mock backend fans out across processes: a scripted
@@ -299,10 +328,9 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_gen(ns, cfg: dict) -> int:
-    seed = _given(ns, cfg, [("seed", "seed", int)]).get("seed", 0)
-    out = _out_dir(ns, cfg)
-    manifest, episodes = generate_dataset(seed)
+def cmd_gen(ns) -> int:
+    out = _out_dir(ns)
+    manifest, episodes = generate_dataset(ns.seed)
     save_dataset(manifest, episodes, out)
     print(f"wrote {manifest['total_episodes']} episode specs to {out} "
           f"(per class {manifest['per_class']}, "
@@ -311,16 +339,14 @@ def cmd_gen(ns, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_run(ns, cfg: dict) -> int:
-    episodes = _require_dataset(ns, cfg)
-    config = _run_config(ns, cfg)
-    backend_name = _backend_name(ns, cfg)
-    jobs = _jobs(ns, cfg)
-    out = _out_dir(ns, cfg)
+def cmd_run(ns) -> int:
+    episodes = _require_dataset(ns)
+    config = _run_config(ns)
+    out = _out_dir(ns)
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
 
-    metrics = list(_run_suite(episodes, config, backend_name, jobs, traces_dir))
+    metrics = list(_run_suite(episodes, config, ns.backend, ns.jobs, traces_dir))
     (out / "metrics.csv").write_text(metrics_to_csv(metrics))
 
     agg = aggregate(metrics)
@@ -339,77 +365,39 @@ def _print_runs(simulated: int, total: int, partition_dependent: int | None = No
     print(line)
 
 
-def cmd_ablate(ns, cfg: dict) -> int:
-    episodes = _require_dataset(ns, cfg)
-    base_config = _run_config(ns, cfg)
-    backend_name = _backend_name(ns, cfg)
-    jobs = _jobs(ns, cfg)
-    out = _out_dir(ns, cfg)
+def cmd_ablate(ns) -> int:
+    episodes = _require_dataset(ns)
+    base_config = _run_config(ns)
+    out = _out_dir(ns)
 
     configs = [dataclasses.replace(base_config, **overrides) for _, overrides in ABLATION_VARIANTS]
-    total = len(configs) * len(episodes)
-    if backend_name is None:
-        # the mock replies the same whatever the call order, so runs can be re-gated
-        per_variant, flags = run_config_suite(episodes, configs, jobs)
-        simulated, partition_dependent = len(flags), sum(flags)
-    else:
-        per_variant = [list(_run_suite(episodes, config, backend_name, jobs)) for config in configs]
-        simulated, partition_dependent = total, None
-
-    rows = []
-    for (name, _), metrics in zip(ABLATION_VARIANTS, per_variant):
-        agg = aggregate(metrics)
-        rows.append({
-            "variant": name,
-            "tsr": agg["tsr"],
-            "cs": agg["cs"],
-            "ecr": agg["ecr"],
-            "msg": agg["msg"],
-            "escalations": agg["escalations"],
-            "adjudicator_calls": agg["adjudicator_calls"],
-            "token_cost": agg["token_cost"],
-        })
+    per_variant, flags = run_config_suite(episodes, configs, ns.jobs, ns.backend)
 
     columns = ["variant", "tsr", "cs", "ecr", "msg", "escalations",
                "adjudicator_calls", "token_cost"]
+    rows = []
+    for (name, _), metrics in zip(ABLATION_VARIANTS, per_variant):
+        agg = aggregate(metrics)
+        rows.append({"variant": name, **{c: agg[c] for c in columns[1:]}})
     _write_csv(out / "ablation.csv", rows, columns)
     print(_format_table(rows, columns))
-    _print_runs(simulated, total, partition_dependent)
+    _print_runs(len(flags), len(configs) * len(episodes), sum(flags))
     print(f"wrote {out / 'ablation.csv'}")
     return EXIT_OK
 
 
-def _resolve_grid(ns, cfg: dict) -> dict:
-    grid = _pick(ns, cfg, "grid", "small")
-    if isinstance(grid, dict):
-        return grid
-    if grid in GRID_PRESETS:
-        return GRID_PRESETS[grid]
-    path = Path(str(grid))
-    if path.is_file():
-        data = _parse_json(path.read_text(), f"grid file {path}")
-        if not isinstance(data, dict) or "weights" not in data or "thresholds" not in data:
-            raise UsageError(f"grid file {path} must be a JSON object with "
-                             f"'weights' and 'thresholds' lists")
-        return data
-    raise UsageError(f"unknown grid {grid!r} (preset {sorted(GRID_PRESETS)} or a JSON file)")
+def cmd_calibrate(ns) -> int:
+    episodes = _require_dataset(ns)
+    lambdas = {k: vars(ns)[k] for k in ("lam_time", "lam_redundant", "lam_llm")
+               if vars(ns)[k] is not None}
+    out = _out_dir(ns)
 
-
-def cmd_calibrate(ns, cfg: dict) -> int:
-    episodes = _require_dataset(ns, cfg)
-    grid = _resolve_grid(ns, cfg)
-    given = _given(ns, cfg, [("seed", "seed", int), ("calib_fraction", "fraction", float),
-                             *[(k, k, float) for k in ("lam_time", "lam_redundant", "lam_llm")]])
-    seed, fraction = given.pop("seed", 0), given.pop("fraction", 0.5)  # the rest are lambdas
-    jobs = _jobs(ns, cfg)
-    out = _out_dir(ns, cfg)
-
-    if fraction >= 1.0:
+    if ns.calib_fraction == 1.0:
         calib_eps = episodes
         split = None
     else:
         try:
-            split = split_templates(episodes, fraction, seed=seed)
+            split = split_templates(episodes, ns.calib_fraction, seed=ns.seed)
         except ValueError as exc:
             raise UsageError(str(exc))
         chosen = set(split["calib"])
@@ -417,14 +405,14 @@ def cmd_calibrate(ns, cfg: dict) -> int:
 
     try:
         calib_config = CalibrationConfig(
-            weight_grid=[tuple(int(x) for x in w) for w in grid["weights"]],
-            threshold_grid=[(float(lo), float(hi)) for lo, hi in grid["thresholds"]],
-            **given,
+            weight_grid=[tuple(int(x) for x in w) for w in ns.grid["weights"]],
+            threshold_grid=[(float(lo), float(hi)) for lo, hi in ns.grid["thresholds"]],
+            **lambdas,
         )
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    theta, table, simulated = calibrate(calib_eps, calib_config, jobs=jobs)
+    theta, table, simulated = calibrate(calib_eps, calib_config, jobs=ns.jobs)
     result = {
         "best": theta,
         "lambdas": {"time": calib_config.lam_time, "redundant": calib_config.lam_redundant,
@@ -463,9 +451,9 @@ def _first_bad_event(events: list) -> str | None:
     return None
 
 
-def cmd_report(ns, cfg: dict) -> int:
-    out = _out_dir(ns, cfg)
-    traces_dir = Path(_pick(ns, cfg, "traces", out / "traces"))
+def cmd_report(ns) -> int:
+    out = _out_dir(ns)
+    traces_dir = ns.traces or out / "traces"
     trace_files = sorted(traces_dir.glob("*.jsonl")) if traces_dir.is_dir() else []
     if not trace_files:
         raise UsageError(f"no trace files under {traces_dir}; run `gatecraft run` first")
@@ -511,25 +499,26 @@ def cmd_report(ns, cfg: dict) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, *, seed=False, dataset=False, run_flags=False):
+    """Every flag stores text; `SETTINGS` converts it (see `_resolve`)."""
     p.add_argument("--config", help="config file (JSON or key=value lines); flags override it")
     p.add_argument("--out", help="output directory (default: out)")
     if seed:
-        p.add_argument("--seed", type=int, help="seed (default: 0)")
+        p.add_argument("--seed", help="seed (default: 0)")
     if dataset:
         p.add_argument("--dataset", help="dataset directory or episodes.jsonl (default: dataset)")
-        p.add_argument("--jobs", type=int, help="parallel episode workers (default: 1)")
+        p.add_argument("--jobs", help="parallel episode workers (default: 1)")
     if run_flags:
         p.add_argument("--backend", help="mock | scripted:<file> | remote:<url> (default: mock)")
         p.add_argument("--weights", help="wC,wR,wI,wL,wH (default: 4,2,2,2,1)")
         p.add_argument("--thresholds", help="t_low,t_high (default: 0.4,0.5)")
         p.add_argument("--tiers", help="comma list of enabled tiers from "
                                        "rules,score,adjudicator; 'none' disables all")
-        p.add_argument("--no-partition", action="store_true", default=None,
+        p.add_argument("--no-partition", action="store_const", const="true",
                        help="share live teammate inventories (partition off)")
-        p.add_argument("--window-timeout", type=int, dest="window_timeout")
-        p.add_argument("--cooldown", type=int, help="cooldown base duration")
-        p.add_argument("--step-budget", type=int, dest="step_budget")
-        p.add_argument("--allow-unvalidated", action="store_true", default=None,
+        p.add_argument("--window-timeout", dest="window_timeout")
+        p.add_argument("--cooldown", help="cooldown base duration")
+        p.add_argument("--step-budget", dest="step_budget")
+        p.add_argument("--allow-unvalidated", action="store_const", const="true",
                        help="accept weight vectors outside the sanity envelope")
 
 
@@ -542,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run episodes, write traces + metrics CSV")
     _add_common(p, dataset=True, run_flags=True)
-    p.add_argument("--episodes", type=int, help="run only the first N episodes")
+    p.add_argument("--episodes", help="run only the first N episodes")
 
     p = sub.add_parser("ablate", help="run the six-variant comparison")
     _add_common(p, dataset=True, run_flags=True)
@@ -550,11 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="grid-search gate weights and thresholds")
     _add_common(p, seed=True, dataset=True)
     p.add_argument("--grid", help="preset (small, default) or a JSON grid file")
-    p.add_argument("--calib-fraction", type=float, dest="calib_fraction",
-                   help="template fraction used for calibration (1.0 = all; default 0.5)")
-    p.add_argument("--lam-time", type=float, dest="lam_time")
-    p.add_argument("--lam-redundant", type=float, dest="lam_redundant")
-    p.add_argument("--lam-llm", type=float, dest="lam_llm")
+    p.add_argument("--calib-fraction", dest="calib_fraction",
+                   help="template fraction used for calibration, in (0, 1] (1 = all; default 0.5)")
+    p.add_argument("--lam-time", dest="lam_time")
+    p.add_argument("--lam-redundant", dest="lam_redundant")
+    p.add_argument("--lam-llm", dest="lam_llm")
 
     p = sub.add_parser("report", help="summarize recorded traces")
     _add_common(p)
@@ -572,21 +561,12 @@ COMMANDS = {
 }
 
 
-def _check_config_keys(ns, cfg: dict) -> None:
-    """A config file may set only the command's own flags, by their dests."""
-    unknown = sorted(cfg.keys() - (vars(ns).keys() - {"config", "subcommand"}))
-    if unknown:
-        raise UsageError(f"config file {ns.config} sets keys the {ns.subcommand} command does not take: "
-                         + ", ".join(unknown))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
-        _check_config_keys(ns, cfg)
-        return COMMANDS[ns.subcommand](ns, cfg)
+        _resolve(ns)
+        return COMMANDS[ns.subcommand](ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

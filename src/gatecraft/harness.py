@@ -253,18 +253,24 @@ def metrics_to_csv(metrics: list[EpisodeMetrics]) -> str:
     return buf.getvalue()
 
 
-def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[EpisodeMetrics], list[bool]]:
-    """The metrics of `spec` run under each config with the mock backend, in
-    config order, and for each run that was simulated, whether a team-view
-    read in it depended on the partition setting
-    (`EpisodeRuntime.partition_dependent`).
+def run_configs(
+    spec: EpisodeSpec, configs: list[RunConfig], backends: list | None = None
+) -> tuple[list[EpisodeMetrics], list[bool]]:
+    """The metrics of `spec` run under each config, in config order, and for
+    each run that was simulated, whether a team-view read in it depended on
+    the partition setting (`EpisodeRuntime.partition_dependent`).
 
-    Configs that agree outside the gate settings and `partition_on` (the
-    same `regate_key`) form a group. Each group simulates its first config,
-    and `regate` derives each other config from one of the group's
-    simulated runs; a config that no such run can serve (a flipped verdict,
-    or a changed partition setting that a read depended on) is simulated in
-    full and serves the rest of the group too."""
+    With `backends`, one instance per config, every config is simulated
+    under its own instance. Otherwise the mock decides, and configs that
+    agree outside the gate settings and `partition_on` (the same
+    `regate_key`) form a group. Each group simulates its first config, and
+    `regate` derives each other config from one of the group's simulated
+    runs; a config that no such run can serve (a flipped verdict, or a
+    changed partition setting that a read depended on) is simulated in full
+    and serves the rest of the group too."""
+    if backends is not None:
+        runs = [simulate_episode(spec, c, b) for c, b in zip(configs, backends)]
+        return [compute_metrics(r.trace, spec) for r in runs], [r.partition_dependent for r in runs]
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(regate_key(config), []).append(i)
@@ -292,13 +298,22 @@ def run_configs(spec: EpisodeSpec, configs: list[RunConfig]) -> tuple[list[Episo
 
 
 def run_config_suite(
-    episodes: list[EpisodeSpec], configs: list[RunConfig], jobs: int = 1
+    episodes: list[EpisodeSpec], configs: list[RunConfig], jobs: int = 1,
+    backend: str | None = None,
 ) -> tuple[list[list[EpisodeMetrics]], list[bool]]:
     """`run_configs` over every episode, one task per episode, spread over
     `jobs` worker processes. Returns each config's metrics in episode order
-    and the `partition_dependent` flag of every simulated run."""
+    and the `partition_dependent` flag of every simulated run.
+
+    `backend` names a scripted or remote backend (see `make_backend`), or
+    is None for the mock. Such a backend may reply by the order of its
+    calls, so each config gets its own instance for the whole suite, no run
+    is re-gated, and the episodes run one by one in this process."""
     args = (episodes, repeat(configs))
-    if jobs > 1:
+    if backend is not None:
+        backends = [make_backend(backend) for _ in configs]
+        results = [run_configs(spec, configs, backends) for spec in episodes]
+    elif jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -171,6 +171,18 @@ def test_jobs_below_one_exits_one(tmp_path, small_dataset, capsys, command, jobs
      "--lam-time must be a number: config file {cfg} sets lam_time = 'x'"),
     ("calibrate", "calib_fraction = half\n",
      "--calib-fraction must be a number: config file {cfg} sets calib_fraction = 'half'"),
+    ("run", '{"window_timeout": 1.9}',
+     "--window-timeout must be an integer: config file {cfg} sets window_timeout = 1.9"),
+    ("run", '{"window_timeout": true}',
+     "--window-timeout must be an integer: config file {cfg} sets window_timeout = True"),
+    ("run", "no_partition = maybe\n", "--no-partition must be true/false, 1/0, yes/no or on/off:"
+     " config file {cfg} sets no_partition = 'maybe'"),
+    ("ablate", "allow_unvalidated = yes please\n", "--allow-unvalidated must be true/false, 1/0,"
+     " yes/no or on/off: config file {cfg} sets allow_unvalidated = 'yes please'"),
+    ("run", "weights = 1,2\n",
+     "--weights must be 5 comma-separated integers: config file {cfg} sets weights = '1,2'"),
+    ("ablate", "tiers = vibes\n", "--tiers must be none or a comma list from"
+     " rules,score,adjudicator: config file {cfg} sets tiers = 'vibes'"),
 ])
 def test_a_non_numeric_config_value_exits_one_naming_key_and_file(
         tmp_path, small_dataset, capsys, command, text, message):
@@ -181,6 +193,113 @@ def test_a_non_numeric_config_value_exits_one_naming_key_and_file(
         args += ["--dataset", str(small_dataset)]
     assert main(args) == 1
     assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
+
+
+def test_a_json_null_or_object_config_value_exits_one(tmp_path, capsys):
+    """Neither has a flag form: a null is not a default, an object not a path."""
+    cfg = tmp_path / "null.json"
+    cfg.write_text('{"seed": 1, "out": null, "jobs": {"n": 2}}')
+    assert main(["calibrate", "--config", str(cfg)]) == 1
+    assert (f"error: config file {cfg} sets jobs, out to null or an object; give a key its"
+            " flag's value, or leave it out" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_out_of_range_thresholds_exit_one_naming_the_flag(tmp_path, small_dataset, capsys, command):
+    args = [command, "--dataset", str(small_dataset), "--out", str(tmp_path / "o")]
+    problem = "--thresholds must be t_low,t_high with 0 <= t_low <= t_high <= 1"
+    assert main(args + ["--thresholds", "0.6,0.2"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {problem}\n")
+
+    cfg = tmp_path / "band.json"
+    cfg.write_text('{"thresholds": [0.6, 0.2]}')
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert (f"error: {problem}: config file {cfg} sets thresholds = [0.6, 0.2]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "0", "-0.5", "nan"])
+def test_calib_fraction_outside_zero_one_exits_one(tmp_path, small_dataset, capsys, fraction):
+    assert main(["calibrate", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
+                 "--calib-fraction", fraction]) == 1
+    assert "error: --calib-fraction must be in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "theta.json").exists()
+
+
+# One value of each setting that differs from its default: the flag's
+# arguments, the same value as a key=value line, and as a JSON entry.
+SAMPLES = {
+    "out": (["--out", "o"], "o", "o"),
+    "seed": (["--seed", "3"], "3", 3),
+    "dataset": (["--dataset", "ds"], "ds", "ds"),
+    "jobs": (["--jobs", "2"], "2", 2),
+    "episodes": (["--episodes", "2"], "2", 2),
+    "backend": (["--backend", "remote:http://127.0.0.1:9/adjudicate"],
+                "remote:http://127.0.0.1:9/adjudicate", "remote:http://127.0.0.1:9/adjudicate"),
+    "weights": (["--weights", "3,2,2,2,1"], "3,2,2,2,1", [3, 2, 2, 2, 1]),
+    "thresholds": (["--thresholds", "0.45,0.45"], "0.45, 0.45", [0.45, 0.45]),
+    "tiers": (["--tiers", "rules,score"], "rules,score", ["rules", "score"]),
+    "no_partition": (["--no-partition"], "yes", True),
+    "window_timeout": (["--window-timeout", "15"], "15", 15),
+    "cooldown": (["--cooldown", "9"], "9", 9),
+    "step_budget": (["--step-budget", "40"], "40", 40),
+    "allow_unvalidated": (["--allow-unvalidated"], "on", True),
+    "grid": (["--grid", "default"], "default", "default"),
+    "calib_fraction": (["--calib-fraction", "1"], "1.0", 1),
+    "lam_time": (["--lam-time", "0.3"], "0.3", 0.3),
+    "lam_redundant": (["--lam-redundant", "0.3"], "0.3", 0.3),
+    "lam_llm": (["--lam-llm", "0.3"], "0.3", 0.3),
+    "traces": (["--traces", "t"], "t", "t"),
+}
+RUN_DESTS = ["weights", "thresholds", "tiers", "no_partition", "window_timeout", "cooldown",
+                "step_budget", "allow_unvalidated"]
+
+
+def _resolved(command, flags=(), config=None) -> dict:
+    ns = cli.build_parser().parse_args([command, *flags, *(["--config", str(config)] * bool(config))])
+    cli._resolve(ns)
+    return {k: v for k, v in vars(ns).items() if k != "config"}
+
+
+def test_a_flag_and_a_config_key_resolve_through_one_converter(tmp_path):
+    """Every value-taking dest of every subcommand has one converter, and a
+    value set as a flag, a key=value line or a JSON entry resolves the same."""
+    parser = cli.build_parser()
+    takes = {command: vars(parser.parse_args([command])).keys() - {"config", "subcommand"}
+             for command in cli.COMMANDS}
+    assert set().union(*takes.values()) == cli.SETTINGS.keys() == SAMPLES.keys()
+    lines, entries = tmp_path / "one.cfg", tmp_path / "one.json"
+    for command, dests in takes.items():
+        for dest in sorted(dests):
+            flag, line, entry = SAMPLES[dest]
+            lines.write_text(f"{dest} = {line}\n")
+            entries.write_text(json.dumps({dest: entry}))
+            by_flag = _resolved(command, flag)
+            assert by_flag != _resolved(command), (command, dest)
+            assert _resolved(command, config=lines) == by_flag, (command, dest)
+            assert _resolved(command, config=entries) == by_flag, (command, dest)
+
+
+@pytest.mark.parametrize("dest", RUN_DESTS)
+def test_a_run_setting_from_a_flag_a_line_or_json_runs_the_same(tmp_path, small_dataset, dest):
+    """For a run setting, `resolves the same` means the same `episode_end.config`."""
+    args = ["run", "--dataset", str(small_dataset), "--episodes", "1"]
+    if dest == "allow_unvalidated":  # it only admits weights
+        args += ["--weights", "1,1,1,1,1"]
+    flag, line, entry = SAMPLES[dest]
+    (tmp_path / "one.cfg").write_text(f"{dest} = {line}\n")
+    (tmp_path / "one.json").write_text(json.dumps({dest: entry}))
+    echoed = []
+    for source in (flag, ["--config", str(tmp_path / "one.cfg")],
+                   ["--config", str(tmp_path / "one.json")]):
+        out = tmp_path / f"o{len(echoed)}"
+        assert main(args + ["--out", str(out)] + source) == 0
+        echoed.append(_episode_end(next((out / "traces").glob("*.jsonl")))["config"])
+    assert echoed[0] == echoed[1] == echoed[2]
+    if dest != "allow_unvalidated":
+        assert main(args + ["--out", str(tmp_path / "d")]) == 0
+        assert echoed[0] != _episode_end(next((tmp_path / "d" / "traces").glob("*.jsonl")))["config"]
 
 
 @pytest.mark.parametrize("command, text, key", [

@@ -23,6 +23,7 @@ from gatecraft.harness import (
     make_backend,
     metrics_to_csv,
     replay_local_feasibility,
+    run_config_suite,
     run_configs,
 )
 from gatecraft.cli import ABLATION_VARIANTS
@@ -410,6 +411,25 @@ def test_run_configs_replays_each_solver_context_once(dataset, monkeypatch):
         assert metrics == [compute_metrics(run_episode(spec, c), spec) for c in configs]
         separate += len(replayed)
     assert 0 < shared < separate
+
+
+def test_run_config_suite_gives_each_config_its_own_backend(dataset, tmp_path):
+    """A scripted backend's replies depend on the call order: each config
+    gets its own instance for the whole suite, as if the configs ran one
+    after another, and every run is simulated in this process."""
+    _, episodes = dataset
+    subset = episodes[::25]  # two of each class; each class-C episode calls the adjudicator
+    script = tmp_path / "replies.jsonl"
+    script.write_text("".join('{"decision": "%s", "confidence": 0.9}\n' % d
+                              for d in ["stay_local", "escalate"] * 20))
+    name = f"scripted:{script}"
+    configs = [dataclasses.replace(RunConfig(), **o) for _, o in ABLATION_VARIANTS]
+    per_config, flags = run_config_suite(subset, configs, jobs=2, backend=name)
+    assert len(flags) == len(configs) * len(subset)
+    for config, metrics in zip(configs, per_config):
+        backend = make_backend(name)
+        assert metrics == [compute_metrics(run_episode(spec, config, backend), spec) for spec in subset]
+    assert per_config[0] != per_config[-1]
 
 
 def test_make_backend_forms(tmp_path):
