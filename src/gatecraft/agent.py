@@ -16,7 +16,7 @@ invalidation exists or is needed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .gate import (
@@ -254,11 +254,13 @@ def read_jsonl(text: str, convert=None) -> list:
     return read_jsonl_by_line(text, convert) if values is None else values
 
 
-@dataclass
 class Trace:
     """Ordered event log of one episode. Serializes to canonical JSONL."""
 
-    events: list[dict] = field(default_factory=list)
+    __slots__ = ("events",)
+
+    def __init__(self, events: list[dict] | None = None):
+        self.events = [] if events is None else events
 
     def emit(self, step: int, agent: str, kind: str, payload: dict) -> None:
         self.events.append({"step": step, "agent": agent, "kind": kind, "payload": payload})
@@ -304,46 +306,62 @@ class Trace:
         return Trace(events=events)
 
 
-@dataclass(frozen=True)
 class GatePass:
     """What one traced gate decision was computed from. Kept in memory for
     `regate`; none of it is written to the trace."""
 
-    event_index: int  # of the `gate_decision` event
-    blockage: BlockageRecord
-    fv: FeatureVector
-    plan: RecoveryPlan | None  # the plan `extract_features` returned
+    __slots__ = ("event_index", "blockage", "fv", "plan")
+
+    def __init__(self, event_index: int, blockage: BlockageRecord, fv: FeatureVector,
+                 plan: RecoveryPlan | None):
+        self.event_index = event_index  # of the `gate_decision` event
+        self.blockage = blockage
+        self.fv = fv
+        self.plan = plan  # the plan `extract_features` returned
 
 
-@dataclass
 class IssueInstance:
     """Lifecycle bookkeeping for one detected blockage (feeds the metrics)."""
 
-    blockage: BlockageRecord
-    windows_opened: int = 0
-    recovery_activated: bool = False
+    __slots__ = ("blockage", "windows_opened", "recovery_activated")
+
+    def __init__(self, blockage: BlockageRecord, windows_opened: int = 0,
+                 recovery_activated: bool = False):
+        self.blockage = blockage
+        self.windows_opened = windows_opened
+        self.recovery_activated = recovery_activated
 
 
-@dataclass
 class AgentRuntime:
-    agent_id: str
-    state: PrivateState
-    assigned: tuple[int, ...]  # the agent's nodes, in the task graph's topological order
-    # the recovery legs still to do: (step, item, count in hand that finishes it)
-    legs: list[tuple[RecoveryStep, str, int]] = field(default_factory=list)
-    # with a blockage, no window and no legs: skip work (True) or wait (False)
-    skipping: bool = False
-    window: CoordinationWindow | None = None  # the one window this agent has open as requester
-    skip_target: int | None = None
-    abandoned: set[int] = field(default_factory=set)
-    # the sim time from which the next step passes the gate, or None: a pass
-    # due at once stores the time it was set, a retry the cooldown's expiry
-    gate_at: int | None = None
-    last_outcome: VerifiedOutcome | None = None
-    current_instance: IssueInstance | None = None
-    script_cursor: int = 0
-    script_choice: dict[int, str] = field(default_factory=dict)
-    view_digest: str = ""
+    __slots__ = ("agent_id", "state", "assigned", "legs", "skipping", "window", "skip_target",
+                 "abandoned", "gate_at", "last_outcome", "current_instance", "script_cursor",
+                 "script_choice", "view_digest")
+
+    def __init__(self, agent_id: str, state: PrivateState, assigned: tuple[int, ...],
+                 legs: list[tuple[RecoveryStep, str, int]] | None = None, skipping: bool = False,
+                 window: CoordinationWindow | None = None, skip_target: int | None = None,
+                 abandoned: set[int] | None = None, gate_at: int | None = None,
+                 last_outcome: VerifiedOutcome | None = None,
+                 current_instance: IssueInstance | None = None, script_cursor: int = 0,
+                 script_choice: dict[int, str] | None = None, view_digest: str = ""):
+        self.agent_id = agent_id
+        self.state = state
+        self.assigned = assigned  # the agent's nodes, in the task graph's topological order
+        # the recovery legs still to do: (step, item, count in hand that finishes it)
+        self.legs = [] if legs is None else legs
+        # with a blockage, no window and no legs: skip work (True) or wait (False)
+        self.skipping = skipping
+        self.window = window  # the one window this agent has open as requester
+        self.skip_target = skip_target
+        self.abandoned = set() if abandoned is None else abandoned
+        # the sim time from which the next step passes the gate, or None: a pass
+        # due at once stores the time it was set, a retry the cooldown's expiry
+        self.gate_at = gate_at
+        self.last_outcome = last_outcome
+        self.current_instance = current_instance
+        self.script_cursor = script_cursor
+        self.script_choice = {} if script_choice is None else script_choice
+        self.view_digest = view_digest
 
     @property
     def mode(self) -> str:

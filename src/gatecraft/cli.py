@@ -173,7 +173,32 @@ def _grid(text: str) -> dict:
     if not isinstance(data, dict) or "weights" not in data or "thresholds" not in data:
         raise UsageError(f"grid file {path} must be a JSON object with "
                          f"'weights' and 'thresholds' lists")
-    return data
+    return {"weights": _grid_rows(path, data, "weights", 5, _integer),
+            "thresholds": _grid_rows(path, data, "thresholds", 2, _number)}
+
+
+def _grid_rows(path: Path, data: dict, key: str, size: int, convert) -> list[tuple]:
+    """`data[key]` as a list of `size`-tuples, each entry read by `convert`
+    as a config-file value is (`--weights` takes integers, `--thresholds`
+    numbers). A bad entry is a usage error naming the file and the entry,
+    e.g. `weights[0][2]`."""
+    rows = data[key]
+    if not isinstance(rows, list):
+        raise UsageError(f"grid file {path}: {key} must be a list of {size}-entry lists, "
+                         f"not {rows!r}")
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != size:
+            raise UsageError(f"grid file {path}: {key}[{i}] must be a list of {size} entries, "
+                             f"not {row!r}")
+        values = []
+        for j, v in enumerate(row):
+            try:
+                values.append(convert(_as_text(v)))
+            except ValueError as exc:
+                raise UsageError(f"grid file {path}: {key}[{i}][{j}] {exc}, not {v!r}") from None
+        out.append(tuple(values))
+    return out
 
 
 # dest -> (converter, default) for every setting that takes a value. A
@@ -192,9 +217,9 @@ SETTINGS = {
     "thresholds": (_cast(_threshold_pair, "t_low,t_high with 0 <= t_low <= t_high <= 1"), None),
     "tiers": (_cast(_tier_flags, f"none or a comma list from {','.join(TIER_NAMES)}"), None),
     "no_partition": (_on_off, None),
-    "window_timeout": (_integer, None),
-    "cooldown": (_integer, None),
-    "step_budget": (_integer, None),
+    "window_timeout": (_count, None),
+    "cooldown": (_within(_integer, ">= 0", lambda n: n >= 0), None),
+    "step_budget": (_count, None),
     "allow_unvalidated": (_on_off, None),
     "grid": (_grid, "small"),
     "calib_fraction": (_within(_number, "in (0, 1]", lambda f: 0 < f <= 1), "0.5"),
@@ -216,13 +241,15 @@ def _as_text(value) -> str:
 def _resolve(ns) -> None:
     """Convert each of the command's settings once, in place: the flag's
     value, else the config file's, else the default. A rejected value is a
-    usage error naming the flag, and the file and key it came from."""
+    usage error naming the flag, and the file and key it came from. A
+    command that runs episodes also gets its settings as one `run_config`."""
     cfg = _load_config_file(ns.config) if ns.config else {}
     takes = [dest for dest in vars(ns) if dest in SETTINGS]
     unknown = sorted(cfg.keys() - set(takes))
     if unknown:
         raise UsageError(f"config file {ns.config} sets keys the {ns.subcommand} command does not take: "
                          + ", ".join(unknown))
+    sources = {}
     for dest in takes:
         convert, value = SETTINGS[dest]  # the default, unless a flag or the file sets one
         source = ""
@@ -239,21 +266,25 @@ def _resolve(ns) -> None:
             raise UsageError(f"--{dest.replace('_', '-')} {exc}{source}")
         except UsageError as exc:
             raise UsageError(f"{exc}{source}")
+        sources[dest] = source
+    if "weights" in takes:
+        try:
+            ns.run_config = _run_config(vars(ns))
+        except ValueError as exc:
+            # each setting's own range is its converter's; what RunConfig
+            # checks beyond them is the weights' envelope
+            raise UsageError(f"--weights: {exc}{sources.get('weights', '')}")
 
 
-def _run_config(ns) -> RunConfig:
+def _run_config(s: dict) -> RunConfig:
     """The run settings; RunConfig owns the default of each one not set.
     They are read by key, so the gate fields keep their few readers."""
-    s = vars(ns)
     given = dict(zip(("rules_on", "score_on", "adjudicator_on"), s["tiers"] or ()),
                  weights=s["weights"], thresholds=s["thresholds"],
                  partition_on=None if s["no_partition"] is None else not s["no_partition"],
                  window_timeout=s["window_timeout"], cooldown_duration=s["cooldown"],
                  step_budget=s["step_budget"], allow_unvalidated=s["allow_unvalidated"])
-    try:
-        return RunConfig(**{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return RunConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _require_dataset(ns):
@@ -341,12 +372,11 @@ def cmd_gen(ns) -> int:
 
 def cmd_run(ns) -> int:
     episodes = _require_dataset(ns)
-    config = _run_config(ns)
     out = _out_dir(ns)
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
 
-    metrics = list(_run_suite(episodes, config, ns.backend, ns.jobs, traces_dir))
+    metrics = list(_run_suite(episodes, ns.run_config, ns.backend, ns.jobs, traces_dir))
     (out / "metrics.csv").write_text(metrics_to_csv(metrics))
 
     agg = aggregate(metrics)
@@ -367,10 +397,9 @@ def _print_runs(simulated: int, total: int, partition_dependent: int | None = No
 
 def cmd_ablate(ns) -> int:
     episodes = _require_dataset(ns)
-    base_config = _run_config(ns)
     out = _out_dir(ns)
 
-    configs = [dataclasses.replace(base_config, **overrides) for _, overrides in ABLATION_VARIANTS]
+    configs = [dataclasses.replace(ns.run_config, **overrides) for _, overrides in ABLATION_VARIANTS]
     per_variant, flags = run_config_suite(episodes, configs, ns.jobs, ns.backend)
 
     columns = ["variant", "tsr", "cs", "ecr", "msg", "escalations",
@@ -405,8 +434,8 @@ def cmd_calibrate(ns) -> int:
 
     try:
         calib_config = CalibrationConfig(
-            weight_grid=[tuple(int(x) for x in w) for w in ns.grid["weights"]],
-            threshold_grid=[(float(lo), float(hi)) for lo, hi in ns.grid["thresholds"]],
+            weight_grid=ns.grid["weights"],
+            threshold_grid=ns.grid["thresholds"],
             **lambdas,
         )
     except ValueError as exc:

@@ -9,7 +9,6 @@ attainable raw range onto [0,1] so thresholds are weight-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .memory import BlockageRecord, IssueType, PrivateState
 from .protocol import TeamPublicView
@@ -23,19 +22,18 @@ FEATURE_NAMES = ("C", "R", "I", "L", "H")
 NOT_PROBED = object()
 
 
-@dataclass(frozen=True)
 class FeatureVector:
-    C: int  # criticality of the blocked node
-    R: int  # teammate resource availability
-    I: int  # downstream delay impact
-    L: int  # local solvability
-    H: int  # recent escalation history (cooldown level)
+    __slots__ = FEATURE_NAMES
 
-    def __post_init__(self):
-        for name in FEATURE_NAMES:
-            v = getattr(self, name)
+    def __init__(self, C: int, R: int, I: int, L: int, H: int):
+        for name, v in zip(FEATURE_NAMES, (C, R, I, L, H)):
             if not isinstance(v, int) or not (0 <= v <= 3):
                 raise ValueError(f"feature {name} must be an int in 0..3, got {v!r}")
+        self.C = C  # criticality of the blocked node
+        self.R = R  # teammate resource availability
+        self.I = I  # downstream delay impact
+        self.L = L  # local solvability
+        self.H = H  # recent escalation history (cooldown level)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.C, self.R, self.I, self.L, self.H)
@@ -44,16 +42,28 @@ class FeatureVector:
         return {"C": self.C, "R": self.R, "I": self.I, "L": self.L, "H": self.H}
 
 
-@dataclass(frozen=True)
 class GateWeights:
-    wC: int = 4
-    wR: int = 2
-    wI: int = 2
-    wL: int = 2
-    wH: int = 1
+    """Never changed once built; equal weights hash alike."""
+
+    __slots__ = ("wC", "wR", "wI", "wL", "wH")
+
+    def __init__(self, wC: int = 4, wR: int = 2, wI: int = 2, wL: int = 2, wH: int = 1):
+        self.wC = wC
+        self.wR = wR
+        self.wI = wI
+        self.wL = wL
+        self.wH = wH
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.wC, self.wR, self.wI, self.wL, self.wH)
+
+    def __eq__(self, other):
+        if other.__class__ is not GateWeights:
+            return NotImplemented
+        return self.as_tuple() == other.as_tuple()
+
+    def __hash__(self):
+        return hash(self.as_tuple())
 
     @staticmethod
     def from_sequence(seq) -> "GateWeights":
@@ -81,14 +91,24 @@ def validate_weights(w: GateWeights) -> tuple[bool, list[str]]:
     return (not problems, problems)
 
 
-@dataclass(frozen=True)
 class GateThresholds:
-    t_low: float = 0.4
-    t_high: float = 0.5
+    """Never changed once built; equal thresholds hash alike."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.t_low <= self.t_high <= 1.0):
+    __slots__ = ("t_low", "t_high")
+
+    def __init__(self, t_low: float = 0.4, t_high: float = 0.5):
+        if not (0.0 <= t_low <= t_high <= 1.0):
             raise ValueError("need 0 <= t_low <= t_high <= 1")
+        self.t_low = t_low
+        self.t_high = t_high
+
+    def __eq__(self, other):
+        if other.__class__ is not GateThresholds:
+            return NotImplemented
+        return (self.t_low, self.t_high) == (other.t_low, other.t_high)
+
+    def __hash__(self):
+        return hash((self.t_low, self.t_high))
 
     @property
     def midpoint(self) -> float:
@@ -383,19 +403,26 @@ class RemoteAdjudicator:
         return body
 
 
-@dataclass
 class GateDecision:
-    verdict: str  # "stay_local" | "escalate"
-    tier: str  # "rule" | "score" | "adjudicator"
-    score_raw: int
-    score_norm: float
-    fv: FeatureVector
-    rule_index: int | None = None  # which tier-1 rule fired; None for the
-    # rule tier's fall-through default when the score tier is disabled
-    confidence: float | None = None
-    adjudicator_request: str | None = None
-    adjudicator_reply: str | None = None
-    adjudicator_ok: bool | None = None
+    __slots__ = ("verdict", "tier", "score_raw", "score_norm", "fv", "rule_index", "confidence",
+                 "adjudicator_request", "adjudicator_reply", "adjudicator_ok")
+
+    def __init__(self, verdict: str, tier: str, score_raw: int, score_norm: float,
+                 fv: FeatureVector, rule_index: int | None = None,
+                 confidence: float | None = None, adjudicator_request: str | None = None,
+                 adjudicator_reply: str | None = None, adjudicator_ok: bool | None = None):
+        self.verdict = verdict  # "stay_local" | "escalate"
+        self.tier = tier  # "rule" | "score" | "adjudicator"
+        self.score_raw = score_raw
+        self.score_norm = score_norm
+        self.fv = fv
+        # which tier-1 rule fired; None for the rule tier's fall-through
+        # default when the score tier is disabled
+        self.rule_index = rule_index
+        self.confidence = confidence
+        self.adjudicator_request = adjudicator_request
+        self.adjudicator_reply = adjudicator_reply
+        self.adjudicator_ok = adjudicator_ok
 
     def to_dict(self) -> dict:
         d = {

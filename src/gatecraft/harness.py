@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -50,28 +49,46 @@ RATIO_FIELDS = ("lrr", "uer", "ecr", "rsr", "recovery_time_avg")
 MEAN_FIELDS = ("tsr", "cs", "msg", "escalations", "adjudicator_calls", "token_cost")
 
 
-@dataclass
 class EpisodeMetrics:
-    episode_id: str | None
-    class_label: str | None
-    tsr: float
-    cs: int
-    msg: int
-    escalations: int
-    adjudicator_calls: int
-    token_cost: float
-    windows_opened: int
-    windows_fulfilled: int
-    issues_resolved: int
-    issues_abandoned: int
-    lrr: float | None = None
-    uer: float | None = None
-    ecr: float | None = None
-    rsr: float | None = None
-    recovery_time_avg: float | None = None
+    """One episode's counts and rates. `__slots__` names the fields in
+    `metrics.csv`'s column order."""
+
+    __slots__ = ("episode_id", "class_label", "tsr", "cs", "msg", "escalations",
+                 "adjudicator_calls", "token_cost", "windows_opened", "windows_fulfilled",
+                 "issues_resolved", "issues_abandoned", "lrr", "uer", "ecr", "rsr",
+                 "recovery_time_avg")
+
+    def __init__(self, episode_id: str | None, class_label: str | None, tsr: float, cs: int,
+                 msg: int, escalations: int, adjudicator_calls: int, token_cost: float,
+                 windows_opened: int, windows_fulfilled: int, issues_resolved: int,
+                 issues_abandoned: int, lrr: float | None = None, uer: float | None = None,
+                 ecr: float | None = None, rsr: float | None = None,
+                 recovery_time_avg: float | None = None):
+        self.episode_id = episode_id
+        self.class_label = class_label
+        self.tsr = tsr
+        self.cs = cs
+        self.msg = msg
+        self.escalations = escalations
+        self.adjudicator_calls = adjudicator_calls
+        self.token_cost = token_cost
+        self.windows_opened = windows_opened
+        self.windows_fulfilled = windows_fulfilled
+        self.issues_resolved = issues_resolved
+        self.issues_abandoned = issues_abandoned
+        self.lrr = lrr
+        self.uer = uer
+        self.ecr = ecr
+        self.rsr = rsr
+        self.recovery_time_avg = recovery_time_avg
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not EpisodeMetrics:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
 
 def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
@@ -229,7 +246,7 @@ def aggregate(metrics: list[EpisodeMetrics]) -> dict:
 
 def metrics_to_csv(metrics: list[EpisodeMetrics]) -> str:
     """One row per episode, then ALL + per-class aggregate rows."""
-    columns = [f.name for f in fields(EpisodeMetrics)]
+    columns = list(EpisodeMetrics.__slots__)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns)
     writer.writeheader()
@@ -329,28 +346,30 @@ def run_config_suite(
 # -- calibration ---------------------------------------------------------------
 
 
-@dataclass
 class CalibrationConfig:
     """The Θ search space plus the utility's penalty coefficients."""
 
-    weight_grid: list[tuple[int, int, int, int, int]]
-    threshold_grid: list[tuple[float, float]]
-    lam_time: float = 0.1
-    lam_redundant: float = 0.2
-    lam_llm: float = 0.05
+    __slots__ = ("weight_grid", "threshold_grid", "lam_time", "lam_redundant", "lam_llm")
 
-    def __post_init__(self):
-        if not self.weight_grid or not self.threshold_grid:
+    def __init__(self, weight_grid: list[tuple[int, int, int, int, int]],
+                 threshold_grid: list[tuple[float, float]], lam_time: float = 0.1,
+                 lam_redundant: float = 0.2, lam_llm: float = 0.05):
+        if not weight_grid or not threshold_grid:
             raise ValueError("calibration grids must be non-empty")
-        if min(self.lam_time, self.lam_redundant, self.lam_llm) < 0:
+        if min(lam_time, lam_redundant, lam_llm) < 0:
             raise ValueError("penalty coefficients must be non-negative")
-        for w in self.weight_grid:
+        for w in weight_grid:
             ok, problems = validate_weights(GateWeights.from_sequence(w))
             if not ok:
                 raise ValueError(f"weight grid entry {w} rejected: {'; '.join(problems)}")
-        for lo, hi in self.threshold_grid:
+        for lo, hi in threshold_grid:
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValueError(f"bad threshold pair ({lo}, {hi})")
+        self.weight_grid = weight_grid
+        self.threshold_grid = threshold_grid
+        self.lam_time = lam_time
+        self.lam_redundant = lam_redundant
+        self.lam_llm = lam_llm
 
     def cells(self) -> list[tuple[tuple[int, ...], tuple[float, float]]]:
         return sorted(

@@ -8,7 +8,6 @@ active subtask and the blockage; an outcome can clear either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .world import FAR_THRESHOLD, Inventory, TaskGraph, VerifiedOutcome, WorldView, dist_sq, nearest_supply
@@ -31,23 +30,29 @@ MATERIAL_SHAPED_ISSUES = (
 )
 
 
-@dataclass
 class BlockageRecord:
-    issue: IssueType
-    node_id: int
-    item: str | None = None  # missing item, when the issue is material-shaped
-    count: int = 0
-    detected_at: int = 0
+    __slots__ = ("issue", "node_id", "item", "count", "detected_at")
+
+    def __init__(self, issue: IssueType, node_id: int, item: str | None = None, count: int = 0,
+                 detected_at: int = 0):
+        self.issue = issue
+        self.node_id = node_id
+        self.item = item  # missing item, when the issue is material-shaped
+        self.count = count
+        self.detected_at = detected_at
 
 
-@dataclass
 class PrivateState:
     """m_priv = <inventory, active subtask (node id), blockage>."""
 
-    agent_id: str
-    inventory: Inventory = field(default_factory=Inventory)
-    active_subtask: int | None = None
-    blockage: BlockageRecord | None = None
+    __slots__ = ("agent_id", "inventory", "active_subtask", "blockage")
+
+    def __init__(self, agent_id: str, inventory: Inventory | None = None,
+                 active_subtask: int | None = None, blockage: BlockageRecord | None = None):
+        self.agent_id = agent_id
+        self.inventory = Inventory() if inventory is None else inventory
+        self.active_subtask = active_subtask
+        self.blockage = blockage
 
 
 def update_private_state(state: PrivateState, outcome: VerifiedOutcome) -> PrivateState:

@@ -7,7 +7,6 @@ no later than its deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .world import CoordinationMessage, Inventory
@@ -65,19 +64,24 @@ def validate_message(msg: dict) -> bool:
     return True
 
 
-@dataclass
 class CoordinationWindow:
-    window_id: int
-    issue: str
-    requester: str
-    responder: str
-    item: str
-    count: int
-    opened_at: int
-    deadline: int
-    state: WindowState = WindowState.OPEN
-    messages: list[CoordinationMessage] = field(default_factory=list)
-    transfer_done: bool = False
+    __slots__ = ("window_id", "issue", "requester", "responder", "item", "count", "opened_at",
+                 "deadline", "state", "messages", "transfer_done")
+
+    def __init__(self, window_id: int, issue: str, requester: str, responder: str, item: str,
+                 count: int, opened_at: int, deadline: int, state: WindowState = WindowState.OPEN,
+                 messages: list[CoordinationMessage] | None = None, transfer_done: bool = False):
+        self.window_id = window_id
+        self.issue = issue
+        self.requester = requester
+        self.responder = responder
+        self.item = item
+        self.count = count
+        self.opened_at = opened_at
+        self.deadline = deadline
+        self.state = state
+        self.messages = [] if messages is None else messages
+        self.transfer_done = transfer_done
 
     def append(self, msg: CoordinationMessage) -> None:
         if self.state != WindowState.OPEN:
@@ -188,14 +192,17 @@ def settle_window(window: CoordinationWindow, now: int) -> WindowState:
     return window.state
 
 
-@dataclass
 class TeamPublicView:
     """Shared, non-private team knowledge: surpluses advertised through
     OFFER_TRANSFER messages. Under the partition-off ablation the runtime
     substitutes live inventories here. Teammate positions and the designated
     item owners are read from the agent's `WorldView` and its plan."""
 
-    advertised_surplus: dict[str, dict[str, int]] = field(default_factory=dict)  # agent -> item -> count
+    __slots__ = ("advertised_surplus",)
+
+    def __init__(self, advertised_surplus: dict[str, dict[str, int]] | None = None):
+        # agent -> item -> count
+        self.advertised_surplus = {} if advertised_surplus is None else advertised_surplus
 
     def surplus(self, agent: str, item: str) -> int:
         return self.advertised_surplus.get(agent, {}).get(item, 0)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .agent import EpisodeRuntime, RunConfig, read_jsonl, step
@@ -86,15 +85,18 @@ _IMMEDIATE_SPAWN_OFFSETS = [
 ]
 
 
-@dataclass(frozen=True)
 class Template:
     """One scenario family instance; five seeds expand it into five episodes."""
 
-    template_id: int
-    class_label: str
-    variant: str
-    agent_count: int
-    family: str
+    __slots__ = ("template_id", "class_label", "variant", "agent_count", "family")
+
+    def __init__(self, template_id: int, class_label: str, variant: str, agent_count: int,
+                 family: str):
+        self.template_id = template_id
+        self.class_label = class_label
+        self.variant = variant
+        self.agent_count = agent_count
+        self.family = family
 
 
 def dataset_templates() -> list[Template]:
@@ -118,7 +120,6 @@ def dataset_templates() -> list[Template]:
     return out
 
 
-@dataclass
 class EpisodeSpec:
     """A fully serialized, self-contained episode definition.
 
@@ -126,24 +127,35 @@ class EpisodeSpec:
     `build_world` and `plan_info` reconstruct the simulator inputs.
     """
 
-    episode_id: str
-    template_id: int
-    seed_index: int
-    class_label: str
-    variant: str
-    agents: dict[str, dict]  # aid -> {"position": [x,y,z], "inventory": {item: n}}
-    blocks: list  # [node_id, material, [x,y,z]]
-    edges: list  # [u, v] pairs
-    assigned: dict[str, list[int]]
-    partition: dict[str, str]
-    work_regions: dict[str, list]  # aid -> [[x,y,z], radius]
-    recipes: list  # recipe dicts
-    sources: list = field(default_factory=list)  # [item, [x,y,z], remaining]
-    chests: list = field(default_factory=list)  # [[x,y,z], {item: n}]
-    scaffold: list = field(default_factory=list)  # [[x,y,z], material]
-    responder_script: dict[str, list[str]] = field(default_factory=dict)
-    injected: list[int] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("episode_id", "template_id", "seed_index", "class_label", "variant", "agents",
+                 "blocks", "edges", "assigned", "partition", "work_regions", "recipes", "sources",
+                 "chests", "scaffold", "responder_script", "injected", "meta")
+
+    def __init__(self, episode_id: str, template_id: int, seed_index: int, class_label: str,
+                 variant: str, agents: dict[str, dict], blocks: list, edges: list,
+                 assigned: dict[str, list[int]], partition: dict[str, str],
+                 work_regions: dict[str, list], recipes: list, sources: list | None = None,
+                 chests: list | None = None, scaffold: list | None = None,
+                 responder_script: dict[str, list[str]] | None = None,
+                 injected: list[int] | None = None, meta: dict | None = None):
+        self.episode_id = episode_id
+        self.template_id = template_id
+        self.seed_index = seed_index
+        self.class_label = class_label
+        self.variant = variant
+        self.agents = agents  # aid -> {"position": [x,y,z], "inventory": {item: n}}
+        self.blocks = blocks  # [node_id, material, [x,y,z]]
+        self.edges = edges  # [u, v] pairs
+        self.assigned = assigned
+        self.partition = partition
+        self.work_regions = work_regions  # aid -> [[x,y,z], radius]
+        self.recipes = recipes  # recipe dicts
+        self.sources = [] if sources is None else sources  # [item, [x,y,z], remaining]
+        self.chests = [] if chests is None else chests  # [[x,y,z], {item: n}]
+        self.scaffold = [] if scaffold is None else scaffold  # [[x,y,z], material]
+        self.responder_script = {} if responder_script is None else responder_script
+        self.injected = [] if injected is None else injected
+        self.meta = {} if meta is None else meta
 
     # -- reconstruction ----------------------------------------------------
 
@@ -185,7 +197,9 @@ class EpisodeSpec:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Every field by name, in `__slots__` order. The values are the
+        spec's own, not copies."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeSpec":

@@ -8,7 +8,6 @@ deterministic estimates from distance/speed arithmetic plus per-step constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .memory import BlockageRecord, IssueType, PrivateState
 from .protocol import WindowState
@@ -29,25 +28,48 @@ from .world import (
 PLANNER_PARAMS = {"interaction_radius": INTERACTION_RADIUS, "speed": SPEED, "far_threshold": FAR_THRESHOLD}
 
 
-@dataclass(frozen=True)
 class RecoveryStep:
     """One executable recovery leg; `op` names the micro-action the executor
-    runs for it."""
+    runs for it. Never changed once built; equal legs hash alike."""
 
-    op: str  # "craft" | "smelt" | "collect"
-    estimated_cost: int
-    recipe_id: str | None = None
-    source_ref: tuple | None = None  # ("source", idx) or ("chest", idx, item)
-    station: str | None = None
-    units: int = 1
-    item: str | None = None  # what a collect leg gathers
+    __slots__ = ("op", "estimated_cost", "recipe_id", "source_ref", "station", "units", "item")
+
+    def __init__(self, op: str, estimated_cost: int, recipe_id: str | None = None,
+                 source_ref: tuple | None = None, station: str | None = None, units: int = 1,
+                 item: str | None = None):
+        self.op = op  # "craft" | "smelt" | "collect"
+        self.estimated_cost = estimated_cost
+        self.recipe_id = recipe_id
+        self.source_ref = source_ref  # ("source", idx) or ("chest", idx, item)
+        self.station = station
+        self.units = units
+        self.item = item  # what a collect leg gathers
+
+    def _key(self) -> tuple:
+        return (self.op, self.estimated_cost, self.recipe_id, self.source_ref, self.station,
+                self.units, self.item)
+
+    def __eq__(self, other):
+        if other.__class__ is not RecoveryStep:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass
 class RecoveryPlan:
-    item: str
-    count: int
-    steps: list[RecoveryStep]
+    __slots__ = ("item", "count", "steps")
+
+    def __init__(self, item: str, count: int, steps: list[RecoveryStep]):
+        self.item = item
+        self.count = count
+        self.steps = steps
+
+    def __eq__(self, other):
+        if other.__class__ is not RecoveryPlan:
+            return NotImplemented
+        return (self.item, self.count, self.steps) == (other.item, other.count, other.steps)
 
     @property
     def total_cost(self) -> int:
@@ -166,11 +188,13 @@ def local_skip(graph: TaskGraph, placed: set[int], blocked: int | None, allowed:
                default=None)
 
 
-@dataclass
 class CooldownEntry:
-    level: int = 0
-    expires_at: int = 0
-    consecutive_failures: int = 0
+    __slots__ = ("level", "expires_at", "consecutive_failures")
+
+    def __init__(self, level: int = 0, expires_at: int = 0, consecutive_failures: int = 0):
+        self.level = level
+        self.expires_at = expires_at
+        self.consecutive_failures = consecutive_failures
 
     def effective_level(self, now: int) -> int:
         return self.level if now < self.expires_at else 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
 
 Position = tuple[int, int, int]
 
@@ -92,29 +91,30 @@ class Inventory:
         return f"Inventory({self.to_dict()})"
 
 
-@dataclass(frozen=True)
 class BlockSpec:
     """One blueprint block: a node in the task graph with a material and a position."""
 
-    node_id: int
-    material: str
-    position: Position
+    __slots__ = ("node_id", "material", "position")
+
+    def __init__(self, node_id: int, material: str, position: Position):
+        self.node_id = node_id
+        self.material = material
+        self.position = position
 
 
-@dataclass(frozen=True)
 class Blueprint:
-    name: str
-    blocks: tuple[BlockSpec, ...]
-    by_id: dict[int, BlockSpec] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "blocks", "by_id")
 
-    def __post_init__(self):
-        by_id = {b.node_id: b for b in self.blocks}
-        if len(by_id) != len(self.blocks):
+    def __init__(self, name: str, blocks: tuple[BlockSpec, ...]):
+        by_id = {b.node_id: b for b in blocks}
+        if len(by_id) != len(blocks):
             raise ValueError("duplicate node ids in blueprint")
-        positions = [b.position for b in self.blocks]
+        positions = [b.position for b in blocks]
         if len(set(positions)) != len(positions):
             raise ValueError("duplicate positions in blueprint")
-        object.__setattr__(self, "by_id", by_id)
+        self.name = name
+        self.blocks = blocks
+        self.by_id = by_id
 
     def node(self, node_id: int) -> BlockSpec:
         return self.by_id[node_id]
@@ -176,21 +176,22 @@ class TaskGraph:
         return out
 
 
-@dataclass(frozen=True)
 class Recipe:
     """A crafting or smelting rule. `station` names a scaffold block that must be in range."""
 
-    recipe_id: str
-    kind: str  # "craft" | "smelt"
-    output: tuple[str, int]
-    inputs: tuple[tuple[str, int], ...]
-    station: str | None = None
+    __slots__ = ("recipe_id", "kind", "output", "inputs", "station")
 
-    def __post_init__(self):
-        if self.kind not in ("craft", "smelt"):
-            raise ValueError(f"bad recipe kind {self.kind!r}")
-        if self.output[1] <= 0:
+    def __init__(self, recipe_id: str, kind: str, output: tuple[str, int],
+                 inputs: tuple[tuple[str, int], ...], station: str | None = None):
+        if kind not in ("craft", "smelt"):
+            raise ValueError(f"bad recipe kind {kind!r}")
+        if output[1] <= 0:
             raise ValueError("recipe output count must be positive")
+        self.recipe_id = recipe_id
+        self.kind = kind  # "craft" | "smelt"
+        self.output = output
+        self.inputs = inputs
+        self.station = station
 
     def to_dict(self) -> dict:
         """The JSON form shared by episode specs and solver contexts."""
@@ -227,37 +228,58 @@ class RecipeBook:
         return [self.recipes[k] for k in sorted(self.recipes) if self.recipes[k].output[0] == item]
 
 
-@dataclass
 class Source:
-    item: str
-    position: Position
-    remaining: int
+    __slots__ = ("item", "position", "remaining")
+
+    def __init__(self, item: str, position: Position, remaining: int):
+        self.item = item
+        self.position = position
+        self.remaining = remaining
 
 
-@dataclass
 class Chest:
-    position: Position
-    inventory: Inventory
+    __slots__ = ("position", "inventory")
+
+    def __init__(self, position: Position, inventory: Inventory):
+        self.position = position
+        self.inventory = inventory
 
 
-@dataclass
 class AgentBody:
-    agent_id: str
-    position: Position
-    inventory: Inventory
+    __slots__ = ("agent_id", "position", "inventory")
+
+    def __init__(self, agent_id: str, position: Position, inventory: Inventory):
+        self.agent_id = agent_id
+        self.position = position
+        self.inventory = inventory
 
 
-@dataclass(frozen=True)
 class CoordinationMessage:
-    """Typed board message. Exactly these seven fields, nothing optional added."""
+    """Typed board message. Exactly these seven fields, nothing optional
+    added. Equal messages are the same message, so they hash alike."""
 
-    protocol: str  # REQUEST_MATERIAL | OFFER_TRANSFER | CONFIRM_TRANSFER | CANNOT_SUPPLY
-    sender: str
-    target: str
-    item: str
-    count: int
-    reason: str  # need_for_node | handover_complete | no_surplus | timeout
-    time: int  # sim_time when posted
+    __slots__ = ("protocol", "sender", "target", "item", "count", "reason", "time")
+
+    def __init__(self, protocol: str, sender: str, target: str, item: str, count: int,
+                 reason: str, time: int):
+        self.protocol = protocol  # REQUEST_MATERIAL | OFFER_TRANSFER | CONFIRM_TRANSFER | CANNOT_SUPPLY
+        self.sender = sender
+        self.target = target
+        self.item = item
+        self.count = count
+        self.reason = reason  # need_for_node | handover_complete | no_surplus | timeout
+        self.time = time  # sim_time when posted
+
+    def _key(self) -> tuple:
+        return (self.protocol, self.sender, self.target, self.item, self.count, self.reason, self.time)
+
+    def __eq__(self, other):
+        if other.__class__ is not CoordinationMessage:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_dict(self) -> dict:
         return {
@@ -275,19 +297,25 @@ class CoordinationMessage:
 SourceRef = tuple
 
 
-@dataclass(frozen=True)
 class Action:
-    """Kind-discriminated agent action."""
+    """Kind-discriminated agent action. Never changed once built."""
 
-    kind: str
-    target: Position | None = None  # move
-    node_id: int | None = None  # place / skip
-    source: SourceRef | None = None  # collect
-    recipe_id: str | None = None  # craft / smelt
-    item: str | None = None  # transfer
-    count: int | None = None  # transfer
-    to_agent: str | None = None  # transfer
-    message: CoordinationMessage | None = None  # send_message
+    __slots__ = ("kind", "target", "node_id", "source", "recipe_id", "item", "count", "to_agent",
+                 "message")
+
+    def __init__(self, kind: str, target: Position | None = None, node_id: int | None = None,
+                 source: SourceRef | None = None, recipe_id: str | None = None,
+                 item: str | None = None, count: int | None = None, to_agent: str | None = None,
+                 message: CoordinationMessage | None = None):
+        self.kind = kind
+        self.target = target  # move
+        self.node_id = node_id  # place / skip
+        self.source = source  # collect
+        self.recipe_id = recipe_id  # craft / smelt
+        self.item = item  # transfer
+        self.count = count  # transfer
+        self.to_agent = to_agent  # transfer
+        self.message = message  # send_message
 
     @staticmethod
     def move(target: Position) -> "Action":
@@ -346,20 +374,28 @@ class Action:
         return d
 
 
-_IDLE = Action(kind="idle")  # actions are immutable, so one serves every idle step
+_IDLE = Action(kind="idle")  # no action is changed once built, so one serves every idle step
 
 
-@dataclass
 class VerifiedOutcome:
     """System-verified result of applying one action. The only channel agents trust."""
 
-    agent: str
-    kind: str
-    status: str  # "success" | "failure"
-    reason: str | None = None
-    deltas: dict = field(default_factory=dict)
-    sim_time: int = 0
-    node_id: int | None = None
+    __slots__ = ("agent", "kind", "status", "reason", "deltas", "sim_time", "node_id")
+
+    def __init__(self, agent: str, kind: str, status: str, reason: str | None = None,
+                 deltas: dict | None = None, sim_time: int = 0, node_id: int | None = None):
+        self.agent = agent
+        self.kind = kind
+        self.status = status  # "success" | "failure"
+        self.reason = reason
+        self.deltas = {} if deltas is None else deltas
+        self.sim_time = sim_time
+        self.node_id = node_id
+
+    def __eq__(self, other):
+        if other.__class__ is not VerifiedOutcome:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def ok(self) -> bool:
@@ -378,7 +414,6 @@ class VerifiedOutcome:
         return d
 
 
-@dataclass
 class WorldState:
     """Full simulator state. `scaffold` maps the positions of pre-existing
     blocks (stations among them) to their materials.
@@ -387,15 +422,21 @@ class WorldState:
     is grown only by a successful `place` in `apply_action`, and every
     placement query reads it."""
 
-    blueprint: Blueprint
-    graph: TaskGraph
-    recipes: RecipeBook
-    agents: dict[str, AgentBody]
-    sources: list[Source]
-    chests: list[Chest]
-    scaffold: dict[Position, str] = field(default_factory=dict)
-    sim_time: int = 0
-    _placed_ids: frozenset[int] = field(default=frozenset(), init=False, repr=False, compare=False)
+    __slots__ = ("blueprint", "graph", "recipes", "agents", "sources", "chests", "scaffold",
+                 "sim_time", "_placed_ids")
+
+    def __init__(self, blueprint: Blueprint, graph: TaskGraph, recipes: RecipeBook,
+                 agents: dict[str, AgentBody], sources: list[Source], chests: list[Chest],
+                 scaffold: dict[Position, str] | None = None, sim_time: int = 0):
+        self.blueprint = blueprint
+        self.graph = graph
+        self.recipes = recipes
+        self.agents = agents
+        self.sources = sources
+        self.chests = chests
+        self.scaffold = {} if scaffold is None else scaffold
+        self.sim_time = sim_time
+        self._placed_ids = frozenset()
 
     # -- queries ---------------------------------------------------------
 
@@ -559,25 +600,30 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
     return world, _fail(agent, action, "invalid_action", t)
 
 
-@dataclass
 class PlanInfo:
     """Static, scripted plan knowledge shared by every agent at episode start:
     the blueprint layout, node assignments, the declared item partition, and
     per-agent work regions. Never carries live inventories. `nodes_of` is
     built from `assignments` once, at construction."""
 
-    assignments: dict[int, str] = field(default_factory=dict)  # node_id -> agent_id
-    partition: dict[str, str] = field(default_factory=dict)  # item -> owner agent_id
-    work_regions: dict[str, tuple[Position, int]] = field(default_factory=dict)  # agent -> (center, radius)
-    materials: dict[int, str] = field(default_factory=dict)  # node_id -> material
-    station_positions: dict[Position, str] = field(default_factory=dict)
-    # agent_id -> its assigned node ids, ascending
-    nodes_of: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("assignments", "partition", "work_regions", "materials", "station_positions",
+                 "nodes_of")
 
-    def __post_init__(self):
+    def __init__(self, assignments: dict[int, str] | None = None,
+                 partition: dict[str, str] | None = None,
+                 work_regions: dict[str, tuple[Position, int]] | None = None,
+                 materials: dict[int, str] | None = None,
+                 station_positions: dict[Position, str] | None = None):
+        self.assignments = {} if assignments is None else assignments  # node_id -> agent_id
+        self.partition = {} if partition is None else partition  # item -> owner agent_id
+        # agent -> (center, radius)
+        self.work_regions = {} if work_regions is None else work_regions
+        self.materials = {} if materials is None else materials  # node_id -> material
+        self.station_positions = {} if station_positions is None else station_positions
         nodes_of: dict[str, list[int]] = {}
         for n in sorted(self.assignments):
             nodes_of.setdefault(self.assignments[n], []).append(n)
+        # agent_id -> its assigned node ids, ascending
         self.nodes_of = {aid: tuple(nodes) for aid, nodes in nodes_of.items()}
 
     @staticmethod
@@ -593,24 +639,36 @@ class PlanInfo:
         )
 
 
-@dataclass(slots=True)
 class WorldView:
     """What one agent can see. Never includes live teammate inventories.
 
     Sources and chests are the world's live objects. `memo` holds what
     `observe` and `digest` derived for this agent; it is shared with the
-    agent's later views until an outcome invalidates it (see ViewCache)."""
+    agent's later views until an outcome invalidates it (see ViewCache).
+    Views are equal when everything but their memos is."""
 
-    agent_id: str
-    position: Position
-    inventory: Inventory
-    placed_nodes: frozenset[int]
-    sources: list[tuple[int, Source]]  # (index, source) within observe radius
-    chests: list[tuple[int, Chest]]
-    teammates: dict[str, Position]  # only those within observe radius
-    plan: PlanInfo
-    sim_time: int
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("agent_id", "position", "inventory", "placed_nodes", "sources", "chests",
+                 "teammates", "plan", "sim_time", "memo")
+
+    def __init__(self, agent_id: str, position: Position, inventory: Inventory,
+                 placed_nodes: frozenset[int], sources: list[tuple[int, Source]],
+                 chests: list[tuple[int, Chest]], teammates: dict[str, Position], plan: PlanInfo,
+                 sim_time: int, memo: dict | None = None):
+        self.agent_id = agent_id
+        self.position = position
+        self.inventory = inventory
+        self.placed_nodes = placed_nodes
+        self.sources = sources  # (index, source) within observe radius
+        self.chests = chests
+        self.teammates = teammates  # only those within observe radius
+        self.plan = plan
+        self.sim_time = sim_time
+        self.memo = {} if memo is None else memo
+
+    def __eq__(self, other):
+        if other.__class__ is not WorldView:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1])
 
     def digest(self) -> str:
         """Cheap deterministic observation digest for traces: the CRC-32 of
@@ -814,11 +872,13 @@ def _longest_chain(graph: TaskGraph, depth: dict[int, int]) -> list[int]:
     return path
 
 
-@dataclass(frozen=True)
 class Criticality:
-    descendant_count: int
-    on_critical_path: bool
-    dependent_depth: int
+    __slots__ = ("descendant_count", "on_critical_path", "dependent_depth")
+
+    def __init__(self, descendant_count: int, on_critical_path: bool, dependent_depth: int):
+        self.descendant_count = descendant_count
+        self.on_critical_path = on_critical_path
+        self.dependent_depth = dependent_depth
 
 
 def criticality_of(graph: TaskGraph, node: int, placed: set[int]) -> Criticality:

@@ -305,7 +305,9 @@ def test_criterion_7_trace_determinism_and_replay(dataset):
         remote_trace = run_episode(spec, config, RemoteAdjudicator(url))
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
+    assert not thread.is_alive()
 
     replies = adjudicator_replies(remote_trace)
     assert replies, "the remote backend must be consulted and recorded"

@@ -183,6 +183,11 @@ def test_jobs_below_one_exits_one(tmp_path, small_dataset, capsys, command, jobs
      "--weights must be 5 comma-separated integers: config file {cfg} sets weights = '1,2'"),
     ("ablate", "tiers = vibes\n", "--tiers must be none or a comma list from"
      " rules,score,adjudicator: config file {cfg} sets tiers = 'vibes'"),
+    ("run", "step_budget = 0\n",
+     "--step-budget must be >= 1: config file {cfg} sets step_budget = '0'"),
+    ("ablate", '{"window_timeout": 0}',
+     "--window-timeout must be >= 1: config file {cfg} sets window_timeout = 0"),
+    ("run", '{"cooldown": -1}', "--cooldown must be >= 0: config file {cfg} sets cooldown = -1"),
 ])
 def test_a_non_numeric_config_value_exits_one_naming_key_and_file(
         tmp_path, small_dataset, capsys, command, text, message):
@@ -334,6 +339,22 @@ def test_unvalidated_weights_need_opt_in(tmp_path, small_dataset):
     ]
     assert main(args) == 1
     assert main(args + ["--allow-unvalidated"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_a_rejected_weight_vector_names_its_source(tmp_path, small_dataset, capsys, command):
+    args = [command, "--dataset", str(small_dataset), "--out", str(tmp_path / "o")]
+    problem = ("--weights: weight vector rejected: wC must exceed max(wR, wI, wL); "
+               "min(wR, wI, wL) must exceed wH")
+    assert main(args + ["--weights", "1,1,1,1,1"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {problem}\n")
+
+    cfg = tmp_path / "weights.cfg"
+    cfg.write_text("weights = 1,1,1,1,1\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: {problem}: config file {cfg} sets weights = '1,1,1,1,1'\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_with_flag_override(tmp_path, small_dataset):
@@ -556,6 +577,28 @@ def test_malformed_grid_file_names_the_file(tmp_path, small_dataset, capsys):
                  "--grid", str(grid)]) == 1
     assert (f"error: grid file {grid}: invalid JSON at line 1 column 2: "
             "Expecting property name enclosed in double quotes") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights, thresholds, field", [
+    ("5", "[[0.4, 0.5]]", "weights must be a list of 5-entry lists, not 5"),
+    ('[[4, 2, "x", 2, 1]]', "[[0.4, 0.5]]", "weights[0][2] must be an integer, not 'x'"),
+    ("[[4, 2, 2.0, 2, 1]]", "[[0.4, 0.5]]", "weights[0][2] must be an integer, not 2.0"),
+    ("[[4, 2, 2, 2, 1], [4, 2, 2, 2]]", "[[0.4, 0.5]]",
+     "weights[1] must be a list of 5 entries, not [4, 2, 2, 2]"),
+    ("[[4, 2, 2, 2, 1]]", "0.4", "thresholds must be a list of 2-entry lists, not 0.4"),
+    ("[[4, 2, 2, 2, 1]]", "[[0.4, true]]", "thresholds[0][1] must be a number, not True"),
+])
+def test_a_grid_file_entry_of_the_wrong_shape_names_the_file_and_field(
+        tmp_path, small_dataset, capsys, weights, thresholds, field):
+    """A grid file's weights are lists of five integers and its thresholds
+    pairs of numbers, each entry read as `--weights` and `--thresholds`
+    read theirs."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(f'{{"weights": {weights}, "thresholds": {thresholds}}}')
+    assert main(["calibrate", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
+                 "--grid", str(grid)]) == 1
+    assert capsys.readouterr().err.endswith(f"error: grid file {grid}: {field}\n")
+    assert not (tmp_path / "o" / "theta.json").exists()
 
 
 def test_malformed_manifest_is_not_read(tmp_path, small_dataset):

@@ -1,9 +1,10 @@
 """Source hygiene: every import in `src/` and `tests/` is used, every
 module-level name in `src/gatecraft` is used in `src/` or exported, every
 `RunConfig` field is read by the program and echoed into the trace,
-importing the command line loads no network or process-pool module, and
-the benchmark's per-layer wrappers still find what they wrap and count
-views and digests once per step.
+importing the command line loads no network or process-pool module and
+builds no dataclass but `RunConfig`, and the benchmark's per-layer
+wrappers still find what they wrap and count views and digests once per
+step.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -103,6 +104,26 @@ def test_cli_import_skips_network_and_pool_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_run_config_is_the_only_dataclass():
+    """Every gatecraft command imports every module, and a dataclass builds
+    its generated methods (`__init__`, `__repr__`, `__eq__`, and three more
+    when frozen) by compiling source text while its module is imported, so
+    each one adds to the start-up of every command. The records are plain
+    classes with `__slots__` instead. `RunConfig` stays a dataclass: `ablate`
+    derives its variants with `dataclasses.replace`, and `regate_key` walks
+    `dataclasses.fields`, so the gate settings keep the few readers that
+    `tests/test_regate.py` pins."""
+    probe = ("import sys, gatecraft.cli\n"
+             "print(sorted(f'{m.__name__}.{k}' for m in list(sys.modules.values())\n"
+             "             if m.__name__.split('.')[0] == 'gatecraft' for k, v in vars(m).items()\n"
+             "             if isinstance(v, type) and v.__module__ == m.__name__\n"
+             "             and hasattr(v, '__dataclass_fields__')))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "['gatecraft.agent.RunConfig']"
 
 
 def _perfbench_layers():
