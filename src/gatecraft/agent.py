@@ -334,14 +334,13 @@ class IssueInstance:
 
 class AgentRuntime:
     __slots__ = ("agent_id", "state", "assigned", "legs", "skipping", "window", "skip_target",
-                 "abandoned", "gate_at", "last_outcome", "current_instance", "script_cursor",
+                 "abandoned", "gate_at", "current_instance", "script_cursor",
                  "script_choice", "view_digest")
 
     def __init__(self, agent_id: str, state: PrivateState, assigned: tuple[int, ...],
                  legs: list[tuple[RecoveryStep, str, int]] | None = None, skipping: bool = False,
                  window: CoordinationWindow | None = None, skip_target: int | None = None,
                  abandoned: set[int] | None = None, gate_at: int | None = None,
-                 last_outcome: VerifiedOutcome | None = None,
                  current_instance: IssueInstance | None = None, script_cursor: int = 0,
                  script_choice: dict[int, str] | None = None, view_digest: str = ""):
         self.agent_id = agent_id
@@ -357,7 +356,6 @@ class AgentRuntime:
         # the sim time from which the next step passes the gate, or None: a pass
         # due at once stores the time it was set, a retry the cooldown's expiry
         self.gate_at = gate_at
-        self.last_outcome = last_outcome
         self.current_instance = current_instance
         self.script_cursor = script_cursor
         self.script_choice = {} if script_choice is None else script_choice
@@ -490,14 +488,10 @@ def _nearest_holder(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageReco
     me = ep.world.agents[rt.agent_id]
     others = [a for a in sorted(ep.world.agents) if a != rt.agent_id]
     item, need = blockage.item, max(1, blockage.count)
-    if item:
-        holders = []
-        for aid in others:
-            if ep.plan_info.partition.get(item) == aid or team.surplus(aid, item) >= need:
-                holders.append((dist_sq(me.position, ep.world.agents[aid].position), aid))
-        if holders:
-            return min(holders)[1]
-    return min((dist_sq(me.position, ep.world.agents[aid].position), aid) for aid in others)[1]
+    holders = [aid for aid in others
+               if ep.plan_info.partition.get(item) == aid or team.surplus(aid, item) >= need]
+    # min keeps the first of equals, so a tie goes to the smallest id
+    return min(holders or others, key=lambda aid: dist_sq(me.position, ep.world.agents[aid].position))
 
 
 def _build_toward(ep: EpisodeRuntime, rt: AgentRuntime, node_id: int) -> Action:
@@ -720,9 +714,8 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
 
     if verdict == "escalate":
         target = _choose_escalation_target(ep, rt, blockage)
-        item = blockage.item or ep.plan_info.materials.get(blockage.node_id, "")
         window, request = ep.new_window(
-            blockage.issue.value, rt.agent_id, target, item, max(1, blockage.count))
+            blockage.issue.value, rt.agent_id, target, blockage.item, max(1, blockage.count))
         rt.window = window
         rt.current_instance.windows_opened += 1
         rt.current_instance.recovery_activated = True
@@ -796,10 +789,7 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
         target = _standard_target(ep, rt)
         if target is not None:
             rt.state.active_subtask = target
-        issue = detect_issue(
-            rt.state, view, ep.graph, ep.recipes,
-            last_outcome=rt.last_outcome, ignore=rt.abandoned,
-        )
+        issue = detect_issue(rt.state, view, ep.graph, ep.recipes, ignore=rt.abandoned)
         if issue is not None:
             rt.state.blockage = issue
             blockage = issue
@@ -877,7 +867,6 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
 
     # private-state trigger: own verified outcome
     update_private_state(rt.state, outcome)
-    rt.last_outcome = outcome
 
     if not outcome.ok and rt.legs:
         # a recovery leg failed against the live world; replan from scratch
@@ -898,11 +887,11 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
             window.transfer_done = True
 
     # blockage satisfied by this outcome (plan leg, passive gain, ...), or a
-    # structural issue whose awaited node landed
+    # dependency block whose awaited node landed
     blockage = rt.state.blockage
     if rt.current_instance is not None and (
             blockage is None
-            or (blockage.issue in (IssueType.DEPENDENCY_BLOCK, IssueType.SUPPORT_FAILURE)
+            or (blockage.issue == IssueType.DEPENDENCY_BLOCK
                 and ep.world.node_placed(blockage.node_id))):
         _end_issue(ep, rt, "resolved")
 
@@ -931,9 +920,7 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       pass and at a window close; with no `gate_at` set and no window
       open, neither comes again, so a cooldown that has not expired yet
       changes nothing.
-    - Every `last_outcome` is now `idle`, so the support-failure branch of
-      `detect_issue` cannot fire; its other branches read only the
-      unchanged view and private state.
+    - `detect_issue` reads only the unchanged view and private state.
     - The adjudicator is reached only through a gate pass, which needs a
       `gate_at`, and none is set.
     - Whatever the next round would act on is traced: detections, gate

@@ -173,8 +173,13 @@ def _grid(text: str) -> dict:
     if not isinstance(data, dict) or "weights" not in data or "thresholds" not in data:
         raise UsageError(f"grid file {path} must be a JSON object with "
                          f"'weights' and 'thresholds' lists")
-    return {"weights": _grid_rows(path, data, "weights", 5, _integer),
+    grid = {"weights": _grid_rows(path, data, "weights", 5, _integer),
             "thresholds": _grid_rows(path, data, "thresholds", 2, _number)}
+    try:  # checked here as calibrate checks it, so a rejected entry names the file
+        CalibrationConfig(grid["weights"], grid["thresholds"])
+    except ValueError as exc:
+        raise UsageError(f"grid file {path}: {exc}") from None
+    return grid
 
 
 def _grid_rows(path: Path, data: dict, key: str, size: int, convert) -> list[tuple]:

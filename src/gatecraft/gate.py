@@ -172,8 +172,6 @@ def teammate_resources(view: WorldView, team: TeamPublicView, recipes: RecipeBoo
     blocked item (3 or 2), or a raw input of it (1), stands. The only
     feature that reads `team`."""
     item = blockage.item
-    if not item:
-        return 0
     exact = _teammates_with_exact(team, view, item, max(1, blockage.count))
     viable_sq = VIABLE_RADIUS * VIABLE_RADIUS
     immediate_sq = IMMEDIATE_RADIUS * IMMEDIATE_RADIUS
@@ -272,7 +270,7 @@ def _supply_within(view: WorldView, ref: tuple | None, radius: int) -> bool:
 # Tier-1 rules. Order matters: first hit wins.
 RULE_STAY_SOLVED_LOCALLY = 0  # L=3 and C<=1: trivially local
 RULE_ESCALATE_CRITICAL_DEAD_END = 1  # C=3, L=0, H=0: hard bottleneck, clean history
-RULE_ESCALATE_TRANSFER_SHAPED = 2  # transfer/co-craft issue with a viable partner
+RULE_ESCALATE_TRANSFER_SHAPED = 2  # transfer issue with a viable partner
 
 
 def tier1_rules(issue: IssueType, fv: FeatureVector) -> tuple[str, int] | None:
@@ -281,7 +279,7 @@ def tier1_rules(issue: IssueType, fv: FeatureVector) -> tuple[str, int] | None:
         return ("stay_local", RULE_STAY_SOLVED_LOCALLY)
     if fv.C == 3 and fv.L == 0 and fv.H == 0:
         return ("escalate", RULE_ESCALATE_CRITICAL_DEAD_END)
-    if issue in (IssueType.TRANSFER_NEEDED, IssueType.CO_CRAFT_REQUIRED) and fv.R >= 2 and fv.H <= 1:
+    if issue == IssueType.TRANSFER_NEEDED and fv.R >= 2 and fv.H <= 1:
         return ("escalate", RULE_ESCALATE_TRANSFER_SHAPED)
     return None
 

@@ -15,6 +15,7 @@ import io
 import random
 from itertools import repeat
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .agent import (
     EpisodeRuntime,
@@ -358,13 +359,14 @@ class CalibrationConfig:
             raise ValueError("calibration grids must be non-empty")
         if min(lam_time, lam_redundant, lam_llm) < 0:
             raise ValueError("penalty coefficients must be non-negative")
-        for w in weight_grid:
+        for i, w in enumerate(weight_grid):
             ok, problems = validate_weights(GateWeights.from_sequence(w))
             if not ok:
-                raise ValueError(f"weight grid entry {w} rejected: {'; '.join(problems)}")
-        for lo, hi in threshold_grid:
+                raise ValueError(f"weights[{i}] {w} rejected: {'; '.join(problems)}")
+        for i, (lo, hi) in enumerate(threshold_grid):
             if not (0.0 <= lo <= hi <= 1.0):
-                raise ValueError(f"bad threshold pair ({lo}, {hi})")
+                raise ValueError(f"thresholds[{i}] must satisfy 0 <= t_low <= t_high <= 1, "
+                                 f"not ({lo}, {hi})")
         self.weight_grid = weight_grid
         self.threshold_grid = threshold_grid
         self.lam_time = lam_time
@@ -475,7 +477,8 @@ def make_backend(name: str | None):
 
     mock (default)    — None; the runtime installs the threshold-midpoint mock.
     scripted:<file>   — replays recorded replies, one JSON object per line.
-    remote:<url>      — POSTs decision cards to an HTTP adjudicator.
+    remote:<url>      — POSTs decision cards to an HTTP adjudicator at an
+                        http(s) URL with a host and an optional port.
     """
     if name in (None, "", "mock"):
         return None
@@ -484,7 +487,16 @@ def make_backend(name: str | None):
         replies = [line for line in path.read_text().splitlines() if line.strip()]
         return ScriptedAdjudicator(replies)
     if name.startswith("remote:"):
-        return RemoteAdjudicator(name.split(":", 1)[1])
+        url = name.split(":", 1)[1]
+        parts = urlsplit(url)
+        try:
+            port_ok = parts.port is None or parts.port > 0
+        except ValueError:  # not a number in 0-65535
+            port_ok = False
+        if parts.scheme not in ("http", "https") or not parts.hostname or not port_ok:
+            raise ValueError(f"remote:<url> takes an http or https URL with a host and "
+                             f"an optional port in 1-65535, not {url!r}")
+        return RemoteAdjudicator(url)
     raise ValueError(f"unknown backend {name!r} (use mock, scripted:<file>, remote:<url>)")
 
 

@@ -191,8 +191,7 @@ class EpisodeSpec:
 
     def plan_info(self, world: WorldState) -> PlanInfo:
         assignments = {n: aid for aid, nodes in self.assigned.items() for n in nodes}
-        regions = {aid: (tuple(c), int(r)) for aid, (c, r) in self.work_regions.items()}
-        return PlanInfo.for_world(world, assignments, partition=self.partition, work_regions=regions)
+        return PlanInfo.for_world(world, assignments, partition=self.partition)
 
     # -- serialization -----------------------------------------------------
 

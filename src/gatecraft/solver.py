@@ -105,7 +105,7 @@ def plan_local_recovery(
       plan_detour — a collect-inputs-then-craft chain when nothing simpler works
     """
     blockage = blockage or state.blockage
-    if blockage is None or not blockage.item:
+    if blockage is None:
         return None
     item = blockage.item
     need = max(1, blockage.count)

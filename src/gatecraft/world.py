@@ -602,22 +602,18 @@ def apply_action(world: WorldState, agent_id: str, action: Action) -> tuple[Worl
 
 class PlanInfo:
     """Static, scripted plan knowledge shared by every agent at episode start:
-    the blueprint layout, node assignments, the declared item partition, and
-    per-agent work regions. Never carries live inventories. `nodes_of` is
+    the blueprint layout, node assignments, the declared item partition and
+    the station positions. Never carries live inventories. `nodes_of` is
     built from `assignments` once, at construction."""
 
-    __slots__ = ("assignments", "partition", "work_regions", "materials", "station_positions",
-                 "nodes_of")
+    __slots__ = ("assignments", "partition", "materials", "station_positions", "nodes_of")
 
     def __init__(self, assignments: dict[int, str] | None = None,
                  partition: dict[str, str] | None = None,
-                 work_regions: dict[str, tuple[Position, int]] | None = None,
                  materials: dict[int, str] | None = None,
                  station_positions: dict[Position, str] | None = None):
         self.assignments = {} if assignments is None else assignments  # node_id -> agent_id
         self.partition = {} if partition is None else partition  # item -> owner agent_id
-        # agent -> (center, radius)
-        self.work_regions = {} if work_regions is None else work_regions
         self.materials = {} if materials is None else materials  # node_id -> material
         self.station_positions = {} if station_positions is None else station_positions
         nodes_of: dict[str, list[int]] = {}
@@ -628,12 +624,10 @@ class PlanInfo:
 
     @staticmethod
     def for_world(world: "WorldState", assignments: dict[int, str],
-                  partition: dict[str, str] | None = None,
-                  work_regions: dict[str, tuple[Position, int]] | None = None) -> "PlanInfo":
+                  partition: dict[str, str] | None = None) -> "PlanInfo":
         return PlanInfo(
             assignments=dict(assignments),
             partition=dict(partition or {}),
-            work_regions=dict(work_regions or {}),
             materials={b.node_id: b.material for b in world.blueprint.blocks},
             station_positions=dict(world.scaffold),
         )

@@ -17,7 +17,7 @@ from gatecraft import (
 )
 from gatecraft import agent
 from gatecraft.agent import simulate_episode
-from gatecraft.scenarios import generate_dataset
+from gatecraft.scenarios import EpisodeSpec, generate_dataset
 from gatecraft.world import observe
 
 
@@ -69,9 +69,35 @@ def make_world(
     )
 
 
-def plan_for(world, assignments=None, partition=None, work_regions=None):
+def plan_for(world, assignments=None, partition=None):
     assignments = assignments or {n: "a0" for n in world.blueprint.by_id}
-    return PlanInfo.for_world(world, assignments, partition=partition, work_regions=work_regions)
+    return PlanInfo.for_world(world, assignments, partition=partition)
+
+
+def hand_built_spec(agents, blocks, assigned, partition, script, sources=(), edges=(), chests=(),
+                    inventories=None):
+    """An episode spec outside the generated classes, with the default
+    recipes and a radius-12 work region around each agent."""
+    return EpisodeSpec(
+        episode_id="hand", template_id=0, seed_index=0, class_label="D", variant="hand",
+        agents={aid: {"position": pos, "inventory": (inventories or {}).get(aid, {})}
+                for aid, pos in agents.items()},
+        blocks=blocks, edges=list(edges), assigned=assigned, partition=partition,
+        work_regions={aid: [pos, 12] for aid, pos in agents.items()},
+        recipes=[r.to_dict() for r in default_recipes().recipes.values()],
+        sources=list(sources), chests=list(chests), responder_script=script,
+    )
+
+
+def dependency_block_spec():
+    """a0's node 1 waits on a1's node 2, the one prerequisite edge that
+    crosses agents; each agent has a source of its own node's material."""
+    return hand_built_spec(
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [10, 0, 1]]],
+        assigned={"a0": [1], "a1": [2]}, partition={}, script={},
+        sources=[["oak_planks", [0, 0, 2], 2], ["cobblestone", [12, 0, 2], 2]], edges=[[2, 1]],
+    )
 
 
 def attribute_reads(path: Path, names) -> set[tuple[str, str, str]]:

@@ -2,13 +2,12 @@ import dataclasses
 
 import pytest
 
-from gatecraft import RunConfig, Trace, agent, default_recipes, gate, run_episode
+from gatecraft import RunConfig, Trace, agent, gate, run_episode
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.gate import GateThresholds, GateWeights, ScriptedAdjudicator
-from gatecraft.scenarios import EpisodeSpec
 from gatecraft.world import VerifiedOutcome
 
-from conftest import run_checking_views
+from conftest import dependency_block_spec, hand_built_spec, run_checking_views
 
 
 def _episodes_of_class(dataset, label, limit=None):
@@ -200,24 +199,11 @@ def test_retry_after_an_idle_stretch_is_kept(dataset, monkeypatch):
     assert retried > 0
 
 
-def _hand_built(agents, blocks, assigned, partition, script, sources=(), edges=(), chests=(),
-                inventories=None):
-    return EpisodeSpec(
-        episode_id="hand", template_id=0, seed_index=0, class_label="D", variant="hand",
-        agents={aid: {"position": pos, "inventory": (inventories or {}).get(aid, {})}
-                for aid, pos in agents.items()},
-        blocks=blocks, edges=list(edges), assigned=assigned, partition=partition,
-        work_regions={aid: [pos, 12] for aid, pos in agents.items()},
-        recipes=[r.to_dict() for r in default_recipes().recipes.values()],
-        sources=list(sources), chests=list(chests), responder_script=script,
-    )
-
-
 def test_window_timing_out_in_an_idle_round_is_not_quiescent(monkeypatch):
     """A silent responder lets a window time out on the requester's own idle
     turn; with no cooldown left the requester falls back to a local plan,
     and the next round must still run it."""
-    spec = _hand_built(
+    spec = hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [5, 0, 0], "a2": [8, 0, 0]},
         blocks=[[0, "sandstone", [1, 0, -2]]], assigned={"a0": [0]},
         partition={"sandstone": "a1"}, script={"a1": ["silent"]},
@@ -235,7 +221,7 @@ def test_window_timing_out_in_an_idle_round_is_not_quiescent(monkeypatch):
 def test_idle_round_that_abandons_a_node_is_not_quiescent(monkeypatch):
     """After two refusals each idle round abandons one more node that needs
     the refused item; the exit must wait until none is left."""
-    spec = _hand_built(
+    spec = hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [5, 0, 0]},
         blocks=[[n, "iron_ingot", [n + 1, 0, 1]] for n in range(3)], assigned={"a0": [0, 1, 2]},
         partition={"iron_ingot": "a1"}, script={"a1": ["cannot_supply"] * 3},
@@ -272,7 +258,7 @@ def test_a_resolved_recovery_leaves_the_agent_free_to_detect(monkeypatch):
     mid-plan; after placing node 0 its node 1 waits on a1's node 2, which
     never lands, and a0 must detect that dependency block rather than idle
     in a leftover recovery."""
-    spec = _hand_built(
+    spec = hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
         blocks=[[0, "oak_planks", [1, 0, 1]], [1, "oak_planks", [2, 0, 1]],
                 [2, "cobblestone", [3, 0, 1]]],
@@ -289,12 +275,7 @@ def test_a_resolved_recovery_leaves_the_agent_free_to_detect(monkeypatch):
 def test_a_dependency_block_resolves_when_the_teammate_places_the_blocker():
     """a0's node 1 waits on a1's node 2; a1 collects cobblestone from its own
     source and places node 2, and a0's next action resolves the block."""
-    spec = _hand_built(
-        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
-        blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [10, 0, 1]]],
-        assigned={"a0": [1], "a1": [2]}, partition={}, script={},
-        sources=[["oak_planks", [0, 0, 2], 2], ["cobblestone", [12, 0, 2], 2]], edges=[[2, 1]],
-    )
+    spec = dependency_block_spec()
     events = run_episode(spec, RunConfig()).events
     placed_2 = next(e["step"] for e in events if e["kind"] == "action" and e["agent"] == "a1"
                     and e["payload"]["action"] == {"kind": "place", "node_id": 2})
@@ -328,12 +309,7 @@ def test_each_gate_pass_probes_the_planner_once(dataset, monkeypatch):
 
     monkeypatch.setattr(agent, "_gate_and_route", route)
     _, episodes = dataset
-    specs = list(episodes) + [_hand_built(  # a0's node 1 waits on a1's node 2
-        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
-        blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [10, 0, 1]]],
-        assigned={"a0": [1], "a1": [2]}, partition={}, script={},
-        sources=[["oak_planks", [0, 0, 2], 2], ["cobblestone", [12, 0, 2], 2]], edges=[[2, 1]],
-    )]
+    specs = list(episodes) + [dependency_block_spec()]
     for spec in specs:
         run_episode(spec, RunConfig())
     assert passes and {n for _, _, n in passes} == {1}
@@ -343,7 +319,7 @@ def test_each_gate_pass_probes_the_planner_once(dataset, monkeypatch):
 
 def test_a_recovery_leg_collects_from_a_chest():
     """A chest holds the only sandstone; a0's local plan collects it there."""
-    spec = _hand_built(
+    spec = hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
         blocks=[[0, "sandstone", [1, 0, 1]]], assigned={"a0": [0]}, partition={}, script={},
         chests=[[[0, 0, 3], {"sandstone": 1}]],
@@ -357,7 +333,7 @@ def test_a_recovery_leg_collects_from_a_chest():
 
 def _contested_source_spec():
     """a0 and a1 both need the one unit of sandstone a source holds."""
-    return _hand_built(
+    return hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [2, 0, 0]},
         blocks=[[0, "sandstone", [0, 0, 1]], [1, "sandstone", [2, 0, 1]]],
         assigned={"a0": [0], "a1": [1]}, partition={}, script={},
@@ -431,7 +407,7 @@ def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
     until node 2 lands, so a0's next step passes the gate again. a1 has no
     stone bricks for node 3, so neither node lands; both agents give their
     nodes up after two refused windows, and every issue ends."""
-    spec = _hand_built(
+    spec = hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [4, 0, 0]},
         blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [3, 0, 1]],
                 [3, "stone_bricks", [4, 0, 1]]],
@@ -459,7 +435,7 @@ def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch
     inventory), collects sandstone from the source both of them see, and
     walks back out of sight to place it. Every view equals a fresh
     `observe` and every `obs_digest` its digest (`run_checking_views`)."""
-    spec = _hand_built(
+    spec = hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [60, 0, 0]},
         blocks=[[0, "iron_ingot", [1, 0, 1]], [1, "sandstone", [60, 0, 1]]],
         assigned={"a0": [0], "a1": [1]}, partition={"iron_ingot": "a1"}, script={},

@@ -144,6 +144,19 @@ def test_bad_backend_exits_one_naming_the_flag_or_file(tmp_path, small_dataset, 
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("url", ["localhost:9", "ftp://x/", "", "http://x:abc/"])
+def test_a_remote_backend_url_that_cannot_work_exits_one(tmp_path, small_dataset, capsys, url):
+    """A remote adjudicator is reached over http(s) at a host. Any other
+    URL is a usage error before any episode runs, not a run whose every
+    adjudicator call falls back to stay_local (or that stops part-way)."""
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
+                 "--backend", f"remote:{url}"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: --backend: remote:<url> takes an http or https URL with a host and "
+        f"an optional port in 1-65535, not {url!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "ablate", "calibrate"])
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_exits_one(tmp_path, small_dataset, capsys, command, jobs):
@@ -598,6 +611,24 @@ def test_a_grid_file_entry_of_the_wrong_shape_names_the_file_and_field(
     assert main(["calibrate", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
                  "--grid", str(grid)]) == 1
     assert capsys.readouterr().err.endswith(f"error: grid file {grid}: {field}\n")
+    assert not (tmp_path / "o" / "theta.json").exists()
+
+
+@pytest.mark.parametrize("weights, thresholds, field", [
+    ("[[1, 1, 1, 1, 1]]", "[[0.4, 0.5]]",
+     "weights[0] (1, 1, 1, 1, 1) rejected: wC must exceed max(wR, wI, wL)"),
+    ("[[4, 2, 2, 2, 1]]", "[[0.4, 0.5], [0.6, 0.2]]",
+     "thresholds[1] must satisfy 0 <= t_low <= t_high <= 1, not (0.6, 0.2)"),
+])
+def test_a_grid_file_entry_that_calibration_rejects_names_the_file_and_entry(
+        tmp_path, small_dataset, capsys, weights, thresholds, field):
+    """An entry of the right shape whose value calibration rejects is named
+    the same way as an entry of the wrong shape."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(f'{{"weights": {weights}, "thresholds": {thresholds}}}')
+    assert main(["calibrate", "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
+                 "--grid", str(grid)]) == 1
+    assert f"error: grid file {grid}: {field}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "theta.json").exists()
 
 

@@ -105,7 +105,6 @@ def test_rule1_critical_dead_end():
 
 def test_rule2_transfer_shaped():
     assert tier1_rules(IssueType.TRANSFER_NEEDED, fv(2, 2, 1, 0, 1)) == ("escalate", 2)
-    assert tier1_rules(IssueType.CO_CRAFT_REQUIRED, fv(2, 3, 1, 0, 0)) == ("escalate", 2)
     assert tier1_rules(IssueType.MISSING_MATERIAL, fv(2, 2, 1, 0, 1)) is None  # wrong issue
     assert tier1_rules(IssueType.TRANSFER_NEEDED, fv(2, 2, 1, 0, 2)) is None  # H too high
 

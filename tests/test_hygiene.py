@@ -2,9 +2,9 @@
 module-level name in `src/gatecraft` is used in `src/` or exported, every
 `RunConfig` field is read by the program and echoed into the trace,
 importing the command line loads no network or process-pool module and
-builds no dataclass but `RunConfig`, and the benchmark's per-layer
-wrappers still find what they wrap and count views and digests once per
-step.
+builds no dataclass but `RunConfig`, every issue type is detected by a
+run, and the benchmark's per-layer wrappers still find what they wrap and
+count views and digests once per step.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -20,9 +20,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gatecraft import RunConfig, Trace
+from gatecraft import IssueType, RunConfig, Trace
+from gatecraft.agent import simulate_episode
 
-from conftest import attribute_reads
+from conftest import attribute_reads, dependency_block_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,6 +125,18 @@ def test_run_config_is_the_only_dataclass():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "['gatecraft.agent.RunConfig']"
+
+
+def test_every_issue_type_is_raised_by_a_run(default_runs):
+    """ROADMAP item 9: an issue type that no run detects goes, with its
+    branch and its rule. The default runs at dataset seed 0 detect
+    `missing_material` and `transfer_needed`; no generated prerequisite edge
+    crosses agents, so `dependency_block` is raised by the one hand-built
+    spec whose edge does."""
+    runs = list(default_runs) + [simulate_episode(dependency_block_spec(), RunConfig())]
+    detected = {e["payload"]["issue"] for ep in runs for e in ep.trace.events
+                if e["kind"] == "issue" and e["payload"]["event"] == "detected"}
+    assert detected == {t.value for t in IssueType}
 
 
 def _perfbench_layers():

@@ -115,40 +115,6 @@ def test_detect_dependency_block_on_teammate_prerequisite():
     assert issue.node_id == 0  # the prerequisite, not the dependent
 
 
-def test_detect_co_craft_when_station_sits_in_teammate_region():
-    world = make_world(
-        [(0, (0, 0, 1), "iron_ingot")],
-        agents={"a0": ((0, 0, 0), {"iron_ore": 1, "coal": 1}), "a1": ((30, 0, 0), {})},
-        scaffold={(30, 0, 2): "furnace"},
-    )
-    plan = plan_for(
-        world,
-        assignments={0: "a0"},
-        work_regions={"a0": ((0, 0, 0), 12), "a1": ((30, 0, 0), 12)},
-    )
-    state = _init_state(world, "a0", plan)
-    view = observe(world, "a0", plan=plan)
-    issue = detect_issue(state, view, world.graph, world.recipes)
-    assert issue is not None and issue.issue == IssueType.CO_CRAFT_REQUIRED
-
-
-def test_detect_support_failure_after_place_rejection():
-    world = make_world(
-        [(0, (0, 0, 1), "stone"), (1, (0, 0, 2), "stone")],
-        edges=[(0, 1)],
-        agents={"a0": ((0, 0, 0), {"stone": 2})},
-    )
-    plan = plan_for(world)
-    state = _init_state(world, "a0", plan)
-    state.active_subtask = 1
-    world, out = apply_action(world, "a0", Action.place(1))
-    assert out.reason == "prerequisite_unplaced"
-    view = observe(world, "a0", plan=plan)
-    issue = detect_issue(state, view, world.graph, world.recipes, last_outcome=out)
-    assert issue is not None and issue.issue == IssueType.SUPPORT_FAILURE
-    assert issue.node_id == 1
-
-
 def test_ignored_nodes_never_trigger_detection():
     world = make_world([(0, (0, 0, 1), "sandstone")])
     plan = plan_for(world)
