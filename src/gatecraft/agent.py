@@ -646,7 +646,12 @@ def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
                  plan: RecoveryPlan | None) -> None:
     """The one route for a blocked agent with no window open: recover with
     `plan`, else do skip work (the next step announces its target), else give
-    the node up after two failed windows, or wait for an unexpired cooldown."""
+    the node up after two failed windows, or wait for an unexpired cooldown.
+
+    A material issue with none of these and no gate pass scheduled is given
+    up too: its item reaches the agent only through the agent's own actions
+    or a window it opens, and neither can come. A `dependency_block` waits,
+    since the blocker node may still land."""
     if plan is not None:
         _enter_recovery(ep, rt, plan)
         return
@@ -659,6 +664,8 @@ def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
         _end_issue(ep, rt, "abandoned")
     elif entry.expires_at > ep.world.sim_time:
         rt.gate_at = entry.expires_at
+    elif rt.gate_at is None and blockage.issue in MATERIAL_SHAPED_ISSUES:
+        _end_issue(ep, rt, "abandoned")
 
 
 def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict:
@@ -932,7 +939,9 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       agent whose skip work runs out, or whose gate pass the cooldown
       skips, goes through `_route_local`. That abandons the node (traced),
       schedules a retry (a `gate_at`, so the round does not qualify), or
-      leaves the agent stalled with nothing pending. Each idles again.
+      leaves the agent stalled on a `dependency_block`, waiting for its
+      blocker node to land, which only a traced `place` does. Each idles
+      again.
     """
     return (
         all(e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"

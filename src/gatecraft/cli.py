@@ -325,9 +325,11 @@ def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir:
 
     Only the default/mock backend fans out across processes: a scripted
     backend is a single consumable reply stream, and remote replies should be
-    recorded in a stable call order."""
+    recorded in a stable call order. The tasks are built as they are taken,
+    so a run in this process holds one spec of a loaded dataset at a time;
+    a pool's `map` takes them all up front."""
     backend = make_backend(backend_name)
-    tasks = [(spec, config, backend, traces_dir) for spec in episodes]
+    tasks = ((spec, config, backend, traces_dir) for spec in episodes)
     if backend is None and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections.abc import Sequence
 from itertools import repeat
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -316,7 +317,7 @@ def run_configs(
 
 
 def run_config_suite(
-    episodes: list[EpisodeSpec], configs: list[RunConfig], jobs: int = 1,
+    episodes: Sequence[EpisodeSpec], configs: list[RunConfig], jobs: int = 1,
     backend: str | None = None,
 ) -> tuple[list[list[EpisodeMetrics]], list[bool]]:
     """`run_configs` over every episode, one task per episode, spread over
@@ -326,7 +327,11 @@ def run_config_suite(
     `backend` names a scripted or remote backend (see `make_backend`), or
     is None for the mock. Such a backend may reply by the order of its
     calls, so each config gets its own instance for the whole suite, no run
-    is re-gated, and the episodes run one by one in this process."""
+    is re-gated, and the episodes run one by one in this process.
+
+    In this process the episodes are taken one at a time, so a loaded
+    `Dataset` has one spec decoded at a time; a pool's `map` takes them all
+    up front."""
     args = (episodes, repeat(configs))
     if backend is not None:
         backends = [make_backend(backend) for _ in configs]
@@ -402,7 +407,7 @@ def _cell_raw_scores(weights, thresholds, metrics: list[EpisodeMetrics]) -> dict
 
 
 def calibrate(
-    episodes: list[EpisodeSpec],
+    episodes: Sequence[EpisodeSpec],
     config: CalibrationConfig,
     jobs: int = 1,
 ) -> tuple[dict, list[dict], int]:
@@ -446,7 +451,7 @@ def calibrate(
 
 
 def split_templates(
-    episodes: list[EpisodeSpec], calib_fraction: float, seed: int = 0
+    episodes: Sequence[EpisodeSpec], calib_fraction: float, seed: int = 0
 ) -> dict[str, list[int]]:
     """Template-level calib/test split, stratified by (class, agent count).
     All seeds of one template land on the same side."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 
 from .agent import EpisodeRuntime, RunConfig, read_jsonl, step
@@ -539,13 +540,51 @@ def save_dataset(manifest: dict, episodes: list[EpisodeSpec], out_dir: str | Pat
     return out
 
 
-def load_dataset(path: str | Path) -> list[EpisodeSpec]:
-    """Read a saved dataset's episodes; `manifest.json` is not read. A line
-    that is not valid JSON or lacks a field raises ValueError naming the file
-    and the line."""
+class Dataset(Sequence):
+    """A loaded dataset, held as the validated JSON line of each episode.
+    Every access (indexing, iteration) decodes a fresh `EpisodeSpec` from
+    its line, so a run holds only the spec it is running, and mutating one
+    leaves the dataset as it was. A slice is a `Dataset` of its lines."""
+
+    __slots__ = ("_lines",)
+
+    def __init__(self, lines: tuple[str, ...]):
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Dataset(self._lines[index])
+        return _decode(self._lines[index])
+
+    def __iter__(self):
+        return map(_decode, self._lines)
+
+
+def _decode(line: str) -> EpisodeSpec:
+    return EpisodeSpec.from_dict(json.loads(line))
+
+
+def _check(value: dict) -> None:
+    """Decode a spec from a checked line's value and keep nothing."""
+    EpisodeSpec.from_dict(value)
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Read a saved dataset's episodes; `manifest.json` is not read. Every
+    line is checked before this returns: a line that is not valid JSON or
+    lacks a field raises ValueError naming the file and the line.
+
+    `read_jsonl`'s values are those of the non-blank lines of `splitlines`,
+    in order, so those lines are the checked ones, and `json.loads` of each
+    gives back the value that was checked."""
     root = Path(path)
     episodes_file = root if root.is_file() else root / "episodes.jsonl"
     try:
-        return read_jsonl(episodes_file.read_text(), EpisodeSpec.from_dict)
+        text = episodes_file.read_text()
+        read_jsonl(text, _check)
     except ValueError as exc:
         raise ValueError(f"{episodes_file} {exc}") from exc
+    return Dataset(tuple(line for line in text.splitlines() if line.strip()))

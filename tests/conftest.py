@@ -100,6 +100,20 @@ def dependency_block_spec():
     )
 
 
+def stay_local_dead_end_spec():
+    """a0's node 1 needs the iron ingot that only a1 holds, and a0 has no
+    local route to it. The gate keeps the issue local (its score is below
+    `t_low` with the partition on or off), and a0's skip work, node 2, runs
+    out at once: no plan, no skip work, no window and no retry is left."""
+    return hand_built_spec(
+        agents={"a0": [0, 0, 0], "a1": [20, 0, 0]},
+        blocks=[[1, "iron_ingot", [1, 0, 1]], [2, "cobblestone", [2, 0, 1]],
+                [3, "cobblestone", [20, 0, 1]]],
+        assigned={"a0": [1, 2], "a1": [3]}, partition={}, script={},
+        inventories={"a0": {"cobblestone": 1}, "a1": {"iron_ingot": 1, "cobblestone": 1}},
+    )
+
+
 def attribute_reads(path: Path, names) -> set[tuple[str, str, str]]:
     """`(module, scope, name)` for each load of an attribute called one of
     `names` in the module at `path`. The scope is the dotted path of the

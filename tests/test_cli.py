@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process through main()."""
 
 import csv
+import gc
 import json
 import re
 
@@ -8,7 +9,7 @@ import pytest
 
 from gatecraft import Trace, cli
 from gatecraft.cli import main
-from gatecraft.scenarios import save_dataset
+from gatecraft.scenarios import EpisodeSpec, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -581,6 +582,34 @@ def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
         episodes.write_text("\n".join([lines[0], bad_line, lines[1]]) + "\n")
         assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
         assert f"error: {episodes} {message}" in capsys.readouterr().err
+    # every line is checked before the first episode runs
+    episodes.write_text("\n".join([lines[0], lines[1], json.dumps(spec)]) + "\n")
+    assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {episodes} line 3: missing field 'template_id'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/traces/*.jsonl"))
+
+
+def test_run_holds_one_decoded_spec_at_a_time(tmp_path, dataset, monkeypatch):
+    """`run --jobs 1` decodes each spec of the loaded dataset as it runs
+    it, so when an episode starts its spec is the only one alive.
+    `EpisodeSpec` has `__slots__` and no `__weakref__`, so the live specs
+    are counted through the garbage collector."""
+    manifest, episodes = dataset
+    renamed = [EpisodeSpec.from_dict({**e.to_dict(), "episode_id": f"live{i}"})
+               for i, e in enumerate(episodes[::10])]
+    save_dataset(manifest, renamed, tmp_path / "ds")
+    del renamed
+    real, live = cli.run_episode, []
+
+    def counted(spec, *args):
+        live.append(sum(isinstance(o, EpisodeSpec) and o.episode_id.startswith("live")
+                        for o in gc.get_objects()))
+        return real(spec, *args)
+
+    monkeypatch.setattr(cli, "run_episode", counted)
+    args = ["run", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "o"), "--jobs", "1"]
+    assert main(args) == 0
+    assert live == [1] * 20
 
 
 def test_malformed_grid_file_names_the_file(tmp_path, small_dataset, capsys):

@@ -36,13 +36,15 @@ import dataclasses
 import random
 from collections import Counter
 
+import pytest
+
 from gatecraft import agent
 from gatecraft.agent import RunConfig, Trace, run_episode, simulate_episode
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.harness import compute_metrics
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
 
-from conftest import run_checking_views
+from conftest import run_checking_views, stay_local_dead_end_spec
 
 REQUESTER_SENDS = ("REQUEST_MATERIAL", "CONFIRM_TRANSFER")
 
@@ -209,6 +211,24 @@ def test_episode_invariants_sampled(monkeypatch):
             full = run_episode(spec, config).events
         check_episode_invariants(full)
         check_exit_equivalence(early, full, spec, config)
+
+
+@pytest.mark.parametrize("partition_on", [True, False])
+def test_a_material_issue_kept_local_with_nothing_pending_is_given_up(partition_on):
+    """The gate keeps a0's missing iron ingot local, with no local plan,
+    and a0's skip work runs out with no window and no retry scheduled.
+    Nothing can bring the ingot any more, so a0 gives node 1 up and the
+    quiescent episode leaves no issue open."""
+    spec = stay_local_dead_end_spec()
+    events = run_episode(spec, RunConfig(partition_on=partition_on)).events
+    gate = [e["payload"] for e in events if e["kind"] == "gate_decision"]
+    assert [(g["verdict"], g["tier"], g["fv"]["L"]) for g in gate] == [("stay_local", "score", 0)]
+    assert gate[0]["score_norm"] < RunConfig().thresholds.t_low
+    issues = [(e["agent"], e["payload"]["event"], e["payload"]["node_id"])
+              for e in events if e["kind"] == "issue"]
+    assert issues == [("a0", "detected", 1), ("a0", "abandoned", 1)]
+    assert events[-1]["payload"]["reason"] == "quiescent"
+    assert not check_episode_invariants(events)
 
 
 def test_default_runs_keep_the_episode_invariants(default_runs):

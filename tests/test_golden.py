@@ -7,6 +7,10 @@ episode, so they never go through `agent.regate`. A change that alters any
 trace byte or metric fails here, naming the variant and the episodes that
 moved.
 
+`gatecraft run` on the saved dataset must write the `full` variant's
+trace and `metrics.csv` digests: saving, loading, decoding one spec per
+episode and writing change no byte.
+
 `tests/golden/calibrate.json` holds the sha256 of `theta.json` and
 `objective_table.json` that `gatecraft calibrate --grid small|default`
 writes for the same dataset.
@@ -72,6 +76,25 @@ def test_traces_and_metrics_match_golden_digests(dataset):
         if want["metrics_csv"] != got["metrics_csv"]:
             problems.append(f"{name}: metrics.csv moved")
     assert not problems, "\n".join(problems)
+
+
+def test_run_command_writes_the_golden_full_outputs(dataset, tmp_path):
+    manifest, episodes = dataset
+    save_dataset(manifest, episodes, tmp_path / "dataset")
+    out = tmp_path / "run"
+    with redirect_stdout(StringIO()):
+        rc = main(["run", "--dataset", str(tmp_path / "dataset"), "--out", str(out)])
+    assert rc == 0, f"run exited {rc}"
+    want = json.loads(DIGESTS.read_text())["full"]
+
+    def sha256(path: Path) -> str:  # of the bytes: metrics.csv ends its lines in \r\n
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    got = {path.stem: sha256(path) for path in (out / "traces").glob("*.jsonl")}
+    moved = sorted(eid for eid in want["traces"].keys() | got.keys()
+                   if want["traces"].get(eid) != got.get(eid))
+    assert not moved, f"run: {len(moved)} traces moved: {', '.join(moved)}"
+    assert sha256(out / "metrics.csv") == want["metrics_csv"], "run: metrics.csv moved"
 
 
 def compute_calibrate_digests(dataset, work: Path) -> dict:

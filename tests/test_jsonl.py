@@ -5,6 +5,8 @@ writer behind `Trace.to_jsonl`.
 other text to `read_jsonl_by_line`, the per-line parser. The fuzz below
 mutates the seed-0 traces into shapes on both sides of that line and checks
 that the two readers always agree: the same values, or the same ValueError.
+It mutates saved seed-0 datasets the same way and checks that the specs
+`load_dataset` decodes from the lines it kept are the per-line parser's.
 
 `Trace.to_jsonl` writes the envelope of an event in `emit`'s shape itself
 and sends any other event to the general encoder. Its fuzz builds events on
@@ -19,6 +21,7 @@ import pytest
 
 from gatecraft import agent
 from gatecraft.agent import Trace, _read_jsonl_whole, read_jsonl, read_jsonl_by_line
+from gatecraft.scenarios import EpisodeSpec, load_dataset, save_dataset
 
 # the line breaks `str.splitlines` honours besides "\n"
 OTHER_BREAKS = ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
@@ -110,6 +113,46 @@ def test_reader_matches_the_per_line_parser_on_mutated_traces(trace_texts):
             assert Trace.from_jsonl(text).events == expected
         fallbacks += _read_jsonl_whole(text) is None
     assert 100 < fallbacks < 500  # both paths were exercised
+
+
+@pytest.fixture(scope="module")
+def dataset_texts(dataset, tmp_path_factory):
+    """Saved datasets of four seed-0 episodes each."""
+    manifest, episodes = dataset
+    root = tmp_path_factory.mktemp("datasets")
+    return [(save_dataset(manifest, episodes[i:i + 4], root / str(i)) / "episodes.jsonl").read_text()
+            for i in range(0, len(episodes), 25)]
+
+
+def test_load_dataset_matches_the_per_line_parser_on_mutated_datasets(dataset_texts, tmp_path):
+    """Blank and padded lines and non-ASCII strings take the per-line
+    path, the saved form the one-pass path; `\\r\\n` line ends are read
+    as `\\n` (universal newlines). On both paths, each spec `load_dataset`
+    decodes equals `EpisodeSpec.from_dict` of the per-line parser's value,
+    in order, each access decodes a fresh one, and a rejected text raises
+    the parser's error."""
+    rng = random.Random(13)
+    path = tmp_path / "episodes.jsonl"
+    fallbacks = loaded = 0
+    for case in range(300):
+        text = _mutate(rng, rng.choice(dataset_texts))
+        path.write_text(text)
+        expected = _read_or_error(read_jsonl_by_line, text, EpisodeSpec.from_dict)
+        try:
+            specs = load_dataset(path)
+        except ValueError as exc:
+            assert expected == ("error", str(exc).removeprefix(f"{path} ")), case
+            continue
+        want = [s.to_dict() for s in expected]
+        assert [s.to_dict() for s in specs] == want, (case, text[:200])
+        assert [specs[i].to_dict() for i in range(len(specs))] == want
+        assert [s.to_dict() for s in specs[1:3]] == want[1:3]
+        if specs:  # each access decodes a fresh spec
+            specs[0].agents.clear()
+            assert specs[0].to_dict() == want[0]
+        loaded += 1
+        fallbacks += _read_jsonl_whole(path.read_text()) is None  # the path load_dataset took
+    assert 20 < fallbacks < loaded - 20  # both paths gave datasets
 
 
 @pytest.mark.parametrize("text, values", [
