@@ -483,13 +483,12 @@ def _choose_escalation_target(ep: EpisodeRuntime, rt: AgentRuntime, blockage: Bl
 
 def _nearest_holder(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
                     team: TeamPublicView) -> str:
-    """The nearest teammate that is the item's designated holder or has
-    advertised enough of it in `team`, else the nearest teammate."""
+    """The nearest teammate believed to hold the item in `team`
+    (`TeamPublicView.believed_holder`), else the nearest teammate."""
     me = ep.world.agents[rt.agent_id]
     others = [a for a in sorted(ep.world.agents) if a != rt.agent_id]
     item, need = blockage.item, max(1, blockage.count)
-    holders = [aid for aid in others
-               if ep.plan_info.partition.get(item) == aid or team.surplus(aid, item) >= need]
+    holders = [aid for aid in others if team.believed_holder(aid, item, need, ep.plan_info.partition)]
     # min keeps the first of equals, so a tie goes to the smallest id
     return min(holders or others, key=lambda aid: dist_sq(me.position, ep.world.agents[aid].position))
 

@@ -29,6 +29,7 @@ from .harness import (
     aggregate,
     calibrate,
     compute_metrics,
+    csv_text,
     make_backend,
     metrics_to_csv,
     run_config_suite,
@@ -358,14 +359,6 @@ def _format_table(rows: list[dict], columns: list[str]) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    """One header line, then one line per row; a missing or None value is empty."""
-    lines = [",".join(columns)]
-    for r in rows:
-        lines.append(",".join("" if r.get(c) is None else str(r[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def cmd_gen(ns) -> int:
     out = _out_dir(ns)
     manifest, episodes = generate_dataset(ns.seed)
@@ -415,7 +408,7 @@ def cmd_ablate(ns) -> int:
     for (name, _), metrics in zip(ABLATION_VARIANTS, per_variant):
         agg = aggregate(metrics)
         rows.append({"variant": name, **{c: agg[c] for c in columns[1:]}})
-    _write_csv(out / "ablation.csv", rows, columns)
+    (out / "ablation.csv").write_text(csv_text(columns, rows))
     print(_format_table(rows, columns))
     _print_runs(len(flags), len(configs) * len(episodes), sum(flags))
     print(f"wrote {out / 'ablation.csv'}")
@@ -521,7 +514,7 @@ def cmd_report(ns) -> int:
     print(f"{len(metrics)} episodes from {traces_dir}")
     print(_format_table(rows, columns))
 
-    _write_csv(out / "summary.csv", rows, columns)
+    (out / "summary.csv").write_text(csv_text(columns, rows))
     print(f"wrote {out / 'summary.csv'}")
 
     ablation = out / "ablation.csv"

@@ -145,7 +145,7 @@ def _teammates_with_exact(team: TeamPublicView, view: WorldView, item: str, need
     """(dist_sq, agent) pairs for visible teammates believed to hold the exact item."""
     out = []
     for aid, pos in sorted(view.teammates.items()):
-        if team.surplus(aid, item) >= need or view.plan.partition.get(item) == aid:
+        if team.believed_holder(aid, item, need, view.plan.partition):
             out.append((dist_sq(view.position, pos), aid))
     out.sort()
     return out
@@ -159,7 +159,7 @@ def _teammates_with_raw(team: TeamPublicView, view: WorldView, recipes: RecipeBo
             raw_items.add(inp)
     for aid, pos in sorted(view.teammates.items()):
         for raw in sorted(raw_items):
-            if team.surplus(aid, raw) >= 1 or view.plan.partition.get(raw) == aid:
+            if team.believed_holder(aid, raw, 1, view.plan.partition):
                 out.append((dist_sq(view.position, pos), aid))
                 break
     out.sort()

@@ -246,30 +246,25 @@ def aggregate(metrics: list[EpisodeMetrics]) -> dict:
     return out
 
 
+def csv_text(columns: list[str], rows: list[dict]) -> str:
+    """A header line of `columns`, then one line per row dict; every line
+    ends in `\n`. A missing or None value is empty, a key outside `columns`
+    is left out, and a value holding a comma, quote or newline is quoted."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def metrics_to_csv(metrics: list[EpisodeMetrics]) -> str:
     """One row per episode, then ALL + per-class aggregate rows."""
-    columns = list(EpisodeMetrics.__slots__)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns)
-    writer.writeheader()
-    for m in metrics:
-        writer.writerow({k: ("" if v is None else v) for k, v in m.to_dict().items()})
     agg = aggregate(metrics)
     per_class = agg.pop("per_class")
-
-    def agg_row(label: str, row: dict) -> dict:
-        out = {k: "" for k in columns}
-        out["episode_id"] = label
-        out["class_label"] = ""
-        for k, v in row.items():
-            if k in columns and v is not None:
-                out[k] = v
-        return out
-
-    writer.writerow(agg_row("ALL", agg))
-    for c, row in per_class.items():
-        writer.writerow(agg_row(f"CLASS_{c}", row))
-    return buf.getvalue()
+    rows = [m.to_dict() for m in metrics]
+    rows.append({**agg, "episode_id": "ALL"})
+    rows += [{**row, "episode_id": f"CLASS_{c}"} for c, row in per_class.items()]
+    return csv_text(list(EpisodeMetrics.__slots__), rows)
 
 
 def run_configs(

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .world import FAR_THRESHOLD, Inventory, TaskGraph, VerifiedOutcome, WorldView, nearest_supply
+from .solver import plan_local_recovery
+from .world import Inventory, RecipeBook, TaskGraph, VerifiedOutcome, WorldView
 
 
 class IssueType(str, Enum):
@@ -67,26 +68,11 @@ def update_private_state(state: PrivateState, outcome: VerifiedOutcome) -> Priva
     return state
 
 
-def _local_route_exists(view: WorldView, state: PrivateState, item: str, recipes) -> bool:
-    """True if the agent could plausibly obtain `item` without a teammate:
-    a visible source/chest within FAR_THRESHOLD, or a recipe whose every input
-    is either held or collectable from a nearby source/chest."""
-    if _any_source_for(view, item):
-        return True
-    for recipe in recipes.producing(item):
-        if all(
-            state.inventory.count(i) >= n or _any_source_for(view, i)
-            for i, n in recipe.inputs
-        ):
-            return True
-    return False
-
-
 def detect_issue(
     state: PrivateState,
     view: WorldView,
     graph: TaskGraph,
-    recipes,
+    recipes: RecipeBook,
     ignore: set[int] | frozenset[int] = frozenset(),
 ) -> BlockageRecord | None:
     """Classify the agent's current blockage, if any.
@@ -95,6 +81,11 @@ def detect_issue(
     dependency_block > transfer_needed > missing_material. Returns None when
     execution can proceed normally.
     Nodes in `ignore` (e.g. formally abandoned ones) never trigger detection.
+
+    An unheld target material is `transfer_needed` when no local plan reaches
+    it and the plan partitions it to a teammate, else `missing_material`.
+    "No local plan" is `plan_local_recovery` finding none: the planner whose
+    plan the gate's L feature and the local route read.
     """
     materials = view.plan.materials
     placed = view.placed_nodes
@@ -125,21 +116,13 @@ def detect_issue(
         return None
 
     material = materials[target]
-    if state.inventory.count(material) < 1:
-        # transfer_needed: the item exists only in a teammate-designated partition.
-        owner = view.plan.partition.get(material)
-        if owner is not None and owner != view.agent_id:
-            if not _local_route_exists(view, state, material, recipes):
-                return BlockageRecord(
-                    issue=IssueType.TRANSFER_NEEDED, node_id=target,
-                    item=material, count=1, detected_at=view.sim_time,
-                )
-        return BlockageRecord(
-            issue=IssueType.MISSING_MATERIAL, node_id=target,
-            item=material, count=1, detected_at=view.sim_time,
-        )
-    return None
-
-
-def _any_source_for(view: WorldView, item: str) -> bool:
-    return nearest_supply(view, view.position, item, FAR_THRESHOLD)[0] is not None
+    if state.inventory.count(material) >= 1:
+        return None
+    blockage = BlockageRecord(
+        issue=IssueType.MISSING_MATERIAL, node_id=target,
+        item=material, count=1, detected_at=view.sim_time,
+    )
+    owner = view.plan.partition.get(material)
+    if owner not in (None, view.agent_id) and plan_local_recovery(state, view, recipes, blockage) is None:
+        blockage.issue = IssueType.TRANSFER_NEEDED
+    return blockage

@@ -204,5 +204,7 @@ class TeamPublicView:
         # agent -> item -> count
         self.advertised_surplus = {} if advertised_surplus is None else advertised_surplus
 
-    def surplus(self, agent: str, item: str) -> int:
-        return self.advertised_surplus.get(agent, {}).get(item, 0)
+    def believed_holder(self, agent: str, item: str, need: int, partition: dict[str, str]) -> bool:
+        """Whether `agent` is believed to hold `need` of `item`: it advertised
+        that much, or `partition` (the plan's) designates it the item's holder."""
+        return self.advertised_surplus.get(agent, {}).get(item, 0) >= need or partition.get(item) == agent

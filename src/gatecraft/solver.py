@@ -8,8 +8,8 @@ deterministic estimates from distance/speed arithmetic plus per-step constants.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .memory import BlockageRecord, IssueType, PrivateState
 from .protocol import WindowState
 from .world import (
     FAR_THRESHOLD,
@@ -23,6 +23,9 @@ from .world import (
     nearest_supply,
     travel_steps,
 )
+
+if TYPE_CHECKING:  # memory's records, for annotations only: memory imports this module
+    from .memory import BlockageRecord, PrivateState
 
 # The physics a plan's costs rest on, as recorded in a trace's solver context.
 PLANNER_PARAMS = {"interaction_radius": INTERACTION_RADIUS, "speed": SPEED, "far_threshold": FAR_THRESHOLD}
@@ -208,18 +211,19 @@ class CooldownTable:
         self.duration = duration
         self.entries: dict[tuple[str, str], CooldownEntry] = {}
 
-    def _key(self, agent: str, issue: IssueType | str) -> tuple[str, str]:
-        return (agent, issue.value if isinstance(issue, IssueType) else str(issue))
+    def _key(self, agent: str, issue: str) -> tuple[str, str]:
+        # an IssueType is a str whose plain text is its value
+        return (agent, str.__str__(issue))
 
-    def entry(self, agent: str, issue: IssueType | str) -> CooldownEntry:
+    def entry(self, agent: str, issue: str) -> CooldownEntry:
         return self.entries.setdefault(self._key(agent, issue), CooldownEntry())
 
-    def level(self, agent: str, issue: IssueType | str, now: int) -> int:
+    def level(self, agent: str, issue: str, now: int) -> int:
         key = self._key(agent, issue)
         e = self.entries.get(key)
         return e.effective_level(now) if e else 0
 
-    def blocked(self, agent: str, issue: IssueType | str, now: int) -> bool:
+    def blocked(self, agent: str, issue: str, now: int) -> bool:
         """True when window opening is suppressed: an unexpired level>=2 cooldown,
         or a persistent zero-yield streak of 2+ failures."""
         key = self._key(agent, issue)
@@ -230,7 +234,7 @@ class CooldownTable:
             return True
         return now < e.expires_at and e.level >= 2
 
-    def register_failure(self, agent: str, issue: IssueType | str, state: WindowState, now: int) -> CooldownEntry:
+    def register_failure(self, agent: str, issue: str, state: WindowState, now: int) -> CooldownEntry:
         """Record a window that closed without yield, in `state`. Timeout bumps
         to at least level 1 (level 2 on the second consecutive miss); an
         explicit CANNOT_SUPPLY jumps straight to level 3."""
@@ -248,7 +252,7 @@ class CooldownTable:
         e.expires_at = now + self.duration
         return e
 
-    def register_success(self, agent: str, issue: IssueType | str) -> CooldownEntry:
+    def register_success(self, agent: str, issue: str) -> CooldownEntry:
         """A fulfilled window resets the pair to a clean slate."""
         e = self.entry(agent, issue)
         e.level = 0

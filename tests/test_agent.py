@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from gatecraft import RunConfig, Trace, agent, gate, run_episode
+from gatecraft import RunConfig, Trace, agent, gate, memory, run_episode
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.gate import GateThresholds, GateWeights, ScriptedAdjudicator
 from gatecraft.world import VerifiedOutcome
@@ -289,9 +289,9 @@ def test_a_dependency_block_resolves_when_the_teammate_places_the_blocker():
 def test_each_gate_pass_probes_the_planner_once(dataset, monkeypatch):
     """A material issue's plan probe is the one its features read, whether
     it found a plan or not; any other issue's features probe once. Every
-    call is counted, through both names the planner is looked up by."""
+    call is counted, through each name the planner is looked up by."""
     calls = []
-    for module in (agent, gate):
+    for module in (agent, gate, memory):
         def counted(*args, _real=module.plan_local_recovery, **kwargs):
             calls.append(1)
             return _real(*args, **kwargs)

@@ -410,6 +410,9 @@ def test_report_tables_and_sensitivity(tmp_path, small_dataset, capsys):
     summary = (out / "summary.csv").read_text().strip().splitlines()
     assert summary[0].startswith("scope,n,tsr")
     assert len(summary) == 1 + 1 + 4
+    for name in ("metrics.csv", "summary.csv"):  # one writer: every line ends in \n
+        data = (out / name).read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), name
 
     (out / "ablation.csv").write_text("variant,tsr\nfull,1.0\n")
     assert main(["report", "--out", str(out)]) == 0
@@ -675,7 +678,9 @@ def test_ablate_runs_all_variants(tmp_path, small_dataset, capsys):
     rc = main(["ablate", "--dataset", str(small_dataset), "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
-    lines = (out / "ablation.csv").read_text().strip().splitlines()
+    data = (out / "ablation.csv").read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    lines = data.decode().strip().splitlines()
     header = lines[0].split(",")
     assert header[:4] == ["variant", "tsr", "cs", "ecr"]
     rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}

@@ -29,7 +29,8 @@ idle tail: the same events up to `episode_end`, nothing after them but idle
 
 The default runs are checked the same way, without the second run. The
 same cases, and the default runs, are run once more with spies on
-`agent.observe` and `agent.step` (`conftest.run_checking_views`).
+`agent.observe` and `agent.step` (`conftest.run_checking_views`), and so is
+one hand-built spec in which a teammate comes into sight and goes out of it.
 """
 
 import dataclasses
@@ -44,7 +45,7 @@ from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.harness import compute_metrics
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
 
-from conftest import run_checking_views, stay_local_dead_end_spec
+from conftest import hand_built_spec, run_checking_views, stay_local_dead_end_spec
 
 REQUESTER_SENDS = ("REQUEST_MATERIAL", "CONFIRM_TRANSFER")
 
@@ -245,6 +246,19 @@ def test_items_are_conserved_in_the_default_runs(default_runs):
     assert {"collect", "transfer", "place", "craft", "smelt"} <= kinds
 
 
+def sight_crossing_spec():
+    """a1 walks from beyond OBSERVE_RADIUS of a0 to its node 2 next to a0,
+    then back out to its node 3, so a0's views see a teammate come into
+    sight and go out of it. a0 places its one node and idles."""
+    return hand_built_spec(
+        agents={"a0": [0, 0, 0], "a1": [80, 0, 0]},
+        blocks=[[1, "cobblestone", [1, 0, 1]], [2, "cobblestone", [5, 0, 1]],
+                [3, "cobblestone", [80, 0, 1]]],
+        assigned={"a0": [1], "a1": [2, 3]}, partition={}, script={}, edges=[[2, 3]],
+        inventories={"a0": {"cobblestone": 1}, "a1": {"cobblestone": 2}},
+    )
+
+
 def test_cached_views_equal_fresh_observation(default_runs, monkeypatch):
     rng = random.Random(401)  # the sampled cases of test_episode_invariants_sampled
     cases = [_sample_run(rng) for _ in range(40)]
@@ -254,3 +268,8 @@ def test_cached_views_equal_fresh_observation(default_runs, monkeypatch):
         run_checking_views(spec, config, monkeypatch)
         partition_off += not config.partition_on
     assert partition_off
+    # the generated cases never move an agent into or out of another's sight
+    _, served = run_checking_views(sight_crossing_spec(), RunConfig(), monkeypatch)
+    sees_a1 = [("a1" in view.teammates) for view in served if view.agent_id == "a0"]
+    changes = [now for was, now in zip(sees_a1, sees_a1[1:]) if was != now]
+    assert not sees_a1[0] and changes == [True, False]

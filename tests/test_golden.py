@@ -87,7 +87,7 @@ def test_run_command_writes_the_golden_full_outputs(dataset, tmp_path):
     assert rc == 0, f"run exited {rc}"
     want = json.loads(DIGESTS.read_text())["full"]
 
-    def sha256(path: Path) -> str:  # of the bytes: metrics.csv ends its lines in \r\n
+    def sha256(path: Path) -> str:  # of the bytes, as `run` wrote them
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
     got = {path.stem: sha256(path) for path in (out / "traces").glob("*.jsonl")}

@@ -1,6 +1,8 @@
 """Metric counting, aggregation, template splits and calibration."""
 
+import csv
 import dataclasses
+import io
 
 import pytest
 
@@ -262,6 +264,16 @@ def test_metrics_csv_layout():
     assert lines[0].startswith("episode_id,class_label,tsr,cs,msg")
     ids = [ln.split(",")[0] for ln in lines[1:]]
     assert ids == ["ep", "ALL", "CLASS_B"]
+
+
+def test_metrics_csv_quotes_a_comma_and_ends_lines_in_newline():
+    m = compute_metrics(_trace([_end()]))
+    m.episode_id = "ep,1"
+    text = metrics_to_csv([m])
+    assert "\r" not in text and text.endswith("\n")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [r["episode_id"] for r in rows] == ["ep,1", "ALL", "CLASS_B"]
+    assert rows[0]["lrr"] == "" and float(rows[1]["tsr"]) == 1.0
 
 
 def test_split_templates_keeps_seeds_together(dataset):

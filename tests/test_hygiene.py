@@ -2,9 +2,11 @@
 module-level name in `src/gatecraft` is used in `src/` or exported, every
 `RunConfig` field is read by the program and echoed into the trace,
 importing the command line loads no network or process-pool module and
-builds no dataclass but `RunConfig`, every issue type is detected by a
-run, and the benchmark's per-layer wrappers still find what they wrap and
-count views and digests once per step.
+builds no dataclass but `RunConfig`, no `src/gatecraft` module imports a
+gatecraft module inside a function and their module-level imports form no
+cycle, every issue type is detected by a run, and the benchmark's
+per-layer wrappers still find what they wrap and count views and digests
+once per step.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -18,6 +20,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from gatecraft import IssueType, RunConfig, Trace
@@ -125,6 +128,62 @@ def test_run_config_is_the_only_dataclass():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "['gatecraft.agent.RunConfig']"
+
+
+def gatecraft_imports(path: Path) -> list[tuple[int, str, bool]]:
+    """`(line, module, in_function)` for each import of a gatecraft module in
+    the `src/gatecraft` module at `path`, the module by its dotted name. An
+    import under `if TYPE_CHECKING:` is left out: it never runs."""
+    found = []
+
+    def imported(node) -> list[str]:
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names if a.name.split(".")[0] == "gatecraft"]
+        if node.level == 0:
+            return [node.module] if node.module.split(".")[0] == "gatecraft" else []
+        # relative: the package has no subpackages, so `.` is gatecraft
+        if node.module:
+            return [f"gatecraft.{node.module}"]
+        return [f"gatecraft.{a.name}" for a in node.names]
+
+    def visit(nodes, in_function: bool) -> None:
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.extend((node.lineno, module, in_function) for module in imported(node))
+            elif isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING",
+                                                                          "typing.TYPE_CHECKING"):
+                visit(node.orelse, in_function)
+            else:
+                inner = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                visit(ast.iter_child_nodes(node), in_function or inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body, False)
+    return found
+
+
+def _package_modules() -> dict[str, Path]:
+    package = ROOT / "src" / "gatecraft"
+    return {("gatecraft" if f.name == "__init__.py" else f"gatecraft.{f.stem}"): f
+            for f in sorted(package.glob("*.py"))}
+
+
+def test_no_gatecraft_import_inside_a_function():
+    """A function-level import hides a dependency, and the import cycle it
+    may stand in for, from the module's header."""
+    problems = [f"{f.relative_to(ROOT)}:{line}: {module}"
+                for f in _package_modules().values()
+                for line, module, in_function in gatecraft_imports(f) if in_function]
+    assert not problems, "gatecraft imports inside functions:\n" + "\n".join(problems)
+
+
+def test_module_level_imports_form_no_cycle():
+    graph = {name: {module for _, module, in_function in gatecraft_imports(f) if not in_function}
+             for name, f in _package_modules().items()}
+    assert any(graph.values())
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
 
 
 def test_every_issue_type_is_raised_by_a_run(default_runs):

@@ -5,10 +5,12 @@ from gatecraft import (
     apply_action,
     detect_issue,
     observe,
+    plan_local_recovery,
     update_private_state,
 )
 from gatecraft.agent import EpisodeRuntime, RunConfig
 from gatecraft.memory import BlockageRecord
+from gatecraft.world import FAR_THRESHOLD, dist_sq
 
 from conftest import make_world, plan_for
 
@@ -85,6 +87,44 @@ def test_detect_transfer_needed_when_partition_owner_is_teammate():
     view = observe(world, "a0", plan=plan)
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None and issue.issue == IssueType.TRANSFER_NEEDED
+
+
+def test_held_inputs_without_a_station_need_a_transfer():
+    # a0 holds both smelting inputs, but no furnace exists: the planner finds
+    # no local route, so the ingot partitioned to a1 needs a transfer
+    world = make_world(
+        [(0, (0, 0, 1), "iron_ingot")],
+        agents={"a0": ((0, 0, 0), {"iron_ore": 1, "coal": 1}), "a1": ((12, 0, 0), {"iron_ingot": 1})},
+    )
+    plan = plan_for(world, assignments={0: "a0"}, partition={"iron_ingot": "a1"})
+    state = _init_state(world, "a0", plan)
+    view = observe(world, "a0", plan=plan)
+    issue = detect_issue(state, view, world.graph, world.recipes)
+    assert issue is not None and issue.issue == IssueType.TRANSFER_NEEDED
+    assert plan_local_recovery(state, view, world.recipes, issue) is None
+
+
+def test_a_detour_past_far_range_of_the_agent_is_a_local_route():
+    # the coal source is beyond FAR_THRESHOLD of a0 but within it of the ore
+    # source, where the detour collects first: the planner's route exists, so
+    # the partitioned ingot is a missing material, not a transfer
+    ore, coal = (30, 0, 0), (30, 0, 30)
+    assert dist_sq((0, 0, 0), coal) > FAR_THRESHOLD ** 2 >= dist_sq(ore, coal)
+    world = make_world(
+        [(0, (0, 0, 1), "iron_ingot")],
+        agents={"a0": ((0, 0, 0), {}), "a1": ((12, 0, 0), {"iron_ingot": 1})},
+        sources=[("iron_ore", ore, 2), ("coal", coal, 2)],
+        scaffold={(0, 0, 5): "furnace"},
+    )
+    plan = plan_for(world, assignments={0: "a0"}, partition={"iron_ingot": "a1"})
+    state = _init_state(world, "a0", plan)
+    view = observe(world, "a0", plan=plan)
+    issue = detect_issue(state, view, world.graph, world.recipes)
+    assert issue is not None and issue.issue == IssueType.MISSING_MATERIAL
+    route = plan_local_recovery(state, view, world.recipes, issue)
+    assert route is not None
+    assert [(s.op, s.item) for s in route.steps] == [("collect", "iron_ore"), ("collect", "coal"),
+                                                      ("smelt", None)]
 
 
 def test_partition_ownership_of_raw_input_does_not_force_transfer():
