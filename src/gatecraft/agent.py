@@ -36,6 +36,7 @@ from .memory import (
     IssueType,
     PrivateState,
     detect_issue,
+    next_node,
     update_private_state,
 )
 from .protocol import (
@@ -49,7 +50,6 @@ from .protocol import (
     respond_policy,
     settle_window,
     surplus_of,
-    validate_message,
 )
 from .solver import (
     PLANNER_PARAMS,
@@ -320,32 +320,18 @@ class GatePass:
         self.plan = plan  # the plan `extract_features` returned
 
 
-class IssueInstance:
-    """Lifecycle bookkeeping for one detected blockage (feeds the metrics)."""
-
-    __slots__ = ("blockage", "windows_opened", "recovery_activated")
-
-    def __init__(self, blockage: BlockageRecord, windows_opened: int = 0,
-                 recovery_activated: bool = False):
-        self.blockage = blockage
-        self.windows_opened = windows_opened
-        self.recovery_activated = recovery_activated
-
-
 class AgentRuntime:
-    __slots__ = ("agent_id", "state", "assigned", "legs", "skipping", "window", "skip_target",
-                 "abandoned", "gate_at", "current_instance", "script_cursor",
-                 "script_choice", "view_digest")
+    __slots__ = ("agent_id", "state", "legs", "skipping", "window", "skip_target",
+                 "abandoned", "gate_at", "script_cursor", "script_choice", "view_digest")
 
-    def __init__(self, agent_id: str, state: PrivateState, assigned: tuple[int, ...],
+    def __init__(self, agent_id: str, state: PrivateState,
                  legs: list[tuple[RecoveryStep, str, int]] | None = None, skipping: bool = False,
                  window: CoordinationWindow | None = None, skip_target: int | None = None,
                  abandoned: set[int] | None = None, gate_at: int | None = None,
-                 current_instance: IssueInstance | None = None, script_cursor: int = 0,
-                 script_choice: dict[int, str] | None = None, view_digest: str = ""):
+                 script_cursor: int = 0, script_choice: dict[int, str] | None = None,
+                 view_digest: str = ""):
         self.agent_id = agent_id
         self.state = state
-        self.assigned = assigned  # the agent's nodes, in the task graph's topological order
         # the recovery legs still to do: (step, item, count in hand that finishes it)
         self.legs = [] if legs is None else legs
         # with a blockage, no window and no legs: skip work (True) or wait (False)
@@ -356,7 +342,6 @@ class AgentRuntime:
         # the sim time from which the next step passes the gate, or None: a pass
         # due at once stores the time it was set, a retry the cooldown's expiry
         self.gate_at = gate_at
-        self.current_instance = current_instance
         self.script_cursor = script_cursor
         self.script_choice = {} if script_choice is None else script_choice
         self.view_digest = view_digest
@@ -399,12 +384,9 @@ class EpisodeRuntime:
         self.partition_dependent = False
         # fed every outcome right after `apply_action` (see `simulate_episode`)
         self.views = ViewCache()
-        topo = self.graph.topo_order
         for aid in sorted(self.world.agents):
             state = PrivateState(agent_id=aid, inventory=self.world.agents[aid].inventory.copy())
-            mine = set(spec.assigned.get(aid, []))
-            self.runtimes[aid] = AgentRuntime(agent_id=aid, state=state,
-                                              assigned=tuple(n for n in topo if n in mine))
+            self.runtimes[aid] = AgentRuntime(agent_id=aid, state=state)
 
     # -- views -------------------------------------------------------------
 
@@ -451,11 +433,11 @@ class EpisodeRuntime:
 
     def requirements_of(self, agent_id: str) -> dict[str, int]:
         """Materials the agent still needs for its own unplaced assigned nodes."""
-        rt = self.runtimes[agent_id]
+        abandoned = self.runtimes[agent_id].abandoned
         placed = self.world.placed_nodes()
         need: dict[str, int] = {}
-        for n in sorted(rt.assigned):
-            if n in placed or n in rt.abandoned:
+        for n in self.plan_info.nodes_of.get(agent_id, ()):
+            if n in placed or n in abandoned:
                 continue
             mat = self.plan_info.materials[n]
             need[mat] = need.get(mat, 0) + 1
@@ -487,8 +469,8 @@ def _nearest_holder(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageReco
     (`TeamPublicView.believed_holder`), else the nearest teammate."""
     me = ep.world.agents[rt.agent_id]
     others = [a for a in sorted(ep.world.agents) if a != rt.agent_id]
-    item, need = blockage.item, max(1, blockage.count)
-    holders = [aid for aid in others if team.believed_holder(aid, item, need, ep.plan_info.partition)]
+    holders = [aid for aid in others
+               if team.believed_holder(aid, blockage.item, blockage.count, ep.plan_info.partition)]
     # min keeps the first of equals, so a tie goes to the smallest id
     return min(holders or others, key=lambda aid: dist_sq(me.position, ep.world.agents[aid].position))
 
@@ -501,24 +483,11 @@ def _build_toward(ep: EpisodeRuntime, rt: AgentRuntime, node_id: int) -> Action:
     return Action.move(block.position)
 
 
-def _standard_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
-    """The first of the agent's nodes, in topological order, that is neither
-    placed nor abandoned and whose prerequisites are all placed."""
-    placed = ep.world.placed_nodes()
-    preds = ep.graph.preds
-    for n in rt.assigned:
-        if n in placed or n in rt.abandoned:
-            continue
-        if placed.issuperset(preds[n]):
-            return n
-    return None
-
-
 def _next_skip_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
     placed = ep.world.placed_nodes()
     blocked = rt.state.blockage.node_id if rt.state.blockage else None
     inv = ep.world.agents[rt.agent_id].inventory
-    allowed = {n for n in rt.assigned
+    allowed = {n for n in ep.plan_info.nodes_of.get(rt.agent_id, ())
                if n not in rt.abandoned and inv.count(ep.plan_info.materials[n]) >= 1}
     return local_skip(ep.graph, placed, blocked, allowed)
 
@@ -577,11 +546,9 @@ def _responder_duty(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
                     )
                     return Action.send_message(msg)
                 # any other entry means honest policy behaviour
-            request = window.last(MessageType.REQUEST_MATERIAL)
-            if request is None:
-                continue
             return Action.send_message(respond_policy(
-                me.inventory, ep.requirements_of(rt.agent_id), request, now))
+                me.inventory, ep.requirements_of(rt.agent_id),
+                window.last(MessageType.REQUEST_MATERIAL), now))
         if window.has(MessageType.OFFER_TRANSFER) and window.has(MessageType.CONFIRM_TRANSFER) \
                 and not window.transfer_done:
             requester_pos = ep.world.agents[window.requester].position
@@ -601,44 +568,32 @@ def _solver_context(ep: EpisodeRuntime, rt: AgentRuntime, view, blockage: Blocka
         "stations": [[list(p), m] for p, m in sorted(view.plan.station_positions.items())],
         "recipes": [ep.recipes.recipes[k].to_dict() for k in sorted(ep.recipes.recipes)],
         "item": blockage.item,
-        "count": max(1, blockage.count),
+        "count": blockage.count,
         "issue": blockage.issue.value,
         "node_id": blockage.node_id,
         "params": dict(PLANNER_PARAMS),
     }
 
 
-def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, event: str) -> None:
-    """Trace the end of the agent's open issue, `resolved` or `abandoned`
-    (which gives the node up), and clear what the issue held: the blockage,
-    the recovery legs, the skip work and the gate clock."""
-    inst = rt.current_instance
-    blockage = inst.blockage
+def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord, event: str) -> None:
+    """Trace the end of the agent's open issue `blockage`, `resolved` or
+    `abandoned` (which gives the node up), and clear what the issue held:
+    the blockage, if a verified outcome has not cleared it already, the
+    recovery legs, the skip work and the gate clock."""
     now = ep.world.sim_time
     payload = {"event": event, "issue": blockage.issue.value, "node_id": blockage.node_id,
-               "windows": inst.windows_opened, "recovery_activated": inst.recovery_activated}
+               "windows": blockage.windows_opened, "recovery_activated": blockage.recovery_activated}
     if event == "resolved":
-        payload["via"] = "coordination" if inst.windows_opened else "local"
+        payload["via"] = "coordination" if blockage.windows_opened else "local"
         payload["duration"] = now - blockage.detected_at
     else:
         rt.abandoned.add(blockage.node_id)
-        if rt.state.active_subtask == blockage.node_id:
-            rt.state.active_subtask = None
     ep.trace.emit(now, rt.agent_id, "issue", payload)
-    rt.current_instance = None
     rt.state.blockage = None
     rt.legs = []
     rt.skipping = False
     rt.skip_target = None
     rt.gate_at = None
-
-
-def _enter_recovery(ep: EpisodeRuntime, rt: AgentRuntime, plan: RecoveryPlan) -> None:
-    # a collect leg is done once its units are gathered, any other once the plan's goods are
-    inv = ep.world.agents[rt.agent_id].inventory
-    rt.legs = [(s, s.item, inv.count(s.item) + s.units) if s.op == "collect"
-               else (s, plan.item, max(1, plan.count)) for s in plan.steps]
-    rt.current_instance.recovery_activated = True
 
 
 def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
@@ -652,7 +607,11 @@ def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
     or a window it opens, and neither can come. A `dependency_block` waits,
     since the blocker node may still land."""
     if plan is not None:
-        _enter_recovery(ep, rt, plan)
+        # a collect leg is done once its units are gathered, any other once the plan's goods are
+        inv = ep.world.agents[rt.agent_id].inventory
+        rt.legs = [(s, s.item, inv.count(s.item) + s.units) if s.op == "collect"
+                   else (s, plan.item, plan.count) for s in plan.steps]
+        blockage.recovery_activated = True
         return
     rt.skip_target = None
     rt.skipping = _next_skip_target(ep, rt) is not None
@@ -660,11 +619,11 @@ def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
         return
     entry = ep.cooldowns.entry(rt.agent_id, blockage.issue)
     if entry.consecutive_failures >= 2:
-        _end_issue(ep, rt, "abandoned")
+        _end_issue(ep, rt, blockage, "abandoned")
     elif entry.expires_at > ep.world.sim_time:
         rt.gate_at = entry.expires_at
     elif rt.gate_at is None and blockage.issue in MATERIAL_SHAPED_ISSUES:
-        _end_issue(ep, rt, "abandoned")
+        _end_issue(ep, rt, blockage, "abandoned")
 
 
 def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict:
@@ -721,10 +680,10 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     if verdict == "escalate":
         target = _choose_escalation_target(ep, rt, blockage)
         window, request = ep.new_window(
-            blockage.issue.value, rt.agent_id, target, blockage.item, max(1, blockage.count))
+            blockage.issue.value, rt.agent_id, target, blockage.item, blockage.count)
         rt.window = window
-        rt.current_instance.windows_opened += 1
-        rt.current_instance.recovery_activated = True
+        blockage.windows_opened += 1
+        blockage.recovery_activated = True
         return Action.send_message(request)
 
     _route_local(ep, rt, blockage, plan)
@@ -735,22 +694,12 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
 
 def _advance_plan(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
     """Drop the finished legs and act on the next one. The last leg's goal is
-    the blockage's own need, so finishing it clears the blockage through the
-    outcome trigger, and `_end_issue` drops the legs in the same
-    `_post_action`: the legs never run dry here."""
+    the blockage's `count`, so finishing it clears the blockage through the
+    outcome trigger, and the same `_post_action` ends the record it held,
+    which drops the legs: the legs never run dry here."""
     while _plan_leg_done(ep, rt):
         del rt.legs[0]
     return _plan_step_action(ep, rt)
-
-
-def _work_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
-    """Build toward the active subtask, else the next ready assigned node."""
-    target = rt.state.active_subtask
-    if target is None or ep.world.node_placed(target) or target in rt.abandoned:
-        target = _standard_target(ep, rt)
-        if target is None:
-            return Action.idle()
-    return _build_toward(ep, rt, target)
 
 
 def _skip_work_or_idle(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
@@ -792,15 +741,12 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
 
     blockage = rt.state.blockage
     if blockage is None:  # no recovery legs or gate time either: they go with the issue
-        target = _standard_target(ep, rt)
-        if target is not None:
-            rt.state.active_subtask = target
+        rt.state.active_subtask = next_node(view, ep.graph, rt.abandoned)
         issue = detect_issue(rt.state, view, ep.graph, ep.recipes, ignore=rt.abandoned)
         if issue is not None:
             rt.state.blockage = issue
             blockage = issue
             rt.gate_at = now
-            rt.current_instance = IssueInstance(blockage=issue)
             ep.trace.emit(now, rt.agent_id, "issue", {
                 "event": "detected", "issue": issue.issue.value, "node_id": issue.node_id,
                 "item": issue.item, "count": issue.count,
@@ -813,7 +759,8 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
             return rt, _gate_and_route(ep, rt, view)
         return rt, _skip_work_or_idle(ep, rt) if rt.skipping else Action.idle()
 
-    return rt, _work_action(ep, rt)
+    target = rt.state.active_subtask
+    return rt, Action.idle() if target is None else _build_toward(ep, rt, target)
 
 
 def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None:
@@ -858,8 +805,6 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
     """Board/window/private-state effects after the world applied an action."""
     if action.kind == "send_message" and action.message is not None:
         msg = action.message
-        if not validate_message(msg.to_dict()):
-            raise ValueError(f"invalid protocol message emitted: {msg.to_dict()}")
         # every message belongs to its requester's one open window
         from_requester = msg.protocol in (MessageType.REQUEST_MATERIAL.value, MessageType.CONFIRM_TRANSFER.value)
         window = ep.runtimes[msg.sender if from_requester else msg.target].window
@@ -871,7 +816,8 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
             spare = surplus_of(ep.world.agents[msg.sender].inventory, ep.requirements_of(msg.sender), msg.item)
             ep.advertised.setdefault(msg.sender, {})[msg.item] = max(msg.count, spare)
 
-    # private-state trigger: own verified outcome
+    # private-state trigger: own verified outcome; it may clear the blockage
+    held = rt.state.blockage
     update_private_state(rt.state, outcome)
 
     if not outcome.ok and rt.legs:
@@ -882,9 +828,10 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
     # transfers also update the recipient's private state
     if outcome.ok and outcome.kind == "transfer" and action.to_agent:
         recipient = ep.runtimes[action.to_agent]
+        awaited = recipient.state.blockage
         update_private_state(recipient.state, outcome)
-        if recipient.state.blockage is None and recipient.current_instance is not None:
-            _end_issue(ep, recipient, "resolved")
+        if awaited is not None and recipient.state.blockage is None:
+            _end_issue(ep, recipient, awaited, "resolved")
         ep.advertised.get(rt.agent_id, {}).pop(action.item, None)
         window = recipient.window
         if (window is not None and window.responder == rt.agent_id
@@ -894,12 +841,10 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
 
     # blockage satisfied by this outcome (plan leg, passive gain, ...), or a
     # dependency block whose awaited node landed
-    blockage = rt.state.blockage
-    if rt.current_instance is not None and (
-            blockage is None
-            or (blockage.issue == IssueType.DEPENDENCY_BLOCK
-                and ep.world.node_placed(blockage.node_id))):
-        _end_issue(ep, rt, "resolved")
+    if held is not None and (
+            rt.state.blockage is None
+            or (held.issue == IssueType.DEPENDENCY_BLOCK and ep.world.node_placed(held.node_id))):
+        _end_issue(ep, rt, held, "resolved")
 
     # settle every open window after each applied action
     for window in ep.open_windows():
@@ -934,7 +879,8 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       updates (an abandoned node frees the next target; a window that times
       out mid-round hands its requester a local plan). What an idle round
       changes without a trace settles within it: an agent whose blockage
-      is gone takes the standard branch in the same step, and a blocked
+      is gone takes the standard branch in the same step, which sets the
+      active subtask from `next_node` on the unchanged view, and a blocked
       agent whose skip work runs out, or whose gate pass the cooldown
       skips, goes through `_route_local`. That abandons the node (traced),
       schedules a retry (a `gate_at`, so the round does not qualify), or

@@ -172,7 +172,7 @@ def teammate_resources(view: WorldView, team: TeamPublicView, recipes: RecipeBoo
     blocked item (3 or 2), or a raw input of it (1), stands. The only
     feature that reads `team`."""
     item = blockage.item
-    exact = _teammates_with_exact(team, view, item, max(1, blockage.count))
+    exact = _teammates_with_exact(team, view, item, blockage.count)
     viable_sq = VIABLE_RADIUS * VIABLE_RADIUS
     immediate_sq = IMMEDIATE_RADIUS * IMMEDIATE_RADIUS
     exact_viable = [e for e in exact if e[0] <= viable_sq]
@@ -456,7 +456,7 @@ def build_request_card(
         "missing": {"item": blockage.item, "count": blockage.count},
         "candidates": {
             "local": local,
-            "escalate_request": {"item": blockage.item, "count": max(1, blockage.count)},
+            "escalate_request": {"item": blockage.item, "count": blockage.count},
         },
     }
     return json.dumps(card, sort_keys=True, separators=(",", ":"))

@@ -100,7 +100,7 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
     recipe book, blockage), so this works on a bare trace with no world. The
     planner's physics are fixed, so a context recorded under other physics
     is rejected rather than replanned; missing `params` keys read as the
-    fixed values."""
+    fixed values. A `count` below 1, which no run records, is rejected."""
     for name, value in ctx.get("params", {}).items():
         if name not in PLANNER_PARAMS or value != PLANNER_PARAMS[name]:
             raise ValueError(f"solver_ctx.params.{name} = {value!r} does not match the "
@@ -128,11 +128,13 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
         sim_time=0,
     )
     recipes = RecipeBook([Recipe.from_dict(r) for r in ctx.get("recipes", [])])
+    if (count := int(ctx["count"])) < 1:
+        raise ValueError(f"solver_ctx.count = {count}; a blockage needs at least 1")
     blockage = BlockageRecord(
         issue=IssueType(ctx["issue"]),
         node_id=int(ctx["node_id"]),
         item=ctx["item"],
-        count=int(ctx["count"]),
+        count=count,
     )
     return plan_local_recovery(state, view, recipes, blockage)
 

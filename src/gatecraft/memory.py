@@ -3,7 +3,8 @@
 The private state's inventory changes only through verified action
 outcomes (the agent's own, and a transfer's for its recipient), never
 through another agent's unverified claims. The agent runtime sets the
-active subtask and the blockage; an outcome can clear either.
+active subtask, from `next_node`, and the blockage, which is the one record
+of the agent's open issue; an outcome can clear either.
 """
 
 from __future__ import annotations
@@ -26,15 +27,22 @@ MATERIAL_SHAPED_ISSUES = (IssueType.MISSING_MATERIAL, IssueType.TRANSFER_NEEDED)
 
 
 class BlockageRecord:
-    __slots__ = ("issue", "node_id", "item", "count", "detected_at")
+    """One open issue: what blocks the agent and since when, and what was
+    done about it, which the `issue` event that ends it reports. `count` is
+    the number of `item` the agent needs in hand."""
 
-    def __init__(self, issue: IssueType, node_id: int, item: str, count: int = 0,
-                 detected_at: int = 0):
+    __slots__ = ("issue", "node_id", "item", "count", "detected_at", "windows_opened",
+                 "recovery_activated")
+
+    def __init__(self, issue: IssueType, node_id: int, item: str, count: int = 1,
+                 detected_at: int = 0, windows_opened: int = 0, recovery_activated: bool = False):
         self.issue = issue
         self.node_id = node_id
         self.item = item  # the missing item, or the awaited node's material
         self.count = count
         self.detected_at = detected_at
+        self.windows_opened = windows_opened
+        self.recovery_activated = recovery_activated
 
 
 class PrivateState:
@@ -63,9 +71,21 @@ def update_private_state(state: PrivateState, outcome: VerifiedOutcome) -> Priva
         state.active_subtask = None
     if state.blockage and state.blockage.issue in MATERIAL_SHAPED_ISSUES:
         # A verified inventory gain can satisfy the missing requirement.
-        if state.inventory.count(state.blockage.item) >= max(1, state.blockage.count):
+        if state.inventory.count(state.blockage.item) >= state.blockage.count:
             state.blockage = None
     return state
+
+
+def next_node(view: WorldView, graph: TaskGraph,
+              ignore: set[int] | frozenset[int] = frozenset()) -> int | None:
+    """The node the agent builds next: the first of its nodes in
+    `view.plan.nodes_of` order (the task graph's topological order) that is
+    unplaced, not in `ignore`, and whose prerequisites are all placed."""
+    placed = view.placed_nodes
+    for n in view.plan.nodes_of.get(view.agent_id, ()):
+        if n not in placed and n not in ignore and placed.issuperset(graph.preds[n]):
+            return n
+    return None
 
 
 def detect_issue(
@@ -82,6 +102,12 @@ def detect_issue(
     execution can proceed normally.
     Nodes in `ignore` (e.g. formally abandoned ones) never trigger detection.
 
+    When none of the agent's nodes is ready (`next_node` finds none), the
+    first of its unplaced nodes, in the same order, that waits on a
+    prerequisite assigned to a teammate (or to no one) is blocked on that
+    prerequisite. Otherwise the target is the active subtask, or `next_node`
+    when the active subtask is unset, placed or in `ignore`.
+
     An unheld target material is `transfer_needed` when no local plan reaches
     it and the plan partitions it to a teammate, else `missing_material`.
     "No local plan" is `plan_local_recovery` finding none: the planner whose
@@ -89,29 +115,23 @@ def detect_issue(
     """
     materials = view.plan.materials
     placed = view.placed_nodes
-    mine, first_ready = [], None
-    for n in view.plan.nodes_of.get(view.agent_id, ()):
-        if n not in placed and n not in ignore:
-            mine.append(n)
-            if first_ready is None and placed.issuperset(graph.preds[n]):
-                first_ready = n
-
-    # dependency_block: nothing of mine is ready, and some unplaced node of mine
-    # waits on a teammate-assigned (or unassigned) prerequisite.
-    if mine and first_ready is None:
-        for n in mine:
+    ready = next_node(view, graph, ignore)
+    if ready is None:
+        for n in view.plan.nodes_of.get(view.agent_id, ()):
+            if n in placed or n in ignore:
+                continue
             for p in graph.preds[n]:
                 if p in placed or p in ignore:
                     continue
                 if view.plan.assignments.get(p, view.agent_id) != view.agent_id:
                     return BlockageRecord(
                         issue=IssueType.DEPENDENCY_BLOCK, node_id=p,
-                        item=materials[p], count=1, detected_at=view.sim_time,
+                        item=materials[p], detected_at=view.sim_time,
                     )
 
     target = state.active_subtask
     if target is None or target in placed or target in ignore:
-        target = first_ready
+        target = ready
     if target is None:
         return None
 
@@ -120,7 +140,7 @@ def detect_issue(
         return None
     blockage = BlockageRecord(
         issue=IssueType.MISSING_MATERIAL, node_id=target,
-        item=material, count=1, detected_at=view.sim_time,
+        item=material, detected_at=view.sim_time,
     )
     owner = view.plan.partition.get(material)
     if owner not in (None, view.agent_id) and plan_local_recovery(state, view, recipes, blockage) is None:

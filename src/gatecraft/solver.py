@@ -111,7 +111,7 @@ def plan_local_recovery(
     if blockage is None:
         return None
     item = blockage.item
-    need = max(1, blockage.count)
+    need = blockage.count
 
     # craft (and smelt) directly from held inputs
     for op in ("craft", "smelt"):

@@ -604,7 +604,7 @@ class PlanInfo:
     """Static, scripted plan knowledge shared by every agent at episode start:
     the blueprint layout, node assignments, the declared item partition and
     the station positions. Never carries live inventories. `nodes_of` is
-    built from `assignments` once, at construction."""
+    built from `assignments` once, at construction, in their order."""
 
     __slots__ = ("assignments", "partition", "materials", "station_positions", "nodes_of")
 
@@ -617,16 +617,21 @@ class PlanInfo:
         self.materials = {} if materials is None else materials  # node_id -> material
         self.station_positions = {} if station_positions is None else station_positions
         nodes_of: dict[str, list[int]] = {}
-        for n in sorted(self.assignments):
-            nodes_of.setdefault(self.assignments[n], []).append(n)
-        # agent_id -> its assigned node ids, ascending
+        for n, aid in self.assignments.items():
+            nodes_of.setdefault(aid, []).append(n)
+        # agent_id -> its assigned node ids, in the order of `assignments`
         self.nodes_of = {aid: tuple(nodes) for aid, nodes in nodes_of.items()}
 
     @staticmethod
     def for_world(world: "WorldState", assignments: dict[int, str],
                   partition: dict[str, str] | None = None) -> "PlanInfo":
+        """The plan for `world`, with `nodes_of` in the task graph's
+        topological order: the order an agent builds its nodes in."""
+        order = world.graph.topo_order
+        if unknown := sorted(assignments.keys() - set(order)):
+            raise ValueError(f"assignments name nodes outside the task graph: {unknown}")
         return PlanInfo(
-            assignments=dict(assignments),
+            assignments={n: assignments[n] for n in order if n in assignments},
             partition=dict(partition or {}),
             materials={b.node_id: b.material for b in world.blueprint.blocks},
             station_positions=dict(world.scaffold),

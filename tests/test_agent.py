@@ -286,6 +286,30 @@ def test_a_dependency_block_resolves_when_the_teammate_places_the_blocker():
     assert events[-1]["payload"]["completion"] == 1.0
 
 
+def test_the_next_node_and_its_blocker_follow_the_topological_order():
+    """a0 holds the planks for its nodes 1 and 2, which wait on a1's nodes 4
+    and 3 (edges 4 -> 1 and 3 -> 2). In topological order (3, 2, 4, 1) a1
+    builds node 3 first and a0 node 2, so a0's first issue is the block on
+    node 3, which lands first, and a0 places node 2 right after. Walking
+    a0's nodes by id instead would report the block on node 4."""
+    spec = hand_built_spec(
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[1, "oak_planks", [1, 0, 1]], [2, "oak_planks", [2, 0, 1]],
+                [3, "cobblestone", [11, 0, 1]], [4, "cobblestone", [13, 0, 1]]],
+        assigned={"a0": [1, 2], "a1": [3, 4]}, partition={}, script={},
+        inventories={"a0": {"oak_planks": 2}, "a1": {"cobblestone": 2}}, edges=[[4, 1], [3, 2]],
+    )
+    events = run_episode(spec, RunConfig()).events
+    a0_issues = [(e["step"], e["payload"]["event"], e["payload"]["issue"], e["payload"]["node_id"])
+                 for e in events if e["kind"] == "issue" and e["agent"] == "a0"]
+    assert a0_issues[:2] == [(0, "detected", "dependency_block", 3),
+                             (5, "resolved", "dependency_block", 3)]
+    a0_places = [(e["step"], e["payload"]["action"]["node_id"]) for e in events
+                 if e["kind"] == "action" and e["agent"] == "a0"
+                 and e["payload"]["action"]["kind"] == "place"]
+    assert a0_places == [(6, 2), (8, 1)]
+
+
 def test_each_gate_pass_probes_the_planner_once(dataset, monkeypatch):
     """A material issue's plan probe is the one its features read, whether
     it found a plan or not; any other issue's features probe once. Every

@@ -80,6 +80,11 @@ def test_replay_feasibility_oracles():
     assert replay_local_feasibility(BARE_CTX) is None
 
 
+def test_replay_rejects_a_count_below_one():
+    with pytest.raises(ValueError, match="solver_ctx.count = 0"):
+        replay_local_feasibility(dict(CHEAP_CTX, count=0))
+
+
 def test_replay_rejects_other_physics():
     # the planner's physics are fixed; a context recorded under other physics
     # cannot be replanned faithfully, so it is refused, naming the field

@@ -45,6 +45,16 @@ def test_different_dataset_seeds_vary_layouts():
     assert any(a.to_dict() != b.to_dict() for a, b in zip(eps1, eps2))
 
 
+def test_generated_edges_run_from_lower_to_higher_ids():
+    """In a generated spec every prerequisite edge runs from a lower to a
+    higher node id, so the task graph's topological order, which an agent
+    builds in, is ascending id order."""
+    for seed in range(3):
+        for spec in generate_dataset(seed)[1]:
+            assert all(u < v for u, v in spec.edges), (seed, spec.episode_id)
+            assert spec.build_world().graph.topo_order == sorted(n for n, _, _ in spec.blocks)
+
+
 def test_seed_variants_share_structure_but_jitter_geometry():
     template = dataset_templates()[0]
     a = build_episode(template, 0, dataset_seed=0)

@@ -272,3 +272,12 @@ def test_plan_info_for_world_mirrors_scaffold():
     plan = PlanInfo.for_world(world, {0: "a0"})
     assert plan.station_positions == {(4, 0, 0): "furnace"}
     assert plan.materials == {0: "stone"}
+
+
+def test_plan_info_for_world_lists_nodes_in_topological_order():
+    world = make_world([(n, (n, 0, 1), "stone") for n in range(4)], edges=[(3, 0), (2, 1)])
+    plan = PlanInfo.for_world(world, {0: "a0", 1: "a0", 2: "a1", 3: "a1"})
+    assert world.graph.topo_order == [2, 1, 3, 0]
+    assert plan.nodes_of == {"a0": (1, 0), "a1": (2, 3)}
+    with pytest.raises(ValueError, match=r"outside the task graph: \[7\]"):
+        PlanInfo.for_world(world, {0: "a0", 7: "a0"})
