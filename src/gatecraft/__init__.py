@@ -55,7 +55,7 @@ from .gate import (
     tier1_rules,
     validate_weights,
 )
-from .solver import CooldownTable, RecoveryPlan, RecoveryStep, local_skip, plan_local_recovery
+from .solver import RecoveryPlan, RecoveryStep, local_skip, plan_local_recovery
 from .protocol import (
     CoordinationWindow,
     WindowState,
@@ -85,7 +85,6 @@ __all__ = [
     "BlockSpec",
     "CalibrationConfig",
     "Chest",
-    "CooldownTable",
     "CoordinationMessage",
     "CoordinationWindow",
     "EpisodeMetrics",

@@ -3,8 +3,9 @@
 Each agent's turn: observe and refresh private state, detect an issue,
 featurize and gate it, then route — open a coordination window, run the local
 solver, or do opportunistic skip work. The episode runtime owns the world,
-the coordination windows (the public board), cooldowns, and the ordered
-trace. `regate` derives a finished run's trace under other gate settings.
+the coordination windows (the public board) and the ordered trace; each
+issue's record holds its cooldown. `regate` derives a finished run's trace
+under other gate settings.
 
 Views come from `observe` through the runtime's `ViewCache`. The world
 changes only through `apply_action`, and each outcome's deltas name every
@@ -53,7 +54,6 @@ from .protocol import (
 )
 from .solver import (
     PLANNER_PARAMS,
-    CooldownTable,
     RecoveryPlan,
     RecoveryStep,
     local_skip,
@@ -324,27 +324,22 @@ class AgentRuntime:
     __slots__ = ("agent_id", "state", "legs", "skipping", "window", "skip_target",
                  "abandoned", "gate_at", "script_cursor", "script_choice", "view_digest")
 
-    def __init__(self, agent_id: str, state: PrivateState,
-                 legs: list[tuple[RecoveryStep, str, int]] | None = None, skipping: bool = False,
-                 window: CoordinationWindow | None = None, skip_target: int | None = None,
-                 abandoned: set[int] | None = None, gate_at: int | None = None,
-                 script_cursor: int = 0, script_choice: dict[int, str] | None = None,
-                 view_digest: str = ""):
+    def __init__(self, agent_id: str, state: PrivateState):
         self.agent_id = agent_id
         self.state = state
         # the recovery legs still to do: (step, item, count in hand that finishes it)
-        self.legs = [] if legs is None else legs
+        self.legs: list[tuple[RecoveryStep, str, int]] = []
         # with a blockage, no window and no legs: skip work (True) or wait (False)
-        self.skipping = skipping
-        self.window = window  # the one window this agent has open as requester
-        self.skip_target = skip_target
-        self.abandoned = set() if abandoned is None else abandoned
+        self.skipping = False
+        self.window: CoordinationWindow | None = None  # the one window this agent has open as requester
+        self.skip_target: int | None = None
+        self.abandoned: set[int] = set()
         # the sim time from which the next step passes the gate, or None: a pass
         # due at once stores the time it was set, a retry the cooldown's expiry
-        self.gate_at = gate_at
-        self.script_cursor = script_cursor
-        self.script_choice = {} if script_choice is None else script_choice
-        self.view_digest = view_digest
+        self.gate_at: int | None = None
+        self.script_cursor = 0
+        self.script_choice: dict[int, str] = {}
+        self.view_digest = ""
 
     @property
     def mode(self) -> str:
@@ -374,7 +369,6 @@ class EpisodeRuntime:
         self.plan_info: PlanInfo = spec.plan_info(self.world)
         self.windows: dict[int, CoordinationWindow] = {}  # open windows only, in id order
         self._window_seq = 0
-        self.cooldowns = CooldownTable(duration=config.cooldown_duration)
         self.trace = Trace()
         self.gate_passes: list[GatePass] = []
         self.runtimes: dict[str, AgentRuntime] = {}
@@ -617,11 +611,10 @@ def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
     rt.skipping = _next_skip_target(ep, rt) is not None
     if rt.skipping:
         return
-    entry = ep.cooldowns.entry(rt.agent_id, blockage.issue)
-    if entry.consecutive_failures >= 2:
+    if blockage.consecutive_failures >= 2:
         _end_issue(ep, rt, blockage, "abandoned")
-    elif entry.expires_at > ep.world.sim_time:
-        rt.gate_at = entry.expires_at
+    elif blockage.expires_at > ep.world.sim_time:
+        rt.gate_at = blockage.expires_at
     elif rt.gate_at is None and blockage.issue in MATERIAL_SHAPED_ISSUES:
         _end_issue(ep, rt, blockage, "abandoned")
 
@@ -659,16 +652,13 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     if probed:
         plan = plan_local_recovery(rt.state, view, ep.recipes, blockage)
 
-    hard_blocked = ep.cooldowns.blocked(rt.agent_id, blockage.issue, now)
-    others_exist = len(ep.world.agents) > 1
-
-    if not others_exist or hard_blocked:
+    if len(ep.world.agents) == 1 or blockage.hard_blocked(now):
         verdict = "stay_local"  # gate skipped; cooldown discipline owns the issue
     else:
         R = ep.read_team(rt.agent_id, lambda team: teammate_resources(view, team, ep.recipes, blockage))
         fv, features_plan = extract_features(
-            view, ep.graph, rt.state, R, ep.cooldowns,
-            ep.recipes, blockage=blockage, plan=plan if probed else NOT_PROBED,
+            view, ep.graph, rt.state, R, ep.recipes,
+            blockage=blockage, plan=plan if probed else NOT_PROBED,
         )
         gp = GatePass(len(ep.trace.events), blockage, fv, features_plan)
         ep.gate_passes.append(gp)
@@ -764,37 +754,36 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
 
 
 def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None:
-    """Terminal bookkeeping: cooldowns, requester routing, trace events."""
+    """Terminal bookkeeping: the issue's cooldown, requester routing, trace
+    events. No issue is detected while its agent has a window open, so the
+    requester's blockage is the window's issue, or None once it has ended."""
     now = ep.world.sim_time
     ep.trace.emit(now, window.requester, "window_state",
                   {**window.to_dict(), "event": "closed"})
     del ep.windows[window.window_id]
     rt = ep.runtimes[window.requester]
     rt.window = None
-    issue = window.issue
-    if window.state == WindowState.FULFILLED:
-        e = ep.cooldowns.entry(window.requester, issue)
-        had = (e.level, e.consecutive_failures) != (0, 0)
-        ep.cooldowns.register_success(window.requester, issue)
-        if had:
-            ep.trace.emit(now, window.requester, "cooldown_update", {
-                "issue": issue, "level": 0, "consecutive_failures": 0,
-                "expires_at": 0, "cause": "fulfilled",
-            })
-        if rt.state.blockage is not None:
-            rt.gate_at = now  # delivery did not fully cover the need
-        return
-    entry = ep.cooldowns.register_failure(window.requester, issue, window.state, now)
-    ep.trace.emit(now, window.requester, "cooldown_update", {
-        "issue": issue, "level": entry.level, "consecutive_failures": entry.consecutive_failures,
-        "expires_at": entry.expires_at, "cause": window.state.value,
-    })
     blockage = rt.state.blockage
     if blockage is None:
         return
+    if window.state == WindowState.FULFILLED:
+        if (blockage.level, blockage.consecutive_failures) != (0, 0):
+            blockage.register_success()
+            ep.trace.emit(now, window.requester, "cooldown_update", {
+                "issue": window.issue, "level": 0, "consecutive_failures": 0,
+                "expires_at": 0, "cause": "fulfilled",
+            })
+        rt.gate_at = now  # delivery did not fully cover the need
+        return
+    blockage.register_failure(window.state == WindowState.CANNOT_SUPPLY, now, ep.config.cooldown_duration)
+    ep.trace.emit(now, window.requester, "cooldown_update", {
+        "issue": window.issue, "level": blockage.level,
+        "consecutive_failures": blockage.consecutive_failures,
+        "expires_at": blockage.expires_at, "cause": window.state.value,
+    })
     # mandatory local fallback, no fresh gate pass; before the second
     # failure the gate is passed again once the cooldown expires
-    rt.gate_at = entry.expires_at if entry.consecutive_failures < 2 else None
+    rt.gate_at = blockage.expires_at if blockage.consecutive_failures < 2 else None
     plan = None
     if blockage.issue in MATERIAL_SHAPED_ISSUES:
         plan = plan_local_recovery(rt.state, ep.view_for(rt.agent_id), ep.recipes, blockage)
@@ -866,11 +855,11 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       the same. `sim_time` still advances, but only the idle events' `step`
       and `obs_digest` show it.
     - The only reads that depend on time are window deadlines (none is
-      open, and opening one is traced), `gate_at` (none is set) and
-      cooldown expiry and level. The cooldown table is read only in a gate
-      pass and at a window close; with no `gate_at` set and no window
-      open, neither comes again, so a cooldown that has not expired yet
-      changes nothing.
+      open, and opening one is traced), `gate_at` (none is set) and the
+      open issue's cooldown expiry and level. An issue's cooldown is read
+      only in a gate pass and at a window close; with no `gate_at` set and
+      no window open, neither comes again, so a cooldown that has not
+      expired yet changes nothing.
     - `detect_issue` reads only the unchanged view and private state.
     - The adjudicator is reached only through a gate pass, which needs a
       `gate_at`, and none is set.

@@ -12,7 +12,7 @@ import json
 
 from .memory import BlockageRecord, IssueType, PrivateState
 from .protocol import TeamPublicView
-from .solver import CooldownTable, RecoveryPlan, plan_local_recovery
+from .solver import RecoveryPlan, plan_local_recovery
 from .world import RecipeBook, TaskGraph, WorldView, criticality_of, dist_sq, within
 
 FEATURE_NAMES = ("C", "R", "I", "L", "H")
@@ -190,7 +190,6 @@ def extract_features(
     graph: TaskGraph,
     state: PrivateState,
     R: int,
-    cooldowns: CooldownTable,
     recipes: RecipeBook,
     blockage: BlockageRecord | None = None,
     plan: RecoveryPlan | None | object = NOT_PROBED,
@@ -256,10 +255,10 @@ def extract_features(
     else:
         I = 0
 
-    # --- H: escalation history -------------------------------------------
-    H = cooldowns.level(view.agent_id, blockage.issue, view.sim_time)
+    # --- H: escalation history (the issue's own cooldown level) ----------
+    H = blockage.level_at(view.sim_time)
 
-    return FeatureVector(C=C, R=R, I=I, L=L, H=min(3, H)), plan
+    return FeatureVector(C=C, R=R, I=I, L=L, H=H), plan
 
 
 def _supply_within(view: WorldView, ref: tuple | None, radius: int) -> bool:

@@ -27,22 +27,46 @@ MATERIAL_SHAPED_ISSUES = (IssueType.MISSING_MATERIAL, IssueType.TRANSFER_NEEDED)
 
 
 class BlockageRecord:
-    """One open issue: what blocks the agent and since when, and what was
-    done about it, which the `issue` event that ends it reports. `count` is
-    the number of `item` the agent needs in hand."""
+    """One open issue: what blocks the agent and since when, what was done
+    about it, which the `issue` event that ends it reports, and its own
+    escalation cooldown, which starts clean. `count` is the number of `item`
+    the agent needs in hand."""
 
     __slots__ = ("issue", "node_id", "item", "count", "detected_at", "windows_opened",
-                 "recovery_activated")
+                 "recovery_activated", "level", "expires_at", "consecutive_failures")
 
-    def __init__(self, issue: IssueType, node_id: int, item: str, count: int = 1,
-                 detected_at: int = 0, windows_opened: int = 0, recovery_activated: bool = False):
+    def __init__(self, issue: IssueType, node_id: int, item: str, count: int = 1, detected_at: int = 0):
         self.issue = issue
         self.node_id = node_id
         self.item = item  # the missing item, or the awaited node's material
         self.count = count
         self.detected_at = detected_at
-        self.windows_opened = windows_opened
-        self.recovery_activated = recovery_activated
+        self.windows_opened = 0
+        self.recovery_activated = False
+        self.level = 0
+        self.expires_at = 0
+        self.consecutive_failures = 0
+
+    def level_at(self, now: int) -> int:
+        """The cooldown level, 0 once it has expired."""
+        return self.level if now < self.expires_at else 0
+
+    def hard_blocked(self, now: int) -> bool:
+        """True when opening a window is suppressed: two failed windows in a
+        row, or an unexpired level of 2 or more."""
+        return self.consecutive_failures >= 2 or (now < self.expires_at and self.level >= 2)
+
+    def register_failure(self, refused: bool, now: int, duration: int) -> None:
+        """Record a window that closed without yield. A timeout raises the
+        level to at least 1 (2 on the second failure in a row); a refusal
+        (CANNOT_SUPPLY) raises it to 3. Either expires `duration` from now."""
+        self.consecutive_failures += 1
+        self.level = 3 if refused else max(self.level, 2 if self.consecutive_failures >= 2 else 1)
+        self.expires_at = now + duration
+
+    def register_success(self) -> None:
+        """A fulfilled window clears the cooldown; the streak lasts until then."""
+        self.level = self.expires_at = self.consecutive_failures = 0
 
 
 class PrivateState:
@@ -50,12 +74,11 @@ class PrivateState:
 
     __slots__ = ("agent_id", "inventory", "active_subtask", "blockage")
 
-    def __init__(self, agent_id: str, inventory: Inventory | None = None,
-                 active_subtask: int | None = None, blockage: BlockageRecord | None = None):
+    def __init__(self, agent_id: str, inventory: Inventory | None = None):
         self.agent_id = agent_id
         self.inventory = Inventory() if inventory is None else inventory
-        self.active_subtask = active_subtask
-        self.blockage = blockage
+        self.active_subtask: int | None = None
+        self.blockage: BlockageRecord | None = None
 
 
 def update_private_state(state: PrivateState, outcome: VerifiedOutcome) -> PrivateState:

@@ -69,8 +69,7 @@ class CoordinationWindow:
                  "deadline", "state", "messages", "transfer_done")
 
     def __init__(self, window_id: int, issue: str, requester: str, responder: str, item: str,
-                 count: int, opened_at: int, deadline: int, state: WindowState = WindowState.OPEN,
-                 messages: list[CoordinationMessage] | None = None, transfer_done: bool = False):
+                 count: int, opened_at: int, deadline: int):
         self.window_id = window_id
         self.issue = issue
         self.requester = requester
@@ -79,9 +78,9 @@ class CoordinationWindow:
         self.count = count
         self.opened_at = opened_at
         self.deadline = deadline
-        self.state = state
-        self.messages = [] if messages is None else messages
-        self.transfer_done = transfer_done
+        self.state = WindowState.OPEN
+        self.messages: list[CoordinationMessage] = []
+        self.transfer_done = False
 
     def append(self, msg: CoordinationMessage) -> None:
         if self.state != WindowState.OPEN:

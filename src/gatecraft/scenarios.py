@@ -203,6 +203,16 @@ class EpisodeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeSpec":
+        """The spec `d` describes. Raises ValueError, naming the field, when
+        `assigned` or `edges` names a node that is not one of `blocks`."""
+        blocks = [[int(n), m, list(p)] for n, m, p in d["blocks"]]
+        edges = [[int(u), int(v)] for u, v in d["edges"]]
+        assigned = {aid: [int(n) for n in nodes] for aid, nodes in d["assigned"].items()}
+        nodes = {n for n, _, _ in blocks}
+        if stray := sorted({n for ns in assigned.values() for n in ns} - nodes):
+            raise ValueError(f"assigned names nodes outside blocks: {stray}")
+        if stray := [e for e in edges if not nodes.issuperset(e)]:
+            raise ValueError(f"edges name nodes outside blocks: {stray}")
         return cls(
             episode_id=d["episode_id"],
             template_id=int(d["template_id"]),
@@ -210,9 +220,9 @@ class EpisodeSpec:
             class_label=d["class_label"],
             variant=d["variant"],
             agents=d["agents"],
-            blocks=[[int(n), m, list(p)] for n, m, p in d["blocks"]],
-            edges=[[int(u), int(v)] for u, v in d["edges"]],
-            assigned={aid: [int(n) for n in nodes] for aid, nodes in d["assigned"].items()},
+            blocks=blocks,
+            edges=edges,
+            assigned=assigned,
             partition=dict(d["partition"]),
             work_regions=d["work_regions"],
             recipes=d["recipes"],

@@ -1,4 +1,4 @@
-"""Local recovery: deterministic plans, skip targeting, and coordination cooldowns.
+"""Local recovery: deterministic plans and skip targeting.
 
 Plan search walks a strict cost-kind order (craft, then smelt, then collect,
 then detour chains) and returns the first satisfiable route. All costs are
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .protocol import WindowState
 from .world import (
     FAR_THRESHOLD,
     INTERACTION_RADIUS,
@@ -190,72 +189,3 @@ def local_skip(graph: TaskGraph, placed: set[int], blocked: int | None, allowed:
                 if n not in placed and n not in excluded and placed.issuperset(graph.preds[n])),
                default=None)
 
-
-class CooldownEntry:
-    __slots__ = ("level", "expires_at", "consecutive_failures")
-
-    def __init__(self, level: int = 0, expires_at: int = 0, consecutive_failures: int = 0):
-        self.level = level
-        self.expires_at = expires_at
-        self.consecutive_failures = consecutive_failures
-
-    def effective_level(self, now: int) -> int:
-        return self.level if now < self.expires_at else 0
-
-
-class CooldownTable:
-    """Per (agent, issue) escalation hygiene: levels decay at expiry, zero-yield
-    streaks persist until a fulfilled window resets them."""
-
-    def __init__(self, duration: int):
-        self.duration = duration
-        self.entries: dict[tuple[str, str], CooldownEntry] = {}
-
-    def _key(self, agent: str, issue: str) -> tuple[str, str]:
-        # an IssueType is a str whose plain text is its value
-        return (agent, str.__str__(issue))
-
-    def entry(self, agent: str, issue: str) -> CooldownEntry:
-        return self.entries.setdefault(self._key(agent, issue), CooldownEntry())
-
-    def level(self, agent: str, issue: str, now: int) -> int:
-        key = self._key(agent, issue)
-        e = self.entries.get(key)
-        return e.effective_level(now) if e else 0
-
-    def blocked(self, agent: str, issue: str, now: int) -> bool:
-        """True when window opening is suppressed: an unexpired level>=2 cooldown,
-        or a persistent zero-yield streak of 2+ failures."""
-        key = self._key(agent, issue)
-        e = self.entries.get(key)
-        if e is None:
-            return False
-        if e.consecutive_failures >= 2:
-            return True
-        return now < e.expires_at and e.level >= 2
-
-    def register_failure(self, agent: str, issue: str, state: WindowState, now: int) -> CooldownEntry:
-        """Record a window that closed without yield, in `state`. Timeout bumps
-        to at least level 1 (level 2 on the second consecutive miss); an
-        explicit CANNOT_SUPPLY jumps straight to level 3."""
-        if state not in (WindowState.CANNOT_SUPPLY, WindowState.TIMED_OUT):
-            raise ValueError(f"not a failed window state: {state!r} (use register_success "
-                             "for fulfilled windows)")
-        e = self.entry(agent, issue)
-        e.consecutive_failures += 1
-        if state == WindowState.CANNOT_SUPPLY:
-            e.level = 3
-        else:
-            e.level = max(e.level, 1)
-            if e.consecutive_failures >= 2:
-                e.level = max(e.level, 2)
-        e.expires_at = now + self.duration
-        return e
-
-    def register_success(self, agent: str, issue: str) -> CooldownEntry:
-        """A fulfilled window resets the pair to a clean slate."""
-        e = self.entry(agent, issue)
-        e.level = 0
-        e.expires_at = 0
-        e.consecutive_failures = 0
-        return e

@@ -310,6 +310,34 @@ def test_the_next_node_and_its_blocker_follow_the_topological_order():
     assert a0_places == [(6, 2), (8, 1)]
 
 
+def test_a_later_issue_does_not_inherit_an_earlier_ones_failed_windows():
+    """a1 refuses a0's two windows for node 1, so a0 gives node 1 up at step
+    34 and detects node 2, which needs the same item, in the same step. The
+    cooldown is the issue's own, so node 2 gets its own gate pass (with a
+    clean history, H = 0) and its own window, which a1 fulfils."""
+    spec = hand_built_spec(
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[1, "iron_ingot", [1, 0, 1]], [2, "iron_ingot", [2, 0, 1]],
+                [3, "cobblestone", [12, 0, 1]]],
+        assigned={"a0": [1, 2], "a1": [3]}, partition={"iron_ingot": "a1"},
+        script={"a1": ["cannot_supply", "cannot_supply", "honest"]},
+        inventories={"a1": {"iron_ingot": 2, "cobblestone": 1}},
+    )
+    events = run_episode(spec, RunConfig()).events
+    a0_issues = [(e["step"], e["payload"]["event"], e["payload"]["node_id"])
+                 for e in events if e["kind"] == "issue" and e["agent"] == "a0"]
+    assert a0_issues == [(0, "detected", 1), (34, "abandoned", 1),
+                         (34, "detected", 2), (42, "resolved", 2)]
+    passes = [(e["step"], e["payload"]["node_id"], e["payload"]["verdict"], e["payload"]["fv"]["H"])
+              for e in events if e["kind"] == "gate_decision"]
+    assert passes == [(0, 1, "escalate", 0), (32, 1, "escalate", 0), (34, 2, "escalate", 0)]
+    closes = [e["payload"]["state"] for e in events
+              if e["kind"] == "window_state" and e["payload"]["event"] == "closed"]
+    assert closes == ["cannot_supply", "cannot_supply", "fulfilled"]
+    end = events[-1]["payload"]
+    assert end["completion"] == pytest.approx(2 / 3) and end["reason"] == "quiescent"
+
+
 def test_each_gate_pass_probes_the_planner_once(dataset, monkeypatch):
     """A material issue's plan probe is the one its features read, whether
     it found a plan or not; any other issue's features probe once. Every

@@ -578,10 +578,14 @@ def test_a_trace_of_two_episodes_is_rejected_by_every_reader(tmp_path, small_dat
 def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
     lines = (small_dataset / "episodes.jsonl").read_text().splitlines()
     spec = json.loads(lines[0])
+    stray_node = {**spec, "assigned": {**spec["assigned"], "a0": spec["assigned"]["a0"] + [99]}}
+    stray_edge = {**spec, "edges": spec["edges"] + [[0, 99]]}
     del spec["template_id"]
     episodes = tmp_path / "episodes.jsonl"
     for bad_line, message in ((json.dumps(spec), "line 2: missing field 'template_id'"),
-                              ("{not json", "line 2: Expecting property name")):
+                              ("{not json", "line 2: Expecting property name"),
+                              (json.dumps(stray_node), "line 2: assigned names nodes outside blocks: [99]"),
+                              (json.dumps(stray_edge), "line 2: edges name nodes outside blocks: [[0, 99]]")):
         episodes.write_text("\n".join([lines[0], bad_line, lines[1]]) + "\n")
         assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
         assert f"error: {episodes} {message}" in capsys.readouterr().err

@@ -10,6 +10,10 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
 - every coordination message names an open window whose requester and
   responder are the message's two endpoints;
 - each agent's issue events alternate detected -> resolved | abandoned;
+- every `cooldown_update` comes from an agent with an open issue of its
+  `issue` type, and each issue's first one has `consecutive_failures` 1:
+  an issue owns its cooldown, and a window closing after its issue ended
+  records nothing;
 - an episode that ends for any reason but `budget` leaves no issue open:
   every `detected` has its `resolved` or `abandoned`;
 - an agent with no open issue (before its first `detected`, and from each
@@ -45,7 +49,12 @@ from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.harness import compute_metrics
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
 
-from conftest import hand_built_spec, run_checking_views, stay_local_dead_end_spec
+from conftest import (
+    dependency_block_spec,
+    hand_built_spec,
+    run_checking_views,
+    stay_local_dead_end_spec,
+)
 
 REQUESTER_SENDS = ("REQUEST_MATERIAL", "CONFIRM_TRANSFER")
 
@@ -71,6 +80,7 @@ def check_episode_invariants(events) -> dict[int, dict]:
     open_windows: dict[int, dict] = {}  # window_id -> opened payload
     open_by_requester: dict[str, int] = {}
     open_issue: dict[str, dict] = {}  # agent -> detected payload
+    cooled: set[str] = set()  # agents whose open issue has had a cooldown_update
     for e in events:
         step, kind, p = e["step"], e["kind"], e["payload"]
         assert step >= last_step, e
@@ -103,7 +113,14 @@ def check_episode_invariants(events) -> dict[int, dict]:
                 assert p["event"] in ("resolved", "abandoned"), e
                 detected = open_issue.pop(e["agent"], None)
                 assert detected is not None, e
+                cooled.discard(e["agent"])
                 assert (p["issue"], p["node_id"]) == (detected["issue"], detected["node_id"]), e
+        elif kind == "cooldown_update":
+            detected = open_issue.get(e["agent"])
+            assert detected is not None and detected["issue"] == p["issue"], e
+            if e["agent"] not in cooled:
+                assert p["consecutive_failures"] == 1, e
+                cooled.add(e["agent"])
         elif kind == "action" and e["agent"] not in open_issue:
             assert p["mode"] in ("standard", "coordinating"), e
     end = events[-1]
@@ -229,6 +246,26 @@ def test_a_material_issue_kept_local_with_nothing_pending_is_given_up(partition_
               for e in events if e["kind"] == "issue"]
     assert issues == [("a0", "detected", 1), ("a0", "abandoned", 1)]
     assert events[-1]["payload"]["reason"] == "quiescent"
+    assert not check_episode_invariants(events)
+
+
+def test_a_window_that_fails_after_its_issue_ended_records_nothing():
+    """a1 never answers a0's window for its dependency block, which ends
+    anyway when a1 places node 2 (step 7). The window times out at step 20
+    with no issue of a0's open: the cooldown belonged to that issue, so the
+    close records nothing, and a0's next issue starts with a clean one."""
+    spec = dependency_block_spec()
+    spec.responder_script = {"a1": ["silent"] * 3}
+    events = run_episode(spec, RunConfig()).events
+    a0 = [(e["step"], e["kind"], e["payload"].get("event"), e["payload"]["issue"])
+          for e in events if e["agent"] == "a0" and e["kind"] in ("issue", "window_state")]
+    assert a0[:4] == [(0, "issue", "detected", "dependency_block"),
+                      (0, "window_state", "opened", "dependency_block"),
+                      (7, "issue", "resolved", "dependency_block"),
+                      (20, "window_state", "closed", "dependency_block")]
+    updates = [(e["step"], e["payload"]["issue"], e["payload"]["consecutive_failures"])
+               for e in events if e["kind"] == "cooldown_update" and e["agent"] == "a0"]
+    assert updates == [(40, "missing_material", 1)]
     assert not check_episode_invariants(events)
 
 

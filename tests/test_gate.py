@@ -32,8 +32,7 @@ from gatecraft.gate import (
     validate_weights,
 )
 from gatecraft.memory import BlockageRecord
-from gatecraft.protocol import TeamPublicView, WindowState
-from gatecraft.solver import CooldownTable
+from gatecraft.protocol import TeamPublicView
 
 from conftest import make_world, plan_for
 
@@ -276,16 +275,19 @@ def test_scripted_adjudicator_replays_in_order_then_raises():
 # -- feature extraction on a live view ----------------------------------------------
 
 
-def _featurize(world, plan, agent_id="a0", cooldowns=None):
+def _featurize(world, plan, agent_id="a0", failures=()):
+    """Features of the detected issue after its windows closed as
+    `failures`: (refused, time) pairs, each with a 30-step cooldown."""
     from gatecraft import detect_issue
 
     view = observe(world, agent_id, plan=plan)
     state = PrivateState(agent_id=agent_id, inventory=view.inventory)
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None
+    for refused, now in failures:
+        issue.register_failure(refused, now, duration=30)
     R = teammate_resources(view, TeamPublicView(), world.recipes, issue)
-    return extract_features(view, world.graph, state, R, cooldowns or CooldownTable(duration=30),
-                            world.recipes, blockage=issue)
+    return extract_features(view, world.graph, state, R, world.recipes, blockage=issue)
 
 
 def test_features_local_pickup_scores_l3():
@@ -315,7 +317,5 @@ def test_features_history_tracks_cooldown_level():
         agents={"a0": ((0, 0, 0), {}), "a1": ((12, 0, 0), {"iron_ingot": 1})},
     )
     plan = plan_for(world, assignments={0: "a0"}, partition={"iron_ingot": "a1"})
-    cooldowns = CooldownTable(duration=30)
-    cooldowns.register_failure("a0", IssueType.TRANSFER_NEEDED, WindowState.CANNOT_SUPPLY, now=0)
-    vec, _ = _featurize(world, plan, cooldowns=cooldowns)
+    vec, _ = _featurize(world, plan, failures=[(True, 0)])
     assert vec.H == 3  # explicit refusal jumps the cooldown to its ceiling

@@ -1,5 +1,3 @@
-import pytest
-
 from gatecraft import (
     Chest,
     Inventory,
@@ -10,8 +8,6 @@ from gatecraft import (
     plan_local_recovery,
 )
 from gatecraft.memory import BlockageRecord
-from gatecraft.protocol import WindowState
-from gatecraft.solver import CooldownTable
 
 from conftest import make_world, plan_for
 
@@ -133,46 +129,43 @@ def test_local_skip_picks_smallest_independent_ready_node():
     assert local_skip(g, set(), 0, {1, 2}) is None
 
 
-# -- cooldown discipline ---------------------------------------------------------------
+# -- an issue's cooldown -----------------------------------------------------------
+
+
+def _issue():
+    return BlockageRecord(issue=IssueType.TRANSFER_NEEDED, node_id=0, item="iron_ingot")
 
 
 def test_cooldown_levels_escalate_and_expire():
-    table = CooldownTable(duration=30)
-    e = table.register_failure("a0", IssueType.TRANSFER_NEEDED, WindowState.TIMED_OUT, now=0)
-    assert e.level == 1 and e.expires_at == 30
-    assert table.level("a0", IssueType.TRANSFER_NEEDED, now=10) == 1
-    assert table.level("a0", IssueType.TRANSFER_NEEDED, now=30) == 0  # expired
-    e = table.register_failure("a0", IssueType.TRANSFER_NEEDED, WindowState.TIMED_OUT, now=30)
-    assert e.level == 2 and e.consecutive_failures == 2
+    b = _issue()
+    b.register_failure(refused=False, now=0, duration=30)
+    assert b.level == 1 and b.expires_at == 30
+    assert b.level_at(10) == 1
+    assert b.level_at(30) == 0  # expired
+    b.register_failure(refused=False, now=30, duration=30)
+    assert b.level == 2 and b.consecutive_failures == 2
 
 
 def test_cannot_supply_jumps_to_max_level():
-    table = CooldownTable(duration=30)
-    e = table.register_failure("a0", "transfer_needed", WindowState.CANNOT_SUPPLY, now=0)
-    assert e.level == 3
+    b = _issue()
+    b.register_failure(refused=True, now=0, duration=30)
+    assert b.level == 3
 
 
 def test_blocked_after_two_consecutive_failures_persists():
-    table = CooldownTable(duration=10)
-    table.register_failure("a0", "x", WindowState.TIMED_OUT, now=0)
-    assert not table.blocked("a0", "x", now=1)
-    table.register_failure("a0", "x", WindowState.TIMED_OUT, now=1)
-    assert table.blocked("a0", "x", now=2)
+    b = _issue()
+    b.register_failure(refused=False, now=0, duration=10)
+    assert not b.hard_blocked(1)
+    b.register_failure(refused=False, now=1, duration=10)
+    assert b.hard_blocked(2)
     # the zero-yield streak outlives the timed cooldown
-    assert table.blocked("a0", "x", now=100)
+    assert b.hard_blocked(100)
 
 
 def test_fulfilled_window_resets_pair():
-    table = CooldownTable(duration=30)
-    table.register_failure("a0", "x", WindowState.CANNOT_SUPPLY, now=0)
-    table.register_failure("a0", "x", WindowState.TIMED_OUT, now=1)
-    table.register_success("a0", "x")
-    e = table.entry("a0", "x")
-    assert (e.level, e.consecutive_failures, e.expires_at) == (0, 0, 0)
-    assert not table.blocked("a0", "x", now=2)
-
-
-def test_register_failure_rejects_fulfilled():
-    table = CooldownTable(duration=30)
-    with pytest.raises(ValueError):
-        table.register_failure("a0", "x", WindowState.FULFILLED, now=0)
+    b = _issue()
+    b.register_failure(refused=True, now=0, duration=30)
+    b.register_failure(refused=False, now=1, duration=30)
+    b.register_success()
+    assert (b.level, b.consecutive_failures, b.expires_at) == (0, 0, 0)
+    assert not b.hard_blocked(2)
