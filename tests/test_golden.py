@@ -7,6 +7,12 @@ episode, so they never go through `agent.regate`. A change that alters any
 trace byte or metric fails here, naming the variant and the episodes that
 moved.
 
+Under the key `random_specs` it also holds the trace sha256 of each
+`tests/random_specs.py` spec `r00`..`r59`, run under `RunConfig()`
+(`rNN/default`) and under its `random_config` (`rNN/drawn`). These reach
+dependency blocks, and windows that outlive their issue, which seed 0
+never does.
+
 `gatecraft run` on the saved dataset must write the `full` variant's
 trace and `metrics.csv` digests: saving, loading, decoding one spec per
 episode and writing change no byte.
@@ -35,10 +41,14 @@ from gatecraft.cli import ABLATION_VARIANTS, main
 from gatecraft.harness import compute_metrics, metrics_to_csv
 from gatecraft.scenarios import generate_dataset, save_dataset
 
+from random_specs import random_config, random_spec
+
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 CALIBRATE_DIGESTS = Path(__file__).parent / "golden" / "calibrate.json"
 CALIBRATE_GRIDS = ("small", "default")
 CALIBRATE_OUTPUTS = ("theta.json", "objective_table.json")
+RANDOM_SPECS = "random_specs"  # the key of the random-spec trace digests
+RANDOM_SPEC_COUNT = 60
 
 
 def _sha256(text: str) -> str:
@@ -59,9 +69,20 @@ def compute_digests(episodes) -> dict:
     return out
 
 
+def compute_random_digests() -> dict:
+    """`rNN/default` and `rNN/drawn` -> trace sha256, for each random spec."""
+    out = {}
+    for index in range(RANDOM_SPEC_COUNT):
+        spec = random_spec(index)
+        for name, config in (("default", RunConfig()), ("drawn", random_config(index))):
+            out[f"{spec.episode_id}/{name}"] = _sha256(run_episode(spec, config).to_jsonl())
+    return out
+
+
 def test_traces_and_metrics_match_golden_digests(dataset):
     _, episodes = dataset
     expected = json.loads(DIGESTS.read_text())
+    del expected[RANDOM_SPECS]
     actual = compute_digests(episodes)
     assert sorted(actual) == sorted(expected), "variant set changed"
     problems = []
@@ -76,6 +97,13 @@ def test_traces_and_metrics_match_golden_digests(dataset):
         if want["metrics_csv"] != got["metrics_csv"]:
             problems.append(f"{name}: metrics.csv moved")
     assert not problems, "\n".join(problems)
+
+
+def test_random_spec_traces_match_golden_digests():
+    expected = json.loads(DIGESTS.read_text())[RANDOM_SPECS]
+    actual = compute_random_digests()
+    moved = sorted(run for run in expected.keys() | actual.keys() if expected.get(run) != actual.get(run))
+    assert not moved, f"{len(moved)} random-spec traces moved: {', '.join(moved)}"
 
 
 def test_run_command_writes_the_golden_full_outputs(dataset, tmp_path):
@@ -145,7 +173,11 @@ if __name__ == "__main__":
     dataset = generate_dataset(0)
     digests = compute_digests(dataset[1])
     committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    random_committed = committed.pop(RANDOM_SPECS, {})
     print("\n".join(describe_moves(committed, digests)))
+    digests[RANDOM_SPECS] = compute_random_digests()
+    moved = sum(random_committed.get(run) != sha for run, sha in digests[RANDOM_SPECS].items())
+    print(f"{RANDOM_SPECS}: {moved} of {len(digests[RANDOM_SPECS])} trace digests moved")
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
     with tempfile.TemporaryDirectory() as work:
