@@ -4,7 +4,7 @@ Each agent's turn: observe and refresh private state, detect an issue,
 featurize and gate it, then route — open a coordination window, run the local
 solver, or do opportunistic skip work. The episode runtime owns the world,
 the coordination windows (the public board) and the ordered trace; each
-issue's record holds its cooldown. `regate` derives a finished run's trace
+issue's record holds its cooldown and route. `regate` derives a finished run's trace
 under other gate settings.
 
 Views come from `observe` through the runtime's `ViewCache`. The world
@@ -25,7 +25,6 @@ from .gate import (
     GateThresholds,
     GateWeights,
     MockAdjudicator,
-    NOT_PROBED,
     extract_features,
     gate_decide,
     teammate_resources,
@@ -53,6 +52,7 @@ from .protocol import (
     surplus_of,
 )
 from .solver import (
+    NOT_PROBED,
     PLANNER_PARAMS,
     RecoveryPlan,
     RecoveryStep,
@@ -321,22 +321,18 @@ class GatePass:
 
 
 class AgentRuntime:
-    __slots__ = ("agent_id", "state", "legs", "skipping", "window", "skip_target",
-                 "abandoned", "gate_at", "script_cursor", "script_choice", "view_digest")
+    """What an agent keeps beyond its open issue's record, `state.blockage`."""
+
+    __slots__ = ("agent_id", "state", "window", "skip_target", "abandoned", "script_cursor",
+                 "script_choice", "view_digest")
 
     def __init__(self, agent_id: str, state: PrivateState):
         self.agent_id = agent_id
         self.state = state
-        # the recovery legs still to do: (step, item, count in hand that finishes it)
-        self.legs: list[tuple[RecoveryStep, str, int]] = []
-        # with a blockage, no window and no legs: skip work (True) or wait (False)
-        self.skipping = False
         self.window: CoordinationWindow | None = None  # the one window this agent has open as requester
+        # the node skip work builds; a window may outlive its issue, and skip work with it
         self.skip_target: int | None = None
         self.abandoned: set[int] = set()
-        # the sim time from which the next step passes the gate, or None: a pass
-        # due at once stores the time it was set, a retry the cooldown's expiry
-        self.gate_at: int | None = None
         self.script_cursor = 0
         self.script_choice: dict[int, str] = {}
         self.view_digest = ""
@@ -345,15 +341,17 @@ class AgentRuntime:
     def mode(self) -> str:
         """The mode an action event traces, derived from the facts it names:
         `coordinating` while the agent has a window open as requester,
-        `recovering` while recovery legs are left, `standard` with no
-        blockage, else `skipping` or `stalled`."""
+        `standard` with no open issue, `recovering` while the issue's
+        recovery legs are left, else `skipping` or `stalled` as the issue's
+        route says."""
         if self.window is not None:
             return "coordinating"
-        if self.legs:
-            return "recovering"
-        if self.state.blockage is None:
+        blockage = self.state.blockage
+        if blockage is None:
             return "standard"
-        return "skipping" if self.skipping else "stalled"
+        if blockage.legs:
+            return "recovering"
+        return "skipping" if blockage.skipping else "stalled"
 
 
 class EpisodeRuntime:
@@ -486,11 +484,10 @@ def _next_skip_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
     return local_skip(ep.graph, placed, blocked, allowed)
 
 
-def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
-    """Translate the current recovery leg into a concrete action. The planner
+def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime, step_: RecoveryStep) -> Action:
+    """Translate the recovery leg `step_` into a concrete action. The planner
     took the source or chest index, the recipe and the station from this
     world, so each lookup succeeds."""
-    step_ = rt.legs[0][0]
     me = ep.world.agents[rt.agent_id]
     if step_.op == "collect":
         ref = step_.source_ref
@@ -504,12 +501,6 @@ def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
         if not within(me.position, pos, INTERACTION_RADIUS):
             return Action.move(pos)
     return Action.craft(step_.recipe_id) if recipe.kind == "craft" else Action.smelt(step_.recipe_id)
-
-
-def _plan_leg_done(ep: EpisodeRuntime, rt: AgentRuntime) -> bool:
-    """A leg is finished once its goods are in hand."""
-    _, item, goal = rt.legs[0]
-    return ep.world.agents[rt.agent_id].inventory.count(item) >= goal
 
 
 def _responder_duty(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
@@ -571,9 +562,9 @@ def _solver_context(ep: EpisodeRuntime, rt: AgentRuntime, view, blockage: Blocka
 
 def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord, event: str) -> None:
     """Trace the end of the agent's open issue `blockage`, `resolved` or
-    `abandoned` (which gives the node up), and clear what the issue held:
-    the blockage, if a verified outcome has not cleared it already, the
-    recovery legs, the skip work and the gate clock."""
+    `abandoned` (which gives the node up), and drop its record, with its
+    legs, skip state and gate time, unless an outcome has dropped it. The
+    skip target, which a window outliving the issue may use, goes too."""
     now = ep.world.sim_time
     payload = {"event": event, "issue": blockage.issue.value, "node_id": blockage.node_id,
                "windows": blockage.windows_opened, "recovery_activated": blockage.recovery_activated}
@@ -584,10 +575,7 @@ def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord, e
         rt.abandoned.add(blockage.node_id)
     ep.trace.emit(now, rt.agent_id, "issue", payload)
     rt.state.blockage = None
-    rt.legs = []
-    rt.skipping = False
     rt.skip_target = None
-    rt.gate_at = None
 
 
 def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
@@ -603,19 +591,19 @@ def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
     if plan is not None:
         # a collect leg is done once its units are gathered, any other once the plan's goods are
         inv = ep.world.agents[rt.agent_id].inventory
-        rt.legs = [(s, s.item, inv.count(s.item) + s.units) if s.op == "collect"
-                   else (s, plan.item, plan.count) for s in plan.steps]
+        blockage.legs = [(s, s.item, inv.count(s.item) + s.units) if s.op == "collect"
+                         else (s, plan.item, plan.count) for s in plan.steps]
         blockage.recovery_activated = True
         return
     rt.skip_target = None
-    rt.skipping = _next_skip_target(ep, rt) is not None
-    if rt.skipping:
+    blockage.skipping = _next_skip_target(ep, rt) is not None
+    if blockage.skipping:
         return
     if blockage.consecutive_failures >= 2:
         _end_issue(ep, rt, blockage, "abandoned")
     elif blockage.expires_at > ep.world.sim_time:
-        rt.gate_at = blockage.expires_at
-    elif rt.gate_at is None and blockage.issue in MATERIAL_SHAPED_ISSUES:
+        blockage.gate_at = blockage.expires_at
+    elif blockage.gate_at is None and blockage.issue in MATERIAL_SHAPED_ISSUES:
         _end_issue(ep, rt, blockage, "abandoned")
 
 
@@ -642,14 +630,15 @@ def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict
 
 
 def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
-    """Featurize the blockage, run the gate, and route the verdict."""
+    """Featurize the blockage, run the gate, and route the verdict. A
+    material issue's probe is detection's, if made this step, else a call
+    here; only a material issue's route reads a plan."""
     blockage = rt.state.blockage
-    rt.gate_at = None
+    blockage.gate_at = None
     now = ep.world.sim_time
 
-    plan = None  # the probe; only a material issue's route reads a plan
-    probed = blockage.issue in MATERIAL_SHAPED_ISSUES
-    if probed:
+    plan, blockage.plan = blockage.plan, NOT_PROBED
+    if plan is NOT_PROBED and blockage.issue in MATERIAL_SHAPED_ISSUES:
         plan = plan_local_recovery(rt.state, view, ep.recipes, blockage)
 
     if len(ep.world.agents) == 1 or blockage.hard_blocked(now):
@@ -657,9 +646,7 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
     else:
         R = ep.read_team(rt.agent_id, lambda team: teammate_resources(view, team, ep.recipes, blockage))
         fv, features_plan = extract_features(
-            view, ep.graph, rt.state, R, ep.recipes,
-            blockage=blockage, plan=plan if probed else NOT_PROBED,
-        )
+            view, ep.graph, rt.state, R, ep.recipes, blockage=blockage, plan=plan)
         gp = GatePass(len(ep.trace.events), blockage, fv, features_plan)
         ep.gate_passes.append(gp)
         payload = _gate_decision(ep.config, ep.backend, gp,
@@ -676,20 +663,21 @@ def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
         blockage.recovery_activated = True
         return Action.send_message(request)
 
-    _route_local(ep, rt, blockage, plan)
-    if rt.legs:
-        return _plan_step_action(ep, rt)
-    return _skip_work_or_idle(ep, rt) if rt.skipping else Action.idle()
+    _route_local(ep, rt, blockage, None if plan is NOT_PROBED else plan)
+    if blockage.legs:
+        return _plan_step_action(ep, rt, blockage.legs[0][0])
+    return _skip_work_or_idle(ep, rt) if blockage.skipping else Action.idle()
 
 
-def _advance_plan(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
-    """Drop the finished legs and act on the next one. The last leg's goal is
-    the blockage's `count`, so finishing it clears the blockage through the
-    outcome trigger, and the same `_post_action` ends the record it held,
-    which drops the legs: the legs never run dry here."""
-    while _plan_leg_done(ep, rt):
-        del rt.legs[0]
-    return _plan_step_action(ep, rt)
+def _advance_plan(ep: EpisodeRuntime, rt: AgentRuntime, legs: list) -> Action:
+    """Drop the legs whose goods are in hand and act on the next one. The
+    last leg's goal is the blockage's `count`, so finishing it clears the
+    blockage through the outcome trigger, and the same `_post_action` ends
+    the record that holds the legs: they never run dry here."""
+    inv = ep.world.agents[rt.agent_id].inventory
+    while inv.count(legs[0][1]) >= legs[0][2]:
+        del legs[0]
+    return _plan_step_action(ep, rt, legs[0][0])
 
 
 def _skip_work_or_idle(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
@@ -730,24 +718,22 @@ def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
         return rt, _skip_work_or_idle(ep, rt)
 
     blockage = rt.state.blockage
-    if blockage is None:  # no recovery legs or gate time either: they go with the issue
+    if blockage is None:
         rt.state.active_subtask = next_node(view, ep.graph, rt.abandoned)
-        issue = detect_issue(rt.state, view, ep.graph, ep.recipes, ignore=rt.abandoned)
-        if issue is not None:
-            rt.state.blockage = issue
-            blockage = issue
-            rt.gate_at = now
+        blockage = rt.state.blockage = detect_issue(rt.state, view, ep.graph, ep.recipes,
+                                                    ignore=rt.abandoned)
+        if blockage is not None:  # its first gate pass is due now, at detection
             ep.trace.emit(now, rt.agent_id, "issue", {
-                "event": "detected", "issue": issue.issue.value, "node_id": issue.node_id,
-                "item": issue.item, "count": issue.count,
+                "event": "detected", "issue": blockage.issue.value, "node_id": blockage.node_id,
+                "item": blockage.item, "count": blockage.count,
             })
 
     if blockage is not None:
-        if rt.legs:
-            return rt, _advance_plan(ep, rt)
-        if rt.gate_at is not None and now >= rt.gate_at:
+        if blockage.legs:
+            return rt, _advance_plan(ep, rt, blockage.legs)
+        if blockage.gate_at is not None and now >= blockage.gate_at:
             return rt, _gate_and_route(ep, rt, view)
-        return rt, _skip_work_or_idle(ep, rt) if rt.skipping else Action.idle()
+        return rt, _skip_work_or_idle(ep, rt) if blockage.skipping else Action.idle()
 
     target = rt.state.active_subtask
     return rt, Action.idle() if target is None else _build_toward(ep, rt, target)
@@ -773,7 +759,7 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
                 "issue": window.issue, "level": 0, "consecutive_failures": 0,
                 "expires_at": 0, "cause": "fulfilled",
             })
-        rt.gate_at = now  # delivery did not fully cover the need
+        blockage.gate_at = now  # delivery did not fully cover the need
         return
     blockage.register_failure(window.state == WindowState.CANNOT_SUPPLY, now, ep.config.cooldown_duration)
     ep.trace.emit(now, window.requester, "cooldown_update", {
@@ -783,7 +769,7 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     })
     # mandatory local fallback, no fresh gate pass; before the second
     # failure the gate is passed again once the cooldown expires
-    rt.gate_at = blockage.expires_at if blockage.consecutive_failures < 2 else None
+    blockage.gate_at = blockage.expires_at if blockage.consecutive_failures < 2 else None
     plan = None
     if blockage.issue in MATERIAL_SHAPED_ISSUES:
         plan = plan_local_recovery(rt.state, ep.view_for(rt.agent_id), ep.recipes, blockage)
@@ -809,10 +795,10 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
     held = rt.state.blockage
     update_private_state(rt.state, outcome)
 
-    if not outcome.ok and rt.legs:
+    if not outcome.ok and held is not None and held.legs:
         # a recovery leg failed against the live world; replan from scratch
-        rt.legs = []
-        rt.gate_at = ep.world.sim_time
+        held.legs = []
+        held.gate_at = ep.world.sim_time
 
     # transfers also update the recipient's private state
     if outcome.ok and outcome.kind == "transfer" and action.to_agent:
@@ -848,18 +834,19 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
 
     The round qualifies when it traced nothing but idle `action` events
     (each holds its step's verified outcome) and leaves no window open and
-    no agent with a `gate_at` (even one already due: the gate pass it
+    no open issue with a `gate_at` (even one already due: the gate pass it
     triggers has not run yet). The state after it is a fixed point:
 
     - The world changes only through non-idle actions, so every view stays
       the same. `sim_time` still advances, but only the idle events' `step`
       and `obs_digest` show it.
     - The only reads that depend on time are window deadlines (none is
-      open, and opening one is traced), `gate_at` (none is set) and the
-      open issue's cooldown expiry and level. An issue's cooldown is read
-      only in a gate pass and at a window close; with no `gate_at` set and
-      no window open, neither comes again, so a cooldown that has not
-      expired yet changes nothing.
+      open, and opening one is traced), `gate_at` (none is set; a new
+      issue's is, and its detection is traced) and the open issue's
+      cooldown expiry and level. An issue's cooldown is read only in a
+      gate pass and at a window close; with no `gate_at` set and no window
+      open, neither comes again, so a cooldown that has not expired yet
+      changes nothing.
     - `detect_issue` reads only the unchanged view and private state.
     - The adjudicator is reached only through a gate pass, which needs a
       `gate_at`, and none is set.
@@ -881,7 +868,8 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
         all(e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"
             for e in ep.trace.events[round_start:])
         and not ep.windows
-        and all(rt.gate_at is None for rt in ep.runtimes.values())
+        and all(rt.state.blockage is None or rt.state.blockage.gate_at is None
+                for rt in ep.runtimes.values())
     )
 
 

@@ -12,14 +12,10 @@ import json
 
 from .memory import BlockageRecord, IssueType, PrivateState
 from .protocol import TeamPublicView
-from .solver import RecoveryPlan, plan_local_recovery
+from .solver import NOT_PROBED, RecoveryPlan, plan_local_recovery
 from .world import RecipeBook, TaskGraph, WorldView, criticality_of, dist_sq, within
 
 FEATURE_NAMES = ("C", "R", "I", "L", "H")
-
-# `extract_features`' `plan` when the caller has not run the local planner;
-# None means it has, and found no plan.
-NOT_PROBED = object()
 
 
 class FeatureVector:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .solver import plan_local_recovery
+from .solver import NOT_PROBED, RecoveryStep, plan_local_recovery
 from .world import Inventory, RecipeBook, TaskGraph, VerifiedOutcome, WorldView
 
 
@@ -27,13 +27,14 @@ MATERIAL_SHAPED_ISSUES = (IssueType.MISSING_MATERIAL, IssueType.TRANSFER_NEEDED)
 
 
 class BlockageRecord:
-    """One open issue: what blocks the agent and since when, what was done
-    about it, which the `issue` event that ends it reports, and its own
-    escalation cooldown, which starts clean. `count` is the number of `item`
-    the agent needs in hand."""
+    """One open issue and all the agent holds for it: what blocks the agent
+    and since when, what was done about it, which the `issue` event that
+    ends it reports, its own escalation cooldown, which starts clean, and
+    its route. `count` is the number of `item` the agent needs in hand."""
 
     __slots__ = ("issue", "node_id", "item", "count", "detected_at", "windows_opened",
-                 "recovery_activated", "level", "expires_at", "consecutive_failures")
+                 "recovery_activated", "level", "expires_at", "consecutive_failures",
+                 "legs", "skipping", "gate_at", "plan")
 
     def __init__(self, issue: IssueType, node_id: int, item: str, count: int = 1, detected_at: int = 0):
         self.issue = issue
@@ -46,6 +47,12 @@ class BlockageRecord:
         self.level = 0
         self.expires_at = 0
         self.consecutive_failures = 0
+        self.legs: list[tuple[RecoveryStep, str, int]] = []  # (step, item, count that finishes it)
+        self.skipping = False  # with no window and no legs: skip work, else wait
+        # the sim time from which the next step passes the gate, or None; a
+        # retry's is the cooldown's expiry
+        self.gate_at: int | None = detected_at
+        self.plan = NOT_PROBED  # detection's probe, for the gate pass in its step
 
     def level_at(self, now: int) -> int:
         """The cooldown level, 0 once it has expired."""
@@ -134,7 +141,8 @@ def detect_issue(
     An unheld target material is `transfer_needed` when no local plan reaches
     it and the plan partitions it to a teammate, else `missing_material`.
     "No local plan" is `plan_local_recovery` finding none: the planner whose
-    plan the gate's L feature and the local route read.
+    plan the gate's L feature and the local route read. The record keeps
+    that answer as its `plan`, for the gate pass in the same step.
     """
     materials = view.plan.materials
     placed = view.placed_nodes
@@ -166,6 +174,8 @@ def detect_issue(
         item=material, detected_at=view.sim_time,
     )
     owner = view.plan.partition.get(material)
-    if owner not in (None, view.agent_id) and plan_local_recovery(state, view, recipes, blockage) is None:
-        blockage.issue = IssueType.TRANSFER_NEEDED
+    if owner not in (None, view.agent_id):
+        blockage.plan = plan_local_recovery(state, view, recipes, blockage)
+        if blockage.plan is None:
+            blockage.issue = IssueType.TRANSFER_NEEDED
     return blockage

@@ -29,6 +29,9 @@ if TYPE_CHECKING:  # memory's records, for annotations only: memory imports this
 # The physics a plan's costs rest on, as recorded in a trace's solver context.
 PLANNER_PARAMS = {"interaction_radius": INTERACTION_RADIUS, "speed": SPEED, "far_threshold": FAR_THRESHOLD}
 
+# A plan slot whose planner has not run; None means it ran and found no plan.
+NOT_PROBED = object()
+
 
 class RecoveryStep:
     """One executable recovery leg; `op` names the micro-action the executor

@@ -5,6 +5,7 @@ import pytest
 from gatecraft import RunConfig, Trace, agent, gate, memory, run_episode
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.gate import GateThresholds, GateWeights, ScriptedAdjudicator
+from gatecraft.memory import BlockageRecord, IssueType
 from gatecraft.world import VerifiedOutcome
 
 from conftest import dependency_block_spec, hand_built_spec, run_checking_views
@@ -159,8 +160,9 @@ def _first_idle_round_end(events) -> int:
 
 
 def test_a_due_regate_is_not_quiescent(dataset, monkeypatch):
-    """A set `gate_at` blocks the exit even once it is due: the gate pass it
-    triggers has not run yet."""
+    """An open issue's set gate time blocks the exit even once it is due:
+    the gate pass it triggers has not run yet. A stalled issue with no gate
+    time does not."""
     spec = _episodes_of_class(dataset, "D", limit=1)[0]
     real = agent._quiescent
     verdicts = []
@@ -168,18 +170,19 @@ def test_a_due_regate_is_not_quiescent(dataset, monkeypatch):
     def spy(ep, round_start):
         quiet = real(ep, round_start)
         if quiet:
-            rt = ep.runtimes["a0"]
+            state = ep.runtimes["a0"].state
+            state.blockage = record = BlockageRecord(IssueType.TRANSFER_NEEDED, 0, "iron_ingot")
             now = ep.world.sim_time
-            for due in (0, now - 1, now, now + 1):
-                rt.gate_at = due
+            for due in (0, now - 1, now, now + 1, None):
+                record.gate_at = due
                 verdicts.append(real(ep, round_start))
-            rt.gate_at = None
+            state.blockage = None
         return quiet
 
     monkeypatch.setattr(agent, "_quiescent", spy)
     end = run_episode(spec, RunConfig()).events[-1]["payload"]
     assert end["reason"] == "quiescent"
-    assert verdicts == [False] * 4
+    assert verdicts == [False] * 4 + [True]
 
 
 def test_retry_after_an_idle_stretch_is_kept(dataset, monkeypatch):
@@ -338,34 +341,49 @@ def test_a_later_issue_does_not_inherit_an_earlier_ones_failed_windows():
     assert end["completion"] == pytest.approx(2 / 3) and end["reason"] == "quiescent"
 
 
-def test_each_gate_pass_probes_the_planner_once(dataset, monkeypatch):
-    """A material issue's plan probe is the one its features read, whether
-    it found a plan or not; any other issue's features probe once. Every
-    call is counted, through each name the planner is looked up by."""
-    calls = []
+def test_each_gate_pass_plan_comes_from_one_planner_call_in_its_step(dataset, monkeypatch):
+    """Every planner call is counted, through each name the planner is
+    looked up by, and filed under the step it is made in (a step's
+    post-action included). Each gate pass's plan is the answer of a call
+    made in its step: for a material issue, detection's probe or the
+    gate's own. No step asks the planner the same question twice, and a
+    seed-0 `run` makes 375 calls: 125 detections probe, and their gate
+    passes reuse the answer."""
+    calls, passes = [], []  # (step number, inputs, answer); (step number, gate pass)
+    stepno = [0]
     for module in (agent, gate, memory):
-        def counted(*args, _real=module.plan_local_recovery, **kwargs):
-            calls.append(1)
-            return _real(*args, **kwargs)
+        def counted(state, view, recipes, blockage, _real=module.plan_local_recovery):
+            plan = _real(state, view, recipes, blockage)
+            inputs = (state.agent_id, dict(state.inventory.counts), view, recipes,
+                      blockage.item, blockage.count)
+            calls.append((stepno[0], inputs, plan))
+            return plan
         monkeypatch.setattr(module, "plan_local_recovery", counted)
-    real_route = agent._gate_and_route
-    passes = []  # (issue, plan found, planner calls) per gate pass
+    real_step = agent.step
 
-    def route(ep, rt, view):
-        before, known = len(calls), len(ep.gate_passes)
-        action = real_route(ep, rt, view)
-        if len(ep.gate_passes) > known:
-            gp = ep.gate_passes[-1]
-            passes.append((gp.blockage.issue.value, gp.plan is not None, len(calls) - before))
-        return action
+    def stepped(rt, ep):
+        stepno[0] += 1
+        known = len(ep.gate_passes)
+        result = real_step(rt, ep)
+        passes.extend((stepno[0], gp) for gp in ep.gate_passes[known:])
+        return result
 
-    monkeypatch.setattr(agent, "_gate_and_route", route)
+    monkeypatch.setattr(agent, "step", stepped)
     _, episodes = dataset
-    specs = list(episodes) + [dependency_block_spec()]
-    for spec in specs:
+    for spec in episodes:
         run_episode(spec, RunConfig())
-    assert passes and {n for _, _, n in passes} == {1}
-    kinds = {(issue, found) for issue, found, _ in passes}
+    assert len(calls) == 375
+    run_episode(dependency_block_spec(), RunConfig())
+
+    by_step = {}
+    for n, inputs, plan in calls:
+        by_step.setdefault(n, []).append((inputs, plan))
+    for n, gp in passes:
+        assert any(plan is gp.plan for _, plan in by_step.get(n, ())), n
+    for n, made in by_step.items():
+        asked = [inputs for inputs, _ in made]
+        assert all(asked[i] not in asked[:i] for i in range(len(asked))), n
+    kinds = {(gp.blockage.issue.value, gp.plan is not None) for _, gp in passes}
     assert {("transfer_needed", False), ("missing_material", True), ("dependency_block", True)} <= kinds
 
 
