@@ -204,7 +204,14 @@ class EpisodeSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeSpec":
         """The spec `d` describes. Raises ValueError, naming the field, when
-        `assigned` or `edges` names a node that is not one of `blocks`."""
+        `assigned` or `edges` names a node that is not one of `blocks`, or
+        when `episode_id`, which names the episode's trace file, is not a
+        non-empty single path component (no `/`, `\\` or NUL; not `.` or
+        `..`)."""
+        episode_id = d["episode_id"]
+        if (not isinstance(episode_id, str) or episode_id in ("", ".", "..")
+                or any(c in episode_id for c in "/\\\0")):
+            raise ValueError(f"episode_id {episode_id!r} is not a single path component")
         blocks = [[int(n), m, list(p)] for n, m, p in d["blocks"]]
         edges = [[int(u), int(v)] for u, v in d["edges"]]
         assigned = {aid: [int(n) for n in nodes] for aid, nodes in d["assigned"].items()}
@@ -214,7 +221,7 @@ class EpisodeSpec:
         if stray := [e for e in edges if not nodes.issuperset(e)]:
             raise ValueError(f"edges name nodes outside blocks: {stray}")
         return cls(
-            episode_id=d["episode_id"],
+            episode_id=episode_id,
             template_id=int(d["template_id"]),
             seed_index=int(d["seed_index"]),
             class_label=d["class_label"],
@@ -577,15 +584,16 @@ def _decode(line: str) -> EpisodeSpec:
     return EpisodeSpec.from_dict(json.loads(line))
 
 
-def _check(value: dict) -> None:
-    """Decode a spec from a checked line's value and keep nothing."""
-    EpisodeSpec.from_dict(value)
+def _check(value: dict) -> str:
+    """Decode a spec from a checked line's value; keep only its id."""
+    return EpisodeSpec.from_dict(value).episode_id
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read a saved dataset's episodes; `manifest.json` is not read. Every
-    line is checked before this returns: a line that is not valid JSON or
-    lacks a field raises ValueError naming the file and the line.
+    line is checked before this returns: a line that is not valid JSON,
+    lacks a field, or repeats an earlier line's episode id (which names a
+    trace file) raises ValueError naming the file and the line.
 
     `read_jsonl`'s values are those of the non-blank lines of `splitlines`,
     in order, so those lines are the checked ones, and `json.loads` of each
@@ -594,7 +602,12 @@ def load_dataset(path: str | Path) -> Dataset:
     episodes_file = root if root.is_file() else root / "episodes.jsonl"
     try:
         text = episodes_file.read_text()
-        read_jsonl(text, _check)
+        ids = read_jsonl(text, _check)
     except ValueError as exc:
         raise ValueError(f"{episodes_file} {exc}") from exc
-    return Dataset(tuple(line for line in text.splitlines() if line.strip()))
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    first_line: dict[str, int] = {}
+    for (n, _), episode_id in zip(numbered, ids):
+        if (m := first_line.setdefault(episode_id, n)) != n:
+            raise ValueError(f"{episodes_file} line {n}: episode_id {episode_id!r} repeats line {m}")
+    return Dataset(tuple(line for _, line in numbered))

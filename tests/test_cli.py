@@ -596,6 +596,36 @@ def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
     assert not list(tmp_path.glob("o/traces/*.jsonl"))
 
 
+@pytest.mark.parametrize("episode_id", ["../escaped", "a/b", "a\\b", "nul\0", "", ".", "..", 7])
+def test_an_episode_id_that_is_not_a_file_name_fails_at_load(tmp_path, small_dataset, capsys, episode_id):
+    """An episode id names its trace file, `traces/<id>.jsonl`, so it must
+    be one non-empty path component."""
+    lines = (small_dataset / "episodes.jsonl").read_text().splitlines()
+    bad = json.dumps({**json.loads(lines[1]), "episode_id": episode_id})
+    episodes = tmp_path / "data" / "episodes.jsonl"
+    episodes.parent.mkdir()
+    episodes.write_text("\n".join([lines[0], bad]) + "\n")
+    out = tmp_path / "data" / "out"
+    assert main(["run", "--dataset", str(episodes), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {episodes} line 2: episode_id {episode_id!r} is not a single path component" in err
+    assert sorted(p.name for p in tmp_path.rglob("*.jsonl")) == ["episodes.jsonl"]
+
+
+def test_a_repeated_episode_id_fails_at_load_naming_both_lines(tmp_path, small_dataset, capsys):
+    """Two episodes with one id would write one trace file: `run` would say
+    it ran both while `report` counts one."""
+    lines = (small_dataset / "episodes.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])["episode_id"]
+    again = json.dumps({**json.loads(lines[1]), "episode_id": first})
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text("\n".join([lines[0], lines[2], "", again]) + "\n")
+    assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {episodes} line 4: episode_id {first!r} repeats line 1" in err
+    assert not list(tmp_path.glob("o/traces/*.jsonl"))
+
+
 def test_run_holds_one_decoded_spec_at_a_time(tmp_path, dataset, monkeypatch):
     """`run --jobs 1` decodes each spec of the loaded dataset as it runs
     it, so when an episode starts its spec is the only one alive.
