@@ -9,6 +9,7 @@ attainable raw range onto [0,1] so thresholds are weight-independent.
 from __future__ import annotations
 
 import json
+import math
 
 from .memory import BlockageRecord, IssueType, PrivateState
 from .protocol import TeamPublicView
@@ -292,11 +293,29 @@ class AdjudicatorUnavailable(RuntimeError):
     The only error gate_decide turns into a stay_local fallback."""
 
 
-def parse_adjudicator_reply(reply: bytes | str) -> tuple[str, float] | None:
-    """Strict reply schema: a JSON object with exactly {decision, confidence}.
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
-    Anything else — extra fields, free text, wrong types — is malformed and
-    returns None (the caller falls back to stay_local with confidence 0).
+
+def _unique_keys(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        raise ValueError("repeated key")
+    return data
+
+
+# Strict JSON for replies: `json.loads` would take the tokens NaN and
+# Infinity, and the last of two equal keys.
+_REPLY_DECODER = json.JSONDecoder(parse_constant=_no_constant, object_pairs_hook=_unique_keys)
+
+
+def parse_adjudicator_reply(reply: bytes | str) -> tuple[str, float] | None:
+    """Strict reply schema: a JSON object with exactly {decision, confidence},
+    each key once, and a finite confidence.
+
+    Anything else — extra or repeated fields, free text, wrong types, NaN
+    or infinite numbers — is malformed and returns None (the caller falls
+    back to stay_local with confidence 0).
     """
     if isinstance(reply, bytes):
         try:
@@ -304,8 +323,8 @@ def parse_adjudicator_reply(reply: bytes | str) -> tuple[str, float] | None:
         except UnicodeDecodeError:
             return None
     try:
-        data = json.loads(reply)
-    except (json.JSONDecodeError, TypeError):
+        data = _REPLY_DECODER.decode(reply)
+    except (ValueError, TypeError):  # JSONDecodeError is a ValueError
         return None
     if not isinstance(data, dict) or set(data.keys()) != REPLY_FIELDS:
         return None
@@ -315,7 +334,9 @@ def parse_adjudicator_reply(reply: bytes | str) -> tuple[str, float] | None:
         return None
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         return None
-    return decision, min(1.0, max(0.0, float(confidence)))
+    if isinstance(confidence, float) and not math.isfinite(confidence):  # 1e999 reads as inf
+        return None
+    return decision, float(min(1.0, max(0.0, confidence)))  # clamped first: a huge int overflows float
 
 
 class MockAdjudicator:

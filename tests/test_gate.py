@@ -239,6 +239,31 @@ def test_gate_malformed_reply_is_conservative():
     assert d.verdict == "stay_local" and not d.adjudicator_ok  # bad decision label
 
 
+def test_non_finite_or_repeated_reply_fields_are_malformed():
+    """NaN and Infinity are no JSON numbers, 1e999 reads as infinity, and a
+    repeated key is not the exact {decision, confidence} schema: each takes
+    the stay_local fallback. A valid reply still passes."""
+    th = GateThresholds(0.4, 0.5)
+    replies = [
+        '{"decision":"escalate","confidence":NaN}',
+        '{"decision":"escalate","confidence":Infinity}',
+        '{"decision":"escalate","confidence":-Infinity}',
+        '{"decision":"escalate","confidence":1e999}',
+        '{"decision":"stay_local","decision":"escalate","confidence":0.9}',
+        '{"decision":"escalate","confidence":0.9,"confidence":0.8}',
+        '{"decision":"escalate","confidence":9' + "9" * 5000 + '}',  # past int's digit limit
+        '{"decision":"escalate","confidence":0.9}',
+    ]
+    backend = ScriptedAdjudicator(replies)
+    decisions = [gate_decide(MISSING, fv(0, 3, 1, 1, 0), W_STAR, th, adjudicator=backend)
+                 for _ in replies]
+    assert [(d.verdict, d.confidence, d.adjudicator_ok) for d in decisions] == \
+        [("stay_local", 0.0, False)] * 7 + [("escalate", 0.9, True)]
+    # an integer too large for a float clamps like any other
+    assert parse_adjudicator_reply('{"decision":"escalate","confidence":1' + "0" * 400 + '}') \
+        == ("escalate", 1.0)
+
+
 def test_parse_reply_schema_is_exact():
     assert parse_adjudicator_reply(json.dumps({"decision": "escalate", "confidence": 0.5})) \
         == ("escalate", 0.5)
