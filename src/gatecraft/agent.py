@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .gate import (
+    TIERS,
     FeatureVector,
     GateThresholds,
     GateWeights,
@@ -78,13 +79,14 @@ from .world import (
 # The gate settings. They reach a run only through `_gate_decision`,
 # `_mock_backend` and `RunConfig.describe`, which is what lets `regate`
 # reuse one simulation across them.
-GATE_FIELDS = ("weights", "thresholds", "rules_on", "score_on", "adjudicator_on")
+GATE_FIELDS = ("weights", "thresholds", "tiers")
 
 # The version of the trace format, written into every `episode_end`. Bump it
 # when a trace would read differently: a changed event payload, or changed
 # physics constants (radii, speeds), which no trace echoes. Schema 2 records
-# each verified outcome inside its `action` event.
-TRACE_SCHEMA = 2
+# each verified outcome inside its `action` event; schema 3 echoes the gate's
+# cascade depth as one `tiers` setting.
+TRACE_SCHEMA = 3
 
 
 def _schema_problem(events: list) -> str | None:
@@ -112,9 +114,7 @@ def _schema_problem(events: list) -> str | None:
 class RunConfig:
     weights: GateWeights = GateWeights()
     thresholds: GateThresholds = GateThresholds()
-    rules_on: bool = True
-    score_on: bool = True
-    adjudicator_on: bool = True
+    tiers: int = len(TIERS)  # how many of the gate's TIERS run; 0 escalates every issue
     partition_on: bool = True
     window_timeout: int = 20
     cooldown_duration: int = 30
@@ -122,6 +122,8 @@ class RunConfig:
     allow_unvalidated: bool = False
 
     def __post_init__(self):
+        if not 0 <= self.tiers <= len(TIERS):
+            raise ValueError(f"tiers must be 0 to {len(TIERS)}")
         if self.step_budget < 1:
             raise ValueError("step_budget must be >= 1")
         if self.window_timeout < 1:
@@ -138,9 +140,7 @@ class RunConfig:
         return {
             "weights": list(self.weights.as_tuple()),
             "thresholds": [self.thresholds.t_low, self.thresholds.t_high],
-            "rules_on": self.rules_on,
-            "score_on": self.score_on,
-            "adjudicator_on": self.adjudicator_on,
+            "tiers": self.tiers,
             "partition_on": self.partition_on,
             "window_timeout": self.window_timeout,
             "cooldown_duration": self.cooldown_duration,
@@ -161,9 +161,9 @@ def regate_key(config: RunConfig) -> tuple:
     return tuple(getattr(config, f.name) for f in fields(config) if f.name not in REGATED_FIELDS)
 
 
-def _mock_backend(config: RunConfig) -> MockAdjudicator | None:
+def _mock_backend(config: RunConfig) -> MockAdjudicator:
     """The adjudicator a run gets when no backend is given."""
-    return MockAdjudicator(config.thresholds) if config.adjudicator_on else None
+    return MockAdjudicator(config.thresholds)
 
 
 # The trace line format, `json.dumps(e, sort_keys=True, separators=(",", ":"))`.
@@ -611,15 +611,12 @@ def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict
     """Decide one gate pass under `config` and render its `gate_decision`
     payload. `solver_ctx()` supplies the context an escalation records. The
     step loop and `regate` both decide here, so their payloads cannot drift
-    apart. With every tier off (the communication-first baseline) every
-    issue escalates, and the payload records only that."""
+    apart. With no tier (the communication-first baseline) every issue
+    escalates, and the payload records only that."""
     blockage = gp.blockage
-    if config.rules_on or config.score_on or config.adjudicator_on:
-        decision = gate_decide(
-            blockage, gp.fv, config.weights, config.thresholds, adjudicator=backend,
-            rules_on=config.rules_on, score_on=config.score_on,
-            adjudicator_on=config.adjudicator_on, plan=gp.plan,
-        ).to_dict()
+    if config.tiers:
+        decision = gate_decide(blockage, gp.fv, config.weights, config.thresholds,
+                               adjudicator=backend, tiers=config.tiers, plan=gp.plan).to_dict()
     else:
         decision = {"verdict": "escalate", "tier": "disabled"}
     payload = {"issue": blockage.issue.value, "node_id": blockage.node_id, **decision}
@@ -942,7 +939,7 @@ def regate(reference: EpisodeRuntime, config: RunConfig) -> Trace | None:
     - Before the first read, both runs have the same spec and the same
       settings outside REGATED_FIELDS. The gate settings are read nowhere
       else than in `_gate_decision`, `_mock_backend`, `describe` and the
-      weight check in `__post_init__` (the dataset validator reads only a
+      checks in `__post_init__` (the dataset validator reads only a
       fresh `RunConfig()`'s), and `partition_on` nowhere else than in
       `read_team`, `describe` and here (`tests/test_regate.py` pins both
       lists). So they trace the same bytes.

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .agent import RunConfig, Trace, run_episode
-from .gate import GateThresholds, GateWeights
+from .gate import TIERS, GateThresholds, GateWeights
 from .harness import (
     REQUIRED_PAYLOAD,
     CalibrationConfig,
@@ -41,16 +41,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
-TIER_NAMES = ("rules", "score", "adjudicator")
-
 # (variant, RunConfig overrides) — the same dataset across all six.
 ABLATION_VARIANTS = [
-    ("base", {"rules_on": False, "score_on": False, "adjudicator_on": False,
-              "partition_on": False}),
+    ("base", {"tiers": 0, "partition_on": False}),
     ("no_partition", {"partition_on": False}),
-    ("no_gating", {"rules_on": False, "score_on": False, "adjudicator_on": False}),
-    ("rule", {"score_on": False, "adjudicator_on": False}),
-    ("rule_score", {"adjudicator_on": False, "thresholds": GateThresholds(0.45, 0.45)}),
+    ("no_gating", {"tiers": 0}),
+    ("rule", {"tiers": 1}),
+    ("rule_score", {"tiers": 2, "thresholds": GateThresholds(0.45, 0.45)}),
     ("full", {}),
 ]
 
@@ -135,11 +132,12 @@ def _threshold_pair(text: str) -> GateThresholds:
     return GateThresholds(lo, hi)
 
 
-def _tier_flags(text: str) -> tuple[bool, bool, bool]:
+def _tier_depth(text: str) -> int:
+    """How many of TIERS a comma list names: `none`, or a prefix of them."""
     names = {t.strip().lower() for t in text.split(",") if t.strip()} - {"none"}
-    if names - set(TIER_NAMES):
+    if names != set(TIERS[:len(names)]):
         raise ValueError(names)
-    return tuple(t in names for t in TIER_NAMES)
+    return len(names)
 
 
 _ON_OFF = {"true": True, "1": True, "yes": True, "on": True,
@@ -221,7 +219,7 @@ SETTINGS = {
     "weights": (_cast(lambda t: GateWeights.from_sequence([int(w) for w in t.split(",")]),
                       "5 comma-separated integers"), None),
     "thresholds": (_cast(_threshold_pair, "t_low,t_high with 0 <= t_low <= t_high <= 1"), None),
-    "tiers": (_cast(_tier_flags, f"none or a comma list from {','.join(TIER_NAMES)}"), None),
+    "tiers": (_cast(_tier_depth, f"none or a prefix of {','.join(TIERS)}"), None),
     "no_partition": (_on_off, None),
     "window_timeout": (_count, None),
     "cooldown": (_within(_integer, ">= 0", lambda n: n >= 0), None),
@@ -285,8 +283,7 @@ def _resolve(ns) -> None:
 def _run_config(s: dict) -> RunConfig:
     """The run settings; RunConfig owns the default of each one not set.
     They are read by key, so the gate fields keep their few readers."""
-    given = dict(zip(("rules_on", "score_on", "adjudicator_on"), s["tiers"] or ()),
-                 weights=s["weights"], thresholds=s["thresholds"],
+    given = dict(tiers=s["tiers"], weights=s["weights"], thresholds=s["thresholds"],
                  partition_on=None if s["no_partition"] is None else not s["no_partition"],
                  window_timeout=s["window_timeout"], cooldown_duration=s["cooldown"],
                  step_budget=s["step_budget"], allow_unvalidated=s["allow_unvalidated"])
@@ -540,8 +537,8 @@ def _add_common(p: argparse.ArgumentParser, *, seed=False, dataset=False, run_fl
         p.add_argument("--backend", help="mock | scripted:<file> | remote:<url> (default: mock)")
         p.add_argument("--weights", help="wC,wR,wI,wL,wH (default: 4,2,2,2,1)")
         p.add_argument("--thresholds", help="t_low,t_high (default: 0.4,0.5)")
-        p.add_argument("--tiers", help="comma list of enabled tiers from "
-                                       "rules,score,adjudicator; 'none' disables all")
+        p.add_argument("--tiers", help="how deep the gate's cascade runs: none, rules, "
+                                       "rules,score or rules,score,adjudicator (default)")
         p.add_argument("--no-partition", action="store_const", const="true",
                        help="share live teammate inventories (partition off)")
         p.add_argument("--window-timeout", dest="window_timeout")

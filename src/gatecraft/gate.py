@@ -18,6 +18,10 @@ from .world import RecipeBook, TaskGraph, WorldView, criticality_of, dist_sq, wi
 
 FEATURE_NAMES = ("C", "R", "I", "L", "H")
 
+# The gate's cascade, cheapest first. A run sets how many of them run
+# (`RunConfig.tiers`), and each runs every tier before it.
+TIERS = ("rules", "score", "adjudicator")
+
 
 class FeatureVector:
     __slots__ = FEATURE_NAMES
@@ -485,30 +489,27 @@ def gate_decide(
     thresholds: GateThresholds,
     adjudicator=None,
     *,
-    rules_on: bool = True,
-    score_on: bool = True,
-    adjudicator_on: bool = True,
+    tiers: int = len(TIERS),
     plan: RecoveryPlan | None = None,
 ) -> GateDecision:
-    """Asymmetric three-tier decision.
+    """Asymmetric cascade over the first `tiers` (1 to 3) of TIERS.
 
-    Tier 1 rules short-circuit when enabled. The score tier stays local at or
-    below t_low, escalates at or above t_high, and hands the open interval to
-    the adjudicator exactly once; without an adjudicator the gray zone stays
-    local (conservative bias). With the score tier disabled, anything the
-    rules don't catch escalates (communication-first degenerate).
+    Tier 1 rules short-circuit. The score tier stays local at or below
+    t_low, escalates at or above t_high, and hands the open interval to the
+    adjudicator exactly once; without the adjudicator tier or a backend the
+    gray zone stays local (conservative bias). With the rules alone,
+    anything they don't catch escalates (communication-first degenerate).
     """
     raw = escalation_score(fv, weights)
     norm = normalize_score(raw, weights)
 
-    if rules_on:
-        hit = tier1_rules(blockage.issue, fv)
-        if hit is not None:
-            verdict, idx = hit
-            return GateDecision(verdict=verdict, tier="rule", score_raw=raw, score_norm=norm,
-                                fv=fv, rule_index=idx)
+    hit = tier1_rules(blockage.issue, fv)
+    if hit is not None:
+        verdict, idx = hit
+        return GateDecision(verdict=verdict, tier="rule", score_raw=raw, score_norm=norm,
+                            fv=fv, rule_index=idx)
 
-    if not score_on:
+    if tiers < 2:
         return GateDecision(verdict="escalate", tier="rule", score_raw=raw, score_norm=norm, fv=fv)
 
     if norm <= thresholds.t_low:
@@ -516,7 +517,7 @@ def gate_decide(
     if norm >= thresholds.t_high:
         return GateDecision(verdict="escalate", tier="score", score_raw=raw, score_norm=norm, fv=fv)
 
-    if not adjudicator_on or adjudicator is None:
+    if tiers < 3 or adjudicator is None:
         return GateDecision(verdict="stay_local", tier="score", score_raw=raw, score_norm=norm, fv=fv)
 
     card = build_request_card(blockage, fv, norm, plan)

@@ -68,15 +68,13 @@ def narrow_band_run(dataset):
 @pytest.fixture(scope="module")
 def rule_only_run(dataset):
     _, episodes = dataset
-    return _suite(episodes, RunConfig(score_on=False, adjudicator_on=False))
+    return _suite(episodes, RunConfig(tiers=1))
 
 
 @pytest.fixture(scope="module")
 def ungated_run(dataset):
     _, episodes = dataset
-    return _suite(
-        episodes, RunConfig(rules_on=False, score_on=False, adjudicator_on=False)
-    )
+    return _suite(episodes, RunConfig(tiers=0))
 
 
 @pytest.fixture(scope="module")

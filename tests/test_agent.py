@@ -24,12 +24,19 @@ def test_run_config_validates_weights_unless_permitted():
     assert cfg.weights.as_tuple() == (1, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("tiers", [-1, 4])
+def test_run_config_rejects_a_cascade_depth_outside_its_tiers(tiers):
+    with pytest.raises(ValueError, match="tiers must be 0 to 3"):
+        RunConfig(tiers=tiers)
+
+
 def test_run_config_describe_echoes_settings():
-    cfg = RunConfig(thresholds=GateThresholds(0.45, 0.45), step_budget=77)
+    cfg = RunConfig(thresholds=GateThresholds(0.45, 0.45), step_budget=77, tiers=1)
     desc = cfg.describe()
     assert desc["thresholds"] == [0.45, 0.45]
     assert desc["step_budget"] == 77
     assert desc["weights"] == [4, 2, 2, 2, 1]
+    assert desc["tiers"] == 1
 
 
 def test_trace_round_trips_through_jsonl():
@@ -113,7 +120,7 @@ def test_scripted_backend_substitutes_for_the_recorded_adjudicator(dataset):
 
 def test_disabling_gating_escalates_every_issue(dataset):
     spec = _episodes_of_class(dataset, "A", limit=1)[0]
-    cfg = RunConfig(rules_on=False, score_on=False, adjudicator_on=False)
+    cfg = RunConfig(tiers=0)
     trace = run_episode(spec, cfg)
     decisions = [e["payload"] for e in trace.events if e["kind"] == "gate_decision"]
     assert decisions and all(d["tier"] == "disabled" for d in decisions)
@@ -212,8 +219,7 @@ def test_window_timing_out_in_an_idle_round_is_not_quiescent(monkeypatch):
         partition={"sandstone": "a1"}, script={"a1": ["silent"]},
         sources=[["sandstone", [6, 0, 0], 2]],
     )
-    config = RunConfig(rules_on=False, score_on=False, adjudicator_on=False,
-                       window_timeout=4, cooldown_duration=0)
+    config = RunConfig(tiers=0, window_timeout=4, cooldown_duration=0)
     trace = run_episode(spec, config)
     end = trace.events[-1]["payload"]
     assert end["reason"] == "completed" and end["completion"] == 1.0
@@ -484,7 +490,7 @@ def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
         assigned={"a0": [1], "a1": [2, 3]}, partition={}, script={}, edges=[[3, 2], [2, 1]],
         inventories={"a0": {"oak_planks": 1}, "a1": {"cobblestone": 2}},
     )
-    config = RunConfig(rules_on=False, score_on=False, adjudicator_on=False)
+    config = RunConfig(tiers=0)
     events = run_episode(spec, config).events
     closed = next(i for i, e in enumerate(events)
                   if e["kind"] == "window_state" and e["payload"]["event"] == "closed")
@@ -512,7 +518,7 @@ def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch
         sources=[["sandstone", [31, 0, 0], 2]], inventories={"a1": {"iron_ingot": 1}},
     )
     # every issue escalates, so a0 asks a1 for the ingot before a1 is in sight
-    config = RunConfig(rules_on=False, score_on=False, adjudicator_on=False, window_timeout=40)
+    config = RunConfig(tiers=0, window_timeout=40)
     run, views = run_checking_views(spec, config, monkeypatch)
     events = run.trace.events
     assert events[-1]["payload"]["completion"] == 1.0

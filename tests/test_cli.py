@@ -195,7 +195,7 @@ def test_jobs_below_one_exits_one(tmp_path, small_dataset, capsys, command, jobs
      " yes/no or on/off: config file {cfg} sets allow_unvalidated = 'yes please'"),
     ("run", "weights = 1,2\n",
      "--weights must be 5 comma-separated integers: config file {cfg} sets weights = '1,2'"),
-    ("ablate", "tiers = vibes\n", "--tiers must be none or a comma list from"
+    ("ablate", "tiers = vibes\n", "--tiers must be none or a prefix of"
      " rules,score,adjudicator: config file {cfg} sets tiers = 'vibes'"),
     ("run", "step_budget = 0\n",
      "--step-budget must be >= 1: config file {cfg} sets step_budget = '0'"),
@@ -319,6 +319,39 @@ def test_a_run_setting_from_a_flag_a_line_or_json_runs_the_same(tmp_path, small_
     if dest != "allow_unvalidated":
         assert main(args + ["--out", str(tmp_path / "d")]) == 0
         assert echoed[0] != _episode_end(next((tmp_path / "d" / "traces").glob("*.jsonl")))["config"]
+
+
+@pytest.mark.parametrize("value, depth", [
+    ("none", 0), ("rules", 1), ("rules,score", 2), ("Score, rules", 2),
+    ("rules,score,adjudicator", 3),
+])
+def test_tiers_names_how_deep_the_cascade_runs(value, depth):
+    assert _resolved("run", ["--tiers", value])["run_config"].tiers == depth
+
+
+@pytest.mark.parametrize("value", ["score", "vibes", "rules,adjudicator", "none,score,adjudicator"])
+def test_tiers_other_than_a_prefix_of_the_cascade_exit_one(tmp_path, small_dataset, capsys, value):
+    """A tier runs only behind every tier before it, so a list that skips
+    one is a usage error naming the flag, or the file and the key."""
+    args = ["run", "--dataset", str(small_dataset), "--out", str(tmp_path / "o")]
+    problem = "--tiers must be none or a prefix of rules,score,adjudicator"
+    assert main(args + ["--tiers", value]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {problem}\n")
+    cfg = tmp_path / "tiers.cfg"
+    cfg.write_text(f"tiers = {value}\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {problem}: config file {cfg} sets tiers = {value!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_tiers_rules_score_runs_the_rules_and_the_score(tmp_path, small_dataset):
+    out = tmp_path / "o"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out), "--tiers", "rules,score"]) == 0
+    traces = sorted((out / "traces").glob("*.jsonl"))
+    tiers = {e["payload"]["tier"] for path in traces for e in Trace.from_jsonl(path.read_text()).events
+             if e["kind"] == "gate_decision"}
+    assert tiers == {"rule", "score"}
+    assert {_episode_end(path)["config"]["tiers"] for path in traces} == {2}
 
 
 @pytest.mark.parametrize("command, text, key", [
@@ -454,7 +487,7 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
         assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
         assert f"runtime error: {bad}: event 4 {problem}" in capsys.readouterr().err
 
-    end = '{"agent":"","kind":"episode_end","payload":{"completion":1.0,"schema":2},"step":1}\n'
+    end = '{"agent":"","kind":"episode_end","payload":{"completion":1.0,"schema":3},"step":1}\n'
     for action, field in (("{}", "action"), ('{"action":{}}', "action.kind")):
         bad.write_text('{"agent":"a0","kind":"action","payload":%s,"step":0}\n' % action + end)
         assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
@@ -495,16 +528,17 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
 
 @pytest.mark.parametrize("schema, problem", [
     (None, "has no payload field 'schema'"),
-    (1, "has schema 1; this reader takes schema 2"),
-    ("1", "has schema '1'; this reader takes schema 2"),
-    ("2", "has schema '2'; this reader takes schema 2"),
+    (1, "has schema 1; this reader takes schema 3"),
+    ("1", "has schema '1'; this reader takes schema 3"),
+    ("2", "has schema '2'; this reader takes schema 3"),
+    (2, "has schema 2; this reader takes schema 3"),
 ])
 def test_report_rejects_a_trace_of_another_schema(tmp_path, small_dataset, capsys, schema, problem):
     out = tmp_path / "out"
     assert main(["run", "--dataset", str(small_dataset), "--out", str(out), "--episodes", "1"]) == 0
     trace = next(iter((out / "traces").glob("*.jsonl")))
     events = Trace.from_jsonl(trace.read_text()).events
-    assert events[-1]["payload"]["schema"] == 2
+    assert events[-1]["payload"]["schema"] == 3
     if schema is None:
         del events[-1]["payload"]["schema"]
     else:
@@ -547,7 +581,7 @@ def test_a_schema_1_trace_is_rejected_by_every_reader(tmp_path, small_dataset, c
     events = _as_schema_1(Trace.from_jsonl(trace.read_text()).events)
     assert sum(e["kind"] == "outcome" for e in events) > 0
     text = Trace(events=events).to_jsonl()
-    problem = f"event {len(events)} (episode_end) has schema 1; this reader takes schema 2"
+    problem = f"event {len(events)} (episode_end) has schema 1; this reader takes schema 3"
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         Trace.from_jsonl(text)
     trace.write_text(text)

@@ -148,7 +148,7 @@ def test_gate_gray_zone_consults_adjudicator_once():
 
 def test_gate_score_disabled_escalates_residue():
     d = gate_decide(MISSING, fv(1, 1, 1, 2, 0), W_STAR,
-                    GateThresholds(), score_on=False)
+                    GateThresholds(), tiers=1)
     assert d.verdict == "escalate" and d.tier == "rule" and d.rule_index is None
 
 

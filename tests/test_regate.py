@@ -70,9 +70,7 @@ def _random_gate_settings(rng: random.Random) -> dict:
             break
     cuts = sorted(rng.choice([0.3, 0.4, 0.45, 0.5, 0.6]) if rng.random() < 0.5
                   else round(rng.random(), 2) for _ in range(2))
-    return {"weights": weights, "thresholds": GateThresholds(*cuts),
-            "rules_on": rng.random() < 0.7, "score_on": rng.random() < 0.7,
-            "adjudicator_on": rng.random() < 0.7}
+    return {"weights": weights, "thresholds": GateThresholds(*cuts), "tiers": rng.randint(0, 3)}
 
 
 def _verdicts(trace) -> list[str]:
@@ -121,7 +119,7 @@ def test_a_partition_dependent_read_needs_a_simulation(read):
         other = RunConfig(partition_on=not partition_on)
         assert regate(reference, other) is None
         assert run_episode(spec, other).events[:-1] != reference.trace.events[:-1]
-        same = RunConfig(partition_on=partition_on, adjudicator_on=False)
+        same = RunConfig(partition_on=partition_on, tiers=2)
         assert regate(reference, same).to_jsonl() == run_episode(spec, same).to_jsonl()
 
 
@@ -134,7 +132,7 @@ def test_class_a_without_gating_must_fall_back(dataset):
     """`full` keeps a class-A issue local; with every tier off it escalates,
     so the run takes another path and has to be simulated."""
     _, episodes = dataset
-    no_gating = RunConfig(rules_on=False, score_on=False, adjudicator_on=False)
+    no_gating = RunConfig(tiers=0)
     spec = next(e for e in episodes if e.class_label == "A"
                 and "stay_local" in _verdicts(run_episode(e, RunConfig())))
     assert regate(simulate_episode(spec, RunConfig()), no_gating) is None
@@ -145,7 +143,7 @@ def test_a_reference_with_every_tier_off_regates_the_default(dataset):
     """Every gate pass is featurized whatever the tiers, so a run with every
     tier off serves as the reference of a config with tiers on."""
     _, episodes = dataset
-    no_gating = RunConfig(rules_on=False, score_on=False, adjudicator_on=False)
+    no_gating = RunConfig(tiers=0)
     spec = next(e for e in episodes if e.class_label == "B")
     trace = regate(simulate_episode(spec, no_gating), RunConfig())
     assert trace is not None and _verdicts(trace)
@@ -169,7 +167,7 @@ def test_regate_rejects_a_config_that_differs_outside_the_gate():
 # The only code that may read a gate setting. `regate`'s equivalence argument
 # rests on this list; a new read has to be added here and argued there.
 GATE_READS = {
-    ("agent", "RunConfig.__post_init__"),  # weight validation, before any run
+    ("agent", "RunConfig.__post_init__"),  # weight and tier validation, before any run
     ("agent", "RunConfig.describe"),  # episode_end.config, re-rendered by regate
     ("agent", "_mock_backend"),
     ("agent", "_gate_decision"),
