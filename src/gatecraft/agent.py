@@ -85,7 +85,8 @@ GATE_FIELDS = ("weights", "thresholds", "tiers")
 # when a trace would read differently: a changed event payload, or changed
 # physics constants (radii, speeds), which no trace echoes. Schema 2 records
 # each verified outcome inside its `action` event; schema 3 echoes the gate's
-# cascade depth as one `tiers` setting.
+# cascade depth as one `tiers` setting, and a resolved issue's `via` names
+# what cleared it.
 TRACE_SCHEMA = 3
 
 
@@ -560,16 +561,20 @@ def _solver_context(ep: EpisodeRuntime, rt: AgentRuntime, view, blockage: Blocka
     }
 
 
-def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord, event: str) -> None:
-    """Trace the end of the agent's open issue `blockage`, `resolved` or
-    `abandoned` (which gives the node up), and drop its record, with its
-    legs, skip state and gate time, unless an outcome has dropped it. The
-    skip target, which a window outliving the issue may use, goes too."""
+def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord, cause: str) -> None:
+    """Trace the end of the agent's open issue `blockage` and drop its
+    record, with its legs, skip state and gate time, unless an outcome has
+    dropped it. `cause` is `abandoned` (which gives the node up), or what
+    resolved it, traced as `via`: `transfer` (a teammate's transfer
+    arrived), `local` (the agent's own verified outcome) or `blocker_placed`
+    (the node a dependency block waits on landed). The skip target, which a
+    window outliving the issue may use, goes too."""
     now = ep.world.sim_time
+    event = "abandoned" if cause == "abandoned" else "resolved"
     payload = {"event": event, "issue": blockage.issue.value, "node_id": blockage.node_id,
                "windows": blockage.windows_opened, "recovery_activated": blockage.recovery_activated}
     if event == "resolved":
-        payload["via"] = "coordination" if blockage.windows_opened else "local"
+        payload["via"] = cause
         payload["duration"] = now - blockage.detected_at
     else:
         rt.abandoned.add(blockage.node_id)
@@ -803,7 +808,7 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
         awaited = recipient.state.blockage
         update_private_state(recipient.state, outcome)
         if awaited is not None and recipient.state.blockage is None:
-            _end_issue(ep, recipient, awaited, "resolved")
+            _end_issue(ep, recipient, awaited, "transfer")
         ep.advertised.get(rt.agent_id, {}).pop(action.item, None)
         window = recipient.window
         if (window is not None and window.responder == rt.agent_id
@@ -813,10 +818,10 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
 
     # blockage satisfied by this outcome (plan leg, passive gain, ...), or a
     # dependency block whose awaited node landed
+    waits = held is not None and held.issue == IssueType.DEPENDENCY_BLOCK
     if held is not None and (
-            rt.state.blockage is None
-            or (held.issue == IssueType.DEPENDENCY_BLOCK and ep.world.node_placed(held.node_id))):
-        _end_issue(ep, rt, held, "resolved")
+            rt.state.blockage is None or (waits and ep.world.node_placed(held.node_id))):
+        _end_issue(ep, rt, held, "blocker_placed" if waits else "local")
 
     # settle every open window after each applied action
     for window in ep.open_windows():

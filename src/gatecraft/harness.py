@@ -187,7 +187,7 @@ def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None, replay=None) 
             event = p.get("event")
             if event == "resolved":
                 resolved += 1
-                if p.get("windows", 0) == 0:
+                if p.get("via") == "local":
                     local_resolved += 1
                 durations.append(int(p.get("duration", 0)))
             elif event == "abandoned":

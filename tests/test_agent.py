@@ -5,6 +5,7 @@ import pytest
 from gatecraft import RunConfig, Trace, agent, gate, memory, run_episode
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.gate import GateThresholds, GateWeights, ScriptedAdjudicator
+from gatecraft.harness import compute_metrics
 from gatecraft.memory import BlockageRecord, IssueType
 from gatecraft.world import VerifiedOutcome
 
@@ -476,22 +477,28 @@ def test_each_action_event_rebuilds_the_outcome_apply_action_returned(dataset, m
     assert seen == set(VerifiedOutcome.__slots__)  # every field was set somewhere
 
 
-def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
-    """a0's node 1 waits on a1's node 2, which waits on a1's node 3. With
-    every tier off, a0 asks a1 for node 2's cobblestone and a1 hands it
-    over: the window is fulfilled, but the dependency block stays open
-    until node 2 lands, so a0's next step passes the gate again. a1 has no
-    stone bricks for node 3, so neither node lands; both agents give their
-    nodes up after two refused windows, and every issue ends."""
-    spec = hand_built_spec(
+def _stalled_chain_spec(script: dict):
+    """a0's node 1 waits on a1's node 2, which waits on a1's node 3, and a1
+    has no stone bricks for node 3, so node 2 never lands. A window for
+    a0's dependency block moves node 2's cobblestone, which a1 holds one
+    spare of, without clearing the block."""
+    return hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [4, 0, 0]},
         blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [3, 0, 1]],
                 [3, "stone_bricks", [4, 0, 1]]],
-        assigned={"a0": [1], "a1": [2, 3]}, partition={}, script={}, edges=[[3, 2], [2, 1]],
+        assigned={"a0": [1], "a1": [2, 3]}, partition={}, script=script, edges=[[3, 2], [2, 1]],
         inventories={"a0": {"oak_planks": 1}, "a1": {"cobblestone": 2}},
     )
+
+
+def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
+    """With every tier off, a0 asks a1 for node 2's cobblestone and a1
+    hands it over: the window is fulfilled, but the dependency block stays
+    open until node 2 lands, so a0's next step passes the gate again.
+    Neither node lands; both agents give their nodes up after two refused
+    windows, and every issue ends."""
     config = RunConfig(tiers=0)
-    events = run_episode(spec, config).events
+    events = run_episode(_stalled_chain_spec({}), config).events
     closed = next(i for i, e in enumerate(events)
                   if e["kind"] == "window_state" and e["payload"]["event"] == "closed")
     assert (events[closed]["step"], events[closed]["payload"]["window_id"],
@@ -503,6 +510,43 @@ def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
     issues = [(e["agent"], e["payload"]["event"]) for e in events if e["kind"] == "issue"]
     assert issues == [("a0", "detected"), ("a1", "detected"), ("a0", "abandoned"), ("a1", "abandoned")]
     assert events[-1]["payload"]["reason"] == "quiescent"
+
+
+def test_a_fulfilled_retry_clears_the_open_issues_cooldown():
+    """a1 lets a0's first window time out, then fulfils the retry. The
+    dependency block is still open, so the fulfilled close resets its
+    cooldown, traced as level 0 with no failures, and the issue is given up
+    only after two more failed windows."""
+    events = run_episode(_stalled_chain_spec({"a1": ["silent", "honest"]}), RunConfig()).events
+    a0 = [(e["step"], e["kind"], e["payload"].get("event") or e["payload"].get("cause"))
+          for e in events if e["agent"] == "a0" and e["kind"] in ("issue", "cooldown_update")]
+    assert a0 == [(0, "issue", "detected"), (20, "cooldown_update", "timed_out"),
+                  (56, "cooldown_update", "fulfilled"), (58, "cooldown_update", "cannot_supply"),
+                  (90, "cooldown_update", "cannot_supply"), (90, "issue", "abandoned")]
+    updates = [e["payload"] for e in events if e["agent"] == "a0" and e["kind"] == "cooldown_update"]
+    assert updates[1] == {"issue": "dependency_block", "level": 0, "consecutive_failures": 0,
+                          "expires_at": 0, "cause": "fulfilled"}
+    assert [u["consecutive_failures"] for u in updates] == [1, 0, 1, 2]
+
+
+def test_via_names_what_cleared_each_issue(dataset):
+    """a1 never answers. a0's dependency block ends when a1 places node 2
+    (`blocker_placed`), and its next issue, whose window times out, when a0
+    collects the planks itself (`local`), although both opened a window. A
+    class-B issue ends when the teammate's transfer arrives (`transfer`).
+    `lrr` counts the `local` ones."""
+    spec = dependency_block_spec()
+    spec.responder_script = {"a1": ["silent"] * 3}
+    trace = run_episode(spec, RunConfig())
+    resolved = [(e["step"], e["agent"], e["payload"]["windows"], e["payload"]["via"])
+                for e in trace.events if e["kind"] == "issue" and e["payload"]["event"] == "resolved"]
+    assert resolved == [(4, "a1", 1, "local"), (7, "a0", 1, "blocker_placed"), (41, "a0", 1, "local")]
+    assert compute_metrics(trace, spec).lrr == pytest.approx(2 / 3)
+    b = next(e for e in dataset[1] if e.class_label == "B")
+    trace = run_episode(b, RunConfig())
+    resolved = [e["payload"]["via"] for e in trace.events
+                if e["kind"] == "issue" and e["payload"]["event"] == "resolved"]
+    assert resolved == ["transfer"] and compute_metrics(trace, b).lrr == 0.0
 
 
 def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch):

@@ -156,7 +156,7 @@ def test_compute_metrics_counts_synthetic_trace():
             {
                 "event": "resolved",
                 "issue": "missing_material",
-                "via": "coordination",
+                "via": "transfer",
                 "windows": 1,
                 "recovery_activated": False,
                 "duration": 7,
