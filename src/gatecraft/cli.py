@@ -323,15 +323,17 @@ def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir:
 
     Only the default/mock backend fans out across processes: a scripted
     backend is a single consumable reply stream, and remote replies should be
-    recorded in a stable call order. The tasks are built as they are taken,
-    so a run in this process holds one spec of a loaded dataset at a time;
-    a pool's `map` takes them all up front."""
+    recorded in a stable call order. A pool has no more workers than
+    episodes: it starts them all at once. The tasks are built as they are
+    taken, so a run in this process holds one spec of a loaded dataset at a
+    time; a pool's `map` takes them all up front."""
     backend = make_backend(backend_name)
     tasks = ((spec, config, backend, traces_dir) for spec in episodes)
-    if backend is None and jobs > 1:
+    workers = min(jobs, len(episodes))
+    if backend is None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_episode_worker, tasks)
         return
     for task in tasks:

@@ -318,8 +318,9 @@ def run_config_suite(
     backend: str | None = None,
 ) -> tuple[list[list[EpisodeMetrics]], list[bool]]:
     """`run_configs` over every episode, one task per episode, spread over
-    `jobs` worker processes. Returns each config's metrics in episode order
-    and the `partition_dependent` flag of every simulated run.
+    `jobs` worker processes, and no more than there are episodes. Returns
+    each config's metrics in episode order and the `partition_dependent`
+    flag of every simulated run.
 
     `backend` names a scripted or remote backend (see `make_backend`), or
     is None for the mock. Such a backend may reply by the order of its
@@ -330,15 +331,16 @@ def run_config_suite(
     `Dataset` has one spec decoded at a time; a pool's `map` takes them all
     up front."""
     args = (episodes, repeat(configs))
+    workers = min(jobs, len(episodes))  # a pool starts every worker at once
     if backend is not None:
         backends = [make_backend(backend) for _ in configs]
         results = [run_configs(spec, configs, backends) for spec in episodes]
-    elif jobs > 1:
+    elif workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # about four chunks per worker, `multiprocessing.Pool.map`'s default rule
-            chunksize = max(1, len(episodes) // (4 * jobs))
+            chunksize = max(1, len(episodes) // (4 * workers))
             results = list(pool.map(run_configs, *args, chunksize=chunksize))
     else:
         results = list(map(run_configs, *args))

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 from pathlib import Path
 
 import pytest
@@ -163,3 +164,26 @@ def run_checking_views(spec, config, monkeypatch):
     assert served
     return run, served
 
+
+
+def record_pool_sizes(monkeypatch) -> list[int]:
+    """Stand in for `concurrent.futures.ProcessPoolExecutor` with a pool
+    that maps in this process, so no worker is started, and return the list
+    each pool appends its `max_workers` to."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes

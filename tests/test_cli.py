@@ -11,6 +11,8 @@ from gatecraft import Trace, cli
 from gatecraft.cli import main
 from gatecraft.scenarios import EpisodeSpec, save_dataset
 
+from conftest import record_pool_sizes
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory, dataset):
@@ -80,6 +82,17 @@ def test_run_jobs_two_matches_jobs_one(tmp_path, small_dataset):
     for name in serial:
         assert (outs["1"] / "traces" / name).read_bytes() == (outs["2"] / "traces" / name).read_bytes()
     assert (outs["1"] / "metrics.csv").read_bytes() == (outs["2"] / "metrics.csv").read_bytes()
+
+
+def test_a_pool_has_no_more_workers_than_episodes(tmp_path, small_dataset, monkeypatch):
+    """A process pool starts all its workers at once, so `--jobs 64` on two
+    episodes starts two, and on one episode runs it in this process."""
+    sizes = record_pool_sizes(monkeypatch)
+    args = ["--dataset", str(small_dataset), "--out", str(tmp_path / "o"), "--jobs", "64"]
+    assert main(["run", *args, "--episodes", "2"]) == 0
+    assert main(["run", *args, "--episodes", "1"]) == 0
+    assert main(["ablate", *args]) == 0
+    assert sizes == [2, 4]
 
 
 def test_run_episode_limit(tmp_path, small_dataset):

@@ -30,6 +30,8 @@ from gatecraft.harness import (
 )
 from gatecraft.cli import ABLATION_VARIANTS
 
+from conftest import record_pool_sizes
+
 
 def _trace(events):
     t = Trace()
@@ -447,6 +449,14 @@ def test_run_config_suite_gives_each_config_its_own_backend(dataset, tmp_path):
         backend = make_backend(name)
         assert metrics == [compute_metrics(run_episode(spec, config, backend), spec) for spec in subset]
     assert per_config[0] != per_config[-1]
+
+
+def test_run_config_suite_starts_no_more_workers_than_episodes(dataset, monkeypatch):
+    _, episodes = dataset
+    sizes = record_pool_sizes(monkeypatch)
+    configs = [RunConfig()]
+    assert run_config_suite(episodes[:3], configs, jobs=64) == run_config_suite(episodes[:3], configs)
+    assert sizes == [3]
 
 
 def test_make_backend_forms(tmp_path):
