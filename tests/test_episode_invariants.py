@@ -14,6 +14,9 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
   `issue` type, and each issue's first one has `consecutive_failures` 1:
   an issue owns its cooldown, and a window closing after its issue ended
   records nothing;
+- every escalation's recorded `solver_ctx`, replayed by
+  `harness.replay_local_feasibility` as `uer` replays it, gives the plan
+  cost the gate's own probe recorded as `local_plan_cost`;
 - an episode that ends for any reason but `budget` leaves no issue open:
   every `detected` has its `resolved` or `abandoned`;
 - an agent with no open issue (before its first `detected`, and from each
@@ -46,7 +49,7 @@ import pytest
 from gatecraft import agent
 from gatecraft.agent import RunConfig, Trace, run_episode, simulate_episode
 from gatecraft.cli import ABLATION_VARIANTS
-from gatecraft.harness import compute_metrics
+from gatecraft.harness import compute_metrics, replay_local_feasibility
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
 
 from conftest import (
@@ -121,6 +124,9 @@ def check_episode_invariants(events) -> dict[int, dict]:
             if e["agent"] not in cooled:
                 assert p["consecutive_failures"] == 1, e
                 cooled.add(e["agent"])
+        elif kind == "gate_decision" and p["verdict"] == "escalate":
+            replayed = replay_local_feasibility(p["solver_ctx"])
+            assert (None if replayed is None else replayed.total_cost) == p["local_plan_cost"], e
         elif kind == "action" and e["agent"] not in open_issue:
             assert p["mode"] in ("standard", "coordinating"), e
     end = events[-1]
@@ -266,6 +272,22 @@ def test_a_window_that_fails_after_its_issue_ended_records_nothing():
     updates = [(e["step"], e["payload"]["issue"], e["payload"]["consecutive_failures"])
                for e in events if e["kind"] == "cooldown_update" and e["agent"] == "a0"]
     assert updates == [(40, "missing_material", 1)]
+    assert not check_episode_invariants(events)
+
+
+def test_an_escalation_past_a_visible_chest_replays_its_plan_cost():
+    """With no tier, a0 escalates its missing sandstone although a chest in
+    sight holds one. The escalation's solver context records the chest, and
+    replaying it finds the recorded plan, which collects there."""
+    spec = hand_built_spec(
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[0, "sandstone", [1, 0, 1]]], assigned={"a0": [0]}, partition={}, script={},
+        chests=[[[0, 0, 3], {"sandstone": 1}]],
+    )
+    events = run_episode(spec, RunConfig(tiers=0)).events
+    [gate] = [e["payload"] for e in events if e["kind"] == "gate_decision"]
+    assert gate["verdict"] == "escalate" and gate["local_plan_cost"] is not None
+    assert gate["solver_ctx"]["chests"] == [[0, [0, 0, 3], {"sandstone": 1}]]
     assert not check_episode_invariants(events)
 
 
