@@ -435,7 +435,7 @@ class GateDecision:
         self.score_norm = score_norm
         self.fv = fv
         # which tier-1 rule fired; None for the rule tier's fall-through
-        # default when the score tier is disabled
+        # default when the cascade stops at the rules
         self.rule_index = rule_index
         self.confidence = confidence
         self.adjudicator_request = adjudicator_request
