@@ -3,9 +3,10 @@
 Each agent's turn: observe and refresh private state, detect an issue,
 featurize and gate it, then route — open a coordination window, run the local
 solver, or do opportunistic skip work. The episode runtime owns the world,
-the coordination windows (the public board) and the ordered trace; each
-issue's record holds its cooldown and route. `regate` derives a finished run's trace
-under other gate settings.
+the coordination windows (the public board, one per requester at most),
+responder-script progress and the ordered trace; each agent's private facts
+are its `PrivateState`, and each issue's record holds its cooldown and
+route. `regate` derives a finished run's trace under other gate settings.
 
 Views come from `observe` through the runtime's `ViewCache`. The world
 changes only through `apply_action`, and each outcome's deltas name every
@@ -37,7 +38,6 @@ from .memory import (
     IssueType,
     PrivateState,
     detect_issue,
-    next_node,
     update_private_state,
 )
 from .protocol import (
@@ -321,40 +321,6 @@ class GatePass:
         self.plan = plan  # the plan `extract_features` returned
 
 
-class AgentRuntime:
-    """What an agent keeps beyond its open issue's record, `state.blockage`."""
-
-    __slots__ = ("agent_id", "state", "window", "skip_target", "abandoned", "script_cursor",
-                 "script_choice", "view_digest")
-
-    def __init__(self, agent_id: str, state: PrivateState):
-        self.agent_id = agent_id
-        self.state = state
-        self.window: CoordinationWindow | None = None  # the one window this agent has open as requester
-        # the node skip work builds; a window may outlive its issue, and skip work with it
-        self.skip_target: int | None = None
-        self.abandoned: set[int] = set()
-        self.script_cursor = 0
-        self.script_choice: dict[int, str] = {}
-        self.view_digest = ""
-
-    @property
-    def mode(self) -> str:
-        """The mode an action event traces, derived from the facts it names:
-        `coordinating` while the agent has a window open as requester,
-        `standard` with no open issue, `recovering` while the issue's
-        recovery legs are left, else `skipping` or `stalled` as the issue's
-        route says."""
-        if self.window is not None:
-            return "coordinating"
-        blockage = self.state.blockage
-        if blockage is None:
-            return "standard"
-        if blockage.legs:
-            return "recovering"
-        return "skipping" if blockage.skipping else "stalled"
-
-
 class EpisodeRuntime:
     """Owns all cross-agent state for one episode run."""
 
@@ -366,20 +332,38 @@ class EpisodeRuntime:
         self.graph = self.world.graph
         self.recipes = self.world.recipes
         self.plan_info: PlanInfo = spec.plan_info(self.world)
-        self.windows: dict[int, CoordinationWindow] = {}  # open windows only, in id order
+        # open windows only, by requester, in opening order
+        self.windows: dict[str, CoordinationWindow] = {}
         self._window_seq = 0
         self.trace = Trace()
         self.gate_passes: list[GatePass] = []
-        self.runtimes: dict[str, AgentRuntime] = {}
+        # each memory starts as its body's inventory; verified outcomes keep them equal
+        self.states = {aid: PrivateState(aid, self.world.agents[aid].inventory.copy())
+                       for aid in sorted(self.world.agents)}
         self.advertised: dict[str, dict[str, int]] = {}
+        # responder scripts' progress: entries used per responder, entry taken per window id
+        self.script_cursor: dict[str, int] = {}
+        self.script_choice: dict[int, str] = {}
         # set once a team-view read answers otherwise under the other
         # partition setting; while clear, `regate` may flip `partition_on`
         self.partition_dependent = False
         # fed every outcome right after `apply_action` (see `simulate_episode`)
         self.views = ViewCache()
-        for aid in sorted(self.world.agents):
-            state = PrivateState(agent_id=aid, inventory=self.world.agents[aid].inventory.copy())
-            self.runtimes[aid] = AgentRuntime(agent_id=aid, state=state)
+
+    def mode(self, state: PrivateState) -> str:
+        """The mode an action event traces, derived from the board and the
+        agent's state: `coordinating` while the agent has a window open as
+        requester, `standard` with no open issue, `recovering` while the
+        issue's recovery legs are left, else `skipping` or `stalled` as the
+        issue's route says."""
+        if state.agent_id in self.windows:
+            return "coordinating"
+        blockage = state.blockage
+        if blockage is None:
+            return "standard"
+        if blockage.legs:
+            return "recovering"
+        return "skipping" if blockage.skipping else "stalled"
 
     # -- views -------------------------------------------------------------
 
@@ -402,31 +386,31 @@ class EpisodeRuntime:
         if partitioned:
             surplus = {a: items for a, items in self.advertised.items() if a != agent_id}
         else:
-            # merged-context ablation: live inventories stand in for adverts
-            surplus = {a: b.inventory.counts for a, b in self.world.agents.items() if a != agent_id}
+            # merged-context ablation: teammates' inventories stand in for adverts
+            surplus = {a: state.inventory.counts for a, state in self.states.items() if a != agent_id}
         return TeamPublicView(advertised_surplus=surplus)
 
     # -- window plumbing ----------------------------------------------------
 
     def new_window(self, issue: str, requester: str, responder: str, item: str,
-                   count: int) -> tuple[CoordinationWindow, CoordinationMessage]:
+                   count: int) -> CoordinationMessage:
+        """Open the requester's one window on the board; return its request."""
+        if (held := self.windows.get(requester)) is not None:
+            raise ValueError(f"{requester} already has window {held.window_id} open")
         wid = self._window_seq
         self._window_seq += 1
         window, request = open_window(
             wid, issue, requester, responder, item, count,
             now=self.world.sim_time, timeout=self.config.window_timeout,
         )
-        self.windows[wid] = window
+        self.windows[requester] = window
         self.trace.emit(self.world.sim_time, requester, "window_state",
                         {**window.to_dict(), "event": "opened"})
-        return window, request
-
-    def open_windows(self) -> list[CoordinationWindow]:
-        return list(self.windows.values())
+        return request
 
     def requirements_of(self, agent_id: str) -> dict[str, int]:
         """Materials the agent still needs for its own unplaced assigned nodes."""
-        abandoned = self.runtimes[agent_id].abandoned
+        abandoned = self.states[agent_id].abandoned
         placed = self.world.placed_nodes()
         need: dict[str, int] = {}
         for n in self.plan_info.nodes_of.get(agent_id, ()):
@@ -445,51 +429,50 @@ class EpisodeRuntime:
 # ---------------------------------------------------------------------------
 
 
-def _choose_escalation_target(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord) -> str:
+def _choose_escalation_target(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord) -> str:
     """Best responder: the blocked dependency's assignee, else the designated or
     advertised holder of the item, else the nearest teammate. Only a gate
     pass with a teammate to ask can escalate, so there is one."""
     if blockage.issue == IssueType.DEPENDENCY_BLOCK:
         assignee = ep.plan_info.assignments.get(blockage.node_id)
-        if assignee and assignee != rt.agent_id:
+        if assignee and assignee != state.agent_id:
             return assignee
-    return ep.read_team(rt.agent_id, lambda team: _nearest_holder(ep, rt, blockage, team))
+    return ep.read_team(state.agent_id, lambda team: _nearest_holder(ep, state, blockage, team))
 
 
-def _nearest_holder(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
+def _nearest_holder(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord,
                     team: TeamPublicView) -> str:
     """The nearest teammate believed to hold the item in `team`
     (`TeamPublicView.believed_holder`), else the nearest teammate."""
-    me = ep.world.agents[rt.agent_id]
-    others = [a for a in sorted(ep.world.agents) if a != rt.agent_id]
+    me = ep.world.agents[state.agent_id]
+    others = [a for a in sorted(ep.world.agents) if a != state.agent_id]
     holders = [aid for aid in others
                if team.believed_holder(aid, blockage.item, blockage.count, ep.plan_info.partition)]
     # min keeps the first of equals, so a tie goes to the smallest id
     return min(holders or others, key=lambda aid: dist_sq(me.position, ep.world.agents[aid].position))
 
 
-def _build_toward(ep: EpisodeRuntime, rt: AgentRuntime, node_id: int) -> Action:
+def _build_toward(ep: EpisodeRuntime, state: PrivateState, node_id: int) -> Action:
     block = ep.world.blueprint.node(node_id)
-    me = ep.world.agents[rt.agent_id]
+    me = ep.world.agents[state.agent_id]
     if within(me.position, block.position, INTERACTION_RADIUS):
         return Action.place(node_id)
     return Action.move(block.position)
 
 
-def _next_skip_target(ep: EpisodeRuntime, rt: AgentRuntime) -> int | None:
+def _next_skip_target(ep: EpisodeRuntime, state: PrivateState) -> int | None:
     placed = ep.world.placed_nodes()
-    blocked = rt.state.blockage.node_id if rt.state.blockage else None
-    inv = ep.world.agents[rt.agent_id].inventory
-    allowed = {n for n in ep.plan_info.nodes_of.get(rt.agent_id, ())
-               if n not in rt.abandoned and inv.count(ep.plan_info.materials[n]) >= 1}
+    blocked = state.blockage.node_id if state.blockage else None
+    allowed = {n for n in ep.plan_info.nodes_of.get(state.agent_id, ())
+               if n not in state.abandoned and state.inventory.count(ep.plan_info.materials[n]) >= 1}
     return local_skip(ep.graph, placed, blocked, allowed)
 
 
-def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime, step_: RecoveryStep) -> Action:
+def _plan_step_action(ep: EpisodeRuntime, state: PrivateState, step_: RecoveryStep) -> Action:
     """Translate the recovery leg `step_` into a concrete action. The planner
     took the source or chest index, the recipe and the station from this
     world, so each lookup succeeds."""
-    me = ep.world.agents[rt.agent_id]
+    me = ep.world.agents[state.agent_id]
     if step_.op == "collect":
         ref = step_.source_ref
         pos = (ep.world.sources if ref[0] == "source" else ep.world.chests)[ref[1]].position
@@ -504,51 +487,52 @@ def _plan_step_action(ep: EpisodeRuntime, rt: AgentRuntime, step_: RecoveryStep)
     return Action.craft(step_.recipe_id) if recipe.kind == "craft" else Action.smelt(step_.recipe_id)
 
 
-def _responder_duty(ep: EpisodeRuntime, rt: AgentRuntime) -> Action | None:
+def _responder_duty(ep: EpisodeRuntime, state: PrivateState) -> Action | None:
     """Answer requests and carry out confirmed transfers before own work.
 
     Never advances window lifecycle itself — settlement after each applied
     action owns every terminal transition.
     """
-    now = ep.world.sim_time
-    me = ep.world.agents[rt.agent_id]
+    now, me = ep.world.sim_time, state.agent_id
     for window in ep.windows.values():  # nothing here closes a window
-        if window.responder != rt.agent_id or now >= window.deadline:
+        if window.responder != me or now >= window.deadline:
             continue
         if not window.has(MessageType.OFFER_TRANSFER) and not window.has(MessageType.CANNOT_SUPPLY):
-            script = ep.spec.responder_script.get(rt.agent_id)
+            script = ep.spec.responder_script.get(me)
             if script:
-                if window.window_id not in rt.script_choice:
-                    rt.script_choice[window.window_id] = script[min(rt.script_cursor, len(script) - 1)]
-                    rt.script_cursor += 1
-                behavior = rt.script_choice[window.window_id]
+                if window.window_id not in ep.script_choice:
+                    cursor = ep.script_cursor.get(me, 0)
+                    ep.script_choice[window.window_id] = script[min(cursor, len(script) - 1)]
+                    ep.script_cursor[me] = cursor + 1
+                behavior = ep.script_choice[window.window_id]
                 if behavior == "silent":
                     continue
                 if behavior == "cannot_supply":
                     msg = CoordinationMessage(
-                        protocol=MessageType.CANNOT_SUPPLY.value, sender=rt.agent_id,
+                        protocol=MessageType.CANNOT_SUPPLY.value, sender=me,
                         target=window.requester, item=window.item, count=window.count,
                         reason=ReasonTag.NO_SURPLUS.value, time=now,
                     )
                     return Action.send_message(msg)
                 # any other entry means honest policy behaviour
             return Action.send_message(respond_policy(
-                me.inventory, ep.requirements_of(rt.agent_id),
+                state.inventory, ep.requirements_of(me),
                 window.last(MessageType.REQUEST_MATERIAL), now))
         if window.has(MessageType.OFFER_TRANSFER) and window.has(MessageType.CONFIRM_TRANSFER) \
                 and not window.transfer_done:
             requester_pos = ep.world.agents[window.requester].position
-            if within(me.position, requester_pos, INTERACTION_RADIUS):
+            if within(ep.world.agents[me].position, requester_pos, INTERACTION_RADIUS):
                 return Action.transfer(window.item, window.count, window.requester)
             return Action.move(requester_pos)
     return None
 
 
-def _solver_context(ep: EpisodeRuntime, rt: AgentRuntime, view, blockage: BlockageRecord) -> dict:
-    """Everything needed to replay the local plan probe at this decision point."""
+def _solver_context(ep: EpisodeRuntime, state: PrivateState, view, blockage: BlockageRecord) -> dict:
+    """Everything needed to replay the local plan probe at this decision
+    point; the probe reads the agent's remembered inventory."""
     return {
         "position": list(view.position),
-        "inventory": view.inventory.to_dict(),
+        "inventory": state.inventory.to_dict(),
         "sources": [[i, s.item, list(s.position), s.remaining] for i, s in view.sources],
         "chests": [[i, list(c.position), c.inventory.to_dict()] for i, c in view.chests],
         "stations": [[list(p), m] for p, m in sorted(view.plan.station_positions.items())],
@@ -561,7 +545,7 @@ def _solver_context(ep: EpisodeRuntime, rt: AgentRuntime, view, blockage: Blocka
     }
 
 
-def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord, cause: str) -> None:
+def _end_issue(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord, cause: str) -> None:
     """Trace the end of the agent's open issue `blockage` and drop its
     record, with its legs, skip state and gate time, unless an outcome has
     dropped it. `cause` is `abandoned` (which gives the node up), or what
@@ -577,13 +561,13 @@ def _end_issue(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord, c
         payload["via"] = cause
         payload["duration"] = now - blockage.detected_at
     else:
-        rt.abandoned.add(blockage.node_id)
-    ep.trace.emit(now, rt.agent_id, "issue", payload)
-    rt.state.blockage = None
-    rt.skip_target = None
+        state.abandoned.add(blockage.node_id)
+    ep.trace.emit(now, state.agent_id, "issue", payload)
+    state.blockage = None
+    state.skip_target = None
 
 
-def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
+def _route_local(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord,
                  plan: RecoveryPlan | None) -> None:
     """The one route for a blocked agent with no window open: recover with
     `plan`, else do skip work (the next step announces its target), else give
@@ -595,21 +579,20 @@ def _route_local(ep: EpisodeRuntime, rt: AgentRuntime, blockage: BlockageRecord,
     since the blocker node may still land."""
     if plan is not None:
         # a collect leg is done once its units are gathered, any other once the plan's goods are
-        inv = ep.world.agents[rt.agent_id].inventory
-        blockage.legs = [(s, s.item, inv.count(s.item) + s.units) if s.op == "collect"
+        blockage.legs = [(s, s.item, state.inventory.count(s.item) + s.units) if s.op == "collect"
                          else (s, plan.item, plan.count) for s in plan.steps]
         blockage.recovery_activated = True
         return
-    rt.skip_target = None
-    blockage.skipping = _next_skip_target(ep, rt) is not None
+    state.skip_target = None
+    blockage.skipping = _next_skip_target(ep, state) is not None
     if blockage.skipping:
         return
     if blockage.consecutive_failures >= 2:
-        _end_issue(ep, rt, blockage, "abandoned")
+        _end_issue(ep, state, blockage, "abandoned")
     elif blockage.expires_at > ep.world.sim_time:
         blockage.gate_at = blockage.expires_at
     elif blockage.gate_at is None and blockage.issue in MATERIAL_SHAPED_ISSUES:
-        _end_issue(ep, rt, blockage, "abandoned")
+        _end_issue(ep, state, blockage, "abandoned")
 
 
 def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict:
@@ -631,114 +614,112 @@ def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict
     return payload
 
 
-def _gate_and_route(ep: EpisodeRuntime, rt: AgentRuntime, view) -> Action:
+def _gate_and_route(ep: EpisodeRuntime, state: PrivateState, view) -> Action:
     """Featurize the blockage, run the gate, and route the verdict. A
     material issue's probe is detection's, if made this step, else a call
     here; only a material issue's route reads a plan."""
-    blockage = rt.state.blockage
+    blockage = state.blockage
     blockage.gate_at = None
     now = ep.world.sim_time
 
     plan, blockage.plan = blockage.plan, NOT_PROBED
     if plan is NOT_PROBED and blockage.issue in MATERIAL_SHAPED_ISSUES:
-        plan = plan_local_recovery(rt.state, view, ep.recipes, blockage)
+        plan = plan_local_recovery(state, view, ep.recipes, blockage)
 
     if len(ep.world.agents) == 1 or blockage.hard_blocked(now):
         verdict = "stay_local"  # gate skipped; cooldown discipline owns the issue
     else:
-        R = ep.read_team(rt.agent_id, lambda team: teammate_resources(view, team, ep.recipes, blockage))
+        R = ep.read_team(state.agent_id, lambda team: teammate_resources(view, team, ep.recipes, blockage))
         fv, features_plan = extract_features(
-            view, ep.graph, rt.state, R, ep.recipes, blockage=blockage, plan=plan)
+            view, ep.graph, state, R, ep.recipes, blockage=blockage, plan=plan)
         gp = GatePass(len(ep.trace.events), blockage, fv, features_plan)
         ep.gate_passes.append(gp)
         payload = _gate_decision(ep.config, ep.backend, gp,
-                                 lambda: _solver_context(ep, rt, view, blockage))
+                                 lambda: _solver_context(ep, state, view, blockage))
         verdict = payload["verdict"]
-        ep.trace.emit(now, rt.agent_id, "gate_decision", payload)
+        ep.trace.emit(now, state.agent_id, "gate_decision", payload)
 
     if verdict == "escalate":
-        target = _choose_escalation_target(ep, rt, blockage)
-        window, request = ep.new_window(
-            blockage.issue.value, rt.agent_id, target, blockage.item, blockage.count)
-        rt.window = window
+        target = _choose_escalation_target(ep, state, blockage)
+        request = ep.new_window(
+            blockage.issue.value, state.agent_id, target, blockage.item, blockage.count)
         blockage.windows_opened += 1
         blockage.recovery_activated = True
         return Action.send_message(request)
 
-    _route_local(ep, rt, blockage, None if plan is NOT_PROBED else plan)
+    _route_local(ep, state, blockage, None if plan is NOT_PROBED else plan)
     if blockage.legs:
-        return _plan_step_action(ep, rt, blockage.legs[0][0])
-    return _skip_work_or_idle(ep, rt) if blockage.skipping else Action.idle()
+        return _plan_step_action(ep, state, blockage.legs[0][0])
+    return _skip_work_or_idle(ep, state) if blockage.skipping else Action.idle()
 
 
-def _advance_plan(ep: EpisodeRuntime, rt: AgentRuntime, legs: list) -> Action:
+def _advance_plan(ep: EpisodeRuntime, state: PrivateState, legs: list) -> Action:
     """Drop the legs whose goods are in hand and act on the next one. The
     last leg's goal is the blockage's `count`, so finishing it clears the
     blockage through the outcome trigger, and the same `_post_action` ends
     the record that holds the legs: they never run dry here."""
-    inv = ep.world.agents[rt.agent_id].inventory
-    while inv.count(legs[0][1]) >= legs[0][2]:
+    while state.inventory.count(legs[0][1]) >= legs[0][2]:
         del legs[0]
-    return _plan_step_action(ep, rt, legs[0][0])
+    return _plan_step_action(ep, state, legs[0][0])
 
 
-def _skip_work_or_idle(ep: EpisodeRuntime, rt: AgentRuntime) -> Action:
+def _skip_work_or_idle(ep: EpisodeRuntime, state: PrivateState) -> Action:
     """Build toward the skip target, announcing a new one first. When the
     skip work runs out with no window open, the blockage is routed again."""
-    node = rt.skip_target
+    node = state.skip_target
     if node is not None and (
             ep.world.node_placed(node)
-            or ep.world.agents[rt.agent_id].inventory.count(ep.plan_info.materials[node]) < 1):
-        rt.skip_target = None
-    if rt.skip_target is None:
-        nxt = _next_skip_target(ep, rt)
+            or state.inventory.count(ep.plan_info.materials[node]) < 1):
+        state.skip_target = None
+    if state.skip_target is None:
+        nxt = _next_skip_target(ep, state)
         if nxt is None:
-            if rt.window is None:
-                _route_local(ep, rt, rt.state.blockage, None)
+            if state.agent_id not in ep.windows:
+                _route_local(ep, state, state.blockage, None)
             return Action.idle()
-        rt.skip_target = nxt
+        state.skip_target = nxt
         return Action.skip(nxt)
-    return _build_toward(ep, rt, rt.skip_target)
+    return _build_toward(ep, state, state.skip_target)
 
 
-def step(rt: AgentRuntime, ep: EpisodeRuntime) -> tuple[AgentRuntime, Action]:
-    """Choose this agent's next action (decision phases in fixed order)."""
+def step(state: PrivateState, ep: EpisodeRuntime) -> tuple[str, Action]:
+    """Choose this agent's next action (decision phases in fixed order).
+    Returns the digest of the view it was chosen on, and the action."""
     now = ep.world.sim_time
-    view = ep.view_for(rt.agent_id)
-    rt.view_digest = view.digest()
+    view = ep.view_for(state.agent_id)
+    digest = view.digest()
 
     # protocol liveness before own work
-    duty = _responder_duty(ep, rt)
+    duty = _responder_duty(ep, state)
     if duty is not None:
-        return rt, duty
+        return digest, duty
 
     # requester-side window upkeep
-    window = rt.window
+    window = ep.windows.get(state.agent_id)
     if window is not None:
         if window.has(MessageType.OFFER_TRANSFER) and not window.has(MessageType.CONFIRM_TRANSFER):
-            return rt, Action.send_message(confirm_message(window, now))
-        return rt, _skip_work_or_idle(ep, rt)
+            return digest, Action.send_message(confirm_message(window, now))
+        return digest, _skip_work_or_idle(ep, state)
 
-    blockage = rt.state.blockage
-    if blockage is None:
-        rt.state.active_subtask = next_node(view, ep.graph, rt.abandoned)
-        blockage = rt.state.blockage = detect_issue(rt.state, view, ep.graph, ep.recipes,
-                                                    ignore=rt.abandoned)
+    blockage = state.blockage
+    if blockage is None:  # detection sets the active subtask too
+        blockage = state.blockage = detect_issue(state, view, ep.graph, ep.recipes,
+                                                 ignore=state.abandoned)
         if blockage is not None:  # its first gate pass is due now, at detection
-            ep.trace.emit(now, rt.agent_id, "issue", {
+            ep.trace.emit(now, state.agent_id, "issue", {
                 "event": "detected", "issue": blockage.issue.value, "node_id": blockage.node_id,
                 "item": blockage.item, "count": blockage.count,
             })
 
     if blockage is not None:
         if blockage.legs:
-            return rt, _advance_plan(ep, rt, blockage.legs)
+            return digest, _advance_plan(ep, state, blockage.legs)
         if blockage.gate_at is not None and now >= blockage.gate_at:
-            return rt, _gate_and_route(ep, rt, view)
-        return rt, _skip_work_or_idle(ep, rt) if blockage.skipping else Action.idle()
+            return digest, _gate_and_route(ep, state, view)
+        return digest, _skip_work_or_idle(ep, state) if blockage.skipping else Action.idle()
 
-    target = rt.state.active_subtask
-    return rt, Action.idle() if target is None else _build_toward(ep, rt, target)
+    target = state.active_subtask
+    return digest, Action.idle() if target is None else _build_toward(ep, state, target)
 
 
 def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None:
@@ -748,10 +729,9 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     now = ep.world.sim_time
     ep.trace.emit(now, window.requester, "window_state",
                   {**window.to_dict(), "event": "closed"})
-    del ep.windows[window.window_id]
-    rt = ep.runtimes[window.requester]
-    rt.window = None
-    blockage = rt.state.blockage
+    del ep.windows[window.requester]
+    state = ep.states[window.requester]
+    blockage = state.blockage
     if blockage is None:
         return
     if window.state == WindowState.FULFILLED:
@@ -774,28 +754,28 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     blockage.gate_at = blockage.expires_at if blockage.consecutive_failures < 2 else None
     plan = None
     if blockage.issue in MATERIAL_SHAPED_ISSUES:
-        plan = plan_local_recovery(rt.state, ep.view_for(rt.agent_id), ep.recipes, blockage)
-    _route_local(ep, rt, blockage, plan)
+        plan = plan_local_recovery(state, ep.view_for(state.agent_id), ep.recipes, blockage)
+    _route_local(ep, state, blockage, plan)
 
 
-def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: VerifiedOutcome) -> None:
+def _post_action(ep: EpisodeRuntime, state: PrivateState, action: Action, outcome: VerifiedOutcome) -> None:
     """Board/window/private-state effects after the world applied an action."""
     if action.kind == "send_message" and action.message is not None:
         msg = action.message
         # every message belongs to its requester's one open window
         from_requester = msg.protocol in (MessageType.REQUEST_MATERIAL.value, MessageType.CONFIRM_TRANSFER.value)
-        window = ep.runtimes[msg.sender if from_requester else msg.target].window
+        window = ep.windows[msg.sender if from_requester else msg.target]
         if msg not in window.messages:
             window.append(msg)
         ep.trace.emit(outcome.sim_time, msg.sender, "coordination_message",
                       {**msg.to_dict(), "window_id": window.window_id})
         if msg.protocol == MessageType.OFFER_TRANSFER.value:
-            spare = surplus_of(ep.world.agents[msg.sender].inventory, ep.requirements_of(msg.sender), msg.item)
+            spare = surplus_of(state.inventory, ep.requirements_of(msg.sender), msg.item)
             ep.advertised.setdefault(msg.sender, {})[msg.item] = max(msg.count, spare)
 
     # private-state trigger: own verified outcome; it may clear the blockage
-    held = rt.state.blockage
-    update_private_state(rt.state, outcome)
+    held = state.blockage
+    update_private_state(state, outcome)
 
     if not outcome.ok and held is not None and held.legs:
         # a recovery leg failed against the live world; replan from scratch
@@ -804,14 +784,14 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
 
     # transfers also update the recipient's private state
     if outcome.ok and outcome.kind == "transfer" and action.to_agent:
-        recipient = ep.runtimes[action.to_agent]
-        awaited = recipient.state.blockage
-        update_private_state(recipient.state, outcome)
-        if awaited is not None and recipient.state.blockage is None:
+        recipient = ep.states[action.to_agent]
+        awaited = recipient.blockage
+        update_private_state(recipient, outcome)
+        if awaited is not None and recipient.blockage is None:
             _end_issue(ep, recipient, awaited, "transfer")
-        ep.advertised.get(rt.agent_id, {}).pop(action.item, None)
-        window = recipient.window
-        if (window is not None and window.responder == rt.agent_id
+        ep.advertised.get(state.agent_id, {}).pop(action.item, None)
+        window = ep.windows.get(action.to_agent)
+        if (window is not None and window.responder == state.agent_id
                 and window.item == action.item and (action.count or 0) >= window.count
                 and window.has(MessageType.CONFIRM_TRANSFER)):
             window.transfer_done = True
@@ -820,11 +800,11 @@ def _post_action(ep: EpisodeRuntime, rt: AgentRuntime, action: Action, outcome: 
     # dependency block whose awaited node landed
     waits = held is not None and held.issue == IssueType.DEPENDENCY_BLOCK
     if held is not None and (
-            rt.state.blockage is None or (waits and ep.world.node_placed(held.node_id))):
-        _end_issue(ep, rt, held, "blocker_placed" if waits else "local")
+            state.blockage is None or (waits and ep.world.node_placed(held.node_id))):
+        _end_issue(ep, state, held, "blocker_placed" if waits else "local")
 
     # settle every open window after each applied action
-    for window in ep.open_windows():
+    for window in list(ep.windows.values()):
         if settle_window(window, ep.world.sim_time) != WindowState.OPEN:
             _handle_window_close(ep, window)
 
@@ -870,8 +850,8 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
         all(e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"
             for e in ep.trace.events[round_start:])
         and not ep.windows
-        and all(rt.state.blockage is None or rt.state.blockage.gate_at is None
-                for rt in ep.runtimes.values())
+        and all(state.blockage is None or state.blockage.gate_at is None
+                for state in ep.states.values())
     )
 
 
@@ -887,15 +867,15 @@ def simulate_episode(spec, config: RunConfig, backend=None) -> EpisodeRuntime:
         round_start = len(ep.trace.events)
         all_idle = True
         for aid in agent_ids:
-            rt = ep.runtimes[aid]
-            rt, action = step(rt, ep)
+            state = ep.states[aid]
+            digest, action = step(state, ep)
             _, outcome = apply_action(ep.world, aid, action)
             ep.views.invalidate(outcome)  # before `_post_action`, which may observe
             # one event per step; the outcome's agent, time, kind and node are the event's
             ep.trace.emit(outcome.sim_time, aid, "action",
-                          {"action": action.to_dict(), "mode": rt.mode,
-                           "obs_digest": rt.view_digest, "outcome": outcome.to_dict()})
-            _post_action(ep, rt, action, outcome)
+                          {"action": action.to_dict(), "mode": ep.mode(state),
+                           "obs_digest": digest, "outcome": outcome.to_dict()})
+            _post_action(ep, state, action, outcome)
             all_idle = all_idle and action.kind == "idle"
             if outcome.kind == "place" and ep.complete():  # only a place can complete
                 break

@@ -2,9 +2,9 @@
 
 The private state's inventory changes only through verified action
 outcomes (the agent's own, and a transfer's for its recipient), never
-through another agent's unverified claims. The agent runtime sets the
-active subtask, from `next_node`, and the blockage, which is the one record
-of the agent's open issue; an outcome can clear either.
+through another agent's unverified claims. Detection sets the active
+subtask, from `next_node`, and the step loop the blockage, which is the one
+record of the agent's open issue; an outcome can clear either.
 """
 
 from __future__ import annotations
@@ -77,15 +77,21 @@ class BlockageRecord:
 
 
 class PrivateState:
-    """m_priv = <inventory, active subtask (node id), blockage>."""
+    """m_priv: all one agent knows and intends apart from the public board.
+    Its remembered inventory, its active subtask (a node id), its open
+    issue's record, the node its skip work builds and the nodes it gave up.
+    The step loop reads the agent's own inventory only from here."""
 
-    __slots__ = ("agent_id", "inventory", "active_subtask", "blockage")
+    __slots__ = ("agent_id", "inventory", "active_subtask", "blockage", "skip_target", "abandoned")
 
     def __init__(self, agent_id: str, inventory: Inventory | None = None):
         self.agent_id = agent_id
         self.inventory = Inventory() if inventory is None else inventory
         self.active_subtask: int | None = None
         self.blockage: BlockageRecord | None = None
+        # a window may outlive its issue, and skip work with it
+        self.skip_target: int | None = None
+        self.abandoned: set[int] = set()
 
 
 def update_private_state(state: PrivateState, outcome: VerifiedOutcome) -> PrivateState:
@@ -125,7 +131,8 @@ def detect_issue(
     recipes: RecipeBook,
     ignore: set[int] | frozenset[int] = frozenset(),
 ) -> BlockageRecord | None:
-    """Classify the agent's current blockage, if any.
+    """Set the agent's active subtask to `next_node` and classify its
+    current blockage, if any.
 
     Exactly one issue class is returned, chosen by the fixed priority
     dependency_block > transfer_needed > missing_material. Returns None when
@@ -135,8 +142,7 @@ def detect_issue(
     When none of the agent's nodes is ready (`next_node` finds none), the
     first of its unplaced nodes, in the same order, that waits on a
     prerequisite assigned to a teammate (or to no one) is blocked on that
-    prerequisite. Otherwise the target is the active subtask, or `next_node`
-    when the active subtask is unset, placed or in `ignore`.
+    prerequisite. Otherwise the target is the active subtask.
 
     An unheld target material is `transfer_needed` when no local plan reaches
     it and the plan partitions it to a teammate, else `missing_material`.
@@ -146,8 +152,8 @@ def detect_issue(
     """
     materials = view.plan.materials
     placed = view.placed_nodes
-    ready = next_node(view, graph, ignore)
-    if ready is None:
+    target = state.active_subtask = next_node(view, graph, ignore)
+    if target is None:
         for n in view.plan.nodes_of.get(view.agent_id, ()):
             if n in placed or n in ignore:
                 continue
@@ -159,11 +165,6 @@ def detect_issue(
                         issue=IssueType.DEPENDENCY_BLOCK, node_id=p,
                         item=materials[p], detected_at=view.sim_time,
                     )
-
-    target = state.active_subtask
-    if target is None or target in placed or target in ignore:
-        target = ready
-    if target is None:
         return None
 
     material = materials[target]

@@ -423,7 +423,7 @@ def probe_bottleneck(spec: EpisodeSpec) -> dict:
     the round-robin, so this is the run's first decision; `{"issue": None}`
     when that step passes no gate."""
     ep = EpisodeRuntime(spec, RunConfig())
-    step(ep.runtimes["a0"], ep)
+    step(ep.states["a0"], ep)
     if not ep.gate_passes:
         return {"issue": None}
     gp = ep.gate_passes[0]

@@ -150,12 +150,12 @@ def run_checking_views(spec, config, monkeypatch):
         served.append(view)
         return view
 
-    def checked_step(rt, ep):
-        rt, action = real_step(rt, ep)
+    def checked_step(state, ep):
+        digest, action = real_step(state, ep)
         # a step reads the world but never changes it
-        expected = observe(ep.world, rt.agent_id, plan=ep.plan_info).digest()
-        assert rt.view_digest == expected, (rt.agent_id, ep.world.sim_time)
-        return rt, action
+        expected = observe(ep.world, state.agent_id, plan=ep.plan_info).digest()
+        assert digest == expected, (state.agent_id, ep.world.sim_time)
+        return digest, action
 
     with monkeypatch.context() as patch:
         patch.setattr(agent, "observe", checked_observe)

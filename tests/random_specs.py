@@ -23,6 +23,7 @@ RAW_ITEMS = ("oak_log", "iron_ore", "coal", "sand", "sandstone")
 ITEMS = BLOCK_MATERIALS + RAW_ITEMS
 SPREADS = (8, 20, 45)
 BEHAVIOURS = ("silent", "cannot_supply", "honest")
+RANDOM_SPEC_COUNT = 60  # the specs r00..r59 that the golden digests cover
 
 
 def _position(rng: random.Random, spread: int) -> list[int]:

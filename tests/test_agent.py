@@ -178,7 +178,7 @@ def test_a_due_regate_is_not_quiescent(dataset, monkeypatch):
     def spy(ep, round_start):
         quiet = real(ep, round_start)
         if quiet:
-            state = ep.runtimes["a0"].state
+            state = ep.states["a0"]
             state.blockage = record = BlockageRecord(IssueType.TRANSFER_NEEDED, 0, "iron_ingot")
             now = ep.world.sim_time
             for due in (0, now - 1, now, now + 1, None):
@@ -368,10 +368,10 @@ def test_each_gate_pass_plan_comes_from_one_planner_call_in_its_step(dataset, mo
         monkeypatch.setattr(module, "plan_local_recovery", counted)
     real_step = agent.step
 
-    def stepped(rt, ep):
+    def stepped(state, ep):
         stepno[0] += 1
         known = len(ep.gate_passes)
-        result = real_step(rt, ep)
+        result = real_step(state, ep)
         passes.extend((stepno[0], gp) for gp in ep.gate_passes[known:])
         return result
 
@@ -577,3 +577,23 @@ def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch
     drained = next(e["step"] for e in events if e["kind"] == "action"
                    and e["payload"]["outcome"].get("deltas", {}).get("source") == {"0": -1})
     assert any(v.sim_time > drained and v.sources and v.sources[0][0] == 0 for v in a0_views)
+
+
+def test_a_requester_has_at_most_one_window_open():
+    """The board keys open windows by requester, so opening a second for
+    the same requester is refused, and the first stays open as it was. A
+    window closing frees its requester to open the next, which goes after
+    the other requesters' open windows: the board keeps opening order."""
+    ep = agent.EpisodeRuntime(dependency_block_spec(), RunConfig())
+    request = ep.new_window("missing_material", "a0", "a1", "oak_planks", 1)
+    first = ep.windows["a0"]
+    assert request.sender == "a0" and request in first.messages
+    with pytest.raises(ValueError, match="a0 already has window 0 open"):
+        ep.new_window("missing_material", "a0", "a1", "oak_planks", 2)
+    assert ep.windows == {"a0": first} and first.count == 1
+    assert [e["payload"]["event"] for e in ep.trace.events] == ["opened"]
+
+    ep.new_window("dependency_block", "a1", "a0", "oak_planks", 1)
+    del ep.windows["a0"]
+    ep.new_window("missing_material", "a0", "a1", "oak_planks", 1)
+    assert [(a, w.window_id) for a, w in ep.windows.items()] == [("a1", 1), ("a0", 2)]

@@ -38,6 +38,10 @@ The default runs are checked the same way, without the second run. The
 same cases, and the default runs, are run once more with spies on
 `agent.observe` and `agent.step` (`conftest.run_checking_views`), and so is
 one hand-built spec in which a teammate comes into sight and goes out of it.
+
+The default runs and the random-spec runs are run once more with a spy on
+`agent._post_action`: after every applied action, each agent's remembered
+inventory equals its body's, which is why decisions may read it instead.
 """
 
 import dataclasses
@@ -51,6 +55,8 @@ from gatecraft.agent import RunConfig, Trace, run_episode, simulate_episode
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.harness import compute_metrics, replay_local_feasibility
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
+
+from random_specs import RANDOM_SPEC_COUNT, random_config, random_spec
 
 from conftest import (
     dependency_block_spec,
@@ -332,3 +338,38 @@ def test_cached_views_equal_fresh_observation(default_runs, monkeypatch):
     sees_a1 = [("a1" in view.teammates) for view in served if view.agent_id == "a0"]
     changes = [now for was, now in zip(sees_a1, sees_a1[1:]) if was != now]
     assert not sees_a1[0] and changes == [True, False]
+
+
+def run_checking_memories(spec, config, monkeypatch):
+    """Simulate `spec` under `config`, checking after every applied action
+    (its `_post_action` included) that each agent's private inventory
+    equals its world body's. Returns the runtime and the number of actions
+    applied."""
+    real_post_action = agent._post_action
+    applied = [0]
+
+    def checked_post_action(ep, state, action, outcome):
+        real_post_action(ep, state, action, outcome)
+        applied[0] += 1
+        for aid, memory in ep.states.items():
+            assert memory.inventory.counts == ep.world.agents[aid].inventory.counts, (
+                aid, ep.world.sim_time)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(agent, "_post_action", checked_post_action)
+        run = simulate_episode(spec, config)
+    return run, applied[0]
+
+
+def test_each_memory_holds_its_bodys_inventory_after_every_action(default_runs, monkeypatch):
+    cases = [(run.spec, run.config) for run in default_runs]
+    for index in range(RANDOM_SPEC_COUNT):
+        spec = random_spec(index)
+        cases += [(spec, RunConfig()), (spec, random_config(index))]
+    kinds = set()
+    for spec, config in cases:
+        run, applied = run_checking_memories(spec, config, monkeypatch)
+        actions = [e["payload"]["action"]["kind"] for e in run.trace.events if e["kind"] == "action"]
+        assert applied == len(actions) > 0
+        kinds.update(actions)
+    assert {"collect", "transfer", "place", "craft", "smelt"} <= kinds

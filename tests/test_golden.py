@@ -41,14 +41,13 @@ from gatecraft.cli import ABLATION_VARIANTS, main
 from gatecraft.harness import compute_metrics, metrics_to_csv
 from gatecraft.scenarios import generate_dataset, save_dataset
 
-from random_specs import random_config, random_spec
+from random_specs import RANDOM_SPEC_COUNT, random_config, random_spec
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 CALIBRATE_DIGESTS = Path(__file__).parent / "golden" / "calibrate.json"
 CALIBRATE_GRIDS = ("small", "default")
 CALIBRATE_OUTPUTS = ("theta.json", "objective_table.json")
 RANDOM_SPECS = "random_specs"  # the key of the random-spec trace digests
-RANDOM_SPEC_COUNT = 60
 
 
 def _sha256(text: str) -> str:

@@ -6,7 +6,8 @@ builds no dataclass but `RunConfig`, no `src/gatecraft` module imports a
 gatecraft module inside a function and their module-level imports form no
 cycle, every issue type is detected by a run, and the benchmark's
 per-layer wrappers still find what they wrap and count views and digests
-once per step.
+once per step, and the step loop reads an agent's own inventory only from
+its private state.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -256,3 +257,24 @@ def test_perfbench_counts_one_emit_per_written_event_and_one_action_per_step(dat
     actions = sum(e["kind"] == "action" for e in written)
     assert tracer.spans["agent.step"][0] == actions > 0
     assert tracer.counters["trace_bytes"] == len(text.encode())
+
+
+def test_decisions_read_an_agents_inventory_only_from_its_private_state():
+    """agent.py reads a world body's inventory in one place: where
+    `EpisodeRuntime.__init__` seeds each agent's private state from it.
+    Every other inventory read is of a `PrivateState`, or of a chest in
+    view, which an escalation's solver context records."""
+    reads = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Attribute) and child.attr == "inventory":
+                reads.add((inner, ast.unparse(child.value)))
+            visit(child, inner)
+
+    visit(ast.parse((ROOT / "src" / "gatecraft" / "agent.py").read_text()), "")
+    assert {(scope, base) for scope, base in reads if base != "state"} == {
+        ("EpisodeRuntime.__init__", "self.world.agents[aid]"), ("_solver_context", "c")}

@@ -25,10 +25,10 @@ def test_init_event_snapshots_view(dataset):
     with no focus and no blockage."""
     _, episodes = dataset
     ep = EpisodeRuntime(next(e for e in episodes if e.class_label == "B"), RunConfig())
-    for aid, rt in ep.runtimes.items():
+    for aid, state in ep.states.items():
         body = ep.world.agents[aid].inventory
-        assert rt.state.inventory.counts == body.counts and rt.state.inventory is not body
-        assert rt.state.active_subtask is None and rt.state.blockage is None
+        assert state.inventory.counts == body.counts and state.inventory is not body
+        assert state.active_subtask is None and state.blockage is None
 
 
 def test_outcome_event_applies_verified_deltas_only():
@@ -75,6 +75,7 @@ def test_detect_missing_material_with_local_source():
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None and issue.issue == IssueType.MISSING_MATERIAL
     assert issue.node_id == 0 and issue.item == "sandstone"
+    assert state.active_subtask == 0  # detection sets the active subtask to `next_node`
 
 
 def test_detect_transfer_needed_when_partition_owner_is_teammate():
@@ -153,6 +154,7 @@ def test_detect_dependency_block_on_teammate_prerequisite():
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None and issue.issue == IssueType.DEPENDENCY_BLOCK
     assert issue.node_id == 0  # the prerequisite, not the dependent
+    assert state.active_subtask is None  # none of a0's nodes is ready
 
 
 def test_ignored_nodes_never_trigger_detection():
