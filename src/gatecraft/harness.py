@@ -34,7 +34,7 @@ from .gate import (
     validate_weights,
 )
 from .memory import BlockageRecord, IssueType, PrivateState
-from .scenarios import EpisodeSpec
+from .scenarios import EpisodeSpec, check_count, check_counts, check_position
 from .solver import PLANNER_PARAMS, RecoveryPlan, plan_local_recovery
 from .world import Chest, Inventory, PlanInfo, Recipe, RecipeBook, Source, WorldView
 
@@ -93,6 +93,16 @@ class EpisodeMetrics:
         return self.to_dict() == other.to_dict()
 
 
+def _ctx_entries(ctx: dict, name: str, shape: tuple[str, ...]) -> list:
+    """The list field `name` of a solver context, each entry a list of the
+    `shape` items, or ValueError naming the entry."""
+    entries = ctx.get(name, [])
+    for i, entry in enumerate(entries):
+        if type(entry) is not list or len(entry) != len(shape):
+            raise ValueError(f"solver_ctx.{name}[{i}] {entry!r} is not [{', '.join(shape)}]")
+    return entries
+
+
 def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
     """Re-run the local planner on a recorded decision-step context.
 
@@ -100,36 +110,46 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
     recipe book, blockage), so this works on a bare trace with no world. The
     planner's physics are fixed, so a context recorded under other physics
     is rejected rather than replanned; missing `params` keys read as the
-    fixed values. A `count` below 1, which no run records, is rejected."""
+    fixed values. A field that cannot be replayed raises ValueError naming
+    it as `solver_ctx.<field>`: a position that is not three integers, a
+    count that is not an integer >= 0 (a blockage's `count` below 1, which
+    no run records, included), an entry of the wrong length or an unknown
+    `issue`."""
     for name, value in ctx.get("params", {}).items():
         if name not in PLANNER_PARAMS or value != PLANNER_PARAMS[name]:
             raise ValueError(f"solver_ctx.params.{name} = {value!r} does not match the "
                              f"planner's fixed physics {PLANNER_PARAMS}")
-    inventory = Inventory({k: int(v) for k, v in ctx["inventory"].items()})
+    inventory = Inventory(check_counts(ctx["inventory"], "solver_ctx.inventory"))
     state = PrivateState(agent_id="replay", inventory=inventory)
     sources = [
-        (int(i), Source(item=item, position=tuple(p), remaining=int(r)))
-        for i, item, p, r in ctx.get("sources", [])
+        (int(i), Source(item=item, position=tuple(check_position(p, "solver_ctx.sources[{}] position", k)),
+                        remaining=check_count(r, "solver_ctx.sources[{}] remaining", k)))
+        for k, (i, item, p, r) in enumerate(
+            _ctx_entries(ctx, "sources", ("index", "item", "position", "remaining")))
     ]
     chests = [
-        (int(i), Chest(position=tuple(p), inventory=Inventory({k: int(v) for k, v in inv.items()})))
-        for i, p, inv in ctx.get("chests", [])
+        (int(i), Chest(position=tuple(check_position(p, "solver_ctx.chests[{}] position", k)),
+                       inventory=Inventory(check_counts(inv, "solver_ctx.chests[{}].inventory", k))))
+        for k, (i, p, inv) in enumerate(_ctx_entries(ctx, "chests", ("index", "position", "inventory")))
     ]
-    plan = PlanInfo(station_positions={tuple(p): m for p, m in ctx.get("stations", [])})
+    stations = {tuple(check_position(p, "solver_ctx.stations[{}] position", k)): m
+                for k, (p, m) in enumerate(_ctx_entries(ctx, "stations", ("position", "station")))}
     view = WorldView(
         agent_id="replay",
-        position=tuple(ctx["position"]),
+        position=tuple(check_position(ctx["position"], "solver_ctx.position")),
         inventory=inventory,
         placed_nodes=frozenset(),
         sources=sources,
         chests=chests,
         teammates={},
-        plan=plan,
+        plan=PlanInfo(station_positions=stations),
         sim_time=0,
     )
     recipes = RecipeBook([Recipe.from_dict(r) for r in ctx.get("recipes", [])])
-    if (count := int(ctx["count"])) < 1:
+    if (count := check_count(ctx["count"], "solver_ctx.count")) < 1:
         raise ValueError(f"solver_ctx.count = {count}; a blockage needs at least 1")
+    if ctx["issue"] not in (issues := [t.value for t in IssueType]):
+        raise ValueError(f"solver_ctx.issue {ctx['issue']!r} is not one of {', '.join(issues)}")
     blockage = BlockageRecord(
         issue=IssueType(ctx["issue"]),
         node_id=int(ctx["node_id"]),

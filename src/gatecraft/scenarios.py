@@ -204,15 +204,21 @@ class EpisodeSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeSpec":
         """The spec `d` describes. Raises ValueError, naming the field, when
-        `assigned` or `edges` names a node that is not one of `blocks`, or
+        its world cannot be built: a position that is not three integers, an
+        item count that is not an integer >= 0, `assigned` or `edges` naming
+        a node that is not one of `blocks`, or `edges` closing a cycle. Also
         when `episode_id`, which names the episode's trace file, is not a
-        non-empty single path component (no `/`, `\\` or NUL; not `.` or
-        `..`)."""
+        non-empty single path component (no `/`, `\\` or NUL; not `.` or `..`)."""
         episode_id = d["episode_id"]
         if (not isinstance(episode_id, str) or episode_id in ("", ".", "..")
                 or any(c in episode_id for c in "/\\\0")):
             raise ValueError(f"episode_id {episode_id!r} is not a single path component")
-        blocks = [[int(n), m, list(p)] for n, m, p in d["blocks"]]
+        agents = d["agents"]
+        for aid, body in agents.items():
+            check_position(body["position"], "agents.{}.position", aid)
+            check_counts(body["inventory"], "agents.{}.inventory", aid)
+        blocks = [[int(n), m, p if is_position(p) else check_position(p, "blocks node {} position", n)]
+                  for n, m, p in d["blocks"]]
         edges = [[int(u), int(v)] for u, v in d["edges"]]
         assigned = {aid: [int(n) for n in nodes] for aid, nodes in d["assigned"].items()}
         nodes = {n for n, _, _ in blocks}
@@ -220,26 +226,74 @@ class EpisodeSpec:
             raise ValueError(f"assigned names nodes outside blocks: {stray}")
         if stray := [e for e in edges if not nodes.issuperset(e)]:
             raise ValueError(f"edges name nodes outside blocks: {stray}")
+        # ids ascending along every edge, as generated, rule a cycle out
+        if any(u >= v for u, v in edges):
+            try:
+                TaskGraph(list(nodes), edges)
+            except ValueError:
+                raise ValueError(f"edges close a cycle: {edges}") from None
+        sources = d.get("sources", [])
+        for i, (_, p, remaining) in enumerate(sources):
+            check_position(p, "sources[{}] position", i)
+            check_count(remaining, "sources[{}] remaining", i)
+        chests = d.get("chests", [])
+        for i, (p, inventory) in enumerate(chests):
+            check_position(p, "chests[{}] position", i)
+            check_counts(inventory, "chests[{}].inventory", i)
+        scaffold = d.get("scaffold", [])
+        for i, (p, _) in enumerate(scaffold):
+            check_position(p, "scaffold[{}] position", i)
         return cls(
             episode_id=episode_id,
             template_id=int(d["template_id"]),
             seed_index=int(d["seed_index"]),
             class_label=d["class_label"],
             variant=d["variant"],
-            agents=d["agents"],
+            agents=agents,
             blocks=blocks,
             edges=edges,
             assigned=assigned,
             partition=dict(d["partition"]),
             work_regions=d["work_regions"],
             recipes=d["recipes"],
-            sources=d.get("sources", []),
-            chests=d.get("chests", []),
-            scaffold=d.get("scaffold", []),
+            sources=sources,
+            chests=chests,
+            scaffold=scaffold,
             responder_script=d.get("responder_script", {}),
             injected=[int(n) for n in d.get("injected", [])],
             meta=d.get("meta", {}),
         )
+
+
+def is_position(p) -> bool:
+    """Whether `p` is a position as JSON holds one: a list of three integers."""
+    return type(p) is list and len(p) == 3 and type(p[0]) is type(p[1]) is type(p[2]) is int
+
+
+# Each check below names the field as `field.format(*at)`, formatted only
+# when the check fails: a dataset load runs them on every line.
+
+def check_position(p, field: str, *at) -> list:
+    """`p`, or ValueError naming the field when it is not a position."""
+    if not is_position(p):
+        raise ValueError(f"{field.format(*at)} {p!r} is not three integers")
+    return p
+
+
+def check_count(n, field: str, *at) -> int:
+    """`n`, or ValueError naming the field when it is not an integer >= 0."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{field.format(*at)} {n!r} is not an integer >= 0")
+    return n
+
+
+def check_counts(counts: dict, field: str, *at) -> dict:
+    """`counts`, or ValueError naming the field and the item of a count
+    that is not an integer >= 0."""
+    for item, n in counts.items():
+        if type(n) is not int or n < 0:
+            check_count(n, "{}.{}", field.format(*at), item)
+    return counts
 
 
 def _recipe_dicts(extra: list[Recipe] | None = None) -> list[dict]:

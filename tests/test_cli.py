@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import re
+import socket
 
 import pytest
 
@@ -69,6 +70,29 @@ def test_run_is_deterministic(tmp_path, small_dataset):
         twin = outs[1] / "traces" / path.name
         assert path.read_bytes() == twin.read_bytes()
     assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+
+
+def test_run_warns_when_adjudicator_calls_failed(tmp_path, small_dataset, capsys):
+    """A dead endpoint keeps every adjudicator gate pass local, which reads
+    like a cautious gate, so `run` counts the failed calls on stderr. Its
+    exit code, stdout, traces and `metrics.csv` are those of the run."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out),
+                 "--backend", f"remote:http://127.0.0.1:{port}/"]) == 0
+    captured = capsys.readouterr()
+    traces = [Trace.from_jsonl(p.read_text()) for p in sorted((out / "traces").glob("*.jsonl"))]
+    calls = [e["payload"]["adjudicator_ok"] for t in traces for e in t.events
+             if e["payload"].get("tier") == "adjudicator"]
+    assert calls and not any(calls)
+    assert captured.err == (f"warning: {len(calls)} of {len(calls)} adjudicator calls failed; "
+                            "those gate passes stayed local\n")
+    assert "warning" not in captured.out
+
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(tmp_path / "mock")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_jobs_two_matches_jobs_one(tmp_path, small_dataset):
@@ -539,6 +563,38 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
     assert f"runtime error: {bad}: line 4: Expecting value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("position", [0, 0], "solver_ctx.position [0, 0] is not three integers"),
+    ("inventory", {"x": "lots"}, "solver_ctx.inventory.x 'lots' is not an integer >= 0"),
+    ("sources", [[0, "sand"]],
+     "solver_ctx.sources[0] [0, 'sand'] is not [index, item, position, remaining]"),
+    ("issue", "nonsense", "solver_ctx.issue 'nonsense' is not one of missing_material, "
+                          "dependency_block, transfer_needed"),
+])
+def test_report_names_the_solver_ctx_field_it_cannot_replay(tmp_path, small_dataset, capsys,
+                                                            field, value, problem):
+    """An escalation's recorded context that the planner cannot replay
+    fails `report` with exit 2, naming the trace file and the field. The
+    context corrupted here has a source in view, so a short position would
+    otherwise fail inside the planner."""
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out)]) == 0
+    for good in sorted((out / "traces").glob("*.jsonl")):
+        events = Trace.from_jsonl(good.read_text()).events
+        ctx = next((e["payload"]["solver_ctx"] for e in events
+                    if e["payload"].get("solver_ctx", {}).get("sources")), None)
+        if ctx is not None:
+            break
+    ctx[field] = value
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    bad = traces / good.name
+    bad.write_text(Trace(events=events).to_jsonl())
+    capsys.readouterr()
+    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {bad}: {problem}\n"
+
+
 @pytest.mark.parametrize("schema, problem", [
     (None, "has no payload field 'schema'"),
     (1, "has schema 1; this reader takes schema 3"),
@@ -640,6 +696,31 @@ def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
     episodes.write_text("\n".join([lines[0], lines[1], json.dumps(spec)]) + "\n")
     assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
     assert f"error: {episodes} line 3: missing field 'template_id'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/traces/*.jsonl"))
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda d: d["agents"]["a0"].update(position=[0, 0]), "agents.a0.position [0, 0] is not three integers"),
+    (lambda d: d["agents"]["a0"].update(inventory={"x": "lots"}),
+     "agents.a0.inventory.x 'lots' is not an integer >= 0"),
+    (lambda d: d["edges"].append([1, 0]), "edges close a cycle: "),
+    (lambda d: d["blocks"][0].__setitem__(2, [1, 0, "2"]), "blocks node 0 position [1, 0, '2'] is not three integers"),
+    (lambda d: d["sources"].append(["sand", [1, 0], 2]), "sources[1] position [1, 0] is not three integers"),
+    (lambda d: d["sources"][0].__setitem__(2, -1), "sources[0] remaining -1 is not an integer >= 0"),
+], ids=["agent_position", "agent_count", "cycle", "block_position", "source_position", "source_count"])
+def test_a_dataset_line_whose_world_cannot_be_built_fails_at_load(tmp_path, small_dataset, capsys,
+                                                                   edit, problem):
+    """A line whose world `build_world` could not build fails `run` at load
+    with exit 1, naming the file, the line and the field, before any trace
+    is written."""
+    lines = (small_dataset / "episodes.jsonl").read_text().splitlines()
+    spec = json.loads(lines[0])
+    assert [0, 1] in spec["edges"] and len(spec["sources"]) == 1
+    edit(spec)
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text("\n".join([lines[1], json.dumps(spec)]) + "\n")
+    assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {episodes} line 2: {problem}" in capsys.readouterr().err
     assert not list(tmp_path.glob("o/traces/*.jsonl"))
 
 
