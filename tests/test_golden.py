@@ -19,7 +19,11 @@ episode and writing change no byte.
 
 `tests/golden/calibrate.json` holds the sha256 of `theta.json` and
 `objective_table.json` that `gatecraft calibrate --grid small|default`
-writes for the same dataset.
+writes for the same dataset. `tests/golden/summaries.json` holds the
+sha256 of the `summary.csv` that `gatecraft report` writes over the
+`full` and the `base` variant's traces, and of the `ablation.csv` that
+`gatecraft ablate` writes on the saved dataset. `base` escalates every
+issue, so its summary shows a change in how `uer` is counted.
 
 Regenerate the files only for a change that is meant to alter behaviour, and
 say in CHANGES.md which fields moved and why:
@@ -47,11 +51,24 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 CALIBRATE_DIGESTS = Path(__file__).parent / "golden" / "calibrate.json"
 CALIBRATE_GRIDS = ("small", "default")
 CALIBRATE_OUTPUTS = ("theta.json", "objective_table.json")
+SUMMARY_DIGESTS = Path(__file__).parent / "golden" / "summaries.json"
+REPORTED_VARIANTS = ("full", "base")
 RANDOM_SPECS = "random_specs"  # the key of the random-spec trace digests
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    """The sha256 of a file's bytes, as a command wrote them."""
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run_cli(args: list[str]) -> None:
+    with redirect_stdout(StringIO()):
+        rc = main(args)
+    assert rc == 0, f"{args[0]} exited {rc}"
 
 
 def compute_digests(episodes) -> dict:
@@ -109,19 +126,13 @@ def test_run_command_writes_the_golden_full_outputs(dataset, tmp_path):
     manifest, episodes = dataset
     save_dataset(manifest, episodes, tmp_path / "dataset")
     out = tmp_path / "run"
-    with redirect_stdout(StringIO()):
-        rc = main(["run", "--dataset", str(tmp_path / "dataset"), "--out", str(out)])
-    assert rc == 0, f"run exited {rc}"
+    _run_cli(["run", "--dataset", str(tmp_path / "dataset"), "--out", str(out)])
     want = json.loads(DIGESTS.read_text())["full"]
-
-    def sha256(path: Path) -> str:  # of the bytes, as `run` wrote them
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-
-    got = {path.stem: sha256(path) for path in (out / "traces").glob("*.jsonl")}
+    got = {path.stem: _file_sha256(path) for path in (out / "traces").glob("*.jsonl")}
     moved = sorted(eid for eid in want["traces"].keys() | got.keys()
                    if want["traces"].get(eid) != got.get(eid))
     assert not moved, f"run: {len(moved)} traces moved: {', '.join(moved)}"
-    assert sha256(out / "metrics.csv") == want["metrics_csv"], "run: metrics.csv moved"
+    assert _file_sha256(out / "metrics.csv") == want["metrics_csv"], "run: metrics.csv moved"
 
 
 def compute_calibrate_digests(dataset, work: Path) -> dict:
@@ -132,21 +143,52 @@ def compute_calibrate_digests(dataset, work: Path) -> dict:
     out = {}
     for grid in CALIBRATE_GRIDS:
         target = work / f"calibrate-{grid}"
-        with redirect_stdout(StringIO()):
-            rc = main(["calibrate", "--dataset", str(work / "dataset"), "--out", str(target),
-                       "--grid", grid])
-        assert rc == 0, f"calibrate --grid {grid} exited {rc}"
+        _run_cli(["calibrate", "--dataset", str(work / "dataset"), "--out", str(target), "--grid", grid])
         out[grid] = {name: _sha256((target / name).read_text()) for name in CALIBRATE_OUTPUTS}
     return out
 
 
+def compute_summary_digests(dataset, work: Path) -> dict:
+    """`report <variant>` -> {"summary.csv": sha256} for `gatecraft report`
+    over the traces of each of REPORTED_VARIANTS, and `ablate` ->
+    {"ablation.csv": sha256} for `gatecraft ablate` on the saved `dataset`
+    (manifest, episodes), run in-process under `work`."""
+    manifest, episodes = dataset
+    save_dataset(manifest, episodes, work / "dataset")
+    variants = dict(ABLATION_VARIANTS)
+    out = {}
+    for name in REPORTED_VARIANTS:
+        config = dataclasses.replace(RunConfig(), **variants[name])
+        traces = work / f"traces-{name}"
+        traces.mkdir()
+        for spec in episodes:
+            (traces / f"{spec.episode_id}.jsonl").write_text(run_episode(spec, config).to_jsonl())
+        target = work / f"report-{name}"
+        _run_cli(["report", "--traces", str(traces), "--out", str(target)])
+        out[f"report {name}"] = {"summary.csv": _file_sha256(target / "summary.csv")}
+    _run_cli(["ablate", "--dataset", str(work / "dataset"), "--out", str(work / "ablate")])
+    out["ablate"] = {"ablation.csv": _file_sha256(work / "ablate" / "ablation.csv")}
+    return out
+
+
+def moved_outputs(expected: dict, actual: dict, command: str) -> list[str]:
+    """`<command>: <file> moved` for each output file whose digest differs,
+    with `command` formatted from the key the file's digest sits under."""
+    return [f"{command.format(key)}: {name} moved"
+            for key in sorted(expected.keys() | actual.keys())
+            for name in sorted(expected.get(key, {}).keys() | actual.get(key, {}).keys())
+            if expected.get(key, {}).get(name) != actual.get(key, {}).get(name)]
+
+
 def test_calibration_matches_golden_digests(dataset, tmp_path):
     expected = json.loads(CALIBRATE_DIGESTS.read_text())
-    actual = compute_calibrate_digests(dataset, tmp_path)
-    moved = [f"calibrate --grid {grid}: {name} moved"
-             for grid in sorted(expected.keys() | actual.keys())
-             for name in CALIBRATE_OUTPUTS
-             if expected.get(grid, {}).get(name) != actual.get(grid, {}).get(name)]
+    moved = moved_outputs(expected, compute_calibrate_digests(dataset, tmp_path), "calibrate --grid {}")
+    assert not moved, "\n".join(moved)
+
+
+def test_report_and_ablate_match_golden_digests(dataset, tmp_path):
+    expected = json.loads(SUMMARY_DIGESTS.read_text())
+    moved = moved_outputs(expected, compute_summary_digests(dataset, tmp_path), "{}")
     assert not moved, "\n".join(moved)
 
 
@@ -179,12 +221,11 @@ if __name__ == "__main__":
     print(f"{RANDOM_SPECS}: {moved} of {len(digests[RANDOM_SPECS])} trace digests moved")
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
-    with tempfile.TemporaryDirectory() as work:
-        calibration = compute_calibrate_digests(dataset, Path(work))
-    committed = json.loads(CALIBRATE_DIGESTS.read_text()) if CALIBRATE_DIGESTS.exists() else {}
-    for grid in CALIBRATE_GRIDS:
-        for name in CALIBRATE_OUTPUTS:
-            state = "unchanged" if committed.get(grid, {}).get(name) == calibration[grid][name] else "moved"
-            print(f"calibrate --grid {grid}: {name} {state}")
-    CALIBRATE_DIGESTS.write_text(json.dumps(calibration, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {CALIBRATE_DIGESTS}")
+    for path, compute, command in ((CALIBRATE_DIGESTS, compute_calibrate_digests, "calibrate --grid {}"),
+                                   (SUMMARY_DIGESTS, compute_summary_digests, "{}")):
+        with tempfile.TemporaryDirectory() as work:
+            outputs = compute(dataset, Path(work))
+        committed = json.loads(path.read_text()) if path.exists() else {}
+        print("\n".join(moved_outputs(committed, outputs, command)) or f"{path.name}: no output moved")
+        path.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
