@@ -73,6 +73,7 @@ from .harness import (
     aggregate,
     calibrate,
     compute_metrics,
+    replay_local_feasibility,
     split_templates,
 )
 
@@ -130,6 +131,7 @@ __all__ = [
     "open_window",
     "parse_adjudicator_reply",
     "plan_local_recovery",
+    "replay_local_feasibility",
     "respond_policy",
     "run_episode",
     "score_bounds",

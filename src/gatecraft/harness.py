@@ -2,10 +2,10 @@
 calibration, and dataset splits.
 
 `compute_metrics` is a pure function of a finished trace: it counts, it never
-re-simulates — with one deliberate exception. The unnecessary-escalation rate
-replays the local planner on the solver context recorded *at the decision
-step*, so the feasibility judgment uses exactly what the agent could see then
-and nothing that happened afterwards.
+re-simulates or plans. The unnecessary-escalation rate reads the local plan
+cost each escalation recorded *at the decision step*, so the feasibility
+judgment uses exactly what the agent could see then and nothing that
+happened afterwards.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ def _ctx_entries(ctx: dict, name: str, shape: tuple[str, ...]) -> list:
 
 
 def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
-    """Re-run the local planner on a recorded decision-step context.
+    """Re-run the local planner on a recorded decision-step context. Its
+    plan's `total_cost` (None without a plan) is the `local_plan_cost` the
+    escalation recorded, so this checks a trace's recorded costs; the
+    metrics read the recorded cost and never call it.
 
     The context is self-contained (inventory, visible supplies, stations,
     recipe book, blockage), so this works on a bare trace with no world. The
@@ -159,15 +162,15 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
     return plan_local_recovery(state, view, recipes, blockage)
 
 
-def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None, replay=None) -> EpisodeMetrics:
+def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMetrics:
     """Count one finished trace into EpisodeMetrics. Ratio fields are None
-    (absent) when their denominator is zero. `replay` stands in for
-    `replay_local_feasibility` and must return what it returns.
+    (absent) when their denominator is zero. An escalation is unnecessary
+    when the local plan cost it recorded is at most LOCAL_BUDGET; a cost
+    that is neither null nor an integer >= 0, or none at all, raises
+    ValueError naming the event and `local_plan_cost`.
 
     The trace's last event is its one `episode_end`, as `simulate_episode`
     writes it and `Trace.from_jsonl` requires."""
-    if replay is None:
-        replay = replay_local_feasibility
     end = trace.events[-1] if trace.events else None
     if end is None or end["kind"] != "episode_end":
         raise ValueError("incomplete trace: no episode_end event")
@@ -177,7 +180,7 @@ def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None, replay=None) 
     token_bytes = 0
     durations: list[int] = []
 
-    for e in trace.events:
+    for i, e in enumerate(trace.events, 1):
         kind, p = e["kind"], e["payload"]
         if kind == "action":
             if p["action"]["kind"] in ENV_ACTION_KINDS:
@@ -198,11 +201,13 @@ def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None, replay=None) 
                 token_bytes += len(p["adjudicator_reply"].encode("utf-8"))
             if p.get("verdict") == "escalate":
                 escalations += 1
-                ctx = p.get("solver_ctx")
-                if ctx is not None:
-                    replayed = replay(ctx)
-                    if replayed is not None and replayed.total_cost <= LOCAL_BUDGET:
-                        unnecessary += 1
+                if "local_plan_cost" not in p:
+                    raise ValueError(f"event {i} (gate_decision) has no payload field 'local_plan_cost'")
+                if (cost := p["local_plan_cost"]) is not None:
+                    if type(cost) is not int or cost < 0:
+                        raise ValueError(f"event {i} (gate_decision) local_plan_cost {cost!r} "
+                                         f"is not null or an integer >= 0")
+                    unnecessary += cost <= LOCAL_BUDGET
         elif kind == "issue":
             event = p.get("event")
             if event == "resolved":
@@ -321,16 +326,7 @@ def run_configs(
                 references.append(simulate_episode(spec, configs[i]))
                 traces[i] = references[-1].trace
         simulated += [r.partition_dependent for r in references]
-    # a re-gated trace shares its reference's solver contexts, so each
-    # distinct context is replayed once; `traces` keeps every one alive
-    plans: dict[int, RecoveryPlan | None] = {}
-
-    def replay_once(ctx: dict) -> RecoveryPlan | None:
-        if id(ctx) not in plans:
-            plans[id(ctx)] = replay_local_feasibility(ctx)
-        return plans[id(ctx)]
-
-    return [compute_metrics(t, spec, replay_once) for t in traces], simulated
+    return [compute_metrics(t, spec) for t in traces], simulated
 
 
 def run_config_suite(

@@ -8,7 +8,7 @@ import socket
 
 import pytest
 
-from gatecraft import Trace, cli
+from gatecraft import Trace, agent, cli, gate, harness, memory, solver
 from gatecraft.cli import main
 from gatecraft.scenarios import EpisodeSpec, save_dataset
 
@@ -494,18 +494,11 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
     assert main(["run", "--dataset", str(small_dataset), "--out", str(out)]) == 0
     good = sorted((out / "traces").glob("b*.jsonl"))[0]
     events = Trace.from_jsonl(good.read_text()).events
-    escalation = next(e for e in events if "solver_ctx" in e["payload"])
-    escalation["payload"]["solver_ctx"]["params"]["far_threshold"] = 10
     traces = tmp_path / "traces"
     traces.mkdir()
     (traces / good.name).write_text(good.read_text())
-    bad = traces / "other_physics.jsonl"
-    bad.write_text(Trace(events=events).to_jsonl())
+    bad = traces / "bad.jsonl"
     capsys.readouterr()
-    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
-    err = capsys.readouterr().err
-    assert f"{bad}: solver_ctx.params.far_threshold = 10" in err
-
     bad.write_text(Trace(events=events[:-1]).to_jsonl())
     assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
     assert f"{bad}: incomplete trace: no episode_end event" in capsys.readouterr().err
@@ -563,36 +556,51 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
     assert f"runtime error: {bad}: line 4: Expecting value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value, problem", [
-    ("position", [0, 0], "solver_ctx.position [0, 0] is not three integers"),
-    ("inventory", {"x": "lots"}, "solver_ctx.inventory.x 'lots' is not an integer >= 0"),
-    ("sources", [[0, "sand"]],
-     "solver_ctx.sources[0] [0, 'sand'] is not [index, item, position, remaining]"),
-    ("issue", "nonsense", "solver_ctx.issue 'nonsense' is not one of missing_material, "
-                          "dependency_block, transfer_needed"),
-])
-def test_report_names_the_solver_ctx_field_it_cannot_replay(tmp_path, small_dataset, capsys,
-                                                            field, value, problem):
-    """An escalation's recorded context that the planner cannot replay
-    fails `report` with exit 2, naming the trace file and the field. The
-    context corrupted here has a source in view, so a short position would
-    otherwise fail inside the planner."""
+@pytest.mark.parametrize("cost, problem", [
+    (None, "has no payload field 'local_plan_cost'"),
+    ("7", "local_plan_cost '7' is not null or an integer >= 0"),
+    (-1, "local_plan_cost -1 is not null or an integer >= 0"),
+], ids=["missing", "string", "negative"])
+def test_report_names_an_escalation_whose_plan_cost_it_cannot_count(tmp_path, small_dataset, capsys,
+                                                                    cost, problem):
+    """`uer` counts an escalation's recorded `local_plan_cost`, so one that
+    is missing, or neither null nor an integer >= 0, fails `report` with
+    exit 2, naming the trace file, the event and the field."""
     out = tmp_path / "out"
     assert main(["run", "--dataset", str(small_dataset), "--out", str(out)]) == 0
-    for good in sorted((out / "traces").glob("*.jsonl")):
-        events = Trace.from_jsonl(good.read_text()).events
-        ctx = next((e["payload"]["solver_ctx"] for e in events
-                    if e["payload"].get("solver_ctx", {}).get("sources")), None)
-        if ctx is not None:
-            break
-    ctx[field] = value
+    good = sorted((out / "traces").glob("b*.jsonl"))[0]
+    events = Trace.from_jsonl(good.read_text()).events
+    i, escalation = next((i, e["payload"]) for i, e in enumerate(events, 1)
+                         if e["payload"].get("verdict") == "escalate")
+    if cost is None:
+        del escalation["local_plan_cost"]
+    else:
+        escalation["local_plan_cost"] = cost
     traces = tmp_path / "traces"
     traces.mkdir()
     bad = traces / good.name
     bad.write_text(Trace(events=events).to_jsonl())
     capsys.readouterr()
     assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
-    assert capsys.readouterr().err == f"runtime error: {bad}: {problem}\n"
+    assert capsys.readouterr().err == f"runtime error: {bad}: event {i} (gate_decision) {problem}\n"
+
+
+def test_report_calls_no_planner(tmp_path, small_dataset, capsys, monkeypatch):
+    """`report` counts the plan cost each escalation recorded: it neither
+    replays a recorded solver context nor calls the local planner."""
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(small_dataset), "--out", str(out)]) == 0
+    escalations = sum(e["payload"].get("verdict") == "escalate"
+                      for path in (out / "traces").glob("*.jsonl")
+                      for e in Trace.from_jsonl(path.read_text()).events)
+    assert escalations > 0
+    calls = []
+    spy = lambda *args: calls.append(args)  # noqa: E731
+    monkeypatch.setattr(harness, "replay_local_feasibility", spy)
+    for module in (solver, harness, memory, gate, agent):
+        monkeypatch.setattr(module, "plan_local_recovery", spy)
+    assert main(["report", "--out", str(out)]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("schema, problem", [

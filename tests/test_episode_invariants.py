@@ -15,8 +15,8 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
   an issue owns its cooldown, and a window closing after its issue ended
   records nothing;
 - every escalation's recorded `solver_ctx`, replayed by
-  `harness.replay_local_feasibility` as `uer` replays it, gives the plan
-  cost the gate's own probe recorded as `local_plan_cost`;
+  `harness.replay_local_feasibility`, gives the plan cost the gate's own
+  probe recorded as `local_plan_cost`, the cost `uer` counts;
 - an episode that ends for any reason but `budget` leaves no issue open:
   every `detected` has its `resolved` or `abandoned`;
 - an agent with no open issue (before its first `detected`, and from each
