@@ -205,8 +205,10 @@ class EpisodeSpec:
     def from_dict(cls, d: dict) -> "EpisodeSpec":
         """The spec `d` describes. Raises ValueError, naming the field, when
         its world cannot be built: a position that is not three integers, an
-        item count that is not an integer >= 0, `assigned` or `edges` naming
-        a node that is not one of `blocks`, or `edges` closing a cycle. Also
+        item count that is not an integer >= 0, `blocks` repeating a node id
+        or a position, `assigned` naming a node that is not one of `blocks`
+        or listing one twice, `edges` naming such a node, or `edges` closing
+        a cycle. Also
         when `episode_id`, which names the episode's trace file, is not a
         non-empty single path component (no `/`, `\\` or NUL; not `.` or `..`)."""
         episode_id = d["episode_id"]
@@ -221,8 +223,22 @@ class EpisodeSpec:
                   for n, m, p in d["blocks"]]
         edges = [[int(u), int(v)] for u, v in d["edges"]]
         assigned = {aid: [int(n) for n in nodes] for aid, nodes in d["assigned"].items()}
-        nodes = {n for n, _, _ in blocks}
-        if stray := sorted({n for ns in assigned.values() for n in ns} - nodes):
+        nodes: set[int] = set()
+        node_at: dict[tuple, int] = {}
+        for n, _, p in blocks:
+            if n in nodes:
+                raise ValueError(f"blocks repeat node {n}")
+            if (at := tuple(p)) in node_at:
+                raise ValueError(f"blocks node {n} repeats the position of node {node_at[at]}: {p}")
+            nodes.add(n)
+            node_at[at] = n
+        owner: dict[int, str] = {}
+        for aid, ns in assigned.items():
+            for n in ns:
+                if n in owner:
+                    raise ValueError(f"assigned lists node {n} under {owner[n]} and {aid}")
+                owner[n] = aid
+        if stray := sorted(owner.keys() - nodes):
             raise ValueError(f"assigned names nodes outside blocks: {stray}")
         if stray := [e for e in edges if not nodes.issuperset(e)]:
             raise ValueError(f"edges name nodes outside blocks: {stray}")

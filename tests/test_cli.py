@@ -715,7 +715,11 @@ def test_bad_dataset_line_names_file_and_line(tmp_path, small_dataset, capsys):
     (lambda d: d["blocks"][0].__setitem__(2, [1, 0, "2"]), "blocks node 0 position [1, 0, '2'] is not three integers"),
     (lambda d: d["sources"].append(["sand", [1, 0], 2]), "sources[1] position [1, 0] is not three integers"),
     (lambda d: d["sources"][0].__setitem__(2, -1), "sources[0] remaining -1 is not an integer >= 0"),
-], ids=["agent_position", "agent_count", "cycle", "block_position", "source_position", "source_count"])
+    (lambda d: d["blocks"].append([0, "stone_bricks", [9, 9, 9]]), "blocks repeat node 0"),
+    (lambda d: d["blocks"][1].__setitem__(2, d["blocks"][0][2]), "blocks node 1 repeats the position of node 0"),
+    (lambda d: d["assigned"]["a1"].append(d["assigned"]["a0"][0]), "assigned lists node 0 under a0 and a1"),
+], ids=["agent_position", "agent_count", "cycle", "block_position", "source_position", "source_count",
+        "repeated_node", "repeated_position", "node_under_two_agents"])
 def test_a_dataset_line_whose_world_cannot_be_built_fails_at_load(tmp_path, small_dataset, capsys,
                                                                    edit, problem):
     """A line whose world `build_world` could not build fails `run` at load
