@@ -133,9 +133,12 @@ def _threshold_pair(text: str) -> GateThresholds:
 
 
 def _tier_depth(text: str) -> int:
-    """How many of TIERS a comma list names: `none`, or a prefix of them."""
-    names = {t.strip().lower() for t in text.split(",") if t.strip()} - {"none"}
-    if names != set(TIERS[:len(names)]):
+    """How many of TIERS a comma list names: `none` alone, or a non-empty
+    prefix of them."""
+    names = {t.strip().lower() for t in text.split(",") if t.strip()}
+    if names == {"none"}:
+        return 0
+    if not names or names != set(TIERS[:len(names)]):
         raise ValueError(names)
     return len(names)
 

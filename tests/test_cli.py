@@ -366,10 +366,12 @@ def test_tiers_names_how_deep_the_cascade_runs(value, depth):
     assert _resolved("run", ["--tiers", value])["run_config"].tiers == depth
 
 
-@pytest.mark.parametrize("value", ["score", "vibes", "rules,adjudicator", "none,score,adjudicator"])
+@pytest.mark.parametrize("value", ["score", "vibes", "rules,adjudicator", "none,score,adjudicator",
+                                   "", ",", "none,rules", "rules,none"])
 def test_tiers_other_than_a_prefix_of_the_cascade_exit_one(tmp_path, small_dataset, capsys, value):
     """A tier runs only behind every tier before it, so a list that skips
-    one is a usage error naming the flag, or the file and the key."""
+    one is a usage error naming the flag, or the file and the key. So is
+    an empty list, and `none` next to a tier."""
     args = ["run", "--dataset", str(small_dataset), "--out", str(tmp_path / "o")]
     problem = "--tiers must be none or a prefix of rules,score,adjudicator"
     assert main(args + ["--tiers", value]) == 1
