@@ -206,11 +206,11 @@ class EpisodeSpec:
         """The spec `d` describes. Raises ValueError, naming the field, when
         its world cannot be built: a position that is not three integers, an
         item count that is not an integer >= 0, `blocks` repeating a node id
-        or a position, `assigned` naming a node that is not one of `blocks`
-        or listing one twice, `edges` naming such a node, or `edges` closing
-        a cycle. Also
-        when `episode_id`, which names the episode's trace file, is not a
-        non-empty single path component (no `/`, `\\` or NUL; not `.` or `..`)."""
+        or a position, `assigned` listing a node twice, `assigned` or `edges`
+        naming a node that is not one of `blocks`, or `edges` closing a
+        cycle. Also when `episode_id`, which names the episode's trace file,
+        is not a non-empty single path component (no `/`, `\\` or NUL; not
+        `.` or `..`)."""
         episode_id = d["episode_id"]
         if (not isinstance(episode_id, str) or episode_id in ("", ".", "..")
                 or any(c in episode_id for c in "/\\\0")):

@@ -587,7 +587,7 @@ def test_report_names_an_escalation_whose_plan_cost_it_cannot_count(tmp_path, sm
     assert capsys.readouterr().err == f"runtime error: {bad}: event {i} (gate_decision) {problem}\n"
 
 
-def test_report_calls_no_planner(tmp_path, small_dataset, capsys, monkeypatch):
+def test_report_calls_no_planner(tmp_path, small_dataset, monkeypatch):
     """`report` counts the plan cost each escalation recorded: it neither
     replays a recorded solver context nor calls the local planner."""
     out = tmp_path / "out"
@@ -597,9 +597,12 @@ def test_report_calls_no_planner(tmp_path, small_dataset, capsys, monkeypatch):
                       for e in Trace.from_jsonl(path.read_text()).events)
     assert escalations > 0
     calls = []
-    spy = lambda *args: calls.append(args)  # noqa: E731
+
+    def spy(*args):
+        calls.append(args)
+
     monkeypatch.setattr(harness, "replay_local_feasibility", spy)
-    for module in (solver, harness, memory, gate, agent):
+    for module in (solver, harness, memory, gate, agent):  # every name the planner is bound to
         monkeypatch.setattr(module, "plan_local_recovery", spy)
     assert main(["report", "--out", str(out)]) == 0
     assert calls == []

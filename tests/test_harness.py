@@ -94,7 +94,7 @@ def test_replay_rejects_a_count_below_one():
      "solver_ctx.sources[0] [0, 'sand'] is not [index, item, position, remaining]"),
     ("issue", "nonsense", "solver_ctx.issue 'nonsense' is not one of missing_material, "
                           "dependency_block, transfer_needed"),
-])
+], ids=["position", "inventory", "sources", "issue"])
 def test_replay_names_the_solver_ctx_field_it_cannot_replay(field, value, problem):
     """A recorded context the planner cannot replay raises ValueError
     naming the field. CHEAP_CTX has a source in view, so a short position
