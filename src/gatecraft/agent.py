@@ -95,7 +95,7 @@ def _schema_problem(events: list) -> str | None:
     one episode, which that event ends. Else name the `episode_end` if its
     payload's schema is missing or is not TRACE_SCHEMA. A trace with no
     `episode_end`, or with a payload that is not an object, is left to its
-    reader (`cli.cmd_report` names those)."""
+    reader (`harness.compute_metrics` names those)."""
     i = next((i for i, e in enumerate(events, 1)
               if type(e) is dict and e.get("kind") == "episode_end"), None)
     if i is not None and i < len(events):
@@ -208,10 +208,10 @@ def read_jsonl_by_line(text: str, convert=None) -> list:
     return values
 
 
-def _read_jsonl_whole(text: str, convert=None) -> list | None:
-    """`read_jsonl_by_line(text, convert)` from one decode pass, or None when
-    the text is not in the shape that provably gives the same values, or
-    when a value fails to decode or convert.
+def _read_jsonl_whole(text: str) -> list | None:
+    """`read_jsonl_by_line(text)` from one decode pass, or None when the text
+    is not in the shape that provably gives the same values, or when a value
+    fails to decode.
 
     The shape: ASCII with no `\\r`, every value starting at a line start and
     ending right before a `\\n` or at the end of the text, and as many values
@@ -221,9 +221,7 @@ def _read_jsonl_whole(text: str, convert=None) -> list | None:
     so the decoder rejects them; `\\r` is JSON whitespace, so it is checked.
     With one value per line and no line break inside a value, each line is
     the exact text of one value, with no blank or padded line in between, so
-    `json.loads(line)` returns what the one pass decoded. Each value is
-    converted as soon as it is decoded, so the decoded form of the whole text
-    is never held at once.
+    `json.loads(line)` returns what the one pass decoded.
 
     Values are decoded by the decoder's `scan_once`, the scanner that
     `JSONDecoder.raw_decode(text, idx)` wraps; calling it directly saves a
@@ -238,21 +236,20 @@ def _read_jsonl_whole(text: str, convert=None) -> list | None:
             value, end = scan(text, idx)
             if end < size and text[end] != "\n":
                 return None
-            values.append(value if convert is None else convert(value))
+            values.append(value)
             idx = end + 1
-    except (StopIteration, KeyError, ValueError, TypeError):
+    except (StopIteration, ValueError):
         return None  # `read_jsonl_by_line` names the line
     lines = text.count("\n") + (size > 0 and not text.endswith("\n"))
     return values if len(values) == lines else None
 
 
-def read_jsonl(text: str, convert=None) -> list:
-    """`read_jsonl_by_line(text, convert)`. Text in the trace format (see
+def read_jsonl(text: str) -> list:
+    """`read_jsonl_by_line(text)`. Text in the trace format (see
     `_read_jsonl_whole`) is decoded in one pass; any other text, and every
-    error, goes through `read_jsonl_by_line`, so `convert` must be a pure
-    function: it may see a value twice."""
-    values = _read_jsonl_whole(text, convert)
-    return read_jsonl_by_line(text, convert) if values is None else values
+    error, goes through `read_jsonl_by_line`."""
+    values = _read_jsonl_whole(text)
+    return read_jsonl_by_line(text) if values is None else values
 
 
 class Trace:

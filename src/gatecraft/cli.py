@@ -23,7 +23,8 @@ from pathlib import Path
 from .agent import RunConfig, Trace, run_episode
 from .gate import TIERS, GateThresholds, GateWeights
 from .harness import (
-    REQUIRED_PAYLOAD,
+    MEAN_FIELDS,
+    RATIO_FIELDS,
     CalibrationConfig,
     EpisodeMetrics,
     aggregate,
@@ -473,24 +474,6 @@ def cmd_calibrate(ns) -> int:
     return EXIT_OK
 
 
-def _first_bad_event(events: list) -> str | None:
-    """Name the first decoded trace line that cannot be an event, or whose
-    payload lacks a field that `compute_metrics` needs, if any."""
-    for i, event in enumerate(events, 1):
-        if not isinstance(event, dict) or not {"step", "agent", "kind", "payload"} <= event.keys():
-            return f"event {i} is not an object with step, agent, kind and payload"
-        if not isinstance(event["payload"], dict):
-            return f"event {i} has a payload that is not an object"
-        for path in REQUIRED_PAYLOAD.get(event["kind"], ()):
-            value = event["payload"]
-            for depth, key in enumerate(path, 1):
-                if not isinstance(value, dict) or key not in value:
-                    field = ".".join(path[:depth])
-                    return f"event {i} ({event['kind']}) has no payload field {field!r}"
-                value = value[key]
-    return None
-
-
 def cmd_report(ns) -> int:
     out = _out_dir(ns)
     traces_dir = ns.traces or out / "traces"
@@ -501,25 +484,13 @@ def cmd_report(ns) -> int:
     metrics = []
     for f in trace_files:
         try:
-            trace = Trace.from_jsonl(f.read_text())
-        except ValueError as exc:  # not JSONL, or another schema
-            raise ValueError(f"{f}: {exc}") from exc
-        try:
-            metrics.append(compute_metrics(trace))
-        except (KeyError, TypeError, AttributeError) as exc:
-            # only a failed count pays for the shape scan; with every event
-            # well-formed the error is the program's and keeps its own message
-            bad = _first_bad_event(trace.events)
-            if bad is None:
-                raise
-            raise ValueError(f"{f}: {bad}") from exc
-        except ValueError as exc:
+            metrics.append(compute_metrics(Trace.from_jsonl(f.read_text())))
+        except ValueError as exc:  # not JSONL, another schema, or a value the count cannot read
             raise ValueError(f"{f}: {exc}") from exc
     agg = aggregate(metrics)
     per_class = agg.pop("per_class")
 
-    columns = ["scope", "n", "tsr", "cs", "msg", "escalations", "adjudicator_calls",
-               "token_cost", "lrr", "uer", "ecr", "rsr", "recovery_time_avg"]
+    columns = ["scope", "n", *MEAN_FIELDS, *RATIO_FIELDS]
     rows = [{"scope": "ALL", **agg}]
     rows += [{"scope": f"class {c}", **per_class[c]} for c in sorted(per_class)]
     print(f"{len(metrics)} episodes from {traces_dir}")

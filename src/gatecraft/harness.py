@@ -5,7 +5,8 @@ calibration, and dataset splits.
 re-simulates or plans. The unnecessary-escalation rate reads the local plan
 cost each escalation recorded *at the decision step*, so the feasibility
 judgment uses exactly what the agent could see then and nothing that
-happened afterwards.
+happened afterwards. It is also the one description of a countable trace:
+a value it cannot count raises ValueError naming the event and the field.
 """
 
 from __future__ import annotations
@@ -43,9 +44,19 @@ ENV_ACTION_KINDS = ("move", "place", "collect", "craft", "smelt", "transfer")
 # Cost cap that makes "a feasible local solution existed" decidable.
 LOCAL_BUDGET = 30
 
-# The payload fields `compute_metrics` reads without a default, by event
-# kind, as key paths; `cli.cmd_report` names the first event that lacks one.
-REQUIRED_PAYLOAD = {"action": (("action", "kind"),), "episode_end": (("completion",),)}
+_REQUIRED = object()
+_TEXT = ("null or a string", lambda v: v is None or type(v) is str, None)
+_COUNT = ("an integer", lambda v: type(v) is int, 0)
+
+# The typed payload values `compute_metrics` reads, by field name: what each
+# must be, its test, and its value when absent (`_REQUIRED`: none).
+_VALUES = {
+    "completion": ("a number", lambda v: type(v) in (int, float), _REQUIRED),
+    "local_plan_cost": ("null or an integer >= 0",
+                        lambda v: v is None or (type(v) is int and v >= 0), _REQUIRED),
+    **dict.fromkeys(("episode_id", "class_label", "adjudicator_request", "adjudicator_reply"), _TEXT),
+    **dict.fromkeys(("duration", "windows"), _COUNT),
+}
 
 RATIO_FIELDS = ("lrr", "uer", "ecr", "rsr", "recovery_time_avg")
 MEAN_FIELDS = ("tsr", "cs", "msg", "escalations", "adjudicator_calls", "token_cost")
@@ -116,8 +127,11 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
     fixed values. A field that cannot be replayed raises ValueError naming
     it as `solver_ctx.<field>`: a position that is not three integers, a
     count that is not an integer >= 0 (a blockage's `count` below 1, which
-    no run records, included), an entry of the wrong length or an unknown
-    `issue`."""
+    no run records, included), an entry of the wrong length, an unknown
+    `issue`, a missing field or a recipe missing one."""
+    for name in ("inventory", "position", "count", "issue", "node_id", "item"):
+        if name not in ctx:
+            raise ValueError(f"solver_ctx.{name} is missing")
     for name, value in ctx.get("params", {}).items():
         if name not in PLANNER_PARAMS or value != PLANNER_PARAMS[name]:
             raise ValueError(f"solver_ctx.params.{name} = {value!r} does not match the "
@@ -148,7 +162,12 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
         plan=PlanInfo(station_positions=stations),
         sim_time=0,
     )
-    recipes = RecipeBook([Recipe.from_dict(r) for r in ctx.get("recipes", [])])
+    recipes = []
+    for k, r in enumerate(ctx.get("recipes", [])):
+        try:
+            recipes.append(Recipe.from_dict(r))
+        except KeyError as exc:
+            raise ValueError(f"solver_ctx.recipes[{k}] {r!r} has no field {exc}") from exc
     if (count := check_count(ctx["count"], "solver_ctx.count")) < 1:
         raise ValueError(f"solver_ctx.count = {count}; a blockage needs at least 1")
     if ctx["issue"] not in (issues := [t.value for t in IssueType]):
@@ -159,72 +178,92 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
         item=ctx["item"],
         count=count,
     )
-    return plan_local_recovery(state, view, recipes, blockage)
+    return plan_local_recovery(state, view, RecipeBook(recipes), blockage)
+
+
+def _read(p: dict, name: str, i: int, kind: str):
+    """The value of payload field `name` (see `_VALUES`) of event `i`, or
+    ValueError naming the event and the field."""
+    what, ok, default = _VALUES[name]
+    value = p.get(name, default)
+    if value is _REQUIRED:
+        raise ValueError(f"event {i} ({kind}) has no payload field {name!r}")
+    if not ok(value):
+        raise ValueError(f"event {i} ({kind}) {name} {value!r} is not {what}")
+    return value
 
 
 def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMetrics:
     """Count one finished trace into EpisodeMetrics. Ratio fields are None
     (absent) when their denominator is zero. An escalation is unnecessary
-    when the local plan cost it recorded is at most LOCAL_BUDGET; a cost
-    that is neither null nor an integer >= 0, or none at all, raises
-    ValueError naming the event and `local_plan_cost`.
+    when the local plan cost it recorded is at most LOCAL_BUDGET.
 
     The trace's last event is its one `episode_end`, as `simulate_episode`
-    writes it and `Trace.from_jsonl` requires."""
-    end = trace.events[-1] if trace.events else None
-    if end is None or end["kind"] != "episode_end":
-        raise ValueError("incomplete trace: no episode_end event")
-
+    writes it and `Trace.from_jsonl` requires. A value the count cannot read
+    raises ValueError naming the event, and the field when it is one of
+    `_VALUES` or `action.kind`; any other error keeps its own type."""
     cs = msg = opened = fulfilled = adj = escalations = unnecessary = 0
     resolved = local_resolved = abandoned = abandoned_after_recovery = 0
     token_bytes = 0
     durations: list[int] = []
 
-    for i, e in enumerate(trace.events, 1):
-        kind, p = e["kind"], e["payload"]
-        if kind == "action":
-            if p["action"]["kind"] in ENV_ACTION_KINDS:
-                cs += 1
-        elif kind == "coordination_message":
-            msg += 1
-        elif kind == "window_state":
-            if p.get("event") == "opened":
-                opened += 1
-            elif p.get("event") == "closed" and p.get("state") == "fulfilled":
-                fulfilled += 1
-        elif kind == "gate_decision":
-            if p.get("tier") == "adjudicator":
-                adj += 1
-            if p.get("adjudicator_request"):
-                token_bytes += len(p["adjudicator_request"].encode("utf-8"))
-            if p.get("adjudicator_reply"):
-                token_bytes += len(p["adjudicator_reply"].encode("utf-8"))
-            if p.get("verdict") == "escalate":
-                escalations += 1
-                if "local_plan_cost" not in p:
-                    raise ValueError(f"event {i} (gate_decision) has no payload field 'local_plan_cost'")
-                if (cost := p["local_plan_cost"]) is not None:
-                    if type(cost) is not int or cost < 0:
-                        raise ValueError(f"event {i} (gate_decision) local_plan_cost {cost!r} "
-                                         f"is not null or an integer >= 0")
-                    unnecessary += cost <= LOCAL_BUDGET
-        elif kind == "issue":
-            event = p.get("event")
-            if event == "resolved":
-                resolved += 1
-                if p.get("via") == "local":
-                    local_resolved += 1
-                durations.append(int(p.get("duration", 0)))
-            elif event == "abandoned":
-                abandoned += 1
-                if p.get("recovery_activated") or p.get("windows", 0) > 0:
-                    abandoned_after_recovery += 1
+    i, e, kind = 0, None, None
+    try:
+        for i, e in enumerate(trace.events, 1):
+            kind, p = e["kind"], e["payload"]
+            if kind == "action":
+                if p["action"]["kind"] in ENV_ACTION_KINDS:
+                    cs += 1
+            elif kind == "coordination_message":
+                msg += 1
+            elif kind == "window_state":
+                if p.get("event") == "opened":
+                    opened += 1
+                elif p.get("event") == "closed" and p.get("state") == "fulfilled":
+                    fulfilled += 1
+            elif kind == "gate_decision":
+                if p.get("tier") == "adjudicator":
+                    adj += 1
+                for name in ("adjudicator_request", "adjudicator_reply"):
+                    if text := _read(p, name, i, kind):
+                        token_bytes += len(text.encode("utf-8"))
+                if p.get("verdict") == "escalate":
+                    escalations += 1
+                    if (cost := _read(p, "local_plan_cost", i, kind)) is not None:
+                        unnecessary += cost <= LOCAL_BUDGET
+            elif kind == "issue":
+                event = p.get("event")
+                if event == "resolved":
+                    resolved += 1
+                    if p.get("via") == "local":
+                        local_resolved += 1
+                    durations.append(_read(p, "duration", i, kind))
+                elif event == "abandoned":
+                    abandoned += 1
+                    if p.get("recovery_activated") or _read(p, "windows", i, kind) > 0:
+                        abandoned_after_recovery += 1
+        if kind != "episode_end":
+            raise ValueError("incomplete trace: no episode_end event")
+        episode_id = _read(p, "episode_id", i, kind) or (spec.episode_id if spec else None)
+        class_label = _read(p, "class_label", i, kind) or (spec.class_label if spec else None)
+        completion = float(_read(p, "completion", i, kind))
+    except (KeyError, TypeError, AttributeError) as exc:
+        # name what makes event `i` one the count cannot read past
+        if not isinstance(e, dict) or not {"step", "agent", "kind", "payload"} <= e.keys():
+            problem = f"event {i} is not an object with step, agent, kind and payload"
+        elif not isinstance(p := e["payload"], dict):
+            problem = f"event {i} has a payload that is not an object"
+        elif e["kind"] == "action" and not (isinstance(p.get("action"), dict) and "kind" in p["action"]):
+            field = "action.kind" if "action" in p else "action"
+            problem = f"event {i} (action) has no payload field {field!r}"
+        else:
+            raise  # every value it read is well-formed: the error is the program's
+        raise ValueError(problem) from exc
 
-    payload = end["payload"]
     return EpisodeMetrics(
-        episode_id=payload.get("episode_id") or (spec.episode_id if spec else None),
-        class_label=payload.get("class_label") or (spec.class_label if spec else None),
-        tsr=float(payload["completion"]),
+        episode_id=episode_id,
+        class_label=class_label,
+        tsr=completion,
         cs=cs,
         msg=msg,
         escalations=escalations,

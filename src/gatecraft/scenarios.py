@@ -25,7 +25,7 @@ from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
-from .agent import EpisodeRuntime, RunConfig, read_jsonl, step
+from .agent import EpisodeRuntime, RunConfig, read_jsonl_by_line, step
 from .world import (
     AgentBody,
     BlockSpec,
@@ -663,16 +663,12 @@ def load_dataset(path: str | Path) -> Dataset:
     """Read a saved dataset's episodes; `manifest.json` is not read. Every
     line is checked before this returns: a line that is not valid JSON,
     lacks a field, or repeats an earlier line's episode id (which names a
-    trace file) raises ValueError naming the file and the line.
-
-    `read_jsonl`'s values are those of the non-blank lines of `splitlines`,
-    in order, so those lines are the checked ones, and `json.loads` of each
-    gives back the value that was checked."""
+    trace file) raises ValueError naming the file and the line."""
     root = Path(path)
     episodes_file = root if root.is_file() else root / "episodes.jsonl"
     try:
         text = episodes_file.read_text()
-        ids = read_jsonl(text, _check)
+        ids = read_jsonl_by_line(text, _check)
     except ValueError as exc:
         raise ValueError(f"{episodes_file} {exc}") from exc
     numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]

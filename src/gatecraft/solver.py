@@ -170,18 +170,13 @@ def plan_local_recovery(
             cursor = view.ref_position(ref) or cursor
         if not feasible or not steps:
             continue
-        craft_travel = travel_steps(_dist_from(cursor, station_pos), INTERACTION_RADIUS, SPEED) if station_pos else 0
+        craft_travel = (travel_steps(math.sqrt(dist_sq(cursor, station_pos)), INTERACTION_RADIUS, SPEED)
+                        if station_pos else 0)
         steps.append(RecoveryStep(op=recipe.kind, estimated_cost=craft_travel + crafts,
                                   recipe_id=recipe.recipe_id, station=recipe.station, units=crafts))
         return RecoveryPlan(item=item, count=need, steps=steps)
 
     return None
-
-
-def _dist_from(a: Position, b: Position | None) -> float:
-    if b is None:
-        return 0.0
-    return math.sqrt(dist_sq(a, b))
 
 
 def local_skip(graph: TaskGraph, placed: set[int], blocked: int | None, allowed: set[int]) -> int | None:

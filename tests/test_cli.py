@@ -526,27 +526,44 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
         assert (f"runtime error: {bad}: event 1 (action) has no payload field '{field}'"
                 in capsys.readouterr().err)
 
-    # dropping any payload field of any event kind leaves a countable trace
-    # or is named
-    events = Trace.from_jsonl(good.read_text()).events
-    first_of_kind = {}
-    for i, e in enumerate(events):
-        first_of_kind.setdefault(e["kind"], i)
-    assert len(first_of_kind) >= 6
-    for kind, i in first_of_kind.items():
-        for key in events[i]["payload"]:
-            dropped = [dict(e) for e in events]
-            dropped[i]["payload"] = {k: v for k, v in events[i]["payload"].items() if k != key}
-            bad.write_text(Trace(events=dropped).to_jsonl())
-            if main(["report", "--out", str(out), "--traces", str(traces)]) != 0:
-                assert (f"runtime error: {bad}: event {i + 1} ({kind}) has no payload field '{key}'"
-                        in capsys.readouterr().err)
+    # dropping a payload field, or setting it to null or [1], leaves a
+    # countable trace or is named: in the first event of each kind, the first
+    # issue of each event and the first gate_decision with adjudicator fields
+    runs = [Trace.from_jsonl(p.read_text()).events for p in sorted((out / "traces").glob("*.jsonl"))]
+    first = {}
+    for r, events in enumerate(runs):
+        for i, e in enumerate(events):
+            p = e["payload"]
+            for role in (e["kind"], (e["kind"], p.get("event")), "adjudicator_request" in p):
+                first.setdefault(role, (r, i))
+    assert {"issue", ("issue", "resolved"), True} <= first.keys() and len(first) > 10
+    for r, i in sorted(set(first.values())):
+        event = runs[r][i]
+        for key in event["payload"]:
+            for change in ("drop", None, [1]):
+                payload = {k: v for k, v in event["payload"].items() if k != key or change != "drop"}
+                if change != "drop":
+                    payload[key] = change
+                changed = runs[r][:i] + [{**event, "payload": payload}] + runs[r][i + 1:]
+                bad.write_text(Trace(events=changed).to_jsonl())
+                code = main(["report", "--out", str(out), "--traces", str(traces)])
+                err = capsys.readouterr().err
+                assert code == 0 or (code == 2 and key in err and err.startswith(
+                    f"runtime error: {bad}: event {i + 1} ({event['kind']}) ")), (key, change, err)
 
-    # with every event well-formed, a failed count is not blamed on the trace
+    # with every value it reads well-formed, an error inside the count keeps
+    # its own type and message
     bad.write_text(good.read_text())
-    monkeypatch.setattr(cli, "compute_metrics", lambda trace: {}["boom"])
-    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
-    assert capsys.readouterr().err == "runtime error: 'boom'\n"
+    for error in (KeyError, TypeError, AttributeError):
+        class Kinds:
+            def __contains__(self, kind):
+                raise error("boom")
+
+        monkeypatch.setattr(harness, "ENV_ACTION_KINDS", Kinds())
+        with pytest.raises(error, match="boom"):
+            harness.compute_metrics(Trace.from_jsonl(good.read_text()))
+        assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+        assert capsys.readouterr().err == f"runtime error: {error('boom')}\n"
     monkeypatch.undo()
 
     bad.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])  # truncated last line

@@ -94,13 +94,21 @@ def test_replay_rejects_a_count_below_one():
      "solver_ctx.sources[0] [0, 'sand'] is not [index, item, position, remaining]"),
     ("issue", "nonsense", "solver_ctx.issue 'nonsense' is not one of missing_material, "
                           "dependency_block, transfer_needed"),
-], ids=["position", "inventory", "sources", "issue"])
+    ("item", None, "solver_ctx.item is missing"),
+    ("position", None, "solver_ctx.position is missing"),
+    ("recipes", [{"kind": "craft"}],
+     "solver_ctx.recipes[0] {'kind': 'craft'} has no field 'recipe_id'"),
+], ids=["position", "inventory", "sources", "issue", "no-item", "no-position", "recipe"])
 def test_replay_names_the_solver_ctx_field_it_cannot_replay(field, value, problem):
     """A recorded context the planner cannot replay raises ValueError
-    naming the field. CHEAP_CTX has a source in view, so a short position
-    would otherwise fail inside the planner."""
+    naming the field; a `value` of None leaves the field out. CHEAP_CTX has
+    a source in view, so a short position would otherwise fail inside the
+    planner."""
+    ctx = {k: v for k, v in CHEAP_CTX.items() if k != field}
+    if value is not None:
+        ctx[field] = value
     with pytest.raises(ValueError) as raised:
-        replay_local_feasibility(dict(CHEAP_CTX, **{field: value}))
+        replay_local_feasibility(ctx)
     assert str(raised.value) == problem
 
 
