@@ -49,7 +49,7 @@ _TEXT = ("null or a string", lambda v: v is None or type(v) is str, None)
 _COUNT = ("an integer", lambda v: type(v) is int, 0)
 
 # The typed payload values `compute_metrics` reads, by field name: what each
-# must be, its test, and its value when absent (`_REQUIRED`: none).
+# must be, its test, and its value when absent (`_REQUIRED`: it must be there).
 _VALUES = {
     "completion": ("a number", lambda v: type(v) in (int, float), _REQUIRED),
     "local_plan_cost": ("null or an integer >= 0",
@@ -199,9 +199,10 @@ def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMet
     when the local plan cost it recorded is at most LOCAL_BUDGET.
 
     The trace's last event is its one `episode_end`, as `simulate_episode`
-    writes it and `Trace.from_jsonl` requires. A value the count cannot read
-    raises ValueError naming the event, and the field when it is one of
-    `_VALUES` or `action.kind`; any other error keeps its own type."""
+    writes it and `Trace.from_jsonl` requires. An event the count cannot
+    read raises ValueError naming it, and the field when a payload value is
+    at fault; an error raised while every value read is well-formed keeps
+    its own type."""
     cs = msg = opened = fulfilled = adj = escalations = unnecessary = 0
     resolved = local_resolved = abandoned = abandoned_after_recovery = 0
     token_bytes = 0

@@ -527,16 +527,19 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
                 in capsys.readouterr().err)
 
     # dropping a payload field, or setting it to null or [1], leaves a
-    # countable trace or is named: in the first event of each kind, the first
-    # issue of each event and the first gate_decision with adjudicator fields
+    # countable trace or is named: in the first event of each kind, of each
+    # kind and `event` value (a resolved issue, a closed window) and the first
+    # gate_decision with adjudicator fields
     runs = [Trace.from_jsonl(p.read_text()).events for p in sorted((out / "traces").glob("*.jsonl"))]
-    first = {}
+    first = {}  # (run, event index) of the first event in each role
     for r, events in enumerate(runs):
         for i, e in enumerate(events):
-            p = e["payload"]
-            for role in (e["kind"], (e["kind"], p.get("event")), "adjudicator_request" in p):
+            roles = [e["kind"], (e["kind"], e["payload"].get("event"))]
+            if "adjudicator_request" in e["payload"]:
+                roles.append("adjudicated gate_decision")
+            for role in roles:
                 first.setdefault(role, (r, i))
-    assert {"issue", ("issue", "resolved"), True} <= first.keys() and len(first) > 10
+    assert {"episode_end", ("issue", "resolved"), "adjudicated gate_decision"} <= first.keys()
     for r, i in sorted(set(first.values())):
         event = runs[r][i]
         for key in event["payload"]:
