@@ -91,18 +91,28 @@ TRACE_SCHEMA = 3
 
 
 def _schema_problem(events: list) -> str | None:
-    """Name the event after the first `episode_end`, if any: a trace holds
-    one episode, which that event ends. Else name the `episode_end` if its
-    payload's schema is missing or is not TRACE_SCHEMA. A trace with no
-    `episode_end`, or with a payload that is not an object, is left to its
-    reader (`harness.compute_metrics` names those)."""
-    i = next((i for i, e in enumerate(events, 1)
-              if type(e) is dict and e.get("kind") == "episode_end"), None)
-    if i is not None and i < len(events):
-        return f"event {i + 1} follows the episode_end at event {i}; a trace holds one episode"
-    payload = None if i is None else events[i - 1].get("payload")
-    if not isinstance(payload, dict):
+    """Name the first event, up to the first `episode_end`, that is not an
+    object with `step` (an integer), `agent` and `kind` (strings) and
+    `payload` (an object). Else name the event after that `episode_end`, if
+    any: a trace holds one episode, which that event ends. Else name the
+    `episode_end` if its payload's schema is missing or is not TRACE_SCHEMA.
+    A trace with no `episode_end` is left to its reader
+    (`harness.compute_metrics` names it)."""
+    for i, e in enumerate(events, 1):
+        try:
+            step, agent, kind, payload = e["step"], e["agent"], e["kind"], e["payload"]
+        except (KeyError, TypeError):  # not an object, or one that lacks a field
+            step = agent = kind = payload = None
+        if type(step) is not int or type(agent) is not str or type(kind) is not str:
+            return f"event {i} is not an object with step, agent, kind and payload"
+        if type(payload) is not dict:
+            return f"event {i} has a payload that is not an object"
+        if kind == "episode_end":
+            break
+    else:
         return None
+    if i < len(events):
+        return f"event {i + 1} follows the episode_end at event {i}; a trace holds one episode"
     if "schema" not in payload:
         return f"event {i} (episode_end) has no payload field 'schema'"
     found = payload["schema"]
@@ -295,9 +305,9 @@ class Trace:
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
         """The trace `to_jsonl` wrote. Text that is not JSONL raises
-        ValueError naming the line, and a trace of another schema, or of
-        more than one episode, raises ValueError naming the event (see
-        `_schema_problem`)."""
+        ValueError naming the line, and a line that is not an event, a trace
+        of another schema, or one of more than one episode raises ValueError
+        naming the event (see `_schema_problem`)."""
         events = read_jsonl(text)
         if (problem := _schema_problem(events)) is not None:
             raise ValueError(problem)

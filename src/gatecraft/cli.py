@@ -314,21 +314,17 @@ def _out_dir(ns) -> Path:
     return ns.out
 
 
-def _episode_worker(task) -> tuple[EpisodeMetrics, int]:
+def _episode_worker(task) -> EpisodeMetrics:
     """Run one episode; write its trace to `<traces_dir>/<episode_id>.jsonl`.
-    Returns the episode's metrics and how many of its adjudicator calls
-    failed (`adjudicator_ok: false`)."""
+    Returns the episode's metrics."""
     spec, config, backend, traces_dir = task
     trace = run_episode(spec, config, backend)
     (traces_dir / f"{spec.episode_id}.jsonl").write_text(trace.to_jsonl())
-    failed = sum(e["kind"] == "gate_decision" and e["payload"].get("adjudicator_ok") is False
-                 for e in trace.events)
-    return compute_metrics(trace, spec), failed
+    return compute_metrics(trace)
 
 
 def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir: Path):
-    """Run every episode; yield what `_episode_worker` returns, in episode
-    order.
+    """Run every episode; yield each one's metrics, in episode order.
 
     Only the default/mock backend fans out across processes: a scripted
     backend is a single consumable reply stream, and remote replies should be
@@ -384,15 +380,15 @@ def cmd_run(ns) -> int:
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
 
-    results = list(_run_suite(episodes, ns.run_config, ns.backend, ns.jobs, traces_dir))
-    metrics = [m for m, _ in results]
+    metrics = list(_run_suite(episodes, ns.run_config, ns.backend, ns.jobs, traces_dir))
     (out / "metrics.csv").write_text(metrics_to_csv(metrics))
 
     agg = aggregate(metrics)
     print(f"ran {len(metrics)} episodes -> {traces_dir} and {out / 'metrics.csv'}")
     print(f"TSR {agg['tsr']:.4f}  CS {agg['cs']:.1f}  Msg {agg['msg']:.2f}  "
           f"escalations {agg['escalations']:.2f}  adjudicator {agg['adjudicator_calls']:.2f}")
-    if failed := sum(f for _, f in results):  # else a dead endpoint passes for a cautious gate
+    # else a dead endpoint passes for a cautious gate
+    if failed := sum(m.adjudicator_failures for m in metrics):
         print(f"warning: {failed} of {sum(m.adjudicator_calls for m in metrics)} adjudicator calls "
               "failed; those gate passes stayed local", file=sys.stderr)
     return EXIT_OK
@@ -415,7 +411,7 @@ def cmd_ablate(ns) -> int:
     per_variant, flags = run_config_suite(episodes, configs, ns.jobs, ns.backend)
 
     columns = ["variant", "tsr", "cs", "ecr", "msg", "escalations",
-               "adjudicator_calls", "token_cost"]
+               "adjudicator_calls", "adjudicator_failures", "token_cost"]
     rows = []
     for (name, _), metrics in zip(ABLATION_VARIANTS, per_variant):
         agg = aggregate(metrics)

@@ -293,8 +293,9 @@ VALID_DECISIONS = ("stay_local", "escalate")
 
 
 class AdjudicatorUnavailable(RuntimeError):
-    """The backend could not reply (scripted replies ran out, endpoint failed).
-    The only error gate_decide turns into a stay_local fallback."""
+    """The backend could not reply (scripted replies ran out or record a
+    failed call, endpoint failed). The only error gate_decide turns into a
+    stay_local fallback."""
 
 
 def _no_constant(name: str):
@@ -363,7 +364,9 @@ class MockAdjudicator:
 
 
 class ScriptedAdjudicator:
-    """Replays a fixed reply sequence; raises AdjudicatorUnavailable when exhausted."""
+    """Replays a fixed sequence, one entry per call: a reply, or None for a
+    call that fails. A None entry, and a call past the last entry, raise
+    AdjudicatorUnavailable."""
 
     name = "scripted"
 
@@ -372,8 +375,8 @@ class ScriptedAdjudicator:
         self._cursor = 0
 
     @staticmethod
-    def _coerce(reply) -> bytes:
-        if isinstance(reply, bytes):
+    def _coerce(reply) -> bytes | None:
+        if reply is None or isinstance(reply, bytes):
             return reply
         if isinstance(reply, str):
             return reply.encode("utf-8")
@@ -386,6 +389,8 @@ class ScriptedAdjudicator:
             raise AdjudicatorUnavailable("scripted adjudicator exhausted")
         reply = self._replies[self._cursor]
         self._cursor += 1
+        if reply is None:
+            raise AdjudicatorUnavailable(f"scripted call {self._cursor} fails, as recorded")
         return reply
 
 

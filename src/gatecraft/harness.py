@@ -5,14 +5,17 @@ calibration, and dataset splits.
 re-simulates or plans. The unnecessary-escalation rate reads the local plan
 cost each escalation recorded *at the decision step*, so the feasibility
 judgment uses exactly what the agent could see then and nothing that
-happened afterwards. It is also the one description of a countable trace:
-a value it cannot count raises ValueError naming the event and the field.
+happened afterwards. With `agent.Trace.from_jsonl`, which checks each
+event's envelope and the trace's schema, it is the one reader of the trace
+format: a payload value it cannot count raises ValueError naming the event
+and the field.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 from collections.abc import Sequence
 from itertools import repeat
@@ -56,10 +59,12 @@ _VALUES = {
                         lambda v: v is None or (type(v) is int and v >= 0), _REQUIRED),
     **dict.fromkeys(("episode_id", "class_label", "adjudicator_request", "adjudicator_reply"), _TEXT),
     **dict.fromkeys(("duration", "windows"), _COUNT),
+    "adjudicator_ok": ("null or a boolean", lambda v: v is None or type(v) is bool, None),
 }
 
 RATIO_FIELDS = ("lrr", "uer", "ecr", "rsr", "recovery_time_avg")
-MEAN_FIELDS = ("tsr", "cs", "msg", "escalations", "adjudicator_calls", "token_cost")
+MEAN_FIELDS = ("tsr", "cs", "msg", "escalations", "adjudicator_calls", "adjudicator_failures",
+               "token_cost")
 
 
 class EpisodeMetrics:
@@ -67,13 +72,13 @@ class EpisodeMetrics:
     `metrics.csv`'s column order."""
 
     __slots__ = ("episode_id", "class_label", "tsr", "cs", "msg", "escalations",
-                 "adjudicator_calls", "token_cost", "windows_opened", "windows_fulfilled",
-                 "issues_resolved", "issues_abandoned", "lrr", "uer", "ecr", "rsr",
-                 "recovery_time_avg")
+                 "adjudicator_calls", "adjudicator_failures", "token_cost", "windows_opened",
+                 "windows_fulfilled", "issues_resolved", "issues_abandoned", "lrr", "uer", "ecr",
+                 "rsr", "recovery_time_avg")
 
     def __init__(self, episode_id: str | None, class_label: str | None, tsr: float, cs: int,
-                 msg: int, escalations: int, adjudicator_calls: int, token_cost: float,
-                 windows_opened: int, windows_fulfilled: int, issues_resolved: int,
+                 msg: int, escalations: int, adjudicator_calls: int, adjudicator_failures: int,
+                 token_cost: float, windows_opened: int, windows_fulfilled: int, issues_resolved: int,
                  issues_abandoned: int, lrr: float | None = None, uer: float | None = None,
                  ecr: float | None = None, rsr: float | None = None,
                  recovery_time_avg: float | None = None):
@@ -84,6 +89,7 @@ class EpisodeMetrics:
         self.msg = msg
         self.escalations = escalations
         self.adjudicator_calls = adjudicator_calls
+        self.adjudicator_failures = adjudicator_failures
         self.token_cost = token_cost
         self.windows_opened = windows_opened
         self.windows_fulfilled = windows_fulfilled
@@ -193,22 +199,24 @@ def _read(p: dict, name: str, i: int, kind: str):
     return value
 
 
-def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMetrics:
+def compute_metrics(trace: Trace) -> EpisodeMetrics:
     """Count one finished trace into EpisodeMetrics. Ratio fields are None
     (absent) when their denominator is zero. An escalation is unnecessary
-    when the local plan cost it recorded is at most LOCAL_BUDGET.
+    when the local plan cost it recorded is at most LOCAL_BUDGET. A failed
+    adjudicator call is a `gate_decision` with `adjudicator_ok: false`: the
+    backend could not answer, or its reply was not the schema.
 
-    The trace's last event is its one `episode_end`, as `simulate_episode`
-    writes it and `Trace.from_jsonl` requires. An event the count cannot
-    read raises ValueError naming it, and the field when a payload value is
-    at fault; an error raised while every value read is well-formed keeps
-    its own type."""
-    cs = msg = opened = fulfilled = adj = escalations = unnecessary = 0
+    The trace is one `simulate_episode` wrote or `Trace.from_jsonl` read:
+    every event is an object with `step`, `agent`, `kind` and a `payload`
+    object, and the last is its one `episode_end`. A payload the count
+    cannot read raises ValueError naming the event and the field; an error
+    raised while every value read is well-formed keeps its own type."""
+    cs = msg = opened = fulfilled = adj = failures = escalations = unnecessary = 0
     resolved = local_resolved = abandoned = abandoned_after_recovery = 0
     token_bytes = 0
     durations: list[int] = []
 
-    i, e, kind = 0, None, None
+    kind = None
     try:
         for i, e in enumerate(trace.events, 1):
             kind, p = e["kind"], e["payload"]
@@ -225,6 +233,7 @@ def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMet
             elif kind == "gate_decision":
                 if p.get("tier") == "adjudicator":
                     adj += 1
+                failures += _read(p, "adjudicator_ok", i, kind) is False
                 for name in ("adjudicator_request", "adjudicator_reply"):
                     if text := _read(p, name, i, kind):
                         token_bytes += len(text.encode("utf-8"))
@@ -245,21 +254,15 @@ def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMet
                         abandoned_after_recovery += 1
         if kind != "episode_end":
             raise ValueError("incomplete trace: no episode_end event")
-        episode_id = _read(p, "episode_id", i, kind) or (spec.episode_id if spec else None)
-        class_label = _read(p, "class_label", i, kind) or (spec.class_label if spec else None)
+        episode_id = _read(p, "episode_id", i, kind)
+        class_label = _read(p, "class_label", i, kind)
         completion = float(_read(p, "completion", i, kind))
-    except (KeyError, TypeError, AttributeError) as exc:
-        # name what makes event `i` one the count cannot read past
-        if not isinstance(e, dict) or not {"step", "agent", "kind", "payload"} <= e.keys():
-            problem = f"event {i} is not an object with step, agent, kind and payload"
-        elif not isinstance(p := e["payload"], dict):
-            problem = f"event {i} has a payload that is not an object"
-        elif e["kind"] == "action" and not (isinstance(p.get("action"), dict) and "kind" in p["action"]):
-            field = "action.kind" if "action" in p else "action"
-            problem = f"event {i} (action) has no payload field {field!r}"
-        else:
-            raise  # every value it read is well-formed: the error is the program's
-        raise ValueError(problem) from exc
+    except (KeyError, TypeError) as exc:
+        # an action the count cannot read past, or else the program's error
+        if kind != "action" or (isinstance(p.get("action"), dict) and "kind" in p["action"]):
+            raise
+        field = "action.kind" if "action" in p else "action"
+        raise ValueError(f"event {i} (action) has no payload field {field!r}") from exc
 
     return EpisodeMetrics(
         episode_id=episode_id,
@@ -269,6 +272,7 @@ def compute_metrics(trace: Trace, spec: EpisodeSpec | None = None) -> EpisodeMet
         msg=msg,
         escalations=escalations,
         adjudicator_calls=adj,
+        adjudicator_failures=failures,
         token_cost=token_bytes / 4,
         windows_opened=opened,
         windows_fulfilled=fulfilled,
@@ -351,7 +355,7 @@ def run_configs(
     and serves the rest of the group too."""
     if backends is not None:
         runs = [simulate_episode(spec, c, b) for c, b in zip(configs, backends)]
-        return [compute_metrics(r.trace, spec) for r in runs], [r.partition_dependent for r in runs]
+        return [compute_metrics(r.trace) for r in runs], [r.partition_dependent for r in runs]
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(regate_key(config), []).append(i)
@@ -366,7 +370,7 @@ def run_configs(
                 references.append(simulate_episode(spec, configs[i]))
                 traces[i] = references[-1].trace
         simulated += [r.partition_dependent for r in references]
-    return [compute_metrics(t, spec) for t in traces], simulated
+    return [compute_metrics(t) for t in traces], simulated
 
 
 def run_config_suite(
@@ -536,7 +540,8 @@ def make_backend(name: str | None):
     """Backend factory for run configs.
 
     mock (default)    — None; the runtime installs the threshold-midpoint mock.
-    scripted:<file>   — replays recorded replies, one JSON object per line.
+    scripted:<file>   — replays a transcript, one call per non-blank line
+                        (see `_transcript_entry`).
     remote:<url>      — POSTs decision cards to an HTTP adjudicator at an
                         http(s) URL with a host and an optional port.
     """
@@ -544,8 +549,8 @@ def make_backend(name: str | None):
         return None
     if name.startswith("scripted:"):
         path = Path(name.split(":", 1)[1])
-        replies = [line for line in path.read_text().splitlines() if line.strip()]
-        return ScriptedAdjudicator(replies)
+        lines = path.read_text().splitlines()
+        return ScriptedAdjudicator([_transcript_entry(line) for line in lines if line.strip()])
     if name.startswith("remote:"):
         url = name.split(":", 1)[1]
         parts = urlsplit(url)
@@ -560,11 +565,25 @@ def make_backend(name: str | None):
     raise ValueError(f"unknown backend {name!r} (use mock, scripted:<file>, remote:<url>)")
 
 
-def adjudicator_replies(trace: Trace) -> list[str]:
-    """The reply transcript of a run, in call order — feed to a scripted
-    backend to replay the run without the original adjudicator."""
+def _transcript_entry(line: str) -> str | None:
+    """One call of a scripted backend's file: `null` is a call that fails, a
+    JSON string is the text of its reply, and any other line, such as a bare
+    reply object, is itself the reply."""
+    try:
+        entry = json.loads(line)
+    except ValueError:
+        return line
+    return entry if entry is None or type(entry) is str else line
+
+
+def adjudicator_replies(trace: Trace) -> list[str | None]:
+    """The transcript of a run's adjudicator calls, one entry per call in
+    call order: the reply text the call recorded, even one that was not the
+    schema, or None for a call that failed with no reply. Feed it to a
+    scripted backend, or write `json.dumps` of each entry as one line of its
+    file, to replay the run without the original adjudicator."""
     return [
-        e["payload"]["adjudicator_reply"]
-        for e in trace.events
-        if e["kind"] == "gate_decision" and e["payload"].get("adjudicator_reply")
+        _read(e["payload"], "adjudicator_reply", i, "gate_decision")
+        for i, e in enumerate(trace.events, 1)
+        if e["kind"] == "gate_decision" and e["payload"].get("tier") == "adjudicator"
     ]

@@ -49,7 +49,7 @@ def _suite(episodes, config):
     results = []
     for spec in episodes:
         trace = run_episode(spec, config)
-        results.append((spec, trace, compute_metrics(trace, spec)))
+        results.append((spec, trace, compute_metrics(trace)))
     return results, time.perf_counter() - t0
 
 
@@ -219,7 +219,7 @@ def test_criterion_6_calibration_matches_brute_force(dataset):
             weights=GateWeights.from_sequence(weights),
             thresholds=GateThresholds(*thresholds),
         )
-        ms = [compute_metrics(run_episode(e, run_cfg), e) for e in subset]
+        ms = [compute_metrics(run_episode(e, run_cfg)) for e in subset]
         rec = [m.recovery_time_avg for m in ms if m.recovery_time_avg is not None]
         zero_yield = [
             (m.windows_opened - m.windows_fulfilled) / m.windows_opened

@@ -541,12 +541,12 @@ def test_via_names_what_cleared_each_issue(dataset):
     resolved = [(e["step"], e["agent"], e["payload"]["windows"], e["payload"]["via"])
                 for e in trace.events if e["kind"] == "issue" and e["payload"]["event"] == "resolved"]
     assert resolved == [(4, "a1", 1, "local"), (7, "a0", 1, "blocker_placed"), (41, "a0", 1, "local")]
-    assert compute_metrics(trace, spec).lrr == pytest.approx(2 / 3)
+    assert compute_metrics(trace).lrr == pytest.approx(2 / 3)
     b = next(e for e in dataset[1] if e.class_label == "B")
     trace = run_episode(b, RunConfig())
     resolved = [e["payload"]["via"] for e in trace.events
                 if e["kind"] == "issue" and e["payload"]["event"] == "resolved"]
-    assert resolved == ["transfer"] and compute_metrics(trace, b).lrr == 0.0
+    assert resolved == ["transfer"] and compute_metrics(trace).lrr == 0.0
 
 
 def test_cached_views_follow_teammates_drained_sources_and_transfers(monkeypatch):

@@ -90,6 +90,11 @@ def test_run_warns_when_adjudicator_calls_failed(tmp_path, small_dataset, capsys
     assert captured.err == (f"warning: {len(calls)} of {len(calls)} adjudicator calls failed; "
                             "those gate passes stayed local\n")
     assert "warning" not in captured.out
+    with open(out / "metrics.csv", newline="") as f:
+        rows = {r["episode_id"]: r for r in csv.DictReader(f)}
+    episodes = [r for eid, r in rows.items() if eid != "ALL" and not eid.startswith("CLASS_")]
+    assert sum(int(r["adjudicator_failures"]) for r in episodes) == len(calls)
+    assert float(rows["ALL"]["adjudicator_failures"]) == len(calls) / len(traces)
 
     assert main(["run", "--dataset", str(small_dataset), "--out", str(tmp_path / "mock")]) == 0
     assert capsys.readouterr().err == ""
@@ -511,13 +516,25 @@ def test_report_names_the_rejected_trace(tmp_path, small_dataset, capsys, monkey
             in capsys.readouterr().err)
 
     lines = good.read_text().splitlines(keepends=True)
-    for line_4, problem in (('{"step": 0, "agent": "a0", "kind": "action"}\n',
-                             "is not an object with step, agent, kind and payload"),
+    not_an_event = "is not an object with step, agent, kind and payload"
+    # the count could read past each of these events; `Trace.from_jsonl` names them
+    countable = [{k: v for k, v in events[3].items() if k != key} for key in ("step", "agent")]
+    countable += [{**events[3], key: value} for key, value in
+                  (("step", "3"), ("step", 3.0), ("step", True), ("agent", None), ("kind", 7))]
+    for line_4, problem in (('{"step": 0, "agent": "a0", "kind": "action"}\n', not_an_event),
                             ('{"step": 0, "agent": "a0", "kind": "issue", "payload": [1]}\n',
-                             "has a payload that is not an object")):
+                             "has a payload that is not an object"),
+                            *((json.dumps(e) + "\n", not_an_event) for e in countable)):
         bad.write_text("".join(lines[:3]) + line_4 + "".join(lines[4:]))
         assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
-        assert f"runtime error: {bad}: event 4 {problem}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"runtime error: {bad}: event 4 {problem}\n"
+
+    # the first of two events that are not events is the one named
+    without = {4: "step", 5: "agent"}
+    broken = [{k: v for k, v in e.items() if k != without.get(i)} for i, e in enumerate(events, 1)]
+    bad.write_text(Trace(events=broken).to_jsonl())
+    assert main(["report", "--out", str(out), "--traces", str(traces)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {bad}: event 4 {not_an_event}\n"
 
     end = '{"agent":"","kind":"episode_end","payload":{"completion":1.0,"schema":3},"step":1}\n'
     for action, field in (("{}", "action"), ('{"action":{}}', "action.kind")):

@@ -221,7 +221,7 @@ def check_exit_equivalence(early, full, spec, config) -> None:
     *full_head, full_end = full
     assert full_head[:len(head)] == head
     assert all(_is_idle_action_event(e) for e in full_head[len(head):])
-    assert compute_metrics(Trace(early), spec) == compute_metrics(Trace(full), spec)
+    assert compute_metrics(Trace(early)) == compute_metrics(Trace(full))
     assert end["payload"]["completion"] == full_end["payload"]["completion"]
     if end["payload"]["reason"] == "quiescent":
         assert end["payload"]["rounds"] < config.step_budget

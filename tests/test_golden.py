@@ -80,7 +80,7 @@ def compute_digests(episodes) -> dict:
         for spec in episodes:
             trace = run_episode(spec, config)
             traces[spec.episode_id] = _sha256(trace.to_jsonl())
-            metrics.append(compute_metrics(trace, spec))
+            metrics.append(compute_metrics(trace))
         out[name] = {"metrics_csv": _sha256(metrics_to_csv(metrics)), "traces": traces}
     return out
 

@@ -3,13 +3,16 @@
 import csv
 import dataclasses
 import io
+import json
 
 import pytest
 
 from gatecraft import (
+    AdjudicatorUnavailable,
     CalibrationConfig,
     GateThresholds,
     GateWeights,
+    MockAdjudicator,
     RunConfig,
     ScriptedAdjudicator,
     Trace,
@@ -31,6 +34,7 @@ from gatecraft.harness import (
 from gatecraft.cli import ABLATION_VARIANTS
 
 from conftest import record_pool_sizes
+from random_specs import RANDOM_SPEC_COUNT, random_config, random_spec
 
 
 def _trace(events):
@@ -424,7 +428,7 @@ def test_run_configs_matches_one_run_per_config(dataset):
     simulated_total = 0
     for spec in episodes[::25]:
         metrics, simulated = run_configs(spec, configs)
-        assert metrics == [compute_metrics(run_episode(spec, c), spec) for c in configs]
+        assert metrics == [compute_metrics(run_episode(spec, c)) for c in configs]
         # one simulation serves both partition settings; class A's gated
         # variants keep its issue local where the ungated ones escalate
         assert simulated == [False] * (2 if spec.class_label == "A" else 1)
@@ -441,7 +445,7 @@ def test_run_configs_counts_metrics_without_replaying(dataset, monkeypatch):
     monkeypatch.setattr(harness, "replay_local_feasibility", replayed.append)
     for spec in episodes[::25]:
         metrics, _ = run_configs(spec, configs)
-        assert metrics == [compute_metrics(run_episode(spec, c), spec) for c in configs]
+        assert metrics == [compute_metrics(run_episode(spec, c)) for c in configs]
     assert replayed == []
 
 
@@ -460,7 +464,7 @@ def test_run_config_suite_gives_each_config_its_own_backend(dataset, tmp_path):
     assert len(flags) == len(configs) * len(subset)
     for config, metrics in zip(configs, per_config):
         backend = make_backend(name)
-        assert metrics == [compute_metrics(run_episode(spec, config, backend), spec) for spec in subset]
+        assert metrics == [compute_metrics(run_episode(spec, config, backend)) for spec in subset]
     assert per_config[0] != per_config[-1]
 
 
@@ -498,3 +502,66 @@ def test_adjudicator_replies_roundtrip(dataset):
     assert replies, "a gray-zone episode should consult the adjudicator"
     replay = run_episode(spec, config, backend=ScriptedAdjudicator(replies))
     assert replay.to_jsonl() == trace.to_jsonl()
+
+
+class _FailsFirstCall:
+    """Fails its first call, then answers as the mock does."""
+
+    def __init__(self, config):
+        self.mock = MockAdjudicator(config.thresholds)
+        self.calls = 0
+
+    def adjudicate(self, request: bytes) -> bytes:
+        self.calls += 1
+        if self.calls == 1:
+            raise AdjudicatorUnavailable("endpoint down")
+        return self.mock.adjudicate(request)
+
+
+def test_a_failed_adjudicator_call_replays_as_a_failure(dataset, tmp_path):
+    """A failed call records no reply, and its transcript entry replays it as
+    a failure, so each later reply replays at its own call. Every run of
+    seed 0 and of `r00`..`r59` (under `RunConfig()` and their drawn
+    configs) replays byte for byte from its transcript file."""
+    runs = [(spec, RunConfig()) for spec in dataset[1]]
+    for i in range(RANDOM_SPEC_COUNT):
+        runs += [(random_spec(i), RunConfig()), (random_spec(i), random_config(i))]
+    script = tmp_path / "replies.jsonl"
+    second_calls = 0
+    for spec, config in runs:
+        backend = _FailsFirstCall(config)
+        trace = run_episode(spec, config, backend)
+        replies = adjudicator_replies(trace)
+        assert len(replies) == backend.calls and replies[:1] in ([], [None])
+        second_calls += backend.calls > 1
+        script.write_text("".join(json.dumps(r) + "\n" for r in replies))
+        replayed = run_episode(spec, config, make_backend(f"scripted:{script}"))
+        assert replayed.to_jsonl() == trace.to_jsonl(), (spec.episode_id, config)
+    assert second_calls >= 10  # the runs whose later replies a lost entry would shift
+
+
+def test_a_scripted_file_keeps_a_reply_text_apart_from_a_failed_call(dataset, tmp_path):
+    """In a scripted backend's file, `null` is a failed call and a JSON
+    string is a reply's text, even the text `null`, an empty reply or one
+    across lines; a bare reply object is itself the reply."""
+    entries = ['{"decision": "escalate", "confidence": 0.9}', "null", None, "not json", "", "a\nb"]
+    bare = '{"decision": "stay_local", "confidence": 1}'
+    script = tmp_path / "replies.jsonl"
+    script.write_text("".join(json.dumps(r) + "\n" for r in entries) + "\n" + bare + "\n")
+    backend = make_backend(f"scripted:{script}")
+    served = []
+    for _ in range(len(entries) + 2):
+        try:
+            served.append(backend.adjudicate(b"{}").decode())
+        except AdjudicatorUnavailable:
+            served.append(None)
+    assert served == [*entries, bare, None]  # then the script is exhausted
+
+    # a reply that is not the schema and a failed call both fail the call;
+    # the transcript and the metrics tell them apart by the recorded reply
+    spec = next(e for e in dataset[1] if e.class_label == "C")
+    for entry in ("null", None):
+        trace = run_episode(spec, RunConfig(), ScriptedAdjudicator([entry]))
+        assert adjudicator_replies(trace) == [entry]
+        metrics = compute_metrics(trace)
+        assert metrics.adjudicator_calls == metrics.adjudicator_failures == 1

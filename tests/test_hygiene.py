@@ -6,8 +6,8 @@ builds no dataclass but `RunConfig`, no `src/gatecraft` module imports a
 gatecraft module inside a function and their module-level imports form no
 cycle, every issue type is detected by a run, and the benchmark's
 per-layer wrappers still find what they wrap and count views and digests
-once per step, and the step loop reads an agent's own inventory only from
-its private state.
+once per step, the step loop reads an agent's own inventory only from
+its private state, and the command line reads no trace payload.
 
 Package `__init__.py` files are skipped (their imports are re-exports), and
 so are `__future__` imports. A name counts as used when it appears as a
@@ -278,3 +278,28 @@ def test_decisions_read_an_agents_inventory_only_from_its_private_state():
     visit(ast.parse((ROOT / "src" / "gatecraft" / "agent.py").read_text()), "")
     assert {(scope, base) for scope, base in reads if base != "state"} == {
         ("EpisodeRuntime.__init__", "self.world.agents[aid]"), ("_solver_context", "c")}
+
+
+def payload_reads(path: Path) -> list[str]:
+    """`line: code` for each place a module reads a trace payload: a
+    `"payload"` subscript or `.get("payload")`, or any `adjudicator_ok`."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+            key = node.args[0] if node.func.attr == "get" else None
+        else:
+            key = None
+        if (isinstance(key, ast.Constant) and key.value == "payload") or (
+                isinstance(node, ast.Constant) and node.value == "adjudicator_ok"):
+            reads.append(f"{node.lineno}: {ast.unparse(node)}")
+    return reads
+
+
+def test_the_command_line_reads_no_trace_payload():
+    """`Trace.from_jsonl` and `harness.compute_metrics` are the readers of
+    the trace format; the command line reads the metrics they give, so a
+    second reader of payload fields cannot drift from them."""
+    assert payload_reads(ROOT / "src" / "gatecraft" / "cli.py") == []
+    assert payload_reads(ROOT / "src" / "gatecraft" / "harness.py") != []  # the check sees reads

@@ -107,8 +107,10 @@ def test_reader_matches_the_per_line_parser_on_mutated_traces(trace_texts):
         if isinstance(expected, tuple):  # ("error", message)
             with pytest.raises(ValueError):
                 Trace.from_jsonl(text)
-        else:
-            assert Trace.from_jsonl(text).events == expected
+        else:  # the events read, or the first one that is not an event named
+            problem = agent._schema_problem(expected)
+            assert _read_or_error(lambda t: Trace.from_jsonl(t).events, text) == (
+                expected if problem is None else ("error", problem))
         fallbacks += _read_jsonl_whole(text) is None
     assert 100 < fallbacks < 500  # both paths were exercised
 
