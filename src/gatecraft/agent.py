@@ -516,15 +516,15 @@ def _responder_duty(ep: EpisodeRuntime, state: PrivateState) -> Action | None:
                     continue
                 if behavior == "cannot_supply":
                     msg = CoordinationMessage(
-                        protocol=MessageType.CANNOT_SUPPLY.value, sender=me,
+                        protocol=MessageType.CANNOT_SUPPLY, sender=me,
                         target=window.requester, item=window.item, count=window.count,
-                        reason=ReasonTag.NO_SURPLUS.value, time=now,
+                        reason=ReasonTag.NO_SURPLUS, time=now,
                     )
                     return Action.send_message(msg)
                 # any other entry means honest policy behaviour
             return Action.send_message(respond_policy(
                 state.inventory, ep.requirements_of(me),
-                window.last(MessageType.REQUEST_MATERIAL), now))
+                window.messages[0], now))  # the request `open_window` posted
         if window.has(MessageType.OFFER_TRANSFER) and window.has(MessageType.CONFIRM_TRANSFER) \
                 and not window.transfer_done:
             requester_pos = ep.world.agents[window.requester].position
@@ -546,7 +546,7 @@ def _solver_context(ep: EpisodeRuntime, state: PrivateState, view, blockage: Blo
         "recipes": [ep.recipes.recipes[k].to_dict() for k in sorted(ep.recipes.recipes)],
         "item": blockage.item,
         "count": blockage.count,
-        "issue": blockage.issue.value,
+        "issue": blockage.issue,
         "node_id": blockage.node_id,
         "params": dict(PLANNER_PARAMS),
     }
@@ -562,7 +562,7 @@ def _end_issue(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord
     window outliving the issue may use, goes too."""
     now = ep.world.sim_time
     event = "abandoned" if cause == "abandoned" else "resolved"
-    payload = {"event": event, "issue": blockage.issue.value, "node_id": blockage.node_id,
+    payload = {"event": event, "issue": blockage.issue, "node_id": blockage.node_id,
                "windows": blockage.windows_opened, "recovery_activated": blockage.recovery_activated}
     if event == "resolved":
         payload["via"] = cause
@@ -614,7 +614,7 @@ def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict
                                adjudicator=backend, tiers=config.tiers, plan=gp.plan).to_dict()
     else:
         decision = {"verdict": "escalate", "tier": "disabled"}
-    payload = {"issue": blockage.issue.value, "node_id": blockage.node_id, **decision}
+    payload = {"issue": blockage.issue, "node_id": blockage.node_id, **decision}
     if decision["verdict"] == "escalate":
         payload["solver_ctx"] = solver_ctx()
         payload["local_plan_cost"] = gp.plan.total_cost if gp.plan else None
@@ -649,7 +649,7 @@ def _gate_and_route(ep: EpisodeRuntime, state: PrivateState, view) -> Action:
     if verdict == "escalate":
         target = _choose_escalation_target(ep, state, blockage)
         request = ep.new_window(
-            blockage.issue.value, state.agent_id, target, blockage.item, blockage.count)
+            blockage.issue, state.agent_id, target, blockage.item, blockage.count)
         blockage.windows_opened += 1
         blockage.recovery_activated = True
         return Action.send_message(request)
@@ -714,7 +714,7 @@ def step(state: PrivateState, ep: EpisodeRuntime) -> tuple[str, Action]:
                                                  ignore=state.abandoned)
         if blockage is not None:  # its first gate pass is due now, at detection
             ep.trace.emit(now, state.agent_id, "issue", {
-                "event": "detected", "issue": blockage.issue.value, "node_id": blockage.node_id,
+                "event": "detected", "issue": blockage.issue, "node_id": blockage.node_id,
                 "item": blockage.item, "count": blockage.count,
             })
 
@@ -754,7 +754,7 @@ def _handle_window_close(ep: EpisodeRuntime, window: CoordinationWindow) -> None
     ep.trace.emit(now, window.requester, "cooldown_update", {
         "issue": window.issue, "level": blockage.level,
         "consecutive_failures": blockage.consecutive_failures,
-        "expires_at": blockage.expires_at, "cause": window.state.value,
+        "expires_at": blockage.expires_at, "cause": window.state,
     })
     # mandatory local fallback, no fresh gate pass; before the second
     # failure the gate is passed again once the cooldown expires
@@ -770,13 +770,13 @@ def _post_action(ep: EpisodeRuntime, state: PrivateState, action: Action, outcom
     if action.kind == "send_message" and action.message is not None:
         msg = action.message
         # every message belongs to its requester's one open window
-        from_requester = msg.protocol in (MessageType.REQUEST_MATERIAL.value, MessageType.CONFIRM_TRANSFER.value)
+        from_requester = msg.protocol in (MessageType.REQUEST_MATERIAL, MessageType.CONFIRM_TRANSFER)
         window = ep.windows[msg.sender if from_requester else msg.target]
         if msg not in window.messages:
             window.append(msg)
         ep.trace.emit(outcome.sim_time, msg.sender, "coordination_message",
                       {**msg.to_dict(), "window_id": window.window_id})
-        if msg.protocol == MessageType.OFFER_TRANSFER.value:
+        if msg.protocol == MessageType.OFFER_TRANSFER:
             spare = surplus_of(state.inventory, ep.requirements_of(msg.sender), msg.item)
             ep.advertised.setdefault(msg.sender, {})[msg.item] = max(msg.count, spare)
 

@@ -273,7 +273,7 @@ RULE_ESCALATE_CRITICAL_DEAD_END = 1  # C=3, L=0, H=0: hard bottleneck, clean his
 RULE_ESCALATE_TRANSFER_SHAPED = 2  # transfer issue with a viable partner
 
 
-def tier1_rules(issue: IssueType, fv: FeatureVector) -> tuple[str, int] | None:
+def tier1_rules(issue: str, fv: FeatureVector) -> tuple[str, int] | None:
     """Unambiguous fast paths. Returns (verdict, rule_index) or None to defer."""
     if fv.L == 3 and fv.C <= 1:
         return ("stay_local", RULE_STAY_SOLVED_LOCALLY)
@@ -475,7 +475,7 @@ def build_request_card(
     inputs; carries no history dump or free text."""
     local = [f"{s.op}:{s.recipe_id or (s.source_ref and s.source_ref[0]) or ''}" for s in plan.steps] if plan else []
     card = {
-        "issue": blockage.issue.value,
+        "issue": blockage.issue,
         "features": fv.to_dict(),
         "score_norm": score_norm,
         "missing": {"item": blockage.item, "count": blockage.count},

@@ -26,6 +26,7 @@ from .agent import (
     EpisodeRuntime,
     RunConfig,
     Trace,
+    _schema_problem,
     regate,
     regate_key,
     simulate_episode,
@@ -176,10 +177,10 @@ def replay_local_feasibility(ctx: dict) -> RecoveryPlan | None:
             raise ValueError(f"solver_ctx.recipes[{k}] {r!r} has no field {exc}") from exc
     if (count := check_count(ctx["count"], "solver_ctx.count")) < 1:
         raise ValueError(f"solver_ctx.count = {count}; a blockage needs at least 1")
-    if ctx["issue"] not in (issues := [t.value for t in IssueType]):
-        raise ValueError(f"solver_ctx.issue {ctx['issue']!r} is not one of {', '.join(issues)}")
+    if ctx["issue"] not in IssueType.ALL:
+        raise ValueError(f"solver_ctx.issue {ctx['issue']!r} is not one of {', '.join(IssueType.ALL)}")
     blockage = BlockageRecord(
-        issue=IssueType(ctx["issue"]),
+        issue=ctx["issue"],
         node_id=int(ctx["node_id"]),
         item=ctx["item"],
         count=count,
@@ -208,9 +209,11 @@ def compute_metrics(trace: Trace) -> EpisodeMetrics:
 
     The trace is one `simulate_episode` wrote or `Trace.from_jsonl` read:
     every event is an object with `step`, `agent`, `kind` and a `payload`
-    object, and the last is its one `episode_end`. A payload the count
-    cannot read raises ValueError naming the event and the field; an error
-    raised while every value read is well-formed keeps its own type."""
+    object, and the last is its one `episode_end`; a trace built in memory
+    that breaks this raises the ValueError `Trace.from_jsonl` would. A
+    payload the count cannot read raises ValueError naming the event and the
+    field; an error raised while every value read is well-formed keeps its
+    own type."""
     cs = msg = opened = fulfilled = adj = failures = escalations = unnecessary = 0
     resolved = local_resolved = abandoned = abandoned_after_recovery = 0
     token_bytes = 0
@@ -257,8 +260,10 @@ def compute_metrics(trace: Trace) -> EpisodeMetrics:
         episode_id = _read(p, "episode_id", i, kind)
         class_label = _read(p, "class_label", i, kind)
         completion = float(_read(p, "completion", i, kind))
-    except (KeyError, TypeError) as exc:
-        # an action the count cannot read past, or else the program's error
+    except (KeyError, TypeError, AttributeError) as exc:
+        # not an event, an action the count cannot read past, or the program's error
+        if (problem := _schema_problem(trace.events)) is not None:
+            raise ValueError(problem) from exc
         if kind != "action" or (isinstance(p.get("action"), dict) and "kind" in p["action"]):
             raise
         field = "action.kind" if "action" in p else "action"

@@ -9,16 +9,15 @@ record of the agent's open issue; an outcome can clear either.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .solver import NOT_PROBED, RecoveryStep, plan_local_recovery
 from .world import Inventory, RecipeBook, TaskGraph, VerifiedOutcome, WorldView
 
 
-class IssueType(str, Enum):
+class IssueType:
     MISSING_MATERIAL = "missing_material"
     DEPENDENCY_BLOCK = "dependency_block"
     TRANSFER_NEEDED = "transfer_needed"
+    ALL = (MISSING_MATERIAL, DEPENDENCY_BLOCK, TRANSFER_NEEDED)
 
 
 # Issues where the blockage is literally a missing item in hand; only these
@@ -36,7 +35,7 @@ class BlockageRecord:
                  "recovery_activated", "level", "expires_at", "consecutive_failures",
                  "legs", "skipping", "gate_at", "plan")
 
-    def __init__(self, issue: IssueType, node_id: int, item: str, count: int = 1, detected_at: int = 0):
+    def __init__(self, issue: str, node_id: int, item: str, count: int = 1, detected_at: int = 0):
         self.issue = issue
         self.node_id = node_id
         self.item = item  # the missing item, or the awaited node's material

@@ -7,26 +7,25 @@ no later than its deadline.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .world import CoordinationMessage, Inventory
 
 
-class MessageType(str, Enum):
+class MessageType:
     REQUEST_MATERIAL = "REQUEST_MATERIAL"
     OFFER_TRANSFER = "OFFER_TRANSFER"
     CONFIRM_TRANSFER = "CONFIRM_TRANSFER"
     CANNOT_SUPPLY = "CANNOT_SUPPLY"
+    ALL = (REQUEST_MATERIAL, OFFER_TRANSFER, CONFIRM_TRANSFER, CANNOT_SUPPLY)
 
 
-class ReasonTag(str, Enum):
+class ReasonTag:
     NEED_FOR_NODE = "need_for_node"
     HANDOVER_COMPLETE = "handover_complete"
     NO_SURPLUS = "no_surplus"
-    TIMEOUT = "timeout"
+    ALL = (NEED_FOR_NODE, HANDOVER_COMPLETE, NO_SURPLUS)
 
 
-class WindowState(str, Enum):
+class WindowState:
     OPEN = "open"
     FULFILLED = "fulfilled"
     CANNOT_SUPPLY = "cannot_supply"
@@ -40,16 +39,16 @@ MAX_WINDOW_MESSAGES = 4
 def validate_message(msg: dict) -> bool:
     """Schema check for one board message (dict form).
 
-    Exactly the seven protocol fields, enum-valid protocol and reason tags,
-    a positive integer count, distinct endpoints, non-negative time.
+    Exactly the seven protocol fields, tags from `MessageType.ALL` and
+    `ReasonTag.ALL`, a positive integer count, distinct endpoints, non-negative time.
     """
     if not isinstance(msg, dict):
         return False
     if set(msg.keys()) != set(MESSAGE_FIELDS):
         return False
-    if msg["protocol"] not in {m.value for m in MessageType}:
+    if msg["protocol"] not in MessageType.ALL:
         return False
-    if msg["reason"] not in {r.value for r in ReasonTag}:
+    if msg["reason"] not in ReasonTag.ALL:
         return False
     if not isinstance(msg["from"], str) or not isinstance(msg["target"], str):
         return False
@@ -91,14 +90,8 @@ class CoordinationWindow:
             raise ValueError("message failed schema validation")
         self.messages.append(msg)
 
-    def has(self, mtype: MessageType) -> bool:
-        return any(m.protocol == mtype.value for m in self.messages)
-
-    def last(self, mtype: MessageType) -> CoordinationMessage | None:
-        for m in reversed(self.messages):
-            if m.protocol == mtype.value:
-                return m
-        return None
+    def has(self, mtype: str) -> bool:
+        return any(m.protocol == mtype for m in self.messages)
 
     def to_dict(self) -> dict:
         return {
@@ -110,7 +103,7 @@ class CoordinationWindow:
             "count": self.count,
             "opened_at": self.opened_at,
             "deadline": self.deadline,
-            "state": self.state.value,
+            "state": self.state,
         }
 
 
@@ -134,8 +127,8 @@ def open_window(
         item=item, count=count, opened_at=now, deadline=now + timeout,
     )
     request = CoordinationMessage(
-        protocol=MessageType.REQUEST_MATERIAL.value, sender=requester, target=responder,
-        item=item, count=count, reason=ReasonTag.NEED_FOR_NODE.value, time=now,
+        protocol=MessageType.REQUEST_MATERIAL, sender=requester, target=responder,
+        item=item, count=count, reason=ReasonTag.NEED_FOR_NODE, time=now,
     )
     window.append(request)
     return window, request
@@ -157,23 +150,23 @@ def respond_policy(
     spare = surplus_of(inventory, own_requirements, request.item)
     if spare >= request.count:
         return CoordinationMessage(
-            protocol=MessageType.OFFER_TRANSFER.value, sender=request.target, target=request.sender,
-            item=request.item, count=request.count, reason=ReasonTag.NEED_FOR_NODE.value, time=now,
+            protocol=MessageType.OFFER_TRANSFER, sender=request.target, target=request.sender,
+            item=request.item, count=request.count, reason=ReasonTag.NEED_FOR_NODE, time=now,
         )
     return CoordinationMessage(
-        protocol=MessageType.CANNOT_SUPPLY.value, sender=request.target, target=request.sender,
-        item=request.item, count=request.count, reason=ReasonTag.NO_SURPLUS.value, time=now,
+        protocol=MessageType.CANNOT_SUPPLY, sender=request.target, target=request.sender,
+        item=request.item, count=request.count, reason=ReasonTag.NO_SURPLUS, time=now,
     )
 
 
 def confirm_message(window: CoordinationWindow, now: int) -> CoordinationMessage:
     return CoordinationMessage(
-        protocol=MessageType.CONFIRM_TRANSFER.value, sender=window.requester, target=window.responder,
-        item=window.item, count=window.count, reason=ReasonTag.HANDOVER_COMPLETE.value, time=now,
+        protocol=MessageType.CONFIRM_TRANSFER, sender=window.requester, target=window.responder,
+        item=window.item, count=window.count, reason=ReasonTag.HANDOVER_COMPLETE, time=now,
     )
 
 
-def settle_window(window: CoordinationWindow, now: int) -> WindowState:
+def settle_window(window: CoordinationWindow, now: int) -> str:
     """Advance a window's lifecycle and return its state.
 
     Terminal checks run in order: explicit refusal, verified transfer,

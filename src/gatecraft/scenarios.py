@@ -499,7 +499,7 @@ def probe_bottleneck(spec: EpisodeSpec) -> dict:
     gp = ep.gate_passes[0]
     decision = ep.trace.events[gp.event_index]["payload"]
     return {
-        "issue": gp.blockage.issue.value,
+        "issue": gp.blockage.issue,
         "item": gp.blockage.item,
         "node_id": gp.blockage.node_id,
         "fv": gp.fv.as_tuple(),

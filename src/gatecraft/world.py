@@ -267,7 +267,7 @@ class CoordinationMessage:
         self.target = target
         self.item = item
         self.count = count
-        self.reason = reason  # need_for_node | handover_complete | no_surplus | timeout
+        self.reason = reason  # need_for_node | handover_complete | no_surplus
         self.time = time  # sim_time when posted
 
     def _key(self) -> tuple:

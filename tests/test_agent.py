@@ -390,7 +390,7 @@ def test_each_gate_pass_plan_comes_from_one_planner_call_in_its_step(dataset, mo
     for n, made in by_step.items():
         asked = [inputs for inputs, _ in made]
         assert all(asked[i] not in asked[:i] for i in range(len(asked))), n
-    kinds = {(gp.blockage.issue.value, gp.plan is not None) for _, gp in passes}
+    kinds = {(gp.blockage.issue, gp.plan is not None) for _, gp in passes}
     assert {("transfer_needed", False), ("missing_material", True), ("dependency_block", True)} <= kinds
 
 

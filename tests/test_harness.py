@@ -255,6 +255,19 @@ def test_compute_metrics_requires_episode_end():
         compute_metrics(_trace([(0, "a0", "action", {"action": {"kind": "idle"}})]))
 
 
+@pytest.mark.parametrize("event, problem", [
+    ([1], "is not an object with step, agent, kind and payload"),
+    ({"kind": "issue"}, "is not an object with step, agent, kind and payload"),
+    ({"step": 0, "agent": "a0", "kind": "issue", "payload": [1]}, "has a payload that is not an object"),
+], ids=["list", "no-payload", "list-payload"])
+def test_compute_metrics_names_a_hand_built_event_that_is_not_one(event, problem):
+    """A trace built in memory skips `Trace.from_jsonl`'s check; the count
+    names the event it trips on with that check's message."""
+    with pytest.raises(ValueError) as raised:
+        compute_metrics(Trace(events=[event]))
+    assert str(raised.value) == f"event 1 {problem}"
+
+
 def test_ratios_none_when_undefined():
     m = compute_metrics(_trace([_end(completion=0.0, reason="budget")]))
     assert m.tsr == 0.0

@@ -4,7 +4,8 @@ module-level name in `src/gatecraft` is used in `src/` or exported, every
 importing the command line loads no network or process-pool module and
 builds no dataclass but `RunConfig`, no `src/gatecraft` module imports a
 gatecraft module inside a function and their module-level imports form no
-cycle, every issue type is detected by a run, and the benchmark's
+cycle, no `src/gatecraft` module imports `enum`, every tag a run holds is
+an exact `str`, every issue type is detected by a run, and the benchmark's
 per-layer wrappers still find what they wrap and count views and digests
 once per step, the step loop reads an agent's own inventory only from
 its private state, and the command line reads no trace payload.
@@ -25,6 +26,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from gatecraft import IssueType, RunConfig, Trace
+from gatecraft import agent
 from gatecraft.agent import simulate_episode
 
 from conftest import attribute_reads, dependency_block_spec
@@ -187,6 +189,47 @@ def test_module_level_imports_form_no_cycle():
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
 
 
+def test_no_gatecraft_module_imports_enum():
+    """A tag has one spelling, the string the trace writes; a `str` Enum
+    member is a second one, which an f-string spells `IssueType.MISSING_MATERIAL`."""
+    problems = [f"{f.relative_to(ROOT)}:{node.lineno}"
+                for f in _package_modules().values()
+                for node in ast.walk(ast.parse(f.read_text(), filename=str(f)))
+                if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "enum" for a in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "enum")]
+    assert not problems, "enum imports:\n" + "\n".join(problems)
+
+
+def test_every_tag_a_run_holds_is_an_exact_str(dataset, monkeypatch):
+    """Each blockage's `issue`, each window's `issue` and `state`, and each
+    message's `protocol` and `reason`, over a class-B run, which completes
+    handovers, and the run whose issue is a dependency block."""
+    blockages, windows = [], set()
+    detect, settle = agent.detect_issue, agent.settle_window
+
+    def detect_and_record(*args, **kwargs):
+        if (blockage := detect(*args, **kwargs)) is not None:
+            blockages.append(blockage)
+        return blockage
+
+    def settle_and_record(window, now):
+        windows.add(window)
+        return settle(window, now)
+
+    monkeypatch.setattr(agent, "detect_issue", detect_and_record)
+    monkeypatch.setattr(agent, "settle_window", settle_and_record)
+    spec_b = next(spec for spec in dataset[1] if spec.class_label == "B")
+    for spec in (spec_b, dependency_block_spec()):
+        simulate_episode(spec, RunConfig())
+    messages = [m for w in windows for m in w.messages]
+    tags = ([b.issue for b in blockages] + [t for w in windows for t in (w.issue, w.state)]
+            + [t for m in messages for t in (m.protocol, m.reason)])
+    assert {b.issue for b in blockages} >= {"transfer_needed", "dependency_block"}
+    assert "fulfilled" in {w.state for w in windows} and messages
+    assert [t for t in tags if type(t) is not str] == []
+
+
 def test_every_issue_type_is_raised_by_a_run(default_runs):
     """ROADMAP item 9: an issue type that no run detects goes, with its
     branch and its rule. The default runs at dataset seed 0 detect
@@ -196,7 +239,7 @@ def test_every_issue_type_is_raised_by_a_run(default_runs):
     runs = list(default_runs) + [simulate_episode(dependency_block_spec(), RunConfig())]
     detected = {e["payload"]["issue"] for ep in runs for e in ep.trace.events
                 if e["kind"] == "issue" and e["payload"]["event"] == "detected"}
-    assert detected == {t.value for t in IssueType}
+    assert detected == set(IssueType.ALL)
 
 
 def _perfbench_layers():

@@ -159,7 +159,7 @@ def check_inventory_conservation(rng) -> None:
 def check_message_schema_fuzz(rng) -> None:
     """Any single mutation of the field set invalidates the message."""
     msg = {
-        "protocol": rng.choice([m.value for m in MessageType]),
+        "protocol": rng.choice(MessageType.ALL),
         "from": "a0",
         "target": "a1",
         "item": rng.choice(ITEMS),

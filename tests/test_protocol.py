@@ -67,6 +67,12 @@ def test_degenerate_values_rejected():
     assert not validate_message("not a dict")
 
 
+def test_reason_tags_are_the_three_the_runtime_writes():
+    for reason in ("need_for_node", "handover_complete", "no_surplus"):
+        assert validate_message(_msg(reason=reason))
+    assert not validate_message(_msg(reason="timeout"))  # no code writes it
+
+
 # -- window lifecycle ------------------------------------------------------------
 
 
@@ -74,7 +80,7 @@ def test_open_window_posts_request():
     window, request = open_window(0, "transfer_needed", "a0", "a1", "iron_ingot", 1,
                                   now=5, timeout=20)
     assert window.state == WindowState.OPEN and window.deadline == 25
-    assert request.protocol == MessageType.REQUEST_MATERIAL.value
+    assert request.protocol == MessageType.REQUEST_MATERIAL
     assert window.messages == [request]
 
 
@@ -89,8 +95,8 @@ def test_window_caps_messages():
     window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0, timeout=20)
     for i in range(MAX_WINDOW_MESSAGES - 1):
         window.append(CoordinationMessage(
-            protocol=MessageType.OFFER_TRANSFER.value, sender="a1", target="a0",
-            item="x", count=1, reason=ReasonTag.NEED_FOR_NODE.value, time=i + 1))
+            protocol=MessageType.OFFER_TRANSFER, sender="a1", target="a0",
+            item="x", count=1, reason=ReasonTag.NEED_FOR_NODE, time=i + 1))
     with pytest.raises(ValueError):
         window.append(request)
 
@@ -98,11 +104,11 @@ def test_window_caps_messages():
 def test_respond_policy_offers_only_from_surplus():
     _, request = open_window(0, "transfer_needed", "a0", "a1", "iron_ingot", 2, now=0, timeout=20)
     offer = respond_policy(Inventory({"iron_ingot": 3}), {}, request, now=1)
-    assert offer.protocol == MessageType.OFFER_TRANSFER.value and offer.count == 2
+    assert offer.protocol == MessageType.OFFER_TRANSFER and offer.count == 2
     # holder needs 2 of the 3 for its own nodes -> cannot cover the request
     refusal = respond_policy(Inventory({"iron_ingot": 3}), {"iron_ingot": 2}, request, now=1)
-    assert refusal.protocol == MessageType.CANNOT_SUPPLY.value
-    assert refusal.reason == ReasonTag.NO_SURPLUS.value
+    assert refusal.protocol == MessageType.CANNOT_SUPPLY
+    assert refusal.reason == ReasonTag.NO_SURPLUS
 
 
 def test_surplus_of_subtracts_own_requirements():
@@ -113,8 +119,8 @@ def test_surplus_of_subtracts_own_requirements():
 def test_settle_cannot_supply_closes_window():
     window, request = open_window(0, "transfer_needed", "a0", "a1", "x", 1, now=0, timeout=20)
     window.append(CoordinationMessage(
-        protocol=MessageType.CANNOT_SUPPLY.value, sender="a1", target="a0",
-        item="x", count=1, reason=ReasonTag.NO_SURPLUS.value, time=1))
+        protocol=MessageType.CANNOT_SUPPLY, sender="a1", target="a0",
+        item="x", count=1, reason=ReasonTag.NO_SURPLUS, time=1))
     assert settle_window(window, now=1) == WindowState.CANNOT_SUPPLY
 
 
@@ -148,5 +154,5 @@ def test_settled_window_state_is_sticky():
     assert settle_window(window, now=50) == WindowState.TIMED_OUT
     with pytest.raises(ValueError):
         window.append(CoordinationMessage(
-            protocol=MessageType.OFFER_TRANSFER.value, sender="a1", target="a0",
-            item="x", count=1, reason=ReasonTag.NEED_FOR_NODE.value, time=6))
+            protocol=MessageType.OFFER_TRANSFER, sender="a1", target="a0",
+            item="x", count=1, reason=ReasonTag.NEED_FOR_NODE, time=6))
