@@ -32,6 +32,7 @@ from .harness import (
     compute_metrics,
     csv_text,
     make_backend,
+    map_episodes,
     metrics_to_csv,
     run_config_suite,
     split_templates,
@@ -314,35 +315,24 @@ def _out_dir(ns) -> Path:
     return ns.out
 
 
-def _episode_worker(task) -> EpisodeMetrics:
+def _episode_worker(spec, config: RunConfig, backend, traces_dir: Path) -> EpisodeMetrics:
     """Run one episode; write its trace to `<traces_dir>/<episode_id>.jsonl`.
     Returns the episode's metrics."""
-    spec, config, backend, traces_dir = task
     trace = run_episode(spec, config, backend)
     (traces_dir / f"{spec.episode_id}.jsonl").write_text(trace.to_jsonl())
     return compute_metrics(trace)
 
 
 def _run_suite(episodes, config: RunConfig, backend_name, jobs: int, traces_dir: Path):
-    """Run every episode; yield each one's metrics, in episode order.
+    """Run every episode (`map_episodes`); yield each one's metrics, in
+    episode order.
 
     Only the default/mock backend fans out across processes: a scripted
     backend is a single consumable reply stream, and remote replies should be
-    recorded in a stable call order. A pool has no more workers than
-    episodes: it starts them all at once. The tasks are built as they are
-    taken, so a run in this process holds one spec of a loaded dataset at a
-    time; a pool's `map` takes them all up front."""
+    recorded in a stable call order."""
     backend = make_backend(backend_name)
-    tasks = ((spec, config, backend, traces_dir) for spec in episodes)
-    workers = min(jobs, len(episodes))
-    if backend is None and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_episode_worker, tasks)
-        return
-    for task in tasks:
-        yield _episode_worker(task)
+    yield from map_episodes(_episode_worker, episodes, jobs if backend is None else 1, config,
+                            backend, traces_dir)
 
 
 def _format_table(rows: list[dict], columns: list[str]) -> str:

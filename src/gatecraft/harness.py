@@ -1,5 +1,5 @@
-"""Trace metrics, shared-simulation runs, aggregation, grid-search
-calibration, and dataset splits.
+"""Trace metrics, the episode fan-out, shared-simulation runs, aggregation,
+grid-search calibration, and dataset splits.
 
 `compute_metrics` is a pure function of a finished trace: it counts, it never
 re-simulates or plans. The unnecessary-escalation rate reads the local plan
@@ -296,7 +296,13 @@ def compute_metrics(trace: Trace) -> EpisodeMetrics:
 
 
 def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    """Summed from left to right, as `sum()` did before Python 3.12 began
+    compensating its rounding, so a mean has the same bytes on every
+    supported Python."""
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values) if values else None
 
 
 def _aggregate_rows(metrics: list[EpisodeMetrics]) -> dict:
@@ -378,37 +384,46 @@ def run_configs(
     return [compute_metrics(t) for t in traces], simulated
 
 
+def map_episodes(fn, episodes: Sequence[EpisodeSpec], jobs: int, *shared):
+    """Yield `fn(spec, *shared)` for each episode, in episode order.
+
+    With `jobs` and the episodes both above 1, a pool of at most one worker
+    per episode (it starts them all at once) takes contiguous slices, about
+    four per worker, and gets `shared` once per slice. A slice of a loaded
+    `Dataset` is its lines, so each worker decodes only the specs it runs.
+    Otherwise the episodes run one by one in this process."""
+    workers = min(jobs, len(episodes))
+    if workers <= 1:
+        yield from (fn(spec, *shared) for spec in episodes)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
+    size = max(1, len(episodes) // (4 * workers))
+    slices = [episodes[i:i + size] for i in range(0, len(episodes), size)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for results in pool.map(_map_slice, repeat(fn), slices, repeat(shared)):
+            yield from results
+
+
+def _map_slice(fn, episodes: Sequence[EpisodeSpec], shared: tuple) -> list:
+    return [fn(spec, *shared) for spec in episodes]
+
+
 def run_config_suite(
     episodes: Sequence[EpisodeSpec], configs: list[RunConfig], jobs: int = 1,
     backend: str | None = None,
 ) -> tuple[list[list[EpisodeMetrics]], list[bool]]:
-    """`run_configs` over every episode, one task per episode, spread over
-    `jobs` worker processes, and no more than there are episodes. Returns
-    each config's metrics in episode order and the `partition_dependent`
-    flag of every simulated run.
+    """`run_configs` over every episode (`map_episodes`). Returns each
+    config's metrics in episode order and the `partition_dependent` flag of
+    every simulated run.
 
     `backend` names a scripted or remote backend (see `make_backend`), or
     is None for the mock. Such a backend may reply by the order of its
     calls, so each config gets its own instance for the whole suite, no run
-    is re-gated, and the episodes run one by one in this process.
-
-    In this process the episodes are taken one at a time, so a loaded
-    `Dataset` has one spec decoded at a time; a pool's `map` takes them all
-    up front."""
-    args = (episodes, repeat(configs))
-    workers = min(jobs, len(episodes))  # a pool starts every worker at once
-    if backend is not None:
-        backends = [make_backend(backend) for _ in configs]
-        results = [run_configs(spec, configs, backends) for spec in episodes]
-    elif workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # about four chunks per worker, `multiprocessing.Pool.map`'s default rule
-            chunksize = max(1, len(episodes) // (4 * workers))
-            results = list(pool.map(run_configs, *args, chunksize=chunksize))
-    else:
-        results = list(map(run_configs, *args))
+    is re-gated, and the episodes run one by one in this process."""
+    backends = None if backend is None else [make_backend(backend) for _ in configs]
+    results = list(map_episodes(run_configs, episodes, jobs if backend is None else 1, configs,
+                                backends))
     per_config = [[metrics[c] for metrics, _ in results] for c in range(len(configs))]
     return per_config, [flag for _, simulated in results for flag in simulated]
 

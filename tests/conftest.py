@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import itertools
 from pathlib import Path
 
 import pytest
@@ -166,10 +167,12 @@ def run_checking_views(spec, config, monkeypatch):
 
 
 
-def record_pool_sizes(monkeypatch) -> list[int]:
+def record_pool_sizes(monkeypatch, tasks: list | None = None) -> list[int]:
     """Stand in for `concurrent.futures.ProcessPoolExecutor` with a pool
     that maps in this process, so no worker is started, and return the list
-    each pool appends its `max_workers` to."""
+    each pool appends its `max_workers` to. Like a real pool, `map` takes
+    every task up front; it appends each task's arguments to `tasks`, when
+    given."""
     sizes = []
 
     class InProcessPool:
@@ -183,7 +186,10 @@ def record_pool_sizes(monkeypatch) -> list[int]:
             return False
 
         def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+            taken = list(zip(*iterables))
+            if tasks is not None:
+                tasks.extend(taken)
+            return itertools.starmap(fn, taken)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes

@@ -5,8 +5,10 @@ for that criterion. Shared suite runs are module-scoped fixtures so the whole
 gate stays fast.
 """
 
+import functools
 import itertools
 import json
+import operator
 import random
 import threading
 import time
@@ -212,7 +214,11 @@ def test_criterion_6_calibration_matches_brute_force(dataset):
     assert len(cfg.cells()) <= 8
     best, table, _ = calibrate(subset, cfg)
 
-    # brute force: rerun every cell from scratch and redo the arithmetic
+    # brute force: rerun every cell from scratch and redo the arithmetic,
+    # summing from left to right as the means do on every Python
+    def mean(values):
+        return functools.reduce(operator.add, values, 0) / len(values)
+
     brute = []
     for weights, thresholds in cfg.cells():
         run_cfg = RunConfig(
@@ -230,10 +236,10 @@ def test_criterion_6_calibration_matches_brute_force(dataset):
             {
                 "weights": list(weights),
                 "thresholds": list(thresholds),
-                "tsr": sum(m.tsr for m in ms) / len(ms),
-                "c_time": sum(rec) / len(rec) if rec else 0.0,
-                "c_redundant": sum(zero_yield) / len(zero_yield) if zero_yield else 0.0,
-                "c_llm": sum(m.token_cost for m in ms) / len(ms),
+                "tsr": mean([m.tsr for m in ms]),
+                "c_time": mean(rec) if rec else 0.0,
+                "c_redundant": mean(zero_yield) if zero_yield else 0.0,
+                "c_llm": mean([m.token_cost for m in ms]),
             }
         )
     for term in ("c_time", "c_redundant", "c_llm"):

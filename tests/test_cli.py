@@ -8,7 +8,7 @@ import socket
 
 import pytest
 
-from gatecraft import Trace, agent, cli, gate, harness, memory, solver
+from gatecraft import Trace, agent, cli, gate, harness, memory, scenarios, solver
 from gatecraft.cli import main
 from gatecraft.scenarios import EpisodeSpec, save_dataset
 
@@ -100,19 +100,6 @@ def test_run_warns_when_adjudicator_calls_failed(tmp_path, small_dataset, capsys
     assert capsys.readouterr().err == ""
 
 
-def test_run_jobs_two_matches_jobs_one(tmp_path, small_dataset):
-    outs = {}
-    for jobs in ("1", "2"):
-        out = outs[jobs] = tmp_path / f"j{jobs}"
-        assert main(["run", "--dataset", str(small_dataset), "--out", str(out), "--jobs", jobs]) == 0
-    serial = sorted(p.name for p in (outs["1"] / "traces").glob("*.jsonl"))
-    assert len(serial) == 4
-    assert sorted(p.name for p in (outs["2"] / "traces").glob("*.jsonl")) == serial
-    for name in serial:
-        assert (outs["1"] / "traces" / name).read_bytes() == (outs["2"] / "traces" / name).read_bytes()
-    assert (outs["1"] / "metrics.csv").read_bytes() == (outs["2"] / "metrics.csv").read_bytes()
-
-
 def test_a_pool_has_no_more_workers_than_episodes(tmp_path, small_dataset, monkeypatch):
     """A process pool starts all its workers at once, so `--jobs 64` on two
     episodes starts two, and on one episode runs it in this process."""
@@ -122,6 +109,43 @@ def test_a_pool_has_no_more_workers_than_episodes(tmp_path, small_dataset, monke
     assert main(["run", *args, "--episodes", "1"]) == 0
     assert main(["ablate", *args]) == 0
     assert sizes == [2, 4]
+
+
+@pytest.mark.parametrize("command", ["run", "ablate", "calibrate"])
+def test_jobs_three_matches_jobs_one(tmp_path, small_dataset, capsys, command):
+    """Three workers share four episodes in uneven slices; every output file
+    is the one a run in this process writes."""
+    flags = ["--grid", "small", "--calib-fraction", "1.0"] if command == "calibrate" else []
+    outs = [tmp_path / f"j{jobs}" for jobs in ("1", "3")]
+    for out, jobs in zip(outs, ("1", "3")):
+        assert main([command, "--dataset", str(small_dataset), "--out", str(out), "--jobs", jobs,
+                     *flags]) == 0
+    capsys.readouterr()
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert files and files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_a_loaded_dataset_fans_out_as_slices_of_lines(tmp_path, small_dataset, monkeypatch,
+                                                      command):
+    """A pool's tasks hold slices of the dataset's lines, so each worker
+    decodes the specs it runs and the parent decodes none before the pool
+    starts."""
+    tasks = []
+    sizes = record_pool_sizes(monkeypatch, tasks)
+    pools_at_decode = []
+    decode = scenarios._decode
+    monkeypatch.setattr(scenarios, "_decode",
+                        lambda line: pools_at_decode.append(len(sizes)) or decode(line))
+    assert main([command, "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
+                 "--jobs", "3"]) == 0
+    assert sizes == [3]
+    slices = [args[1] for args in tasks]  # each task is (fn, slice, shared arguments)
+    assert {type(s) for s in slices} == {scenarios.Dataset}
+    assert sum(map(len, slices)) == 4
+    assert pools_at_decode == [1] * 4
 
 
 def test_run_episode_limit(tmp_path, small_dataset):
@@ -889,10 +913,14 @@ def test_malformed_manifest_is_not_read(tmp_path, small_dataset):
     assert len(list((tmp_path / "o" / "traces").glob("*.jsonl"))) == 4
 
 
-def test_ablate_runs_all_variants(tmp_path, small_dataset, capsys):
+def test_ablate_runs_all_variants(tmp_path, small_dataset, capsys, monkeypatch):
+    serialized = []
+    to_jsonl = Trace.to_jsonl
+    monkeypatch.setattr(Trace, "to_jsonl", lambda self: serialized.append(1) or to_jsonl(self))
     out = tmp_path / "out"
     rc = main(["ablate", "--dataset", str(small_dataset), "--out", str(out)])
     assert rc == 0
+    assert serialized == []  # ablate reads only metrics, so no trace is ever serialized
     capsys.readouterr()
     data = (out / "ablation.csv").read_bytes()
     assert b"\r" not in data and data.endswith(b"\n")
@@ -903,19 +931,6 @@ def test_ablate_runs_all_variants(tmp_path, small_dataset, capsys):
     assert set(rows) == {"base", "no_partition", "no_gating", "rule", "rule_score", "full"}
     adj_col = header.index("adjudicator_calls")
     assert float(rows["rule_score"][adj_col]) == 0.0
-
-
-def test_ablate_jobs_two_matches_jobs_one(tmp_path, small_dataset, capsys, monkeypatch):
-    serialized = []
-    to_jsonl = Trace.to_jsonl
-    monkeypatch.setattr(Trace, "to_jsonl", lambda self: serialized.append(1) or to_jsonl(self))
-    outs = {}
-    for jobs in ("1", "2"):
-        out = outs[jobs] = tmp_path / f"j{jobs}"
-        assert main(["ablate", "--dataset", str(small_dataset), "--out", str(out), "--jobs", jobs]) == 0
-    capsys.readouterr()
-    assert (outs["1"] / "ablation.csv").read_bytes() == (outs["2"] / "ablation.csv").read_bytes()
-    assert serialized == []  # ablate reads only metrics, so no trace is ever serialized
 
 
 def test_ablate_and_calibrate_print_simulated_runs(tmp_path, small_dataset, capsys):

@@ -306,6 +306,15 @@ def test_aggregate_skips_none_ratios_and_rejects_empty():
         aggregate([])
 
 
+def test_aggregate_sums_from_left_to_right():
+    """Each 1e-16 added to 1.0 rounds back to 1.0, as it did under `sum()`
+    before Python 3.12; 3.12's compensated `sum()` would give
+    1.000000000000001, and the pinned means would move with the interpreter."""
+    metrics = [compute_metrics(_trace([_end(completion=c)])) for c in [1.0] + [1e-16] * 10]
+    agg = aggregate(metrics)
+    assert agg["tsr"] == agg["per_class"]["B"]["tsr"] == 1.0 / 11
+
+
 def test_metrics_csv_layout():
     m = compute_metrics(_trace([_end()]))
     text = metrics_to_csv([m])

@@ -2,9 +2,10 @@
 module-level name in `src/gatecraft` is used in `src/` or exported, every
 `RunConfig` field is read by the program and echoed into the trace,
 importing the command line loads no network or process-pool module and
-builds no dataclass but `RunConfig`, no `src/gatecraft` module imports a
-gatecraft module inside a function and their module-level imports form no
-cycle, no `src/gatecraft` module imports `enum`, every tag a run holds is
+builds no dataclass but `RunConfig`, the package builds one process pool,
+no `src/gatecraft` module imports a gatecraft module inside a function and
+their module-level imports form no cycle, no `src/gatecraft` module imports
+`enum`, every tag a run holds is
 an exact `str`, every issue type is detected by a run, and the benchmark's
 per-layer wrappers still find what they wrap and count views and digests
 once per step, the step loop reads an agent's own inventory only from
@@ -111,6 +112,15 @@ def test_cli_import_skips_network_and_pool_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_one_process_pool_serves_every_command():
+    """`run`, `ablate` and `calibrate` fan out through one pool, so one
+    chunking rule and one serial loop serve them all."""
+    built = [f"{f.name}:{node.lineno}" for f in sorted((ROOT / "src" / "gatecraft").glob("*.py"))
+             for node in ast.walk(ast.parse(f.read_text())) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProcessPoolExecutor"]
+    assert len(built) == 1, built
 
 
 def test_run_config_is_the_only_dataclass():
