@@ -347,6 +347,9 @@ class EpisodeRuntime:
         # each memory starts as its body's inventory; verified outcomes keep them equal
         self.states = {aid: PrivateState(aid, self.world.agents[aid].inventory.copy())
                        for aid in sorted(self.world.agents)}
+        # the nodes no one will place: each node its assignee gave up, and
+        # every node below one (see `_give_up`); it only grows
+        self.dead: set[int] = set()
         self.advertised: dict[str, dict[str, int]] = {}
         # responder scripts' progress: entries used per responder, entry taken per window id
         self.script_cursor: dict[str, int] = {}
@@ -416,12 +419,11 @@ class EpisodeRuntime:
         return request
 
     def requirements_of(self, agent_id: str) -> dict[str, int]:
-        """Materials the agent still needs for its own unplaced assigned nodes."""
-        abandoned = self.states[agent_id].abandoned
-        placed = self.world.placed_nodes()
+        """Materials the agent still needs for its own unplaced live nodes."""
+        placed, dead = self.world.placed_nodes(), self.dead
         need: dict[str, int] = {}
         for n in self.plan_info.nodes_of.get(agent_id, ()):
-            if n in placed or n in abandoned:
+            if n in placed or n in dead:
                 continue
             mat = self.plan_info.materials[n]
             need[mat] = need.get(mat, 0) + 1
@@ -439,7 +441,9 @@ class EpisodeRuntime:
 def _choose_escalation_target(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord) -> str:
     """Best responder: the blocked dependency's assignee, else the designated or
     advertised holder of the item, else the nearest teammate. Only a gate
-    pass with a teammate to ask can escalate, so there is one."""
+    pass with a teammate to ask can escalate, so there is one. A dependency
+    block's blocker is never dead here: its death ends the block
+    (`_give_up`), so no window goes to a node that is given up."""
     if blockage.issue == IssueType.DEPENDENCY_BLOCK:
         assignee = ep.plan_info.assignments.get(blockage.node_id)
         if assignee and assignee != state.agent_id:
@@ -471,7 +475,7 @@ def _next_skip_target(ep: EpisodeRuntime, state: PrivateState) -> int | None:
     placed = ep.world.placed_nodes()
     blocked = state.blockage.node_id if state.blockage else None
     allowed = {n for n in ep.plan_info.nodes_of.get(state.agent_id, ())
-               if n not in state.abandoned and state.inventory.count(ep.plan_info.materials[n]) >= 1}
+               if n not in ep.dead and state.inventory.count(ep.plan_info.materials[n]) >= 1}
     return local_skip(ep.graph, placed, blocked, allowed)
 
 
@@ -555,11 +559,11 @@ def _solver_context(ep: EpisodeRuntime, state: PrivateState, view, blockage: Blo
 def _end_issue(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord, cause: str) -> None:
     """Trace the end of the agent's open issue `blockage` and drop its
     record, with its legs, skip state and gate time, unless an outcome has
-    dropped it. `cause` is `abandoned` (which gives the node up), or what
-    resolved it, traced as `via`: `transfer` (a teammate's transfer
-    arrived), `local` (the agent's own verified outcome) or `blocker_placed`
-    (the node a dependency block waits on landed). The skip target, which a
-    window outliving the issue may use, goes too."""
+    dropped it. `cause` is `abandoned`, which gives the node up
+    (`_give_up`), or what resolved it, traced as `via`: `transfer` (a
+    teammate's transfer arrived), `local` (the agent's own verified outcome)
+    or `blocker_placed` (the node a dependency block waits on landed). The
+    skip target, which a window outliving the issue may use, goes too."""
     now = ep.world.sim_time
     event = "abandoned" if cause == "abandoned" else "resolved"
     payload = {"event": event, "issue": blockage.issue, "node_id": blockage.node_id,
@@ -567,23 +571,42 @@ def _end_issue(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord
     if event == "resolved":
         payload["via"] = cause
         payload["duration"] = now - blockage.detected_at
-    else:
-        state.abandoned.add(blockage.node_id)
     ep.trace.emit(now, state.agent_id, "issue", payload)
     state.blockage = None
     state.skip_target = None
+    if event == "abandoned":
+        _give_up(ep, blockage.node_id)
+
+
+def _give_up(ep: EpisodeRuntime, node: int) -> None:
+    """Add `node` and every node below it to `ep.dead`, and end each open
+    dependency block whose blocker is now dead, `abandoned`: a dead node
+    never comes back, so the blocker can never land and a parked record
+    could never resume. So no open dependency block waits on a dead node,
+    and one ends `abandoned` only here. Its `abandoned` event names the
+    blocker, which is dead already, as are the waiter's nodes below it."""
+    if node in ep.dead:
+        return
+    ep.dead.add(node)
+    ep.dead |= ep.graph.descendants(node)
+    for waiter in ep.states.values():
+        doomed = waiter.blockage
+        if doomed is not None and doomed.issue == IssueType.DEPENDENCY_BLOCK and doomed.node_id in ep.dead:
+            _end_issue(ep, waiter, doomed, "abandoned")
 
 
 def _route_local(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord,
                  plan: RecoveryPlan | None) -> None:
     """The one route for a blocked agent with no window open: recover with
-    `plan`, else do skip work (the next step announces its target), else give
-    the node up after two failed windows, or wait for an unexpired cooldown.
+    `plan`, else do skip work (the next step announces its target), else
+    wait for an unexpired cooldown to retry, unless two windows in a row
+    have failed.
 
-    A material issue with none of these and no gate pass scheduled is given
-    up too: its item reaches the agent only through the agent's own actions
-    or a window it opens, and neither can come. A `dependency_block` waits,
-    since the blocker node may still land."""
+    Otherwise a material issue's node is given up: its item reaches the
+    agent only through the agent's own actions or a window it opens, and
+    neither can come. A `dependency_block` waits until its blocker lands
+    (`blocker_placed`) or dies (`_give_up`). Failed windows do not end it:
+    a window cannot place a node, and the blocker's assignee may still."""
     if plan is not None:
         # a collect leg is done once its units are gathered, any other once the plan's goods are
         blockage.legs = [(s, s.item, state.inventory.count(s.item) + s.units) if s.op == "collect"
@@ -594,11 +617,10 @@ def _route_local(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageReco
     blockage.skipping = _next_skip_target(ep, state) is not None
     if blockage.skipping:
         return
-    if blockage.consecutive_failures >= 2:
-        _end_issue(ep, state, blockage, "abandoned")
-    elif blockage.expires_at > ep.world.sim_time:
+    if blockage.consecutive_failures < 2 and blockage.expires_at > ep.world.sim_time:
         blockage.gate_at = blockage.expires_at
-    elif blockage.gate_at is None and blockage.issue in MATERIAL_SHAPED_ISSUES:
+    elif blockage.issue in MATERIAL_SHAPED_ISSUES and (
+            blockage.consecutive_failures >= 2 or blockage.gate_at is None):
         _end_issue(ep, state, blockage, "abandoned")
 
 
@@ -710,8 +732,7 @@ def step(state: PrivateState, ep: EpisodeRuntime) -> tuple[str, Action]:
 
     blockage = state.blockage
     if blockage is None:  # detection sets the active subtask too
-        blockage = state.blockage = detect_issue(state, view, ep.graph, ep.recipes,
-                                                 ignore=state.abandoned)
+        blockage = state.blockage = detect_issue(state, view, ep.graph, ep.recipes, ignore=ep.dead)
         if blockage is not None:  # its first gate pass is due now, at detection
             ep.trace.emit(now, state.agent_id, "issue", {
                 "event": "detected", "issue": blockage.issue, "node_id": blockage.node_id,
@@ -850,8 +871,8 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       skips, goes through `_route_local`. That abandons the node (traced),
       schedules a retry (a `gate_at`, so the round does not qualify), or
       leaves the agent stalled on a `dependency_block`, waiting for its
-      blocker node to land, which only a traced `place` does. Each idles
-      again.
+      blocker node to land or die, which only a traced `place` or a traced
+      `abandoned` does. Each idles again.
     """
     return (
         all(e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"

@@ -428,7 +428,7 @@ def cmd_calibrate(ns) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
         chosen = set(split["calib"])
-        calib_eps = [e for e in episodes if e.template_id in chosen]
+        calib_eps = episodes.select([i for i, e in enumerate(episodes) if e.template_id in chosen])
 
     try:
         calib_config = CalibrationConfig(

@@ -78,10 +78,11 @@ class BlockageRecord:
 class PrivateState:
     """m_priv: all one agent knows and intends apart from the public board.
     Its remembered inventory, its active subtask (a node id), its open
-    issue's record, the node its skip work builds and the nodes it gave up.
-    The step loop reads the agent's own inventory only from here."""
+    issue's record and the node its skip work builds. What it gave up is
+    public (`EpisodeRuntime.dead`). The step loop reads the agent's own
+    inventory only from here."""
 
-    __slots__ = ("agent_id", "inventory", "active_subtask", "blockage", "skip_target", "abandoned")
+    __slots__ = ("agent_id", "inventory", "active_subtask", "blockage", "skip_target")
 
     def __init__(self, agent_id: str, inventory: Inventory | None = None):
         self.agent_id = agent_id
@@ -90,7 +91,6 @@ class PrivateState:
         self.blockage: BlockageRecord | None = None
         # a window may outlive its issue, and skip work with it
         self.skip_target: int | None = None
-        self.abandoned: set[int] = set()
 
 
 def update_private_state(state: PrivateState, outcome: VerifiedOutcome) -> PrivateState:
@@ -136,7 +136,10 @@ def detect_issue(
     Exactly one issue class is returned, chosen by the fixed priority
     dependency_block > transfer_needed > missing_material. Returns None when
     execution can proceed normally.
-    Nodes in `ignore` (e.g. formally abandoned ones) never trigger detection.
+    Nodes in `ignore` never trigger detection. The runtime passes its dead
+    nodes, which hold every node below each of them, so a prerequisite in
+    `ignore` needs no check of its own: the node that waits on it is there
+    too.
 
     When none of the agent's nodes is ready (`next_node` finds none), the
     first of its unplaced nodes, in the same order, that waits on a
@@ -157,9 +160,7 @@ def detect_issue(
             if n in placed or n in ignore:
                 continue
             for p in graph.preds[n]:
-                if p in placed or p in ignore:
-                    continue
-                if view.plan.assignments.get(p, view.agent_id) != view.agent_id:
+                if p not in placed and view.plan.assignments.get(p, view.agent_id) != view.agent_id:
                     return BlockageRecord(
                         issue=IssueType.DEPENDENCY_BLOCK, node_id=p,
                         item=materials[p], detected_at=view.sim_time,

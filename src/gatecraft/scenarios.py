@@ -631,7 +631,8 @@ class Dataset(Sequence):
     """A loaded dataset, held as the validated JSON line of each episode.
     Every access (indexing, iteration) decodes a fresh `EpisodeSpec` from
     its line, so a run holds only the spec it is running, and mutating one
-    leaves the dataset as it was. A slice is a `Dataset` of its lines."""
+    leaves the dataset as it was. A slice, and a `select`ion, is a `Dataset`
+    of its lines."""
 
     __slots__ = ("_lines",)
 
@@ -648,6 +649,10 @@ class Dataset(Sequence):
 
     def __iter__(self):
         return map(_decode, self._lines)
+
+    def select(self, indices) -> "Dataset":
+        """The `Dataset` of the lines at `indices`, in that order."""
+        return Dataset(tuple(self._lines[i] for i in indices))
 
 
 def _decode(line: str) -> EpisodeSpec:

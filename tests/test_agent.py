@@ -267,7 +267,9 @@ def test_a_resolved_recovery_leaves_the_agent_free_to_detect(monkeypatch):
     """a0 collects the planks it lacks for node 0, which resolves its issue
     mid-plan; after placing node 0 its node 1 waits on a1's node 2, which
     never lands, and a0 must detect that dependency block rather than idle
-    in a leftover recovery."""
+    in a leftover recovery. a1 has no cobblestone and gives node 2 up; a0's
+    block ends `abandoned` in that step, so no window of a0's goes to the
+    given-up blocker."""
     spec = hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
         blocks=[[0, "oak_planks", [1, 0, 1]], [1, "oak_planks", [2, 0, 1]],
@@ -280,6 +282,14 @@ def test_a_resolved_recovery_leaves_the_agent_free_to_detect(monkeypatch):
                  for e in events if e["kind"] == "issue" and e["agent"] == "a0"]
     assert a0_issues[:3] == [("detected", "missing_material", 0), ("resolved", "missing_material", 0),
                              ("detected", "dependency_block", 2)]
+    [given_up] = [e["step"] for e in events if e["kind"] == "issue" and e["agent"] == "a1"
+                  and e["payload"]["event"] == "abandoned" and e["payload"]["node_id"] == 2]
+    assert [(e["step"], e["payload"]["event"], e["payload"]["node_id"]) for e in events
+            if e["kind"] == "issue" and e["agent"] == "a0"][3:] == [(given_up, "abandoned", 2)]
+    a0_windows = [e["step"] for e in events if e["kind"] == "window_state" and e["agent"] == "a0"
+                  and e["payload"]["event"] == "opened"]
+    assert a0_windows and all(step < given_up for step in a0_windows)
+    assert events[-1]["payload"]["reason"] == "quiescent"
 
 
 def test_a_dependency_block_resolves_when_the_teammate_places_the_blocker():
@@ -477,17 +487,17 @@ def test_each_action_event_rebuilds_the_outcome_apply_action_returned(dataset, m
     assert seen == set(VerifiedOutcome.__slots__)  # every field was set somewhere
 
 
-def _stalled_chain_spec(script: dict):
-    """a0's node 1 waits on a1's node 2, which waits on a1's node 3, and a1
-    has no stone bricks for node 3, so node 2 never lands. A window for
-    a0's dependency block moves node 2's cobblestone, which a1 holds one
-    spare of, without clearing the block."""
+def _stalled_chain_spec(script: dict, sources=()):
+    """a0's node 1 waits on a1's node 2, which waits on a1's node 3. a1
+    holds no stone bricks for node 3, so node 2 lands only if `sources`
+    offer some. A window for a0's dependency block moves node 2's
+    cobblestone, which a1 holds one spare of, without clearing the block."""
     return hand_built_spec(
         agents={"a0": [0, 0, 0], "a1": [4, 0, 0]},
         blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [3, 0, 1]],
                 [3, "stone_bricks", [4, 0, 1]]],
         assigned={"a0": [1], "a1": [2, 3]}, partition={}, script=script, edges=[[3, 2], [2, 1]],
-        inventories={"a0": {"oak_planks": 1}, "a1": {"cobblestone": 2}},
+        inventories={"a0": {"oak_planks": 1}, "a1": {"cobblestone": 2}}, sources=sources,
     )
 
 
@@ -495,8 +505,9 @@ def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
     """With every tier off, a0 asks a1 for node 2's cobblestone and a1
     hands it over: the window is fulfilled, but the dependency block stays
     open until node 2 lands, so a0's next step passes the gate again.
-    Neither node lands; both agents give their nodes up after two refused
-    windows, and every issue ends."""
+    Neither node lands: a1 gives node 3 up after two refused windows, which
+    kills node 2, so a0's block ends `abandoned` in the same step, and
+    every issue ends."""
     config = RunConfig(tiers=0)
     events = run_episode(_stalled_chain_spec({}), config).events
     closed = next(i for i, e in enumerate(events)
@@ -507,26 +518,35 @@ def test_a_delivery_that_leaves_the_blockage_open_regates_at_once():
     assert [(p["event"], p["issue"]) for p in a0_issues] == [("detected", "dependency_block")]
     a0_next = next(e for e in events[closed + 1:] if e["agent"] == "a0")
     assert (a0_next["kind"], a0_next["step"]) == ("gate_decision", 6)
-    issues = [(e["agent"], e["payload"]["event"]) for e in events if e["kind"] == "issue"]
-    assert issues == [("a0", "detected"), ("a1", "detected"), ("a0", "abandoned"), ("a1", "abandoned")]
+    issues = [(e["step"], e["agent"], e["payload"]["event"]) for e in events if e["kind"] == "issue"]
+    assert [(agent_id, event) for _, agent_id, event in issues] == [
+        ("a0", "detected"), ("a1", "detected"), ("a1", "abandoned"), ("a0", "abandoned")]
+    assert issues[2][0] == issues[3][0]
     assert events[-1]["payload"]["reason"] == "quiescent"
 
 
 def test_a_fulfilled_retry_clears_the_open_issues_cooldown():
-    """a1 lets a0's first window time out, then fulfils the retry. The
-    dependency block is still open, so the fulfilled close resets its
-    cooldown, traced as level 0 with no failures, and the issue is given up
-    only after two more failed windows."""
-    events = run_episode(_stalled_chain_spec({"a1": ["silent", "honest"]}), RunConfig()).events
+    """a1 lets a0's first window time out, then fulfils the retry, while it
+    fetches stone bricks from a source for node 3. The dependency block is
+    still open, so the fulfilled close resets its cooldown, traced as level
+    0 with no failures, and two more windows fail before the hard block.
+    The block ends when a1 places node 2."""
+    spec = _stalled_chain_spec({"a1": ["silent", "honest"]}, sources=[["stone_bricks", [30, 0, 0], 1]])
+    events = run_episode(spec, RunConfig(cooldown_duration=2)).events
     a0 = [(e["step"], e["kind"], e["payload"].get("event") or e["payload"].get("cause"))
           for e in events if e["agent"] == "a0" and e["kind"] in ("issue", "cooldown_update")]
     assert a0 == [(0, "issue", "detected"), (20, "cooldown_update", "timed_out"),
-                  (56, "cooldown_update", "fulfilled"), (58, "cooldown_update", "cannot_supply"),
-                  (90, "cooldown_update", "cannot_supply"), (90, "issue", "abandoned")]
+                  (30, "cooldown_update", "fulfilled"), (32, "cooldown_update", "cannot_supply"),
+                  (36, "cooldown_update", "cannot_supply"), (41, "issue", "resolved")]
     updates = [e["payload"] for e in events if e["agent"] == "a0" and e["kind"] == "cooldown_update"]
     assert updates[1] == {"issue": "dependency_block", "level": 0, "consecutive_failures": 0,
                           "expires_at": 0, "cause": "fulfilled"}
     assert [u["consecutive_failures"] for u in updates] == [1, 0, 1, 2]
+    places = [e["payload"]["action"]["node_id"] for e in events if e["kind"] == "action"
+              and e["payload"]["action"]["kind"] == "place"]
+    [resolved] = [e["payload"] for e in events if e["agent"] == "a0" and e["kind"] == "issue"
+                  and e["payload"]["event"] == "resolved"]
+    assert places == [3, 2, 1] and resolved["via"] == "blocker_placed"
 
 
 def test_via_names_what_cleared_each_issue(dataset):

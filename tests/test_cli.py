@@ -127,25 +127,51 @@ def test_jobs_three_matches_jobs_one(tmp_path, small_dataset, capsys, command):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("command", ["run", "ablate"])
-def test_a_loaded_dataset_fans_out_as_slices_of_lines(tmp_path, small_dataset, monkeypatch,
-                                                      command):
+@pytest.fixture(scope="module")
+def split_dataset(tmp_path_factory, dataset):
+    """The first twelve episodes saved to disk: templates 0 (a00s0-a00s4)
+    and 1 (a01s0-a01s4), and a02s0-a02s1 of template 2. A half split at
+    seed 0 calibrates on templates 0 and 2, which are not contiguous."""
+    manifest, episodes = dataset
+    root = tmp_path_factory.mktemp("split")
+    save_dataset(manifest, episodes[:12], root)
+    return root
+
+
+@pytest.mark.parametrize("command", ["run", "ablate", "calibrate"])
+def test_a_loaded_dataset_fans_out_as_slices_of_lines(tmp_path, small_dataset, split_dataset,
+                                                      monkeypatch, command):
     """A pool's tasks hold slices of the dataset's lines, so each worker
-    decodes the specs it runs and the parent decodes none before the pool
-    starts."""
+    decodes the specs it runs. `run` and `ablate` decode none in the parent
+    before the pool starts. `calibrate` at `--calib-fraction 0.5` reads
+    every spec to pick its templates, and its slices hold the lines of the
+    calibration episodes alone."""
     tasks = []
     sizes = record_pool_sizes(monkeypatch, tasks)
     pools_at_decode = []
     decode = scenarios._decode
     monkeypatch.setattr(scenarios, "_decode",
                         lambda line: pools_at_decode.append(len(sizes)) or decode(line))
-    assert main([command, "--dataset", str(small_dataset), "--out", str(tmp_path / "o"),
-                 "--jobs", "3"]) == 0
+    if command == "calibrate":
+        flags = ["--dataset", str(split_dataset), "--grid", "small", "--calib-fraction", "0.5"]
+        expected = [f"a00s{i}" for i in range(5)] + ["a02s0", "a02s1"]
+    else:
+        flags = ["--dataset", str(small_dataset)]
+        expected = None
+    assert main([command, *flags, "--out", str(tmp_path / "o"), "--jobs", "3"]) == 0
     assert sizes == [3]
     slices = [args[1] for args in tasks]  # each task is (fn, slice, shared arguments)
     assert {type(s) for s in slices} == {scenarios.Dataset}
-    assert sum(map(len, slices)) == 4
-    assert pools_at_decode == [1] * 4
+    if expected is None:
+        assert sum(map(len, slices)) == 4
+        assert pools_at_decode == [1] * 4
+    else:
+        # iterating a slice decodes through the spy too, after the pool has run
+        workers_decoded = pools_at_decode.count(1)
+        assert [spec.episode_id for s in slices for spec in s] == expected
+        assert workers_decoded == len(expected)
+        assert json.loads((tmp_path / "o" / "theta.json").read_text())["split"] == {
+            "calib": [0, 2], "test": [1]}
 
 
 def test_run_episode_limit(tmp_path, small_dataset):

@@ -39,6 +39,12 @@ same cases, and the default runs, are run once more with spies on
 `agent.observe` and `agent.step` (`conftest.run_checking_views`), and so is
 one hand-built spec in which a teammate comes into sight and goes out of it.
 
+Every random spec `r00`..`r59` (`tests/random_specs.py`), under
+`RunConfig()` and under its drawn config, gets the same checks as a sampled
+case, its run made under the `conftest.run_checking_views` spies. These
+specs put prerequisite edges across agents, so their dependency blocks
+meet blockers that are given up, directly or through an ancestor.
+
 The default runs and the random-spec runs are run once more with a spy on
 `agent._post_action`: after every applied action, each agent's remembered
 inventory equals its body's, which is why decisions may read it instead.
@@ -228,19 +234,70 @@ def check_exit_equivalence(early, full, spec, config) -> None:
         assert not check_episode_invariants(early)
 
 
+def check_whole_episode(run, monkeypatch) -> None:
+    """The trace and item checks on the finished `run`, and the exit check
+    against a run of its spec and config without the quiescence exit."""
+    early = run.trace.events
+    check_episode_invariants(early)
+    check_item_conservation(early, run.spec, run.world)
+    with monkeypatch.context() as patch:
+        patch.setattr(agent, "_quiescent", lambda *args: False)
+        full = run_episode(run.spec, run.config).events
+    check_episode_invariants(full)
+    check_exit_equivalence(early, full, run.spec, run.config)
+
+
 def test_episode_invariants_sampled(monkeypatch):
     rng = random.Random(401)
     for _ in range(40):
         spec, config = _sample_run(rng)
-        run = simulate_episode(spec, config)
-        early = run.trace.events
-        check_episode_invariants(early)
-        check_item_conservation(early, spec, run.world)
-        with monkeypatch.context() as patch:
-            patch.setattr(agent, "_quiescent", lambda *args: False)
-            full = run_episode(spec, config).events
-        check_episode_invariants(full)
-        check_exit_equivalence(early, full, spec, config)
+        check_whole_episode(simulate_episode(spec, config), monkeypatch)
+
+
+@pytest.mark.parametrize("index", range(RANDOM_SPEC_COUNT))
+def test_a_random_spec_keeps_the_episode_invariants(index, monkeypatch):
+    spec = random_spec(index)
+    for config in (RunConfig(), random_config(index)):
+        run, _ = run_checking_views(spec, config, monkeypatch)
+        check_whole_episode(run, monkeypatch)
+
+
+def dead_chain_spec():
+    """a2 holds no iron ingot for its node 3, and nobody can supply one.
+    a1's node 2 waits on node 3, and a0's node 1 on node 2. A cobblestone
+    source at a0's hand gives a0 a local plan for node 2's material, so
+    the gate keeps a0's dependency block local."""
+    return hand_built_spec(
+        agents={"a0": [120, 0, 0], "a1": [60, 0, 0], "a2": [0, 0, 0]},
+        blocks=[[1, "oak_planks", [121, 0, 1]], [2, "cobblestone", [61, 0, 1]],
+                [3, "iron_ingot", [1, 0, 1]]],
+        assigned={"a0": [1], "a1": [2], "a2": [3]}, partition={}, script={}, edges=[[3, 2], [2, 1]],
+        inventories={"a0": {"oak_planks": 1}, "a1": {"cobblestone": 1}},
+        sources=[["cobblestone", [122, 0, 2], 1]],
+    )
+
+
+@pytest.mark.parametrize("partition_on", [True, False])
+def test_a_dependency_block_ends_when_its_blocker_or_an_ancestor_is_given_up(partition_on):
+    """a2 gives node 3 up after two refused windows. That kills node 2 and
+    node 1 below it, and in the same step both dependency blocks end
+    `abandoned`, each naming its blocker: a1's, whose blocker node 3 was
+    given up, and a0's, whose blocker node 2 lies below it. a0's gate kept
+    its block local and a1's windows were refused, so nothing else ends
+    them; the quiescent episode leaves no issue open."""
+    events = run_episode(dead_chain_spec(), RunConfig(partition_on=partition_on)).events
+    gates = [(e["agent"], e["payload"]["verdict"]) for e in events if e["kind"] == "gate_decision"]
+    assert gates[0] == ("a0", "stay_local") and ("a0", "escalate") not in gates
+    issues = [(e["step"], e["agent"], e["payload"]["event"], e["payload"]["issue"], e["payload"]["node_id"])
+              for e in events if e["kind"] == "issue"]
+    given_up = issues[-3][0]
+    assert issues[-3:] == [(given_up, "a2", "abandoned", "missing_material", 3),
+                           (given_up, "a0", "abandoned", "dependency_block", 2),
+                           (given_up, "a1", "abandoned", "dependency_block", 3)]
+    assert [(agent_id, event) for _, agent_id, event, _, _ in issues[:-3]] == [
+        ("a0", "detected"), ("a1", "detected"), ("a2", "detected")]
+    assert events[-1]["payload"]["reason"] == "quiescent"
+    assert not check_episode_invariants(events)
 
 
 @pytest.mark.parametrize("partition_on", [True, False])

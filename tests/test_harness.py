@@ -543,11 +543,14 @@ class _FailsFirstCall:
 def test_a_failed_adjudicator_call_replays_as_a_failure(dataset, tmp_path):
     """A failed call records no reply, and its transcript entry replays it as
     a failure, so each later reply replays at its own call. Every run of
-    seed 0 and of `r00`..`r59` (under `RunConfig()` and their drawn
-    configs) replays byte for byte from its transcript file."""
+    seed 0 and of `r00`..`r59` (under `RunConfig()`, their drawn configs
+    and the wide gray band 0.2-0.8, where the random specs call the
+    adjudicator most) replays byte for byte from its transcript file."""
+    wide = RunConfig(thresholds=GateThresholds(0.2, 0.8))
     runs = [(spec, RunConfig()) for spec in dataset[1]]
     for i in range(RANDOM_SPEC_COUNT):
-        runs += [(random_spec(i), RunConfig()), (random_spec(i), random_config(i))]
+        runs += [(random_spec(i), RunConfig()), (random_spec(i), random_config(i)),
+                 (random_spec(i), wide)]
     script = tmp_path / "replies.jsonl"
     second_calls = 0
     for spec, config in runs:
