@@ -55,7 +55,7 @@ from .gate import (
     tier1_rules,
     validate_weights,
 )
-from .solver import RecoveryPlan, RecoveryStep, local_skip, plan_local_recovery
+from .solver import RecoveryPlan, RecoveryStep, plan_local_recovery
 from .protocol import (
     CoordinationWindow,
     WindowState,
@@ -125,7 +125,6 @@ __all__ = [
     "extract_features",
     "gate_decide",
     "generate_dataset",
-    "local_skip",
     "normalize_score",
     "observe",
     "open_window",

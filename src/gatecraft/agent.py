@@ -38,7 +38,9 @@ from .memory import (
     IssueType,
     PrivateState,
     detect_issue,
+    next_node,
     update_private_state,
+    waits_on,
 )
 from .protocol import (
     CoordinationWindow,
@@ -57,7 +59,6 @@ from .solver import (
     PLANNER_PARAMS,
     RecoveryPlan,
     RecoveryStep,
-    local_skip,
     plan_local_recovery,
 )
 from .world import (
@@ -443,7 +444,7 @@ def _choose_escalation_target(ep: EpisodeRuntime, state: PrivateState, blockage:
     advertised holder of the item, else the nearest teammate. Only a gate
     pass with a teammate to ask can escalate, so there is one. A dependency
     block's blocker is never dead here: its death ends the block
-    (`_give_up`), so no window goes to a node that is given up."""
+    (`_end_settled_blocks`), so no window goes to a node that is given up."""
     if blockage.issue == IssueType.DEPENDENCY_BLOCK:
         assignee = ep.plan_info.assignments.get(blockage.node_id)
         if assignee and assignee != state.agent_id:
@@ -472,11 +473,9 @@ def _build_toward(ep: EpisodeRuntime, state: PrivateState, node_id: int) -> Acti
 
 
 def _next_skip_target(ep: EpisodeRuntime, state: PrivateState) -> int | None:
-    placed = ep.world.placed_nodes()
-    blocked = state.blockage.node_id if state.blockage else None
-    allowed = {n for n in ep.plan_info.nodes_of.get(state.agent_id, ())
-               if n not in ep.dead and state.inventory.count(ep.plan_info.materials[n]) >= 1}
-    return local_skip(ep.graph, placed, blocked, allowed)
+    """The live node the agent builds next among those whose material it holds."""
+    return next_node(ep.plan_info, state.agent_id, ep.world.placed_nodes(), ep.graph,
+                     ep.dead, state.inventory)
 
 
 def _plan_step_action(ep: EpisodeRuntime, state: PrivateState, step_: RecoveryStep) -> Action:
@@ -559,11 +558,11 @@ def _solver_context(ep: EpisodeRuntime, state: PrivateState, view, blockage: Blo
 def _end_issue(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord, cause: str) -> None:
     """Trace the end of the agent's open issue `blockage` and drop its
     record, with its legs, skip state and gate time, unless an outcome has
-    dropped it. `cause` is `abandoned`, which gives the node up
-    (`_give_up`), or what resolved it, traced as `via`: `transfer` (a
-    teammate's transfer arrived), `local` (the agent's own verified outcome)
-    or `blocker_placed` (the node a dependency block waits on landed). The
-    skip target, which a window outliving the issue may use, goes too."""
+    dropped it. `cause` is `abandoned` or what resolved it, traced as `via`:
+    `transfer` (a teammate's transfer arrived), `local` (the agent's own
+    verified outcome) or `blocker_placed` (the node a dependency block waits
+    on landed). The skip target, which a window outliving the issue may use,
+    goes too."""
     now = ep.world.sim_time
     event = "abandoned" if cause == "abandoned" else "resolved"
     payload = {"event": event, "issue": blockage.issue, "node_id": blockage.node_id,
@@ -574,25 +573,31 @@ def _end_issue(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord
     ep.trace.emit(now, state.agent_id, "issue", payload)
     state.blockage = None
     state.skip_target = None
-    if event == "abandoned":
-        _give_up(ep, blockage.node_id)
 
 
 def _give_up(ep: EpisodeRuntime, node: int) -> None:
-    """Add `node` and every node below it to `ep.dead`, and end each open
-    dependency block whose blocker is now dead, `abandoned`: a dead node
-    never comes back, so the blocker can never land and a parked record
-    could never resume. So no open dependency block waits on a dead node,
-    and one ends `abandoned` only here. Its `abandoned` event names the
-    blocker, which is dead already, as are the waiter's nodes below it."""
-    if node in ep.dead:
-        return
+    """Add `node` and every node below it to `ep.dead`, and end the
+    dependency blocks that settles."""
     ep.dead.add(node)
     ep.dead |= ep.graph.descendants(node)
+    _end_settled_blocks(ep)
+
+
+def _end_settled_blocks(ep: EpisodeRuntime) -> None:
+    """End each open dependency block whose waiter no longer waits on its
+    blocker (`waits_on`): `blocker_placed` when the blocker has landed, else
+    `abandoned`, when none of the waiter's live, unplaced nodes has the
+    blocker as a prerequisite any more. The blocker is not given up. Only a
+    successful `place` and a give-up change what an agent waits on, and each
+    is followed by this check, so no gate pass or window serves a block
+    that has settled."""
+    placed = ep.world.placed_nodes()
     for waiter in ep.states.values():
-        doomed = waiter.blockage
-        if doomed is not None and doomed.issue == IssueType.DEPENDENCY_BLOCK and doomed.node_id in ep.dead:
-            _end_issue(ep, waiter, doomed, "abandoned")
+        block = waiter.blockage
+        if (block is not None and block.issue == IssueType.DEPENDENCY_BLOCK
+                and block.node_id not in waits_on(ep.plan_info, waiter.agent_id, placed,
+                                                  ep.graph, ep.dead)):
+            _end_issue(ep, waiter, block, "blocker_placed" if block.node_id in placed else "abandoned")
 
 
 def _route_local(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageRecord,
@@ -604,9 +609,9 @@ def _route_local(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageReco
 
     Otherwise a material issue's node is given up: its item reaches the
     agent only through the agent's own actions or a window it opens, and
-    neither can come. A `dependency_block` waits until its blocker lands
-    (`blocker_placed`) or dies (`_give_up`). Failed windows do not end it:
-    a window cannot place a node, and the blocker's assignee may still."""
+    neither can come. A `dependency_block` waits until its waiter no longer
+    waits on the blocker (`_end_settled_blocks`). Failed windows do not end
+    it: a window cannot place a node, and the blocker's assignee may still."""
     if plan is not None:
         # a collect leg is done once its units are gathered, any other once the plan's goods are
         blockage.legs = [(s, s.item, state.inventory.count(s.item) + s.units) if s.op == "collect"
@@ -622,6 +627,7 @@ def _route_local(ep: EpisodeRuntime, state: PrivateState, blockage: BlockageReco
     elif blockage.issue in MATERIAL_SHAPED_ISSUES and (
             blockage.consecutive_failures >= 2 or blockage.gate_at is None):
         _end_issue(ep, state, blockage, "abandoned")
+        _give_up(ep, blockage.node_id)
 
 
 def _gate_decision(config: RunConfig, backend, gp: GatePass, solver_ctx) -> dict:
@@ -824,12 +830,11 @@ def _post_action(ep: EpisodeRuntime, state: PrivateState, action: Action, outcom
                 and window.has(MessageType.CONFIRM_TRANSFER)):
             window.transfer_done = True
 
-    # blockage satisfied by this outcome (plan leg, passive gain, ...), or a
-    # dependency block whose awaited node landed
-    waits = held is not None and held.issue == IssueType.DEPENDENCY_BLOCK
-    if held is not None and (
-            state.blockage is None or (waits and ep.world.node_placed(held.node_id))):
-        _end_issue(ep, state, held, "blocker_placed" if waits else "local")
+    # blockage satisfied by this outcome (plan leg, passive gain, ...)
+    if held is not None and state.blockage is None:
+        _end_issue(ep, state, held, "local")
+    if outcome.ok and outcome.kind == "place":
+        _end_settled_blocks(ep)
 
     # settle every open window after each applied action
     for window in list(ep.windows.values()):
@@ -870,9 +875,9 @@ def _quiescent(ep: EpisodeRuntime, round_start: int) -> bool:
       agent whose skip work runs out, or whose gate pass the cooldown
       skips, goes through `_route_local`. That abandons the node (traced),
       schedules a retry (a `gate_at`, so the round does not qualify), or
-      leaves the agent stalled on a `dependency_block`, waiting for its
-      blocker node to land or die, which only a traced `place` or a traced
-      `abandoned` does. Each idles again.
+      leaves the agent stalled on a `dependency_block` until it no longer
+      waits on the blocker, which only a traced `place` or a traced
+      `abandoned` changes. Each idles again.
     """
     return (
         all(e["kind"] == "action" and e["payload"]["action"]["kind"] == "idle"

@@ -4,13 +4,18 @@ The private state's inventory changes only through verified action
 outcomes (the agent's own, and a transfer's for its recipient), never
 through another agent's unverified claims. Detection sets the active
 subtask, from `next_node`, and the step loop the blockage, which is the one
-record of the agent's open issue; an outcome can clear either.
+record of the agent's open issue; an outcome can clear either. `next_node`
+("builds next") and `waits_on` ("waits on") are the two rules the runtime
+asks too: skip work builds what `next_node` picks among held materials, and
+a dependency block ends once `waits_on` no longer yields its blocker.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .solver import NOT_PROBED, RecoveryStep, plan_local_recovery
-from .world import Inventory, RecipeBook, TaskGraph, VerifiedOutcome, WorldView
+from .world import Inventory, PlanInfo, RecipeBook, TaskGraph, VerifiedOutcome, WorldView
 
 
 class IssueType:
@@ -111,16 +116,32 @@ def update_private_state(state: PrivateState, outcome: VerifiedOutcome) -> Priva
     return state
 
 
-def next_node(view: WorldView, graph: TaskGraph,
-              ignore: set[int] | frozenset[int] = frozenset()) -> int | None:
-    """The node the agent builds next: the first of its nodes in
-    `view.plan.nodes_of` order (the task graph's topological order) that is
-    unplaced, not in `ignore`, and whose prerequisites are all placed."""
-    placed = view.placed_nodes
-    for n in view.plan.nodes_of.get(view.agent_id, ()):
-        if n not in placed and n not in ignore and placed.issuperset(graph.preds[n]):
+def next_node(plan: PlanInfo, agent_id: str, placed: frozenset[int], graph: TaskGraph,
+              ignore: set[int] | frozenset[int] = frozenset(),
+              held: Inventory | None = None) -> int | None:
+    """What the agent builds next: the first of its nodes in `plan.nodes_of`
+    order (the task graph's topological order) that is unplaced, not in
+    `ignore`, and whose prerequisites are all placed. With `held`, the first
+    such node whose material `held` holds: skip work's target."""
+    for n in plan.nodes_of.get(agent_id, ()):
+        if (n not in placed and n not in ignore and placed.issuperset(graph.preds[n])
+                and (held is None or held.count(plan.materials[n]) >= 1)):
             return n
     return None
+
+
+def waits_on(plan: PlanInfo, agent_id: str, placed: frozenset[int], graph: TaskGraph,
+             ignore: set[int] | frozenset[int] = frozenset()) -> Iterator[int]:
+    """What the agent waits on: for each of its nodes in `plan.nodes_of`
+    order that is unplaced and not in `ignore`, each unplaced prerequisite
+    assigned to a teammate. Detection blocks on the first; a dependency block
+    lasts while its blocker is among them."""
+    for n in plan.nodes_of.get(agent_id, ()):
+        if n in placed or n in ignore:
+            continue
+        for p in graph.preds[n]:
+            if p not in placed and plan.assignments.get(p, agent_id) != agent_id:
+                yield p
 
 
 def detect_issue(
@@ -142,9 +163,8 @@ def detect_issue(
     too.
 
     When none of the agent's nodes is ready (`next_node` finds none), the
-    first of its unplaced nodes, in the same order, that waits on a
-    prerequisite assigned to a teammate (or to no one) is blocked on that
-    prerequisite. Otherwise the target is the active subtask.
+    agent is blocked on the first node it waits on (`waits_on`), if any.
+    Otherwise the target is the active subtask.
 
     An unheld target material is `transfer_needed` when no local plan reaches
     it and the plan partitions it to a teammate, else `missing_material`.
@@ -152,22 +172,16 @@ def detect_issue(
     plan the gate's L feature and the local route read. The record keeps
     that answer as its `plan`, for the gate pass in the same step.
     """
-    materials = view.plan.materials
-    placed = view.placed_nodes
-    target = state.active_subtask = next_node(view, graph, ignore)
+    plan, me, placed = view.plan, view.agent_id, view.placed_nodes
+    target = state.active_subtask = next_node(plan, me, placed, graph, ignore)
     if target is None:
-        for n in view.plan.nodes_of.get(view.agent_id, ()):
-            if n in placed or n in ignore:
-                continue
-            for p in graph.preds[n]:
-                if p not in placed and view.plan.assignments.get(p, view.agent_id) != view.agent_id:
-                    return BlockageRecord(
-                        issue=IssueType.DEPENDENCY_BLOCK, node_id=p,
-                        item=materials[p], detected_at=view.sim_time,
-                    )
-        return None
+        blocker = next(waits_on(plan, me, placed, graph, ignore), None)
+        return None if blocker is None else BlockageRecord(
+            issue=IssueType.DEPENDENCY_BLOCK, node_id=blocker,
+            item=plan.materials[blocker], detected_at=view.sim_time,
+        )
 
-    material = materials[target]
+    material = plan.materials[target]
     if state.inventory.count(material) >= 1:
         return None
     blockage = BlockageRecord(

@@ -318,29 +318,23 @@ def _recipe_dicts(extra: list[Recipe] | None = None) -> list[dict]:
     return [r.to_dict() for r in recipes]
 
 
-def _jitter(rng: random.Random | None, lo: int, hi: int, default: int = 0) -> int:
-    return default if rng is None else rng.randint(lo, hi)
-
-
-def _assemble(template: Template, seed_index: int, rng: random.Random | None) -> EpisodeSpec:
-    """Lay out one candidate episode. With rng=None the canonical (unjittered)
-    layout is produced; the canonical form of every template is valid by
-    construction and serves as the fallback when jitter sampling fails."""
+def _assemble(template: Template, seed_index: int, rng: random.Random) -> EpisodeSpec:
+    """Lay out one candidate episode, its geometry jittered by `rng`."""
     cls, variant = template.class_label, template.variant
     aids = [f"a{i}" for i in range(template.agent_count)]
 
     spawn: dict[str, tuple[int, int, int]] = {}
-    sx, sz = _jitter(rng, -1, 1), _jitter(rng, -1, 1)
+    sx, sz = rng.randint(-1, 1), rng.randint(-1, 1)
     spawn["a0"] = (sx, 0, sz)
     for aid in aids[1:]:
         cx, cy, cz = REGION_CENTERS[aid]
-        spawn[aid] = (cx + _jitter(rng, -1, 1), cy, cz + _jitter(rng, -1, 1))
+        spawn[aid] = (cx + rng.randint(-1, 1), cy, cz + rng.randint(-1, 1))
 
     # Class-specific responder placement (a1 is always the counterparty).
     if cls in ("B", "D"):
-        spawn["a1"] = (sx + _jitter(rng, 11, 14, default=12), 0, sz)
+        spawn["a1"] = (sx + rng.randint(11, 14), 0, sz)
     elif cls == "C" and variant == "v1":
-        ox, oz = (8, 0) if rng is None else rng.choice(_IMMEDIATE_SPAWN_OFFSETS)
+        ox, oz = rng.choice(_IMMEDIATE_SPAWN_OFFSETS)
         spawn["a1"] = (sx + ox, 0, sz + oz)
 
     # Injected bottleneck chain: node 0 plus `dep_count` dependents, all a0's.
@@ -396,8 +390,8 @@ def _assemble(template: Template, seed_index: int, rng: random.Random | None) ->
             partition["oak_log"] = "a1"
             partition["oak_planks"] = "a0"
         else:
-            ox, oz = (3, 4) if rng is None else rng.choice(_NEAR_SOURCE_OFFSETS)
-            sources.append(["sandstone", [sx + ox, 0, sz + oz], 1 + _jitter(rng, 0, 2)])
+            ox, oz = rng.choice(_NEAR_SOURCE_OFFSETS)
+            sources.append(["sandstone", [sx + ox, 0, sz + oz], 1 + rng.randint(0, 2)])
             partition["sandstone"] = "a0"
     elif cls in ("B", "D"):
         loads["a1"]["iron_ingot"] += 1
@@ -405,9 +399,9 @@ def _assemble(template: Template, seed_index: int, rng: random.Random | None) ->
         if cls == "D":
             responder_script["a1"] = [variant] * 3
     else:  # class C: an expensive two-leg collect detour plus one craft/smelt
-        j = (lambda: _jitter(rng, -2, 2)) if rng is not None else (lambda: 0)
-        near = ["sandstone" if variant == "v1" else "sand", [sx + 38 + j(), 0, sz + j()], 4 + _jitter(rng, 0, 2)]
-        far = ["coal", [sx + 19 + j(), 0, sz + 33 + j()], 2 + _jitter(rng, 0, 2)]
+        j = lambda: rng.randint(-2, 2)
+        near = ["sandstone" if variant == "v1" else "sand", [sx + 38 + j(), 0, sz + j()], 4 + rng.randint(0, 2)]
+        far = ["coal", [sx + 19 + j(), 0, sz + 33 + j()], 2 + rng.randint(0, 2)]
         sources.extend([near, far])
         if variant == "v1":
             scaffold.append([[sx - 20 + j(), 0, sz + j()], "crafting_table"])
@@ -466,20 +460,22 @@ def _rng_for(dataset_seed: int, template_id: int, seed_index: int) -> random.Ran
 
 
 def build_episode(template: Template, seed_index: int, dataset_seed: int = 0) -> EpisodeSpec:
-    """Sample a jittered instance of the template whose class property holds;
-    fall back to the canonical layout if sampling keeps missing (it cannot
-    miss structurally, only on geometric cost bands)."""
+    """The first jittered instance of the template whose class property
+    holds. A sample misses only on the geometric cost bands, never on
+    structure. After 100 misses, ValueError names the template, the seed
+    index and the last miss."""
     rng = _rng_for(dataset_seed, template.template_id, seed_index)
     for _ in range(100):
         spec = _assemble(template, seed_index, rng)
         try:
             validate_class_property(spec)
-        except ValueError:
+        except ValueError as exc:
+            miss = str(exc)  # not the exception, whose traceback would hold this frame
             continue
         return spec
-    spec = _assemble(template, seed_index, None)
-    validate_class_property(spec)
-    return spec
+    raise ValueError(f"template {template.template_id} (class {template.class_label}, "
+                     f"{template.variant}), seed index {seed_index}, dataset seed {dataset_seed}: "
+                     f"no sample of 100 passed the class checks; the last: {miss}")
 
 
 # -- class-property validation ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Local recovery: deterministic plans and skip targeting.
+"""Local recovery: deterministic plans.
 
 Plan search walks a strict cost-kind order (craft, then smelt, then collect,
 then detour chains) and returns the first satisfiable route. All costs are
@@ -16,7 +16,6 @@ from .world import (
     SPEED,
     Position,
     RecipeBook,
-    TaskGraph,
     WorldView,
     dist_sq,
     nearest_supply,
@@ -177,13 +176,4 @@ def plan_local_recovery(
         return RecoveryPlan(item=item, count=need, steps=steps)
 
     return None
-
-
-def local_skip(graph: TaskGraph, placed: set[int], blocked: int | None, allowed: set[int]) -> int | None:
-    """Smallest-id node of `allowed` that is unplaced, whose prerequisites are
-    all placed, and that is neither the blocked node nor depends on it."""
-    excluded = set() if blocked is None else graph.descendants(blocked) | {blocked}
-    return min((n for n in allowed
-                if n not in placed and n not in excluded and placed.issuperset(graph.preds[n])),
-               default=None)
 

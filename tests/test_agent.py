@@ -294,7 +294,8 @@ def test_a_resolved_recovery_leaves_the_agent_free_to_detect(monkeypatch):
 
 def test_a_dependency_block_resolves_when_the_teammate_places_the_blocker():
     """a0's node 1 waits on a1's node 2; a1 collects cobblestone from its own
-    source and places node 2, and a0's next action resolves the block."""
+    source and places node 2, which resolves a0's block right after the
+    place, before a0 acts again."""
     spec = dependency_block_spec()
     events = run_episode(spec, RunConfig()).events
     placed_2 = next(e["step"] for e in events if e["kind"] == "action" and e["agent"] == "a1"
@@ -302,7 +303,7 @@ def test_a_dependency_block_resolves_when_the_teammate_places_the_blocker():
     a0_blocks = [(e["step"], e["payload"]["event"]) for e in events if e["kind"] == "issue"
                  and e["agent"] == "a0" and e["payload"]["issue"] == "dependency_block"]
     assert [event for _, event in a0_blocks] == ["detected", "resolved"]
-    assert a0_blocks[1][0] > placed_2
+    assert a0_blocks[1][0] == placed_2 + 1
     assert events[-1]["payload"]["completion"] == 1.0
 
 
@@ -323,11 +324,36 @@ def test_the_next_node_and_its_blocker_follow_the_topological_order():
     a0_issues = [(e["step"], e["payload"]["event"], e["payload"]["issue"], e["payload"]["node_id"])
                  for e in events if e["kind"] == "issue" and e["agent"] == "a0"]
     assert a0_issues[:2] == [(0, "detected", "dependency_block", 3),
-                             (5, "resolved", "dependency_block", 3)]
+                             (4, "resolved", "dependency_block", 3)]
     a0_places = [(e["step"], e["payload"]["action"]["node_id"]) for e in events
                  if e["kind"] == "action" and e["agent"] == "a0"
                  and e["payload"]["action"]["kind"] == "place"]
-    assert a0_places == [(6, 2), (8, 1)]
+    assert a0_places == [(4, 2), (6, 1)]
+
+
+@pytest.mark.parametrize("partition_on", [True, False])
+def test_skip_work_builds_in_topological_order(partition_on):
+    """The edge 5 -> 2 puts a0's nodes in the order 0, 1, 4, 2. a1 places
+    node 5 while a0 walks to node 0, then a0 finds no iron ingot for node 1 and
+    does skip work. It holds the planks for nodes 2 and 4, both ready now,
+    and builds node 4 first, as its topological order has it, although
+    node 2 has the smaller id."""
+    spec = hand_built_spec(
+        agents={"a0": [0, 0, 0], "a1": [12, 0, 0]},
+        blocks=[[0, "cobblestone", [8, 0, 1]], [1, "iron_ingot", [1, 0, 1]],
+                [2, "oak_planks", [2, 0, 1]], [4, "oak_planks", [3, 0, 1]],
+                [5, "cobblestone", [12, 0, 1]]],
+        assigned={"a0": [0, 1, 2, 4], "a1": [5]}, partition={}, script={}, edges=[[5, 2]],
+        inventories={"a0": {"cobblestone": 1, "oak_planks": 2}, "a1": {"cobblestone": 1}},
+    )
+    events = run_episode(spec, RunConfig(partition_on=partition_on)).events
+    built = [(e["agent"], e["payload"]["action"]["kind"], e["payload"]["action"]["node_id"])
+             for e in events if e["kind"] == "action"
+             and e["payload"]["action"]["kind"] in ("place", "skip")]
+    assert built == [("a1", "place", 5), ("a0", "place", 0), ("a0", "skip", 4), ("a0", "place", 4),
+                     ("a0", "skip", 2), ("a0", "place", 2)]
+    issues = [(e["payload"]["event"], e["payload"]["node_id"]) for e in events if e["kind"] == "issue"]
+    assert issues == [("detected", 1), ("abandoned", 1)]
 
 
 def test_a_later_issue_does_not_inherit_an_earlier_ones_failed_windows():
@@ -537,7 +563,7 @@ def test_a_fulfilled_retry_clears_the_open_issues_cooldown():
           for e in events if e["agent"] == "a0" and e["kind"] in ("issue", "cooldown_update")]
     assert a0 == [(0, "issue", "detected"), (20, "cooldown_update", "timed_out"),
                   (30, "cooldown_update", "fulfilled"), (32, "cooldown_update", "cannot_supply"),
-                  (36, "cooldown_update", "cannot_supply"), (41, "issue", "resolved")]
+                  (36, "cooldown_update", "cannot_supply"), (40, "issue", "resolved")]
     updates = [e["payload"] for e in events if e["agent"] == "a0" and e["kind"] == "cooldown_update"]
     assert updates[1] == {"issue": "dependency_block", "level": 0, "consecutive_failures": 0,
                           "expires_at": 0, "cause": "fulfilled"}
@@ -560,7 +586,7 @@ def test_via_names_what_cleared_each_issue(dataset):
     trace = run_episode(spec, RunConfig())
     resolved = [(e["step"], e["agent"], e["payload"]["windows"], e["payload"]["via"])
                 for e in trace.events if e["kind"] == "issue" and e["payload"]["event"] == "resolved"]
-    assert resolved == [(4, "a1", 1, "local"), (7, "a0", 1, "blocker_placed"), (41, "a0", 1, "local")]
+    assert resolved == [(4, "a1", 1, "local"), (6, "a0", 1, "blocker_placed"), (41, "a0", 1, "local")]
     assert compute_metrics(trace).lrr == pytest.approx(2 / 3)
     b = next(e for e in dataset[1] if e.class_label == "B")
     trace = run_episode(b, RunConfig())

@@ -29,6 +29,17 @@ timeout, cooldown duration, step budget), runs it, and checks the trace:
   the deltas from the spec never drives a stock below zero and ends at the
   final world's stock.
 
+With the spec at hand, each run's dependency blocks are checked against the
+end rule (`check_dependency_blocks`):
+
+- no gate pass on a dependency block comes after its blocker's successful
+  `place`;
+- a `blocker_placed` resolution comes right after its blocker's `place`,
+  with no other `action` event in between;
+- at every gate pass on a dependency block, a live, unplaced node of the
+  waiter's has the blocker as a prerequisite. A node is live until its
+  assignee gives it, or a node above it, up.
+
 Each case also runs with the quiescence exit switched off (a test-only
 patch of `agent._quiescent`) and checks that the early exit only cut an
 idle tail: the same events up to `episode_end`, nothing after them but idle
@@ -58,6 +69,8 @@ import pytest
 
 from gatecraft import agent
 from gatecraft.agent import RunConfig, Trace, run_episode, simulate_episode
+from gatecraft.memory import MATERIAL_SHAPED_ISSUES
+from gatecraft.world import TaskGraph
 from gatecraft.cli import ABLATION_VARIANTS
 from gatecraft.harness import compute_metrics, replay_local_feasibility
 from gatecraft.scenarios import SEEDS_PER_TEMPLATE, build_episode, dataset_templates
@@ -149,6 +162,33 @@ def check_episode_invariants(events) -> dict[int, dict]:
     return open_windows
 
 
+def check_dependency_blocks(events, spec) -> None:
+    """Check the trace's dependency blocks against the end rule (see the
+    module docstring). A node is dead once a material issue on it, or on a
+    node above it, ends `abandoned`; an abandoned dependency block gives
+    nothing up."""
+    graph = TaskGraph([n for n, _, _ in spec.blocks], spec.edges)
+    placed: set[int] = set()
+    dead: set[int] = set()
+    last_action = None
+    for e in events:
+        kind, p = e["kind"], e["payload"]
+        if kind == "action":
+            last_action = p
+            if p["action"]["kind"] == "place" and p["outcome"]["status"] == "success":
+                placed.add(p["action"]["node_id"])
+        elif kind == "issue" and p.get("via") == "blocker_placed":
+            assert last_action["action"] == {"kind": "place", "node_id": p["node_id"]}, e
+            assert last_action["outcome"]["status"] == "success", e
+        elif kind == "issue" and p["event"] == "abandoned" and p["issue"] in MATERIAL_SHAPED_ISSUES:
+            dead |= {p["node_id"]} | graph.descendants(p["node_id"])
+        elif kind == "gate_decision" and p["issue"] == "dependency_block":
+            blocker = p["node_id"]
+            assert blocker not in placed, e
+            assert any(blocker in graph.preds[n] for n in spec.assigned[e["agent"]]
+                       if n not in placed and n not in dead), e
+
+
 def _recipe_delta(recipe: dict) -> dict[str, int]:
     delta: dict[str, int] = {}
     for item, n in recipe["inputs"]:
@@ -235,15 +275,18 @@ def check_exit_equivalence(early, full, spec, config) -> None:
 
 
 def check_whole_episode(run, monkeypatch) -> None:
-    """The trace and item checks on the finished `run`, and the exit check
-    against a run of its spec and config without the quiescence exit."""
+    """The trace, dependency-block and item checks on the finished `run`,
+    and the exit check against a run of its spec and config without the
+    quiescence exit."""
     early = run.trace.events
     check_episode_invariants(early)
+    check_dependency_blocks(early, run.spec)
     check_item_conservation(early, run.spec, run.world)
     with monkeypatch.context() as patch:
         patch.setattr(agent, "_quiescent", lambda *args: False)
         full = run_episode(run.spec, run.config).events
     check_episode_invariants(full)
+    check_dependency_blocks(full, run.spec)
     check_exit_equivalence(early, full, run.spec, run.config)
 
 
@@ -300,6 +343,47 @@ def test_a_dependency_block_ends_when_its_blocker_or_an_ancestor_is_given_up(par
     assert not check_episode_invariants(events)
 
 
+def dead_waiter_spec():
+    """a0's node 1 waits on a1's node 2 and on a2's node 3. a2 holds no iron
+    ingot for node 3, and nobody can supply one. a1 holds no cobblestone for
+    node 2: the one source is far off, so node 2 lands late."""
+    return hand_built_spec(
+        agents={"a0": [0, 0, 0], "a1": [60, 0, 0], "a2": [-40, 0, 0]},
+        blocks=[[1, "oak_planks", [1, 0, 1]], [2, "cobblestone", [25, 0, 1]],
+                [3, "iron_ingot", [-41, 0, 1]]],
+        assigned={"a0": [1], "a1": [2], "a2": [3]}, partition={}, script={}, edges=[[2, 1], [3, 1]],
+        inventories={"a0": {"oak_planks": 1}}, sources=[["cobblestone", [95, 0, 2], 1]],
+    )
+
+
+@pytest.mark.parametrize("partition_on", [True, False])
+def test_a_dependency_block_ends_when_its_waiters_last_waiting_node_dies(partition_on):
+    """a0 blocks on node 2, the first of node 1's prerequisites. a2 gives
+    node 3 up after two refused windows, which kills node 1, a0's only node
+    that waits on node 2. In that step a0's block ends `abandoned`, although
+    its blocker lives: node 2 is not given up, and a1 places it later. a0
+    passes no gate after its block ends."""
+    spec = dead_waiter_spec()
+    events = run_episode(spec, RunConfig(partition_on=partition_on)).events
+    issues = [(e["step"], e["agent"], e["payload"]["event"], e["payload"]["issue"], e["payload"]["node_id"])
+              for e in events if e["kind"] == "issue"]
+    given_up = next(step for step, agent_id, event, _, _ in issues
+                    if (agent_id, event) == ("a2", "abandoned"))
+    assert [i for i in issues if i[1] != "a1"] == [
+        (0, "a0", "detected", "dependency_block", 2),
+        (2, "a2", "detected", "missing_material", 3),
+        (given_up, "a2", "abandoned", "missing_material", 3),
+        (given_up, "a0", "abandoned", "dependency_block", 2)]
+    placed_2 = next(e["step"] for e in events if e["kind"] == "action"
+                    and e["payload"]["action"] == {"kind": "place", "node_id": 2})
+    assert placed_2 > given_up
+    assert not [e for e in events if e["kind"] == "gate_decision" and e["agent"] == "a0"
+                and e["step"] >= given_up]
+    assert events[-1]["payload"]["reason"] == "quiescent"
+    assert not check_episode_invariants(events)
+    check_dependency_blocks(events, spec)
+
+
 @pytest.mark.parametrize("partition_on", [True, False])
 def test_a_material_issue_kept_local_with_nothing_pending_is_given_up(partition_on):
     """The gate keeps a0's missing iron ingot local, with no local plan,
@@ -320,7 +404,7 @@ def test_a_material_issue_kept_local_with_nothing_pending_is_given_up(partition_
 
 def test_a_window_that_fails_after_its_issue_ended_records_nothing():
     """a1 never answers a0's window for its dependency block, which ends
-    anyway when a1 places node 2 (step 7). The window times out at step 20
+    anyway once a1 places node 2 (at step 6). The window times out at step 20
     with no issue of a0's open: the cooldown belonged to that issue, so the
     close records nothing, and a0's next issue starts with a clean one."""
     spec = dependency_block_spec()
@@ -330,7 +414,7 @@ def test_a_window_that_fails_after_its_issue_ended_records_nothing():
           for e in events if e["agent"] == "a0" and e["kind"] in ("issue", "window_state")]
     assert a0[:4] == [(0, "issue", "detected", "dependency_block"),
                       (0, "window_state", "opened", "dependency_block"),
-                      (7, "issue", "resolved", "dependency_block"),
+                      (6, "issue", "resolved", "dependency_block"),
                       (20, "window_state", "closed", "dependency_block")]
     updates = [(e["step"], e["payload"]["issue"], e["payload"]["consecutive_failures"])
                for e in events if e["kind"] == "cooldown_update" and e["agent"] == "a0"]
@@ -357,6 +441,7 @@ def test_an_escalation_past_a_visible_chest_replays_its_plan_cost():
 def test_default_runs_keep_the_episode_invariants(default_runs):
     for run in default_runs:
         check_episode_invariants(run.trace.events)
+        check_dependency_blocks(run.trace.events, run.spec)
 
 
 def test_items_are_conserved_in_the_default_runs(default_runs):

@@ -9,7 +9,7 @@ from gatecraft import (
     update_private_state,
 )
 from gatecraft.agent import EpisodeRuntime, RunConfig
-from gatecraft.memory import BlockageRecord
+from gatecraft.memory import BlockageRecord, next_node, waits_on
 from gatecraft.world import FAR_THRESHOLD, dist_sq
 
 from conftest import make_world, plan_for
@@ -178,3 +178,45 @@ def test_priority_dependency_block_beats_material():
     view = observe(world, "a0", plan=plan)
     issue = detect_issue(state, view, world.graph, world.recipes)
     assert issue is not None and issue.issue == IssueType.DEPENDENCY_BLOCK
+
+
+# -- "builds next" and "waits on" ---------------------------------------------------
+
+
+def test_next_node_walks_the_topological_order_and_skip_work_takes_held_nodes():
+    """The edge 5 -> 2 puts node 4 before node 2 in a0's order (1, 4, 2).
+    `next_node` takes the first unplaced, ready node outside `ignore` in
+    that order, not the smallest id; with `held` (skip work's target) only
+    a node whose material is held counts."""
+    world = make_world(
+        [(1, (0, 0, 1), "iron_ingot"), (2, (0, 0, 2), "oak_planks"), (4, (0, 0, 3), "oak_planks"),
+         (5, (0, 0, 4), "stone")],
+        edges=[(5, 2)], agents={"a0": ((0, 0, 0), {"oak_planks": 2})},
+    )
+    plan = plan_for(world, assignments={1: "a0", 2: "a0", 4: "a0", 5: "a1"})
+    assert plan.nodes_of["a0"] == (1, 4, 2)
+    graph, held = world.graph, world.agents["a0"].inventory
+    assert next_node(plan, "a0", frozenset(), graph) == 1
+    assert next_node(plan, "a0", frozenset(), graph, held=held) == 4
+    assert next_node(plan, "a0", frozenset({5}), graph, held=held) == 4  # node 2 is ready too
+    assert next_node(plan, "a0", frozenset({4, 5}), graph, held=held) == 2
+    assert next_node(plan, "a0", frozenset({5}), graph, ignore={4}, held=held) == 2
+    assert next_node(plan, "a0", frozenset(), graph, ignore={4}, held=held) is None  # 2 waits on 5
+
+
+def test_waits_on_yields_the_teammates_prerequisites_of_live_unplaced_nodes():
+    """a0's nodes 2 and 3 wait on a1's node 0, and node 2 on a2's node 1
+    too, in a0's order and then each node's prerequisite order. A placed
+    prerequisite, and a node that is placed or ignored, yield nothing."""
+    world = make_world(
+        [(0, (0, 0, 1), "stone"), (1, (0, 0, 2), "stone"), (2, (0, 0, 3), "stone"),
+         (3, (0, 0, 4), "stone")],
+        edges=[(0, 2), (1, 2), (0, 3)],
+    )
+    plan = plan_for(world, assignments={0: "a1", 1: "a2", 2: "a0", 3: "a0"})
+    graph = world.graph
+    assert list(waits_on(plan, "a0", frozenset(), graph)) == [0, 1, 0]
+    assert list(waits_on(plan, "a0", frozenset({0}), graph)) == [1]
+    assert list(waits_on(plan, "a0", frozenset(), graph, ignore={2})) == [0]
+    assert list(waits_on(plan, "a0", frozenset({0, 1, 3}), graph)) == []
+    assert list(waits_on(plan, "a1", frozenset(), graph)) == []

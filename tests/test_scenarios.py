@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from gatecraft import scenarios
 from gatecraft import EpisodeSpec, RunConfig, generate_dataset, run_episode, validate_class_property
 from gatecraft.scenarios import (
     build_episode,
@@ -53,6 +56,24 @@ def test_generated_edges_run_from_lower_to_higher_ids():
         for spec in generate_dataset(seed)[1]:
             assert all(u < v for u, v in spec.edges), (seed, spec.episode_id)
             assert spec.build_world().graph.topo_order == sorted(n for n, _, _ in spec.blocks)
+
+
+def test_an_episode_no_sample_of_which_passes_its_class_checks_raises(monkeypatch):
+    """`build_episode` writes no layout that failed the class checks: after
+    100 rejected samples it raises ValueError naming the template, the seed
+    index and the last rejection."""
+    checked = []
+
+    def reject(spec):
+        checked.append(spec.episode_id)
+        raise ValueError(f"{spec.episode_id}: out of the cost band")
+
+    monkeypatch.setattr(scenarios, "validate_class_property", reject)
+    template = dataset_templates()[0]
+    with pytest.raises(ValueError, match=rf"^template {template.template_id} \(class A, .*\), seed index 3, "
+                                         r"dataset seed 0: no sample of 100 .*out of the cost band$"):
+        build_episode(template, 3)
+    assert len(checked) == 100
 
 
 def test_seed_variants_share_structure_but_jitter_geometry():

@@ -3,7 +3,6 @@ from gatecraft import (
     Inventory,
     IssueType,
     PrivateState,
-    local_skip,
     observe,
     plan_local_recovery,
 )
@@ -113,20 +112,6 @@ def test_no_blockage_no_plan():
     view = observe(world, "a0", plan=plan)
     state = PrivateState(agent_id="a0")
     assert plan_local_recovery(state, view, world.recipes, None) is None
-
-
-# -- skip selection -----------------------------------------------------------------
-
-
-def test_local_skip_picks_smallest_independent_ready_node():
-    from gatecraft import TaskGraph
-    g = TaskGraph([0, 1, 2, 3], [(0, 1), (0, 2)])
-    every = set(g.nodes)
-    assert local_skip(g, set(), 0, every) == 3
-    assert local_skip(g, {3}, 0, every) is None  # 1,2 depend on 0
-    assert local_skip(g, set(), 3, every) == 0
-    assert local_skip(g, set(), None, every) == 0
-    assert local_skip(g, set(), 0, {1, 2}) is None
 
 
 # -- an issue's cooldown -----------------------------------------------------------
