@@ -18,7 +18,6 @@ invalidation exists or is needed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .gate import (
@@ -122,18 +121,27 @@ def _schema_problem(events: list) -> str | None:
     return None
 
 
-@dataclass
 class RunConfig:
-    weights: GateWeights = GateWeights()
-    thresholds: GateThresholds = GateThresholds()
-    tiers: int = len(TIERS)  # how many of the gate's TIERS run; 0 escalates every issue
-    partition_on: bool = True
-    window_timeout: int = 20
-    cooldown_duration: int = 30
-    step_budget: int = 300  # round-robin rounds, not individual actions
-    allow_unvalidated: bool = False
+    """The run settings, checked when built. `__slots__` names them in the
+    constructor's order; `replace` builds a changed copy, checked anew."""
 
-    def __post_init__(self):
+    __slots__ = ("weights", "thresholds", "tiers", "partition_on", "window_timeout",
+                 "cooldown_duration", "step_budget", "allow_unvalidated")
+
+    def __init__(self, weights: GateWeights = GateWeights(),
+                 thresholds: GateThresholds = GateThresholds(),
+                 tiers: int = len(TIERS),  # how many of the gate's TIERS run; 0 escalates every issue
+                 partition_on: bool = True, window_timeout: int = 20, cooldown_duration: int = 30,
+                 step_budget: int = 300,  # round-robin rounds, not individual actions
+                 allow_unvalidated: bool = False):
+        self.weights = weights
+        self.thresholds = thresholds
+        self.tiers = tiers
+        self.partition_on = partition_on
+        self.window_timeout = window_timeout
+        self.cooldown_duration = cooldown_duration
+        self.step_budget = step_budget
+        self.allow_unvalidated = allow_unvalidated
         if not 0 <= self.tiers <= len(TIERS):
             raise ValueError(f"tiers must be 0 to {len(TIERS)}")
         if self.step_budget < 1:
@@ -145,6 +153,16 @@ class RunConfig:
         ok, problems = validate_weights(self.weights)
         if not ok and not self.allow_unvalidated:
             raise ValueError("weight vector rejected: " + "; ".join(problems))
+
+    def __eq__(self, other):
+        if other.__class__ is not RunConfig:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def replace(self, **changes) -> RunConfig:
+        """This config with `changes` (settings by name), built and checked
+        as a new one."""
+        return RunConfig(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
 
     def describe(self) -> dict:
         """The run settings echoed into `episode_end`: every field but
@@ -164,13 +182,15 @@ class RunConfig:
 # `partition_on` only through `EpisodeRuntime.read_team`, which flags the
 # run when a read would have answered otherwise under the other setting.
 REGATED_FIELDS = GATE_FIELDS + ("partition_on",)
+# The settings that `regate_key` compares, in `__slots__` order.
+_KEY_FIELDS = tuple(name for name in RunConfig.__slots__ if name not in REGATED_FIELDS)
 
 
 def regate_key(config: RunConfig) -> tuple:
     """The config's values outside REGATED_FIELDS: `regate` derives a run
     only from a reference with the same key, so configs that share a key
     can share one simulation."""
-    return tuple(getattr(config, f.name) for f in fields(config) if f.name not in REGATED_FIELDS)
+    return tuple(getattr(config, name) for name in _KEY_FIELDS)
 
 
 def _mock_backend(config: RunConfig) -> MockAdjudicator:
@@ -957,7 +977,7 @@ def regate(reference: EpisodeRuntime, config: RunConfig) -> Trace | None:
     - Before the first read, both runs have the same spec and the same
       settings outside REGATED_FIELDS. The gate settings are read nowhere
       else than in `_gate_decision`, `_mock_backend`, `describe` and the
-      checks in `__post_init__` (the dataset validator reads only a
+      checks in `RunConfig.__init__` (the dataset validator reads only a
       fresh `RunConfig()`'s), and `partition_on` nowhere else than in
       `read_team`, `describe` and here (`tests/test_regate.py` pins both
       lists). So they trace the same bytes.

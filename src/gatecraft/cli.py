@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -397,7 +396,7 @@ def cmd_ablate(ns) -> int:
     episodes = _require_dataset(ns)
     out = _out_dir(ns)
 
-    configs = [dataclasses.replace(ns.run_config, **overrides) for _, overrides in ABLATION_VARIANTS]
+    configs = [ns.run_config.replace(**overrides) for _, overrides in ABLATION_VARIANTS]
     per_variant, flags = run_config_suite(episodes, configs, ns.jobs, ns.backend)
 
     columns = ["variant", "tsr", "cs", "ecr", "msg", "escalations",
@@ -463,7 +462,7 @@ def cmd_calibrate(ns) -> int:
 def cmd_report(ns) -> int:
     out = _out_dir(ns)
     traces_dir = ns.traces or out / "traces"
-    trace_files = sorted(traces_dir.glob("*.jsonl")) if traces_dir.is_dir() else []
+    trace_files = sorted(traces_dir.glob("*.jsonl"), key=lambda p: p.name) if traces_dir.is_dir() else []
     if not trace_files:
         raise UsageError(f"no trace files under {traces_dir}; run `gatecraft run` first")
 

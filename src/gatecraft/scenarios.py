@@ -208,7 +208,9 @@ class EpisodeSpec:
         item count that is not an integer >= 0, `blocks` repeating a node id
         or a position, `assigned` listing a node twice, `assigned` or `edges`
         naming a node that is not one of `blocks`, or `edges` closing a
-        cycle. Also when `episode_id`, which names the episode's trace file,
+        cycle. Also when `assigned` leaves a node of `blocks` out: no agent
+        would build it, and no agent waiting on it would raise an issue.
+        Also when `episode_id`, which names the episode's trace file,
         is not a non-empty single path component (no `/`, `\\` or NUL; not
         `.` or `..`)."""
         episode_id = d["episode_id"]
@@ -240,6 +242,8 @@ class EpisodeSpec:
                 owner[n] = aid
         if stray := sorted(owner.keys() - nodes):
             raise ValueError(f"assigned names nodes outside blocks: {stray}")
+        if left := sorted(nodes - owner.keys()):
+            raise ValueError(f"assigned leaves blocks nodes unassigned: {left}")
         if stray := [e for e in edges if not nodes.issuperset(e)]:
             raise ValueError(f"edges name nodes outside blocks: {stray}")
         # ids ascending along every edge, as generated, rule a cycle out

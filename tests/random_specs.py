@@ -11,7 +11,6 @@ Nothing here narrows the draw to shapes the runtime handles well: a spec
 is used as drawn.
 """
 
-import dataclasses
 import random
 
 from gatecraft import RunConfig, default_recipes
@@ -89,6 +88,6 @@ def random_config(index: int) -> RunConfig:
     drawn window timeout, cooldown and step budget."""
     rng = random.Random(-1 - index)
     _, overrides = rng.choice(ABLATION_VARIANTS)
-    return dataclasses.replace(
-        RunConfig(), **overrides, window_timeout=rng.randint(1, 25),
+    return RunConfig(
+        **overrides, window_timeout=rng.randint(1, 25),
         cooldown_duration=rng.randint(0, 40), step_budget=rng.randint(20, 300))

@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 
 import pytest
 
@@ -27,8 +27,74 @@ def test_run_config_validates_weights_unless_permitted():
 
 @pytest.mark.parametrize("tiers", [-1, 4])
 def test_run_config_rejects_a_cascade_depth_outside_its_tiers(tiers):
-    with pytest.raises(ValueError, match="tiers must be 0 to 3"):
+    with pytest.raises(ValueError, match="^tiers must be 0 to 3$"):
         RunConfig(tiers=tiers)
+    with pytest.raises(ValueError, match="^tiers must be 0 to 3$"):
+        RunConfig().replace(tiers=tiers)
+
+
+_UNVALIDATED = GateWeights(1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"step_budget": 0}, "step_budget must be >= 1"),
+    ({"window_timeout": 0}, "window_timeout must be >= 1"),
+    ({"cooldown_duration": -1}, "cooldown_duration must be >= 0"),
+    ({"weights": _UNVALIDATED}, "weight vector rejected: wC must exceed max(wR, wI, wL); "
+                                "min(wR, wI, wL) must exceed wH"),
+], ids=["step_budget", "window_timeout", "cooldown", "weights"])
+def test_run_config_and_replace_reject_the_same_values(changes, message):
+    """`replace` builds its copy through the constructor, so it checks what
+    a new config checks, with the same message (the tiers' check has its
+    own test above)."""
+    with pytest.raises(ValueError) as built:
+        RunConfig(**changes)
+    with pytest.raises(ValueError) as replaced:
+        RunConfig().replace(**changes)
+    assert str(built.value) == str(replaced.value) == message
+
+
+def test_replace_admits_unvalidated_weights_only_with_allow_unvalidated():
+    admitted = RunConfig(allow_unvalidated=True).replace(weights=_UNVALIDATED)
+    assert admitted.weights == _UNVALIDATED
+    assert RunConfig(weights=_UNVALIDATED, allow_unvalidated=True) == admitted
+    with pytest.raises(ValueError, match="^weight vector rejected: "):
+        admitted.replace(allow_unvalidated=False)
+
+
+def test_run_configs_compare_by_value():
+    config = RunConfig(weights=GateWeights(5, 2, 2, 2, 1), thresholds=GateThresholds(0.3, 0.6),
+                       tiers=2, partition_on=False, window_timeout=5, cooldown_duration=3,
+                       step_budget=40)
+    same = RunConfig(GateWeights(5, 2, 2, 2, 1), GateThresholds(0.3, 0.6), 2, False, 5, 3, 40)
+    assert config == same and config is not same
+    assert RunConfig() == RunConfig().replace() == RunConfig(weights=GateWeights(4, 2, 2, 2, 1))
+    assert config.replace(step_budget=41) != config
+    assert config.replace(step_budget=41).replace(step_budget=40) == config
+    assert RunConfig() != RunConfig().describe()
+
+
+def test_a_run_config_survives_a_pickle_round_trip():
+    """Pool workers receive their configs pickled."""
+    config = RunConfig(weights=_UNVALIDATED, thresholds=GateThresholds(0.2, 0.8), tiers=1,
+                       partition_on=False, window_timeout=7, cooldown_duration=0, step_budget=9,
+                       allow_unvalidated=True)
+    again = pickle.loads(pickle.dumps(config))
+    assert again == config and again is not config
+    assert again.describe() == config.describe()
+
+
+def test_regate_key_ignores_exactly_the_regated_fields():
+    """Changing one setting changes the key unless it is one `regate` may
+    change."""
+    other = {"weights": GateWeights(5, 2, 2, 2, 1), "thresholds": GateThresholds(0.3, 0.6),
+             "tiers": 1, "partition_on": False, "window_timeout": 5, "cooldown_duration": 3,
+             "step_budget": 40, "allow_unvalidated": True}
+    assert sorted(other) == sorted(RunConfig.__slots__)
+    key = agent.regate_key(RunConfig())
+    ignored = {name for name, value in other.items()
+               if agent.regate_key(RunConfig().replace(**{name: value})) == key}
+    assert ignored == set(agent.REGATED_FIELDS)
 
 
 def test_run_config_describe_echoes_settings():
@@ -502,7 +568,7 @@ def test_each_action_event_rebuilds_the_outcome_apply_action_returned(dataset, m
     monkeypatch.setattr(agent, "apply_action", spy)
     seen = set()
     for name, overrides in ABLATION_VARIANTS:
-        config = dataclasses.replace(RunConfig(), **overrides)
+        config = RunConfig(**overrides)
         for spec in specs:
             returned.clear()
             events = Trace.from_jsonl(run_episode(spec, config).to_jsonl()).events

@@ -12,7 +12,7 @@ from gatecraft import Trace, agent, cli, gate, harness, memory, scenarios, solve
 from gatecraft.cli import main
 from gatecraft.scenarios import EpisodeSpec, save_dataset
 
-from conftest import record_pool_sizes
+from conftest import dependency_block_spec, record_pool_sizes
 
 
 @pytest.fixture(scope="module")
@@ -825,6 +825,21 @@ def test_a_dataset_line_whose_world_cannot_be_built_fails_at_load(tmp_path, smal
     episodes.write_text("\n".join([lines[1], json.dumps(spec)]) + "\n")
     assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
     assert f"error: {episodes} line 2: {problem}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/traces/*.jsonl"))
+
+
+def test_a_dataset_line_that_leaves_a_node_unassigned_fails_at_load(tmp_path, capsys):
+    """a0's node 1 waits on node 2, which no agent is assigned. Run as is,
+    a0 would idle and the episode would end quiescent with no issue
+    recorded; `run` refuses the line with exit 1 before any trace is
+    written."""
+    spec = dependency_block_spec()
+    spec.assigned = {"a0": [1], "a1": []}
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text(json.dumps(spec.to_dict()) + "\n")
+    assert main(["run", "--dataset", str(episodes), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {episodes} line 1: "
+                                       "assigned leaves blocks nodes unassigned: [2]\n")
     assert not list(tmp_path.glob("o/traces/*.jsonl"))
 
 

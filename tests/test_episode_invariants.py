@@ -61,7 +61,6 @@ The default runs and the random-spec runs are run once more with a spy on
 inventory equals its body's, which is why decisions may read it instead.
 """
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -91,8 +90,7 @@ def _sample_run(rng):
     template = rng.choice(dataset_templates())
     spec = build_episode(template, rng.randrange(SEEDS_PER_TEMPLATE), rng.randint(0, 3))
     _, overrides = rng.choice(ABLATION_VARIANTS)
-    config = dataclasses.replace(
-        RunConfig(),
+    config = RunConfig(
         window_timeout=rng.randint(1, 25),
         cooldown_duration=rng.randint(0, 40),
         step_budget=rng.randint(1, 300),

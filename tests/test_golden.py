@@ -31,7 +31,6 @@ say in CHANGES.md which fields moved and why:
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -75,7 +74,7 @@ def compute_digests(episodes) -> dict:
     """variant -> {"metrics_csv": sha256, "traces": {episode_id: sha256}}."""
     out = {}
     for name, overrides in ABLATION_VARIANTS:
-        config = dataclasses.replace(RunConfig(), **overrides)
+        config = RunConfig(**overrides)
         traces, metrics = {}, []
         for spec in episodes:
             trace = run_episode(spec, config)
@@ -158,7 +157,7 @@ def compute_summary_digests(dataset, work: Path) -> dict:
     variants = dict(ABLATION_VARIANTS)
     out = {}
     for name in REPORTED_VARIANTS:
-        config = dataclasses.replace(RunConfig(), **variants[name])
+        config = RunConfig(**variants[name])
         traces = work / f"traces-{name}"
         traces.mkdir()
         for spec in episodes:

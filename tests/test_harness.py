@@ -1,7 +1,6 @@
 """Metric counting, aggregation, template splits and calibration."""
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -446,7 +445,7 @@ def test_run_configs_matches_one_run_per_config(dataset):
     """The six ablation variants span both partition settings, all-off and
     partial tier sets: shared simulation must change no metric."""
     _, episodes = dataset
-    configs = [dataclasses.replace(RunConfig(), **o) for _, o in ABLATION_VARIANTS]
+    configs = [RunConfig(**o) for _, o in ABLATION_VARIANTS]
     simulated_total = 0
     for spec in episodes[::25]:
         metrics, simulated = run_configs(spec, configs)
@@ -462,7 +461,7 @@ def test_run_configs_counts_metrics_without_replaying(dataset, monkeypatch):
     """Metrics count the plan cost each escalation recorded: re-gated runs
     give the metrics fresh runs give, and no solver context is replayed."""
     _, episodes = dataset
-    configs = [dataclasses.replace(RunConfig(), **o) for _, o in ABLATION_VARIANTS]
+    configs = [RunConfig(**o) for _, o in ABLATION_VARIANTS]
     replayed = []
     monkeypatch.setattr(harness, "replay_local_feasibility", replayed.append)
     for spec in episodes[::25]:
@@ -481,7 +480,7 @@ def test_run_config_suite_gives_each_config_its_own_backend(dataset, tmp_path):
     script.write_text("".join('{"decision": "%s", "confidence": 0.9}\n' % d
                               for d in ["stay_local", "escalate"] * 20))
     name = f"scripted:{script}"
-    configs = [dataclasses.replace(RunConfig(), **o) for _, o in ABLATION_VARIANTS]
+    configs = [RunConfig(**o) for _, o in ABLATION_VARIANTS]
     per_config, flags = run_config_suite(subset, configs, jobs=2, backend=name)
     assert len(flags) == len(configs) * len(subset)
     for config, metrics in zip(configs, per_config):

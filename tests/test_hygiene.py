@@ -1,12 +1,12 @@
 """Source hygiene: every import in `src/` and `tests/` is used, every
 module-level name in `src/gatecraft` is used in `src/` or exported, every
 `RunConfig` field is read by the program and echoed into the trace,
-importing the command line loads no network or process-pool module and
-builds no dataclass but `RunConfig`, the package builds one process pool,
-no `src/gatecraft` module imports a gatecraft module inside a function and
-their module-level imports form no cycle, no `src/gatecraft` module imports
-`enum`, every tag a run holds is
-an exact `str`, every issue type is detected by a run, and the benchmark's
+importing the command line loads no network, process-pool or
+introspection module, no gatecraft class is a dataclass, the package
+builds one process pool, no `src/gatecraft` module imports a gatecraft
+module inside a function and their module-level imports form no cycle, no
+`src/gatecraft` module imports `enum`, every tag a run holds is an exact
+`str`, every issue type is detected by a run, and the benchmark's
 per-layer wrappers still find what they wrap and count views and digests
 once per step, the step loop reads an agent's own inventory only from
 its private state, and the command line reads no trace payload.
@@ -18,7 +18,6 @@ would not count).
 """
 
 import ast
-import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -36,6 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Only `remote:` backends and `--jobs > 1` need these; they are imported where used.
 LAZY_MODULES = ("urllib.request", "http.client", "ssl", "concurrent.futures")
+# What `import dataclasses` loads. No gatecraft class is a dataclass, so no
+# command pays for these at start-up.
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy")
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -99,7 +101,7 @@ def test_every_run_setting_is_read_and_echoed():
     `describe`, is a setting that changes nothing but the trace. The echo
     holds exactly the run settings: every field but `allow_unvalidated`,
     which only admits weights."""
-    names = {f.name for f in dataclasses.fields(RunConfig)}
+    names = set(RunConfig.__slots__)
     reads = set().union(*(attribute_reads(f, names) for f in sorted((ROOT / "src").rglob("*.py"))))
     read = {name for module, scope, name in reads if (module, scope) != ("agent", "RunConfig.describe")}
     assert sorted(names - read) == []
@@ -107,7 +109,10 @@ def test_every_run_setting_is_read_and_echoed():
 
 
 def test_cli_import_skips_network_and_pool_modules():
-    probe = f"import sys, gatecraft.cli; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
+    """Nor does it load the introspection modules, which every process that
+    starts a command would pay for."""
+    probe = ("import sys, gatecraft.cli; "
+             f"print([m for m in {LAZY_MODULES + INTROSPECTION_MODULES!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
@@ -123,15 +128,13 @@ def test_one_process_pool_serves_every_command():
     assert len(built) == 1, built
 
 
-def test_run_config_is_the_only_dataclass():
+def test_no_gatecraft_class_is_a_dataclass():
     """Every gatecraft command imports every module, and a dataclass builds
     its generated methods (`__init__`, `__repr__`, `__eq__`, and three more
     when frozen) by compiling source text while its module is imported, so
-    each one adds to the start-up of every command. The records are plain
-    classes with `__slots__` instead. `RunConfig` stays a dataclass: `ablate`
-    derives its variants with `dataclasses.replace`, and `regate_key` walks
-    `dataclasses.fields`, so the gate settings keep the few readers that
-    `tests/test_regate.py` pins."""
+    each one adds to the start-up of every command, as does importing
+    `dataclasses` itself. The records, `RunConfig` among them, are plain
+    classes with `__slots__` instead."""
     probe = ("import sys, gatecraft.cli\n"
              "print(sorted(f'{m.__name__}.{k}' for m in list(sys.modules.values())\n"
              "             if m.__name__.split('.')[0] == 'gatecraft' for k, v in vars(m).items()\n"
@@ -140,7 +143,7 @@ def test_run_config_is_the_only_dataclass():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "['gatecraft.agent.RunConfig']"
+    assert out.strip() == "[]"
 
 
 def gatecraft_imports(path: Path) -> list[tuple[int, str, bool]]:

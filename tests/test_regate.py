@@ -1,6 +1,5 @@
 """Counterfactual re-gating: `agent.regate` against full simulation."""
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -161,13 +160,13 @@ def test_regate_rejects_a_config_that_differs_outside_the_gate():
     reference = simulate_episode(_hand_built(), RunConfig())
     for change in ({"window_timeout": 5}, {"cooldown_duration": 3}, {"step_budget": 40}):
         with pytest.raises(ValueError, match="outside the gate settings"):
-            regate(reference, dataclasses.replace(RunConfig(), **change))
+            regate(reference, RunConfig(**change))
 
 
 # The only code that may read a gate setting. `regate`'s equivalence argument
 # rests on this list; a new read has to be added here and argued there.
 GATE_READS = {
-    ("agent", "RunConfig.__post_init__"),  # weight and tier validation, before any run
+    ("agent", "RunConfig.__init__"),  # weight and tier validation, before any run
     ("agent", "RunConfig.describe"),  # episode_end.config, re-rendered by regate
     ("agent", "_mock_backend"),
     ("agent", "_gate_decision"),

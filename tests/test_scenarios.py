@@ -12,6 +12,8 @@ from gatecraft.scenarios import (
     save_dataset,
 )
 
+from conftest import dependency_block_spec
+
 
 def test_manifest_composition(dataset):
     manifest, episodes = dataset
@@ -100,6 +102,18 @@ def test_save_and_load_dataset(tmp_path, dataset):
     # the episodes file alone is also accepted
     from_file = load_dataset(out / "episodes.jsonl")
     assert [e.to_dict() for e in from_file] == [e.to_dict() for e in episodes]
+
+
+def test_a_line_that_leaves_a_node_unassigned_fails_to_load(tmp_path):
+    """a0's node 1 waits on node 2, which `assigned` gives no agent: no one
+    would build node 2, and a0 would raise no issue for it. The line is
+    refused, naming the file, the line and the nodes left out."""
+    spec = dependency_block_spec()
+    spec.assigned = {"a0": [1], "a1": []}
+    path = save_dataset({}, [spec], tmp_path / "ds") / "episodes.jsonl"
+    with pytest.raises(ValueError) as failed:
+        load_dataset(path)
+    assert str(failed.value) == f"{path} line 1: assigned leaves blocks nodes unassigned: [2]"
 
 
 def test_world_builds_and_bottleneck_binds(dataset):
